@@ -35,6 +35,7 @@ from .polynomials import (
     JACOBI,
     LAGUERRE,
     PolySpec,
+    monomial_coefficients,
     poly_deriv,
     poly_deriv2,
     poly_eval,
@@ -60,6 +61,8 @@ REAL_TAGS = tuple(t for t in FAMILY_TAGS if t != "Xl-PT-Scarf")
 # translates m-1, m-2 that every verification run also evaluates.
 _SAMPLER_MARGIN = 0.1
 _SCAN_POINTS = 1 << 14
+# Largest Xl degree the sampler draws; verification is checked up to here.
+_ELL_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -535,15 +538,18 @@ def _build_xl_pt_scarf(p: ParamPoint) -> SuperpotentialFamily:
 
     def scan_clear(m):
         # A singularity at real x != 0 needs a purely imaginary polynomial
-        # root i*s: both real and imaginary parts of P(i*s) must vanish.
+        # root i*s: both real and imaginary parts of P(i*s) must vanish.  A
+        # zero of one part is a root when |P(i*s)| is small against the
+        # local size of the polynomial's terms, sum_k |d_k| |s|**k.
         for spec in (spec_plus(m), spec_minus(m)):
             w_lo, w_hi = root_window(spec)
             s_cap = max(2.0, abs(w_lo), abs(w_hi))
             q = lambda s: poly_eval(spec, 1j * np.asarray(s, dtype=float))
-            scale = 1.0 + float(np.max(np.abs(q(np.linspace(-s_cap, s_cap, 64)))))
+            term_size = np.abs(monomial_coefficients(spec))
             for part in (lambda s: q(s).real, lambda s: q(s).imag):
                 for s_root in scan_roots(part, -s_cap, s_cap, _SCAN_POINTS):
-                    if abs(s_root) > 1e-6 and abs(q(np.asarray([s_root]))[0]) < 1e-8 * scale:
+                    size = np.polynomial.polynomial.polyval(abs(s_root), term_size)
+                    if abs(s_root) > 1e-6 and abs(q(np.asarray([s_root]))[0]) < 1e-8 * size:
                         return False
         return True
 
@@ -725,12 +731,12 @@ def _draw_params(tag: str, rng: np.random.Generator) -> ParamPoint:
         lo = (1.0 + 2.0 * B) / 2.0
         hi = -lo
         m = u(lo + 2.0 + _SAMPLER_MARGIN, hi - _SAMPLER_MARGIN)
-        return ParamPoint(m=m, B=B, ell=int(rng.integers(1, 4)))
+        return ParamPoint(m=m, B=B, ell=int(rng.integers(1, _ELL_MAX + 1)))
     if tag == "Xl-PT-Scarf":
-        return ParamPoint(m=u(-2.0, 2.0), B=u(-4.0, -0.6), ell=int(rng.integers(1, 4)))
+        return ParamPoint(m=u(-2.0, 2.0), B=u(-4.0, -0.6), ell=int(rng.integers(1, _ELL_MAX + 1)))
     if tag == "Xl-radial-oscillator":
         return ParamPoint(m=u(-4.0, -0.5 - _SAMPLER_MARGIN), omega=u(0.5, 3.0),
-                          ell=int(rng.integers(1, 4)))
+                          ell=int(rng.integers(1, _ELL_MAX + 1)))
     raise UnsupportedError(f"unknown family tag {tag!r}")
 
 

@@ -8,13 +8,23 @@ finite series in rising-factorial form with compensated (Kahan) summation.
 Degrees stay small (<= 10 in the shipped catalog; hard cap 64), which keeps
 the series cheap and its worst-case cancellation bounded.
 
+The Jacobi series runs in u = (z - 1)/2.  Near z = 0 (|u| close to 1/2) its
+alternating terms cancel, so arguments with |z| < 1 are evaluated in the
+monomial basis in z instead.  Those coefficients are computed exactly in
+rational arithmetic (float parameters are exact rationals) from the same
+series and rounded once to float64.  Arguments with |z| >= 1, among them
+every cosh(x) and every real root scan, keep the series about z = 1.
+
 Real parameters with a real argument are evaluated in float64 and only cast
 to complex on output, so the imaginary part of such results is exactly zero.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +44,10 @@ SCAN_RESOLUTION = 4096
 _BASE_SCAN_CAP = 1 << 16
 _MAX_SCAN_POINTS = 1 << 22
 _BISECT_TOL = 1e-12
+_BISECT_STEPS = 200
+# Coefficient caches, keyed by PolySpec; bounded because every new parameter
+# point brings new specs.
+_COEF_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -61,8 +75,9 @@ class PolySpec:
             raise ValueError("Laguerre takes no beta")
 
 
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
 def _series_coefficients(spec: PolySpec) -> np.ndarray:
-    """Coefficients c_s of the series sum_s c_s * u**s.
+    """Coefficients c_s of the series sum_s c_s * u**s, read-only.
 
     Jacobi uses u = (z - 1)/2, Laguerre u = z (signs folded in).  Rising
     factorials are built multiplicatively, the descending one backwards, so
@@ -84,15 +99,48 @@ def _series_coefficients(spec: PolySpec) -> np.ndarray:
         binom[0] = 1.0
         for s in range(n):
             binom[s + 1] = binom[s] * (n - s) / (s + 1.0)
-        return binom * rf_up * rf_down / float(math.factorial(n))
+        coef = binom * rf_up * rf_down / float(math.factorial(n))
+    else:
+        a = spec.alpha
+        coef = np.empty(n + 1)
+        rf = 1.0  # (a + s + 1)_{n - s}, filled backwards
+        for s in range(n, -1, -1):
+            coef[s] = ((-1.0) ** s) * rf / (math.factorial(n - s) * math.factorial(s))
+            if s > 0:
+                rf *= a + s
+    coef.setflags(write=False)
+    return coef
 
-    a = spec.alpha
-    coef = np.empty(n + 1)
-    rf = 1.0  # (a + s + 1)_{n - s}, filled backwards
-    for s in range(n, -1, -1):
-        coef[s] = ((-1.0) ** s) * rf / (math.factorial(n - s) * math.factorial(s))
-        if s > 0:
-            rf *= a + s
+
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
+def monomial_coefficients(spec: PolySpec) -> np.ndarray:
+    """Coefficients d_k of the polynomial as sum_k d_k * z**k, read-only.
+
+    Jacobi coefficients are exact rationals, from the series about z = 1
+    with c_s = C(n, s) (n+a+b+1)_s (a+s+1)_{n-s} / n!, rounded once to
+    float64.  Laguerre's series already runs in z.
+    """
+    if spec.kind == LAGUERRE:
+        return _series_coefficients(spec)
+    n = spec.degree
+    (pa, qa), (pb, qb) = (float(v).as_integer_ratio() for v in (spec.alpha, spec.beta))
+    den = max(qa, qb)  # both powers of two
+    ia, ib = pa * (den // qa), pb * (den // qb)
+    # In integers: c_s * n! * den**n = C(n, s) * prod(up[:s]) * prod(down[s:])
+    up = [(n + 1 + j) * den + ia + ib for j in range(n)]
+    down = [(j + 1) * den + ia for j in range(n)]
+    prefix = list(itertools.accumulate(up, operator.mul, initial=1))
+    suffix = list(itertools.accumulate(reversed(down), operator.mul, initial=1))[::-1]
+    c = [math.comb(n, s) * prefix[s] * suffix[s] for s in range(n + 1)]
+    # ((z - 1)/2)**s = sum_k C(s, k) (-1)**(s - k) z**k / 2**s; int / int
+    # rounds correctly
+    scale = math.factorial(n) * den ** n * 2 ** n
+    coef = np.array([
+        sum(c[s] * math.comb(s, k) * (-1) ** (s - k) * 2 ** (n - s) for s in range(k, n + 1))
+        / scale
+        for k in range(n + 1)
+    ])
+    coef.setflags(write=False)
     return coef
 
 
@@ -128,11 +176,18 @@ def poly_eval(spec: PolySpec, z):
     """Evaluate the polynomial at z (scalar or array, real or complex).
 
     Returns complex128; real parameters with real argument give an exactly
-    zero imaginary part.
+    zero imaginary part.  Jacobi arguments with |z| < 1 go through the
+    monomial basis (see the module docstring).
     """
     work, scalar = _prepare_argument(z)
-    u = (work - 1.0) / 2.0 if spec.kind == JACOBI else work
-    out = _eval_series(_series_coefficients(spec), u).astype(np.complex128)
+    if spec.kind == JACOBI:
+        out = np.asarray(_eval_series(_series_coefficients(spec), (work - 1.0) / 2.0))
+        inner = np.abs(work) < 1.0
+        if inner.any():
+            out[inner] = _eval_series(monomial_coefficients(spec), work[inner])
+    else:
+        out = _eval_series(_series_coefficients(spec), work)
+    out = out.astype(np.complex128)
     return complex(out[()]) if scalar else out
 
 
@@ -194,33 +249,60 @@ def root_window(spec: PolySpec) -> tuple[float, float]:
     return -r_u, r_u
 
 
-def scan_roots(f, lo: float, hi: float, n_sub: int) -> list[float]:
+def _sample(f, lo: float, hi: float, n_sub: int, coarse=None):
+    """Scan nodes np.linspace(lo, hi, n_sub + 1) and the values of f there.
+
+    coarse is the (nodes, values) pair of a pass with half as many
+    subintervals.  Where its nodes are bit for bit the even nodes of this
+    pass, their values are reused and only the odd nodes are evaluated.
+    """
+    xs = np.linspace(lo, hi, n_sub + 1)
+    if coarse is not None and np.array_equal(xs[::2], coarse[0]):
+        vals = np.empty(xs.shape)
+        vals[::2] = coarse[1]
+        vals[1::2] = np.asarray(f(xs[1::2]), dtype=float)
+        return xs, vals
+    return xs, np.asarray(f(xs), dtype=float)
+
+
+def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Midpoints of the brackets [a, b] (f(a) = fa) after bisection, all
+    brackets in lockstep with one call of f per step.  Each bracket stops at
+    width <= _BISECT_TOL, collapses onto an exact zero at its midpoint, and
+    takes at most _BISECT_STEPS steps."""
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    live = np.arange(a.size)
+    for _ in range(_BISECT_STEPS):
+        # a collapsed bracket has width 0 and drops out here
+        live = live[(b[live] - a[live]) > _BISECT_TOL]
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        fm = np.asarray(f(mid), dtype=float)
+        zero = fm == 0.0
+        left = ~zero & (fa[live] * fm < 0)
+        right = ~zero & ~left
+        a[live[zero]] = mid[zero]
+        b[live[zero]] = mid[zero]
+        b[live[left]] = mid[left]
+        a[live[right]] = mid[right]
+        fa[live[right]] = fm[right]
+    return 0.5 * (a + b)
+
+
+def scan_roots(f, lo: float, hi: float, n_sub: int, xs=None, vals=None) -> list[float]:
     """Bracket sign changes of f on [lo, hi] with n_sub subintervals, then
     bisect each bracket to 1e-12 absolute.  Exact zeros at scan nodes are
-    returned directly.  f must accept an ndarray."""
+    returned directly.  f must accept an ndarray.  xs and vals, when given,
+    are the nodes np.linspace(lo, hi, n_sub + 1) and f's values there."""
     if not (hi > lo):
         return []
-    xs = np.linspace(lo, hi, n_sub + 1)
-    vals = np.asarray(f(xs), dtype=float)
-    roots = [float(x) for x, v in zip(xs, vals) if v == 0.0]
+    if xs is None:
+        xs, vals = _sample(f, lo, hi, n_sub)
+    roots = xs[vals == 0.0].tolist()
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in idx:
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(vals[i])
-        for _ in range(200):
-            if (b - a) <= _BISECT_TOL:
-                break
-            mid = 0.5 * (a + b)
-            fm = float(f(np.asarray([mid]))[0])
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
+    roots += _bisect(f, xs[idx], xs[idx + 1], vals[idx]).tolist()
     roots.sort()
     merged: list[float] = []
     for r in roots:
@@ -256,8 +338,10 @@ def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
     n_sub = min(max(int(SCAN_RESOLUTION * span), 64), _BASE_SCAN_CAP)
     counts: list[int] = []
     roots: list[float] = []
+    coarse = None
     for _ in range(7):
-        roots = scan_roots(f, lo, hi, n_sub)
+        coarse = _sample(f, lo, hi, n_sub, coarse)
+        roots = scan_roots(f, lo, hi, n_sub, *coarse)
         counts.append(len(roots))
         if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
             break

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import UnsupportedError, UsageError
 from .superpotential import SuperpotentialFamily
@@ -110,6 +109,10 @@ def remainder(family: SuperpotentialFamily, m: float, grid):
 
 
 def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only spectra need it
+    from scipy.linalg import eigh_tridiagonal
+
     diag = 2.0 / (h * h) + values
     off = np.full(values.size - 1, -1.0 / (h * h))
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from shapeinv import (
     FAMILY_TAGS,
     GridSpec,
@@ -203,3 +204,31 @@ class TestScarfStructure:
     def test_puncture_is_the_only_declared_pole(self):
         entry = get_family("Xl-PT-Scarf", ParamPoint(m=-0.8, B=-3.0, ell=3))
         assert entry.family.poles(-0.8) == (0.0,)
+
+
+class TestScarfAccuracy:
+    """The Scarf denominators are Jacobi polynomials at i*sinh(x), where the
+    series about z = 1 cancels; values near x = 0 once lost up to 7e-10."""
+
+    B, M = -2.0, 0.3
+
+    @pytest.mark.parametrize("ell", [6, 10, 12])
+    def test_denominators_match_oracle(self, ell):
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=self.M, B=self.B, ell=ell)).family
+        ms = (self.M, self.M - 1.0, self.M - 2.0)
+        grid = make_grid(fam, GridSpec(n_points=512), m_values=ms)
+        for x in (-0.02, 0.01, 0.4, float(grid[0]), float(grid[-1])):
+            z = 1j * oracles.mp.sinh(oracles.mp.mpf(x))
+            for m in ms:
+                for den, (da, db) in ((fam.denom_plus, (-0.5, -1.5)),
+                                      (fam.denom_minus, (-1.5, -0.5))):
+                    ref = oracles.to_complex(
+                        oracles.jacobi(ell, -self.B + m + da, -self.B - m + db, z))
+                    got = complex(np.asarray(den(np.asarray([x]), m))[0])
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (x, m)
+
+    def test_witness_agrees_at_degree_8(self):
+        # |q(1.28)| = 1627 once counted as a root against 1e-8 * max|q|
+        rep = validity_witness(
+            "Xl-PT-Scarf", ParamPoint(m=1.9774829677065657, B=-1.3953730974523149, ell=8))
+        assert rep.valid and rep.scan_clear and rep.agrees

@@ -27,6 +27,16 @@ class TestVerify:
             assert doc["overall_pass"] is True
             assert len(doc["results"]) == 2
 
+    def test_scarf_degree_10_passes(self, tmp_path):
+        # a false compatibility violation (residual 1.5e-8 against 1e-9)
+        # before Jacobi values near z = 0 moved to the monomial basis
+        code, text = run(
+            tmp_path, "verify", "--family", "Xl-PT-Scarf",
+            "--params", '{"m": 0.3, "B": -2.0, "ell": 10}', "--no-timestamp",
+        )
+        assert code == 0
+        assert json.loads(text)["results"][0]["residuals"]["compatibility"] < 1e-10
+
     def test_invalid_params_exit_2(self, tmp_path, capsys):
         code = main([
             "verify", "--family", "X1-radial-oscillator",

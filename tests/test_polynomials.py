@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 
 from shapeinv import DEGREE_CAP, JACOBI, LAGUERRE, PolySpec, poly_deriv, poly_eval, real_roots_in
 from shapeinv.errors import DomainError, UnsupportedError
-from shapeinv.polynomials import poly_deriv2, root_window
+from shapeinv.polynomials import (
+    SCAN_RESOLUTION,
+    _BASE_SCAN_CAP,
+    _MAX_SCAN_POINTS,
+    _eval_series,
+    _series_coefficients,
+    monomial_coefficients,
+    poly_deriv2,
+    root_window,
+    scan_roots,
+)
 
 import oracles
 
@@ -78,8 +88,6 @@ class TestDerivatives:
         # relative, plus the finite difference's own roundoff floor
         # (eps * sum|c_s u^s| / h), which dominates only for draws where the
         # series condition number exceeds ~1e7.
-        from shapeinv.polynomials import _eval_series, _series_coefficients
-
         def fd_noise_floor(spec, z, h):
             coef = np.abs(_series_coefficients(spec))
             pts = [
@@ -196,6 +204,130 @@ class TestRoots:
             roots = real_roots_in(spec, (-np.inf, np.inf))
             assert len(roots) == n  # classical parameters: all roots real
             assert all(lo <= r <= hi for r in roots)
+
+
+def reference_scan(f, lo, hi, n_sub):
+    """The scan evaluated in full, one bracket and one point at a time."""
+    xs = np.linspace(lo, hi, n_sub + 1)
+    vals = np.asarray(f(xs), dtype=float)
+    roots = [float(x) for x, v in zip(xs, vals) if v == 0.0]
+    sign = np.sign(vals)
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        a, b, fa = float(xs[i]), float(xs[i + 1]), float(vals[i])
+        for _ in range(200):
+            if (b - a) <= 1e-12:
+                break
+            mid = 0.5 * (a + b)
+            fm = float(f(np.asarray([mid]))[0])
+            if fm == 0.0:
+                a = b = mid
+                break
+            if fa * fm < 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+    roots.sort()
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > 1e-10:
+            merged.append(r)
+    return merged
+
+
+def reference_real_roots(spec, interval):
+    """real_roots_in's doubling rule with every pass scanned from scratch."""
+    w_lo, w_hi = root_window(spec)
+    if w_lo == w_hi:
+        return []
+    lo = max(interval[0], w_lo - 1e-6)
+    hi = min(interval[1], w_hi + 1e-6)
+    if not hi > lo:
+        return []
+    coef = _series_coefficients(spec)
+    shift = 1.0 if spec.kind == JACOBI else 0.0
+    scale = 2.0 if spec.kind == JACOBI else 1.0
+    f = lambda x: _eval_series(coef, (x - shift) / scale)
+    n_sub = min(max(int(SCAN_RESOLUTION * (hi - lo)), 64), _BASE_SCAN_CAP)
+    counts = []
+    for _ in range(7):
+        roots = reference_scan(f, lo, hi, n_sub)
+        counts.append(len(roots))
+        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
+            break
+        if n_sub >= _MAX_SCAN_POINTS:
+            break
+        n_sub = min(n_sub * 2, _MAX_SCAN_POINTS)
+    return [r for r in roots if interval[0] < r < interval[1]]
+
+
+class TestScan:
+    @given(
+        lo=st.floats(min_value=-50, max_value=50, allow_nan=False),
+        width=st.floats(min_value=1e-3, max_value=100, allow_nan=False),
+        n=st.integers(min_value=1, max_value=1 << 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_doubled_nodes_nest(self, lo, width, n):
+        hi = lo + width
+        assert np.array_equal(np.linspace(lo, hi, 2 * n + 1)[::2], np.linspace(lo, hi, n + 1))
+
+    @given(
+        jacobi=st.booleans(),
+        n=st.integers(min_value=1, max_value=10),
+        a=st.floats(min_value=-8, max_value=8, allow_nan=False),
+        b=st.floats(min_value=-8, max_value=8, allow_nan=False),
+        interval=st.sampled_from([(-np.inf, np.inf), (1.0, np.inf), (-1.0, 1.0), (-np.inf, 0.0)]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_full_scans(self, jacobi, n, a, b, interval):
+        spec = PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a)
+        assert real_roots_in(spec, interval) == reference_real_roots(spec, interval)
+
+    def test_exact_zero_at_node(self):
+        assert scan_roots(lambda x: x, -1.0, 1.0, 64) == [0.0]
+
+    def test_brackets_bisected_in_lockstep(self):
+        # brackets (-0.5, 0), (0, 0.5) and (0.5, 1); the middle one's first
+        # midpoint is the exact zero 0.25
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return (x + 0.3) * (x - 0.25) * (x - 0.7)
+
+        roots = scan_roots(f, -1.0, 1.0, 4)
+        # the nodes, then one call per step; the exact zero drops out at once
+        assert sizes[:3] == [5, 3, 2]
+        assert len(sizes) == 1 + 39
+        assert roots[1] == 0.25
+        assert roots == pytest.approx([-0.3, 0.25, 0.7], abs=1e-12)
+        assert roots == reference_scan(f, -1.0, 1.0, 4)
+
+
+class TestMonomialBasis:
+    def test_legendre_exact(self):
+        # P_2 = (3 z**2 - 1)/2, P_3 = (5 z**3 - 3 z)/2
+        assert monomial_coefficients(PolySpec(JACOBI, 2, 0.0, 0.0)).tolist() == [-0.5, 0.0, 1.5]
+        assert monomial_coefficients(PolySpec(JACOBI, 3, 0.0, 0.0)).tolist() == [0.0, -1.5, 0.0, 2.5]
+
+    def test_coefficients_expand_the_series(self):
+        spec = PolySpec(JACOBI, 7, -2.3, 1.1)
+        z = np.linspace(-3.0, 3.0, 13)
+        polyval = np.polynomial.polynomial.polyval
+        series, monomials = _series_coefficients(spec), monomial_coefficients(spec)
+        u = (z - 1.0) / 2.0
+        # each route's rounding is bounded by eps times its own term sizes
+        term_size = np.maximum(polyval(np.abs(u), np.abs(series)),
+                               polyval(np.abs(z), np.abs(monomials)))
+        diff = polyval(z, monomials) - _eval_series(series, u)
+        assert np.all(np.abs(diff) <= 1e-13 * term_size)
+
+    def test_cached_arrays_are_read_only(self):
+        spec = PolySpec(JACOBI, 3, 0.5, -0.5)
+        for coef in (_series_coefficients(spec), monomial_coefficients(spec)):
+            with pytest.raises(ValueError):
+                coef[0] = 1.0
 
 
 class TestErrors:
