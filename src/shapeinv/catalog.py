@@ -1,11 +1,30 @@
 """The six built-in superpotential families.
 
-Each builder transcribes the family's W1+/W1- expressions literally (W1- is
-its own formula, not W1+ shifted, so the translation identity is a real
-two-route check), wires analytic x-derivatives through the gauge
-denominators D (W1 = D'/D, W1' = D''/D - W1**2), and encodes the family's
-non-singularity region twice: as a strict-inequality predicate and as an
-independent numeric root scan.
+Every family has W0 = k0 + m*k1 and W1+- = D+-'/D+-, where each gauge
+denominator is a polynomial in one function g of x: D+-(x, m) = P+-_m(g(x)).
+A family is therefore one data record, ``FamilyData``, from which one builder
+derives the rest:
+
+  W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
+      D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
+  the poles, as g^-1 of the real roots of P+- that lie in g(domain);
+  the witness scan, which passes when every real root of P+- is one the
+      family's non-singularity statement allows.
+
+The region is thus encoded twice, as a strict-inequality predicate in m and
+as that test on the roots of P+-.  P- is transcribed on its own, not taken
+as P+ at m - 1, so the translation identity stays a two-route check.
+
+To add a family, write one function from its constants to a FamilyData and
+register it in ``_FAMILIES`` with the names of those constants.  The fields:
+domain; k0, k0_deriv, k1, k1_deriv (the affine part); g, g_deriv, g_deriv2
+and g_inv (the argument of P, its x-derivatives and its inverse on the
+domain); g_range (g(domain), where a real root of P is a pole); p_plus and
+p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when linear is set, else
+a PolySpec); root_allowed (t -> whether the region allows a real root t of
+P); validity (the analytic predicate, m -> Verdict); expected_ab (the
+factorization constants); and for a complex family is_real, punctures (its
+declared poles) and scan (a test of P that replaces the real-root test).
 
 Family tags, in catalog order:
 
@@ -21,6 +40,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,17 +64,6 @@ from .polynomials import (
     scan_roots,
 )
 from .superpotential import ParamPoint, SuperpotentialFamily, Verdict
-
-FAMILY_TAGS = (
-    "X1-hyperbolic",
-    "X1-radial-oscillator",
-    "X1-trigonometric",
-    "Xl-Poschl-Teller",
-    "Xl-PT-Scarf",
-    "Xl-radial-oscillator",
-)
-
-REAL_TAGS = tuple(t for t in FAMILY_TAGS if t != "Xl-PT-Scarf")
 
 # Parameter boxes the sampler draws from.  Test-coverage choices, not theory:
 # margins keep 0.1 clearance from region boundaries and leave room for the
@@ -83,330 +92,206 @@ class ValidityReport:
     agrees: bool
 
 
-def _need(params: ParamPoint, tag: str, *names: str) -> list:
-    missing = [n for n in names if getattr(params, n) is None]
-    if missing:
-        raise ParamSchemaError(f"family {tag} needs constants {missing}")
-    return [getattr(params, n) for n in names]
+@dataclass(frozen=True)
+class FamilyData:
+    """One family at fixed constants, as data (fields: module docstring)."""
+
+    domain: tuple[float, float]
+    k0: Callable
+    k0_deriv: Callable
+    k1: Callable
+    k1_deriv: Callable
+    g: Callable
+    g_deriv: Callable
+    g_deriv2: Callable
+    p_plus: Callable
+    p_minus: Callable
+    validity: Callable[[float], Verdict]
+    expected_ab: tuple[float, float]
+    g_inv: Callable | None = None
+    g_range: tuple[float, float] | None = None
+    root_allowed: Callable[[float], bool] | None = None
+    linear: bool = False
+    is_real: bool = True
+    punctures: tuple = ()
+    scan: Callable[[PolySpec], bool] | None = None
 
 
-def _raise_on_zero(den, x):
-    arr = np.asarray(den)
-    zero = arr == 0
-    if np.any(zero):
-        xa = np.broadcast_to(np.asarray(x, dtype=float), arr.shape)
-        raise PoleError(float(xa[zero].flat[0]))
+def _first_violated(*conditions) -> Verdict:
+    """Verdict of the first (holds, statement) pair that fails, else valid."""
+    for holds, statement in conditions:
+        if not holds:
+            return Verdict(False, statement)
+    return Verdict(True, None)
 
 
-def _log_deriv_pair(den, den_d, den_dd):
-    """(W1, W1') from a gauge denominator and its first two x-derivatives."""
+# The builder: everything the record does not state, in one code path.
+
+def _roots(data: FamilyData, P: Callable, m, lo: float, hi: float) -> list:
+    """Real roots of P(m) in the open interval (lo, hi)."""
+    if not data.linear:
+        return real_roots_in(P(m), (lo, hi))
+    p0, p1 = P(m)
+    return [-p0 / p1] if p1 != 0.0 and lo < -p0 / p1 < hi else []
+
+
+def _log_derivs(data: FamilyData, P: Callable):
+    """(D, W1 = D'/D, W1' = D''/D - W1**2).  The polynomial kernel returns
+    complex values; real families drop their exactly zero imaginary part."""
+    g, g_d, g_dd, linear = data.g, data.g_deriv, data.g_deriv2, data.linear
+    real = data.is_real and not linear
+
+    def derivatives(x, m, order):
+        # [D, D', ...] up to the given order; with derivatives asked for, a
+        # zero of D raises PoleError first
+        s, gx = P(m), g(x)
+        out = [s[0] + s[1] * gx if linear else poly_eval(s, gx)]
+        if order >= 1:
+            zero = np.asarray(out[0]) == 0
+            if np.any(zero):
+                xs = np.broadcast_to(np.asarray(x, dtype=float), zero.shape)
+                raise PoleError(float(xs[zero].flat[0]))
+            gd = g_d(x)
+            out.append(s[1] * gd if linear else poly_deriv(s, gx) * gd)
+        if order >= 2:
+            # for degree-1 P, D'' = p1*g'' alone: P''(g)*g'**2 would be
+            # 0*inf = nan wherever g'**2 overflows (cosh(c x) beyond c x = 355)
+            out.append(s[1] * g_dd(x) if linear
+                       else poly_deriv2(s, gx) * gd * gd + poly_deriv(s, gx) * g_dd(x))
+        return out
+
+    def den(x, m):
+        D = derivatives(x, m, 0)[0]
+        return D.real if real else D
 
     def w1(x, m):
-        D = den(x, m)
-        _raise_on_zero(D, x)
-        return den_d(x, m) / D
+        D, D1 = derivatives(x, m, 1)
+        r = D1 / D
+        return r.real if real else r
 
     def w1_deriv(x, m):
-        D = den(x, m)
-        _raise_on_zero(D, x)
-        r = den_d(x, m) / D
-        return den_dd(x, m) / D - r * r
+        D, D1, D2 = derivatives(x, m, 2)
+        r = D1 / D
+        out = D2 / D - r * r
+        return out.real if real else out
 
-    return w1, w1_deriv
-
-
-def _scan_has_sign_change(fn, lo: float, hi: float) -> bool:
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.asarray(fn(xs))
-    if np.iscomplexobj(vals):
-        vals = vals.real
-    sign = np.sign(vals)
-    return bool(np.any(sign[:-1] * sign[1:] < 0) or np.any(vals == 0.0))
+    return den, w1, w1_deriv
 
 
-# ----------------------------------------------------------------------
-# X1 families: rational denominators in cosh / x**2 / sin
-# ----------------------------------------------------------------------
+def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> SuperpotentialFamily:
+    pair = (data.p_plus, data.p_minus)
 
-def _build_x1_hyperbolic(p: ParamPoint) -> SuperpotentialFamily:
-    c, beta, d = (float(v) for v in _need(p, "X1-hyperbolic", "c", "beta", "d"))
+    def poles(m):
+        found = list(data.punctures)
+        if data.g_range is not None:
+            found += [float(data.g_inv(t)) for P in pair for t in _roots(data, P, m, *data.g_range)]
+        return tuple(sorted(found))
+
+    def scan_clear(m):
+        if data.scan is not None:
+            return all(data.scan(P(m)) for P in pair)
+        return all(data.root_allowed(t) for P in pair for t in _roots(data, P, m, -np.inf, np.inf))
+
+    den_p, w1p, w1pd = _log_derivs(data, data.p_plus)
+    den_m, w1m, w1md = _log_derivs(data, data.p_minus)
+    return SuperpotentialFamily(
+        name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
+        k0=data.k0, k0_deriv=data.k0_deriv, k1=data.k1, k1_deriv=data.k1_deriv,
+        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
+        denom_plus=den_p, denom_minus=den_m,
+        validity_fn=data.validity, poles_fn=poles, scan_clear_fn=scan_clear,
+    )
+
+
+# X1 families: P is p0 + p1*t in t = cosh(c x), x**2 or sin(c x).
+
+def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
+    thr_neg = (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)
+    thr_pos = (2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c)
 
     def k0(x):
         sh = np.sinh(c * x)
         return -beta / c * np.cosh(c * x) / sh + d / sh
 
-    def k0_deriv(x):
-        sh = np.sinh(c * x)
-        return (beta - c * d * np.cosh(c * x)) / (sh * sh)
-
-    def k1(x):
-        return c * np.cosh(c * x) / np.sinh(c * x)
-
-    def k1_deriv(x):
-        sh = np.sinh(c * x)
-        return -c * c / (sh * sh)
-
-    def den_plus(x, m):
-        return -2.0 * beta + c * c * (2.0 * m + 1.0) + 2.0 * c * d * np.cosh(c * x)
-
-    def den_minus(x, m):
-        return -2.0 * beta + c * c * (2.0 * m - 1.0) + 2.0 * c * d * np.cosh(c * x)
-
-    def den_d(x, m):
-        return 2.0 * c * c * d * np.sinh(c * x)
-
-    def den_dd(x, m):
-        return 2.0 * c ** 3 * d * np.cosh(c * x)
-
-    w1p, w1pd = _log_deriv_pair(den_plus, den_d, den_dd)
-    w1m, w1md = _log_deriv_pair(den_minus, den_d, den_dd)
-
-    thr_neg = (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)
-    thr_pos = (2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c)
-
-    def validity(m):
-        if not c > 0.0:
-            return Verdict(False, "c > 0")
-        if d == 0.0:
-            return Verdict(False, "d != 0")
-        if d < 0.0:
-            if m < thr_neg:
-                return Verdict(True, None)
-            return Verdict(False, "m < (2*beta - c^2 - 2*c*d)/(2*c^2)")
-        if m > thr_pos:
-            return Verdict(True, None)
-        return Verdict(False, "m > (2*beta + c^2 - 2*c*d)/(2*c^2)")
-
-    def poles(m):
-        # cosh(c x) = t0 has an x > 0 solution iff t0 > 1
-        out = []
-        for shift in (+1.0, -1.0):
-            t0 = (2.0 * beta - c * c * (2.0 * m + shift)) / (2.0 * c * d)
-            if t0 > 1.0:
-                out.append(float(np.arccosh(t0) / c))
-        return tuple(sorted(out))
-
-    def scan_clear(m):
-        t_cap = 2.0
-        for shift in (+1.0, -1.0):
-            t0 = (2.0 * beta - c * c * (2.0 * m + shift)) / (2.0 * c * d)
-            t_cap = max(t_cap, abs(t0) + 1.0)
-        x_hi = float(np.arccosh(t_cap) / c)
-        return not (
-            _scan_has_sign_change(lambda x: den_plus(x, m), 1e-6, x_hi)
-            or _scan_has_sign_change(lambda x: den_minus(x, m), 1e-6, x_hi)
-        )
-
-    return SuperpotentialFamily(
-        name=f"X1-hyperbolic(c={c:g}, beta={beta:g}, d={d:g})",
-        tag="X1-hyperbolic",
+    return FamilyData(
         domain=(0.0, np.inf),
-        params=p,
-        is_real=True,
-        k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
-        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
-        denom_plus=den_plus, denom_minus=den_minus,
-        validity_fn=validity, poles_fn=poles, scan_clear_fn=scan_clear,
+        k0=k0,
+        k0_deriv=lambda x: (beta - c * d * np.cosh(c * x)) / np.square(np.sinh(c * x)),
+        k1=lambda x: c * np.cosh(c * x) / np.sinh(c * x),
+        k1_deriv=lambda x: -c * c / np.square(np.sinh(c * x)),
+        g=lambda x: np.cosh(c * x),
+        g_deriv=lambda x: c * np.sinh(c * x),
+        g_deriv2=lambda x: c * c * np.cosh(c * x),
+        g_inv=lambda t: np.arccosh(t) / c, g_range=(1.0, np.inf),
+        p_plus=lambda m: (-2.0 * beta + c * c * (2.0 * m + 1.0), 2.0 * c * d),
+        p_minus=lambda m: (-2.0 * beta + c * c * (2.0 * m - 1.0), 2.0 * c * d),
+        linear=True, root_allowed=lambda t: t <= 1.0,
+        validity=lambda m: _first_violated(
+            (c > 0.0, "c > 0"),
+            (d != 0.0, "d != 0"),
+            (m < thr_neg, "m < (2*beta - c^2 - 2*c*d)/(2*c^2)") if d < 0.0
+            else (m > thr_pos, "m > (2*beta + c^2 - 2*c*d)/(2*c^2)"),
+        ),
+        expected_ab=(c ** 2, beta),
     )
 
 
-def _build_x1_radial(p: ParamPoint) -> SuperpotentialFamily:
-    omega, d = (float(v) for v in _need(p, "X1-radial-oscillator", "omega", "d"))
-
-    def k0(x):
-        return omega * x / 2.0 + d / x
-
-    def k0_deriv(x):
-        return omega / 2.0 - d / (x * x)
-
-    def k1(x):
-        return 1.0 / x
-
-    def k1_deriv(x):
-        return -1.0 / (x * x)
-
-    def den_plus(x, m):
-        return 1.0 + 2.0 * d + 2.0 * m - omega * x * x
-
-    def den_minus(x, m):
-        return -1.0 + 2.0 * d + 2.0 * m - omega * x * x
-
-    def den_d(x, m):
-        return -2.0 * omega * x
-
-    def den_dd(x, m):
-        return -2.0 * omega * np.ones_like(np.asarray(x, dtype=float))
-
-    w1p, w1pd = _log_deriv_pair(den_plus, den_d, den_dd)
-    w1m, w1md = _log_deriv_pair(den_minus, den_d, den_dd)
-
-    def validity(m):
-        if not omega > 0.0:
-            return Verdict(False, "omega > 0")
-        if not d > 0.0:
-            return Verdict(False, "d > 0")
-        if m < -(1.0 + 2.0 * d) / 2.0:
-            return Verdict(True, None)
-        return Verdict(False, "m < -(1 + 2*d)/2")
-
-    def poles(m):
-        out = []
-        for shift in (+1.0, -1.0):
-            x2 = (shift + 2.0 * d + 2.0 * m) / omega
-            if x2 > 0.0:
-                out.append(float(np.sqrt(x2)))
-        return tuple(sorted(out))
-
-    def scan_clear(m):
-        cap = max(2.0, (abs(1.0 + 2.0 * d + 2.0 * m) + 1.0) / omega)
-        x_hi = float(np.sqrt(cap)) + 1.0
-        return not (
-            _scan_has_sign_change(lambda x: den_plus(x, m), 1e-6, x_hi)
-            or _scan_has_sign_change(lambda x: den_minus(x, m), 1e-6, x_hi)
-        )
-
-    return SuperpotentialFamily(
-        name=f"X1-radial-oscillator(omega={omega:g}, d={d:g})",
-        tag="X1-radial-oscillator",
+def _x1_radial(omega: float, d: float) -> FamilyData:
+    return FamilyData(
         domain=(0.0, np.inf),
-        params=p,
-        is_real=True,
-        k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
-        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
-        denom_plus=den_plus, denom_minus=den_minus,
-        validity_fn=validity, poles_fn=poles, scan_clear_fn=scan_clear,
+        k0=lambda x: omega * x / 2.0 + d / x,
+        k0_deriv=lambda x: omega / 2.0 - d / (x * x),
+        k1=lambda x: 1.0 / x,
+        k1_deriv=lambda x: -1.0 / (x * x),
+        g=lambda x: x * x,
+        g_deriv=lambda x: 2.0 * x,
+        g_deriv2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
+        g_inv=np.sqrt, g_range=(0.0, np.inf),
+        p_plus=lambda m: (1.0 + 2.0 * d + 2.0 * m, -omega),
+        p_minus=lambda m: (-1.0 + 2.0 * d + 2.0 * m, -omega),
+        linear=True, root_allowed=lambda t: t <= 0.0,
+        validity=lambda m: _first_violated(
+            (omega > 0.0, "omega > 0"),
+            (d > 0.0, "d > 0"),
+            (m < -(1.0 + 2.0 * d) / 2.0, "m < -(1 + 2*d)/2"),
+        ),
+        expected_ab=(0.0, -omega),
     )
 
 
-def _build_x1_trigonometric(p: ParamPoint) -> SuperpotentialFamily:
-    c, beta, d = (float(v) for v in _need(p, "X1-trigonometric", "c", "beta", "d"))
+def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
     half_width = np.pi / (2.0 * c)
+    # Both denominators keep a fixed sign while sin(c x) sweeps (-1, 1); in
+    # |d| the two edges of that region read the same for either sign of d.
+    hi = (-2.0 * beta - c * c - 2.0 * c * abs(d)) / (2.0 * c * c)
+    lo = (-2.0 * beta + c * c + 2.0 * c * abs(d)) / (2.0 * c * c)
+    s1, s2 = ("-", "+") if d > 0.0 else ("+", "-")
+    statement = f"m < (-2*beta - c^2 {s1} 2*c*d)/(2*c^2) or m > (-2*beta + c^2 {s2} 2*c*d)/(2*c^2)"
 
     def k0(x):
         cs = np.cos(c * x)
         return -beta / c * np.sin(c * x) / cs + d / cs
 
-    def k0_deriv(x):
-        cs = np.cos(c * x)
-        return (-beta + c * d * np.sin(c * x)) / (cs * cs)
-
-    def k1(x):
-        return -c * np.sin(c * x) / np.cos(c * x)
-
-    def k1_deriv(x):
-        cs = np.cos(c * x)
-        return -c * c / (cs * cs)
-
-    def den_plus(x, m):
-        return 2.0 * beta + c * c * (1.0 + 2.0 * m) - 2.0 * c * d * np.sin(c * x)
-
-    def den_plus_d(x, m):
-        return -2.0 * c * c * d * np.cos(c * x)
-
-    def den_plus_dd(x, m):
-        return 2.0 * c ** 3 * d * np.sin(c * x)
-
-    def den_minus(x, m):
-        return -2.0 * beta + c * c * (1.0 - 2.0 * m) + 2.0 * c * d * np.sin(c * x)
-
-    def den_minus_d(x, m):
-        return 2.0 * c * c * d * np.cos(c * x)
-
-    def den_minus_dd(x, m):
-        return -2.0 * c ** 3 * d * np.sin(c * x)
-
-    w1p, w1pd = _log_deriv_pair(den_plus, den_plus_d, den_plus_dd)
-    w1m, w1md = _log_deriv_pair(den_minus, den_minus_d, den_minus_dd)
-
-    # The d < 0 lower branch follows from requiring both denominators to keep
-    # a fixed sign while sin(c x) sweeps (-1, 1); see the validity tests.
-    b_hi_neg = (-2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)
-    b_lo_neg = (-2.0 * beta + c * c + 2.0 * c * d) / (2.0 * c * c)
-    b_hi_pos = (-2.0 * beta - c * c + 2.0 * c * d) / (2.0 * c * c)
-    b_lo_pos = (-2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c)
-
-    def validity(m):
-        if not c > 0.0:
-            return Verdict(False, "c > 0")
-        if d == 0.0:
-            return Verdict(False, "d != 0")
-        if d > 0.0:
-            if m < b_hi_neg or m > b_lo_neg:
-                return Verdict(True, None)
-            return Verdict(
-                False,
-                "m < (-2*beta - c^2 - 2*c*d)/(2*c^2) or m > (-2*beta + c^2 + 2*c*d)/(2*c^2)",
-            )
-        if m < b_hi_pos or m > b_lo_pos:
-            return Verdict(True, None)
-        return Verdict(
-            False,
-            "m < (-2*beta - c^2 + 2*c*d)/(2*c^2) or m > (-2*beta + c^2 - 2*c*d)/(2*c^2)",
-        )
-
-    def poles(m):
-        out = []
-        s0p = (2.0 * beta + c * c * (1.0 + 2.0 * m)) / (2.0 * c * d)
-        s0m = (2.0 * beta - c * c * (1.0 - 2.0 * m)) / (2.0 * c * d)
-        for s0 in (s0p, s0m):
-            if abs(s0) < 1.0:
-                out.append(float(np.arcsin(s0) / c))
-        return tuple(sorted(out))
-
-    def scan_clear(m):
-        eps = 1e-6 * half_width
-        return not (
-            _scan_has_sign_change(lambda x: den_plus(x, m), -half_width + eps, half_width - eps)
-            or _scan_has_sign_change(lambda x: den_minus(x, m), -half_width + eps, half_width - eps)
-        )
-
-    return SuperpotentialFamily(
-        name=f"X1-trigonometric(c={c:g}, beta={beta:g}, d={d:g})",
-        tag="X1-trigonometric",
+    return FamilyData(
         domain=(-half_width, half_width),
-        params=p,
-        is_real=True,
-        k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
-        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
-        denom_plus=den_plus, denom_minus=den_minus,
-        validity_fn=validity, poles_fn=poles, scan_clear_fn=scan_clear,
+        k0=k0,
+        k0_deriv=lambda x: (-beta + c * d * np.sin(c * x)) / np.square(np.cos(c * x)),
+        k1=lambda x: -c * np.sin(c * x) / np.cos(c * x),
+        k1_deriv=lambda x: -c * c / np.square(np.cos(c * x)),
+        g=lambda x: np.sin(c * x),
+        g_deriv=lambda x: c * np.cos(c * x),
+        g_deriv2=lambda x: -c * c * np.sin(c * x),
+        g_inv=lambda t: np.arcsin(t) / c, g_range=(-1.0, 1.0),
+        p_plus=lambda m: (2.0 * beta + c * c * (1.0 + 2.0 * m), -2.0 * c * d),
+        p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
+        linear=True, root_allowed=lambda t: abs(t) >= 1.0,
+        validity=lambda m: _first_violated(
+            (c > 0.0, "c > 0"), (d != 0.0, "d != 0"), (m < hi or m > lo, statement)),
+        expected_ab=(-c ** 2, beta),
     )
 
 
-# ----------------------------------------------------------------------
-# Xl families: Jacobi / Laguerre gauge denominators
-# ----------------------------------------------------------------------
-
-def _poly_gauge(spec_of_m, g, g_d, g_dd):
-    """Gauge denominator D(x, m) = P(g(x)) and its x-derivatives."""
-
-    def den(x, m):
-        return poly_eval(spec_of_m(m), g(x))
-
-    def den_d(x, m):
-        return poly_deriv(spec_of_m(m), g(x)) * g_d(x)
-
-    def den_dd(x, m):
-        s = spec_of_m(m)
-        gx = g(x)
-        gd = g_d(x)
-        return poly_deriv2(s, gx) * gd * gd + poly_deriv(s, gx) * g_dd(x)
-
-    return den, den_d, den_dd
-
-
-def _real_part_pair(w1, w1_deriv):
-    """Real families evaluate through complex poly_eval; strip the exact-zero
-    imaginary part so downstream arrays stay float64."""
-    return (lambda x, m: w1(x, m).real, lambda x, m: w1_deriv(x, m).real)
-
-
-def _check_ell(p: ParamPoint, tag: str) -> int:
-    (ell,) = _need(p, tag, "ell")
-    if ell == 0:
-        raise UnsupportedError(f"{tag}: ell = 0 is a degenerate extension")
-    return int(ell)
-
+# Xl families: P is a Jacobi or Laguerre polynomial of degree ell.
 
 def _check_prefactor(tag: str, ell: int, B: float) -> None:
     # ell - 2B - 1 multiplies both W1 ratios; a vanishing prefactor is a
@@ -418,249 +303,116 @@ def _check_prefactor(tag: str, ell: int, B: float) -> None:
         )
 
 
-def _build_xl_poschl_teller(p: ParamPoint) -> SuperpotentialFamily:
-    (B,) = (float(v) for v in _need(p, "Xl-Poschl-Teller", "B"))
-    ell = _check_ell(p, "Xl-Poschl-Teller")
+def _imaginary_axis_clear(spec: PolySpec) -> bool:
+    """Scarf's test of one P.  A singularity at real x != 0 needs a purely
+    imaginary root i*s: both real and imaginary parts of P(i*s) must vanish.
+    A zero of one part is a root when |P(i*s)| is small against the local
+    size of the polynomial's terms, sum_k |d_k| |s|**k."""
+    w_lo, w_hi = root_window(spec)
+    s_cap = max(2.0, abs(w_lo), abs(w_hi))
+    q = lambda s: poly_eval(spec, 1j * np.asarray(s, dtype=float))
+    term_size = np.abs(monomial_coefficients(spec))
+    for part in (lambda s: q(s).real, lambda s: q(s).imag):
+        for s_root in scan_roots(part, -s_cap, s_cap, _SCAN_POINTS):
+            size = np.polynomial.polynomial.polyval(abs(s_root), term_size)
+            if abs(s_root) > 1e-6 and abs(q(np.asarray([s_root]))[0]) < 1e-8 * size:
+                return False
+    return True
+
+
+def _xl_poschl_teller(B: float, ell: int) -> FamilyData:
     _check_prefactor("Xl-Poschl-Teller", ell, B)
-
-    def k0(x):
-        return -B / np.sinh(x)
-
-    def k0_deriv(x):
-        sh = np.sinh(x)
-        return B * np.cosh(x) / (sh * sh)
-
-    def k1(x):
-        return np.cosh(x) / np.sinh(x)
-
-    def k1_deriv(x):
-        sh = np.sinh(x)
-        return -1.0 / (sh * sh)
-
-    def spec_plus(m):
-        return PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5)
-
-    def spec_minus(m):
-        return PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5)
-
-    g = np.cosh
-    den_p, den_p_d, den_p_dd = _poly_gauge(spec_plus, g, np.sinh, np.cosh)
-    den_m, den_m_d, den_m_dd = _poly_gauge(spec_minus, g, np.sinh, np.cosh)
-
-    w1p, w1pd = _real_part_pair(*_log_deriv_pair(den_p, den_p_d, den_p_dd))
-    w1m, w1md = _real_part_pair(*_log_deriv_pair(den_m, den_m_d, den_m_dd))
-
-    def validity(m):
-        if not B < -0.5:
-            return Verdict(False, "B < -1/2")
-        if (1.0 + 2.0 * B) / 2.0 < m < -(1.0 + 2.0 * B) / 2.0:
-            return Verdict(True, None)
-        return Verdict(False, "(1 + 2*B)/2 < m < -(1 + 2*B)/2")
-
-    def poles(m):
-        out = []
-        for spec in (spec_plus(m), spec_minus(m)):
-            for r in real_roots_in(spec, (1.0, np.inf)):
-                if r > 1.0 + 1e-12:
-                    out.append(float(np.arccosh(r)))
-        return tuple(sorted(out))
-
-    def scan_clear(m):
-        # Non-singularity statement for this family: every denominator root
-        # stays on (-1, 1).
-        for spec in (spec_plus(m), spec_minus(m)):
-            for r in real_roots_in(spec, (-np.inf, np.inf)):
-                if not (-1.0 < r < 1.0):
-                    return False
-        return True
-
-    return SuperpotentialFamily(
-        name=f"Xl-Poschl-Teller(B={B:g}, ell={ell})",
-        tag="Xl-Poschl-Teller",
+    return FamilyData(
         domain=(0.0, np.inf),
-        params=p,
-        is_real=True,
-        k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
-        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
-        denom_plus=lambda x, m: den_p(x, m).real,
-        denom_minus=lambda x, m: den_m(x, m).real,
-        validity_fn=validity, poles_fn=poles, scan_clear_fn=scan_clear,
+        k0=lambda x: -B / np.sinh(x),
+        k0_deriv=lambda x: B * np.cosh(x) / np.square(np.sinh(x)),
+        k1=lambda x: np.cosh(x) / np.sinh(x),
+        k1_deriv=lambda x: -1.0 / np.square(np.sinh(x)),
+        g=np.cosh, g_deriv=np.sinh, g_deriv2=np.cosh, g_inv=np.arccosh,
+        g_range=(1.0, np.inf),
+        p_plus=lambda m: PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5),
+        p_minus=lambda m: PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5),
+        root_allowed=lambda t: -1.0 < t < 1.0,
+        validity=lambda m: _first_violated(
+            (B < -0.5, "B < -1/2"),
+            ((1.0 + 2.0 * B) / 2.0 < m < -(1.0 + 2.0 * B) / 2.0,
+             "(1 + 2*B)/2 < m < -(1 + 2*B)/2"),
+        ),
+        expected_ab=(1.0, 0.0),
     )
 
 
-def _build_xl_pt_scarf(p: ParamPoint) -> SuperpotentialFamily:
-    (B,) = (float(v) for v in _need(p, "Xl-PT-Scarf", "B"))
-    ell = _check_ell(p, "Xl-PT-Scarf")
+def _xl_pt_scarf(B: float, ell: int) -> FamilyData:
     _check_prefactor("Xl-PT-Scarf", ell, B)
 
-    def k0(x):
-        return 1j * B / np.cosh(x)
-
-    def k0_deriv(x):
-        ch = np.cosh(x)
-        return -1j * B * np.sinh(x) / (ch * ch)
-
-    def k1(x):
-        return np.tanh(x)
-
-    def k1_deriv(x):
-        ch = np.cosh(x)
-        return 1.0 / (ch * ch)
-
-    def spec_plus(m):
-        return PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5)
-
-    def spec_minus(m):
-        return PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5)
-
     def g(x):
         return 1j * np.sinh(np.asarray(x, dtype=float))
 
-    def g_d(x):
-        return 1j * np.cosh(np.asarray(x, dtype=float))
-
-    def g_dd(x):
-        return 1j * np.sinh(np.asarray(x, dtype=float))
-
-    den_p, den_p_d, den_p_dd = _poly_gauge(spec_plus, g, g_d, g_dd)
-    den_m, den_m_d, den_m_dd = _poly_gauge(spec_minus, g, g_d, g_dd)
-
-    w1p, w1pd = _log_deriv_pair(den_p, den_p_d, den_p_dd)
-    w1m, w1md = _log_deriv_pair(den_m, den_m_d, den_m_dd)
-
-    def validity(m):
-        # Non-singular on the whole real line apart from the flagged x = 0
-        # puncture: the polynomial argument is purely imaginary.
-        return Verdict(True, None)
-
-    def poles(m):
-        return (0.0,)
-
-    def scan_clear(m):
-        # A singularity at real x != 0 needs a purely imaginary polynomial
-        # root i*s: both real and imaginary parts of P(i*s) must vanish.  A
-        # zero of one part is a root when |P(i*s)| is small against the
-        # local size of the polynomial's terms, sum_k |d_k| |s|**k.
-        for spec in (spec_plus(m), spec_minus(m)):
-            w_lo, w_hi = root_window(spec)
-            s_cap = max(2.0, abs(w_lo), abs(w_hi))
-            q = lambda s: poly_eval(spec, 1j * np.asarray(s, dtype=float))
-            term_size = np.abs(monomial_coefficients(spec))
-            for part in (lambda s: q(s).real, lambda s: q(s).imag):
-                for s_root in scan_roots(part, -s_cap, s_cap, _SCAN_POINTS):
-                    size = np.polynomial.polynomial.polyval(abs(s_root), term_size)
-                    if abs(s_root) > 1e-6 and abs(q(np.asarray([s_root]))[0]) < 1e-8 * size:
-                        return False
-        return True
-
-    return SuperpotentialFamily(
-        name=f"Xl-PT-Scarf(B={B:g}, ell={ell})",
-        tag="Xl-PT-Scarf",
+    # Non-singular on the whole real line apart from the declared x = 0
+    # puncture: the argument of P is purely imaginary, so no real root of P
+    # maps into the domain, and the scan looks along the imaginary axis.
+    return FamilyData(
         domain=(-np.inf, np.inf),
-        params=p,
-        is_real=False,
-        k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
-        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
-        denom_plus=den_p, denom_minus=den_m,
-        validity_fn=validity, poles_fn=poles, scan_clear_fn=scan_clear,
+        k0=lambda x: 1j * B / np.cosh(x),
+        k0_deriv=lambda x: -1j * B * np.sinh(x) / np.square(np.cosh(x)),
+        k1=np.tanh,
+        k1_deriv=lambda x: 1.0 / np.square(np.cosh(x)),
+        g=g, g_deriv=lambda x: 1j * np.cosh(np.asarray(x, dtype=float)), g_deriv2=g,
+        p_plus=lambda m: PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5),
+        p_minus=lambda m: PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5),
+        validity=lambda m: Verdict(True, None), expected_ab=(1.0, 0.0),
+        is_real=False, punctures=(0.0,), scan=_imaginary_axis_clear,
     )
 
 
-def _build_xl_radial(p: ParamPoint) -> SuperpotentialFamily:
-    (omega,) = (float(v) for v in _need(p, "Xl-radial-oscillator", "omega"))
-    ell = _check_ell(p, "Xl-radial-oscillator")
-
-    def k0(x):
-        return omega * x / 2.0
-
-    def k0_deriv(x):
-        return omega / 2.0 * np.ones_like(np.asarray(x, dtype=float))
-
-    def k1(x):
-        return 1.0 / x
-
-    def k1_deriv(x):
-        return -1.0 / (x * x)
-
-    def spec_plus(m):
-        return PolySpec(LAGUERRE, ell, -m - 1.5)
-
-    def spec_minus(m):
-        return PolySpec(LAGUERRE, ell, -m - 0.5)
-
-    def g(x):
-        return -omega * np.asarray(x, dtype=float) ** 2 / 2.0
-
-    def g_d(x):
-        return -omega * np.asarray(x, dtype=float)
-
-    def g_dd(x):
-        return -omega * np.ones_like(np.asarray(x, dtype=float))
-
-    den_p, den_p_d, den_p_dd = _poly_gauge(spec_plus, g, g_d, g_dd)
-    den_m, den_m_d, den_m_dd = _poly_gauge(spec_minus, g, g_d, g_dd)
-
-    w1p, w1pd = _real_part_pair(*_log_deriv_pair(den_p, den_p_d, den_p_dd))
-    w1m, w1md = _real_part_pair(*_log_deriv_pair(den_m, den_m_d, den_m_dd))
-
-    def validity(m):
-        # m < -1/2 keeps both Laguerre parameters above -1, which is
-        # sufficient for all denominator roots to sit in (0, inf) while the
-        # argument -omega*x^2/2 stays negative.
-        if not omega > 0.0:
-            return Verdict(False, "omega > 0")
-        if m < -0.5:
-            return Verdict(True, None)
-        return Verdict(False, "m < -1/2")
-
-    def poles(m):
-        out = []
-        for spec in (spec_plus(m), spec_minus(m)):
-            for u in real_roots_in(spec, (-np.inf, 0.0)):
-                if u < -1e-300:
-                    out.append(float(np.sqrt(-2.0 * u / omega)))
-        return tuple(sorted(out))
-
-    def scan_clear(m):
-        # Non-singularity statement for this family: every denominator root
-        # stays in (0, inf).
-        for spec in (spec_plus(m), spec_minus(m)):
-            for r in real_roots_in(spec, (-np.inf, np.inf)):
-                if not r > 0.0:
-                    return False
-        return True
-
-    return SuperpotentialFamily(
-        name=f"Xl-radial-oscillator(omega={omega:g}, ell={ell})",
-        tag="Xl-radial-oscillator",
+def _xl_radial(omega: float, ell: int) -> FamilyData:
+    return FamilyData(
         domain=(0.0, np.inf),
-        params=p,
-        is_real=True,
-        k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
-        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
-        denom_plus=lambda x, m: den_p(x, m).real,
-        denom_minus=lambda x, m: den_m(x, m).real,
-        validity_fn=validity, poles_fn=poles, scan_clear_fn=scan_clear,
+        k0=lambda x: omega * x / 2.0,
+        k0_deriv=lambda x: omega / 2.0 * np.ones_like(np.asarray(x, dtype=float)),
+        k1=lambda x: 1.0 / x,
+        k1_deriv=lambda x: -1.0 / (x * x),
+        g=lambda x: -omega * np.asarray(x, dtype=float) ** 2 / 2.0,
+        g_deriv=lambda x: -omega * np.asarray(x, dtype=float),
+        g_deriv2=lambda x: -omega * np.ones_like(np.asarray(x, dtype=float)),
+        g_inv=lambda u: np.sqrt(-2.0 * u / omega), g_range=(-np.inf, 0.0),
+        p_plus=lambda m: PolySpec(LAGUERRE, ell, -m - 1.5),
+        p_minus=lambda m: PolySpec(LAGUERRE, ell, -m - 0.5),
+        root_allowed=lambda t: t > 0.0,
+        # m < -1/2 keeps both Laguerre parameters above -1, so every root
+        # lies in (0, inf), which the argument -omega*x^2/2 never reaches
+        validity=lambda m: _first_violated((omega > 0.0, "omega > 0"), (m < -0.5, "m < -1/2")),
+        expected_ab=(0.0, -omega),
     )
 
 
-_BUILDERS = {
-    "X1-hyperbolic": _build_x1_hyperbolic,
-    "X1-radial-oscillator": _build_x1_radial,
-    "X1-trigonometric": _build_x1_trigonometric,
-    "Xl-Poschl-Teller": _build_xl_poschl_teller,
-    "Xl-PT-Scarf": _build_xl_pt_scarf,
-    "Xl-radial-oscillator": _build_xl_radial,
+# tag -> (the constants its record function takes, in order; the function)
+_FAMILIES = {
+    "X1-hyperbolic": (("c", "beta", "d"), _x1_hyperbolic),
+    "X1-radial-oscillator": (("omega", "d"), _x1_radial),
+    "X1-trigonometric": (("c", "beta", "d"), _x1_trigonometric),
+    "Xl-Poschl-Teller": (("B", "ell"), _xl_poschl_teller),
+    "Xl-PT-Scarf": (("B", "ell"), _xl_pt_scarf),
+    "Xl-radial-oscillator": (("omega", "ell"), _xl_radial),
 }
 
-_EXPECTED_AB = {
-    "X1-hyperbolic": lambda p: (p.c ** 2, p.beta),
-    "X1-radial-oscillator": lambda p: (0.0, -p.omega),
-    "X1-trigonometric": lambda p: (-p.c ** 2, p.beta),
-    "Xl-Poschl-Teller": lambda p: (1.0, 0.0),
-    "Xl-PT-Scarf": lambda p: (1.0, 0.0),
-    "Xl-radial-oscillator": lambda p: (0.0, -p.omega),
-}
+FAMILY_TAGS = tuple(_FAMILIES)
+
+REAL_TAGS = tuple(t for t in FAMILY_TAGS if t != "Xl-PT-Scarf")
+
+
+def family_data(tag: str, params: ParamPoint) -> FamilyData:
+    """The tagged family's data record; raises as get_family does."""
+    if tag not in _FAMILIES:
+        raise UnsupportedError(f"unknown family tag {tag!r}; known: {FAMILY_TAGS}")
+    names, record = _FAMILIES[tag]
+    missing = [n for n in names if getattr(params, n) is None]
+    if missing:
+        raise ParamSchemaError(f"family {tag} needs constants {missing}")
+    values = [(int if n == "ell" else float)(getattr(params, n)) for n in names]
+    if names[-1] == "ell" and values[-1] == 0:
+        raise UnsupportedError(f"{tag}: ell = 0 is a degenerate extension")
+    return record(*values)
 
 
 def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
@@ -670,17 +422,17 @@ def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
     unknown tag or ell = 0, InvalidParameterError for the degenerate
     PT-Scarf prefactor.
     """
-    if tag not in _BUILDERS:
-        raise UnsupportedError(f"unknown family tag {tag!r}; known: {FAMILY_TAGS}")
-    family = _BUILDERS[tag](params)
-    a, b = _EXPECTED_AB[tag](params)
-    return CatalogEntry(family=family, expected_a=float(a), expected_b=float(b),
-                        section_tag=tag)
+    data = family_data(tag, params)
+    constants = ", ".join(f"{n}={float(getattr(params, n)):g}" for n in _FAMILIES[tag][0])
+    a, b = data.expected_ab
+    return CatalogEntry(family=_build(f"{tag}({constants})", tag, params, data),
+                        expected_a=float(a), expected_b=float(b), section_tag=tag)
 
 
 def validity_witness(tag: str, params: ParamPoint, cross_check: bool = True) -> ValidityReport:
     """Analytic non-singularity verdict, optionally cross-checked by the
-    independent numeric root scan (belt and braces: the two must agree)."""
+    independent test on the roots of P+- (belt and braces: the two must
+    agree)."""
     family = get_family(tag, params).family
     verdict = family.validity(params.m)
     if not cross_check:
@@ -753,8 +505,8 @@ def sample_valid_params(tag: str, count: int, seed: int) -> list[ParamPoint]:
     rejections = 0
     while len(out) < count:
         p = _draw_params(tag, rng)
-        family = get_family(tag, p).family
-        if all(family.validity(p.m - k).valid for k in (0, 1, 2)):
+        validity = family_data(tag, p).validity
+        if all(validity(p.m - k).valid for k in (0, 1, 2)):
             out.append(p)
         else:
             rejections += 1

@@ -51,9 +51,7 @@ class RunConfig:
     seed: int = 0
     m_list: list | None = None
     checks: tuple = CHECK_NAMES
-    grid_points: int = 512
-    boundary_margin: float = 0.05
-    pole_exclusion_radius: float = 1e-3
+    grid: GridSpec = dataclasses.field(default_factory=GridSpec)
     tol: float = DEFAULT_TOL
     tolerances: dict | None = None
     fmt: str = "json"
@@ -85,13 +83,6 @@ class RunConfig:
             raise UsageError("give --params or --sample N")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(
-            n_points=self.grid_points,
-            boundary_margin=self.boundary_margin,
-            pole_exclusion_radius=self.pole_exclusion_radius,
-        )
 
     def tolerance_map(self) -> dict:
         tols = {name: self.tol for name in ("compatibility", "infeld_hull",
@@ -157,7 +148,7 @@ def _report_skeleton(cfg: RunConfig, command: str) -> dict:
         "config": {
             "family": cfg.family,
             "checks": list(cfg.checks),
-            "grid_points": cfg.grid_points,
+            "grid_points": cfg.grid.n_points,
             "tolerances": cfg.tolerance_map(),
             "seed": cfg.seed,
             "sample": cfg.sample,
@@ -175,14 +166,14 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     condition_checks = tuple(c for c in cfg.checks if c in CHECK_NAMES)
     tols = cfg.tolerance_map()
 
-    grid = make_grid(family, cfg.grid_spec(), m_values=m_list)
+    grid = make_grid(family, cfg.grid, m_values=m_list)
     report = run_condition_checks(
         family,
         grid,
         m_list,
         checks=condition_checks,
         tolerances=tols,
-        grid_spec=cfg.grid_spec(),
+        grid_spec=cfg.grid,
         expected_ab=(entry.expected_a, entry.expected_b),
     )
     result = report.to_dict()
@@ -248,7 +239,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     point = _resolve_points(cfg)[0]
     entry, family = _entry_for(cfg, point)
     m_list = tuple(cfg.m_list) if cfg.m_list else (point.m, point.m - 1.0)
-    grid = make_grid(family, cfg.grid_spec(), m_values=m_list)
+    grid = make_grid(family, cfg.grid, m_values=m_list)
 
     columns: list[tuple[str, np.ndarray]] = [("x", grid)]
     for m in m_list:
@@ -308,22 +299,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         sp.add_argument("--family", help="family tag, e.g. X1-radial-oscillator")
         sp.add_argument("--params", help="inline JSON object or path to one")
-        sp.add_argument("--sample", type=int, default=0, metavar="N",
+        sp.add_argument("--sample", type=int, metavar="N",
                         help="draw N valid parameter points instead of --params")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--m-list", dest="m_list",
                         help="comma-separated m values (default: m, m-1, m-2)")
         sp.add_argument("--checks", help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
-        sp.add_argument("--grid-points", dest="grid_points", type=int, default=512)
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        sp.add_argument("--grid-points", dest="grid_points", type=int)
+        sp.add_argument("--tol", type=float,
                         help="base residual tolerance (translation stays 1e-12)")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+        sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--no-timestamp", dest="no_timestamp", action="store_true")
-        sp.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
-        sp.add_argument("--k", type=int, default=5, help="levels for spectral checks")
-        sp.add_argument("--spectrum-points", dest="spectrum_points", type=int, default=4000)
+        sp.add_argument("--jobs", type=int)
+        sp.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=None)
+        sp.add_argument("--perturb", type=float, help=argparse.SUPPRESS)
+        sp.add_argument("--k", type=int, help="levels for spectral checks")
+        sp.add_argument("--spectrum-points", dest="spectrum_points", type=int)
 
     for name, descr in (
         ("verify", "run identity checks and write a report"),
@@ -344,11 +335,9 @@ def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
 
-    def pick(flag_value, default, key):
-        # a flag left at its default yields to the config file
-        if flag_value != default:
-            return flag_value
-        return file_cfg.get(key, default)
+    def pick(flag_value, key, source=file_cfg):
+        # a flag that was given wins; None leaves the RunConfig default
+        return flag_value if flag_value is not None else source.get(key)
 
     family = args.family or file_cfg.get("family")
     if not family:
@@ -368,25 +357,35 @@ def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
         checks = tuple(file_cfg["checks"])
 
     grid_cfg = file_cfg.get("grid", {})
+    grid = {
+        "n_points": pick(args.grid_points, "n_points", grid_cfg),
+        "boundary_margin": grid_cfg.get("boundary_margin"),
+        "pole_exclusion_radius": grid_cfg.get("pole_exclusion_radius"),
+    }
+    given = {
+        "sample": pick(args.sample, "sample"),
+        "seed": pick(args.seed, "seed"),
+        "tol": pick(args.tol, "tol"),
+        "tolerances": file_cfg.get("tolerances"),
+        "fmt": pick(args.fmt, "format"),
+        "out": pick(args.out, "out"),
+        "jobs": pick(args.jobs, "jobs"),
+        "no_timestamp": pick(args.no_timestamp, "no_timestamp"),
+        "perturb": pick(args.perturb, "perturb"),
+        "k": pick(args.k, "k"),
+        "spectrum_points": pick(args.spectrum_points, "spectrum_points"),
+    }
+    try:
+        grid_spec = GridSpec(**{k: v for k, v in grid.items() if v is not None})
+    except ValueError as exc:
+        raise UsageError(f"grid: {exc}") from exc
     return RunConfig(
         family=family,
         params=params,
-        sample=pick(args.sample, 0, "sample"),
-        seed=pick(args.seed, 0, "seed"),
         m_list=m_list,
         checks=checks,
-        grid_points=args.grid_points if args.grid_points != 512 else grid_cfg.get("n_points", 512),
-        boundary_margin=grid_cfg.get("boundary_margin", 0.05),
-        pole_exclusion_radius=grid_cfg.get("pole_exclusion_radius", 1e-3),
-        tol=pick(args.tol, DEFAULT_TOL, "tol"),
-        tolerances=file_cfg.get("tolerances"),
-        fmt=args.fmt or file_cfg.get("format", "json"),
-        out=args.out or file_cfg.get("out"),
-        jobs=pick(args.jobs, 1, "jobs"),
-        no_timestamp=args.no_timestamp or file_cfg.get("no_timestamp", False),
-        perturb=pick(args.perturb, 0.0, "perturb"),
-        k=pick(args.k, 5, "k"),
-        spectrum_points=pick(args.spectrum_points, 4000, "spectrum_points"),
+        grid=grid_spec,
+        **{k: v for k, v in given.items() if v is not None},
     )
 
 

@@ -61,7 +61,6 @@ class ResidualReport:
                 "n_points": self.grid_spec.n_points,
                 "boundary_margin": self.grid_spec.boundary_margin,
                 "pole_exclusion_radius": self.grid_spec.pole_exclusion_radius,
-                "mapping": self.grid_spec.mapping,
             },
             "m_list": list(self.m_list),
             "residuals": dict(self.residuals),

@@ -76,16 +76,14 @@ class GridSpec:
     """How to lay out verification abscissae inside a family's domain.
 
     boundary_margin is a fraction of the width for finite domains and an
-    absolute inset next to a finite endpoint of a half-infinite domain.
-    mapping applies to infinite domains only; "linear" is silently upgraded
-    to the tanh compression there because an infinite line has no linear
-    layout.
+    absolute inset next to a finite endpoint of a half-infinite domain.  The
+    layout follows the domain: linear on a finite interval, tanh compression
+    towards every infinite side.
     """
 
     n_points: int = 512
     boundary_margin: float = 0.05
     pole_exclusion_radius: float = DEFAULT_POLE_RADIUS
-    mapping: str = "auto"
 
     def __post_init__(self):
         if self.n_points < 16:
@@ -94,8 +92,6 @@ class GridSpec:
             raise ValueError("boundary_margin must lie in (0, 0.5)")
         if self.pole_exclusion_radius <= 0.0:
             raise ValueError("pole_exclusion_radius must be > 0")
-        if self.mapping not in ("auto", "linear", "tanh"):
-            raise ValueError(f"unknown mapping {self.mapping!r}")
 
 
 def _quiet(fn):
@@ -137,9 +133,9 @@ class SuperpotentialFamily:
     w1minus_deriv: Callable
     denom_plus: Callable
     denom_minus: Callable
-    validity_fn: Callable[[float], Verdict] = field(repr=False, default=None)
-    poles_fn: Callable[[float], tuple] = field(repr=False, default=None)
-    scan_clear_fn: Callable[[float], bool] = field(repr=False, default=None)
+    validity_fn: Callable[[float], Verdict] = field(repr=False)
+    poles_fn: Callable[[float], tuple] = field(repr=False)
+    scan_clear_fn: Callable[[float], bool] = field(repr=False)
 
     _EVALUATORS = (
         "k0", "k0_deriv", "k1", "k1_deriv",
@@ -166,20 +162,14 @@ class SuperpotentialFamily:
         return self.w0_deriv(x, m) + self.w1plus_deriv(x, m) - self.w1minus_deriv(x, m)
 
     def validity(self, m: float) -> Verdict:
-        if self.validity_fn is None:
-            return Verdict(True, None)
         return self.validity_fn(m)
 
     def poles(self, m: float) -> tuple:
         """x positions of all denominator roots inside the domain at this m."""
-        if self.poles_fn is None:
-            return ()
         return self.poles_fn(m)
 
     def scan_clear(self, m: float) -> bool:
-        """Independent numeric root scan: True when no offending root found."""
-        if self.scan_clear_fn is None:
-            return True
+        """Independent root test: True when no offending root is found."""
         return self.scan_clear_fn(m)
 
 

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from shapeinv import (
     FAMILY_TAGS,
+    REAL_TAGS,
     GridSpec,
     InvalidParameterError,
     ParamPoint,
@@ -16,6 +17,8 @@ from shapeinv import (
     sample_valid_params,
     validity_witness,
 )
+from shapeinv.catalog import family_data
+from shapeinv.polynomials import monomial_coefficients
 
 
 class TestGetFamily:
@@ -156,6 +159,30 @@ class TestValidityWitness:
                 ParamPoint(m=1.45, B=-2.0, ell=2),
                 ParamPoint(m=1.55, B=-2.0, ell=2),
             ),
+            (
+                # m < -(1 + 2*d)/2 = -1.5
+                "X1-radial-oscillator",
+                ParamPoint(m=-1.55, omega=1.0, d=1.0),
+                ParamPoint(m=-1.45, omega=1.0, d=1.0),
+            ),
+            (
+                # d > 0: m < -2 or m > 1
+                "X1-trigonometric",
+                ParamPoint(m=-2.05, c=1.0, beta=0.5, d=1.0),
+                ParamPoint(m=-1.95, c=1.0, beta=0.5, d=1.0),
+            ),
+            (
+                # d < 0: m < -2 or m > 1
+                "X1-trigonometric",
+                ParamPoint(m=1.05, c=1.0, beta=0.5, d=-1.0),
+                ParamPoint(m=0.95, c=1.0, beta=0.5, d=-1.0),
+            ),
+            (
+                # the lower Poschl-Teller edge, (1 + 2*B)/2 = -1.5
+                "Xl-Poschl-Teller",
+                ParamPoint(m=-1.45, B=-2.0, ell=2),
+                ParamPoint(m=-1.55, B=-2.0, ell=2),
+            ),
         ],
     )
     def test_boundary_crossings_agree_with_scan(self, tag, params_in, params_out):
@@ -163,6 +190,63 @@ class TestValidityWitness:
         rep_out = validity_witness(tag, params_out)
         assert rep_in.valid and rep_in.agrees
         assert not rep_out.valid and rep_out.agrees
+
+
+class TestFamilyData:
+    """The derived poles against the denominators they come from."""
+
+    POINTS = [
+        ("X1-hyperbolic", ParamPoint(m=1.05, c=1.0, beta=0.5, d=-1.0)),
+        ("X1-hyperbolic", ParamPoint(m=-3.0, c=1.5, beta=0.5, d=2.0)),
+        ("X1-radial-oscillator", ParamPoint(m=2.0, omega=2.0, d=1.0)),
+        ("X1-trigonometric", ParamPoint(m=-1.95, c=1.0, beta=0.5, d=1.0)),
+        ("X1-trigonometric", ParamPoint(m=0.95, c=1.0, beta=0.5, d=-1.0)),
+        ("Xl-Poschl-Teller", ParamPoint(m=-1.55, B=-2.0, ell=1)),
+        ("Xl-Poschl-Teller", ParamPoint(m=-2.5, B=-2.0, ell=1)),
+        ("Xl-Poschl-Teller", ParamPoint(m=-1.55, B=-2.0, ell=10)),
+        ("Xl-radial-oscillator", ParamPoint(m=-0.45, omega=1.0, ell=3)),
+        ("Xl-radial-oscillator", ParamPoint(m=4.0, omega=1.0, ell=1)),
+        ("Xl-radial-oscillator", ParamPoint(m=2.0, omega=1.0, ell=10)),
+    ]
+
+    def test_points_cover_every_real_family(self):
+        assert {tag for tag, _ in self.POINTS} == set(REAL_TAGS)
+
+    @pytest.mark.parametrize("tag,p", POINTS)
+    def test_poles_are_denominator_zeros(self, tag, p):
+        family = get_family(tag, p).family
+        data = family_data(tag, p)
+        poles = family.poles(p.m)
+        assert poles
+        for x in poles:
+            xs = np.asarray([x])
+            gx = data.g(xs)[0]
+            relative = []
+            for spec_of_m, den in ((data.p_plus, family.denom_plus),
+                                   (data.p_minus, family.denom_minus)):
+                spec = spec_of_m(p.m)
+                if data.linear:
+                    size = abs(spec[0]) + abs(spec[1] * gx)
+                else:
+                    size = np.polynomial.polynomial.polyval(
+                        abs(gx), np.abs(monomial_coefficients(spec)))
+                relative.append(abs(den(xs, p.m)[0]) / size)
+            assert min(relative) < 1e-9, (x, relative)
+
+    @pytest.mark.parametrize(
+        "tag,p",
+        [
+            ("X1-hyperbolic", ParamPoint(m=1.05, c=1.0, beta=0.5, d=-1.0)),  # m < 1
+            ("X1-hyperbolic", ParamPoint(m=-0.05, c=1.0, beta=0.5, d=1.0)),  # m > 0
+            ("X1-radial-oscillator", ParamPoint(m=-1.45, omega=1.0, d=1.0)),  # m < -1.5
+            ("X1-trigonometric", ParamPoint(m=-1.95, c=1.0, beta=0.5, d=1.0)),  # m < -2
+            ("X1-trigonometric", ParamPoint(m=0.95, c=1.0, beta=0.5, d=-1.0)),  # m > 1
+        ],
+    )
+    def test_x1_point_just_outside_has_a_pole(self, tag, p):
+        family = get_family(tag, p).family
+        assert not family.validity(p.m).valid
+        assert family.poles(p.m)
 
 
 class TestSampler:

@@ -126,6 +126,37 @@ class TestVerify:
         assert code == 0
         assert set(doc["results"][0]["verdicts"]) == {"translation", "algebra"}
 
+    def test_explicit_flags_win_over_config_file(self, tmp_path):
+        # a flag equal to its default once counted as not given, so the
+        # config file's 96 points and 1e-6 tolerance won
+        cfg = {
+            "family": "X1-radial-oscillator",
+            "params": {"m": -3.0, "omega": 1.0, "d": 1.0},
+            "checks": ["translation", "compatibility"],
+            "grid": {"n_points": 96},
+            "tol": 1e-6,
+            "no_timestamp": True,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        _, from_file = run(tmp_path, "verify", "--config", str(cfg_path), out_name="f.json")
+        _, flagged = run(tmp_path, "verify", "--config", str(cfg_path),
+                         "--grid-points", "512", "--tol", "1e-9", out_name="g.json")
+        from_file, flagged = json.loads(from_file), json.loads(flagged)
+        assert from_file["config"]["grid_points"] == 96
+        assert from_file["config"]["tolerances"]["compatibility"] == 1e-6
+        assert flagged["config"]["grid_points"] == 512
+        assert flagged["config"]["tolerances"]["compatibility"] == 1e-9
+        assert flagged["results"][0]["grid"]["n_points"] == 512
+
+    def test_invalid_grid_exit_2(self, capsys):
+        # GridSpec's ValueError once escaped main as a traceback
+        code = main([
+            "verify", "--family", "X1-radial-oscillator", "--sample", "1", "--grid-points", "8",
+        ])
+        assert code == 2
+        assert "n_points" in capsys.readouterr().err
+
     def test_jobs_parallel_stable(self, tmp_path):
         args = (
             "verify", "--family", "X1-trigonometric", "--sample", "3", "--seed", "11",

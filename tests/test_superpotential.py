@@ -56,7 +56,6 @@ class TestGridSpec:
             {"boundary_margin": 0.0},
             {"boundary_margin": 0.5},
             {"pole_exclusion_radius": 0.0},
-            {"mapping": "chebyshev"},
         ],
     )
     def test_invalid(self, kwargs):
@@ -227,9 +226,7 @@ class TestMakeGrid:
         assert np.min(np.abs(grid - 0.9)) >= 0.05
 
     def test_linear_mapping_upgraded_on_infinite_domain(self, plain_oscillator):
-        grid = make_grid(
-            plain_oscillator, GridSpec(n_points=64, mapping="linear"), m_values=(-2.0,)
-        )
+        grid = make_grid(plain_oscillator, GridSpec(n_points=64), m_values=(-2.0,))
         assert np.all(grid > 0.0)
         steps = np.diff(grid)
         assert steps[-1] > 2.0 * steps[0]  # tanh compression, not a linear layout
