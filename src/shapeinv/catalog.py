@@ -8,9 +8,13 @@ derives the rest:
   W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
       D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
   the poles, as g^-1 of the real roots of P+- that lie in g(domain);
-  the witness scan, which passes when every real root of P+- is one the
-      family's non-singularity statement allows.
+  the certified witness test, which passes when every real root of P+- is
+      one the family's non-singularity statement allows.
 
+For the Xl families both root questions are decided on the exact
+coefficients of P+- (polynomials.real_roots_in, and has_imaginary_root for
+Xl-PT-Scarf), so the count of roots is certified, not sampled; the X1
+families' degree-1 P has its root in closed form.
 The region is thus encoded twice, as a strict-inequality predicate in m and
 as that test on the roots of P+-.  P- is transcribed on its own, not taken
 as P+ at m - 1, so the translation identity stays a two-route check.
@@ -24,7 +28,8 @@ p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when linear is set, else
 a PolySpec); root_allowed (t -> whether the region allows a real root t of
 P); validity (the analytic predicate, m -> Verdict); expected_ab (the
 factorization constants); and for a complex family is_real, punctures (its
-declared poles) and scan (a test of P that replaces the real-root test).
+declared poles) and scan (a test of P that replaces the real-root test;
+Xl-PT-Scarf's asks exactly whether P has a root i*s with real s != 0).
 
 Family tags, in catalog order:
 
@@ -55,13 +60,11 @@ from .polynomials import (
     JACOBI,
     LAGUERRE,
     PolySpec,
-    monomial_coefficients,
+    has_imaginary_root,
     poly_deriv,
     poly_deriv2,
     poly_eval,
     real_roots_in,
-    root_window,
-    scan_roots,
 )
 from .superpotential import ParamPoint, SuperpotentialFamily, Verdict
 
@@ -69,7 +72,6 @@ from .superpotential import ParamPoint, SuperpotentialFamily, Verdict
 # margins keep 0.1 clearance from region boundaries and leave room for the
 # translates m-1, m-2 that every verification run also evaluates.
 _SAMPLER_MARGIN = 0.1
-_SCAN_POINTS = 1 << 14
 # Largest Xl degree the sampler draws; verification is checked up to here.
 _ELL_MAX = 10
 
@@ -303,23 +305,6 @@ def _check_prefactor(tag: str, ell: int, B: float) -> None:
         )
 
 
-def _imaginary_axis_clear(spec: PolySpec) -> bool:
-    """Scarf's test of one P.  A singularity at real x != 0 needs a purely
-    imaginary root i*s: both real and imaginary parts of P(i*s) must vanish.
-    A zero of one part is a root when |P(i*s)| is small against the local
-    size of the polynomial's terms, sum_k |d_k| |s|**k."""
-    w_lo, w_hi = root_window(spec)
-    s_cap = max(2.0, abs(w_lo), abs(w_hi))
-    q = lambda s: poly_eval(spec, 1j * np.asarray(s, dtype=float))
-    term_size = np.abs(monomial_coefficients(spec))
-    for part in (lambda s: q(s).real, lambda s: q(s).imag):
-        for s_root in scan_roots(part, -s_cap, s_cap, _SCAN_POINTS):
-            size = np.polynomial.polynomial.polyval(abs(s_root), term_size)
-            if abs(s_root) > 1e-6 and abs(q(np.asarray([s_root]))[0]) < 1e-8 * size:
-                return False
-    return True
-
-
 def _xl_poschl_teller(B: float, ell: int) -> FamilyData:
     _check_prefactor("Xl-Poschl-Teller", ell, B)
     return FamilyData(
@@ -350,7 +335,7 @@ def _xl_pt_scarf(B: float, ell: int) -> FamilyData:
 
     # Non-singular on the whole real line apart from the declared x = 0
     # puncture: the argument of P is purely imaginary, so no real root of P
-    # maps into the domain, and the scan looks along the imaginary axis.
+    # maps into the domain, and the witness asks for roots i*s, s != 0.
     return FamilyData(
         domain=(-np.inf, np.inf),
         k0=lambda x: 1j * B / np.cosh(x),
@@ -361,7 +346,7 @@ def _xl_pt_scarf(B: float, ell: int) -> FamilyData:
         p_plus=lambda m: PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5),
         p_minus=lambda m: PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5),
         validity=lambda m: Verdict(True, None), expected_ab=(1.0, 0.0),
-        is_real=False, punctures=(0.0,), scan=_imaginary_axis_clear,
+        is_real=False, punctures=(0.0,), scan=lambda spec: not has_imaginary_root(spec),
     )
 
 
@@ -431,8 +416,8 @@ def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
 
 def validity_witness(tag: str, params: ParamPoint, cross_check: bool = True) -> ValidityReport:
     """Analytic non-singularity verdict, optionally cross-checked by the
-    independent test on the roots of P+- (belt and braces: the two must
-    agree)."""
+    independent, certified test on the roots of P+- (belt and braces: the
+    two must agree)."""
     family = get_family(tag, params).family
     verdict = family.validity(params.m)
     if not cross_check:

@@ -13,7 +13,12 @@ alternating terms cancel, so arguments with |z| < 1 are evaluated in the
 monomial basis in z instead.  Those coefficients are computed exactly in
 rational arithmetic (float parameters are exact rationals) from the same
 series and rounded once to float64.  Arguments with |z| >= 1, among them
-every cosh(x) and every real root scan, keep the series about z = 1.
+every cosh(x), keep the series about z = 1.
+
+Root questions are decided on those exact coefficients, in Python integers
+(module intpoly): Descartes' rule of signs certifies an interval free of
+roots, Vincent-Collins-Akritas bisection isolates the roots that are there,
+and floats only refine a root inside its certified isolating interval.
 
 Real parameters with a real argument are evaluated in float64 and only cast
 to complex on output, so the imaginary part of such results is exactly zero.
@@ -36,18 +41,13 @@ LAGUERRE = "laguerre"
 
 DEGREE_CAP = 64
 
-# Root scan: subintervals per unit length, doubled until the root count is
-# stable twice.  The first pass is capped so very wide root windows start
-# coarser (refinement still reaches _MAX_SCAN_POINTS); catalog windows stay
-# below the cap and get the full base resolution.
-SCAN_RESOLUTION = 4096
-_BASE_SCAN_CAP = 1 << 16
-_MAX_SCAN_POINTS = 1 << 22
 _BISECT_TOL = 1e-12
 _BISECT_STEPS = 200
 # Coefficient caches, keyed by PolySpec; bounded because every new parameter
 # point brings new specs.
 _COEF_CACHE_SIZE = 4096
+# z = z0 + h*u: where each kind's series variable u starts and its scale
+_ORIGIN = {JACOBI: (1, 2), LAGUERRE: (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,46 @@ def _series_coefficients(spec: PolySpec) -> np.ndarray:
     return coef
 
 
+def _exact_series(spec: PolySpec) -> tuple[list[int], int]:
+    """The series coefficients c_s exactly: integers N_s and a positive
+    integer S with c_s = N_s / S.
+
+    Float parameters are exact rationals p / q with q a power of two, so
+    with den the larger denominator, Jacobi has N_s = C(n, s) *
+    prod_{j<s} ((n+1+j)*den + ia + ib) * prod_{j>=s} ((j+1)*den + ia) and
+    Laguerre N_s = (-1)**s * C(n, s) * den**s * prod_{j>s} (ia + j*den),
+    both over S = n! * den**n.
+    """
+    n = spec.degree
+    params = (spec.alpha,) if spec.kind == LAGUERRE else (spec.alpha, spec.beta)
+    ratios = [float(v).as_integer_ratio() for v in params]
+    den = max(q for _, q in ratios)  # all powers of two
+    ia, ib = ([p * (den // q) for p, q in ratios] + [0])[:2]
+    if spec.kind == JACOBI:
+        up = [(n + 1 + j) * den + ia + ib for j in range(n)]
+        down = [(j + 1) * den + ia for j in range(n)]
+        prefix = list(itertools.accumulate(up, operator.mul, initial=1))
+        suffix = list(itertools.accumulate(reversed(down), operator.mul, initial=1))[::-1]
+        nums = [math.comb(n, s) * prefix[s] * suffix[s] for s in range(n + 1)]
+    else:
+        tail = [ia + j * den for j in range(n, 0, -1)]
+        suffix = list(itertools.accumulate(tail, operator.mul, initial=1))[::-1]
+        nums = [(-1) ** s * math.comb(n, s) * den ** s * suffix[s] for s in range(n + 1)]
+    return nums, math.factorial(n) * den ** n
+
+
+def _monomial_integers(spec: PolySpec) -> tuple[list[int], int]:
+    """The coefficients d_k in z exactly, as integers over one positive
+    integer.  Jacobi's u = (z - 1)/2 is undone by an exact Taylor shift."""
+    from . import intpoly
+
+    nums, scale = _exact_series(spec)
+    if spec.kind == LAGUERRE:
+        return nums, scale
+    n = spec.degree
+    return intpoly.taylor_shift([c << (n - s) for s, c in enumerate(nums)], -1), scale << n
+
+
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
 def monomial_coefficients(spec: PolySpec) -> np.ndarray:
     """Coefficients d_k of the polynomial as sum_k d_k * z**k, read-only.
@@ -122,24 +162,8 @@ def monomial_coefficients(spec: PolySpec) -> np.ndarray:
     """
     if spec.kind == LAGUERRE:
         return _series_coefficients(spec)
-    n = spec.degree
-    (pa, qa), (pb, qb) = (float(v).as_integer_ratio() for v in (spec.alpha, spec.beta))
-    den = max(qa, qb)  # both powers of two
-    ia, ib = pa * (den // qa), pb * (den // qb)
-    # In integers: c_s * n! * den**n = C(n, s) * prod(up[:s]) * prod(down[s:])
-    up = [(n + 1 + j) * den + ia + ib for j in range(n)]
-    down = [(j + 1) * den + ia for j in range(n)]
-    prefix = list(itertools.accumulate(up, operator.mul, initial=1))
-    suffix = list(itertools.accumulate(reversed(down), operator.mul, initial=1))[::-1]
-    c = [math.comb(n, s) * prefix[s] * suffix[s] for s in range(n + 1)]
-    # ((z - 1)/2)**s = sum_k C(s, k) (-1)**(s - k) z**k / 2**s; int / int
-    # rounds correctly
-    scale = math.factorial(n) * den ** n * 2 ** n
-    coef = np.array([
-        sum(c[s] * math.comb(s, k) * (-1) ** (s - k) * 2 ** (n - s) for s in range(k, n + 1))
-        / scale
-        for k in range(n + 1)
-    ])
+    nums, scale = _monomial_integers(spec)
+    coef = np.array([d / scale for d in nums])  # int / int rounds correctly
     coef.setflags(write=False)
     return coef
 
@@ -224,45 +248,36 @@ def poly_deriv2(spec: PolySpec, z):
     return f1 * f2 * poly_eval(s2, z)
 
 
+def _to_floats(a: list[int]) -> np.ndarray:
+    """a scaled by a power of two to a largest entry in [1, 2), each entry
+    rounded once."""
+    shift = max(abs(c) for c in a).bit_length() - 1
+    return np.array([c / (1 << shift) for c in a])
+
+
 def root_window(spec: PolySpec) -> tuple[float, float]:
     """A finite interval certain to contain every root (Fujiwara bound).
 
-    Returns (0.0, 0.0) when the polynomial has no roots to find (constants
-    and the identically zero degenerate cases).
+    The bound runs on the exact series coefficients, so the leading index
+    is that of the last nonzero one; it is widened by a relative 1e-9 to
+    cover its own rounding, then to a power of two.  Returns (0.0, 0.0) when
+    the polynomial has no roots to find (constants and the identically zero
+    degenerate cases).
     """
-    coef = _series_coefficients(spec)
-    mags = np.abs(coef)
-    top = float(mags.max())
-    if top == 0.0:
-        return 0.0, 0.0
-    # Effective leading index: trailing coefficients can vanish for special
-    # parameter combinations (e.g. n + alpha + beta + 1 a negative integer).
-    lead = int(np.max(np.nonzero(mags > top * 1e-12)[0]))
+    nums = _exact_series(spec)[0]
+    lead = max((k for k, c in enumerate(nums) if c), default=0)
     if lead == 0:
         return 0.0, 0.0
-    ratios = [
-        (mags[lead - j] / mags[lead]) ** (1.0 / j) for j in range(1, lead + 1)
-    ]
-    r_u = 2.0 * max(ratios) + 1e-12
-    if spec.kind == JACOBI:
-        return 1.0 - 2.0 * r_u, 1.0 + 2.0 * r_u
-    return -r_u, r_u
-
-
-def _sample(f, lo: float, hi: float, n_sub: int, coarse=None):
-    """Scan nodes np.linspace(lo, hi, n_sub + 1) and the values of f there.
-
-    coarse is the (nodes, values) pair of a pass with half as many
-    subintervals.  Where its nodes are bit for bit the even nodes of this
-    pass, their values are reused and only the odd nodes are evaluated.
-    """
-    xs = np.linspace(lo, hi, n_sub + 1)
-    if coarse is not None and np.array_equal(xs[::2], coarse[0]):
-        vals = np.empty(xs.shape)
-        vals[::2] = coarse[1]
-        vals[1::2] = np.asarray(f(xs[1::2]), dtype=float)
-        return xs, vals
-    return xs, np.asarray(f(xs), dtype=float)
+    log_lead = math.log(abs(nums[lead]))
+    r_u = 2.0 * max(
+        (math.exp((math.log(abs(nums[lead - j])) - log_lead) / j)
+         for j in range(1, lead + 1) if nums[lead - j]),
+        default=0.0,
+    ) * (1.0 + 1e-9) + 1e-12
+    # a power of two keeps the exact arithmetic on the window's ends short
+    r_u = 2.0 ** math.ceil(math.log2(r_u))
+    z0, h = _ORIGIN[spec.kind]
+    return z0 - h * r_u, z0 + h * r_u
 
 
 def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
@@ -291,62 +306,134 @@ def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
 
 
 def scan_roots(f, lo: float, hi: float, n_sub: int, xs=None, vals=None) -> list[float]:
-    """Bracket sign changes of f on [lo, hi] with n_sub subintervals, then
-    bisect each bracket to 1e-12 absolute.  Exact zeros at scan nodes are
-    returned directly.  f must accept an ndarray.  xs and vals, when given,
-    are the nodes np.linspace(lo, hi, n_sub + 1) and f's values there."""
-    if not (hi > lo):
-        return []
+    """Roots of f from its signs at sorted nodes: every node where f is zero,
+    and a bisection to 1e-12 absolute of each sign change between
+    neighbouring nodes.  f must accept an ndarray.  The nodes are xs, with
+    vals the values of f there (only their signs are read); by default they
+    are np.linspace(lo, hi, n_sub + 1) and f evaluated on them."""
     if xs is None:
-        xs, vals = _sample(f, lo, hi, n_sub)
+        if not (hi > lo):
+            return []
+        xs = np.linspace(lo, hi, n_sub + 1)
+        vals = np.asarray(f(xs), dtype=float)
     roots = xs[vals == 0.0].tolist()
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     roots += _bisect(f, xs[idx], xs[idx + 1], vals[idx]).tolist()
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-10:
-            merged.append(r)
-    return merged
+    return sorted(roots)
+
+
+def _dyadic_u(z: float, z0: int, h: int) -> tuple[int, int]:
+    """u = (z - z0)/h for a finite float z, exactly, as (numerator, a power
+    of two)."""
+    p, q = z.as_integer_ratio()
+    return p - z0 * q, h * q
 
 
 def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
-    """All real roots inside the interval, sorted ascending.
+    """All real roots inside the open interval, sorted ascending, each
+    distinct root once.  The count is certified; each location is a float
+    within 1e-12 of its root.
 
-    Half-infinite intervals are clamped by the Cauchy root bound.  Resolution
-    starts at SCAN_RESOLUTION subintervals per unit length and doubles until
-    the root count is unchanged twice in a row; even-multiplicity roots that
-    produce no sign change are out of scope.
+    The test runs on the exact integer series coefficients in u, where
+    z = 1 + 2u for Jacobi and z = u for Laguerre.  A root at u = 0 is read
+    off the constant term.  Descartes' rule on the interval's image on
+    (0, inf) (for Jacobi on (1, inf) the coefficients themselves, for
+    Laguerre on (-inf, 0) their alternating signs) certifies most intervals
+    empty with no float evaluation.  Otherwise a half-infinite interval is
+    clamped to root_window, the square-free part is isolated by
+    Vincent-Collins-Akritas bisection in integers, and scan_roots bisects
+    each isolating interval in floats.  A root at an interval end is
+    decided exactly, and excluded.
     """
+    from . import intpoly
+
     lo, hi = float(interval[0]), float(interval[1])
-    w_lo, w_hi = root_window(spec)
-    if w_lo == w_hi:
-        return []
-    lo = max(lo, w_lo - 1e-6)
-    hi = min(hi, w_hi + 1e-6)
-    if not (hi > lo):
-        return []
-
-    coef = _series_coefficients(spec)
-    if spec.kind == JACOBI:
-        f = lambda x: _eval_series(coef, (x - 1.0) / 2.0)
+    a = intpoly.trimmed(_exact_series(spec)[0])
+    if not (hi > lo) or len(a) < 2:
+        return []  # constants, and the zero polynomial, have no roots to find
+    z0, h = _ORIGIN[spec.kind]
+    found = []
+    if a[0] == 0:
+        a = a[next(k for k, c in enumerate(a) if c):]
+        if lo < z0 < hi:
+            found.append(float(z0))
+    # Descartes' rule on the image of (lo, hi) on (0, inf)
+    if math.isinf(lo) and math.isinf(hi):
+        images = [a, [c if k % 2 == 0 else -c for k, c in enumerate(a)]]
+    elif math.isinf(hi):
+        p, q = _dyadic_u(lo, z0, h)
+        images = [intpoly.affine_image(a, p, p + 1, q)]  # t = q*u - p
+    elif math.isinf(lo):
+        p, q = _dyadic_u(hi, z0, h)
+        images = [intpoly.affine_image(a, p, p - 1, q)]  # t = p - q*u
     else:
-        f = lambda x: _eval_series(coef, x)
+        images = []
+    if len(a) < 2 or (images and not any(intpoly.variations(b) for b in images)):
+        return found
 
-    span = hi - lo
-    n_sub = min(max(int(SCAN_RESOLUTION * span), 64), _BASE_SCAN_CAP)
-    counts: list[int] = []
-    roots: list[float] = []
-    coarse = None
-    for _ in range(7):
-        coarse = _sample(f, lo, hi, n_sub, coarse)
-        roots = scan_roots(f, lo, hi, n_sub, *coarse)
-        counts.append(len(roots))
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            break
-        if n_sub >= _MAX_SCAN_POINTS:
-            break
-        n_sub = min(n_sub * 2, _MAX_SCAN_POINTS)
-    # Respect open/half-open interval endpoints passed by callers.
-    return [r for r in roots if interval[0] < r < interval[1]]
+    w_lo, w_hi = root_window(spec)
+    lo, hi = max(lo, w_lo), min(hi, w_hi)
+    if not (hi > lo):
+        return found
+    (p1, q1), (p2, q2) = _dyadic_u(lo, z0, h), _dyadic_u(hi, z0, h)
+    den = max(q1, q2)
+    p1, p2 = p1 * (den // q1), p2 * (den // q2)
+    a = intpoly.squarefree(a)
+    leaves = intpoly.isolate(intpoly.affine_image(a, p1, p2, den))
+    if not leaves:
+        return found
+
+    def z_at(c: int, k: int) -> float:
+        # z = z0 + h*(p1 + (p2 - p1)*c/2**k)/den, rounded once
+        return (z0 * den * 2 ** k + h * (p1 * 2 ** k + (p2 - p1) * c)) / (den * 2 ** k)
+
+    return sorted(found + _refine(a, leaves, z_at, z0, h))
+
+
+def _refine(a: list[int], leaves: list, z_at, z0: int, h: int) -> list[float]:
+    """The roots that intpoly.isolate found for a, as floats, through
+    scan_roots.
+
+    Its nodes: a root exactly at a node has value 0, and across an isolating
+    interval the sign just right of its left end flips once.  Floats refine
+    each root on its own interval's polynomial, in that interval's variable
+    on (0, 1), which keeps the cancellation of the whole polynomial out;
+    where a float value is within its rounding bound of zero, its sign is
+    taken exactly instead.
+    """
+    from . import intpoly
+
+    xs, vals, rows = [], [], []
+    for c, k, local in leaves:
+        if local is None:
+            xs.append(z_at(c, k))
+            vals.append(0.0)
+        else:
+            sign = 1.0 if next(x for x in local if x) > 0 else -1.0
+            xs += [z_at(c, k), z_at(c + 1, k)]
+            vals += [sign, -sign]
+            rows.append(_to_floats(local + [0] * (len(a) - len(local))))
+    xs, vals = np.array(xs), np.array(vals)
+    starts, ends = xs[vals != 0.0][0::2], xs[vals != 0.0][1::2]
+    widths, local = ends - starts, np.array(rows).T
+    gamma = 4.0 * (len(a) + 1) * 2.0 ** -53
+
+    def f(x):
+        i = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, None)
+        t = (x - starts[i]) / widths[i]
+        out = _eval_series(local[:, i], t)
+        unsure = np.abs(out) <= gamma * _eval_series(np.abs(local[:, i]), np.abs(t))
+        for j in np.nonzero(unsure)[0]:
+            out[j] = intpoly.sign_at(a, *_dyadic_u(float(x[j]), z0, h))
+        return out
+
+    return scan_roots(f, xs[0], xs[-1], xs.size - 1, xs, vals)
+
+
+def has_imaginary_root(spec: PolySpec) -> bool:
+    """Whether the polynomial has a root i*s with real s != 0, decided
+    exactly on its integer coefficients (intpoly.has_imaginary_root)."""
+    from . import intpoly
+
+    return intpoly.has_imaginary_root(_monomial_integers(spec)[0])

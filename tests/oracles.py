@@ -4,7 +4,12 @@ Everything here evaluates through mpmath's own special-function routes
 (hypergeometric) and numerical differentiation, sharing no code with the
 package: poly values, superpotentials and the seven-term compatibility
 combination can all be cross-checked against a genuinely separate path.
+Real roots come from exact Fraction coefficients, a Sturm count and
+mpmath's polyroots.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -145,3 +150,117 @@ def partner_minus(tag, params, m, x):
 
 def to_complex(v):
     return complex(mp.mpc(v))
+
+
+# Real roots by an independent route: exact coefficients from the two-sided
+# Jacobi sum and the Laguerre sum in generalized binomials, a Sturm count in
+# Fraction, and mpmath's polyroots at 50 digits for the locations.
+
+def _binom(x, k):
+    out = Fraction(1)
+    for j in range(k):
+        out = out * (x - j) / (j + 1)
+    return out
+
+
+def _pmul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _ppow(p, k):
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = _pmul(out, p)
+    return out
+
+
+def _strip(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _prem(p, q):
+    """Remainder of p by q over the rationals."""
+    p = list(p)
+    while len(p) >= len(q):
+        c = p[-1] / q[-1]
+        shift = len(p) - len(q)
+        for j, b in enumerate(q):
+            p[shift + j] -= c * b
+        p = _strip(p[:-1])
+    return p
+
+
+def _pgcd(p, q):
+    while q:
+        p, q = q, _prem(p, q)
+    return p
+
+
+def _pdiv(p, q):
+    p, out = list(p), [Fraction(0)] * (len(p) - len(q) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = p[i + len(q) - 1] / q[-1]
+        for j, b in enumerate(q):
+            p[i + j] -= out[i] * b
+    return out
+
+
+def exact_coefficients(n, a, b=None):
+    """P_n^(a,b) in z, or L_n^(a) when b is None, as Fractions, lowest
+    degree first."""
+    a = Fraction(a)
+    if b is None:
+        return _strip([(-1) ** s * _binom(n + a, n - s) / math.factorial(s) for s in range(n + 1)])
+    b = Fraction(b)
+    out = [Fraction(0)] * (n + 1)
+    zm, zp = [Fraction(-1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]
+    for s in range(n + 1):
+        term = _pmul(_ppow(zm, s), _ppow(zp, n - s))
+        w = _binom(n + a, n - s) * _binom(n + b, s)
+        for k, c in enumerate(term):
+            out[k] += w * c
+    return _strip(out)
+
+
+def squarefree_part(p):
+    if len(p) < 2:
+        return p
+    return _pdiv(p, _pgcd(p, [k * c for k, c in enumerate(p)][1:]))
+
+
+def sturm_count(p, lo, hi):
+    """Distinct real roots of p in the open interval (lo, hi), by Sturm."""
+    p = squarefree_part(p)
+    if len(p) < 2:
+        return 0
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _prem(chain[-2], chain[-1])])
+
+    def signs_at(x):
+        if math.isinf(x):
+            return [c[-1] * (1 if x > 0 or len(c) % 2 else -1) for c in chain]
+        x = Fraction(x)
+        return [sum(c * x ** k for k, c in enumerate(q)) for q in chain]
+
+    def changes(vals):
+        signs = [v > 0 for v in vals if v != 0]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    end_root = not math.isinf(hi) and signs_at(hi)[0] == 0
+    return changes(signs_at(lo)) - changes(signs_at(hi)) - end_root
+
+
+def polynomial_roots(p):
+    """All complex roots of p at 50 digits; a failure to converge raises."""
+    p = squarefree_part(p)
+    if len(p) < 2:
+        return []
+    coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p)]
+    return mp.polyroots(coeffs, maxsteps=400, extraprec=400)

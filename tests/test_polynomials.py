@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeinv import DEGREE_CAP, JACOBI, LAGUERRE, PolySpec, poly_deriv, poly_eval, real_roots_in
+from shapeinv import intpoly
 from shapeinv.errors import DomainError, UnsupportedError
 from shapeinv.polynomials import (
-    SCAN_RESOLUTION,
-    _BASE_SCAN_CAP,
-    _MAX_SCAN_POINTS,
     _eval_series,
     _series_coefficients,
+    has_imaginary_root,
     monomial_coefficients,
     poly_deriv2,
     root_window,
@@ -227,65 +226,20 @@ def reference_scan(f, lo, hi, n_sub):
             else:
                 a, fa = mid, fm
         roots.append(0.5 * (a + b))
-    roots.sort()
-    merged = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-10:
-            merged.append(r)
-    return merged
-
-
-def reference_real_roots(spec, interval):
-    """real_roots_in's doubling rule with every pass scanned from scratch."""
-    w_lo, w_hi = root_window(spec)
-    if w_lo == w_hi:
-        return []
-    lo = max(interval[0], w_lo - 1e-6)
-    hi = min(interval[1], w_hi + 1e-6)
-    if not hi > lo:
-        return []
-    coef = _series_coefficients(spec)
-    shift = 1.0 if spec.kind == JACOBI else 0.0
-    scale = 2.0 if spec.kind == JACOBI else 1.0
-    f = lambda x: _eval_series(coef, (x - shift) / scale)
-    n_sub = min(max(int(SCAN_RESOLUTION * (hi - lo)), 64), _BASE_SCAN_CAP)
-    counts = []
-    for _ in range(7):
-        roots = reference_scan(f, lo, hi, n_sub)
-        counts.append(len(roots))
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            break
-        if n_sub >= _MAX_SCAN_POINTS:
-            break
-        n_sub = min(n_sub * 2, _MAX_SCAN_POINTS)
-    return [r for r in roots if interval[0] < r < interval[1]]
+    return sorted(roots)
 
 
 class TestScan:
-    @given(
-        lo=st.floats(min_value=-50, max_value=50, allow_nan=False),
-        width=st.floats(min_value=1e-3, max_value=100, allow_nan=False),
-        n=st.integers(min_value=1, max_value=1 << 16),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_doubled_nodes_nest(self, lo, width, n):
-        hi = lo + width
-        assert np.array_equal(np.linspace(lo, hi, 2 * n + 1)[::2], np.linspace(lo, hi, n + 1))
-
-    @given(
-        jacobi=st.booleans(),
-        n=st.integers(min_value=1, max_value=10),
-        a=st.floats(min_value=-8, max_value=8, allow_nan=False),
-        b=st.floats(min_value=-8, max_value=8, allow_nan=False),
-        interval=st.sampled_from([(-np.inf, np.inf), (1.0, np.inf), (-1.0, 1.0), (-np.inf, 0.0)]),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_matches_full_scans(self, jacobi, n, a, b, interval):
-        spec = PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a)
-        assert real_roots_in(spec, interval) == reference_real_roots(spec, interval)
-
     def test_exact_zero_at_node(self):
         assert scan_roots(lambda x: x, -1.0, 1.0, 64) == [0.0]
+
+    def test_given_nodes_and_signs(self):
+        # uneven nodes; only the signs of the values are read
+        f = lambda x: (x + 0.5) * (x - 0.25)
+        xs = np.array([-1.0, 0.0, 0.25, 2.0])
+        roots = scan_roots(f, -1.0, 2.0, 3, xs, np.sign(f(xs)))
+        assert roots[1] == 0.25
+        assert roots == pytest.approx([-0.5, 0.25], abs=1e-12)
 
     def test_brackets_bisected_in_lockstep(self):
         # brackets (-0.5, 0), (0, 0.5) and (0.5, 1); the middle one's first
@@ -303,6 +257,62 @@ class TestScan:
         assert roots[1] == 0.25
         assert roots == pytest.approx([-0.3, 0.25, 0.7], abs=1e-12)
         assert roots == reference_scan(f, -1.0, 1.0, 4)
+
+
+class TestCertifiedRoots:
+    """Roots the float scan used to miss or misplace, and the certified
+    finder against the independent route in oracles.py."""
+
+    def test_double_root_counted(self):
+        # L_3^(-2) = z**2 (3 - z)/6: the double root at 0 changes no sign
+        assert real_roots_in(PolySpec(LAGUERRE, 3, -2.0), (-np.inf, np.inf)) == [0.0, 3.0]
+        assert real_roots_in(PolySpec(LAGUERRE, 3, -2.0), (-0.7, 1.3)) == [0.0]
+
+    def test_root_at_series_origin_is_exact(self):
+        # P_n^(alpha, beta)(1) = (alpha + 1)_n / n! = 0 at alpha = -1
+        spec = PolySpec(JACOBI, 2, -1.0, 0.5)
+        assert 1.0 in real_roots_in(spec, (0.3, 2.0))
+
+    def test_root_at_interval_end_is_excluded(self):
+        assert real_roots_in(PolySpec(JACOBI, 2, -1.0, 0.5), (1.0, np.inf)) == []
+        assert real_roots_in(PolySpec(LAGUERRE, 3, -2.0), (0.0, 3.0)) == []
+
+    def test_refinement_keeps_to_its_root(self):
+        # near the root at -0.0133 the float values of its interval's
+        # polynomial fall below their rounding bound; exact signs keep the
+        # bisection there (float signs alone sent it to -2.76)
+        roots = real_roots_in(PolySpec(LAGUERRE, 9, -1.127461551273706), (-np.inf, np.inf))
+        assert len(roots) == 9
+        assert roots[0] == pytest.approx(-0.013333719809747200, abs=1e-12)
+
+    def test_imaginary_root_pair(self):
+        # (z**2 + 4)(z - 3) has the roots +-2i; (z**2 - 4)(z - 3) and
+        # z (z - 3) have none off the real axis (s = 0 does not count)
+        assert intpoly.has_imaginary_root([-12, 4, -3, 1])
+        assert not intpoly.has_imaginary_root([12, -4, -3, 1])
+        assert not intpoly.has_imaginary_root([0, -3, 1])
+        # P_2^(a, a) = -1/16 - z**2/32 at a = -7/4: roots +-i*sqrt(2)
+        assert has_imaginary_root(PolySpec(JACOBI, 2, -1.75, -1.75))
+        assert not has_imaginary_root(PolySpec(JACOBI, 2, -1.25, -1.25))
+
+    @given(
+        jacobi=st.booleans(),
+        n=st.integers(min_value=1, max_value=10),
+        a=st.floats(min_value=-8, max_value=8, allow_nan=False),
+        b=st.floats(min_value=-8, max_value=8, allow_nan=False),
+        interval=st.sampled_from([(-np.inf, np.inf), (1.0, np.inf), (-1.0, 1.0), (-np.inf, 0.0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sturm_and_polyroots(self, jacobi, n, a, b, interval):
+        spec = PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a)
+        exact = oracles.exact_coefficients(n, a, b if jacobi else None)
+        roots = real_roots_in(spec, interval)
+        assert len(roots) == oracles.sturm_count(exact, *interval)
+        assert roots == sorted(roots)
+        reference = oracles.polynomial_roots(exact)
+        for r in roots:
+            assert interval[0] < r < interval[1]
+            assert min(abs(rho - r) / max(1.0, abs(rho)) for rho in reference) <= 1e-10
 
 
 class TestMonomialBasis:
