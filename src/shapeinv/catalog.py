@@ -52,7 +52,6 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     ParamSchemaError,
-    PoleError,
     SamplingError,
     UnsupportedError,
 )
@@ -61,8 +60,6 @@ from .polynomials import (
     LAGUERRE,
     PolySpec,
     has_imaginary_root,
-    poly_deriv,
-    poly_deriv2,
     poly_eval,
     real_roots_in,
 )
@@ -138,28 +135,37 @@ def _roots(data: FamilyData, P: Callable, m, lo: float, hi: float) -> list:
 
 
 def _log_derivs(data: FamilyData, P: Callable):
-    """(D, W1 = D'/D, W1' = D''/D - W1**2).  The polynomial kernel returns
-    complex values; real families drop their exactly zero imaginary part."""
+    """(D, W1 = D'/D, W1' = D''/D - W1**2), each from one kernel call.  The
+    polynomial kernel returns complex values; real families drop their
+    exactly zero imaginary part.  Where g(x) is not finite D is nan, and
+    where D is zero W1 is not finite: the evaluators never raise there, so
+    the grid's edge probe can test many abscissae in one call."""
     g, g_d, g_dd, linear = data.g, data.g_deriv, data.g_deriv2, data.linear
     real = data.is_real and not linear
 
     def derivatives(x, m, order):
-        # [D, D', ...] up to the given order; with derivatives asked for, a
-        # zero of D raises PoleError first
+        # [D, D', ...] up to the given order
         s, gx = P(m), g(x)
-        out = [s[0] + s[1] * gx if linear else poly_eval(s, gx)]
+        if linear:
+            out = [s[0] + s[1] * gx]
+            if order >= 1:
+                out.append(s[1] * g_d(x))
+            if order >= 2:
+                # D'' = p1*g'' alone: P''(g)*g'**2 would be 0*inf = nan
+                # wherever g'**2 overflows (cosh(c x) beyond c x = 355)
+                out.append(s[1] * g_dd(x))
+            return out
+        bad = ~np.isfinite(gx)
+        # z = 1 stands in where g(x) is not finite: any finite value would
+        # do, and |z| = 1 keeps those points in the series basis
+        vals = poly_eval(s, np.where(bad, 1.0, gx), order)
+        vals = (vals,) if order == 0 else vals
+        out = [np.where(bad, np.nan, vals[0])]
         if order >= 1:
-            zero = np.asarray(out[0]) == 0
-            if np.any(zero):
-                xs = np.broadcast_to(np.asarray(x, dtype=float), zero.shape)
-                raise PoleError(float(xs[zero].flat[0]))
             gd = g_d(x)
-            out.append(s[1] * gd if linear else poly_deriv(s, gx) * gd)
+            out.append(vals[1] * gd)
         if order >= 2:
-            # for degree-1 P, D'' = p1*g'' alone: P''(g)*g'**2 would be
-            # 0*inf = nan wherever g'**2 overflows (cosh(c x) beyond c x = 355)
-            out.append(s[1] * g_dd(x) if linear
-                       else poly_deriv2(s, gx) * gd * gd + poly_deriv(s, gx) * g_dd(x))
+            out.append(vals[2] * gd * gd + vals[1] * g_dd(x))
         return out
 
     def den(x, m):

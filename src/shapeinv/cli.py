@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,7 +55,6 @@ class RunConfig:
     tolerances: dict | None = None
     fmt: str = "json"
     out: str | None = None
-    jobs: int = 1
     no_timestamp: bool = False
     perturb: float = 0.0
     k: int = 5
@@ -81,8 +79,6 @@ class RunConfig:
             raise UsageError("format must be json or csv")
         if self.params is None and self.sample < 1:
             raise UsageError("give --params or --sample N")
-        if self.jobs < 1:
-            raise UsageError("jobs must be >= 1")
 
     def tolerance_map(self) -> dict:
         tols = {name: self.tol for name in ("compatibility", "infeld_hull",
@@ -202,12 +198,7 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
 
 def cmd_verify(cfg: RunConfig) -> int:
     points = _resolve_points(cfg)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda ip: _verify_one(cfg, *ip), enumerate(points)))
-    else:
-        results = [_verify_one(cfg, i, p) for i, p in enumerate(points)]
-    results.sort(key=lambda r: r["param_index"])
+    results = [_verify_one(cfg, i, p) for i, p in enumerate(points)]
 
     doc = _report_skeleton(cfg, "verify")
     doc["results"] = results
@@ -310,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base residual tolerance (translation stays 1e-12)")
         sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=None)
         sp.add_argument("--perturb", type=float, help=argparse.SUPPRESS)
         sp.add_argument("--k", type=int, help="levels for spectral checks")
@@ -369,7 +359,6 @@ def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
         "tolerances": file_cfg.get("tolerances"),
         "fmt": pick(args.fmt, "format"),
         "out": pick(args.out, "out"),
-        "jobs": pick(args.jobs, "jobs"),
         "no_timestamp": pick(args.no_timestamp, "no_timestamp"),
         "perturb": pick(args.perturb, "perturb"),
         "k": pick(args.k, "k"),

@@ -15,6 +15,7 @@ residual over a grid (a single bad point must fail the verdict, so no RMS):
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +203,27 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid):
     return (_maxabs(step1 - step2), _maxabs(step2 - step3), _maxabs(step3))
 
 
+def _tabulated(family: SuperpotentialFamily, grid) -> SuperpotentialFamily:
+    """A copy of the family whose W1+-, W1+-' evaluate once per m on this
+    grid: the first call at an m stores its value, later calls read it.
+    The table lives as long as the copy; calls on any other x evaluate."""
+
+    def remember(fn):
+        table = {}
+
+        def lookup(x, m):
+            if x is not grid:
+                return fn(x, m)
+            if m not in table:
+                table[m] = fn(x, m)
+            return table[m]
+
+        return lookup
+
+    names = ("w1plus", "w1plus_deriv", "w1minus", "w1minus_deriv")
+    return dataclasses.replace(family, **{n: remember(getattr(family, n)) for n in names})
+
+
 def run_condition_checks(
     family: SuperpotentialFamily,
     grid,
@@ -216,6 +238,9 @@ def run_condition_checks(
     The grid must avoid the poles of every m in m_list (make_grid with
     m_values=m_list does that).  When expected_ab is given, the inferred
     constants are also matched against it under the infeld_hull tolerance.
+    Within the call W1+- and W1+-' are evaluated once per m on the grid and
+    the checks share those values, so each residual equals that of the
+    separate check_* call bit for bit.
     """
     m_list = tuple(float(m) for m in m_list)
     tol = dict(tolerances or {})
@@ -230,6 +255,7 @@ def run_condition_checks(
         m_list=m_list,
     )
     m0 = m_list[0]
+    family = _tabulated(family, grid)
 
     if "translation" in checks:
         r = check_translation(family, m0, grid)

@@ -15,6 +15,12 @@ rational arithmetic (float parameters are exact rationals) from the same
 series and rounded once to float64.  Arguments with |z| >= 1, among them
 every cosh(x), keep the series about z = 1.
 
+Derivatives come from the same pass: the coefficient row of P is
+differentiated in place (row j + 1 holds (s + 1) * c_{s+1} / h of row j,
+with h = 2 for the Jacobi series in u and h = 1 for the monomial and
+Laguerre bases), and every row is summed against one shared table of powers
+of u, so P, P' and P'' cost one call and one set of powers.
+
 Root questions are decided on those exact coefficients, in Python integers
 (module intpoly): Descartes' rule of signs certifies an interval free of
 roots, Vincent-Collins-Akritas bisection isolates the roots that are there,
@@ -196,56 +202,71 @@ def _prepare_argument(z):
     return work, arr.ndim == 0
 
 
-def poly_eval(spec: PolySpec, z):
+def _derivative_rows(coef: np.ndarray, order: int, h: float) -> np.ndarray:
+    """Rows 0..order: the coefficients of P and of its first `order`
+    derivatives in z, for P(z) = sum_s coef[s] * u**s with u = (z - z0)/h.
+    Row j + 1 is (s + 1) * row_j[s + 1] / h; row j has degree n - j, and its
+    entries past that stay zero."""
+    rows = np.zeros((order + 1, coef.size))
+    rows[0] = coef
+    k = np.arange(1, coef.size)
+    for j in range(order):
+        rows[j + 1, :-1] = k * rows[j, 1:] / h
+    return rows
+
+
+def _eval_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Kahan-compensated sums of rows[j, s] * u**s for every row j, over a
+    1-d u, with one table of iterated powers shared by all rows.  Row j
+    stops at its degree n - j, so a zero past it never meets an overflowed
+    power (0 * inf).  Row 0 is bit for bit _eval_series(rows[0], u)."""
+    n = rows.shape[1] - 1
+    total = np.zeros((rows.shape[0], u.size), dtype=np.result_type(rows, u))
+    comp = np.zeros_like(total)
+    power = np.ones_like(u)
+    for s in range(n + 1):
+        live = min(rows.shape[0], n + 1 - s)  # rows whose degree reaches s
+        y = rows[:live, s, None] * power - comp[:live]
+        t = total[:live] + y
+        comp[:live] = (t - total[:live]) - y
+        total[:live] = t
+        power = power * u
+    return total
+
+
+def poly_eval(spec: PolySpec, z, order: int = 0):
     """Evaluate the polynomial at z (scalar or array, real or complex).
 
     Returns complex128; real parameters with real argument give an exactly
     zero imaginary part.  Jacobi arguments with |z| < 1 go through the
-    monomial basis (see the module docstring).
+    monomial basis (see the module docstring).  With order > 0 it returns
+    the tuple (P, P', ..., P^(order)) from one pass, each entry shaped like
+    the order-0 result.
     """
     work, scalar = _prepare_argument(z)
+    flat = work.reshape(-1)
     if spec.kind == JACOBI:
-        out = np.asarray(_eval_series(_series_coefficients(spec), (work - 1.0) / 2.0))
-        inner = np.abs(work) < 1.0
+        out = _eval_rows(_derivative_rows(_series_coefficients(spec), order, 2.0),
+                         (flat - 1.0) / 2.0)
+        inner = np.abs(flat) < 1.0
         if inner.any():
-            out[inner] = _eval_series(monomial_coefficients(spec), work[inner])
+            out[:, inner] = _eval_rows(
+                _derivative_rows(monomial_coefficients(spec), order, 1.0), flat[inner])
     else:
-        out = _eval_series(_series_coefficients(spec), work)
-    out = out.astype(np.complex128)
-    return complex(out[()]) if scalar else out
-
-
-def derivative_spec(spec: PolySpec) -> tuple[float, PolySpec | None]:
-    """Parameter-shift form of d/dz: (factor, shifted spec), or (0, None)."""
-    n = spec.degree
-    if n == 0:
-        return 0.0, None
-    if spec.kind == JACOBI:
-        return (n + spec.alpha + spec.beta + 1.0) / 2.0, PolySpec(
-            JACOBI, n - 1, spec.alpha + 1.0, spec.beta + 1.0
-        )
-    return -1.0, PolySpec(LAGUERRE, n - 1, spec.alpha + 1.0)
+        out = _eval_rows(_derivative_rows(_series_coefficients(spec), order, 1.0), flat)
+    out = out.astype(np.complex128).reshape((order + 1,) + work.shape)
+    vals = [complex(v) for v in out] if scalar else list(out)
+    return vals[0] if order == 0 else tuple(vals)
 
 
 def poly_deriv(spec: PolySpec, z):
-    """d/dz of the polynomial, via the parameter-shift identities."""
-    factor, shifted = derivative_spec(spec)
-    if shifted is None:
-        work, scalar = _prepare_argument(z)
-        return 0j if scalar else np.zeros(work.shape, dtype=np.complex128)
-    return factor * poly_eval(shifted, z)
+    """d/dz of the polynomial, from its differentiated coefficient row."""
+    return poly_eval(spec, z, 1)[1]
 
 
 def poly_deriv2(spec: PolySpec, z):
-    """Second derivative, by applying the parameter shift twice."""
-    f1, s1 = derivative_spec(spec)
-    if s1 is None:
-        return poly_deriv(spec, z) * 0.0
-    f2, s2 = derivative_spec(s1)
-    if s2 is None:
-        work, scalar = _prepare_argument(z)
-        return 0j if scalar else np.zeros(work.shape, dtype=np.complex128)
-    return f1 * f2 * poly_eval(s2, z)
+    """Second derivative, from the twice differentiated coefficient row."""
+    return poly_eval(spec, z, 2)[2]
 
 
 def _to_floats(a: list[int]) -> np.ndarray:

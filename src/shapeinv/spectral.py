@@ -186,28 +186,34 @@ def spectral_window(family: SuperpotentialFamily, m_values, k: int,
         top = float(_lowest_eigenvalues(v_plus.values, x[1] - x[0], k)[-1])
         target = top + _EDGE_MARGIN_ABOVE_TOP_LEVEL
 
+        # each step evaluates the edge potential once, at the new abscissa;
+        # the value at the current edge carries over from the step before
         if math.isinf(hi):
-            grew = 0
-            while _edge_values(family, m_values, b) < target and grew < 60:
+            grew, v_b = 0, _edge_values(family, m_values, b)
+            while v_b < target and grew < 60:
                 nxt = b * 1.4
-                if _edge_values(family, m_values, nxt) <= _edge_values(family, m_values, b) + 1.0:
+                v_nxt = _edge_values(family, m_values, nxt)
+                if v_nxt <= v_b + 1.0:
                     break  # plateau
-                b = nxt
+                b, v_b = nxt, v_nxt
                 grew += 1
         if math.isinf(lo):
-            grew = 0
-            while _edge_values(family, m_values, a) < target and grew < 60:
+            grew, v_a = 0, _edge_values(family, m_values, a)
+            while v_a < target and grew < 60:
                 nxt = a * 1.4 if a < 0 else a - 1.0
-                if _edge_values(family, m_values, nxt) <= _edge_values(family, m_values, a) + 1.0:
+                v_nxt = _edge_values(family, m_values, nxt)
+                if v_nxt <= v_a + 1.0:
                     break
-                a = nxt
+                a, v_a = nxt, v_nxt
                 grew += 1
         if lo == 0.0 and not math.isinf(lo):
-            while _edge_values(family, m_values, a) < target and a > 1e-4:
+            v_a = _edge_values(family, m_values, a)
+            while v_a < target and a > 1e-4:
                 nxt = a / 2.0
-                if _edge_values(family, m_values, nxt) <= _edge_values(family, m_values, a):
+                v_nxt = _edge_values(family, m_values, nxt)
+                if v_nxt <= v_a:
                     break  # attractive end: stop shrinking
-                a = nxt
+                a, v_a = nxt, v_nxt
         if not math.isinf(lo) and not math.isinf(hi) and lo != 0.0:
             break
     return float(a), float(b)

@@ -205,44 +205,38 @@ def _eval_guarded(family, x, m, pole_radius, fn):
     return complex(out[()]) if scalar else out
 
 
-def _edge_ok(family, m_values, x_edge: float) -> bool:
-    xs = np.asarray([x_edge])
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for m in m_values:
-                w = family.W(xs, m)
-                wd = family.W_deriv(xs, m)
-                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wd))):
-                    return False
-                if np.max(np.abs(w)) > _EDGE_W_CAP:
-                    return False
-    except (PoleError, FloatingPointError, ValueError):
-        return False
-    return True
+def _edge_passes(family, m_values, xs: np.ndarray) -> np.ndarray:
+    """Which abscissae pass the edge test at every m: W and W' finite there
+    and |W| <= _EDGE_W_CAP.  One array call of W and of W' per m."""
+    ok = np.ones(xs.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for m in m_values:
+            w = family.W(xs, m)
+            ok &= np.isfinite(w) & np.isfinite(family.W_deriv(xs, m)) & (np.abs(w) <= _EDGE_W_CAP)
+    return ok
 
 
 def _expand_edge(family, m_values, start: float, sign: float) -> float:
-    """Largest |edge| in a doubling sequence that still evaluates cleanly."""
-    edge = start
-    good = None
-    for _ in range(40):
-        if abs(edge) > _EDGE_X_CAP:
-            break
-        if _edge_ok(family, m_values, sign * edge):
-            good = edge
-            edge *= 2.0
-        else:
-            break
-    if good is None:
-        edge = start / 2.0
-        while edge > 1e-3:
-            if _edge_ok(family, m_values, sign * edge):
-                return edge
-            edge /= 2.0
-        raise InvalidParameterError(
-            "evaluable window", f"{family.name}: no evaluable window edge found"
-        )
-    return good
+    """Largest |edge| in a doubling sequence that still evaluates cleanly.
+
+    The candidates start*2**k, k < 40, up to _EDGE_X_CAP are tested in one
+    array probe; the edge is the last one before the first failure.  When
+    start itself fails, the edge is the first of start/2**k, k >= 1, above
+    1e-3 that passes.
+    """
+    up = start * 2.0 ** np.arange(40)
+    up = up[up <= _EDGE_X_CAP]
+    leading = int(np.sum(np.logical_and.accumulate(_edge_passes(family, m_values, sign * up))))
+    if leading:
+        return float(up[leading - 1])
+    down = start / 2.0 ** np.arange(1, max(1, math.ceil(math.log2(start / 1e-3))) + 2)
+    down = down[down > 1e-3]
+    ok = _edge_passes(family, m_values, sign * down)
+    if ok.any():
+        return float(down[np.argmax(ok)])
+    raise InvalidParameterError(
+        "evaluable window", f"{family.name}: no evaluable window edge found"
+    )
 
 
 def _tanh_points(a: float, b: float, n: int, symmetric: bool,
@@ -267,6 +261,13 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
     compressed through x = a + L*atanh(u), and every point keeps
     pole_exclusion_radius distance from every detected denominator root of
     every requested m.
+
+    The edge of an infinite side comes from one array probe per side: W and
+    W' are evaluated at every doubling candidate in one call per m, and a
+    candidate fails where either is not finite (the family's evaluators
+    return nan or inf where g(x) overflows or D vanishes, they do not raise)
+    or where |W| exceeds _EDGE_W_CAP.  The edge is the last candidate before
+    the first failure.
     """
     spec = spec or GridSpec()
     if m_values is None:

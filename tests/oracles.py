@@ -26,6 +26,16 @@ def laguerre(n, a, z):
     return mp.laguerre(n, a, z)
 
 
+def poly_derivs(n, a, b, z, order=2):
+    """[P, P', ..., P^(order)] at z: numerical differentiation of mpmath's
+    own value, P_n^(a,b) for Jacobi, or L_n^(a) when b is None."""
+    if b is None:
+        f = lambda t: mp.laguerre(n, a, t)
+    else:
+        f = lambda t: mp.jacobi(n, a, b, t)
+    return [mp.diff(f, mp.mpmathify(z), k) for k in range(order + 1)]
+
+
 def _x1_hyperbolic(c, beta, d):
     c, beta, d = mp.mpf(c), mp.mpf(beta), mp.mpf(d)
     return {

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from shapeinv.cli import main
 
@@ -157,14 +158,12 @@ class TestVerify:
         assert code == 2
         assert "n_points" in capsys.readouterr().err
 
-    def test_jobs_parallel_stable(self, tmp_path):
-        args = (
-            "verify", "--family", "X1-trigonometric", "--sample", "3", "--seed", "11",
-            "--grid-points", "96", "--no-timestamp",
-        )
-        _, serial = run(tmp_path, *args, out_name="s.json")
-        _, parallel = run(tmp_path, *args, "--jobs", "3", out_name="p.json")
-        assert serial == parallel
+    def test_jobs_flag_rejected(self, capsys):
+        # verify runs its points in one thread; there is no --jobs option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "X1-trigonometric", "--sample", "3", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestScan:

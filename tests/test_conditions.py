@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -245,3 +248,51 @@ class TestRunConditionChecks:
         entry, p, grid = family_on_grid("X1-radial-oscillator")
         with pytest.raises(UsageError):
             check_compatibility(entry.family, (p.m,), grid)
+
+
+class TestSharedW1Table:
+    W1_NAMES = ("w1plus", "w1plus_deriv", "w1minus", "w1minus_deriv")
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    @pytest.mark.parametrize("perturb", [None, "paired-mx-slope"])
+    def test_residuals_equal_separate_checks(self, tag, perturb):
+        entry, p, grid = family_on_grid(tag, seed=19, n=128)
+        fam = entry.family if perturb is None else with_perturbation(entry.family, perturb, 1e-4)
+        m_list = (p.m, p.m - 1.0, p.m - 2.0)
+        report = run_condition_checks(fam, grid, m_list)
+        r12, r23, r30 = check_equivalence_chain(fam, p.m, grid)
+        compat, samples = check_compatibility(fam, m_list, grid)
+        separate = {
+            "translation": check_translation(fam, p.m, grid),
+            "compatibility": compat,
+            "infeld_hull": check_infeld_hull(fam, grid)[1],
+            "algebra": check_algebra_condition(fam, p.m, grid),
+            "equivalence_step1_vs_step2": r12,
+            "equivalence_step2_vs_step3": r23,
+            "equivalence_step3_vs_zero": r30,
+        }
+        assert report.residuals == separate  # float ==: bit for bit
+        assert report.epsilon_samples == samples
+
+    @pytest.mark.parametrize("m_list", ["default", "custom"])
+    def test_each_w1_evaluated_once_per_m(self, m_list):
+        entry, p, grid = family_on_grid("Xl-Poschl-Teller", seed=19, n=128)
+        m_list = (p.m, p.m - 1.0, p.m - 2.0) if m_list == "default" else (p.m, p.m - 2.0)
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(entry.family, name)
+
+            def wrapped(x, m):
+                calls[name, m] += 1
+                return fn(x, m)
+
+            return wrapped
+
+        fam = dataclasses.replace(entry.family, **{n: counted(n) for n in self.W1_NAMES})
+        assert run_condition_checks(fam, grid, m_list).passed
+        # the checks also read m0 - 1, which a custom m_list may leave out
+        wanted = set(m_list) | {p.m - 1.0}
+        assert calls == Counter({(n, m): 1 for n in self.W1_NAMES for m in wanted})
+        run_condition_checks(fam, grid, m_list)  # no table outlives a call
+        assert set(calls.values()) == {2}

@@ -120,6 +120,74 @@ class TestDerivatives:
         assert abs(poly_deriv2(spec, z) - fd) < 1e-7
 
 
+class TestOnePassDerivatives:
+    # (P, P', P'') from one poly_eval call against the 50-digit oracle.  The
+    # bound is float64 rounding of the route the kernel takes: 4 (n + 2) eps
+    # times the term sizes sum_s |c_s| |u|**s of the derivative's coefficient
+    # row, in the series about z = 1 (|z| >= 1) or the monomial basis.
+    JACOBI_Z = [0.3, 0.97, -0.6, 1.03, 2.5, math.cosh(3.0),
+                *(1j * math.sinh(x) for x in (0.3, 0.897, 1.5))]
+    LAGUERRE_Z = [-0.2, -3.0, -40.0]
+
+    @staticmethod
+    def term_sizes(spec, z, order):
+        polyder, polyval = np.polynomial.polynomial.polyder, np.polynomial.polynomial.polyval
+        if spec.kind == LAGUERRE:
+            coef, u, h = _series_coefficients(spec), abs(z), 1.0
+        elif abs(z) < 1.0:
+            coef, u, h = monomial_coefficients(spec), abs(z), 1.0
+        else:
+            coef, u, h = _series_coefficients(spec), abs((z - 1.0) / 2.0), 2.0
+        return polyval(u, np.abs(polyder(coef, m=order, scl=1.0 / h)))
+
+    @pytest.mark.parametrize("n", [1, 10, 16, 32])
+    @pytest.mark.parametrize("kind", [JACOBI, LAGUERRE])
+    def test_against_oracle(self, kind, n):
+        if kind == JACOBI:
+            spec, zs = PolySpec(JACOBI, n, 2.1, 0.3), self.JACOBI_Z
+        else:
+            spec, zs = PolySpec(LAGUERRE, n, -0.2), self.LAGUERRE_Z
+        # one array call over both sides of |z| = 1
+        got = poly_eval(spec, np.array(zs, dtype=complex), 2)
+        eps = np.finfo(float).eps
+        for i, z in enumerate(zs):
+            ref = oracles.poly_derivs(n, spec.alpha, spec.beta, z)
+            for order in range(3):
+                bound = 4 * (n + 2) * eps * self.term_sizes(spec, z, order)
+                err = abs(got[order][i] - oracles.to_complex(ref[order]))
+                assert err <= bound + 1e-300, (n, z, order, err, bound)
+
+    @pytest.mark.parametrize("z", [0.4, 1.7, 0.5j, 2.0 - 0.3j])
+    def test_scalar_argument(self, z):
+        spec = PolySpec(JACOBI, 5, -1.3, 2.2)
+        row = poly_eval(spec, np.array([z]), 2)
+        for arg in (z, np.asarray(z)):
+            vals = poly_eval(spec, arg, 2)
+            assert isinstance(vals, tuple) and len(vals) == 3
+            assert all(type(v) is complex for v in vals)
+            assert vals == tuple(complex(r[0]) for r in row)
+
+    def test_orders_agree(self):
+        spec = PolySpec(LAGUERRE, 7, -3.5)
+        z = np.linspace(-5.0, 5.0, 11).reshape(11, 1)
+        p0, p1, p2 = poly_eval(spec, z, 2)
+        assert p0.shape == p1.shape == p2.shape == z.shape
+        assert np.array_equal(p0, poly_eval(spec, z))
+        assert np.array_equal(p1, poly_deriv(spec, z))
+        assert np.array_equal(p2, poly_deriv2(spec, z))
+        assert np.array_equal(poly_eval(spec, z, 1)[1], p1)
+
+    def test_derivative_row_stops_at_its_degree(self):
+        # u**2 overflows at z = 1e200 while u stays finite: P' (degree 1)
+        # must not pick up 0 * inf from the padded row
+        spec = PolySpec(JACOBI, 2, 0.5, -0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p0, p1, p2 = poly_eval(spec, np.array([1e200]), 2)
+        assert np.isinf(p0[0].real)
+        assert np.isfinite(p1[0]) and np.isfinite(p2[0])
+        assert p2[0] == poly_eval(spec, 0.3, 2)[2]  # constant
+
+
 class TestRealness:
     def test_real_input_exactly_real(self):
         rng = np.random.default_rng(7)

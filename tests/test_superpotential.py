@@ -16,6 +16,7 @@ from shapeinv import (
     sample_valid_params,
     with_perturbation,
 )
+from shapeinv.superpotential import _EDGE_W_CAP, _EDGE_X_CAP, _expand_edge
 from conftest import plain_family
 
 
@@ -264,3 +265,101 @@ class TestPerturbations:
         lhs = np.asarray(pert.w1minus(xs, p.m))
         rhs = np.asarray(pert.w1plus(xs, p.m - 1.0))
         assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+def reference_edge(family, m_values, start, sign):
+    """The edge rule one abscissa at a time: double from start while the
+    candidate passes, and if start itself fails, halve until one passes.  A
+    candidate passes when W and W' are finite at every m and |W| <= the cap;
+    an evaluation that raises fails it."""
+
+    def passes(x):
+        xs = np.asarray([sign * x])
+        try:
+            with np.errstate(all="ignore"):
+                for m in m_values:
+                    w, wd = family.W(xs, m), family.W_deriv(xs, m)
+                    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wd))):
+                        return False
+                    if np.max(np.abs(w)) > _EDGE_W_CAP:
+                        return False
+        except (ArithmeticError, ValueError):
+            return False
+        return True
+
+    edge, good = start, None
+    for _ in range(40):
+        if edge > _EDGE_X_CAP or not passes(edge):
+            break
+        good, edge = edge, edge * 2.0
+    if good is not None:
+        return good
+    edge = start / 2.0
+    while edge > 1e-3:
+        if passes(edge):
+            return edge
+        edge /= 2.0
+    return None
+
+
+def zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+class TestEdgeProbe:
+    def test_halving_branch(self):
+        # W = 200 x + m/x fails |W| <= 100 at the first candidate, x = 1.05
+        fam = plain_family(k0=lambda x: 200.0 * np.asarray(x, dtype=float),
+                           k0_deriv=lambda x: 200.0 + zeros(x),
+                           k1=lambda x: 1.0 / x, k1_deriv=lambda x: -1.0 / (x * x),
+                           domain=(0.0, np.inf), m=1.0)
+        m_values = (1.0, 0.0)
+        edge = _expand_edge(fam, m_values, 1.05, +1.0)
+        assert edge == reference_edge(fam, m_values, 1.05, +1.0) == 1.05 / 4
+        grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
+        assert grid[-1] == edge
+
+    def test_cosh_overflow_candidate(self):
+        # cosh(1024) overflows: the kernel would raise there, the evaluators
+        # return nan instead, and the edge stops at 512
+        fam = get_family("Xl-Poschl-Teller", ParamPoint(m=0.6, B=-2.5, ell=1)).family
+        m_values = (0.6, -0.4, -1.4)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.cosh(1024.0))
+        edge = _expand_edge(fam, m_values, 1.0, +1.0)
+        assert edge == reference_edge(fam, m_values, 1.0, +1.0) == 512.0
+        assert np.isnan(fam.w1plus(np.array([1024.0]), 0.6)[0])
+
+    def test_one_nonfinite_candidate(self):
+        # W = 1/(x - 8) is infinite at the candidate x = 8 and finite past
+        # it: the edge is the last candidate before the first failure
+        fam = plain_family(k0=lambda x: 1.0 / (x - 8.0), k0_deriv=lambda x: -1.0 / (x - 8.0) ** 2,
+                           k1=zeros, k1_deriv=zeros, domain=(-np.inf, np.inf), m=0.0)
+        assert _expand_edge(fam, (0.0,), 1.0, +1.0) == reference_edge(fam, (0.0,), 1.0, +1.0) == 4.0
+        left = _expand_edge(fam, (0.0,), 1.0, -1.0)
+        assert left == reference_edge(fam, (0.0,), 1.0, -1.0) == 2.0 ** 19
+        grid = make_grid(fam, GridSpec(n_points=64), m_values=(0.0,))
+        assert (grid[0], grid[-1]) == (-left, 4.0)
+
+    def test_perturbed_control(self):
+        # W1- += size*x grows without bound; at size 1 the |W| cap sets the
+        # edge before the overflow of cosh(x)**ell does
+        entry, p = sampled_entry("Xl-Poschl-Teller")
+        m_values = (p.m, p.m - 1.0, p.m - 2.0)
+        edges = {}
+        for size in (1e-2, 1.0):
+            fam = with_perturbation(entry.family, "wminus-slope", size)
+            edges[size] = _expand_edge(fam, m_values, 1.05, +1.0)
+            assert edges[size] == reference_edge(fam, m_values, 1.05, +1.0)
+        assert edges[1.0] < edges[1e-2] == _expand_edge(entry.family, m_values, 1.05, +1.0)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_sampled_families(self, tag):
+        for p in sample_valid_params(tag, 4, seed=29):
+            fam = get_family(tag, p).family
+            m_values = (p.m, p.m - 1.0, p.m - 2.0)
+            for start, sign in ((1.0, 1.0), (1.0, -1.0), (1.05, 1.0)):
+                if not fam.domain[0] < sign * start < fam.domain[1]:
+                    continue
+                assert _expand_edge(fam, m_values, start, sign) == \
+                    reference_edge(fam, m_values, start, sign)
