@@ -151,13 +151,42 @@ def dirichlet_grid(a: float, b: float, n: int) -> np.ndarray:
     return np.linspace(a, b, n + 2)[1:-1]
 
 
-def _edge_values(family, m_values, x: float) -> float:
-    xs = np.asarray([x])
-    vals = []
-    for m in m_values:
-        vm, vp = partner_potentials(family, m, xs)
-        vals.append(min(float(vm.values[0]), float(vp.values[0])))
-    return min(vals)
+def _edge_values(family, m_values, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(min over m of min(V-, V+), all finite) at each abscissa: one array
+    call per m.  Far candidates may overflow, so nothing is checked here;
+    _grow_edge raises where it reaches a value that is not finite."""
+    xs = np.asarray(xs, dtype=float)
+    low, finite = np.full(xs.shape, np.inf), np.ones(xs.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for m in m_values:
+            w, wd = _real_potential_values(family, xs, m)
+            w2 = w * w
+            vm, vp = w2 - wd, w2 + wd
+            finite &= np.isfinite(vm) & np.isfinite(vp)
+            low = np.minimum(low, np.minimum(vm, vp))
+    return low, finite
+
+
+def _grow_edge(family, m_values, candidates: list, target: float, margin: float) -> float:
+    """The edge reached by walking the candidates while V there is below
+    target and each step raises V by more than margin.  candidates[0] is
+    the current edge; V at all of them comes from one _edge_values call."""
+    v, finite = _edge_values(family, m_values, candidates)
+    for k in range(len(candidates)):
+        if not finite[k]:
+            raise ValueError("potential grid must be finite")
+        if k and v[k] <= v[k - 1] + margin:
+            return candidates[k - 1]  # plateau, or an attractive end
+        if v[k] >= target:
+            return candidates[k]
+    return candidates[-1]
+
+
+def _steps(start: float, step, n: int) -> list:
+    out = [start]
+    for _ in range(n):
+        out.append(step(out[-1]))
+    return out
 
 
 def spectral_window(family: SuperpotentialFamily, m_values, k: int,
@@ -186,34 +215,16 @@ def spectral_window(family: SuperpotentialFamily, m_values, k: int,
         top = float(_lowest_eigenvalues(v_plus.values, x[1] - x[0], k)[-1])
         target = top + _EDGE_MARGIN_ABOVE_TOP_LEVEL
 
-        # each step evaluates the edge potential once, at the new abscissa;
-        # the value at the current edge carries over from the step before
         if math.isinf(hi):
-            grew, v_b = 0, _edge_values(family, m_values, b)
-            while v_b < target and grew < 60:
-                nxt = b * 1.4
-                v_nxt = _edge_values(family, m_values, nxt)
-                if v_nxt <= v_b + 1.0:
-                    break  # plateau
-                b, v_b = nxt, v_nxt
-                grew += 1
+            b = _grow_edge(family, m_values, _steps(b, lambda t: t * 1.4, 60), target, 1.0)
         if math.isinf(lo):
-            grew, v_a = 0, _edge_values(family, m_values, a)
-            while v_a < target and grew < 60:
-                nxt = a * 1.4 if a < 0 else a - 1.0
-                v_nxt = _edge_values(family, m_values, nxt)
-                if v_nxt <= v_a + 1.0:
-                    break
-                a, v_a = nxt, v_nxt
-                grew += 1
+            a = _grow_edge(family, m_values,
+                           _steps(a, lambda t: t * 1.4 if t < 0 else t - 1.0, 60), target, 1.0)
         if lo == 0.0 and not math.isinf(lo):
-            v_a = _edge_values(family, m_values, a)
-            while v_a < target and a > 1e-4:
-                nxt = a / 2.0
-                v_nxt = _edge_values(family, m_values, nxt)
-                if v_nxt <= v_a:
-                    break  # attractive end: stop shrinking
-                a, v_a = nxt, v_nxt
+            halves = [a]
+            while halves[-1] > 1e-4:
+                halves.append(halves[-1] / 2.0)
+            a = _grow_edge(family, m_values, halves, target, 0.0)
         if not math.isinf(lo) and not math.isinf(hi) and lo != 0.0:
             break
     return float(a), float(b)

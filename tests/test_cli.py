@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from shapeinv import FAMILY_TAGS, REAL_TAGS
+from shapeinv import cli
 from shapeinv.cli import main
 
 
@@ -150,6 +152,27 @@ class TestVerify:
         assert flagged["config"]["tolerances"]["compatibility"] == 1e-9
         assert flagged["results"][0]["grid"]["n_points"] == 512
 
+    def test_back_to_back_calls_share_no_state(self, tmp_path):
+        # the parser is built once per process; a flag given to one call
+        # must not reach the next
+        assert cli.build_parser() is cli.build_parser()
+        args = ("verify", "--family", "X1-radial-oscillator",
+                "--params", '{"m": -3.0, "omega": 1.0, "d": 1.0}',
+                "--grid-points", "96", "--no-timestamp")
+        _, before = run(tmp_path, *args, out_name="a.json")
+        code, flagged = run(tmp_path, *args, "--checks", "translation", "--tol", "1e-3",
+                            "--perturb", "0.01", out_name="b.json")
+        _, after = run(tmp_path, *args, out_name="c.json")
+        assert code == 1
+        flagged = json.loads(flagged)["config"]
+        assert (flagged["checks"], flagged["perturb"]) == (["translation"], 0.01)
+        assert flagged["tolerances"]["compatibility"] == 1e-3
+        assert after == before
+        config = json.loads(after)["config"]
+        assert config["checks"] == list(cli.CHECK_NAMES)
+        assert config["perturb"] == 0.0
+        assert config["tolerances"]["compatibility"] == cli.DEFAULT_TOL
+
     def test_invalid_grid_exit_2(self, capsys):
         # GridSpec's ValueError once escaped main as a traceback
         code = main([
@@ -164,6 +187,100 @@ class TestVerify:
             main(["verify", "--family", "X1-trigonometric", "--sample", "3", "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+def assert_reference_json(text, doc):
+    """text is json.dumps(doc, indent=2, sort_keys=True) + newline.  The
+    first differing byte is reported instead of a diff of two 50 KB texts."""
+    ref = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if text != ref:
+        i = next((i for i, (a, b) in enumerate(zip(text, ref)) if a != b), min(len(text), len(ref)))
+        pytest.fail(f"differs at byte {i} of {len(ref)}: {text[max(i - 40, 0):i + 40]!r} "
+                    f"instead of {ref[max(i - 40, 0):i + 40]!r}")
+
+
+def written_docs(monkeypatch, tmp_path, *args):
+    """The documents main hands to the JSON writer, and the text it wrote."""
+    docs = []
+    real = cli._dump_json
+
+    def recording(doc):
+        docs.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "_dump_json", recording)
+    code, text = run(tmp_path, *args)
+    assert len(docs) == 1
+    return code, docs[0], text
+
+
+class TestJsonWriter:
+    """_dump_json is json.dumps(doc, indent=2, sort_keys=True) + newline, byte
+    for byte; only the way it spells epsilon_samples differs."""
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_sampled_verify_reports(self, monkeypatch, tmp_path, tag):
+        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family", tag,
+                                       "--sample", "3", "--seed", "7", "--no-timestamp")
+        assert code == 0
+        assert len(doc["results"]) == 3
+        assert all(len(r["epsilon_samples"]) == 512 for r in doc["results"])
+        if tag == "Xl-PT-Scarf":
+            assert any(im != 0.0 for r in doc["results"] for _, _, im in r["epsilon_samples"])
+        assert_reference_json(text, doc)
+        assert_reference_json(cli._dump_json(doc), doc)
+
+    def test_perturbed_control(self, monkeypatch, tmp_path):
+        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family",
+                                       "Xl-Poschl-Teller", "--sample", "1", "--seed", "5",
+                                       "--perturb", "0.01")
+        assert code == 1
+        assert "timestamp" in doc
+        assert_reference_json(text, doc)
+
+    def test_empty_samples(self, monkeypatch, tmp_path):
+        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family",
+                                       "X1-trigonometric", "--sample", "2", "--seed", "5",
+                                       "--checks", "translation", "--no-timestamp")
+        assert code == 0
+        assert [r["epsilon_samples"] for r in doc["results"]] == [[], []]
+        assert_reference_json(text, doc)
+
+    def test_spectrum_report(self, monkeypatch, tmp_path):
+        code, doc, text = written_docs(monkeypatch, tmp_path, "spectrum", "--family",
+                                       REAL_TAGS[-1], "--sample", "1", "--seed", "5",
+                                       "--k", "3", "--spectrum-points", "1000",
+                                       "--no-timestamp")
+        assert code == 0
+        assert_reference_json(text, doc)
+
+    def test_verify_with_spectrum(self, monkeypatch, tmp_path):
+        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family",
+                                       "X1-hyperbolic", "--sample", "2", "--seed", "5",
+                                       "--checks", "compatibility,remainder,spectrum",
+                                       "--spectrum-points", "1000", "--no-timestamp")
+        assert code == 0
+        assert "spectrum" in doc["results"][1]
+        assert_reference_json(text, doc)
+
+    def test_special_floats(self):
+        nan, inf = float("nan"), float("inf")
+        doc = {
+            "schema": "s",
+            "results": [
+                {"epsilon_samples": [[0.0, -0.0, 5e-324], [nan, inf, -inf],
+                                     [1e300, -1.7976931348623157e308, 0.1]],
+                 "residuals": {"a": nan}},
+                {"epsilon_samples": []},
+                {"epsilon_samples": [[1.0, 2.0, 3.0], []], "z": [[4.0]]},
+                {"epsilon_samples": [[np.float64(2.5)], [-1.0]], "m_list": [1.0]},
+            ],
+            "overall_pass": False,
+        }
+        text = cli._dump_json(doc)
+        assert_reference_json(text, doc)
+        assert isinstance(doc["results"][0]["epsilon_samples"], list)  # input untouched
+        assert "NaN" in text and "-Infinity" in text and "5e-324" in text
 
 
 class TestScan:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from shapeinv import (
     solve_spectrum,
     with_perturbation,
 )
+from shapeinv.spectral import spectral_window
 
 import oracles
 
@@ -194,3 +198,161 @@ class TestIsospectrality:
         fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1)).family
         with pytest.raises(UnsupportedError):
             check_isospectrality(fam, 0.5, k=3)
+
+
+def reference_window(family, m_values, k, probe_points=400):
+    """spectral_window's rule with the edge potential probed one abscissa
+    at a time through partner_potentials, as it once was."""
+    from shapeinv.spectral import _EDGE_MARGIN_ABOVE_TOP_LEVEL, _lowest_eigenvalues
+
+    def edge(x):
+        vals = []
+        for m in m_values:
+            vm, vp = partner_potentials(family, m, np.asarray([x]))
+            vals.append(min(float(vm.values[0]), float(vp.values[0])))
+        return min(vals)
+
+    lo, hi = family.domain
+    if math.isinf(lo) and math.isinf(hi):
+        a, b = -8.0, 8.0
+    elif math.isinf(hi):
+        a, b = lo + 0.1, max(lo + 4.0, 1.0)
+    elif math.isinf(lo):
+        a, b = min(hi - 4.0, -1.0), hi - 0.1
+    else:
+        width = hi - lo
+        a, b = lo + 1e-3 * width, hi - 1e-3 * width
+    for _ in range(3):
+        x = dirichlet_grid(a, b, probe_points)
+        _, v_plus = partner_potentials(family, m_values[0], x)
+        target = (float(_lowest_eigenvalues(v_plus.values, x[1] - x[0], k)[-1])
+                  + _EDGE_MARGIN_ABOVE_TOP_LEVEL)
+        if math.isinf(hi):
+            grew, v_b = 0, edge(b)
+            while v_b < target and grew < 60:
+                nxt = b * 1.4
+                v_nxt = edge(nxt)
+                if v_nxt <= v_b + 1.0:
+                    break
+                b, v_b = nxt, v_nxt
+                grew += 1
+        if math.isinf(lo):
+            grew, v_a = 0, edge(a)
+            while v_a < target and grew < 60:
+                nxt = a * 1.4 if a < 0 else a - 1.0
+                v_nxt = edge(nxt)
+                if v_nxt <= v_a + 1.0:
+                    break
+                a, v_a = nxt, v_nxt
+                grew += 1
+        if lo == 0.0:
+            v_a = edge(a)
+            while v_a < target and a > 1e-4:
+                nxt = a / 2.0
+                v_nxt = edge(nxt)
+                if v_nxt <= v_a:
+                    break
+                a, v_a = nxt, v_nxt
+        if not math.isinf(lo) and not math.isinf(hi) and lo != 0.0:
+            break
+    return float(a), float(b)
+
+
+def line_family(k0, k0_deriv):
+    """W = k0(x) on the whole line."""
+    from conftest import plain_family
+
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    return plain_family(k0=k0, k0_deriv=k0_deriv, k1=zero, k1_deriv=zero,
+                        domain=(-np.inf, np.inf), m=0.0)
+
+
+class TestSpectralWindow:
+    """The edge potential at every growth candidate of a side comes from one
+    array call per m; the window must be the one the step-by-step rule
+    reaches, bit for bit."""
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_catalog_points(self, tag):
+        for p in sample_valid_params(tag, 3, seed=9):
+            fam = get_family(tag, p).family
+            for k in (3, 5):
+                m_values = (p.m, p.m - 1.0)
+                assert spectral_window(fam, m_values, k) == reference_window(fam, m_values, k)
+
+    @pytest.mark.parametrize("tag", ["X1-radial-oscillator", "Xl-Poschl-Teller"])
+    def test_perturbed_controls(self, tag):
+        p = sample_valid_params(tag, 1, seed=4)[0]
+        fam = with_perturbation(get_family(tag, p).family, "wplus-slope", 0.05)
+        m_values = (p.m, p.m - 1.0)
+        assert spectral_window(fam, m_values, 5) == reference_window(fam, m_values, 5)
+
+    @pytest.mark.parametrize("m_values, edge", [
+        ((1.05,), 0.025), ((1.0 + 1e-9,), 0.1 / 2 ** 10), ((0.5,), 0.1),
+    ])
+    def test_halving_toward_zero(self, m_values, edge):
+        # W = m/x: min(V-, V+) = (m**2 - m)/x**2, so the left edge halves
+        # twice for m = 1.05, down to the 1e-4 floor for m just above 1,
+        # and not at all for m = 0.5, where the end is attractive
+        from conftest import plain_family
+
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        fam = plain_family(k0=zero, k0_deriv=zero, k1=lambda x: 1.0 / x,
+                           k1_deriv=lambda x: -1.0 / (x * x), domain=(0.0, np.inf),
+                           m=m_values[0])
+        window = spectral_window(fam, m_values, 5)
+        assert window == reference_window(fam, m_values, 5)
+        assert window[0] == edge
+
+    def test_overflowing_candidates_not_reached(self):
+        # W = sinh(x): V overflows near x = 710, far beyond the edge reached
+        fam = line_family(np.sinh, np.cosh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            window = spectral_window(fam, (0.0, -1.0), 5)
+        assert window == reference_window(fam, (0.0, -1.0), 5)
+
+    def test_growth_to_a_plateau(self):
+        # W = 6 tanh(x/8): V saturates at 36, below the target, so both
+        # sides grow until a step gains less than 1
+        fam = line_family(lambda x: 6.0 * np.tanh(x / 8.0),
+                          lambda x: 0.75 / np.cosh(x / 8.0) ** 2)
+        window = spectral_window(fam, (0.0, -1.0), 3)
+        assert window == reference_window(fam, (0.0, -1.0), 3)
+        assert window == (-8.0 * 1.4 * 1.4, 8.0 * 1.4 * 1.4)
+
+    def test_flat_potential_stays_put(self):
+        # W = 3: V = 9 everywhere, so no step gains anything on either end
+        from conftest import plain_family
+
+        three = lambda x: np.full(np.shape(x), 3.0)
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        fam = plain_family(k0=three, k0_deriv=zero, k1=zero, k1_deriv=zero,
+                           domain=(0.0, np.inf), m=0.0)
+        window = spectral_window(fam, (0.0, -1.0), 3)
+        assert window == reference_window(fam, (0.0, -1.0), 3) == (0.1, 4.0)
+
+    @pytest.mark.parametrize("bad_x", [8.0, 8.0 * 1.4])
+    def test_reached_nonfinite_value_raises(self, bad_x):
+        # V is nan at one abscissa off the probe grid: the starting edge 8,
+        # or 11.2, the first growth candidate
+        fam = line_family(lambda x: np.where(x == bad_x, np.nan, 0.1 * x),
+                          lambda x: np.full(np.shape(x), 0.1))
+        with pytest.raises(ValueError, match="finite"):
+            reference_window(fam, (0.0, -1.0), 3)
+        with pytest.raises(ValueError, match="finite"):
+            spectral_window(fam, (0.0, -1.0), 3)
+
+    def test_one_array_call_per_side_and_m(self):
+        # W = x: 3 passes, each one probe-grid call plus one call per side
+        # and m, and no single-point call
+        sizes = []
+
+        def k0(x):
+            sizes.append(np.size(x))
+            return np.asarray(x, dtype=float)
+
+        fam = line_family(k0, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        spectral_window(fam, (0.0, -1.0), 5)
+        assert len(sizes) == 3 * (1 + 2 * 2)
+        assert min(sizes) > 1
