@@ -69,9 +69,7 @@ class ResidualReport:
             "verdicts": dict(self.verdicts),
             "inferred_a": self.inferred_a,
             "inferred_b": self.inferred_b,
-            "epsilon_samples": [
-                [x, complex(e).real, complex(e).imag] for x, e in self.epsilon_samples
-            ],
+            "epsilon_samples": [[x, e.real, e.imag] for x, e in self.epsilon_samples],
             "passed": self.passed,
         }
 

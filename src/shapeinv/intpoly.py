@@ -125,28 +125,27 @@ def squarefree(a: list[int]) -> list[int]:
     return a if len(g) == 1 else exact_div(a, g)
 
 
-def isolate(b: list[int]) -> list[tuple[int, int, list[int] | None]]:
+def isolate(b: list[int]) -> list[tuple[int, int, int]]:
     """The roots of a square-free b in (0, 1), in increasing order.
 
     Vincent-Collins-Akritas bisection: a subinterval whose image on
     (0, inf) has no sign variation holds no root, one with a single
-    variation holds exactly one.  Each root comes as (c, k, local): the open
-    interval (c/2**k, (c+1)/2**k) holds it, and local is b on that interval
-    mapped onto (0, 1), up to a positive factor.  local is None for a root
-    exactly at c/2**k.
+    variation holds exactly one.  Each root comes as (c, k, sign): the open
+    interval (c/2**k, (c+1)/2**k) holds it, and sign (1 or -1) is that of b
+    just right of c/2**k.  sign is 0 for a root exactly at c/2**k.
     """
     out = []
     stack = [(b, 0, 0)]
     while stack:
         b, c, k = stack.pop()
         if b is None:  # a root at a midpoint, between its two halves
-            out.append((c, k, None))
+            out.append((c, k, 0))
             continue
         t = min((x & -x).bit_length() for x in b if x) - 1  # common factor 2**t
         b = [x >> t for x in b] if t else b
         v = variations(taylor_shift(b[::-1], 1))  # (1+y)**n b(1/(1+y))
-        if v == 1:
-            out.append((c, k, b))
+        if v == 1:  # b's lowest nonzero coefficient: its sign just right of 0
+            out.append((c, k, 1 if next(x for x in b if x) > 0 else -1))
         elif v > 1:
             n = len(b) - 1
             left = [x << (n - i) for i, x in enumerate(b)]  # 2**n b(x/2)

@@ -24,7 +24,8 @@ of u, so P, P' and P'' cost one call and one set of powers.
 Root questions are decided on those exact coefficients, in Python integers
 (module intpoly): Descartes' rule of signs certifies an interval free of
 roots, Vincent-Collins-Akritas bisection isolates the roots that are there,
-and floats only refine a root inside its certified isolating interval.
+and a bisection at float midpoints refines each root inside its isolating
+interval, with every sign taken exactly in integers.
 
 Real parameters with a real argument are evaluated in float64 and only cast
 to complex on output, so the imaginary part of such results is exactly zero.
@@ -269,13 +270,6 @@ def poly_deriv2(spec: PolySpec, z):
     return poly_eval(spec, z, 2)[2]
 
 
-def _to_floats(a: list[int]) -> np.ndarray:
-    """a scaled by a power of two to a largest entry in [1, 2), each entry
-    rounded once."""
-    shift = max(abs(c) for c in a).bit_length() - 1
-    return np.array([c / (1 << shift) for c in a])
-
-
 def root_window(spec: PolySpec) -> tuple[float, float]:
     """A finite interval certain to contain every root (Fujiwara bound).
 
@@ -364,8 +358,9 @@ def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
     empty with no float evaluation.  Otherwise a half-infinite interval is
     clamped to root_window, the square-free part is isolated by
     Vincent-Collins-Akritas bisection in integers, and scan_roots bisects
-    each isolating interval in floats.  A root at an interval end is
-    decided exactly, and excluded.
+    each isolating interval at float midpoints, reading the square-free
+    part's exact sign at each.  A root at an interval end is decided
+    exactly, and excluded.
     """
     from . import intpoly
 
@@ -417,39 +412,24 @@ def _refine(a: list[int], leaves: list, z_at, z0: int, h: int) -> list[float]:
     scan_roots.
 
     Its nodes: a root exactly at a node has value 0, and across an isolating
-    interval the sign just right of its left end flips once.  Floats refine
-    each root on its own interval's polynomial, in that interval's variable
-    on (0, 1), which keeps the cancellation of the whole polynomial out;
-    where a float value is within its rounding bound of zero, its sign is
-    taken exactly instead.
+    interval the sign just right of its left end flips once.  Every
+    bisection sign is exact: that of a at the midpoint's binary fraction,
+    by Horner's rule in integers (intpoly.sign_at).
     """
     from . import intpoly
 
-    xs, vals, rows = [], [], []
-    for c, k, local in leaves:
-        if local is None:
-            xs.append(z_at(c, k))
-            vals.append(0.0)
-        else:
-            sign = 1.0 if next(x for x in local if x) > 0 else -1.0
-            xs += [z_at(c, k), z_at(c + 1, k)]
-            vals += [sign, -sign]
-            rows.append(_to_floats(local + [0] * (len(a) - len(local))))
-    xs, vals = np.array(xs), np.array(vals)
-    starts, ends = xs[vals != 0.0][0::2], xs[vals != 0.0][1::2]
-    widths, local = ends - starts, np.array(rows).T
-    gamma = 4.0 * (len(a) + 1) * 2.0 ** -53
+    xs, vals = [], []
+    for c, k, sign in leaves:
+        xs.append(z_at(c, k))
+        vals.append(sign)
+        if sign:
+            xs.append(z_at(c + 1, k))
+            vals.append(-sign)
 
     def f(x):
-        i = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, None)
-        t = (x - starts[i]) / widths[i]
-        out = _eval_series(local[:, i], t)
-        unsure = np.abs(out) <= gamma * _eval_series(np.abs(local[:, i]), np.abs(t))
-        for j in np.nonzero(unsure)[0]:
-            out[j] = intpoly.sign_at(a, *_dyadic_u(float(x[j]), z0, h))
-        return out
+        return [intpoly.sign_at(a, *_dyadic_u(z, z0, h)) for z in x.tolist()]
 
-    return scan_roots(f, xs[0], xs[-1], xs.size - 1, xs, vals)
+    return scan_roots(f, xs[0], xs[-1], len(xs) - 1, np.array(xs), np.array(vals, dtype=float))
 
 
 def has_imaginary_root(spec: PolySpec) -> bool:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeinv import DEGREE_CAP, JACOBI, LAGUERRE, PolySpec, poly_deriv, poly_eval, real_roots_in
-from shapeinv import intpoly
+from shapeinv import intpoly, polynomials
 from shapeinv.errors import DomainError, UnsupportedError
 from shapeinv.polynomials import (
     _eval_series,
@@ -273,10 +274,13 @@ class TestRoots:
             assert all(lo <= r <= hi for r in roots)
 
 
-def reference_scan(f, lo, hi, n_sub):
-    """The scan evaluated in full, one bracket and one point at a time."""
-    xs = np.linspace(lo, hi, n_sub + 1)
-    vals = np.asarray(f(xs), dtype=float)
+def reference_scan(f, lo, hi, n_sub, xs=None, vals=None):
+    """The scan evaluated in full, one bracket and one point at a time, on
+    the nodes xs with values vals, by default np.linspace(lo, hi, n_sub + 1)
+    and f there."""
+    if xs is None:
+        xs = np.linspace(lo, hi, n_sub + 1)
+        vals = np.asarray(f(xs), dtype=float)
     roots = [float(x) for x, v in zip(xs, vals) if v == 0.0]
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
@@ -352,6 +356,63 @@ class TestCertifiedRoots:
         roots = real_roots_in(PolySpec(LAGUERRE, 9, -1.127461551273706), (-np.inf, np.inf))
         assert len(roots) == 9
         assert roots[0] == pytest.approx(-0.013333719809747200, abs=1e-12)
+
+    @given(
+        jacobi=st.booleans(),
+        n=st.integers(min_value=1, max_value=10),
+        a=st.floats(min_value=-8, max_value=8, allow_nan=False),
+        b=st.floats(min_value=-8, max_value=8, allow_nan=False),
+        interval=st.sampled_from([(-np.inf, np.inf), (1.0, np.inf), (-1.0, 1.0), (-np.inf, 0.0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_refinement_is_the_exact_sign_scan(self, jacobi, n, a, b, interval):
+        # every scan real_roots_in runs gives, bit for bit, the reference
+        # scan on its nodes and node signs with exact Fraction signs of the
+        # square-free polynomial: its root at the series origin z0 divided
+        # out, its leading sign that of the polynomial
+        spec = PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a)
+        scans = []
+
+        def spy(f, lo, hi, n_sub, xs=None, vals=None):
+            roots = scan_roots(f, lo, hi, n_sub, xs, vals)
+            scans.append((xs, vals, roots))
+            return roots
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polynomials, "scan_roots", spy)
+            found = real_roots_in(spec, interval)
+        if not scans:  # no root to refine, or the zero polynomial
+            return
+        exact = oracles.exact_coefficients(n, a, b if jacobi else None)
+        p = oracles.squarefree_part(exact)
+        z0 = 1 if jacobi else 0
+        if sum(c * z0 ** k for k, c in enumerate(p)) == 0:
+            q, acc = [], 0  # synthetic division by z - z0
+            for c in reversed(p[1:]):
+                acc = acc * z0 + c
+                q.append(acc)
+            p = q[::-1]
+        if (p[-1] > 0) != (exact[-1] > 0):
+            p = [-c for c in p]
+
+        def exact_sign(x):
+            vals = [sum(c * Fraction(float(z)) ** k for k, c in enumerate(p)) for z in x]
+            return np.array([(v > 0) - (v < 0) for v in vals], dtype=float)
+
+        for xs, vals, roots in scans:
+            assert roots == reference_scan(exact_sign, xs[0], xs[-1], xs.size - 1, xs, vals)
+            assert set(roots) <= set(found)
+
+    def test_refinement_evaluates_no_float_polynomial(self):
+        def refuse(*args):
+            raise AssertionError("float polynomial evaluation")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polynomials, "_eval_series", refuse)
+            patch.setattr(polynomials, "_eval_rows", refuse)
+            laguerre = real_roots_in(PolySpec(LAGUERRE, 9, -1.127461551273706), (-np.inf, np.inf))
+            jacobi = real_roots_in(PolySpec(JACOBI, 8, 0.5, 1.5), (-1.0, 1.0))
+        assert len(laguerre) == 9 and len(jacobi) == 8
 
     def test_imaginary_root_pair(self):
         # (z**2 + 4)(z - 3) has the roots +-2i; (z**2 - 4)(z - 3) and
