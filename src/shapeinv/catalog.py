@@ -135,55 +135,33 @@ def _roots(data: FamilyData, P: Callable, m, lo: float, hi: float) -> list:
 
 
 def _log_derivs(data: FamilyData, P: Callable):
-    """(D, W1 = D'/D, W1' = D''/D - W1**2), each from one kernel call.  The
-    polynomial kernel returns complex values; real families drop their
-    exactly zero imaginary part.  Where g(x) is not finite D is nan, and
-    where D is zero W1 is not finite: the evaluators never raise there, so
-    the grid's edge probe can test many abscissae in one call."""
+    """The evaluator (x, m) -> (W1, W1'), W1 = D'/D and W1' = D''/D - W1**2,
+    with D, D' and D'' from one order-2 kernel call.  The polynomial kernel
+    returns complex values; real families drop their exactly zero imaginary
+    part.  Where g(x) is not finite D is nan, and where D is zero W1 is not
+    finite: the evaluator never raises there, so the grid's edge probe can
+    test many abscissae in one call."""
     g, g_d, g_dd, linear = data.g, data.g_deriv, data.g_deriv2, data.linear
     real = data.is_real and not linear
 
-    def derivatives(x, m, order):
-        # [D, D', ...] up to the given order
+    def w1(x, m):
         s, gx = P(m), g(x)
         if linear:
-            out = [s[0] + s[1] * gx]
-            if order >= 1:
-                out.append(s[1] * g_d(x))
-            if order >= 2:
-                # D'' = p1*g'' alone: P''(g)*g'**2 would be 0*inf = nan
-                # wherever g'**2 overflows (cosh(c x) beyond c x = 355)
-                out.append(s[1] * g_dd(x))
-            return out
-        bad = ~np.isfinite(gx)
-        # z = 1 stands in where g(x) is not finite: any finite value would
-        # do, and |z| = 1 keeps those points in the series basis
-        vals = poly_eval(s, np.where(bad, 1.0, gx), order)
-        vals = (vals,) if order == 0 else vals
-        out = [np.where(bad, np.nan, vals[0])]
-        if order >= 1:
+            # D'' = p1*g'' alone: P''(g)*g'**2 would be 0*inf = nan
+            # wherever g'**2 overflows (cosh(c x) beyond c x = 355)
+            D, D1, D2 = s[0] + s[1] * gx, s[1] * g_d(x), s[1] * g_dd(x)
+        else:
+            bad = ~np.isfinite(gx)
+            # z = 1 stands in where g(x) is not finite: any finite value would
+            # do, and |z| = 1 keeps those points in the series basis
+            P0, P1, P2 = poly_eval(s, np.where(bad, 1.0, gx), 2)
             gd = g_d(x)
-            out.append(vals[1] * gd)
-        if order >= 2:
-            out.append(vals[2] * gd * gd + vals[1] * g_dd(x))
-        return out
-
-    def den(x, m):
-        D = derivatives(x, m, 0)[0]
-        return D.real if real else D
-
-    def w1(x, m):
-        D, D1 = derivatives(x, m, 1)
+            D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(x)
         r = D1 / D
-        return r.real if real else r
+        rd = D2 / D - r * r
+        return (r.real, rd.real) if real else (r, rd)
 
-    def w1_deriv(x, m):
-        D, D1, D2 = derivatives(x, m, 2)
-        r = D1 / D
-        out = D2 / D - r * r
-        return out.real if real else out
-
-    return den, w1, w1_deriv
+    return w1
 
 
 def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> SuperpotentialFamily:
@@ -200,13 +178,10 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
             return all(data.scan(P(m)) for P in pair)
         return all(data.root_allowed(t) for P in pair for t in _roots(data, P, m, -np.inf, np.inf))
 
-    den_p, w1p, w1pd = _log_derivs(data, data.p_plus)
-    den_m, w1m, w1md = _log_derivs(data, data.p_minus)
     return SuperpotentialFamily(
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
         k0=data.k0, k0_deriv=data.k0_deriv, k1=data.k1, k1_deriv=data.k1_deriv,
-        w1plus=w1p, w1plus_deriv=w1pd, w1minus=w1m, w1minus_deriv=w1md,
-        denom_plus=den_p, denom_minus=den_m,
+        w1plus=_log_derivs(data, data.p_plus), w1minus=_log_derivs(data, data.p_minus),
         validity_fn=data.validity, poles_fn=poles, scan_clear_fn=scan_clear,
     )
 

@@ -65,6 +65,10 @@ class RunConfig:
     spectrum_points: int = 4000
 
     def __post_init__(self):
+        for name in ("sample", "seed", "k", "spectrum_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.family not in catalog.FAMILY_TAGS:
             raise UsageError(
                 f"unknown family {self.family!r}; known: {', '.join(catalog.FAMILY_TAGS)}"
@@ -101,16 +105,21 @@ def _param_point(data: dict) -> ParamPoint:
         raise UsageError(f"unknown parameter fields {sorted(unknown)}")
     if "m" not in data:
         raise UsageError("parameter record needs m")
-    kwargs = {k: (int(v) if k == "ell" else float(v)) for k, v in data.items()}
-    return ParamPoint(**kwargs)
+    for k, v in data.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise UsageError(f"parameter {k} must be a number, got {v!r}")
+    try:
+        # ell goes in as given: ParamPoint rejects a non-integral one
+        return ParamPoint(**{k: (v if k == "ell" else float(v)) for k, v in data.items()})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_params_arg(text: str) -> dict:
-    path = Path(text)
-    if path.exists():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    else:
+    if text.lstrip().startswith("{"):
         payload = json.loads(text)
+    else:
+        payload = json.loads(Path(text).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise UsageError("--params must be a JSON object (inline or file)")
     return payload
@@ -288,8 +297,6 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.k < 1:
-        raise UsageError("k must be >= 1")
     point = _resolve_points(cfg)[0]
     entry, family = _entry_for(cfg, point)
     m = cfg.m_list[0] if cfg.m_list else point.m
@@ -329,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         sp.add_argument("--family", help="family tag, e.g. X1-radial-oscillator")
-        sp.add_argument("--params", help="inline JSON object or path to one")
+        sp.add_argument("--params",
+                        help="inline JSON object (text starting with '{') or path to one")
         sp.add_argument("--sample", type=int, metavar="N",
                         help="draw N valid parameter points instead of --params")
         sp.add_argument("--seed", type=int)

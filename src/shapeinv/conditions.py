@@ -81,15 +81,13 @@ def _maxabs(values) -> float:
 
 def check_translation(family: SuperpotentialFamily, m: float, grid) -> float:
     """max |W1-(x, m) - W1+(x, m-1)| over the grid."""
-    return _maxabs(family.w1minus(grid, m) - family.w1plus(grid, m - 1.0))
+    return _maxabs(family.w1minus(grid, m)[0] - family.w1plus(grid, m - 1.0)[0])
 
 
 def compatibility_lhs(family: SuperpotentialFamily, m: float, x):
     """The seven-term combination; equals epsilon(x) when the condition holds."""
-    p = family.w1plus(x, m)
-    pd = family.w1plus_deriv(x, m)
-    q = family.w1minus(x, m)
-    qd = family.w1minus_deriv(x, m)
+    p, pd = family.w1plus(x, m)
+    q, qd = family.w1minus(x, m)
     w0 = family.w0(x, m)
     return p * p + pd + q * q + qd - 2.0 * w0 * q + 2.0 * w0 * p - 2.0 * q * p
 
@@ -138,20 +136,16 @@ def check_infeld_hull(family: SuperpotentialFamily, grid):
 
 
 def _u(family, x, m):
-    return family.w1plus(x, m) - family.w1minus(x, m)
-
-
-def _u_deriv(family, x, m):
-    return family.w1plus_deriv(x, m) - family.w1minus_deriv(x, m)
+    """(U, U') with U = W1+ - W1-."""
+    (p, pd), (q, qd) = family.w1plus(x, m), family.w1minus(x, m)
+    return p - q, pd - qd
 
 
 def _closure_expression(family, m, grid):
     F = family.k1(grid)
     G = -family.k0(grid)
-    u_prev = _u(family, grid, m - 1.0)
-    u_here = _u(family, grid, m)
-    ud_prev = _u_deriv(family, grid, m - 1.0)
-    ud_here = _u_deriv(family, grid, m)
+    u_prev, ud_prev = _u(family, grid, m - 1.0)
+    u_here, ud_here = _u(family, grid, m)
     return (
         u_prev * u_prev
         - 2.0 * G * (u_prev - u_here)
@@ -181,8 +175,12 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid):
     """
     step1 = _closure_expression(family, m, grid)
 
-    v_prev = family.w1minus(grid, m - 1.0) - family.w1plus(grid, m - 1.0)
-    v_here = family.w1minus(grid, m) - family.w1plus(grid, m)
+    p_prev, pd_prev = family.w1plus(grid, m - 1.0)
+    q_prev, qd_prev = family.w1minus(grid, m - 1.0)
+    p_here, pd_here = family.w1plus(grid, m)
+    q_here, qd_here = family.w1minus(grid, m)
+    v_prev = q_prev - p_prev
+    v_here = q_here - p_here
     w0_prev = family.w0(grid, m - 1.0)
     w0_here = family.w0(grid, m)
     step2 = (
@@ -190,20 +188,20 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid):
         + v_prev * v_prev
         + 2.0 * w0_here * v_here
         - v_here * v_here
-        + family.w1minus_deriv(grid, m - 1.0)
-        + family.w1minus_deriv(grid, m)
-        - family.w1plus_deriv(grid, m - 1.0)
-        - family.w1plus_deriv(grid, m)
+        + qd_prev
+        + qd_here
+        - pd_prev
+        - pd_here
     )
 
-    step3 = -2.0 * family.w1plus_deriv(grid, m - 1.0) + 2.0 * family.w1minus_deriv(grid, m)
+    step3 = -2.0 * pd_prev + 2.0 * qd_here
 
     return (_maxabs(step1 - step2), _maxabs(step2 - step3), _maxabs(step3))
 
 
 def _tabulated(family: SuperpotentialFamily, grid) -> SuperpotentialFamily:
-    """A copy of the family whose W1+-, W1+-' evaluate once per m on this
-    grid: the first call at an m stores its value, later calls read it.
+    """A copy of the family whose (W1+-, W1+-') pairs evaluate once per m on
+    this grid: the first call at an m stores its pair, later calls read it.
     The table lives as long as the copy; calls on any other x evaluate."""
 
     def remember(fn):
@@ -218,7 +216,7 @@ def _tabulated(family: SuperpotentialFamily, grid) -> SuperpotentialFamily:
 
         return lookup
 
-    names = ("w1plus", "w1plus_deriv", "w1minus", "w1minus_deriv")
+    names = ("w1plus", "w1minus")
     return dataclasses.replace(family, **{n: remember(getattr(family, n)) for n in names})
 
 
@@ -236,9 +234,9 @@ def run_condition_checks(
     The grid must avoid the poles of every m in m_list (make_grid with
     m_values=m_list does that).  When expected_ab is given, the inferred
     constants are also matched against it under the infeld_hull tolerance.
-    Within the call W1+- and W1+-' are evaluated once per m on the grid and
-    the checks share those values, so each residual equals that of the
-    separate check_* call bit for bit.
+    Within the call each pair (W1+-, W1+-') is evaluated once per m on the
+    grid and the checks share those values, so each residual equals that of
+    the separate check_* call bit for bit.
     """
     m_list = tuple(float(m) for m in m_list)
     tol = dict(tolerances or {})

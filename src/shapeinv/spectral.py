@@ -77,8 +77,7 @@ class IsospectralResult:
 def _real_potential_values(family, x, m):
     if not family.is_real:
         raise UnsupportedError(f"{family.tag}: complex family unsupported for spectra")
-    w = np.asarray(family.W(x, m))
-    wd = np.asarray(family.W_deriv(x, m))
+    w, wd = (np.asarray(v) for v in family.W(x, m))
     if np.iscomplexobj(w) or np.iscomplexobj(wd):
         scale = 1.0 + max(float(np.max(np.abs(w))), float(np.max(np.abs(wd))))
         leak = max(float(np.max(np.abs(w.imag))), float(np.max(np.abs(wd.imag))))
@@ -236,6 +235,8 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = 5,
     spectrum(V-(., m-1)) + R over the k lowest levels, on one shared grid."""
     if k < 1:
         raise UsageError("k must be >= 1")
+    if n_points < 8 * k:
+        raise UsageError(f"k = {k} too large for a {n_points}-point grid")
     window = spectral_window(family, (m, m - 1.0), k)
     x = dirichlet_grid(window[0], window[1], n_points)
     _, v_plus = partner_potentials(family, m, x)

@@ -1,18 +1,19 @@
 """Superpotential families of the translated-parameter type.
 
 A family bundles the affine part W0(x, m) = k0(x) + m*k1(x) with the two
-log-derivative corrections W1+(x, m) and W1-(x, m), their analytic
-x-derivatives, the non-singularity predicate and pole bookkeeping.  Instances
-are immutable, every evaluation is a pure vectorised function of x, and the
-complex PT-symmetric family shares all code paths (real families simply
-return float64 arrays whose cast to complex has an exactly zero imaginary
-part).
+log-derivative corrections W1+(x, m) and W1-(x, m), each evaluated together
+with its analytic x-derivative, the non-singularity predicate and pole
+bookkeeping.  Instances are immutable, every evaluation is a pure vectorised
+function of x, and the complex PT-symmetric family shares all code paths
+(real families simply return float64 arrays whose cast to complex has an
+exactly zero imaginary part).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -56,8 +57,10 @@ class ParamPoint:
             v = getattr(self, name)
             if v is not None and not math.isfinite(float(v)):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.ell is not None and (int(self.ell) != self.ell or self.ell < 0):
-            raise ValueError(f"ell must be a nonnegative integer, got {self.ell!r}")
+        if self.ell is not None:
+            if not float(self.ell).is_integer() or self.ell < 0:
+                raise ValueError(f"ell must be a nonnegative integer, got {self.ell!r}")
+            object.__setattr__(self, "ell", int(self.ell))
 
     def constants(self) -> dict:
         return {
@@ -86,6 +89,8 @@ class GridSpec:
     pole_exclusion_radius: float = DEFAULT_POLE_RADIUS
 
     def __post_init__(self):
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 16:
             raise ValueError("n_points must be >= 16")
         if not (0.0 < self.boundary_margin < 0.5):
@@ -112,10 +117,11 @@ class SuperpotentialFamily:
     """Evaluation contract for one family at fixed constants.
 
     The callables are closures over the constants; m stays a call argument
-    because every check sweeps it.  ``w1minus`` is always its own transcribed
-    formula rather than ``w1plus`` at m - 1, so the translation identity is a
-    genuine two-route check.  ``denom_plus``/``denom_minus`` expose the gauge
-    denominators D with W1 = D'/D.
+    because every check sweeps it.  ``w1plus`` and ``w1minus`` map (x, m) to
+    the pair (W1, W1'), both from one evaluation of the gauge denominator D
+    with W1 = D'/D, and ``W`` returns the pair (W, W') built from them.
+    ``w1minus`` is always its own transcribed formula rather than ``w1plus``
+    at m - 1, so the translation identity is a genuine two-route check.
     """
 
     name: str
@@ -128,20 +134,12 @@ class SuperpotentialFamily:
     k1: Callable
     k1_deriv: Callable
     w1plus: Callable
-    w1plus_deriv: Callable
     w1minus: Callable
-    w1minus_deriv: Callable
-    denom_plus: Callable
-    denom_minus: Callable
     validity_fn: Callable[[float], Verdict] = field(repr=False)
     poles_fn: Callable[[float], tuple] = field(repr=False)
     scan_clear_fn: Callable[[float], bool] = field(repr=False)
 
-    _EVALUATORS = (
-        "k0", "k0_deriv", "k1", "k1_deriv",
-        "w1plus", "w1plus_deriv", "w1minus", "w1minus_deriv",
-        "denom_plus", "denom_minus",
-    )
+    _EVALUATORS = ("k0", "k0_deriv", "k1", "k1_deriv", "w1plus", "w1minus")
 
     def __post_init__(self):
         for fname in self._EVALUATORS:
@@ -152,14 +150,12 @@ class SuperpotentialFamily:
     def w0(self, x, m):
         return self.k0(x) + m * self.k1(x)
 
-    def w0_deriv(self, x, m):
-        return self.k0_deriv(x) + m * self.k1_deriv(x)
-
     def W(self, x, m):
-        return self.w0(x, m) + self.w1plus(x, m) - self.w1minus(x, m)
-
-    def W_deriv(self, x, m):
-        return self.w0_deriv(x, m) + self.w1plus_deriv(x, m) - self.w1minus_deriv(x, m)
+        """(W, W') with W = W0 + W1+ - W1-."""
+        p, pd = self.w1plus(x, m)
+        q, qd = self.w1minus(x, m)
+        return (self.w0(x, m) + p - q,
+                self.k0_deriv(x) + m * self.k1_deriv(x) + pd - qd)
 
     def validity(self, m: float) -> Verdict:
         return self.validity_fn(m)
@@ -181,16 +177,16 @@ def _as_x(x):
 def eval_w(family: SuperpotentialFamily, x, m: float | None = None,
            pole_radius: float = DEFAULT_POLE_RADIUS):
     """W(x, m) as complex, guarding a pole_radius neighbourhood of each pole."""
-    return _eval_guarded(family, x, m, pole_radius, family.W)
+    return _eval_guarded(family, x, m, pole_radius, 0)
 
 
 def eval_w_deriv(family: SuperpotentialFamily, x, m: float | None = None,
                  pole_radius: float = DEFAULT_POLE_RADIUS):
     """dW/dx assembled from the analytic component derivatives."""
-    return _eval_guarded(family, x, m, pole_radius, family.W_deriv)
+    return _eval_guarded(family, x, m, pole_radius, 1)
 
 
-def _eval_guarded(family, x, m, pole_radius, fn):
+def _eval_guarded(family, x, m, pole_radius, entry):
     m = family.params.m if m is None else float(m)
     xs, scalar = _as_x(x)
     lo, hi = family.domain
@@ -201,18 +197,18 @@ def _eval_guarded(family, x, m, pole_radius, fn):
         if np.any(dist < pole_radius):
             bad = float(np.asarray(xs)[dist < pole_radius].flat[0])
             raise PoleError(bad, root)
-    out = np.asarray(fn(xs, m), dtype=np.complex128)
+    out = np.asarray(family.W(xs, m)[entry], dtype=np.complex128)
     return complex(out[()]) if scalar else out
 
 
 def _edge_passes(family, m_values, xs: np.ndarray) -> np.ndarray:
     """Which abscissae pass the edge test at every m: W and W' finite there
-    and |W| <= _EDGE_W_CAP.  One array call of W and of W' per m."""
+    and |W| <= _EDGE_W_CAP.  One array call of (W, W') per m."""
     ok = np.ones(xs.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in m_values:
-            w = family.W(xs, m)
-            ok &= np.isfinite(w) & np.isfinite(family.W_deriv(xs, m)) & (np.abs(w) <= _EDGE_W_CAP)
+            w, wd = family.W(xs, m)
+            ok &= np.isfinite(w) & np.isfinite(wd) & (np.abs(w) <= _EDGE_W_CAP)
     return ok
 
 
@@ -262,11 +258,11 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
     pole_exclusion_radius distance from every detected denominator root of
     every requested m.
 
-    The edge of an infinite side comes from one array probe per side: W and
-    W' are evaluated at every doubling candidate in one call per m, and a
-    candidate fails where either is not finite (the family's evaluators
-    return nan or inf where g(x) overflows or D vanishes, they do not raise)
-    or where |W| exceeds _EDGE_W_CAP.  The edge is the last candidate before
+    The edge of an infinite side comes from one array probe per side: the
+    pair (W, W') is evaluated at every doubling candidate in one call per m,
+    and a candidate fails where either is not finite (the family's
+    evaluators return nan or inf where g(x) overflows or D vanishes, they do
+    not raise) or where |W| exceeds _EDGE_W_CAP.  The edge is the last candidate before
     the first failure.
     """
     spec = spec or GridSpec()
@@ -349,29 +345,31 @@ def with_perturbation(family: SuperpotentialFamily, mode: str,
     if mode not in PERTURBATION_MODES:
         raise UsageError(f"unknown perturbation mode {mode!r}")
     size = float(size)
-    w1p, w1pd = family.w1plus, family.w1plus_deriv
-    w1m, w1md = family.w1minus, family.w1minus_deriv
+    w1p, w1m = family.w1plus, family.w1minus
     k1, k1d = family.k1, family.k1_deriv
 
+    def sloped(fn, slope):
+        # (W1, W1') + (slope(m)*x, slope(m))
+        def patched(x, m):
+            w, wd = fn(x, m)
+            return w + slope(m) * np.asarray(x, dtype=float), wd + slope(m)
+
+        return patched
+
+    def offset(x, m):
+        # the value shifts, W1-' does not
+        w, wd = w1m(x, m)
+        return w + size, wd
+
     if mode == "wminus-slope":
-        patch = dict(
-            w1minus=lambda x, m: w1m(x, m) + size * np.asarray(x, dtype=float),
-            w1minus_deriv=lambda x, m: w1md(x, m) + size,
-        )
+        patch = dict(w1minus=sloped(w1m, lambda m: size))
     elif mode == "wplus-slope":
-        patch = dict(
-            w1plus=lambda x, m: w1p(x, m) + size * np.asarray(x, dtype=float),
-            w1plus_deriv=lambda x, m: w1pd(x, m) + size,
-        )
+        patch = dict(w1plus=sloped(w1p, lambda m: size))
     elif mode == "wminus-offset":
-        patch = dict(w1minus=lambda x, m: w1m(x, m) + size)
+        patch = dict(w1minus=offset)
     elif mode == "paired-mx-slope":
-        patch = dict(
-            w1plus=lambda x, m: w1p(x, m) + size * m * np.asarray(x, dtype=float),
-            w1plus_deriv=lambda x, m: w1pd(x, m) + size * m,
-            w1minus=lambda x, m: w1m(x, m) + size * (m - 1.0) * np.asarray(x, dtype=float),
-            w1minus_deriv=lambda x, m: w1md(x, m) + size * (m - 1.0),
-        )
+        patch = dict(w1plus=sloped(w1p, lambda m: size * m),
+                     w1minus=sloped(w1m, lambda m: size * (m - 1.0)))
     else:
         patch = dict(
             k1=lambda x: k1(x) + size * np.asarray(x, dtype=float),

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from shapeinv import GridSpec, ParamPoint, SuperpotentialFamily, Verdict
+from shapeinv import GridSpec, ParamPoint, SuperpotentialFamily, Verdict, poly_eval
 
 
 def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
     """A family with no rational extension: W1+- identically zero."""
-    zero = lambda x, m_: np.zeros_like(np.asarray(x, dtype=float))
-    one = lambda x, m_: np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, m_: (np.zeros_like(np.asarray(x, dtype=float)),) * 2
     return SuperpotentialFamily(
         name=name,
         tag=name,
@@ -15,12 +14,19 @@ def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
         params=ParamPoint(m=m),
         is_real=True,
         k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
-        w1plus=zero, w1plus_deriv=zero, w1minus=zero, w1minus_deriv=zero,
-        denom_plus=one, denom_minus=one,
+        w1plus=zero, w1minus=zero,
         validity_fn=lambda m_: Verdict(True, None),
         poles_fn=lambda m_: (),
         scan_clear_fn=lambda m_: True,
     )
+
+
+def denominator(data, spec_of_m, x, m):
+    """The gauge denominator D = P_m(g(x)) of a catalog FamilyData record."""
+    spec, gx = spec_of_m(m), data.g(x)
+    if data.linear:
+        return spec[0] + spec[1] * gx
+    return poly_eval(spec, gx)
 
 
 @pytest.fixture

@@ -189,6 +189,64 @@ class TestVerify:
         assert "--jobs" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """Bad input exits 2 with a message, never 1 (a violation) or a run on
+    a silently converted value."""
+
+    X1 = {"m": -3.0, "omega": 1.0, "d": 1.0}
+
+    def test_non_integral_ell_exit_2(self, capsys):
+        # int() once turned 2.5 into 2, and the run passed at ell = 2
+        code = main(["verify", "--family", "Xl-Poschl-Teller",
+                     "--params", '{"m": 0.5, "B": -3.0, "ell": 2.5}', "--grid-points", "96"])
+        assert code == 2
+        assert "ell must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("m", "-3.0"), ("omega", True), ("d", None)])
+    def test_non_numeric_param_exit_2(self, capsys, field, value):
+        params = json.dumps({**self.X1, field: value})
+        code = main(["verify", "--family", "X1-radial-oscillator", "--params", params,
+                     "--grid-points", "96"])
+        assert code == 2
+        assert f"parameter {field} must be a number" in capsys.readouterr().err
+
+    def test_long_inline_params(self, tmp_path):
+        # an inline object longer than the file-name limit was once tried as
+        # a path first, and the OS error exited 2
+        args = ("verify", "--family", "X1-radial-oscillator", "--grid-points", "96",
+                "--no-timestamp")
+        long_params = json.dumps(self.X1, indent=100)
+        assert len(long_params) > 300
+        code, text = run(tmp_path, *args, "--params", long_params, out_name="long.json")
+        assert code == 0
+        _, short = run(tmp_path, *args, "--params", json.dumps(self.X1), out_name="short.json")
+        assert text == short
+
+    @pytest.mark.parametrize("points", ["0", "-3", "39"])
+    def test_too_few_spectrum_points_exit_2(self, monkeypatch, capsys, points):
+        # rejected before the window search: the grid must hold 8*k points
+        def no_search(*args, **kwargs):
+            raise AssertionError("window search reached")
+
+        monkeypatch.setattr("shapeinv.spectral.spectral_window", no_search)
+        code = main(["spectrum", "--family", "X1-radial-oscillator",
+                     "--params", json.dumps(self.X1), "--k", "5", "--spectrum-points", points])
+        assert code == 2
+        assert f"too large for a {points}-point grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("k", 2.5, "k must be an integer"),
+        ("grid", {"n_points": 512.5}, "n_points must be an integer"),
+        ("spectrum_points", 4000.0, "spectrum_points must be an integer"),
+    ])
+    def test_non_integral_config_value_exit_2(self, tmp_path, capsys, field, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "X1-radial-oscillator", "params": self.X1,
+                                        field: value}), encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def assert_reference_json(text, doc):
     """text is json.dumps(doc, indent=2, sort_keys=True) + newline.  The
     first differing byte is reported instead of a diff of two 50 KB texts."""

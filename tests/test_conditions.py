@@ -92,7 +92,8 @@ class TestOracleAgreement:
         for x in xs:
             x = float(x)
             w_ref = oracles.to_complex(oracles.w_value(tag, p, p.m, x))
-            w_got = complex(np.asarray(fam.W(np.asarray([x]), p.m))[0])
+            w_got, _ = fam.W(np.asarray([x]), p.m)
+            w_got = complex(np.asarray(w_got)[0])
             assert abs(w_got - w_ref) <= 1e-11 * max(1.0, abs(w_ref))
             c_ref = oracles.to_complex(oracles.compatibility_value(tag, p, p.m, x))
             c_got = complex(np.asarray(compatibility_lhs(fam, p.m, np.asarray([x])))[0])
@@ -251,7 +252,7 @@ class TestRunConditionChecks:
 
 
 class TestSharedW1Table:
-    W1_NAMES = ("w1plus", "w1plus_deriv", "w1minus", "w1minus_deriv")
+    W1_NAMES = ("w1plus", "w1minus")
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     @pytest.mark.parametrize("perturb", [None, "paired-mx-slope"])
@@ -296,3 +297,32 @@ class TestSharedW1Table:
         assert calls == Counter({(n, m): 1 for n in self.W1_NAMES for m in wanted})
         run_condition_checks(fam, grid, m_list)  # no table outlives a call
         assert set(calls.values()) == {2}
+
+    # poly_eval calls of make_grid + run_condition_checks at the default m
+    # list (m, m-1, m-2) and 128 points, when each W1 and each W1' was a
+    # kernel call of its own: the Poschl-Teller grid probes one infinite
+    # side, the Scarf grid two
+    SEPARATE_W1_DERIV_CALLS = {"Xl-Poschl-Teller": 24, "Xl-PT-Scarf": 36}
+
+    @pytest.mark.parametrize("tag", sorted(SEPARATE_W1_DERIV_CALLS))
+    @pytest.mark.parametrize("seed", [19, 3])
+    def test_one_kernel_call_per_pair(self, tag, seed, monkeypatch):
+        import shapeinv.catalog
+        import shapeinv.polynomials
+
+        orders = Counter()
+        kernel = shapeinv.polynomials.poly_eval
+
+        def counted(spec, z, order=0):
+            orders[order] += 1
+            return kernel(spec, z, order)
+
+        monkeypatch.setattr(shapeinv.polynomials, "poly_eval", counted)
+        monkeypatch.setattr(shapeinv.catalog, "poly_eval", counted)
+        p = sample_valid_params(tag, 1, seed=seed)[0]
+        fam = get_family(tag, p).family
+        m_list = (p.m, p.m - 1.0, p.m - 2.0)
+        grid = make_grid(fam, GridSpec(n_points=128), m_values=m_list)
+        assert run_condition_checks(fam, grid, m_list).passed
+        assert sum(orders.values()) == self.SEPARATE_W1_DERIV_CALLS[tag] // 2
+        assert set(orders) == {2}

@@ -17,7 +17,8 @@ from shapeinv import (
     with_perturbation,
 )
 from shapeinv.superpotential import _EDGE_W_CAP, _EDGE_X_CAP, _expand_edge
-from conftest import plain_family
+from shapeinv.catalog import family_data
+from conftest import denominator, plain_family
 
 
 def richardson(f, x, h):
@@ -43,6 +44,16 @@ class TestParamPoint:
         with pytest.raises(ValueError):
             ParamPoint(m=0.0, ell=1.5)
 
+    @pytest.mark.parametrize("ell", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_ell(self, ell):
+        with pytest.raises(ValueError):
+            ParamPoint(m=0.0, ell=ell)
+
+    def test_integral_ell_stored_as_int(self):
+        for ell in (2.0, np.int64(2)):
+            p = ParamPoint(m=0.0, ell=ell)
+            assert type(p.ell) is int and p == ParamPoint(m=0.0, ell=2)
+
     def test_round_trip(self):
         p = ParamPoint(m=-2.0, omega=1.5, d=0.3)
         assert p.to_dict() == {"m": -2.0, "omega": 1.5, "d": 0.3}
@@ -54,6 +65,8 @@ class TestGridSpec:
         "kwargs",
         [
             {"n_points": 8},
+            {"n_points": 512.5},
+            {"n_points": 512.0},
             {"boundary_margin": 0.0},
             {"boundary_margin": 0.5},
             {"pole_exclusion_radius": 0.0},
@@ -131,12 +144,18 @@ class TestDerivativeConsistency:
         grid = make_grid(fam, GridSpec(n_points=256), m_values=(p.m, p.m - 1.0))
         rng = np.random.default_rng(17)
         xs = rng.choice(grid[4:-4], size=200, replace=True)
+
+        def w_at(t):
+            w, _ = fam.W(np.asarray([t]), p.m)
+            return complex(w[0])
+
         for x in xs:
             x = float(x)
             h = 1e-4 * (1.0 + abs(x))
-            fd = richardson(lambda t: complex(fam.W(np.asarray([t]), p.m)[0]), x, h)
-            an = complex(np.asarray(fam.W_deriv(np.asarray([x]), p.m))[0])
-            w_here = complex(np.asarray(fam.W(np.asarray([x]), p.m))[0])
+            fd = richardson(w_at, x, h)
+            w_here, an = fam.W(np.asarray([x]), p.m)
+            an = complex(np.asarray(an)[0])
+            w_here = complex(np.asarray(w_here)[0])
             scale = max(1.0, abs(an), abs(w_here))
             assert abs(fd - an) <= 1e-8 * scale
 
@@ -163,21 +182,23 @@ class TestLogDerivativeStructure:
         # W1+ must equal d/dx log D for the declared gauge denominator
         entry, p = sampled_entry(tag, seed=31)
         fam = entry.family
+        data = family_data(tag, p)
+
+        def D(t):
+            return denominator(data, data.p_plus, np.asarray([t]), p.m)
+
         grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
         xs = grid[6:-6:7]
         for x in xs:
             x = float(x)
             h = 1e-5 * (1.0 + abs(x))
             if fam.is_real:
-                fd = richardson(
-                    lambda t: float(np.log(np.abs(fam.denom_plus(np.asarray([t]), p.m)))[0]), x, h
-                )
+                fd = richardson(lambda t: float(np.log(np.abs(D(t)))[0]), x, h)
             else:
-                d_here = complex(np.asarray(fam.denom_plus(np.asarray([x]), p.m))[0])
-                fd = richardson(
-                    lambda t: complex(np.asarray(fam.denom_plus(np.asarray([t]), p.m))[0]), x, h
-                ) / d_here
-            w1 = complex(np.asarray(fam.w1plus(np.asarray([x]), p.m))[0])
+                d_here = complex(np.asarray(D(x))[0])
+                fd = richardson(lambda t: complex(np.asarray(D(t))[0]), x, h) / d_here
+            w1, _ = fam.w1plus(np.asarray([x]), p.m)
+            w1 = complex(np.asarray(w1)[0])
             assert abs(fd - w1) < 1e-9 * max(1.0, abs(w1))
 
 
@@ -253,17 +274,18 @@ class TestPerturbations:
         fam = entry.family
         pert = with_perturbation(fam, "wminus-slope", 0.01)
         xs = np.linspace(0.5, 2.0, 9)
-        assert np.allclose(
-            np.asarray(pert.w1minus(xs, p.m)) - np.asarray(fam.w1minus(xs, p.m)), 0.01 * xs
-        )
-        assert np.array_equal(np.asarray(pert.w1plus(xs, p.m)), np.asarray(fam.w1plus(xs, p.m)))
+        (pert_minus, _), (fam_minus, _) = pert.w1minus(xs, p.m), fam.w1minus(xs, p.m)
+        (pert_plus, _), (fam_plus, _) = pert.w1plus(xs, p.m), fam.w1plus(xs, p.m)
+        assert np.allclose(np.asarray(pert_minus) - np.asarray(fam_minus), 0.01 * xs)
+        assert np.array_equal(np.asarray(pert_plus), np.asarray(fam_plus))
 
     def test_paired_mode_keeps_translation(self):
         entry, p = sampled_entry("X1-radial-oscillator")
         pert = with_perturbation(entry.family, "paired-mx-slope", 0.01)
         xs = np.linspace(0.5, 2.0, 9)
-        lhs = np.asarray(pert.w1minus(xs, p.m))
-        rhs = np.asarray(pert.w1plus(xs, p.m - 1.0))
+        lhs, _ = pert.w1minus(xs, p.m)
+        rhs, _ = pert.w1plus(xs, p.m - 1.0)
+        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
@@ -278,7 +300,7 @@ def reference_edge(family, m_values, start, sign):
         try:
             with np.errstate(all="ignore"):
                 for m in m_values:
-                    w, wd = family.W(xs, m), family.W_deriv(xs, m)
+                    w, wd = family.W(xs, m)
                     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wd))):
                         return False
                     if np.max(np.abs(w)) > _EDGE_W_CAP:
@@ -328,7 +350,8 @@ class TestEdgeProbe:
             assert not np.isfinite(np.cosh(1024.0))
         edge = _expand_edge(fam, m_values, 1.0, +1.0)
         assert edge == reference_edge(fam, m_values, 1.0, +1.0) == 512.0
-        assert np.isnan(fam.w1plus(np.array([1024.0]), 0.6)[0])
+        w1, _ = fam.w1plus(np.array([1024.0]), 0.6)
+        assert np.isnan(w1[0])
 
     def test_one_nonfinite_candidate(self):
         # W = 1/(x - 8) is infinite at the candidate x = 8 and finite past
