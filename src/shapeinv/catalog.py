@@ -2,9 +2,12 @@
 
 Every family has W0 = k0 + m*k1 and W1+- = D+-'/D+-, where each gauge
 denominator is a polynomial in one function g of x: D+-(x, m) = P+-_m(g(x)).
-A family is therefore one data record, ``FamilyData``, from which one builder
-derives the rest:
+The affine part is polynomial in t = g(x) as well: g'**2 = R(t) with deg R
+<= 2, and W0*g' = K0(t) + m*K1(t) with deg K0, K1 <= 1.  A family is
+therefore one data record, ``FamilyData``, from which one builder derives
+the rest:
 
+  g'' = R'(t)/2, k = K(t)/g' and k' = K'(t) - k*g''/g' for k0 and k1;
   W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
       D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
   the poles, as g^-1 of the real roots of P+- that lie in g(domain);
@@ -16,20 +19,23 @@ coefficients of P+- (polynomials.real_roots_in, and has_imaginary_root for
 Xl-PT-Scarf), so the count of roots is certified, not sampled; the X1
 families' degree-1 P has its root in closed form.
 The region is thus encoded twice, as a strict-inequality predicate in m and
-as that test on the roots of P+-.  P- is transcribed on its own, not taken
-as P+ at m - 1, so the translation identity stays a two-route check.
+as that test on the roots of P+-; Xl-PT-Scarf, whose region has no closed
+form, states the exact test as its predicate.  P- is transcribed on its own,
+not taken as P+ at m - 1, so the translation identity stays a two-route
+check.
 
 To add a family, write one function from its constants to a FamilyData and
 register it in ``_FAMILIES`` with the names of those constants.  The fields:
-domain; k0, k0_deriv, k1, k1_deriv (the affine part); g, g_deriv, g_deriv2
-and g_inv (the argument of P, its x-derivatives and its inverse on the
-domain); g_range (g(domain), where a real root of P is a pole); p_plus and
-p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when linear is set, else
-a PolySpec); root_allowed (t -> whether the region allows a real root t of
-P); validity (the analytic predicate, m -> Verdict); expected_ab (the
-factorization constants); and for a complex family is_real, punctures (its
-declared poles) and scan (a test of P that replaces the real-root test;
-Xl-PT-Scarf's asks exactly whether P has a root i*s with real s != 0).
+domain; R, K0 and K1 (coefficient tuples in ascending powers of t, as
+above); g, g_deriv and g_inv (the argument of P, its x-derivative and its
+inverse on the domain); g_range (g(domain), where a real root of P is a
+pole); p_plus and p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when
+linear is set, else a PolySpec); root_allowed (t -> whether the region
+allows a real root t of P); validity (the analytic predicate,
+m -> Verdict); expected_ab (the factorization constants); and for a complex
+family is_real, punctures (its declared poles) and scan (a test of P that
+replaces the real-root test; Xl-PT-Scarf's asks exactly whether P has a
+root i*s with real s != 0).
 
 Family tags, in catalog order:
 
@@ -43,6 +49,7 @@ Family tags, in catalog order:
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -96,13 +103,11 @@ class FamilyData:
     """One family at fixed constants, as data (fields: module docstring)."""
 
     domain: tuple[float, float]
-    k0: Callable
-    k0_deriv: Callable
-    k1: Callable
-    k1_deriv: Callable
+    R: tuple[float, ...]
+    K0: tuple[float, ...]
+    K1: tuple[float, ...]
     g: Callable
     g_deriv: Callable
-    g_deriv2: Callable
     p_plus: Callable
     p_minus: Callable
     validity: Callable[[float], Verdict]
@@ -134,14 +139,24 @@ def _roots(data: FamilyData, P: Callable, m, lo: float, hi: float) -> list:
     return [-p0 / p1] if p1 != 0.0 and lo < -p0 / p1 < hi else []
 
 
-def _log_derivs(data: FamilyData, P: Callable):
+def _horner(coef: tuple, t):
+    """sum_k coef[k] * t**k by Horner's rule, in plain Python arithmetic."""
+    return functools.reduce(lambda acc, c: acc * t + c, reversed(coef))
+
+
+def _deriv(coef: tuple) -> tuple:
+    """The coefficient tuple of the derivative in t."""
+    return tuple(k * c for k, c in enumerate(coef))[1:] or (0.0,)
+
+
+def _log_derivs(data: FamilyData, P: Callable, g_dd: Callable):
     """The evaluator (x, m) -> (W1, W1'), W1 = D'/D and W1' = D''/D - W1**2,
-    with D, D' and D'' from one order-2 kernel call.  The polynomial kernel
-    returns complex values; real families drop their exactly zero imaginary
-    part.  Where g(x) is not finite D is nan, and where D is zero W1 is not
-    finite: the evaluator never raises there, so the grid's edge probe can
-    test many abscissae in one call."""
-    g, g_d, g_dd, linear = data.g, data.g_deriv, data.g_deriv2, data.linear
+    with D, D' and D'' from one order-2 kernel call and g'' = g_dd(g(x)).
+    The polynomial kernel returns complex values; real families drop their
+    exactly zero imaginary part.  Where g(x) is not finite D is nan, and
+    where D is zero W1 is not finite: the evaluator never raises there, so
+    the grid's edge probe can test many abscissae in one call."""
+    g, g_d, linear = data.g, data.g_deriv, data.linear
     real = data.is_real and not linear
 
     def w1(x, m):
@@ -149,14 +164,14 @@ def _log_derivs(data: FamilyData, P: Callable):
         if linear:
             # D'' = p1*g'' alone: P''(g)*g'**2 would be 0*inf = nan
             # wherever g'**2 overflows (cosh(c x) beyond c x = 355)
-            D, D1, D2 = s[0] + s[1] * gx, s[1] * g_d(x), s[1] * g_dd(x)
+            D, D1, D2 = s[0] + s[1] * gx, s[1] * g_d(x), s[1] * g_dd(gx)
         else:
             bad = ~np.isfinite(gx)
             # z = 1 stands in where g(x) is not finite: any finite value would
             # do, and |z| = 1 keeps those points in the series basis
             P0, P1, P2 = poly_eval(s, np.where(bad, 1.0, gx), 2)
             gd = g_d(x)
-            D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(x)
+            D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(gx)
         r = D1 / D
         rd = D2 / D - r * r
         return (r.real, rd.real) if real else (r, rd)
@@ -164,8 +179,27 @@ def _log_derivs(data: FamilyData, P: Callable):
     return w1
 
 
+def _affine(data: FamilyData, g_dd: Callable):
+    """The evaluator x -> (k0, k0', k1, k1'): at t = g(x), k = K(t)/g' and
+    k' = K'(t) - k*g''/g', so g and g' are evaluated once for all four."""
+    dK0, dK1 = _deriv(data.K0), _deriv(data.K1)
+
+    def affine(x):
+        t, gd = data.g(x), data.g_deriv(x)
+        ratio = g_dd(t) / gd
+        k0, k1 = _horner(data.K0, t) / gd, _horner(data.K1, t) / gd
+        return k0, _horner(dK0, t) - k0 * ratio, k1, _horner(dK1, t) - k1 * ratio
+
+    return affine
+
+
 def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> SuperpotentialFamily:
     pair = (data.p_plus, data.p_minus)
+    dR = _deriv(data.R)
+
+    def g_dd(t):
+        # g'' = R'(g)/2, from g'**2 = R(g)
+        return _horner(dR, t) / 2.0
 
     def poles(m):
         found = list(data.punctures)
@@ -180,8 +214,8 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
 
     return SuperpotentialFamily(
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
-        k0=data.k0, k0_deriv=data.k0_deriv, k1=data.k1, k1_deriv=data.k1_deriv,
-        w1plus=_log_derivs(data, data.p_plus), w1minus=_log_derivs(data, data.p_minus),
+        affine=_affine(data, g_dd), w1plus=_log_derivs(data, data.p_plus, g_dd),
+        w1minus=_log_derivs(data, data.p_minus, g_dd),
         validity_fn=data.validity, poles_fn=poles, scan_clear_fn=scan_clear,
     )
 
@@ -191,20 +225,11 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
 def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
     thr_neg = (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)
     thr_pos = (2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c)
-
-    def k0(x):
-        sh = np.sinh(c * x)
-        return -beta / c * np.cosh(c * x) / sh + d / sh
-
     return FamilyData(
         domain=(0.0, np.inf),
-        k0=k0,
-        k0_deriv=lambda x: (beta - c * d * np.cosh(c * x)) / np.square(np.sinh(c * x)),
-        k1=lambda x: c * np.cosh(c * x) / np.sinh(c * x),
-        k1_deriv=lambda x: -c * c / np.square(np.sinh(c * x)),
+        R=(-c * c, 0.0, c * c), K0=(c * d, -beta), K1=(0.0, c * c),
         g=lambda x: np.cosh(c * x),
         g_deriv=lambda x: c * np.sinh(c * x),
-        g_deriv2=lambda x: c * c * np.cosh(c * x),
         g_inv=lambda t: np.arccosh(t) / c, g_range=(1.0, np.inf),
         p_plus=lambda m: (-2.0 * beta + c * c * (2.0 * m + 1.0), 2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (2.0 * m - 1.0), 2.0 * c * d),
@@ -222,13 +247,9 @@ def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
 def _x1_radial(omega: float, d: float) -> FamilyData:
     return FamilyData(
         domain=(0.0, np.inf),
-        k0=lambda x: omega * x / 2.0 + d / x,
-        k0_deriv=lambda x: omega / 2.0 - d / (x * x),
-        k1=lambda x: 1.0 / x,
-        k1_deriv=lambda x: -1.0 / (x * x),
+        R=(0.0, 4.0), K0=(2.0 * d, omega), K1=(2.0,),
         g=lambda x: x * x,
         g_deriv=lambda x: 2.0 * x,
-        g_deriv2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
         g_inv=np.sqrt, g_range=(0.0, np.inf),
         p_plus=lambda m: (1.0 + 2.0 * d + 2.0 * m, -omega),
         p_minus=lambda m: (-1.0 + 2.0 * d + 2.0 * m, -omega),
@@ -250,20 +271,11 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
     lo = (-2.0 * beta + c * c + 2.0 * c * abs(d)) / (2.0 * c * c)
     s1, s2 = ("-", "+") if d > 0.0 else ("+", "-")
     statement = f"m < (-2*beta - c^2 {s1} 2*c*d)/(2*c^2) or m > (-2*beta + c^2 {s2} 2*c*d)/(2*c^2)"
-
-    def k0(x):
-        cs = np.cos(c * x)
-        return -beta / c * np.sin(c * x) / cs + d / cs
-
     return FamilyData(
         domain=(-half_width, half_width),
-        k0=k0,
-        k0_deriv=lambda x: (-beta + c * d * np.sin(c * x)) / np.square(np.cos(c * x)),
-        k1=lambda x: -c * np.sin(c * x) / np.cos(c * x),
-        k1_deriv=lambda x: -c * c / np.square(np.cos(c * x)),
+        R=(c * c, 0.0, -c * c), K0=(c * d, -beta), K1=(0.0, -c * c),
         g=lambda x: np.sin(c * x),
         g_deriv=lambda x: c * np.cos(c * x),
-        g_deriv2=lambda x: -c * c * np.sin(c * x),
         g_inv=lambda t: np.arcsin(t) / c, g_range=(-1.0, 1.0),
         p_plus=lambda m: (2.0 * beta + c * c * (1.0 + 2.0 * m), -2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
@@ -286,18 +298,21 @@ def _check_prefactor(tag: str, ell: int, B: float) -> None:
         )
 
 
+def _jacobi_pair(B: float, ell: int) -> dict:
+    """P+- of both Xl Poschl-Teller families, and their shared affine part:
+    g'**2 = g**2 - 1 and W0*g' = -B + m*g for g = cosh(x) and i*sinh(x)."""
+    return dict(
+        R=(-1.0, 0.0, 1.0), K0=(-B,), K1=(0.0, 1.0),
+        p_plus=lambda m: PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5),
+        p_minus=lambda m: PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5),
+    )
+
+
 def _xl_poschl_teller(B: float, ell: int) -> FamilyData:
     _check_prefactor("Xl-Poschl-Teller", ell, B)
     return FamilyData(
-        domain=(0.0, np.inf),
-        k0=lambda x: -B / np.sinh(x),
-        k0_deriv=lambda x: B * np.cosh(x) / np.square(np.sinh(x)),
-        k1=lambda x: np.cosh(x) / np.sinh(x),
-        k1_deriv=lambda x: -1.0 / np.square(np.sinh(x)),
-        g=np.cosh, g_deriv=np.sinh, g_deriv2=np.cosh, g_inv=np.arccosh,
-        g_range=(1.0, np.inf),
-        p_plus=lambda m: PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5),
-        p_minus=lambda m: PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5),
+        domain=(0.0, np.inf), **_jacobi_pair(B, ell),
+        g=np.cosh, g_deriv=np.sinh, g_inv=np.arccosh, g_range=(1.0, np.inf),
         root_allowed=lambda t: -1.0 < t < 1.0,
         validity=lambda m: _first_violated(
             (B < -0.5, "B < -1/2"),
@@ -310,37 +325,32 @@ def _xl_poschl_teller(B: float, ell: int) -> FamilyData:
 
 def _xl_pt_scarf(B: float, ell: int) -> FamilyData:
     _check_prefactor("Xl-PT-Scarf", ell, B)
+    pair = _jacobi_pair(B, ell)
 
-    def g(x):
-        return 1j * np.sinh(np.asarray(x, dtype=float))
+    def scan(spec):
+        return not has_imaginary_root(spec)
 
-    # Non-singular on the whole real line apart from the declared x = 0
-    # puncture: the argument of P is purely imaginary, so no real root of P
-    # maps into the domain, and the witness asks for roots i*s, s != 0.
+    # The argument of P is purely imaginary, so no real root of P maps into
+    # the domain: apart from the declared x = 0 puncture the family is
+    # singular exactly where P+- has a root i*s, s != 0.  That region has no
+    # closed form, so the predicate is the exact root test itself.
     return FamilyData(
-        domain=(-np.inf, np.inf),
-        k0=lambda x: 1j * B / np.cosh(x),
-        k0_deriv=lambda x: -1j * B * np.sinh(x) / np.square(np.cosh(x)),
-        k1=np.tanh,
-        k1_deriv=lambda x: 1.0 / np.square(np.cosh(x)),
-        g=g, g_deriv=lambda x: 1j * np.cosh(np.asarray(x, dtype=float)), g_deriv2=g,
-        p_plus=lambda m: PolySpec(JACOBI, ell, -B + m - 0.5, -B - m - 1.5),
-        p_minus=lambda m: PolySpec(JACOBI, ell, -B + m - 1.5, -B - m - 0.5),
-        validity=lambda m: Verdict(True, None), expected_ab=(1.0, 0.0),
-        is_real=False, punctures=(0.0,), scan=lambda spec: not has_imaginary_root(spec),
+        domain=(-np.inf, np.inf), **pair,
+        g=lambda x: 1j * np.sinh(np.asarray(x, dtype=float)),
+        g_deriv=lambda x: 1j * np.cosh(np.asarray(x, dtype=float)),
+        validity=lambda m: _first_violated(
+            (scan(pair["p_plus"](m)) and scan(pair["p_minus"](m)),
+             "P+- has no root i*s with real s != 0")),
+        expected_ab=(1.0, 0.0), is_real=False, punctures=(0.0,), scan=scan,
     )
 
 
 def _xl_radial(omega: float, ell: int) -> FamilyData:
     return FamilyData(
         domain=(0.0, np.inf),
-        k0=lambda x: omega * x / 2.0,
-        k0_deriv=lambda x: omega / 2.0 * np.ones_like(np.asarray(x, dtype=float)),
-        k1=lambda x: 1.0 / x,
-        k1_deriv=lambda x: -1.0 / (x * x),
+        R=(0.0, -2.0 * omega), K0=(0.0, omega), K1=(-omega,),
         g=lambda x: -omega * np.asarray(x, dtype=float) ** 2 / 2.0,
         g_deriv=lambda x: -omega * np.asarray(x, dtype=float),
-        g_deriv2=lambda x: -omega * np.ones_like(np.asarray(x, dtype=float)),
         g_inv=lambda u: np.sqrt(-2.0 * u / omega), g_range=(-np.inf, 0.0),
         p_plus=lambda m: PolySpec(LAGUERRE, ell, -m - 1.5),
         p_minus=lambda m: PolySpec(LAGUERRE, ell, -m - 0.5),
@@ -398,7 +408,7 @@ def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
 def validity_witness(tag: str, params: ParamPoint, cross_check: bool = True) -> ValidityReport:
     """Analytic non-singularity verdict, optionally cross-checked by the
     independent, certified test on the roots of P+- (belt and braces: the
-    two must agree)."""
+    two must agree; Xl-PT-Scarf's predicate is that test)."""
     family = get_family(tag, params).family
     verdict = family.validity(params.m)
     if not cross_check:

@@ -78,9 +78,11 @@ class RunConfig:
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise UsageError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
-        if self.tol <= 0:
-            raise UsageError("tolerances must be > 0")
-        for v in (self.tolerances or {}).values():
+        if not isinstance(self.tolerances, (dict, type(None))):
+            raise UsageError(f"tolerances must be an object, got {self.tolerances!r}")
+        for v in (self.tol, *(self.tolerances or {}).values()):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise UsageError(f"tolerances must be numbers, got {v!r}")
             if v <= 0:
                 raise UsageError("tolerances must be > 0")
         if self.fmt not in ("json", "csv"):
@@ -113,6 +115,17 @@ def _param_point(data: dict) -> ParamPoint:
         return ParamPoint(**{k: (v if k == "ell" else float(v)) for k, v in data.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _m_list(values) -> list[float]:
+    """The m values of --m-list (its comma-separated fields) or of the
+    config file (a JSON list)."""
+    if not isinstance(values, list):
+        raise UsageError(f"m_list must be a list of numbers, got {values!r}")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"m_list: {exc}") from exc
 
 
 def _load_params_arg(text: str) -> dict:
@@ -384,9 +397,9 @@ def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
     params = _load_params_arg(args.params) if args.params else file_cfg.get("params")
     m_list = None
     if args.m_list:
-        m_list = [float(v) for v in args.m_list.split(",") if v.strip()]
+        m_list = _m_list([v for v in args.m_list.split(",") if v.strip()])
     elif "m_list" in file_cfg:
-        m_list = [float(v) for v in file_cfg["m_list"]]
+        m_list = _m_list(file_cfg["m_list"])
 
     checks = default_checks
     if args.checks:

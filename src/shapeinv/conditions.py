@@ -118,12 +118,9 @@ def check_infeld_hull(family: SuperpotentialFamily, grid):
     imaginary leakage of the means themselves (the complex family keeps both
     expressions real up to rounding).
     """
-    f = family.k1(grid)
-    fd = family.k1_deriv(grid)
-    g = -family.k0(grid)
-    gd = -family.k0_deriv(grid)
+    k0, k0d, f, fd = family.affine(grid)
     va = fd + f * f
-    vb = gd + f * g
+    vb = -k0d - f * k0
     a_mean = complex(np.mean(va))
     b_mean = complex(np.mean(vb))
     residual = max(
@@ -142,8 +139,8 @@ def _u(family, x, m):
 
 
 def _closure_expression(family, m, grid):
-    F = family.k1(grid)
-    G = -family.k0(grid)
+    k0, _, F, _ = family.affine(grid)
+    G = -k0
     u_prev, ud_prev = _u(family, grid, m - 1.0)
     u_here, ud_here = _u(family, grid, m)
     return (
@@ -200,23 +197,24 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid):
 
 
 def _tabulated(family: SuperpotentialFamily, grid) -> SuperpotentialFamily:
-    """A copy of the family whose (W1+-, W1+-') pairs evaluate once per m on
-    this grid: the first call at an m stores its pair, later calls read it.
-    The table lives as long as the copy; calls on any other x evaluate."""
+    """A copy of the family whose affine tuple evaluates once on this grid and
+    whose (W1+-, W1+-') pairs evaluate once per m: the first call stores its
+    value, later calls read it.  The tables live as long as the copy; calls
+    on any other x evaluate."""
 
     def remember(fn):
         table = {}
 
-        def lookup(x, m):
+        def lookup(x, *m):
             if x is not grid:
-                return fn(x, m)
+                return fn(x, *m)
             if m not in table:
-                table[m] = fn(x, m)
+                table[m] = fn(x, *m)
             return table[m]
 
         return lookup
 
-    names = ("w1plus", "w1minus")
+    names = ("affine", "w1plus", "w1minus")
     return dataclasses.replace(family, **{n: remember(getattr(family, n)) for n in names})
 
 
@@ -234,9 +232,9 @@ def run_condition_checks(
     The grid must avoid the poles of every m in m_list (make_grid with
     m_values=m_list does that).  When expected_ab is given, the inferred
     constants are also matched against it under the infeld_hull tolerance.
-    Within the call each pair (W1+-, W1+-') is evaluated once per m on the
-    grid and the checks share those values, so each residual equals that of
-    the separate check_* call bit for bit.
+    Within the call the affine tuple is evaluated once on the grid, each pair
+    (W1+-, W1+-') once per m, and the checks share those values, so each
+    residual equals that of the separate check_* call bit for bit.
     """
     m_list = tuple(float(m) for m in m_list)
     tol = dict(tolerances or {})

@@ -5,15 +5,16 @@ classical parameter ranges (alpha, beta > -1).  The rationally extended
 families this package verifies need polynomials at negative, m-dependent
 parameters such as -B - m - 3/2, so evaluation goes through the explicit
 finite series in rising-factorial form with compensated (Kahan) summation.
+Its coefficients are computed exactly in rational arithmetic (float
+parameters are exact rationals) and rounded once to float64.
 Degrees stay small (<= 10 in the shipped catalog; hard cap 64), which keeps
 the series cheap and its worst-case cancellation bounded.
 
 The Jacobi series runs in u = (z - 1)/2.  Near z = 0 (|u| close to 1/2) its
 alternating terms cancel, so arguments with |z| < 1 are evaluated in the
-monomial basis in z instead.  Those coefficients are computed exactly in
-rational arithmetic (float parameters are exact rationals) from the same
-series and rounded once to float64.  Arguments with |z| >= 1, among them
-every cosh(x), keep the series about z = 1.
+monomial basis in z instead, whose coefficients come exactly from the same
+series, by a Taylor shift in integers, and are rounded once.  Arguments with
+|z| >= 1, among them every cosh(x), keep the series about z = 1.
 
 Derivatives come from the same pass: the coefficient row of P is
 differentiated in place (row j + 1 holds (s + 1) * c_{s+1} / h of row j,
@@ -82,43 +83,6 @@ class PolySpec:
             raise ValueError("Laguerre takes no beta")
 
 
-@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
-def _series_coefficients(spec: PolySpec) -> np.ndarray:
-    """Coefficients c_s of the series sum_s c_s * u**s, read-only.
-
-    Jacobi uses u = (z - 1)/2, Laguerre u = z (signs folded in).  Rising
-    factorials are built multiplicatively, the descending one backwards, so
-    no division by (alpha + s + 1) occurs: parameters that are negative
-    integers stay exact.
-    """
-    n = spec.degree
-    if spec.kind == JACOBI:
-        a, b = spec.alpha, spec.beta
-        rf_up = np.empty(n + 1)
-        rf_up[0] = 1.0
-        for s in range(n):
-            rf_up[s + 1] = rf_up[s] * (n + a + b + 1.0 + s)
-        rf_down = np.empty(n + 1)
-        rf_down[n] = 1.0
-        for s in range(n - 1, -1, -1):
-            rf_down[s] = (a + s + 1.0) * rf_down[s + 1]
-        binom = np.empty(n + 1)
-        binom[0] = 1.0
-        for s in range(n):
-            binom[s + 1] = binom[s] * (n - s) / (s + 1.0)
-        coef = binom * rf_up * rf_down / float(math.factorial(n))
-    else:
-        a = spec.alpha
-        coef = np.empty(n + 1)
-        rf = 1.0  # (a + s + 1)_{n - s}, filled backwards
-        for s in range(n, -1, -1):
-            coef[s] = ((-1.0) ** s) * rf / (math.factorial(n - s) * math.factorial(s))
-            if s > 0:
-                rf *= a + s
-    coef.setflags(write=False)
-    return coef
-
-
 def _exact_series(spec: PolySpec) -> tuple[list[int], int]:
     """The series coefficients c_s exactly: integers N_s and a positive
     integer S with c_s = N_s / S.
@@ -147,6 +111,17 @@ def _exact_series(spec: PolySpec) -> tuple[list[int], int]:
     return nums, math.factorial(n) * den ** n
 
 
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
+def _series_coefficients(spec: PolySpec) -> np.ndarray:
+    """Coefficients c_s of the series sum_s c_s * u**s, read-only: the exact
+    N_s / S of _exact_series, each rounded once.  Jacobi uses u = (z - 1)/2,
+    Laguerre u = z (signs folded in)."""
+    nums, scale = _exact_series(spec)
+    coef = np.array([c / scale for c in nums])  # int / int rounds correctly
+    coef.setflags(write=False)
+    return coef
+
+
 def _monomial_integers(spec: PolySpec) -> tuple[list[int], int]:
     """The coefficients d_k in z exactly, as integers over one positive
     integer.  Jacobi's u = (z - 1)/2 is undone by an exact Taylor shift."""
@@ -173,21 +148,6 @@ def monomial_coefficients(spec: PolySpec) -> np.ndarray:
     coef = np.array([d / scale for d in nums])  # int / int rounds correctly
     coef.setflags(write=False)
     return coef
-
-
-def _eval_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Kahan-compensated sum of coef[s] * u**s with iterated powers."""
-    total = np.zeros_like(u)
-    comp = np.zeros_like(u)
-    power = np.ones_like(u)
-    for c in coef:
-        term = c * power
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        power = power * u
-    return total
 
 
 def _prepare_argument(z):
@@ -220,7 +180,7 @@ def _eval_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Kahan-compensated sums of rows[j, s] * u**s for every row j, over a
     1-d u, with one table of iterated powers shared by all rows.  Row j
     stops at its degree n - j, so a zero past it never meets an overflowed
-    power (0 * inf).  Row 0 is bit for bit _eval_series(rows[0], u)."""
+    power (0 * inf)."""
     n = rows.shape[1] - 1
     total = np.zeros((rows.shape[0], u.size), dtype=np.result_type(rows, u))
     comp = np.zeros_like(total)
@@ -432,6 +392,7 @@ def _refine(a: list[int], leaves: list, z_at, z0: int, h: int) -> list[float]:
     return scan_roots(f, xs[0], xs[-1], len(xs) - 1, np.array(xs), np.array(vals, dtype=float))
 
 
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
 def has_imaginary_root(spec: PolySpec) -> bool:
     """Whether the polynomial has a root i*s with real s != 0, decided
     exactly on its integer coefficients (intpoly.has_imaginary_root)."""

@@ -2,11 +2,11 @@
 
 A family bundles the affine part W0(x, m) = k0(x) + m*k1(x) with the two
 log-derivative corrections W1+(x, m) and W1-(x, m), each evaluated together
-with its analytic x-derivative, the non-singularity predicate and pole
-bookkeeping.  Instances are immutable, every evaluation is a pure vectorised
-function of x, and the complex PT-symmetric family shares all code paths
-(real families simply return float64 arrays whose cast to complex has an
-exactly zero imaginary part).
+with its analytic x-derivative (k0' and k1' come with k0 and k1), the
+non-singularity predicate and pole bookkeeping.  Instances are immutable,
+every evaluation is a pure vectorised function of x, and the complex
+PT-symmetric family shares all code paths (real families simply return
+float64 arrays whose cast to complex has an exactly zero imaginary part).
 """
 
 from __future__ import annotations
@@ -117,9 +117,11 @@ class SuperpotentialFamily:
     """Evaluation contract for one family at fixed constants.
 
     The callables are closures over the constants; m stays a call argument
-    because every check sweeps it.  ``w1plus`` and ``w1minus`` map (x, m) to
-    the pair (W1, W1'), both from one evaluation of the gauge denominator D
-    with W1 = D'/D, and ``W`` returns the pair (W, W') built from them.
+    because every check sweeps it.  ``affine`` maps x to the tuple
+    (k0, k0', k1, k1') of the affine part W0 = k0 + m*k1.  ``w1plus`` and
+    ``w1minus`` map (x, m) to the pair (W1, W1'), both from one evaluation
+    of the gauge denominator D with W1 = D'/D, and ``W`` returns the pair
+    (W, W') built from all three.
     ``w1minus`` is always its own transcribed formula rather than ``w1plus``
     at m - 1, so the translation identity is a genuine two-route check.
     """
@@ -129,17 +131,14 @@ class SuperpotentialFamily:
     domain: tuple[float, float]
     params: ParamPoint
     is_real: bool
-    k0: Callable
-    k0_deriv: Callable
-    k1: Callable
-    k1_deriv: Callable
+    affine: Callable
     w1plus: Callable
     w1minus: Callable
     validity_fn: Callable[[float], Verdict] = field(repr=False)
     poles_fn: Callable[[float], tuple] = field(repr=False)
     scan_clear_fn: Callable[[float], bool] = field(repr=False)
 
-    _EVALUATORS = ("k0", "k0_deriv", "k1", "k1_deriv", "w1plus", "w1minus")
+    _EVALUATORS = ("affine", "w1plus", "w1minus")
 
     def __post_init__(self):
         for fname in self._EVALUATORS:
@@ -148,14 +147,15 @@ class SuperpotentialFamily:
                 object.__setattr__(self, fname, _quiet(fn))
 
     def w0(self, x, m):
-        return self.k0(x) + m * self.k1(x)
+        k0, _, k1, _ = self.affine(x)
+        return k0 + m * k1
 
     def W(self, x, m):
         """(W, W') with W = W0 + W1+ - W1-."""
+        k0, k0d, k1, k1d = self.affine(x)
         p, pd = self.w1plus(x, m)
         q, qd = self.w1minus(x, m)
-        return (self.w0(x, m) + p - q,
-                self.k0_deriv(x) + m * self.k1_deriv(x) + pd - qd)
+        return k0 + m * k1 + p - q, k0d + m * k1d + pd - qd
 
     def validity(self, m: float) -> Verdict:
         return self.validity_fn(m)
@@ -345,8 +345,7 @@ def with_perturbation(family: SuperpotentialFamily, mode: str,
     if mode not in PERTURBATION_MODES:
         raise UsageError(f"unknown perturbation mode {mode!r}")
     size = float(size)
-    w1p, w1m = family.w1plus, family.w1minus
-    k1, k1d = family.k1, family.k1_deriv
+    w1p, w1m, affine = family.w1plus, family.w1minus, family.affine
 
     def sloped(fn, slope):
         # (W1, W1') + (slope(m)*x, slope(m))
@@ -371,8 +370,9 @@ def with_perturbation(family: SuperpotentialFamily, mode: str,
         patch = dict(w1plus=sloped(w1p, lambda m: size * m),
                      w1minus=sloped(w1m, lambda m: size * (m - 1.0)))
     else:
-        patch = dict(
-            k1=lambda x: k1(x) + size * np.asarray(x, dtype=float),
-            k1_deriv=lambda x: k1d(x) + size,
-        )
+        def sloped_affine(x):
+            k0, k0d, k1, k1d = affine(x)
+            return k0, k0d, k1 + size * np.asarray(x, dtype=float), k1d + size
+
+        patch = dict(affine=sloped_affine)
     return dataclasses.replace(family, name=f"{family.name}+{mode}@{size:g}", **patch)

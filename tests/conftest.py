@@ -13,7 +13,7 @@ def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
         domain=domain,
         params=ParamPoint(m=m),
         is_real=True,
-        k0=k0, k0_deriv=k0_deriv, k1=k1, k1_deriv=k1_deriv,
+        affine=lambda x: (k0(x), k0_deriv(x), k1(x), k1_deriv(x)),
         w1plus=zero, w1minus=zero,
         validity_fn=lambda m_: Verdict(True, None),
         poles_fn=lambda m_: (),

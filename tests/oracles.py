@@ -5,13 +5,15 @@ Everything here evaluates through mpmath's own special-function routes
 package: poly values, superpotentials and the seven-term compatibility
 combination can all be cross-checked against a genuinely separate path.
 Real roots come from exact Fraction coefficients, a Sturm count and
-mpmath's polyroots.
+mpmath's polyroots.  eval_series is the float64 reference summation of a
+coefficient row, term by term with Kahan compensation.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -24,6 +26,21 @@ def jacobi(n, a, b, z):
 
 def laguerre(n, a, z):
     return mp.laguerre(n, a, z)
+
+
+def eval_series(coef, u):
+    """Kahan-compensated sum of coef[s] * u**s with iterated powers."""
+    total = np.zeros_like(u)
+    comp = np.zeros_like(u)
+    power = np.ones_like(u)
+    for c in coef:
+        term = c * power
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        power = power * u
+    return total
 
 
 def poly_derivs(n, a, b, z, order=2):

@@ -198,6 +198,45 @@ class TestValidityWitness:
         assert not rep_out.valid and rep_out.agrees
 
 
+class TestAffineRecord:
+    """The record's R, K0 and K1 against its g and its constants."""
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_g_deriv_squared_is_R_of_g(self, tag):
+        polyval = np.polynomial.polynomial.polyval
+        for p in sample_valid_params(tag, 3, seed=17):
+            data = family_data(tag, p)
+            grid = make_grid(get_family(tag, p).family, GridSpec(n_points=128))
+            # where g'**2 stays finite (X1-hyperbolic grids reach cosh(c x)
+            # past 1e154)
+            grid = grid[np.abs(data.g_deriv(grid)) < 1e150]
+            t, gd = data.g(grid), data.g_deriv(grid)
+            # rounding of either side is bounded by eps times its term sizes
+            size = np.abs(gd) ** 2 + polyval(np.abs(t), np.abs(data.R))
+            assert np.all(np.abs(gd ** 2 - polyval(t, data.R)) <= 1e-13 * size)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_infeld_hull_polynomial_identities(self, tag):
+        # k1' + k1**2 = a and -k0' - k1*k0 = b, with k = K(g)/g' and
+        # g'**2 = R(g), are these identities of polynomials in t
+        P = np.polynomial.polynomial
+        for p in sample_valid_params(tag, 3, seed=17):
+            data = family_data(tag, p)
+            a, b = data.expected_ab
+            R, K0, K1 = data.R, data.K0, data.K1
+            for terms in (
+                (P.polymul((2.0,), P.polymul(R, P.polyder(K1))), -P.polymul(K1, P.polyder(R)),
+                 P.polymul((2.0,), P.polymul(K1, K1)), P.polymul((-2.0 * a,), R)),
+                (P.polymul((-2.0,), P.polymul(R, P.polyder(K0))), P.polymul(K0, P.polyder(R)),
+                 P.polymul((-2.0,), P.polymul(K0, K1)), P.polymul((-2.0 * b,), R)),
+            ):
+                total, size = np.zeros(4), np.zeros(4)
+                for term in terms:
+                    total[:term.size] += term
+                    size[:term.size] += np.abs(term)
+                assert np.all(np.abs(total) <= 1e-13 * max(size.max(), 1.0)), (p, total)
+
+
 class TestFamilyData:
     """The derived poles against the denominators they come from."""
 
@@ -286,7 +325,7 @@ class TestScarfStructure:
     def test_k0_purely_imaginary_at_real_x(self):
         entry = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))
         xs = np.linspace(-3.0, 3.0, 31)
-        k0 = np.asarray(entry.family.k0(xs))
+        k0 = np.asarray(entry.family.affine(xs)[0])
         assert np.max(np.abs(k0.real)) == 0.0
         assert np.max(np.abs(k0.imag)) > 0.0
 

@@ -48,6 +48,14 @@ class TestVerify:
         assert code == 2
         assert "m < -(1 + 2*d)/2" in capsys.readouterr().err
 
+    def test_singular_scarf_point_exit_2(self, capsys):
+        # P+ = P_2^(-7/4,-7/4) vanishes at z = +-i*sqrt(2), so D+ has real
+        # poles at x = +-1.146; the run once passed with compatibility 2e-13
+        code = main(["verify", "--family", "Xl-PT-Scarf",
+                     "--params", '{"m": -0.5, "B": 0.75, "ell": 2}', "--no-timestamp"])
+        assert code == 2
+        assert "P+- has no root i*s with real s != 0" in capsys.readouterr().err
+
     def test_unknown_family_exit_2(self, capsys):
         assert main(["verify", "--family", "X9-unknown", "--sample", "1"]) == 2
 
@@ -222,6 +230,13 @@ class TestInputErrors:
         _, short = run(tmp_path, *args, "--params", json.dumps(self.X1), out_name="short.json")
         assert text == short
 
+    def test_non_numeric_m_list_exit_2(self, capsys):
+        # float("a") once escaped main as a traceback (exit 1)
+        code = main(["verify", "--family", "X1-radial-oscillator",
+                     "--params", json.dumps(self.X1), "--m-list=a,b"])
+        assert code == 2
+        assert "m_list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", ["0", "-3", "39"])
     def test_too_few_spectrum_points_exit_2(self, monkeypatch, capsys, points):
         # rejected before the window search: the grid must hold 8*k points
@@ -238,6 +253,10 @@ class TestInputErrors:
         ("k", 2.5, "k must be an integer"),
         ("grid", {"n_points": 512.5}, "n_points must be an integer"),
         ("spectrum_points", 4000.0, "spectrum_points must be an integer"),
+        # each of these once escaped main as a traceback (exit 1)
+        ("m_list", "-3", "m_list must be a list of numbers"),
+        ("tolerances", {"compatibility": "1e-9"}, "tolerances must be numbers"),
+        ("tolerances", [1], "tolerances must be an object"),
     ])
     def test_non_integral_config_value_exit_2(self, tmp_path, capsys, field, value, message):
         cfg_path = tmp_path / "cfg.json"

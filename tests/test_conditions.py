@@ -98,6 +98,12 @@ class TestOracleAgreement:
             c_ref = oracles.to_complex(oracles.compatibility_value(tag, p, p.m, x))
             c_got = complex(np.asarray(compatibility_lhs(fam, p.m, np.asarray([x])))[0])
             assert abs(c_got - c_ref) <= 1e-11 * max(1.0, abs(c_ref), abs(c_got))
+            fns, xm = oracles.family_oracle(tag, p), oracles.mp.mpf(x)
+            a_ref = [oracles.to_complex(v) for k in ("k0", "k1")
+                     for v in (fns[k](xm), oracles.mp.diff(fns[k], xm))]
+            a_got = [complex(np.asarray(v)[0]) for v in fam.affine(np.asarray([x]))]
+            for got, ref in zip(a_got, a_ref):
+                assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), (x, a_got, a_ref)
 
 
 class TestNegativeControls:
