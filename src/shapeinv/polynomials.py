@@ -50,7 +50,9 @@ LAGUERRE = "laguerre"
 DEGREE_CAP = 64
 
 _BISECT_TOL = 1e-12
-_BISECT_STEPS = 200
+# enough halvings to bring the widest float bracket, 2**1025, down to
+# _BISECT_TOL
+_BISECT_STEPS = 1100
 # Coefficient caches, keyed by PolySpec; bounded because every new parameter
 # point brings new specs.
 _COEF_CACHE_SIZE = 4096
@@ -258,16 +260,22 @@ def root_window(spec: PolySpec) -> tuple[float, float]:
 def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     """Midpoints of the brackets [a, b] (f(a) = fa) after bisection, all
     brackets in lockstep with one call of f per step.  Each bracket stops at
-    width <= _BISECT_TOL, collapses onto an exact zero at its midpoint, and
-    takes at most _BISECT_STEPS steps."""
+    width <= _BISECT_TOL or when its ends are neighbouring floats, and
+    collapses onto an exact zero at its midpoint."""
     a, b, fa = a.copy(), b.copy(), fa.copy()
     live = np.arange(a.size)
+    # below 2**13 neighbouring floats are closer than _BISECT_TOL, so only a
+    # bracket with an end beyond it can stall with its ends adjacent
+    sparse = a.size > 0 and max(np.abs(a).max(), np.abs(b).max()) >= 2.0 ** 13
     for _ in range(_BISECT_STEPS):
         # a collapsed bracket has width 0 and drops out here
         live = live[(b[live] - a[live]) > _BISECT_TOL]
+        mid = 0.5 * (a[live] + b[live])
+        if sparse:
+            inner = (a[live] < mid) & (mid < b[live])
+            live, mid = live[inner], mid[inner]
         if live.size == 0:
             break
-        mid = 0.5 * (a[live] + b[live])
         fm = np.asarray(f(mid), dtype=float)
         zero = fm == 0.0
         left = ~zero & (fa[live] * fm < 0)
@@ -308,7 +316,8 @@ def _dyadic_u(z: float, z0: int, h: int) -> tuple[int, int]:
 def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
     """All real roots inside the open interval, sorted ascending, each
     distinct root once.  The count is certified; each location is a float
-    within 1e-12 of its root.
+    within 1e-12 of its root, or a neighbouring float where floats are
+    sparser than that.
 
     The test runs on the exact integer series coefficients in u, where
     z = 1 + 2u for Jacobi and z = u for Laguerre.  A root at u = 0 is read

@@ -290,4 +290,6 @@ def polynomial_roots(p):
     if len(p) < 2:
         return []
     coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p)]
-    return mp.polyroots(coeffs, maxsteps=400, extraprec=400)
+    # roots whose sizes differ by 2**k need about k more bits to converge
+    sizes = [abs(c.numerator).bit_length() - c.denominator.bit_length() for c in p if c]
+    return mp.polyroots(coeffs, maxsteps=400, extraprec=400 + 2 * (max(sizes) - min(sizes)))

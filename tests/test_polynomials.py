@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapeinv import DEGREE_CAP, JACOBI, LAGUERRE, PolySpec, poly_deriv, poly_eval, real_roots_in
@@ -429,6 +429,9 @@ class TestCertifiedRoots:
         b=st.floats(min_value=-8, max_value=8, allow_nan=False),
         interval=st.sampled_from([(-np.inf, np.inf), (1.0, np.inf), (-1.0, 1.0), (-np.inf, 0.0)]),
     )
+    # a root near 2 beside one near -8.5e242: bisection from the wide window
+    # must not stop short of it
+    @example(jacobi=True, n=2, a=9.417008768093143e-243, b=-4.0, interval=(-np.inf, np.inf))
     @settings(max_examples=60, deadline=None)
     def test_matches_sturm_and_polyroots(self, jacobi, n, a, b, interval):
         spec = PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a)
