@@ -408,7 +408,8 @@ def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
 def validity_witness(tag: str, params: ParamPoint, cross_check: bool = True) -> ValidityReport:
     """Analytic non-singularity verdict, optionally cross-checked by the
     independent, certified test on the roots of P+- (belt and braces: the
-    two must agree; Xl-PT-Scarf's predicate is that test)."""
+    two must agree).  Xl-PT-Scarf's predicate is that test, so there the
+    cross-check is not independent and `agrees` always holds."""
     family = get_family(tag, params).family
     verdict = family.validity(params.m)
     if not cross_check:

@@ -50,9 +50,6 @@ LAGUERRE = "laguerre"
 DEGREE_CAP = 64
 
 _BISECT_TOL = 1e-12
-# enough halvings to bring the widest float bracket, 2**1025, down to
-# _BISECT_TOL
-_BISECT_STEPS = 1100
 # Coefficient caches, keyed by PolySpec; bounded because every new parameter
 # point brings new specs.
 _COEF_CACHE_SIZE = 4096
@@ -113,15 +110,23 @@ def _exact_series(spec: PolySpec) -> tuple[list[int], int]:
     return nums, math.factorial(n) * den ** n
 
 
+def _rounded(spec: PolySpec, nums: list[int], scale: int) -> np.ndarray:
+    """The exact ratios nums[k] / scale, each rounded once, read-only."""
+    try:
+        coef = np.array([c / scale for c in nums])  # int / int rounds correctly
+    except OverflowError:
+        raise UnsupportedError(
+            f"coefficients of {spec} exceed the float range: parameters too large") from None
+    coef.setflags(write=False)
+    return coef
+
+
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
 def _series_coefficients(spec: PolySpec) -> np.ndarray:
     """Coefficients c_s of the series sum_s c_s * u**s, read-only: the exact
     N_s / S of _exact_series, each rounded once.  Jacobi uses u = (z - 1)/2,
     Laguerre u = z (signs folded in)."""
-    nums, scale = _exact_series(spec)
-    coef = np.array([c / scale for c in nums])  # int / int rounds correctly
-    coef.setflags(write=False)
-    return coef
+    return _rounded(spec, *_exact_series(spec))
 
 
 def _monomial_integers(spec: PolySpec) -> tuple[list[int], int]:
@@ -146,10 +151,7 @@ def monomial_coefficients(spec: PolySpec) -> np.ndarray:
     """
     if spec.kind == LAGUERRE:
         return _series_coefficients(spec)
-    nums, scale = _monomial_integers(spec)
-    coef = np.array([d / scale for d in nums])  # int / int rounds correctly
-    coef.setflags(write=False)
-    return coef
+    return _rounded(spec, *_monomial_integers(spec))
 
 
 def _prepare_argument(z):
@@ -264,18 +266,17 @@ def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     collapses onto an exact zero at its midpoint."""
     a, b, fa = a.copy(), b.copy(), fa.copy()
     live = np.arange(a.size)
-    # below 2**13 neighbouring floats are closer than _BISECT_TOL, so only a
-    # bracket with an end beyond it can stall with its ends adjacent
-    sparse = a.size > 0 and max(np.abs(a).max(), np.abs(b).max()) >= 2.0 ** 13
-    for _ in range(_BISECT_STEPS):
+    # the halvings that bring the widest bracket down to _BISECT_TOL, and two
+    # more for rounding.  A bracket whose ends become neighbouring floats
+    # first (only beyond 2**13, where those are farther apart than
+    # _BISECT_TOL) has its midpoint on an end and no longer moves.
+    half = float(np.max(0.5 * b - 0.5 * a, initial=_BISECT_TOL))
+    for _ in range(math.ceil(math.log2(half / _BISECT_TOL)) + 3):
         # a collapsed bracket has width 0 and drops out here
         live = live[(b[live] - a[live]) > _BISECT_TOL]
-        mid = 0.5 * (a[live] + b[live])
-        if sparse:
-            inner = (a[live] < mid) & (mid < b[live])
-            live, mid = live[inner], mid[inner]
         if live.size == 0:
             break
+        mid = 0.5 * (a[live] + b[live])
         fm = np.asarray(f(mid), dtype=float)
         zero = fm == 0.0
         left = ~zero & (fa[live] * fm < 0)

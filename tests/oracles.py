@@ -4,9 +4,9 @@ Everything here evaluates through mpmath's own special-function routes
 (hypergeometric) and numerical differentiation, sharing no code with the
 package: poly values, superpotentials and the seven-term compatibility
 combination can all be cross-checked against a genuinely separate path.
-Real roots come from exact Fraction coefficients, a Sturm count and
-mpmath's polyroots.  eval_series is the float64 reference summation of a
-coefficient row, term by term with Kahan compensation.
+Real and imaginary roots come from exact Fraction coefficients, a Sturm
+count and mpmath's polyroots.  eval_series is the float64 reference
+summation of a coefficient row, term by term with Kahan compensation.
 """
 
 import math
@@ -293,3 +293,13 @@ def polynomial_roots(p):
     # roots whose sizes differ by 2**k need about k more bits to converge
     sizes = [abs(c.numerator).bit_length() - c.denominator.bit_length() for c in p if c]
     return mp.polyroots(coeffs, maxsteps=400, extraprec=400 + 2 * (max(sizes) - min(sizes)))
+
+
+def imaginary_root_count(p):
+    """Distinct roots i*s with real s != 0 of p (Fractions, lowest degree
+    first), by Sturm on the common real roots of Re p(i*s) and Im p(i*s) as
+    polynomials in s."""
+    parts = [[c * (-1) ** (k // 2) if k % 2 == odd else Fraction(0) for k, c in enumerate(p)]
+             for odd in (0, 1)]
+    g = _pgcd(*(_strip(q) for q in parts))
+    return sturm_count(g, -math.inf, 0.0) + sturm_count(g, 0.0, math.inf)

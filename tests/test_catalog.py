@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,23 @@ class TestValidityWitness:
     def test_scarf_always_valid(self):
         rep = validity_witness("Xl-PT-Scarf", ParamPoint(m=1.3, B=-2.5, ell=3))
         assert rep.valid and rep.scan_clear and rep.agrees
+
+    def test_scarf_verdict_matches_sturm_oracle(self):
+        # the Scarf predicate is the root test itself, so `agrees` cannot
+        # check it; the oracle counts roots i*s of P+- by Sturm on exact
+        # Fraction coefficients.  At m = +-1/2 one of P+- is a symmetric
+        # Jacobi polynomial, singular for these B > 0 at several ell.
+        verdicts = set()
+        for m, B, ell in itertools.product((-0.5, 0.5, 0.3), (0.75, 2.2), (2, 3, 4)):
+            point = ParamPoint(m=m, B=B, ell=ell)
+            data = family_data("Xl-PT-Scarf", point)
+            roots = sum(oracles.imaginary_root_count(
+                oracles.exact_coefficients(s.degree, s.alpha, s.beta))
+                for s in (data.p_plus(m), data.p_minus(m)))
+            rep = validity_witness("Xl-PT-Scarf", point)
+            assert rep.valid == (roots == 0), (m, B, ell)
+            verdicts.add(rep.valid)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize(
         "tag,params_in,params_out",

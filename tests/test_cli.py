@@ -56,6 +56,14 @@ class TestVerify:
         assert code == 2
         assert "P+- has no root i*s with real s != 0" in capsys.readouterr().err
 
+    def test_coefficients_beyond_float_range_exit_2(self, capsys):
+        # L_2^(1e200) has c_0 ~ 5e399; int / int division once escaped main
+        # as an OverflowError (exit 1)
+        code = main(["verify", "--family", "Xl-radial-oscillator",
+                     "--params", '{"m": -1e200, "omega": 1.0, "ell": 2}', "--no-timestamp"])
+        assert code == 2
+        assert "exceed the float range" in capsys.readouterr().err
+
     def test_unknown_family_exit_2(self, capsys):
         assert main(["verify", "--family", "X9-unknown", "--sample", "1"]) == 2
 
