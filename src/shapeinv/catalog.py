@@ -87,7 +87,6 @@ class CatalogEntry:
     family: SuperpotentialFamily
     expected_a: float
     expected_b: float
-    section_tag: str
 
 
 @dataclass(frozen=True)
@@ -269,8 +268,13 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
     # |d| the two edges of that region read the same for either sign of d.
     hi = (-2.0 * beta - c * c - 2.0 * c * abs(d)) / (2.0 * c * c)
     lo = (-2.0 * beta + c * c + 2.0 * c * abs(d)) / (2.0 * c * c)
+    # Where c > 2|d| a third interval lies between them: in the band
+    # |2*beta + 2*c^2*m| < c^2 - 2*c*|d| the constant term of each
+    # denominator outweighs its sin(c x) term, so neither can vanish.
+    band = c * c - 2.0 * c * abs(d)
     s1, s2 = ("-", "+") if d > 0.0 else ("+", "-")
-    statement = f"m < (-2*beta - c^2 {s1} 2*c*d)/(2*c^2) or m > (-2*beta + c^2 {s2} 2*c*d)/(2*c^2)"
+    statement = (f"m < (-2*beta - c^2 {s1} 2*c*d)/(2*c^2) or m > (-2*beta + c^2 {s2} 2*c*d)/(2*c^2)"
+                 " or |2*beta + 2*c^2*m| < c^2 - 2*c*|d|")
     return FamilyData(
         domain=(-half_width, half_width),
         R=(c * c, 0.0, -c * c), K0=(c * d, -beta), K1=(0.0, -c * c),
@@ -281,7 +285,8 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
         p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
         linear=True, root_allowed=lambda t: abs(t) >= 1.0,
         validity=lambda m: _first_violated(
-            (c > 0.0, "c > 0"), (d != 0.0, "d != 0"), (m < hi or m > lo, statement)),
+            (c > 0.0, "c > 0"), (d != 0.0, "d != 0"),
+            (m < hi or m > lo or abs(2.0 * beta + 2.0 * c * c * m) < band, statement)),
         expected_ab=(-c ** 2, beta),
     )
 
@@ -402,18 +407,16 @@ def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
     constants = ", ".join(f"{n}={float(getattr(params, n)):g}" for n in _FAMILIES[tag][0])
     a, b = data.expected_ab
     return CatalogEntry(family=_build(f"{tag}({constants})", tag, params, data),
-                        expected_a=float(a), expected_b=float(b), section_tag=tag)
+                        expected_a=float(a), expected_b=float(b))
 
 
-def validity_witness(tag: str, params: ParamPoint, cross_check: bool = True) -> ValidityReport:
-    """Analytic non-singularity verdict, optionally cross-checked by the
-    independent, certified test on the roots of P+- (belt and braces: the
-    two must agree).  Xl-PT-Scarf's predicate is that test, so there the
-    cross-check is not independent and `agrees` always holds."""
+def validity_witness(tag: str, params: ParamPoint) -> ValidityReport:
+    """Analytic non-singularity verdict, cross-checked by the independent,
+    certified test on the roots of P+- (belt and braces: the two must
+    agree).  Xl-PT-Scarf's predicate is that test, so there the cross-check
+    is not independent and `agrees` always holds."""
     family = get_family(tag, params).family
     verdict = family.validity(params.m)
-    if not cross_check:
-        return ValidityReport(verdict.valid, verdict.violated, verdict.valid, True)
     clear = family.scan_clear(params.m)
     return ValidityReport(verdict.valid, verdict.violated, clear, clear == verdict.valid)
 

@@ -3,10 +3,13 @@
 Subcommands:
 
   verify    run selected identity checks over one or more parameter points
-            and write a JSON (or CSV) report; exit 0 iff every verdict passes,
-            1 on any violation, 2 on input/config errors.
+            and write a JSON (or CSV) report of verdicts, residuals and
+            tolerances; exit 0 iff every verdict passes, 1 on any violation,
+            2 on input/config errors.
   scan      emit plot-ready CSV columns: x, epsilon(x) per requested m, and
-            the partner potentials for real families.
+            the partner potentials for real families.  With
+            --m-list m,m-1,m-2 its grid is the one verify uses for the same
+            point.
   spectrum  run the isospectrality cross-check and report both spectra, the
             remainder R and the level mismatch as JSON.
 
@@ -156,40 +159,6 @@ def _fmt17(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _dump_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    The indent encoder is pure Python, and each result's epsilon_samples
-    holds about 1500 floats.  Those rows of numbers go through the C
-    encoder in one call per result, which spells numbers as the indent
-    encoder does, and its separators are widened to the indentation of the
-    placeholder they replace.
-    """
-    samples = {}
-    if doc.get("results"):
-        doc = dict(doc)
-        results = doc["results"] = list(doc["results"])
-        for i, r in enumerate(results):
-            rows = r.get("epsilon_samples")
-            if rows and all(rows):  # an empty row would print as []
-                token = f"\0epsilon_samples {i}"
-                samples[json.dumps(token)] = rows
-                results[i] = {**r, "epsilon_samples": token}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    pieces, pos = [], 0
-    for token, rows in samples.items():
-        at = text.index(token, pos)
-        pad = " " * (at - text.rindex("\n", 0, at) - 1 - len('"epsilon_samples": '))
-        row, item = pad + "  ", pad + "    "
-        body = (json.dumps(rows)[2:-2]
-                .replace("], [", f"\n{row}],\n{row}[\n{item}")
-                .replace(", ", f",\n{item}"))
-        pieces += [text[pos:at], f"[\n{row}[\n{item}", body, f"\n{row}]\n{pad}]"]
-        pos = at + len(token)
-    pieces += [text[pos:], "\n"]
-    return "".join(pieces)
-
-
 def _write_text(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -265,7 +234,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     doc["overall_pass"] = all(r["passed"] for r in results)
 
     if cfg.fmt == "json":
-        _write_text(cfg.out, _dump_json(doc))
+        _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         lines = ["param_index,check,residual,tolerance,pass"]
         for r in results:
@@ -332,7 +301,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "tolerance": cfg.tolerance_map()["spectrum"],
     }
     doc["overall_pass"] = iso.mismatch < cfg.tolerance_map()["spectrum"]
-    _write_text(cfg.out, _dump_json(doc))
+    _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if doc["overall_pass"] else 1
 
 

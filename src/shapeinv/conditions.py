@@ -46,7 +46,6 @@ class ResidualReport:
     residuals: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
-    epsilon_samples: list = field(default_factory=list)
     inferred_a: float | None = None
     inferred_b: float | None = None
 
@@ -69,7 +68,6 @@ class ResidualReport:
             "verdicts": dict(self.verdicts),
             "inferred_a": self.inferred_a,
             "inferred_b": self.inferred_b,
-            "epsilon_samples": [[x, e.real, e.imag] for x, e in self.epsilon_samples],
             "passed": self.passed,
         }
 
@@ -257,11 +255,10 @@ def run_condition_checks(
         report.tolerances["translation"] = tol["translation"]
         report.verdicts["translation"] = r < tol["translation"]
     if "compatibility" in checks:
-        r, samples = check_compatibility(family, m_list, grid)
+        r, _ = check_compatibility(family, m_list, grid)
         report.residuals["compatibility"] = r
         report.tolerances["compatibility"] = tol["compatibility"]
         report.verdicts["compatibility"] = r < tol["compatibility"]
-        report.epsilon_samples = samples
     if "infeld_hull" in checks:
         constants, r = check_infeld_hull(family, grid)
         report.inferred_a = constants.a

@@ -38,6 +38,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ LAGUERRE = "laguerre"
 DEGREE_CAP = 64
 
 _BISECT_TOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
 # Coefficient caches, keyed by PolySpec; bounded because every new parameter
 # point brings new specs.
 _COEF_CACHE_SIZE = 4096
@@ -235,28 +237,32 @@ def poly_deriv2(spec: PolySpec, z):
 
 
 def root_window(spec: PolySpec) -> tuple[float, float]:
-    """A finite interval certain to contain every root (Fujiwara bound).
+    """An interval certain to contain every root (Fujiwara bound).
 
     The bound runs on the exact series coefficients, so the leading index
     is that of the last nonzero one; it is widened by a relative 1e-9 to
     cover its own rounding, then to a power of two.  Returns (0.0, 0.0) when
     the polynomial has no roots to find (constants and the identically zero
-    degenerate cases).
+    degenerate cases), and (-inf, inf) when the bound exceeds the float
+    range.
     """
     nums = _exact_series(spec)[0]
     lead = max((k for k, c in enumerate(nums) if c), default=0)
     if lead == 0:
         return 0.0, 0.0
     log_lead = math.log(abs(nums[lead]))
-    r_u = 2.0 * max(
-        (math.exp((math.log(abs(nums[lead - j])) - log_lead) / j)
-         for j in range(1, lead + 1) if nums[lead - j]),
-        default=0.0,
-    ) * (1.0 + 1e-9) + 1e-12
-    # a power of two keeps the exact arithmetic on the window's ends short
-    r_u = 2.0 ** math.ceil(math.log2(r_u))
     z0, h = _ORIGIN[spec.kind]
-    return z0 - h * r_u, z0 + h * r_u
+    try:
+        r_u = 2.0 * max(
+            (math.exp((math.log(abs(nums[lead - j])) - log_lead) / j)
+             for j in range(1, lead + 1) if nums[lead - j]),
+            default=0.0,
+        ) * (1.0 + 1e-9) + 1e-12
+        # a power of two keeps the exact arithmetic on the window's ends short
+        r_u = 2.0 ** math.ceil(math.log2(r_u))
+        return z0 - h * r_u, z0 + h * r_u  # inf where h * r_u overflows
+    except OverflowError:
+        return -math.inf, math.inf
 
 
 def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
@@ -264,20 +270,23 @@ def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     brackets in lockstep with one call of f per step.  Each bracket stops at
     width <= _BISECT_TOL or when its ends are neighbouring floats, and
     collapses onto an exact zero at its midpoint."""
-    a, b, fa = a.copy(), b.copy(), fa.copy()
+    # a and b hold half of each end: their sum is the midpoint, and it
+    # cannot overflow where the ends come near the float range's edge
+    a, b, fa = 0.5 * a, 0.5 * b, fa.copy()
     live = np.arange(a.size)
     # the halvings that bring the widest bracket down to _BISECT_TOL, and two
     # more for rounding.  A bracket whose ends become neighbouring floats
     # first (only beyond 2**13, where those are farther apart than
     # _BISECT_TOL) has its midpoint on an end and no longer moves.
-    half = float(np.max(0.5 * b - 0.5 * a, initial=_BISECT_TOL))
-    for _ in range(math.ceil(math.log2(half / _BISECT_TOL)) + 3):
+    half = float(np.max(b - a, initial=_BISECT_TOL))
+    for _ in range(math.ceil(math.log2(half) - math.log2(_BISECT_TOL)) + 3):
         # a collapsed bracket has width 0 and drops out here
-        live = live[(b[live] - a[live]) > _BISECT_TOL]
+        live = live[(b[live] - a[live]) > 0.5 * _BISECT_TOL]
         if live.size == 0:
             break
-        mid = 0.5 * (a[live] + b[live])
+        mid = a[live] + b[live]
         fm = np.asarray(f(mid), dtype=float)
+        mid = 0.5 * mid
         zero = fm == 0.0
         left = ~zero & (fa[live] * fm < 0)
         right = ~zero & ~left
@@ -286,7 +295,7 @@ def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
         b[live[left]] = mid[left]
         a[live[right]] = mid[right]
         fa[live[right]] = fm[right]
-    return 0.5 * (a + b)
+    return a + b
 
 
 def scan_roots(f, lo: float, hi: float, n_sub: int, xs=None, vals=None) -> list[float]:
@@ -330,7 +339,8 @@ def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
     Vincent-Collins-Akritas bisection in integers, and scan_roots bisects
     each isolating interval at float midpoints, reading the square-free
     part's exact sign at each.  A root at an interval end is decided
-    exactly, and excluded.
+    exactly, and excluded.  A root of the interval beyond the float range
+    raises UnsupportedError; one outside the interval does not.
     """
     from . import intpoly
 
@@ -362,10 +372,14 @@ def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
     lo, hi = max(lo, w_lo), min(hi, w_hi)
     if not (hi > lo):
         return found
+    a = intpoly.squarefree(a)
+    for end, edge in ((hi, _FLOAT_MAX), (lo, -_FLOAT_MAX)):
+        if math.isinf(end) and _has_root_beyond(a, *_dyadic_u(edge, z0, h)):
+            raise UnsupportedError(f"{spec} has a real root beyond the float range")
+    lo, hi = max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX)
     (p1, q1), (p2, q2) = _dyadic_u(lo, z0, h), _dyadic_u(hi, z0, h)
     den = max(q1, q2)
     p1, p2 = p1 * (den // q1), p2 * (den // q2)
-    a = intpoly.squarefree(a)
     leaves = intpoly.isolate(intpoly.affine_image(a, p1, p2, den))
     if not leaves:
         return found
@@ -375,6 +389,15 @@ def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
         return (z0 * den * 2 ** k + h * (p1 * 2 ** k + (p2 - p1) * c)) / (den * 2 ** k)
 
     return sorted(found + _refine(a, leaves, z_at, z0, h))
+
+
+def _has_root_beyond(a: list[int], p: int, q: int) -> bool:
+    """Whether the square-free a, with a(0) != 0, has a root u beyond p/q
+    (above it for p > 0, below it for p < 0): its reversal, whose roots are
+    the 1/u, has one between 0 and q/p."""
+    from . import intpoly
+
+    return bool(intpoly.isolate(intpoly.affine_image(a[::-1], 0, q if p > 0 else -q, abs(p))))
 
 
 def _refine(a: list[int], leaves: list, z_at, z0: int, h: int) -> list[float]:

@@ -22,6 +22,8 @@ from .superpotential import SuperpotentialFamily
 
 _IMAG_LEAK_TOL = 1e-9
 _EDGE_MARGIN_ABOVE_TOP_LEVEL = 25.0
+# Abscissae of the grid on which the window search estimates the k-th level
+_PROBE_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,7 @@ def _steps(start: float, step, n: int) -> list:
     return out
 
 
-def spectral_window(family: SuperpotentialFamily, m_values, k: int,
-                    probe_points: int = 400) -> tuple[float, float]:
+def spectral_window(family: SuperpotentialFamily, m_values, k: int) -> tuple[float, float]:
     """Truncation window whose edge potentials dominate the top level sought.
 
     Edges grow (or the margins shrink) until V at both ends exceeds the k-th
@@ -209,7 +210,7 @@ def spectral_window(family: SuperpotentialFamily, m_values, k: int,
         a, b = lo + 1e-3 * width, hi - 1e-3 * width
 
     for _ in range(3):
-        x = dirichlet_grid(a, b, probe_points)
+        x = dirichlet_grid(a, b, _PROBE_POINTS)
         _, v_plus = partner_potentials(family, m_values[0], x)
         top = float(_lowest_eigenvalues(v_plus.values, x[1] - x[0], k)[-1])
         target = top + _EDGE_MARGIN_ABOVE_TOP_LEVEL

@@ -216,6 +216,22 @@ class TestValidityWitness:
         assert rep_in.valid and rep_in.agrees
         assert not rep_out.valid and rep_out.agrees
 
+    def test_trigonometric_band_point(self):
+        # D+- = 4 -+ 2 sin(2x): neither vanishes
+        rep = validity_witness("X1-trigonometric", ParamPoint(m=0.0, c=2.0, beta=0.0, d=0.5))
+        assert rep.valid and rep.scan_clear and rep.agrees
+
+    @pytest.mark.parametrize("c,beta,d", [(2.0, 0.0, 0.5), (2.0, 0.7, -0.5), (1.5, -0.4, 0.3)])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_trigonometric_band_edges_agree_with_scan(self, c, beta, d, side):
+        # the band |2*beta + 2*c^2*m| < c^2 - 2*c*|d| between the two outer
+        # intervals, 0.05 inside and outside each of its edges
+        edge = (side * (c * c - 2.0 * c * abs(d)) - 2.0 * beta) / (2.0 * c * c)
+        for step, inside in ((-0.05 * side, True), (0.05 * side, False)):
+            rep = validity_witness("X1-trigonometric",
+                                   ParamPoint(m=edge + step, c=c, beta=beta, d=d))
+            assert rep.valid == rep.scan_clear == inside, (edge + step, rep)
+
 
 class TestAffineRecord:
     """The record's R, K0 and K1 against its g and its constants."""

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from shapeinv import FAMILY_TAGS, REAL_TAGS
+from shapeinv import (
+    FAMILY_TAGS,
+    REAL_TAGS,
+    GridSpec,
+    check_compatibility,
+    get_family,
+    make_grid,
+    sample_valid_params,
+)
 from shapeinv import cli
 from shapeinv.cli import main
 
@@ -274,98 +282,59 @@ class TestInputErrors:
         assert message in capsys.readouterr().err
 
 
-def assert_reference_json(text, doc):
-    """text is json.dumps(doc, indent=2, sort_keys=True) + newline.  The
-    first differing byte is reported instead of a diff of two 50 KB texts."""
-    ref = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def assert_reference_json(text):
+    """text is json.dumps(doc, indent=2, sort_keys=True) + newline for the
+    document it holds.  The first differing byte is reported instead of a
+    diff of two long texts."""
+    ref = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     if text != ref:
         i = next((i for i, (a, b) in enumerate(zip(text, ref)) if a != b), min(len(text), len(ref)))
         pytest.fail(f"differs at byte {i} of {len(ref)}: {text[max(i - 40, 0):i + 40]!r} "
                     f"instead of {ref[max(i - 40, 0):i + 40]!r}")
 
 
-def written_docs(monkeypatch, tmp_path, *args):
-    """The documents main hands to the JSON writer, and the text it wrote."""
-    docs = []
-    real = cli._dump_json
-
-    def recording(doc):
-        docs.append(doc)
-        return real(doc)
-
-    monkeypatch.setattr(cli, "_dump_json", recording)
-    code, text = run(tmp_path, *args)
-    assert len(docs) == 1
-    return code, docs[0], text
-
-
 class TestJsonWriter:
-    """_dump_json is json.dumps(doc, indent=2, sort_keys=True) + newline, byte
-    for byte; only the way it spells epsilon_samples differs."""
+    """A JSON report is json.dumps(doc, indent=2, sort_keys=True) + newline."""
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
-    def test_sampled_verify_reports(self, monkeypatch, tmp_path, tag):
-        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family", tag,
-                                       "--sample", "3", "--seed", "7", "--no-timestamp")
+    def test_sampled_verify_reports(self, tmp_path, tag):
+        code, text = run(tmp_path, "verify", "--family", tag, "--sample", "3", "--seed", "7",
+                         "--no-timestamp")
         assert code == 0
-        assert len(doc["results"]) == 3
-        assert all(len(r["epsilon_samples"]) == 512 for r in doc["results"])
-        if tag == "Xl-PT-Scarf":
-            assert any(im != 0.0 for r in doc["results"] for _, _, im in r["epsilon_samples"])
-        assert_reference_json(text, doc)
-        assert_reference_json(cli._dump_json(doc), doc)
+        results = json.loads(text)["results"]
+        assert len(results) == 3
+        # epsilon(x) is plot data, written by scan, not by verify
+        assert not any("epsilon_samples" in r for r in results)
+        assert_reference_json(text)
 
-    def test_perturbed_control(self, monkeypatch, tmp_path):
-        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family",
-                                       "Xl-Poschl-Teller", "--sample", "1", "--seed", "5",
-                                       "--perturb", "0.01")
+    def test_perturbed_control(self, tmp_path):
+        code, text = run(tmp_path, "verify", "--family", "Xl-Poschl-Teller", "--sample", "1",
+                         "--seed", "5", "--perturb", "0.01")
         assert code == 1
-        assert "timestamp" in doc
-        assert_reference_json(text, doc)
+        assert "timestamp" in json.loads(text)
+        assert_reference_json(text)
 
-    def test_empty_samples(self, monkeypatch, tmp_path):
-        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family",
-                                       "X1-trigonometric", "--sample", "2", "--seed", "5",
-                                       "--checks", "translation", "--no-timestamp")
+    def test_translation_only_report(self, tmp_path):
+        code, text = run(tmp_path, "verify", "--family", "X1-trigonometric", "--sample", "2",
+                         "--seed", "5", "--checks", "translation", "--no-timestamp")
         assert code == 0
-        assert [r["epsilon_samples"] for r in doc["results"]] == [[], []]
-        assert_reference_json(text, doc)
+        assert [list(r["verdicts"]) for r in json.loads(text)["results"]] == [["translation"]] * 2
+        assert_reference_json(text)
 
-    def test_spectrum_report(self, monkeypatch, tmp_path):
-        code, doc, text = written_docs(monkeypatch, tmp_path, "spectrum", "--family",
-                                       REAL_TAGS[-1], "--sample", "1", "--seed", "5",
-                                       "--k", "3", "--spectrum-points", "1000",
-                                       "--no-timestamp")
+    def test_spectrum_report(self, tmp_path):
+        code, text = run(tmp_path, "spectrum", "--family", REAL_TAGS[-1], "--sample", "1",
+                         "--seed", "5", "--k", "3", "--spectrum-points", "1000",
+                         "--no-timestamp")
         assert code == 0
-        assert_reference_json(text, doc)
+        assert_reference_json(text)
 
-    def test_verify_with_spectrum(self, monkeypatch, tmp_path):
-        code, doc, text = written_docs(monkeypatch, tmp_path, "verify", "--family",
-                                       "X1-hyperbolic", "--sample", "2", "--seed", "5",
-                                       "--checks", "compatibility,remainder,spectrum",
-                                       "--spectrum-points", "1000", "--no-timestamp")
+    def test_verify_with_spectrum(self, tmp_path):
+        code, text = run(tmp_path, "verify", "--family", "X1-hyperbolic", "--sample", "2",
+                         "--seed", "5", "--checks", "compatibility,remainder,spectrum",
+                         "--spectrum-points", "1000", "--no-timestamp")
         assert code == 0
-        assert "spectrum" in doc["results"][1]
-        assert_reference_json(text, doc)
-
-    def test_special_floats(self):
-        nan, inf = float("nan"), float("inf")
-        doc = {
-            "schema": "s",
-            "results": [
-                {"epsilon_samples": [[0.0, -0.0, 5e-324], [nan, inf, -inf],
-                                     [1e300, -1.7976931348623157e308, 0.1]],
-                 "residuals": {"a": nan}},
-                {"epsilon_samples": []},
-                {"epsilon_samples": [[1.0, 2.0, 3.0], []], "z": [[4.0]]},
-                {"epsilon_samples": [[np.float64(2.5)], [-1.0]], "m_list": [1.0]},
-            ],
-            "overall_pass": False,
-        }
-        text = cli._dump_json(doc)
-        assert_reference_json(text, doc)
-        assert isinstance(doc["results"][0]["epsilon_samples"], list)  # input untouched
-        assert "NaN" in text and "-Infinity" in text and "5e-324" in text
+        assert "spectrum" in json.loads(text)["results"][1]
+        assert_reference_json(text)
 
 
 class TestScan:
@@ -398,6 +367,28 @@ class TestScan:
         fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0)).family
         grid = make_grid(fam, GridSpec(n_points=32), m_values=(-3.0, -4.0))
         assert np.array_equal(xs, grid)  # 17 significant digits reproduce doubles exactly
+
+    @pytest.mark.parametrize("tag,seed", [("Xl-Poschl-Teller", 3), ("Xl-PT-Scarf", 7)])
+    def test_epsilon_columns_are_the_compatibility_samples(self, tmp_path, tag, seed):
+        # scan --m-list m,m-1,m-2 builds the grid verify builds for the
+        # point, and writes check_compatibility's samples at m
+        p = sample_valid_params(tag, 1, seed)[0]
+        m_list = (p.m, p.m - 1.0, p.m - 2.0)
+        code, text = run(tmp_path, "scan", "--family", tag, "--sample", "1", "--seed", str(seed),
+                         "--m-list=" + ",".join(map(repr, m_list)), out_name="scan.csv")
+        assert code == 0
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0][:3] == ["x", f"eps[m={p.m:g}]_re", f"eps[m={p.m:g}]_im"]
+        columns = np.asarray(rows[1:], dtype=float).T
+        fam = get_family(tag, p).family
+        grid = make_grid(fam, GridSpec(), m_values=m_list)
+        _, samples = check_compatibility(fam, m_list, grid)
+        eps = np.array([e for _, e in samples])
+        assert np.array_equal(columns[0], [x for x, _ in samples])
+        assert np.array_equal(columns[0], grid)
+        assert np.array_equal(columns[1], eps.real)
+        assert np.array_equal(columns[2], eps.imag)
+        assert (tag == "Xl-PT-Scarf") == np.any(eps.imag != 0.0)
 
     def test_complex_family_has_no_potential_columns(self, tmp_path):
         code, text = run(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -432,10 +433,20 @@ class TestCertifiedRoots:
     # a root near 2 beside one near -8.5e242: bisection from the wide window
     # must not stop short of it
     @example(jacobi=True, n=2, a=9.417008768093143e-243, b=-4.0, interval=(-np.inf, np.inf))
+    # a root near -1.6e324, beyond the float range
+    @example(jacobi=True, n=2, a=5e-324, b=-4.0, interval=(-np.inf, np.inf))
     @settings(max_examples=60, deadline=None)
     def test_matches_sturm_and_polyroots(self, jacobi, n, a, b, interval):
         spec = PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a)
         exact = oracles.exact_coefficients(n, a, b if jacobi else None)
+        lo, hi = interval
+        big = sys.float_info.max
+        beyond = ((hi > big and oracles.sturm_count(exact, max(lo, big), hi))
+                  + (lo < -big and oracles.sturm_count(exact, lo, min(hi, -big))))
+        if beyond:
+            with pytest.raises(UnsupportedError):
+                real_roots_in(spec, interval)
+            return
         roots = real_roots_in(spec, interval)
         assert len(roots) == oracles.sturm_count(exact, *interval)
         assert roots == sorted(roots)
@@ -476,6 +487,15 @@ class TestErrors:
             poly_eval(PolySpec(JACOBI, 2, 0.0, 0.0), float("nan"))
         with pytest.raises(DomainError):
             poly_eval(PolySpec(LAGUERRE, 2, 0.0), float("inf"))
+
+    def test_root_beyond_float_range(self):
+        # P_2^(5e-324, -4) has the roots 2 and about -1.6e324
+        spec = PolySpec(JACOBI, 2, 5e-324, -4.0)
+        for interval in ((-np.inf, np.inf), (-np.inf, 0.0)):
+            with pytest.raises(UnsupportedError):
+                real_roots_in(spec, interval)
+        for interval in ((0.0, np.inf), (-1.0, 3.0)):
+            assert real_roots_in(spec, interval) == pytest.approx([2.0], abs=1e-11)
 
     def test_degree_cap(self):
         with pytest.raises(UnsupportedError):
