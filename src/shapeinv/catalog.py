@@ -11,13 +11,14 @@ the rest:
   W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
       D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
   the poles, as g^-1 of the real roots of P+- that lie in g(domain);
-  the certified witness test, which passes when every real root of P+- is
-      one the family's non-singularity statement allows.
+  the certified witness test, which passes when P+- has no real root in
+      the set of t where the family's non-singularity statement forbids one.
 
 For the Xl families both root questions are decided on the exact
-coefficients of P+- (polynomials.real_roots_in, and has_imaginary_root for
-Xl-PT-Scarf), so the count of roots is certified, not sampled; the X1
-families' degree-1 P has its root in closed form.
+coefficients of P+- (polynomials.real_roots_in for the poles; for the
+witness polynomials.has_root_in, which only asks whether a root exists, and
+has_imaginary_root for Xl-PT-Scarf), so the count of roots is certified, not
+sampled; the X1 families' degree-1 P has its root in closed form.
 The region is thus encoded twice, as a strict-inequality predicate in m and
 as that test on the roots of P+-; Xl-PT-Scarf, whose region has no closed
 form, states the exact test as its predicate.  P- is transcribed on its own,
@@ -30,8 +31,9 @@ domain; R, K0 and K1 (coefficient tuples in ascending powers of t, as
 above); g, g_deriv and g_inv (the argument of P, its x-derivative and its
 inverse on the domain); g_range (g(domain), where a real root of P is a
 pole); p_plus and p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when
-linear is set, else a PolySpec); root_allowed (t -> whether the region
-allows a real root t of P); validity (the analytic predicate,
+linear is set, else a PolySpec); forbidden (where the region allows no
+real root t of P, as a tuple of polynomials.Interval, each end open or
+closed); validity (the analytic predicate,
 m -> Verdict); expected_ab (the factorization constants); and for a complex
 family is_real, punctures (its declared poles) and scan (a test of P that
 replaces the real-root test; Xl-PT-Scarf's asks exactly whether P has a
@@ -65,8 +67,10 @@ from .errors import (
 from .polynomials import (
     JACOBI,
     LAGUERRE,
+    Interval,
     PolySpec,
     has_imaginary_root,
+    has_root_in,
     poly_eval,
     real_roots_in,
 )
@@ -113,7 +117,7 @@ class FamilyData:
     expected_ab: tuple[float, float]
     g_inv: Callable | None = None
     g_range: tuple[float, float] | None = None
-    root_allowed: Callable[[float], bool] | None = None
+    forbidden: tuple[Interval, ...] = ()
     linear: bool = False
     is_real: bool = True
     punctures: tuple = ()
@@ -209,7 +213,10 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
     def scan_clear(m):
         if data.scan is not None:
             return all(data.scan(P(m)) for P in pair)
-        return all(data.root_allowed(t) for P in pair for t in _roots(data, P, m, -np.inf, np.inf))
+        if data.linear:
+            return not any(t in iv for P in pair for t in _roots(data, P, m, -np.inf, np.inf)
+                           for iv in data.forbidden)
+        return not any(has_root_in(P(m), data.forbidden) for P in pair)
 
     return SuperpotentialFamily(
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
@@ -232,7 +239,7 @@ def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
         g_inv=lambda t: np.arccosh(t) / c, g_range=(1.0, np.inf),
         p_plus=lambda m: (-2.0 * beta + c * c * (2.0 * m + 1.0), 2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (2.0 * m - 1.0), 2.0 * c * d),
-        linear=True, root_allowed=lambda t: t <= 1.0,
+        linear=True, forbidden=(Interval(1.0, np.inf),),
         validity=lambda m: _first_violated(
             (c > 0.0, "c > 0"),
             (d != 0.0, "d != 0"),
@@ -252,7 +259,7 @@ def _x1_radial(omega: float, d: float) -> FamilyData:
         g_inv=np.sqrt, g_range=(0.0, np.inf),
         p_plus=lambda m: (1.0 + 2.0 * d + 2.0 * m, -omega),
         p_minus=lambda m: (-1.0 + 2.0 * d + 2.0 * m, -omega),
-        linear=True, root_allowed=lambda t: t <= 0.0,
+        linear=True, forbidden=(Interval(0.0, np.inf),),
         validity=lambda m: _first_violated(
             (omega > 0.0, "omega > 0"),
             (d > 0.0, "d > 0"),
@@ -283,7 +290,7 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
         g_inv=lambda t: np.arcsin(t) / c, g_range=(-1.0, 1.0),
         p_plus=lambda m: (2.0 * beta + c * c * (1.0 + 2.0 * m), -2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
-        linear=True, root_allowed=lambda t: abs(t) >= 1.0,
+        linear=True, forbidden=(Interval(-1.0, 1.0),),
         validity=lambda m: _first_violated(
             (c > 0.0, "c > 0"), (d != 0.0, "d != 0"),
             (m < hi or m > lo or abs(2.0 * beta + 2.0 * c * c * m) < band, statement)),
@@ -318,7 +325,8 @@ def _xl_poschl_teller(B: float, ell: int) -> FamilyData:
     return FamilyData(
         domain=(0.0, np.inf), **_jacobi_pair(B, ell),
         g=np.cosh, g_deriv=np.sinh, g_inv=np.arccosh, g_range=(1.0, np.inf),
-        root_allowed=lambda t: -1.0 < t < 1.0,
+        forbidden=(Interval(-np.inf, -1.0, (False, True)),
+                   Interval(1.0, np.inf, (True, False))),
         validity=lambda m: _first_violated(
             (B < -0.5, "B < -1/2"),
             ((1.0 + 2.0 * B) / 2.0 < m < -(1.0 + 2.0 * B) / 2.0,
@@ -359,7 +367,7 @@ def _xl_radial(omega: float, ell: int) -> FamilyData:
         g_inv=lambda u: np.sqrt(-2.0 * u / omega), g_range=(-np.inf, 0.0),
         p_plus=lambda m: PolySpec(LAGUERRE, ell, -m - 1.5),
         p_minus=lambda m: PolySpec(LAGUERRE, ell, -m - 0.5),
-        root_allowed=lambda t: t > 0.0,
+        forbidden=(Interval(-np.inf, 0.0, (False, True)),),
         # m < -1/2 keeps both Laguerre parameters above -1, so every root
         # lies in (0, inf), which the argument -omega*x^2/2 never reaches
         validity=lambda m: _first_violated((omega > 0.0, "omega > 0"), (m < -0.5, "m < -1/2")),

@@ -93,8 +93,9 @@ def compatibility_lhs(family: SuperpotentialFamily, m: float, x):
 def check_compatibility(family: SuperpotentialFamily, m_list, grid):
     """m-independence residual of the seven-term combination.
 
-    Returns (residual, epsilon_samples) where the samples are taken at the
-    first m; the residual is the max over grid points and m pairs.
+    Returns (residual, (x, epsilon)): the residual is the max over grid
+    points and m pairs, and the samples are the grid and the combination's
+    values on it at the first m, as arrays.
     """
     m_list = tuple(float(m) for m in m_list)
     if len(m_list) < 2:
@@ -104,9 +105,7 @@ def check_compatibility(family: SuperpotentialFamily, m_list, grid):
     for i in range(len(lhs)):
         for j in range(i + 1, len(lhs)):
             residual = max(residual, _maxabs(lhs[i] - lhs[j]))
-    samples = list(zip(np.asarray(grid, dtype=float).tolist(),
-                       np.asarray(lhs[0], dtype=complex).tolist()))
-    return residual, samples
+    return residual, (np.asarray(grid, dtype=float), lhs[0])
 
 
 def check_infeld_hull(family: SuperpotentialFamily, grid):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterator
 
 # A prime for the modular coprimality test that spares most exact gcds
 PRIME = (1 << 61) - 1
@@ -125,8 +126,10 @@ def squarefree(a: list[int]) -> list[int]:
     return a if len(g) == 1 else exact_div(a, g)
 
 
-def isolate(b: list[int]) -> list[tuple[int, int, int]]:
-    """The roots of a square-free b in (0, 1), in increasing order.
+def isolate(b: list[int]) -> Iterator[tuple[int, int, int]]:
+    """The roots of a square-free b in (0, 1), in increasing order, each
+    yielded as soon as it is isolated (so any(isolate(b)) stops at the
+    first).
 
     Vincent-Collins-Akritas bisection: a subinterval whose image on
     (0, inf) has no sign variation holds no root, one with a single
@@ -134,18 +137,17 @@ def isolate(b: list[int]) -> list[tuple[int, int, int]]:
     interval (c/2**k, (c+1)/2**k) holds it, and sign (1 or -1) is that of b
     just right of c/2**k.  sign is 0 for a root exactly at c/2**k.
     """
-    out = []
     stack = [(b, 0, 0)]
     while stack:
         b, c, k = stack.pop()
         if b is None:  # a root at a midpoint, between its two halves
-            out.append((c, k, 0))
+            yield c, k, 0
             continue
         t = min((x & -x).bit_length() for x in b if x) - 1  # common factor 2**t
         b = [x >> t for x in b] if t else b
         v = variations(taylor_shift(b[::-1], 1))  # (1+y)**n b(1/(1+y))
         if v == 1:  # b's lowest nonzero coefficient: its sign just right of 0
-            out.append((c, k, 1 if next(x for x in b if x) > 0 else -1))
+            yield c, k, 1 if next(x for x in b if x) > 0 else -1
         elif v > 1:
             n = len(b) - 1
             left = [x << (n - i) for i, x in enumerate(b)]  # 2**n b(x/2)
@@ -155,7 +157,6 @@ def isolate(b: list[int]) -> list[tuple[int, int, int]]:
             else:
                 stack.append((right, 2 * c + 1, k + 1))
             stack.append((left, 2 * c, k + 1))
-    return out
 
 
 def has_imaginary_root(d: list[int]) -> bool:
@@ -175,4 +176,4 @@ def has_imaginary_root(d: list[int]) -> bool:
     g = squarefree(g)
     # every positive root is below 2**e (Cauchy: 1 + max|g_k / g_n|)
     e = max(abs(c) for c in g).bit_length() - abs(g[-1]).bit_length() + 2
-    return bool(isolate([c << (e * k) for k, c in enumerate(g)]))
+    return any(isolate([c << (e * k) for k, c in enumerate(g)]))

@@ -26,7 +26,9 @@ Root questions are decided on those exact coefficients, in Python integers
 (module intpoly): Descartes' rule of signs certifies an interval free of
 roots, Vincent-Collins-Akritas bisection isolates the roots that are there,
 and a bisection at float midpoints refines each root inside its isolating
-interval, with every sign taken exactly in integers.
+interval, with every sign taken exactly in integers.  Whether a root lies
+in a given set at all (has_root_in) stops before the refinement: Descartes'
+rule answers most such questions alone.
 
 Real parameters with a real argument are evaluated in float64 and only cast
 to complex on output, so the imaginary part of such results is exactly zero.
@@ -246,16 +248,23 @@ def root_window(spec: PolySpec) -> tuple[float, float]:
     degenerate cases), and (-inf, inf) when the bound exceeds the float
     range.
     """
-    nums = _exact_series(spec)[0]
-    lead = max((k for k, c in enumerate(nums) if c), default=0)
-    if lead == 0:
+    from . import intpoly
+
+    return _window(intpoly.trimmed(_exact_series(spec)[0]), spec.kind)
+
+
+def _window(a: list[int], kind: str) -> tuple[float, float]:
+    """root_window on the trimmed exact series a of a polynomial of the
+    given kind.  Zero low-order coefficients do not change it."""
+    lead = len(a) - 1
+    if lead < 1:
         return 0.0, 0.0
-    log_lead = math.log(abs(nums[lead]))
-    z0, h = _ORIGIN[spec.kind]
+    log_lead = math.log(abs(a[lead]))
+    z0, h = _ORIGIN[kind]
     try:
         r_u = 2.0 * max(
-            (math.exp((math.log(abs(nums[lead - j])) - log_lead) / j)
-             for j in range(1, lead + 1) if nums[lead - j]),
+            (math.exp((math.log(abs(a[lead - j])) - log_lead) / j)
+             for j in range(1, lead + 1) if a[lead - j]),
             default=0.0,
         ) * (1.0 + 1e-9) + 1e-12
         # a power of two keeps the exact arithmetic on the window's ends short
@@ -323,6 +332,84 @@ def _dyadic_u(z: float, z0: int, h: int) -> tuple[int, int]:
     return p - z0 * q, h * q
 
 
+@dataclass(frozen=True)
+class Interval:
+    """The real numbers between lo and hi.  Each end is open unless
+    closed = (lower, upper) marks it closed; an infinite end is never in
+    the interval."""
+
+    lo: float
+    hi: float
+    closed: tuple[bool, bool] = (False, False)
+
+    def __contains__(self, t: float) -> bool:
+        if self.lo < t < self.hi:
+            return True
+        return math.isfinite(t) and ((t == self.lo and self.closed[0])
+                                     or (t == self.hi and self.closed[1]))
+
+
+def _origin_split(a: list[int]) -> tuple[bool, list[int]]:
+    """Whether the trimmed exact series a has a root at the series origin
+    z0 (u = 0), and a with that root divided out."""
+    if a[0]:
+        return False, a
+    return True, a[next(k for k, c in enumerate(a) if c):]
+
+
+def _half_line_images(a: list[int], lo: float, hi: float, z0: int, h: int):
+    """For Descartes' rule: the polynomials whose positive roots are the
+    roots of a (in u) in (lo, hi), when that interval is a half-line or the
+    whole line (for Jacobi on (1, inf) the coefficients themselves, for
+    Laguerre on (-inf, 0) their alternating signs); None for a bounded
+    interval."""
+    from . import intpoly
+
+    if math.isinf(lo) and math.isinf(hi):
+        return [a, [c if k % 2 == 0 else -c for k, c in enumerate(a)]]
+    if math.isinf(hi):
+        p, q = _dyadic_u(lo, z0, h)
+        return [intpoly.affine_image(a, p, p + 1, q)]  # t = q*u - p
+    if math.isinf(lo):
+        p, q = _dyadic_u(hi, z0, h)
+        return [intpoly.affine_image(a, p, p - 1, q)]  # t = p - q*u
+    return None
+
+
+def _isolate(a: list[int], kind: str, lo: float, hi: float):
+    """The certified isolation stage: the roots of the integer series a
+    (trimmed, a(0) != 0, of the given kind) in the open interval (lo, hi).
+
+    A half-infinite interval is clamped to the root window, the square-free
+    part of a is taken, and its roots there are isolated by
+    Vincent-Collins-Akritas bisection in integers.  Returns that square-free
+    part, the lazy intpoly.isolate leaves, and z_at(c, k), the float z of
+    the leaf end c/2**k; or None when a root of the interval lies beyond
+    the float range.
+    """
+    from . import intpoly
+
+    z0, h = _ORIGIN[kind]
+    w_lo, w_hi = _window(a, kind)
+    lo, hi = max(lo, w_lo), min(hi, w_hi)
+    if not (hi > lo):
+        return a, (), None
+    a = intpoly.squarefree(a)
+    for end, edge in ((hi, _FLOAT_MAX), (lo, -_FLOAT_MAX)):
+        if math.isinf(end) and _has_root_beyond(a, *_dyadic_u(edge, z0, h)):
+            return None
+    lo, hi = max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX)
+    (p1, q1), (p2, q2) = _dyadic_u(lo, z0, h), _dyadic_u(hi, z0, h)
+    den = max(q1, q2)
+    p1, p2 = p1 * (den // q1), p2 * (den // q2)
+
+    def z_at(c: int, k: int) -> float:
+        # z = z0 + h*(p1 + (p2 - p1)*c/2**k)/den, rounded once
+        return (z0 * den * 2 ** k + h * (p1 * 2 ** k + (p2 - p1) * c)) / (den * 2 ** k)
+
+    return a, intpoly.isolate(intpoly.affine_image(a, p1, p2, den)), z_at
+
+
 def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
     """All real roots inside the open interval, sorted ascending, each
     distinct root once.  The count is certified; each location is a float
@@ -331,16 +418,13 @@ def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
 
     The test runs on the exact integer series coefficients in u, where
     z = 1 + 2u for Jacobi and z = u for Laguerre.  A root at u = 0 is read
-    off the constant term.  Descartes' rule on the interval's image on
-    (0, inf) (for Jacobi on (1, inf) the coefficients themselves, for
-    Laguerre on (-inf, 0) their alternating signs) certifies most intervals
-    empty with no float evaluation.  Otherwise a half-infinite interval is
-    clamped to root_window, the square-free part is isolated by
-    Vincent-Collins-Akritas bisection in integers, and scan_roots bisects
-    each isolating interval at float midpoints, reading the square-free
-    part's exact sign at each.  A root at an interval end is decided
-    exactly, and excluded.  A root of the interval beyond the float range
-    raises UnsupportedError; one outside the interval does not.
+    off the constant term.  Descartes' rule on the image of a half-line on
+    (0, inf) certifies most intervals empty with no float evaluation.
+    Otherwise the isolation stage (_isolate) brackets each root, and
+    scan_roots bisects each isolating interval at float midpoints, reading
+    the square-free part's exact sign at each.  A root at an interval end
+    is decided exactly, and excluded.  A root of the interval beyond the
+    float range raises UnsupportedError; one outside the interval does not.
     """
     from . import intpoly
 
@@ -349,46 +433,60 @@ def real_roots_in(spec: PolySpec, interval: tuple[float, float]) -> list[float]:
     if not (hi > lo) or len(a) < 2:
         return []  # constants, and the zero polynomial, have no roots to find
     z0, h = _ORIGIN[spec.kind]
-    found = []
-    if a[0] == 0:
-        a = a[next(k for k, c in enumerate(a) if c):]
-        if lo < z0 < hi:
-            found.append(float(z0))
-    # Descartes' rule on the image of (lo, hi) on (0, inf)
-    if math.isinf(lo) and math.isinf(hi):
-        images = [a, [c if k % 2 == 0 else -c for k, c in enumerate(a)]]
-    elif math.isinf(hi):
-        p, q = _dyadic_u(lo, z0, h)
-        images = [intpoly.affine_image(a, p, p + 1, q)]  # t = q*u - p
-    elif math.isinf(lo):
-        p, q = _dyadic_u(hi, z0, h)
-        images = [intpoly.affine_image(a, p, p - 1, q)]  # t = p - q*u
-    else:
-        images = []
-    if len(a) < 2 or (images and not any(intpoly.variations(b) for b in images)):
+    at_origin, a = _origin_split(a)
+    found = [float(z0)] if at_origin and lo < z0 < hi else []
+    images = _half_line_images(a, lo, hi, z0, h)
+    if len(a) < 2 or (images is not None and not any(intpoly.variations(b) for b in images)):
         return found
-
-    w_lo, w_hi = root_window(spec)
-    lo, hi = max(lo, w_lo), min(hi, w_hi)
-    if not (hi > lo):
-        return found
-    a = intpoly.squarefree(a)
-    for end, edge in ((hi, _FLOAT_MAX), (lo, -_FLOAT_MAX)):
-        if math.isinf(end) and _has_root_beyond(a, *_dyadic_u(edge, z0, h)):
-            raise UnsupportedError(f"{spec} has a real root beyond the float range")
-    lo, hi = max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX)
-    (p1, q1), (p2, q2) = _dyadic_u(lo, z0, h), _dyadic_u(hi, z0, h)
-    den = max(q1, q2)
-    p1, p2 = p1 * (den // q1), p2 * (den // q2)
-    leaves = intpoly.isolate(intpoly.affine_image(a, p1, p2, den))
+    stage = _isolate(a, spec.kind, lo, hi)
+    if stage is None:
+        raise UnsupportedError(f"{spec} has a real root beyond the float range")
+    a, leaves, z_at = stage
+    leaves = list(leaves)
     if not leaves:
         return found
-
-    def z_at(c: int, k: int) -> float:
-        # z = z0 + h*(p1 + (p2 - p1)*c/2**k)/den, rounded once
-        return (z0 * den * 2 ** k + h * (p1 * 2 ** k + (p2 - p1) * c)) / (den * 2 ** k)
-
     return sorted(found + _refine(a, leaves, z_at, z0, h))
+
+
+def has_root_in(spec: PolySpec, intervals) -> bool:
+    """Whether the polynomial has a real root in the union of the given
+    Intervals, decided exactly and without locating any root.
+
+    Per interval: a closed finite end is a root when the exact sign there
+    is zero; a root at the series origin is read off the constant term;
+    Descartes' rule on the image of a half-line on (0, inf) settles the
+    rest when its sign variations are zero (no root) or odd (a root); only
+    otherwise does the isolation stage (_isolate) run, and it stops at the
+    first isolated root.  A root beyond the float range counts, so this
+    never raises.  Constants and the zero polynomial have no root.
+    """
+    from . import intpoly
+
+    a = intpoly.trimmed(_exact_series(spec)[0])
+    if len(a) < 2:
+        return False
+    z0, h = _ORIGIN[spec.kind]
+    at_origin, b = _origin_split(a)
+    for iv in intervals:
+        lo, hi = float(iv.lo), float(iv.hi)
+        for end, closed in zip((lo, hi), iv.closed):
+            if closed and math.isfinite(end) and intpoly.sign_at(a, *_dyadic_u(end, z0, h)) == 0:
+                return True
+        if not (hi > lo):
+            continue
+        if at_origin and lo < z0 < hi:
+            return True
+        images = _half_line_images(b, lo, hi, z0, h)
+        if images is not None:
+            counts = [intpoly.variations(image) for image in images]
+            if any(v % 2 for v in counts):
+                return True
+            if not any(counts):
+                continue
+        stage = _isolate(b, spec.kind, lo, hi)
+        if stage is None or any(stage[1]):
+            return True
+    return False
 
 
 def _has_root_beyond(a: list[int], p: int, q: int) -> bool:
@@ -397,7 +495,7 @@ def _has_root_beyond(a: list[int], p: int, q: int) -> bool:
     the 1/u, has one between 0 and q/p."""
     from . import intpoly
 
-    return bool(intpoly.isolate(intpoly.affine_image(a[::-1], 0, q if p > 0 else -q, abs(p))))
+    return any(intpoly.isolate(intpoly.affine_image(a[::-1], 0, q if p > 0 else -q, abs(p))))
 
 
 def _refine(a: list[int], leaves: list, z_at, z0: int, h: int) -> list[float]:

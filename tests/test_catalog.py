@@ -1,7 +1,11 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from shapeinv import (
@@ -19,6 +23,7 @@ from shapeinv import (
     sample_valid_params,
     validity_witness,
 )
+from shapeinv import polynomials
 from shapeinv.catalog import family_data
 from shapeinv.polynomials import monomial_coefficients
 from conftest import denominator
@@ -231,6 +236,71 @@ class TestValidityWitness:
             rep = validity_witness("X1-trigonometric",
                                    ParamPoint(m=edge + step, c=c, beta=beta, d=d))
             assert rep.valid == rep.scan_clear == inside, (edge + step, rep)
+
+
+def _wide(lo, hi):
+    # integers and halves put roots of P+- exactly on the forbidden set's ends
+    return st.one_of(st.floats(min_value=lo, max_value=hi, exclude_min=True, exclude_max=True),
+                     st.integers(2 * lo + 1, 2 * hi - 1).map(lambda k: k / 2))
+
+
+# where each real Xl region forbids a root t of P+-: half-lines, each with
+# its finite end closed
+FORBIDDEN = {"Xl-Poschl-Teller": ((-math.inf, -1), (1, math.inf)),
+             "Xl-radial-oscillator": ((-math.inf, 0),)}
+
+
+class TestWitnessRootTest:
+    """scan_clear against the certified count of the roots it forbids."""
+
+    @given(data=st.data(), tag=st.sampled_from(sorted(FORBIDDEN)),
+           ell=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=100, deadline=None)
+    def test_scan_clear_iff_no_forbidden_root(self, data, tag, ell):
+        if tag == "Xl-Poschl-Teller":
+            B = data.draw(_wide(-6, 1))
+            assume(abs(ell - 2.0 * B - 1.0) >= 1e-9)  # the rejected degenerate prefactor
+            p = ParamPoint(m=data.draw(_wide(-6, 6)), B=B, ell=ell)
+        else:
+            omega = data.draw(st.floats(min_value=0.3, max_value=3.0))
+            p = ParamPoint(m=data.draw(_wide(-8, 4)), omega=omega, ell=ell)
+        fd = family_data(tag, p)
+        offending = 0
+        for spec in (fd.p_plus(p.m), fd.p_minus(p.m)):
+            exact = oracles.exact_coefficients(spec.degree, spec.alpha, spec.beta)
+            if len(exact) < 2:
+                continue  # constants and the zero polynomial have no root
+            for lo, hi in FORBIDDEN[tag]:
+                end = Fraction(hi if math.isinf(lo) else lo)
+                offending += oracles.sturm_count(exact, lo, hi)
+                offending += sum(c * end ** k for k, c in enumerate(exact)) == 0
+        assert get_family(tag, p).family.scan_clear(p.m) == (offending == 0), p
+
+    # each Xl family on both sides of its region, and points where Descartes'
+    # rule is inconclusive, so that the isolation stage runs
+    POINTS = [
+        ("Xl-Poschl-Teller", ParamPoint(m=1.45, B=-2.0, ell=2)),
+        ("Xl-Poschl-Teller", ParamPoint(m=1.55, B=-2.0, ell=2)),
+        ("Xl-Poschl-Teller", ParamPoint(m=2.63, B=-1.25, ell=5)),
+        ("Xl-Poschl-Teller", ParamPoint(m=-3.7, B=-1.93, ell=2)),
+        ("Xl-Poschl-Teller", ParamPoint(m=1.5, B=-2.5, ell=4)),
+        ("Xl-radial-oscillator", ParamPoint(m=-0.55, omega=1.0, ell=2)),
+        ("Xl-radial-oscillator", ParamPoint(m=3.15, omega=1.0, ell=6)),
+        ("Xl-radial-oscillator", ParamPoint(m=3.86, omega=1.0, ell=4)),
+        ("Xl-radial-oscillator", ParamPoint(m=1.0, omega=1.0, ell=3)),
+        ("Xl-PT-Scarf", ParamPoint(m=-0.5, B=0.75, ell=2)),
+        ("Xl-PT-Scarf", ParamPoint(m=1.3, B=-2.5, ell=3)),
+    ]
+
+    def test_witness_locates_no_root(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness refined a root")
+
+        monkeypatch.setattr(polynomials, "_refine", refuse)
+        monkeypatch.setattr(polynomials, "scan_roots", refuse)
+        verdicts = {(tag, validity_witness(tag, p).scan_clear) for tag, p in self.POINTS}
+        assert verdicts == {(tag, clear) for tag in ("Xl-Poschl-Teller", "Xl-radial-oscillator",
+                                                      "Xl-PT-Scarf") for clear in (True, False)}
 
 
 class TestAffineRecord:

@@ -382,9 +382,9 @@ class TestScan:
         columns = np.asarray(rows[1:], dtype=float).T
         fam = get_family(tag, p).family
         grid = make_grid(fam, GridSpec(), m_values=m_list)
-        _, samples = check_compatibility(fam, m_list, grid)
-        eps = np.array([e for _, e in samples])
-        assert np.array_equal(columns[0], [x for x, _ in samples])
+        _, (xs, eps) = check_compatibility(fam, m_list, grid)
+        eps = np.asarray(eps, dtype=complex)
+        assert np.array_equal(columns[0], xs)
         assert np.array_equal(columns[0], grid)
         assert np.array_equal(columns[1], eps.real)
         assert np.array_equal(columns[2], eps.imag)

@@ -66,9 +66,10 @@ class TestTrivialFamily:
         grid = np.linspace(0.3, 6.0, 200)
         m = 2.0
         assert check_translation(free_radial, m, grid) == 0.0
-        resid, samples = check_compatibility(free_radial, (m, m - 1.0), grid)
+        resid, (xs, eps) = check_compatibility(free_radial, (m, m - 1.0), grid)
         assert resid == 0.0
-        assert all(e == 0.0 for _, e in samples)
+        assert np.array_equal(xs, grid)
+        assert np.all(eps == 0.0)
         assert check_algebra_condition(free_radial, m, grid) == 0.0
         assert check_equivalence_chain(free_radial, m, grid) == (0.0, 0.0, 0.0)
 

@@ -11,8 +11,10 @@ from shapeinv import DEGREE_CAP, JACOBI, LAGUERRE, PolySpec, poly_deriv, poly_ev
 from shapeinv import intpoly, polynomials
 from shapeinv.errors import DomainError, UnsupportedError
 from shapeinv.polynomials import (
+    Interval,
     _series_coefficients,
     has_imaginary_root,
+    has_root_in,
     monomial_coefficients,
     poly_deriv2,
     root_window,
@@ -454,6 +456,97 @@ class TestCertifiedRoots:
         for r in roots:
             assert interval[0] < r < interval[1]
             assert min(abs(rho - r) / max(1.0, abs(rho)) for rho in reference) <= 1e-10
+
+
+INF = math.inf
+# open and closed ends, half-lines on either side of both series origins
+INTERVALS = (
+    Interval(-INF, INF), Interval(1.0, INF), Interval(1.0, INF, (True, False)),
+    Interval(-INF, -1.0), Interval(-INF, -1.0, (False, True)), Interval(0.0, INF),
+    Interval(-INF, 0.0, (False, True)), Interval(-1.0, 1.0), Interval(-1.0, 1.0, (True, True)),
+    Interval(-2.5, 0.5, (True, False)),
+)
+
+
+def oracle_has_root(exact, intervals):
+    """A root of the Fraction polynomial in the union, by Sturm on each open
+    interval and exact values at the closed finite ends."""
+    if len(exact) < 2:
+        return False
+    for iv in intervals:
+        if oracles.sturm_count(exact, iv.lo, iv.hi):
+            return True
+        for end, closed in zip((iv.lo, iv.hi), iv.closed):
+            if closed and math.isfinite(end) and sum(
+                    c * Fraction(end) ** k for k, c in enumerate(exact)) == 0:
+                return True
+    return False
+
+
+class TestHasRootIn:
+    """The existence query against the Sturm oracle."""
+
+    # integers and halves put roots exactly on the ends +-1 and 0
+    param = st.one_of(st.floats(min_value=-16, max_value=8, allow_nan=False),
+                      st.integers(min_value=-32, max_value=16).map(lambda k: k / 2))
+
+    @given(
+        jacobi=st.booleans(),
+        n=st.integers(min_value=1, max_value=12),
+        a=param,
+        b=param,
+        intervals=st.lists(st.sampled_from(INTERVALS), min_size=1, max_size=2),
+    )
+    # Descartes inconclusive on (-inf, 0]: isolation finds a root, or none
+    @example(jacobi=False, n=3, a=1.0, b=0.0, intervals=[Interval(1.0, INF, (True, False))])
+    @example(jacobi=False, n=4, a=-8.34, b=0.0, intervals=[Interval(-INF, 0.0, (False, True))])
+    # L_2^(-2) = z**2 / 2: its only root is at the series origin
+    @example(jacobi=False, n=2, a=-2.0, b=0.0, intervals=[Interval(-1.0, 1.0)])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sturm(self, jacobi, n, a, b, intervals):
+        spec = PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a)
+        exact = oracles.exact_coefficients(n, a, b if jacobi else None)
+        assert has_root_in(spec, intervals) == oracle_has_root(exact, intervals)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_root_on_a_closed_end(self, n):
+        # P_n^(alpha, beta)(1) = L_n^(alpha)(0) = (alpha + 1)_n / n!, zero at
+        # alpha = -1, ..., -n: only the closed end holds that root
+        for k in range(1, n + 1):
+            for spec, at, open_side, closed_side in (
+                    (PolySpec(JACOBI, n, -k, 0.3), 1.0, Interval(1.0, INF),
+                     Interval(1.0, INF, (True, False))),
+                    (PolySpec(LAGUERRE, n, -k), 0.0, Interval(-INF, 0.0),
+                     Interval(-INF, 0.0, (False, True)))):
+                exact = oracles.exact_coefficients(n, spec.alpha, spec.beta)
+                assert sum(c * Fraction(at) ** j for j, c in enumerate(exact)) == 0
+                assert has_root_in(spec, (closed_side,))
+                assert has_root_in(spec, (open_side,)) == bool(
+                    oracles.sturm_count(exact, open_side.lo, open_side.hi))
+
+    def test_root_beyond_float_range_counts(self):
+        # P_2^(5e-324, -4) has the roots 2 and about -1.6e324
+        spec = PolySpec(JACOBI, 2, 5e-324, -4.0)
+        assert has_root_in(spec, (Interval(1.0, INF),))
+        assert has_root_in(spec, (Interval(-INF, -1.0, (False, True)),))
+        assert not has_root_in(spec, (Interval(-1.0, 1.0, (True, True)),))
+        # both roots on one half-line: Descartes is inconclusive, and the
+        # isolation stage meets the root that real_roots_in refuses
+        assert has_root_in(spec, (Interval(-INF, 3.0),))
+        with pytest.raises(UnsupportedError):
+            real_roots_in(spec, (-INF, 3.0))
+
+    def test_constants_have_no_root(self):
+        assert not has_root_in(PolySpec(JACOBI, 0, 1.0, 1.0), INTERVALS)
+        # P_1^(-1, -1) is the zero polynomial
+        assert not has_root_in(PolySpec(JACOBI, 1, -1.0, -1.0), INTERVALS)
+
+
+class TestInterval:
+    def test_membership(self):
+        assert 1.0 not in Interval(1.0, INF) and 1.0 in Interval(1.0, INF, (True, False))
+        assert 0.5 in Interval(0.0, 1.0) and -0.5 not in Interval(0.0, 1.0)
+        assert INF not in Interval(1.0, INF) and INF not in Interval(1.0, INF, (True, True))
 
 
 class TestMonomialBasis:
