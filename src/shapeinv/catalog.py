@@ -196,6 +196,17 @@ def _affine(data: FamilyData, g_dd: Callable):
     return affine
 
 
+def _scan_clear(data: FamilyData, m) -> bool:
+    """The certified witness test: no root of P+-(m) where the region forbids one."""
+    pair = (data.p_plus, data.p_minus)
+    if data.scan is not None:
+        return all(data.scan(P(m)) for P in pair)
+    if data.linear:
+        return not any(t in iv for P in pair for t in _roots(data, P, m, -np.inf, np.inf)
+                       for iv in data.forbidden)
+    return not any(has_root_in(P(m), data.forbidden) for P in pair)
+
+
 def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> SuperpotentialFamily:
     pair = (data.p_plus, data.p_minus)
     dR = _deriv(data.R)
@@ -210,19 +221,12 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
             found += [float(data.g_inv(t)) for P in pair for t in _roots(data, P, m, *data.g_range)]
         return tuple(sorted(found))
 
-    def scan_clear(m):
-        if data.scan is not None:
-            return all(data.scan(P(m)) for P in pair)
-        if data.linear:
-            return not any(t in iv for P in pair for t in _roots(data, P, m, -np.inf, np.inf)
-                           for iv in data.forbidden)
-        return not any(has_root_in(P(m), data.forbidden) for P in pair)
-
     return SuperpotentialFamily(
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
         affine=_affine(data, g_dd), w1plus=_log_derivs(data, data.p_plus, g_dd),
         w1minus=_log_derivs(data, data.p_minus, g_dd),
-        validity_fn=data.validity, poles_fn=poles, scan_clear_fn=scan_clear,
+        validity_fn=data.validity, poles_fn=poles,
+        scan_clear_fn=functools.partial(_scan_clear, data),
     )
 
 
@@ -423,9 +427,9 @@ def validity_witness(tag: str, params: ParamPoint) -> ValidityReport:
     certified test on the roots of P+- (belt and braces: the two must
     agree).  Xl-PT-Scarf's predicate is that test, so there the cross-check
     is not independent and `agrees` always holds."""
-    family = get_family(tag, params).family
-    verdict = family.validity(params.m)
-    clear = family.scan_clear(params.m)
+    data = family_data(tag, params)
+    verdict = data.validity(params.m)
+    clear = _scan_clear(data, params.m)
     return ValidityReport(verdict.valid, verdict.violated, clear, clear == verdict.valid)
 
 

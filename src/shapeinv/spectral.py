@@ -24,6 +24,14 @@ _IMAG_LEAK_TOL = 1e-9
 _EDGE_MARGIN_ABOVE_TOP_LEVEL = 25.0
 # Abscissae of the grid on which the window search estimates the k-th level
 _PROBE_POINTS = 400
+_EPS = float(np.finfo(float).eps)
+# Inverse-iteration steps per level before its solve falls back to bisection
+_MAX_STEPS = 8
+# In units of eps*||T||_1: the residual at which inverse iteration stops, and
+# the guard added to each residual bound for the rounding in computing it
+# and in the Sturm count
+_RESIDUAL_ULPS = 4.0
+_GUARD_ULPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -109,24 +117,99 @@ def remainder(family: SuperpotentialFamily, m: float, grid):
     return r, float(np.max(np.abs(diff - r)))
 
 
-def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
+def _tridiagonal(values: np.ndarray, h: float):
+    """(diagonal, off-diagonal) of the central-difference -d^2/dx^2 + V."""
+    return 2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h))
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Levels first..last (0-based, ascending) by bisection to eps*||T||_1."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only spectra need it
     from scipy.linalg import eigh_tridiagonal
 
-    diag = 2.0 / (h * h) + values
-    off = np.full(values.size - 1, -1.0 / (h * h))
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+    return eigh_tridiagonal(diag, off, select="i", select_range=(first, last),
                             eigvals_only=True)
+
+
+def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
+    """The k lowest levels of the grid's matrix, by bisection."""
+    return _bisect(*_tridiagonal(values, h), 0, k - 1)
+
+
+def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float):
+    """(rho, r) from fixed-shift inverse iteration on T - shift*I: the
+    Rayleigh quotient rho of the unit iterate v and r = ||T v - rho v||,
+    computed from T itself.  None where T - shift*I is singular or r stays
+    above tol for _MAX_STEPS steps."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    dl, d, du, du2, ipiv, info = dgttrf(off, diag - shift, off)
+    if info != 0:
+        return None
+    v = start
+    for _ in range(_MAX_STEPS):
+        v, info = dgttrs(dl, d, du, du2, ipiv, v)
+        v /= np.linalg.norm(v)
+        tv = diag * v
+        tv[1:] += off * v[:-1]
+        tv[:-1] += off * v[1:]
+        rho = float(v @ tv)
+        r = float(np.linalg.norm(tv - rho * v))
+        if r <= tol:
+            return rho, r
+    return None
+
+
+def _certified_levels(values: np.ndarray, h: float, shifts) -> np.ndarray:
+    """The len(shifts) lowest levels of the grid's matrix T, refined from
+    the shifts by inverse iteration and accepted under a certificate;
+    bisection where the certificate fails.
+
+    Each refined value rho_i has an eigenvalue of T within its residual r_i
+    (v has unit norm to within n*eps) plus a rounding guard.  When those
+    intervals are pairwise disjoint and one Sturm count finds exactly
+    len(shifts) eigenvalues up to the top of the highest, each interval
+    holds one of the lowest levels, in order.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    diag, off = _tridiagonal(values, h)
+    k = len(shifts)
+    # Gershgorin: ||T||_1 is at most norm, and no eigenvalue lies below floor
+    norm = float(np.max(np.abs(diag))) + 2.0 / (h * h)
+    floor = float(np.min(diag)) - 2.0 / (h * h)
+    tol, guard = _RESIDUAL_ULPS * _EPS * norm, _GUARD_ULPS * _EPS * norm
+    # a fixed random start: a symmetric one would miss every odd level of
+    # a symmetric potential
+    start = np.random.default_rng(0).standard_normal(values.size)
+    found = []
+    for s in shifts:
+        found.append(_inverse_iteration(diag, off, float(s), start, tol))
+        if found[-1] is None:
+            break
+    else:
+        rho, r = np.asarray(sorted(found)).T
+        lo, hi = rho - r - guard, rho + r + guard
+        if np.all(lo[1:] > hi[:-1]):
+            # abstol spans the whole interval: dstebz counts, no bisection
+            count, *_, info = dstebz(diag, off, 1, floor - guard, hi[-1], 0, 0,
+                                     hi[-1] - floor, b"E")
+            if info == 0 and count == k:
+                return rho
+    return _bisect(diag, off, 0, k - 1)
 
 
 def solve_spectrum(potential: PotentialGrid, k: int) -> SpectrumResult:
     """k lowest Dirichlet eigenvalues of -d^2/dx^2 + V.
 
     The grid holds interior nodes of a uniform mesh; the Dirichlet walls sit
-    one spacing outside both ends.  The per-level error estimate compares
-    with the spacing-doubled (subsampled) problem, scaled by the 1/3 factor
-    of second-order Richardson extrapolation.
+    one spacing outside both ends.  The spacing-doubled (subsampled) problem
+    is solved by bisection; its levels are the shifts from which inverse
+    iteration refines the fine-grid levels, which are accepted only under a
+    residual and Sturm-count certificate and otherwise bisected as well.
+    The per-level error estimate compares the two grids, scaled by the 1/3
+    factor of second-order Richardson extrapolation.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -137,8 +220,8 @@ def solve_spectrum(potential: PotentialGrid, k: int) -> SpectrumResult:
     h = float(steps[0])
     if float(np.max(np.abs(steps - h))) > 1e-9 * h:
         raise UsageError("solve_spectrum needs a uniform grid")
-    evals = _lowest_eigenvalues(potential.values, h, k)
     coarse = _lowest_eigenvalues(potential.values[1::2], 2.0 * h, k)
+    evals = _certified_levels(potential.values, h, coarse)
     return SpectrumResult(
         eigenvalues=evals,
         grid_size=n,
@@ -212,7 +295,7 @@ def spectral_window(family: SuperpotentialFamily, m_values, k: int) -> tuple[flo
     for _ in range(3):
         x = dirichlet_grid(a, b, _PROBE_POINTS)
         _, v_plus = partner_potentials(family, m_values[0], x)
-        top = float(_lowest_eigenvalues(v_plus.values, x[1] - x[0], k)[-1])
+        top = float(_bisect(*_tridiagonal(v_plus.values, x[1] - x[0]), k - 1, k - 1)[0])
         target = top + _EDGE_MARGIN_ABOVE_TOP_LEVEL
 
         if math.isinf(hi):
@@ -220,7 +303,7 @@ def spectral_window(family: SuperpotentialFamily, m_values, k: int) -> tuple[flo
         if math.isinf(lo):
             a = _grow_edge(family, m_values,
                            _steps(a, lambda t: t * 1.4 if t < 0 else t - 1.0, 60), target, 1.0)
-        if lo == 0.0 and not math.isinf(lo):
+        if lo == 0.0:
             halves = [a]
             while halves[-1] > 1e-4:
                 halves.append(halves[-1] / 2.0)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapeinv import (
     REAL_TAGS,
@@ -163,6 +165,111 @@ class TestSolveSpectrum:
         with pytest.raises(ValueError):
             PotentialGrid(x=np.asarray([0.0, 1.0]), values=np.asarray([np.nan, 0.0]),
                           which="minus", m=0.0)
+
+
+def dense_levels(potential, k):
+    """(k lowest eigenvalues, ||T||_1) of the dense finite-difference matrix,
+    through LAPACK's dense symmetric solver rather than tridiagonal bisection."""
+    h = potential.x[1] - potential.x[0]
+    n = potential.x.size
+    t = (np.diag(2.0 / (h * h) + potential.values)
+         + np.diag(np.full(n - 1, -1.0 / (h * h)), 1)
+         + np.diag(np.full(n - 1, -1.0 / (h * h)), -1))
+    return np.linalg.eigvalsh(t)[:k], float(np.max(np.sum(np.abs(t), axis=0)))
+
+
+# The certified levels are within 12 eps*||T||_1 of T's eigenvalues, and
+# bisection, the fallback, within a few; the dense solver adds its own
+# rounding of the same order
+ORACLE_ULPS = 32.0
+
+
+def assert_matches_dense(potential, k):
+    got = solve_spectrum(potential, k).eigenvalues
+    want, norm = dense_levels(potential, k)
+    assert np.max(np.abs(got - want)) <= ORACLE_ULPS * np.finfo(float).eps * norm
+
+
+class TestSolveSpectrumOracle:
+    """solve_spectrum against the dense matrix's eigenvalues."""
+
+    @given(n=st.integers(64, 600), k=st.integers(1, 8), length=st.floats(1.0, 30.0),
+           well=st.floats(0.0, 1000.0), ripple=st.floats(0.0, 50.0),
+           frequency=st.floats(0.0, 3.0), offset=st.floats(-50.0, 50.0))
+    @settings(max_examples=40, deadline=None)
+    def test_smooth_potentials(self, n, k, length, well, ripple, frequency, offset):
+        # a well with ripples, in units of 1/length**2; deep ripples make
+        # near-degenerate pairs, which reach the failure path
+        xs = dirichlet_grid(0.0, length, n)
+        u = xs / length - 0.5
+        values = (well * u * u + ripple * np.cos(frequency * 2.0 * np.pi * u)) / length ** 2 + offset
+        assert_matches_dense(PotentialGrid(x=xs, values=values, which="minus", m=0.0),
+                             min(k, n // 8))
+
+    @given(n=st.integers(64, 600), k=st.integers(1, 8), scale=st.floats(0.0, 1e4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rough_potentials(self, n, k, scale, seed):
+        # node-to-node noise: the coarse grid's levels can be far from the
+        # fine grid's, so these reach the certificate's failure path too
+        xs = dirichlet_grid(0.0, 1.0, n)
+        values = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        assert_matches_dense(PotentialGrid(x=xs, values=values, which="minus", m=0.0),
+                             min(k, n // 8))
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_catalog_partners_on_their_window(self, tag):
+        for p in sample_valid_params(tag, 2, seed=5):
+            fam = get_family(tag, p).family
+            a, b = spectral_window(fam, (p.m, p.m - 1.0), 5)
+            for potential in partner_potentials(fam, p.m, dirichlet_grid(a, b, 600)):
+                assert_matches_dense(potential, 5)
+
+
+class TestCertificate:
+    """Shifts that lead inverse iteration to the wrong levels must not be
+    accepted: _certified_levels then returns bisection's values."""
+
+    XS = dirichlet_grid(-10.0, 10.0, 600)
+    H = XS[1] - XS[0]
+    VALUES = XS ** 2
+
+    def levels(self, k):
+        from shapeinv.spectral import _lowest_eigenvalues
+
+        return _lowest_eigenvalues(self.VALUES, self.H, k)
+
+    def certified(self, shifts, monkeypatch):
+        """(levels, number of bisection calls) for these shifts."""
+        from shapeinv import spectral
+
+        calls = []
+        bisect = spectral._bisect
+        monkeypatch.setattr(spectral, "_bisect", lambda *a: calls.append(a) or bisect(*a))
+        return spectral._certified_levels(self.VALUES, self.H, shifts), len(calls)
+
+    def test_shifts_near_the_levels_are_accepted(self, monkeypatch):
+        got, calls = self.certified(self.levels(5) + 0.01, monkeypatch)
+        assert calls == 0
+        assert np.max(np.abs(got - self.levels(5))) < 1e-9
+
+    @pytest.mark.parametrize("picks", [
+        (0, 1, 2, 3, 5),  # skips level 4: only the Sturm count sees it
+        (0, 0, 1, 2, 4),  # two shifts on level 0 and level 3 skipped: the
+                          # count is 5, only the disjointness test sees it
+    ])
+    def test_wrong_levels_fall_back_to_bisection(self, picks, monkeypatch):
+        shifts = self.levels(6)[list(picks)] + np.asarray([0.01, -0.01, 0.01, 0.01, 0.01])
+        got, calls = self.certified(shifts, monkeypatch)
+        assert calls == 1
+        assert np.array_equal(got, self.levels(5))
+
+    def test_shift_between_two_levels_falls_back(self, monkeypatch):
+        # equidistant from levels 0 and 1: no convergence within the step cap
+        lv = self.levels(2)
+        got, calls = self.certified([lv[0], (lv[0] + lv[1]) / 2.0], monkeypatch)
+        assert calls == 1
+        assert np.array_equal(got, lv)
 
 
 class TestIsospectrality:
