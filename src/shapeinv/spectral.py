@@ -3,11 +3,18 @@
 V-(x) = W^2 - W' and V+(x) = W^2 + W' form the partner pair; shape
 invariance under m -> m-1 means V+(x, m) - V-(x, m-1) is a constant R(m).
 The eigensolver is a second-order central-difference Hamiltonian
--d^2/dx^2 + V with Dirichlet ends, solved through a symmetric tridiagonal
-routine.  Isospectrality is validated via the constant-shift route: the
-spectra of V+(., m) and V-(., m-1) + R must coincide level by level, which
-exercises the whole pipeline, discretization included.  The complex
-PT-symmetric family is excluded from spectra by contract.
+-d^2/dx^2 + V with Dirichlet ends on a symmetric tridiagonal matrix.
+Isospectrality is validated via the constant-shift route: the spectra of
+V+(., m) and V-(., m-1) + R must coincide level by level, which exercises
+the whole pipeline, discretization included.  The complex PT-symmetric
+family is excluded from spectra by contract.
+
+Only the window search's 400-point probe is bisected.  Every other level
+set is refined by inverse iteration from shifts: V+'s spacing-doubled grid
+from the probe's levels, V-'s from V+'s levels - R, and each fine grid
+from its own spacing-doubled levels.  A level set is accepted only under a
+certificate on its own matrix (disjoint residual intervals and one Sturm
+count); where that fails, the matrix is bisected instead.
 """
 
 from __future__ import annotations
@@ -108,13 +115,18 @@ def partner_potentials(family: SuperpotentialFamily, m: float, grid):
     )
 
 
+def _shift(v_plus: PotentialGrid, v_minus_prev: PotentialGrid):
+    """(R, flatness) of V+ - V- on their shared grid: mean and max deviation."""
+    diff = v_plus.values - v_minus_prev.values
+    r = float(np.mean(diff))
+    return r, float(np.max(np.abs(diff - r)))
+
+
 def remainder(family: SuperpotentialFamily, m: float, grid):
     """(R, flatness) of V+(x, m) - V-(x, m-1): mean and max deviation."""
     _, v_plus = partner_potentials(family, m, grid)
     v_minus_prev, _ = partner_potentials(family, m - 1.0, grid)
-    diff = v_plus.values - v_minus_prev.values
-    r = float(np.mean(diff))
-    return r, float(np.max(np.abs(diff - r)))
+    return _shift(v_plus, v_minus_prev)
 
 
 def _tridiagonal(values: np.ndarray, h: float):
@@ -200,19 +212,24 @@ def _certified_levels(values: np.ndarray, h: float, shifts) -> np.ndarray:
     return _bisect(diag, off, 0, k - 1)
 
 
-def solve_spectrum(potential: PotentialGrid, k: int) -> SpectrumResult:
+def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumResult:
     """k lowest Dirichlet eigenvalues of -d^2/dx^2 + V.
 
     The grid holds interior nodes of a uniform mesh; the Dirichlet walls sit
-    one spacing outside both ends.  The spacing-doubled (subsampled) problem
-    is solved by bisection; its levels are the shifts from which inverse
-    iteration refines the fine-grid levels, which are accepted only under a
-    residual and Sturm-count certificate and otherwise bisected as well.
+    one spacing outside both ends.  The spacing-doubled (subsampled)
+    problem's levels are refined by inverse iteration from shifts, estimates
+    of the k lowest levels, when they are given, and bisected otherwise.
+    They are in turn the shifts from which the fine-grid levels are refined.
+    Each refined level set is accepted only under a residual and Sturm-count
+    certificate on its own matrix, and that matrix is bisected where the
+    certificate fails, so bad shifts cost time but cannot yield wrong levels.
     The per-level error estimate compares the two grids, scaled by the 1/3
     factor of second-order Richardson extrapolation.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
+    if shifts is not None and len(shifts) != k:
+        raise UsageError(f"{len(shifts)} shifts for k = {k} levels")
     n = potential.x.size
     if k > n // 8:
         raise UsageError(f"k = {k} too large for a {n}-point grid")
@@ -220,7 +237,10 @@ def solve_spectrum(potential: PotentialGrid, k: int) -> SpectrumResult:
     h = float(steps[0])
     if float(np.max(np.abs(steps - h))) > 1e-9 * h:
         raise UsageError("solve_spectrum needs a uniform grid")
-    coarse = _lowest_eigenvalues(potential.values[1::2], 2.0 * h, k)
+    if shifts is None:
+        coarse = _lowest_eigenvalues(potential.values[1::2], 2.0 * h, k)
+    else:
+        coarse = _certified_levels(potential.values[1::2], 2.0 * h, shifts)
     evals = _certified_levels(potential.values, h, coarse)
     return SpectrumResult(
         eigenvalues=evals,
@@ -273,13 +293,21 @@ def _steps(start: float, step, n: int) -> list:
     return out
 
 
-def spectral_window(family: SuperpotentialFamily, m_values, k: int) -> tuple[float, float]:
-    """Truncation window whose edge potentials dominate the top level sought.
+def spectral_window(family: SuperpotentialFamily, m_values,
+                    k: int) -> tuple[tuple[float, float], np.ndarray]:
+    """((a, b), levels): a truncation window whose edge potentials dominate
+    the top level sought, and the k lowest levels of V+(., m_values[0]) on
+    the last probe grid, bisected.
 
-    Edges grow (or the margins shrink) until V at both ends exceeds the k-th
-    eigenvalue estimate plus a fixed margin; growth stops early when V
+    Each pass bisects V+ on a 400-point probe grid of the current window for
+    the k-th level estimate.  Edges grow (or the margins shrink) until V at
+    both ends exceeds it plus a fixed margin; growth stops early when V
     saturates (hyperbolic plateaus), which is harmless for the constant-shift
-    comparison because both potentials are truncated identically.
+    comparison because both potentials are truncated identically.  A pass
+    depends only on the window it starts from, so the search stops after a
+    pass that leaves the window unchanged, and after 3 passes at most.  The
+    levels then belong to the returned window, except after a third pass
+    that still moved an edge.
     """
     lo, hi = family.domain
     if math.isinf(lo) and math.isinf(hi):
@@ -293,10 +321,11 @@ def spectral_window(family: SuperpotentialFamily, m_values, k: int) -> tuple[flo
         a, b = lo + 1e-3 * width, hi - 1e-3 * width
 
     for _ in range(3):
+        start = (a, b)
         x = dirichlet_grid(a, b, _PROBE_POINTS)
         _, v_plus = partner_potentials(family, m_values[0], x)
-        top = float(_bisect(*_tridiagonal(v_plus.values, x[1] - x[0]), k - 1, k - 1)[0])
-        target = top + _EDGE_MARGIN_ABOVE_TOP_LEVEL
+        levels = _lowest_eigenvalues(v_plus.values, x[1] - x[0], k)
+        target = float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
 
         if math.isinf(hi):
             b = _grow_edge(family, m_values, _steps(b, lambda t: t * 1.4, 60), target, 1.0)
@@ -308,30 +337,34 @@ def spectral_window(family: SuperpotentialFamily, m_values, k: int) -> tuple[flo
             while halves[-1] > 1e-4:
                 halves.append(halves[-1] / 2.0)
             a = _grow_edge(family, m_values, halves, target, 0.0)
-        if not math.isinf(lo) and not math.isinf(hi) and lo != 0.0:
+        if (a, b) == start:
             break
-    return float(a), float(b)
+    return (float(a), float(b)), levels
 
 
 def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = 5,
                          n_points: int = 4000) -> IsospectralResult:
     """Max relative level mismatch of spectrum(V+(., m)) vs
-    spectrum(V-(., m-1)) + R over the k lowest levels, on one shared grid."""
+    spectrum(V-(., m-1)) + R over the k lowest levels, on one shared grid.
+
+    Shape invariance makes each level set a near-exact shift for the next:
+    V+ is seeded with the window probe's bisected levels and V- with V+'s
+    levels - R.  Each matrix is still certified on its own values, with
+    bisection as the fallback, so the minus spectrum stays an independent
+    measurement and a broken family still shows its mismatch.
+    """
     if k < 1:
         raise UsageError("k must be >= 1")
     if n_points < 8 * k:
         raise UsageError(f"k = {k} too large for a {n_points}-point grid")
-    window = spectral_window(family, (m, m - 1.0), k)
+    window, probe = spectral_window(family, (m, m - 1.0), k)
     x = dirichlet_grid(window[0], window[1], n_points)
     _, v_plus = partner_potentials(family, m, x)
     v_minus_prev, _ = partner_potentials(family, m - 1.0, x)
+    r, flatness = _shift(v_plus, v_minus_prev)
 
-    diff = v_plus.values - v_minus_prev.values
-    r = float(np.mean(diff))
-    flatness = float(np.max(np.abs(diff - r)))
-
-    sp = solve_spectrum(v_plus, k)
-    sm = solve_spectrum(v_minus_prev, k)
+    sp = solve_spectrum(v_plus, k, shifts=probe)
+    sm = solve_spectrum(v_minus_prev, k, shifts=sp.eigenvalues - r)
     shifted = sm.eigenvalues + r
     denom = np.maximum(np.maximum(np.abs(sp.eigenvalues), np.abs(shifted)), 1.0)
     mismatch = float(np.max(np.abs(sp.eigenvalues - shifted) / denom))

@@ -130,7 +130,7 @@ class TestSolveSpectrum:
         fam = get_family("X1-radial-oscillator", p).family
         from shapeinv.spectral import spectral_window
 
-        a, b = spectral_window(fam, (p.m,), 5)
+        (a, b), _ = spectral_window(fam, (p.m,), 5)
         levels = []
         for n in (2000, 4000):
             xs = dirichlet_grid(a, b, n)
@@ -158,6 +158,8 @@ class TestSolveSpectrum:
                               which="minus", m=0.0)
         with pytest.raises(UsageError):
             solve_spectrum(bumpy, 2)
+        with pytest.raises(UsageError):
+            solve_spectrum(pot, 3, shifts=[1.0, 2.0])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -167,10 +169,12 @@ class TestSolveSpectrum:
                           which="minus", m=0.0)
 
 
-def dense_levels(potential, k):
+def dense_levels(potential, k, h=None):
     """(k lowest eigenvalues, ||T||_1) of the dense finite-difference matrix,
-    through LAPACK's dense symmetric solver rather than tridiagonal bisection."""
-    h = potential.x[1] - potential.x[0]
+    through LAPACK's dense symmetric solver rather than tridiagonal bisection.
+    h defaults to the potential's first spacing."""
+    if h is None:
+        h = potential.x[1] - potential.x[0]
     n = potential.x.size
     t = (np.diag(2.0 / (h * h) + potential.values)
          + np.diag(np.full(n - 1, -1.0 / (h * h)), 1)
@@ -221,7 +225,7 @@ class TestSolveSpectrumOracle:
     def test_catalog_partners_on_their_window(self, tag):
         for p in sample_valid_params(tag, 2, seed=5):
             fam = get_family(tag, p).family
-            a, b = spectral_window(fam, (p.m, p.m - 1.0), 5)
+            (a, b), _ = spectral_window(fam, (p.m, p.m - 1.0), 5)
             for potential in partner_potentials(fam, p.m, dirichlet_grid(a, b, 600)):
                 assert_matches_dense(potential, 5)
 
@@ -241,12 +245,10 @@ class TestCertificate:
 
     def certified(self, shifts, monkeypatch):
         """(levels, number of bisection calls) for these shifts."""
-        from shapeinv import spectral
+        from shapeinv.spectral import _certified_levels
 
-        calls = []
-        bisect = spectral._bisect
-        monkeypatch.setattr(spectral, "_bisect", lambda *a: calls.append(a) or bisect(*a))
-        return spectral._certified_levels(self.VALUES, self.H, shifts), len(calls)
+        calls = bisected_sizes(monkeypatch)
+        return _certified_levels(self.VALUES, self.H, shifts), len(calls)
 
     def test_shifts_near_the_levels_are_accepted(self, monkeypatch):
         got, calls = self.certified(self.levels(5) + 0.01, monkeypatch)
@@ -374,10 +376,33 @@ def line_family(k0, k0_deriv):
                         domain=(-np.inf, np.inf), m=0.0)
 
 
+def window(family, m_values, k):
+    """spectral_window's window without its probe levels."""
+    return spectral_window(family, m_values, k)[0]
+
+
+def probe_levels(family, m, window, k):
+    """The k lowest levels of V+(., m) on the window's probe grid, bisected."""
+    from shapeinv.spectral import _PROBE_POINTS, _lowest_eigenvalues
+
+    x = dirichlet_grid(window[0], window[1], _PROBE_POINTS)
+    _, v_plus = partner_potentials(family, m, x)
+    return _lowest_eigenvalues(v_plus.values, x[1] - x[0], k)
+
+
+# The families of the window and seeded-solve tests' perturbed controls
+CONTROLS = ["X1-radial-oscillator", "Xl-Poschl-Teller"]
+
+
+def perturbed_control(tag):
+    p = sample_valid_params(tag, 1, seed=4)[0]
+    return with_perturbation(get_family(tag, p).family, "wplus-slope", 0.05), p.m
+
+
 class TestSpectralWindow:
     """The edge potential at every growth candidate of a side comes from one
     array call per m; the window must be the one the step-by-step rule
-    reaches, bit for bit."""
+    reaches, bit for bit, and the levels those of its last probe."""
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_points(self, tag):
@@ -385,14 +410,16 @@ class TestSpectralWindow:
             fam = get_family(tag, p).family
             for k in (3, 5):
                 m_values = (p.m, p.m - 1.0)
-                assert spectral_window(fam, m_values, k) == reference_window(fam, m_values, k)
+                got, levels = spectral_window(fam, m_values, k)
+                assert got == reference_window(fam, m_values, k)
+                # these points settle within 3 passes: the probe saw this window
+                assert np.array_equal(levels, probe_levels(fam, p.m, got, k))
 
-    @pytest.mark.parametrize("tag", ["X1-radial-oscillator", "Xl-Poschl-Teller"])
+    @pytest.mark.parametrize("tag", CONTROLS)
     def test_perturbed_controls(self, tag):
-        p = sample_valid_params(tag, 1, seed=4)[0]
-        fam = with_perturbation(get_family(tag, p).family, "wplus-slope", 0.05)
-        m_values = (p.m, p.m - 1.0)
-        assert spectral_window(fam, m_values, 5) == reference_window(fam, m_values, 5)
+        fam, m = perturbed_control(tag)
+        m_values = (m, m - 1.0)
+        assert window(fam, m_values, 5) == reference_window(fam, m_values, 5)
 
     @pytest.mark.parametrize("m_values, edge", [
         ((1.05,), 0.025), ((1.0 + 1e-9,), 0.1 / 2 ** 10), ((0.5,), 0.1),
@@ -407,26 +434,26 @@ class TestSpectralWindow:
         fam = plain_family(k0=zero, k0_deriv=zero, k1=lambda x: 1.0 / x,
                            k1_deriv=lambda x: -1.0 / (x * x), domain=(0.0, np.inf),
                            m=m_values[0])
-        window = spectral_window(fam, m_values, 5)
-        assert window == reference_window(fam, m_values, 5)
-        assert window[0] == edge
+        got = window(fam, m_values, 5)
+        assert got == reference_window(fam, m_values, 5)
+        assert got[0] == edge
 
     def test_overflowing_candidates_not_reached(self):
         # W = sinh(x): V overflows near x = 710, far beyond the edge reached
         fam = line_family(np.sinh, np.cosh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            window = spectral_window(fam, (0.0, -1.0), 5)
-        assert window == reference_window(fam, (0.0, -1.0), 5)
+            got = window(fam, (0.0, -1.0), 5)
+        assert got == reference_window(fam, (0.0, -1.0), 5)
 
     def test_growth_to_a_plateau(self):
         # W = 6 tanh(x/8): V saturates at 36, below the target, so both
         # sides grow until a step gains less than 1
         fam = line_family(lambda x: 6.0 * np.tanh(x / 8.0),
                           lambda x: 0.75 / np.cosh(x / 8.0) ** 2)
-        window = spectral_window(fam, (0.0, -1.0), 3)
-        assert window == reference_window(fam, (0.0, -1.0), 3)
-        assert window == (-8.0 * 1.4 * 1.4, 8.0 * 1.4 * 1.4)
+        got = window(fam, (0.0, -1.0), 3)
+        assert got == reference_window(fam, (0.0, -1.0), 3)
+        assert got == (-8.0 * 1.4 * 1.4, 8.0 * 1.4 * 1.4)
 
     def test_flat_potential_stays_put(self):
         # W = 3: V = 9 everywhere, so no step gains anything on either end
@@ -436,8 +463,7 @@ class TestSpectralWindow:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         fam = plain_family(k0=three, k0_deriv=zero, k1=zero, k1_deriv=zero,
                            domain=(0.0, np.inf), m=0.0)
-        window = spectral_window(fam, (0.0, -1.0), 3)
-        assert window == reference_window(fam, (0.0, -1.0), 3) == (0.1, 4.0)
+        assert window(fam, (0.0, -1.0), 3) == reference_window(fam, (0.0, -1.0), 3) == (0.1, 4.0)
 
     @pytest.mark.parametrize("bad_x", [8.0, 8.0 * 1.4])
     def test_reached_nonfinite_value_raises(self, bad_x):
@@ -450,16 +476,147 @@ class TestSpectralWindow:
         with pytest.raises(ValueError, match="finite"):
             spectral_window(fam, (0.0, -1.0), 3)
 
-    def test_one_array_call_per_side_and_m(self):
-        # W = x: 3 passes, each one probe-grid call plus one call per side
-        # and m, and no single-point call
+    @staticmethod
+    def assert_passes(w, w_deriv, k, passes):
+        """Each pass makes one probe-grid call plus one call per side and m,
+        and no single-point call; the search stops after the first pass that
+        returns the window it started from."""
         sizes = []
 
         def k0(x):
             sizes.append(np.size(x))
-            return np.asarray(x, dtype=float)
+            return w(x)
 
-        fam = line_family(k0, lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        spectral_window(fam, (0.0, -1.0), 5)
-        assert len(sizes) == 3 * (1 + 2 * 2)
+        got = window(line_family(k0, w_deriv), (0.0, -1.0), k)
+        assert got == reference_window(line_family(w, w_deriv), (0.0, -1.0), k)
+        assert len(sizes) == passes * (1 + 2 * 2)
         assert min(sizes) > 1
+
+    def test_one_array_call_per_side_and_m(self):
+        # W = x: V at -8 and 8 already exceeds the target, so the first pass
+        # leaves the window as it found it
+        self.assert_passes(lambda x: np.asarray(x, dtype=float),
+                           lambda x: np.ones_like(np.asarray(x, dtype=float)), 5, 1)
+
+    def test_plateau_settles_in_the_second_pass(self):
+        # W = 6 tanh(x/8): the first pass grows both sides to the plateau,
+        # and the second finds them there
+        self.assert_passes(lambda x: 6.0 * np.tanh(np.asarray(x, dtype=float) / 8.0),
+                           lambda x: 0.75 / np.cosh(np.asarray(x, dtype=float) / 8.0) ** 2,
+                           3, 2)
+
+
+def seeded_case(tag, index):
+    """(family, m) of the seeded-solve tests: 2 sampled points per real family
+    and the window tests' perturbed controls."""
+    if index == "control":
+        return perturbed_control(tag)
+    p = sample_valid_params(tag, 2, seed=5)[index]
+    return get_family(tag, p).family, p.m
+
+
+SEEDED_CASES = ([(tag, i) for tag in REAL_TAGS for i in (0, 1)]
+                + [(tag, "control") for tag in CONTROLS])
+
+
+def bisected_sizes(monkeypatch):
+    """The matrix size of every later _bisect call."""
+    from shapeinv import spectral
+
+    sizes = []
+    bisect = spectral._bisect
+    monkeypatch.setattr(spectral, "_bisect",
+                        lambda diag, *a: sizes.append(diag.size) or bisect(diag, *a))
+    return sizes
+
+
+class TestSeededSolve:
+    """check_isospectrality seeds V+ with the window probe's levels and V-
+    with V+'s levels - R; every level set is still certified on its own
+    matrix, with bisection as the fallback."""
+
+    @pytest.mark.parametrize("tag, index", SEEDED_CASES)
+    def test_levels_match_dense(self, tag, index):
+        # 1000 points keep the dense solves cheap; the path is the default's
+        fam, m = seeded_case(tag, index)
+        n = 1000
+        iso = check_isospectrality(fam, m, k=5, n_points=n)
+        x = dirichlet_grid(iso.window[0], iso.window[1], n)
+        h = x[1] - x[0]
+        _, v_plus = partner_potentials(fam, m, x)
+        v_minus_prev, _ = partner_potentials(fam, m - 1.0, x)
+        ulp = ORACLE_ULPS * np.finfo(float).eps
+        for potential, spectrum in ((v_plus, iso.spectrum_plus),
+                                    (v_minus_prev, iso.spectrum_minus)):
+            want, norm = dense_levels(potential, 5)
+            assert np.max(np.abs(spectrum.eigenvalues - want)) <= ulp * norm
+            # the error estimate |fine - coarse|/3 implies the coarse level
+            # up to its side of the fine one
+            coarse = PotentialGrid(x=potential.x[1::2], values=potential.values[1::2],
+                                   which=potential.which, m=potential.m)
+            want, norm = dense_levels(coarse, 5, h=2.0 * h)
+            step = 3.0 * spectrum.error_estimates
+            off = np.minimum(np.abs(spectrum.eigenvalues - step - want),
+                             np.abs(spectrum.eigenvalues + step - want))
+            assert np.max(off) <= ulp * norm
+
+    @pytest.mark.parametrize("tag, index", SEEDED_CASES)
+    def test_only_the_probe_is_bisected(self, tag, index, monkeypatch):
+        from shapeinv.spectral import _PROBE_POINTS
+
+        fam, m = seeded_case(tag, index)
+        sizes = bisected_sizes(monkeypatch)
+        check_isospectrality(fam, m, k=5, n_points=4000)
+        assert sizes and set(sizes) == {_PROBE_POINTS}
+
+    @pytest.mark.parametrize("bad", ["skipped level", "all equal", "one level up"])
+    def test_bad_shifts_give_the_unseeded_result(self, bad, monkeypatch):
+        from shapeinv.spectral import _lowest_eigenvalues
+
+        p = sample_valid_params("X1-radial-oscillator", 1, seed=21)[0]
+        fam = get_family("X1-radial-oscillator", p).family
+        (a, b), _ = spectral_window(fam, (p.m, p.m - 1.0), 5)
+        _, v_plus = partner_potentials(fam, p.m, dirichlet_grid(a, b, 4000))
+        h = v_plus.x[1] - v_plus.x[0]
+        levels = _lowest_eigenvalues(v_plus.values[1::2], 2.0 * h, 6)
+        shifts = {"skipped level": levels[[0, 1, 2, 3, 5]],
+                  "all equal": np.full(5, levels[2]),
+                  "one level up": levels[1:]}[bad]
+        want = solve_spectrum(v_plus, 5)
+        sizes = bisected_sizes(monkeypatch)
+        got = solve_spectrum(v_plus, 5, shifts=shifts)
+        assert 2000 in sizes  # the certificate refused them
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.error_estimates, want.error_estimates)
+
+    def test_stale_probe_levels(self, monkeypatch):
+        # W = sqrt(1 + 2.7 log(1 + x^2)): V grows by more than 1 per growth
+        # step but by less than the margin over the probe's top level, so
+        # each pass raises the target past the new edge and the third pass
+        # still moves both edges.  The probe levels then belong to the
+        # second window, 1.7 below the returned window's; inverse iteration
+        # from them fails the certificate, and V+'s coarse grid is bisected.
+        from shapeinv.spectral import _PROBE_POINTS
+
+        def w(x):
+            return np.sqrt(1.0 + 2.7 * np.log1p(np.asarray(x, dtype=float) ** 2))
+
+        fam = line_family(w, lambda x: 2.7 * x / ((1.0 + x * x) * w(x)))
+        (a, b), levels = spectral_window(fam, (0.0, -1.0), 5)
+        assert np.max(np.abs(levels - probe_levels(fam, 0.0, (a, b), 5))) > 1.0
+
+        sizes = bisected_sizes(monkeypatch)
+        iso = check_isospectrality(fam, 0.0, k=5, n_points=4000)
+        assert sizes[:4] == [_PROBE_POINTS] * 3 + [2000]
+        monkeypatch.undo()
+        x = dirichlet_grid(a, b, 4000)
+        h = x[1] - x[0]
+        _, v_plus = partner_potentials(fam, 0.0, x)
+        v_minus_prev, _ = partner_potentials(fam, -1.0, x)
+        for potential, spectrum in ((v_plus, iso.spectrum_plus),
+                                    (v_minus_prev, iso.spectrum_minus)):
+            want = solve_spectrum(potential, 5).eigenvalues
+            # Gershgorin's bound on ||T||_1
+            norm = float(np.max(np.abs(potential.values))) + 4.0 / (h * h)
+            assert np.max(np.abs(spectrum.eigenvalues - want)) <= (
+                ORACLE_ULPS * np.finfo(float).eps * norm)
