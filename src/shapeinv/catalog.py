@@ -152,32 +152,45 @@ def _deriv(coef: tuple) -> tuple:
     return tuple(k * c for k, c in enumerate(coef))[1:] or (0.0,)
 
 
-def _log_derivs(data: FamilyData, P: Callable, g_dd: Callable):
-    """The evaluator (x, m) -> (W1, W1'), W1 = D'/D and W1' = D''/D - W1**2,
-    with D, D' and D'' from one order-2 kernel call and g'' = g_dd(g(x)).
-    The polynomial kernel returns complex values; real families drop their
+def _log_derivs(data: FamilyData, g_dd: Callable):
+    """The evaluator (x, m_values) -> (W1+, W1+', W1-, W1-'), each with one
+    row per m: W1 = D'/D and W1' = D''/D - W1**2, with g'' = g_dd(g(x)).
+    For the Xl families D, D' and D'' of every distinct P+-(m) come from one
+    order-2 kernel call; equal specs (P- at m often equals P+ at m - 1)
+    share a row.  The X1 families' degree-1 P is evaluated directly.  The
+    polynomial kernel returns complex values; real families drop their
     exactly zero imaginary part.  Where g(x) is not finite D is nan, and
     where D is zero W1 is not finite: the evaluator never raises there, so
     the grid's edge probe can test many abscissae in one call."""
     g, g_d, linear = data.g, data.g_deriv, data.linear
+    pair = (data.p_plus, data.p_minus)
     real = data.is_real and not linear
 
-    def w1(x, m):
-        s, gx = P(m), g(x)
+    def w1(x, m_values):
+        gx = g(x)
         if linear:
             # D'' = p1*g'' alone: P''(g)*g'**2 would be 0*inf = nan
             # wherever g'**2 overflows (cosh(c x) beyond c x = 355)
-            D, D1, D2 = s[0] + s[1] * gx, s[1] * g_d(x), s[1] * g_dd(gx)
+            coef = np.array([P(m) for P in pair for m in m_values], dtype=float)
+            p0, p1 = coef.T.reshape((2, -1) + (1,) * np.ndim(gx))  # one row per (P, m)
+            D, D1, D2 = p0 + p1 * gx, p1 * g_d(x), p1 * g_dd(gx)
         else:
+            specs = [P(m) for P in pair for m in m_values]
+            distinct = list(dict.fromkeys(specs))
             bad = ~np.isfinite(gx)
             # z = 1 stands in where g(x) is not finite: any finite value would
             # do, and |z| = 1 keeps those points in the series basis
-            P0, P1, P2 = poly_eval(s, np.where(bad, 1.0, gx), 2)
+            rows = [distinct.index(s) for s in specs]
+            P0, P1, P2 = (v[rows] for v in poly_eval(
+                distinct[0], np.where(bad, 1.0, gx), 2, more=tuple(distinct[1:])))
             gd = g_d(x)
             D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(gx)
         r = D1 / D
         rd = D2 / D - r * r
-        return (r.real, rd.real) if real else (r, rd)
+        if real:
+            r, rd = r.real, rd.real
+        k = len(m_values)
+        return r[:k], rd[:k], r[k:], rd[k:]
 
     return w1
 
@@ -223,8 +236,7 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
 
     return SuperpotentialFamily(
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
-        affine=_affine(data, g_dd), w1plus=_log_derivs(data, data.p_plus, g_dd),
-        w1minus=_log_derivs(data, data.p_minus, g_dd),
+        affine=_affine(data, g_dd), w1=_log_derivs(data, g_dd),
         validity_fn=data.validity, poles_fn=poles,
         scan_clear_fn=functools.partial(_scan_clear, data),
     )

@@ -39,6 +39,7 @@ from .conditions import (
     DEFAULT_TOL,
     TRANSLATION_TOL,
     compatibility_lhs,
+    grid_values,
     run_condition_checks,
 )
 from .errors import ShapeInvError, UsageError
@@ -262,8 +263,9 @@ def cmd_scan(cfg: RunConfig) -> int:
     grid = make_grid(family, cfg.grid, m_values=m_list)
 
     columns: list[tuple[str, np.ndarray]] = [("x", grid)]
+    values = grid_values(family, grid, m_list)
     for m in m_list:
-        eps = np.asarray(compatibility_lhs(family, m, grid), dtype=complex)
+        eps = np.asarray(compatibility_lhs(family, m, grid, values=values), dtype=complex)
         columns.append((f"eps[m={m:g}]_re", eps.real))
         columns.append((f"eps[m={m:g}]_im", eps.imag))
     if family.is_real:

@@ -15,8 +15,8 @@ residual over a grid (a single bad point must fail the verdict, so no RMS):
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,20 +77,42 @@ def _maxabs(values) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def check_translation(family: SuperpotentialFamily, m: float, grid) -> float:
+class GridValues(NamedTuple):
+    """What the checks read on one grid: the affine tuple (k0, k0', k1, k1')
+    and, for each m, the tuple (W1+, W1+', W1-, W1-')."""
+
+    affine: tuple
+    w1: dict
+
+
+def grid_values(family: SuperpotentialFamily, grid, m_values) -> GridValues:
+    """The family's evaluators on the grid: affine once, and w1 once for all
+    the distinct m of m_values."""
+    m_values = tuple(dict.fromkeys(float(m) for m in m_values))
+    rows = family.w1(grid, m_values)
+    return GridValues(family.affine(grid),
+                      {m: tuple(r[i] for r in rows) for i, m in enumerate(m_values)})
+
+
+# Each check takes the grid's values as a keyword; without it, the check
+# evaluates the family at the m it needs.
+
+def check_translation(family: SuperpotentialFamily, m: float, grid, *, values=None) -> float:
     """max |W1-(x, m) - W1+(x, m-1)| over the grid."""
-    return _maxabs(family.w1minus(grid, m)[0] - family.w1plus(grid, m - 1.0)[0])
+    w1 = (values or grid_values(family, grid, (m, m - 1.0))).w1
+    return _maxabs(w1[m][2] - w1[m - 1.0][0])
 
 
-def compatibility_lhs(family: SuperpotentialFamily, m: float, x):
+def compatibility_lhs(family: SuperpotentialFamily, m: float, x, *, values=None):
     """The seven-term combination; equals epsilon(x) when the condition holds."""
-    p, pd = family.w1plus(x, m)
-    q, qd = family.w1minus(x, m)
-    w0 = family.w0(x, m)
+    values = values or grid_values(family, x, (m,))
+    p, pd, q, qd = values.w1[m]
+    k0, _, k1, _ = values.affine
+    w0 = k0 + m * k1
     return p * p + pd + q * q + qd - 2.0 * w0 * q + 2.0 * w0 * p - 2.0 * q * p
 
 
-def check_compatibility(family: SuperpotentialFamily, m_list, grid):
+def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=None):
     """m-independence residual of the seven-term combination.
 
     Returns (residual, (x, epsilon)): the residual is the max over grid
@@ -100,7 +122,8 @@ def check_compatibility(family: SuperpotentialFamily, m_list, grid):
     m_list = tuple(float(m) for m in m_list)
     if len(m_list) < 2:
         raise UsageError("check_compatibility needs at least two m values")
-    lhs = [compatibility_lhs(family, m, grid) for m in m_list]
+    values = values or grid_values(family, grid, m_list)
+    lhs = [compatibility_lhs(family, m, grid, values=values) for m in m_list]
     residual = 0.0
     for i in range(len(lhs)):
         for j in range(i + 1, len(lhs)):
@@ -108,14 +131,14 @@ def check_compatibility(family: SuperpotentialFamily, m_list, grid):
     return residual, (np.asarray(grid, dtype=float), lhs[0])
 
 
-def check_infeld_hull(family: SuperpotentialFamily, grid):
+def check_infeld_hull(family: SuperpotentialFamily, grid, *, values=None):
     """Infer (a, b) as grid means of k1' + k1^2 and -k0' - k1*k0.
 
     The constancy residual is the max deviation from the means plus any
     imaginary leakage of the means themselves (the complex family keeps both
     expressions real up to rounding).
     """
-    k0, k0d, f, fd = family.affine(grid)
+    k0, k0d, f, fd = values.affine if values else family.affine(grid)
     va = fd + f * f
     vb = -k0d - f * k0
     a_mean = complex(np.mean(va))
@@ -129,17 +152,13 @@ def check_infeld_hull(family: SuperpotentialFamily, grid):
     return AlgebraConstants(a=a_mean.real, b=b_mean.real), float(residual)
 
 
-def _u(family, x, m):
-    """(U, U') with U = W1+ - W1-."""
-    (p, pd), (q, qd) = family.w1plus(x, m), family.w1minus(x, m)
-    return p - q, pd - qd
-
-
-def _closure_expression(family, m, grid):
-    k0, _, F, _ = family.affine(grid)
+def _closure_expression(values: GridValues, m):
+    k0, _, F, _ = values.affine
     G = -k0
-    u_prev, ud_prev = _u(family, grid, m - 1.0)
-    u_here, ud_here = _u(family, grid, m)
+    p, pd, q, qd = values.w1[m - 1.0]
+    u_prev, ud_prev = p - q, pd - qd
+    p, pd, q, qd = values.w1[m]
+    u_here, ud_here = p - q, pd - qd
     return (
         u_prev * u_prev
         - 2.0 * G * (u_prev - u_here)
@@ -150,12 +169,14 @@ def _closure_expression(family, m, grid):
     )
 
 
-def check_algebra_condition(family: SuperpotentialFamily, m: float, grid) -> float:
-    """max |closure condition| over the grid, in the integer-shifted form."""
-    return _maxabs(_closure_expression(family, m, grid))
+def check_algebra_condition(family: SuperpotentialFamily, m: float, grid, *,
+                            values=None) -> float:
+    """max |closure condition| over the grid, in the integer-shifted form,
+    with F = k1, G = -k0 and U = W1+ - W1-."""
+    return _maxabs(_closure_expression(values or grid_values(family, grid, (m, m - 1.0)), m))
 
 
-def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid):
+def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid, *, values=None):
     """Numerical replay of the reduction proof, one residual per step.
 
     step1: the closure condition in (F, G, U) variables.
@@ -167,16 +188,16 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid):
     difference is a pure algebraic identity, the second isolates the
     compatibility condition, the last isolates the translation relation.
     """
-    step1 = _closure_expression(family, m, grid)
+    values = values or grid_values(family, grid, (m, m - 1.0))
+    step1 = _closure_expression(values, m)
 
-    p_prev, pd_prev = family.w1plus(grid, m - 1.0)
-    q_prev, qd_prev = family.w1minus(grid, m - 1.0)
-    p_here, pd_here = family.w1plus(grid, m)
-    q_here, qd_here = family.w1minus(grid, m)
+    p_prev, pd_prev, q_prev, qd_prev = values.w1[m - 1.0]
+    p_here, pd_here, q_here, qd_here = values.w1[m]
     v_prev = q_prev - p_prev
     v_here = q_here - p_here
-    w0_prev = family.w0(grid, m - 1.0)
-    w0_here = family.w0(grid, m)
+    k0, _, k1, _ = values.affine
+    w0_prev = k0 + (m - 1.0) * k1
+    w0_here = k0 + m * k1
     step2 = (
         -2.0 * w0_prev * v_prev
         + v_prev * v_prev
@@ -193,28 +214,6 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid):
     return (_maxabs(step1 - step2), _maxabs(step2 - step3), _maxabs(step3))
 
 
-def _tabulated(family: SuperpotentialFamily, grid) -> SuperpotentialFamily:
-    """A copy of the family whose affine tuple evaluates once on this grid and
-    whose (W1+-, W1+-') pairs evaluate once per m: the first call stores its
-    value, later calls read it.  The tables live as long as the copy; calls
-    on any other x evaluate."""
-
-    def remember(fn):
-        table = {}
-
-        def lookup(x, *m):
-            if x is not grid:
-                return fn(x, *m)
-            if m not in table:
-                table[m] = fn(x, *m)
-            return table[m]
-
-        return lookup
-
-    names = ("affine", "w1plus", "w1minus")
-    return dataclasses.replace(family, **{n: remember(getattr(family, n)) for n in names})
-
-
 def run_condition_checks(
     family: SuperpotentialFamily,
     grid,
@@ -229,8 +228,9 @@ def run_condition_checks(
     The grid must avoid the poles of every m in m_list (make_grid with
     m_values=m_list does that).  When expected_ab is given, the inferred
     constants are also matched against it under the infeld_hull tolerance.
-    Within the call the affine tuple is evaluated once on the grid, each pair
-    (W1+-, W1+-') once per m, and the checks share those values, so each
+    The family is evaluated once (grid_values): affine on the grid, and w1
+    for all of m_list and m_list[0] - 1, the translate that translation,
+    algebra and equivalence read.  The checks share those values, so each
     residual equals that of the separate check_* call bit for bit.
     """
     m_list = tuple(float(m) for m in m_list)
@@ -246,20 +246,20 @@ def run_condition_checks(
         m_list=m_list,
     )
     m0 = m_list[0]
-    family = _tabulated(family, grid)
+    values = grid_values(family, grid, m_list + (m0 - 1.0,))
 
     if "translation" in checks:
-        r = check_translation(family, m0, grid)
+        r = check_translation(family, m0, grid, values=values)
         report.residuals["translation"] = r
         report.tolerances["translation"] = tol["translation"]
         report.verdicts["translation"] = r < tol["translation"]
     if "compatibility" in checks:
-        r, _ = check_compatibility(family, m_list, grid)
+        r, _ = check_compatibility(family, m_list, grid, values=values)
         report.residuals["compatibility"] = r
         report.tolerances["compatibility"] = tol["compatibility"]
         report.verdicts["compatibility"] = r < tol["compatibility"]
     if "infeld_hull" in checks:
-        constants, r = check_infeld_hull(family, grid)
+        constants, r = check_infeld_hull(family, grid, values=values)
         report.inferred_a = constants.a
         report.inferred_b = constants.b
         report.residuals["infeld_hull"] = r
@@ -271,12 +271,12 @@ def run_condition_checks(
             report.tolerances["infeld_hull_match"] = tol["infeld_hull"]
             report.verdicts["infeld_hull_match"] = match < tol["infeld_hull"]
     if "algebra" in checks:
-        r = check_algebra_condition(family, m0, grid)
+        r = check_algebra_condition(family, m0, grid, values=values)
         report.residuals["algebra"] = r
         report.tolerances["algebra"] = tol["algebra"]
         report.verdicts["algebra"] = r < tol["algebra"]
     if "equivalence" in checks:
-        r12, r23, r30 = check_equivalence_chain(family, m0, grid)
+        r12, r23, r30 = check_equivalence_chain(family, m0, grid, values=values)
         report.residuals["equivalence_step1_vs_step2"] = r12
         report.residuals["equivalence_step2_vs_step3"] = r23
         report.residuals["equivalence_step3_vs_zero"] = r30

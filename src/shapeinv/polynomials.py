@@ -20,7 +20,12 @@ Derivatives come from the same pass: the coefficient row of P is
 differentiated in place (row j + 1 holds (s + 1) * c_{s+1} / h of row j,
 with h = 2 for the Jacobi series in u and h = 1 for the monomial and
 Laguerre bases), and every row is summed against one shared table of powers
-of u, so P, P' and P'' cost one call and one set of powers.
+of u, so P, P' and P'' cost one call and one set of powers.  Several
+polynomials of one kind and degree share that table too: poly_eval's
+``more`` stacks their rows into the same pass, and each value equals that
+of its own call bit for bit, because every row is summed alone.  An
+argument far enough out that a power of u overflows gives a value that is
+not finite, without a floating-point warning.
 
 Root questions are decided on those exact coefficients, in Python integers
 (module intpoly): Descartes' rule of signs certifies an interval free of
@@ -171,39 +176,56 @@ def _prepare_argument(z):
     return work, arr.ndim == 0
 
 
-def _derivative_rows(coef: np.ndarray, order: int, h: float) -> np.ndarray:
-    """Rows 0..order: the coefficients of P and of its first `order`
-    derivatives in z, for P(z) = sum_s coef[s] * u**s with u = (z - z0)/h.
-    Row j + 1 is (s + 1) * row_j[s + 1] / h; row j has degree n - j, and its
-    entries past that stay zero."""
-    rows = np.zeros((order + 1, coef.size))
-    rows[0] = coef
-    k = np.arange(1, coef.size)
+def _derivative_rows(coefs: list, order: int, h: float) -> np.ndarray:
+    """The coefficients of each P and of its first `order` derivatives in z,
+    for P(z) = sum_s coef[s] * u**s with u = (z - z0)/h, one row per
+    (derivative, polynomial), derivative-major: all P rows, then all P'
+    rows, and so on.  Row j + 1 of a polynomial is (s + 1) * row_j[s + 1] / h;
+    derivative j has degree n - j, and its entries past that stay zero."""
+    rows = np.zeros((order + 1, len(coefs), coefs[0].size))
+    rows[0] = coefs
+    k = np.arange(1, coefs[0].size)
     for j in range(order):
-        rows[j + 1, :-1] = k * rows[j, 1:] / h
-    return rows
+        rows[j + 1, :, :-1] = k * rows[j, :, 1:] / h
+    return rows.reshape(-1, coefs[0].size)
 
 
-def _eval_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Kahan-compensated sums of rows[j, s] * u**s for every row j, over a
-    1-d u, with one table of iterated powers shared by all rows.  Row j
-    stops at its degree n - j, so a zero past it never meets an overflowed
+def _eval_rows(rows: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
+    """Kahan-compensated sums of rows[r, s] * u**s for every row r, over a
+    1-d u, with one table of iterated powers shared by all rows.  The rows
+    are _derivative_rows' blocks of `width` rows each, one block per
+    derivative order, so the rows whose degree reaches s are a prefix; a
+    row stops at its degree, and a zero past it never meets an overflowed
     power (0 * inf)."""
     n = rows.shape[1] - 1
     total = np.zeros((rows.shape[0], u.size), dtype=np.result_type(rows, u))
     comp = np.zeros_like(total)
     power = np.ones_like(u)
     for s in range(n + 1):
-        live = min(rows.shape[0], n + 1 - s)  # rows whose degree reaches s
+        live = min(rows.shape[0], (n + 1 - s) * width)  # rows whose degree reaches s
         y = rows[:live, s, None] * power - comp[:live]
         t = total[:live] + y
         comp[:live] = (t - total[:live]) - y
         total[:live] = t
-        power = power * u
+        if s < n:
+            power = power * u
     return total
 
 
-def poly_eval(spec: PolySpec, z, order: int = 0):
+def _stack(spec: PolySpec, more) -> tuple:
+    """(spec, *more), after checking that more is None or a tuple of
+    PolySpecs of spec's kind and degree."""
+    if more is None:
+        return (spec,)
+    if not isinstance(more, tuple) or not all(
+            isinstance(s, PolySpec) and (s.kind, s.degree) == (spec.kind, spec.degree)
+            for s in more):
+        raise ValueError(f"more must be a tuple of {spec.kind} PolySpecs of degree "
+                         f"{spec.degree}, got {more!r}")
+    return (spec, *more)
+
+
+def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
     """Evaluate the polynomial at z (scalar or array, real or complex).
 
     Returns complex128; real parameters with real argument give an exactly
@@ -211,20 +233,31 @@ def poly_eval(spec: PolySpec, z, order: int = 0):
     monomial basis (see the module docstring).  With order > 0 it returns
     the tuple (P, P', ..., P^(order)) from one pass, each entry shaped like
     the order-0 result.
+
+    more, a tuple of further PolySpecs of spec's kind and degree (it may be
+    empty), joins the same pass: each entry then gains a leading axis, one
+    row per polynomial of (spec, *more), and every row equals the
+    polynomial's own call bit for bit.
     """
+    specs = _stack(spec, more)
     work, scalar = _prepare_argument(z)
     flat = work.reshape(-1)
-    if spec.kind == JACOBI:
-        out = _eval_rows(_derivative_rows(_series_coefficients(spec), order, 2.0),
-                         (flat - 1.0) / 2.0)
-        inner = np.abs(flat) < 1.0
-        if inner.any():
-            out[:, inner] = _eval_rows(
-                _derivative_rows(monomial_coefficients(spec), order, 1.0), flat[inner])
+    jacobi = spec.kind == JACOBI
+    u, h = ((flat - 1.0) / 2.0, 2.0) if jacobi else (flat, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval_rows(_derivative_rows([_series_coefficients(s) for s in specs], order, h),
+                         u, len(specs))
+        if jacobi:
+            inner = np.abs(flat) < 1.0
+            if inner.any():
+                out[:, inner] = _eval_rows(
+                    _derivative_rows([monomial_coefficients(s) for s in specs], order, 1.0),
+                    flat[inner], len(specs))
+    out = out.astype(np.complex128).reshape((order + 1, len(specs)) + work.shape)
+    if more is not None:
+        vals = list(out)
     else:
-        out = _eval_rows(_derivative_rows(_series_coefficients(spec), order, 1.0), flat)
-    out = out.astype(np.complex128).reshape((order + 1,) + work.shape)
-    vals = [complex(v) for v in out] if scalar else list(out)
+        vals = [complex(v[0]) for v in out] if scalar else [v[0] for v in out]
     return vals[0] if order == 0 else tuple(vals)
 
 
@@ -307,17 +340,13 @@ def _bisect(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def scan_roots(f, lo: float, hi: float, n_sub: int, xs=None, vals=None) -> list[float]:
+def scan_roots(f, lo: float, hi: float, n_sub: int, xs, vals) -> list[float]:
     """Roots of f from its signs at sorted nodes: every node where f is zero,
     and a bisection to 1e-12 absolute of each sign change between
-    neighbouring nodes.  f must accept an ndarray.  The nodes are xs, with
-    vals the values of f there (only their signs are read); by default they
-    are np.linspace(lo, hi, n_sub + 1) and f evaluated on them."""
-    if xs is None:
-        if not (hi > lo):
-            return []
-        xs = np.linspace(lo, hi, n_sub + 1)
-        vals = np.asarray(f(xs), dtype=float)
+    neighbouring nodes.  f must accept an ndarray.  The nodes are the array
+    xs, with vals the values of f there (only their signs are read); lo, hi
+    and n_sub describe them (their span and number of gaps) and are not
+    read by the scan."""
     roots = xs[vals == 0.0].tolist()
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]

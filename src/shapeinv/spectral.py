@@ -91,10 +91,11 @@ class IsospectralResult:
     k: int
 
 
-def _real_potential_values(family, x, m):
+def _real_potential_values(family, x, m_values):
+    """(W, W') on x as real arrays, one row per m."""
     if not family.is_real:
         raise UnsupportedError(f"{family.tag}: complex family unsupported for spectra")
-    w, wd = (np.asarray(v) for v in family.W(x, m))
+    w, wd = (np.asarray(v) for v in family.w_rows(x, m_values))
     if np.iscomplexobj(w) or np.iscomplexobj(wd):
         scale = 1.0 + max(float(np.max(np.abs(w))), float(np.max(np.abs(wd))))
         leak = max(float(np.max(np.abs(w.imag))), float(np.max(np.abs(wd.imag))))
@@ -107,7 +108,7 @@ def _real_potential_values(family, x, m):
 def partner_potentials(family: SuperpotentialFamily, m: float, grid):
     """(V-, V+) with V-+ = W^2 -+ W' on the given abscissae."""
     x = np.asarray(grid, dtype=float)
-    w, wd = _real_potential_values(family, x, m)
+    (w,), (wd,) = _real_potential_values(family, x, (m,))
     w2 = w * w
     return (
         PotentialGrid(x=x, values=w2 - wd, which="minus", m=float(m)),
@@ -257,18 +258,14 @@ def dirichlet_grid(a: float, b: float, n: int) -> np.ndarray:
 
 def _edge_values(family, m_values, xs) -> tuple[np.ndarray, np.ndarray]:
     """(min over m of min(V-, V+), all finite) at each abscissa: one array
-    call per m.  Far candidates may overflow, so nothing is checked here;
-    _grow_edge raises where it reaches a value that is not finite."""
-    xs = np.asarray(xs, dtype=float)
-    low, finite = np.full(xs.shape, np.inf), np.ones(xs.shape, dtype=bool)
+    call for all m.  Far candidates may overflow, so nothing is checked
+    here; _grow_edge raises where it reaches a value that is not finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m in m_values:
-            w, wd = _real_potential_values(family, xs, m)
-            w2 = w * w
-            vm, vp = w2 - wd, w2 + wd
-            finite &= np.isfinite(vm) & np.isfinite(vp)
-            low = np.minimum(low, np.minimum(vm, vp))
-    return low, finite
+        w, wd = _real_potential_values(family, np.asarray(xs, dtype=float), m_values)
+        w2 = w * w
+        vm, vp = w2 - wd, w2 + wd
+        finite = np.all(np.isfinite(vm) & np.isfinite(vp), axis=0)
+        return np.min(np.minimum(vm, vp), axis=0), finite
 
 
 def _grow_edge(family, m_values, candidates: list, target: float, margin: float) -> float:

@@ -3,10 +3,12 @@
 A family bundles the affine part W0(x, m) = k0(x) + m*k1(x) with the two
 log-derivative corrections W1+(x, m) and W1-(x, m), each evaluated together
 with its analytic x-derivative (k0' and k1' come with k0 and k1), the
-non-singularity predicate and pole bookkeeping.  Instances are immutable,
-every evaluation is a pure vectorised function of x, and the complex
-PT-symmetric family shares all code paths (real families simply return
-float64 arrays whose cast to complex has an exactly zero imaginary part).
+non-singularity predicate and pole bookkeeping.  The corrections come from
+one evaluator for a whole list of m, so a grid that several m share costs
+one pass.  Instances are immutable, every evaluation is a pure vectorised
+function of x, and the complex PT-symmetric family shares all code paths
+(real families simply return float64 arrays whose cast to complex has an
+exactly zero imaginary part).
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ class GridSpec:
             raise ValueError("n_points must be >= 16")
         if not (0.0 < self.boundary_margin < 0.5):
             raise ValueError("boundary_margin must lie in (0, 0.5)")
-        if self.pole_exclusion_radius <= 0.0:
-            raise ValueError("pole_exclusion_radius must be > 0")
+        if not (math.isfinite(self.pole_exclusion_radius) and self.pole_exclusion_radius > 0.0):
+            raise ValueError("pole_exclusion_radius must be finite and > 0")
 
 
 def _quiet(fn):
@@ -118,12 +120,14 @@ class SuperpotentialFamily:
 
     The callables are closures over the constants; m stays a call argument
     because every check sweeps it.  ``affine`` maps x to the tuple
-    (k0, k0', k1, k1') of the affine part W0 = k0 + m*k1.  ``w1plus`` and
-    ``w1minus`` map (x, m) to the pair (W1, W1'), both from one evaluation
-    of the gauge denominator D with W1 = D'/D, and ``W`` returns the pair
-    (W, W') built from all three.
-    ``w1minus`` is always its own transcribed formula rather than ``w1plus``
-    at m - 1, so the translation identity is a genuine two-route check.
+    (k0, k0', k1, k1') of the affine part W0 = k0 + m*k1.  ``w1`` maps
+    (x, m_values) to the tuple (W1+, W1+', W1-, W1-'), each with one row per
+    m (a leading axis of len(m_values)), all from one evaluation of the
+    gauge denominators D+- with W1 = D'/D; on the Xl families that is one
+    polynomial kernel pass for every m.  The methods ``w1plus``,
+    ``w1minus``, ``W`` and ``w_rows`` read it.
+    W1- is always its own transcribed formula rather than W1+ at m - 1, so
+    the translation identity is a genuine two-route check.
     """
 
     name: str
@@ -132,13 +136,12 @@ class SuperpotentialFamily:
     params: ParamPoint
     is_real: bool
     affine: Callable
-    w1plus: Callable
-    w1minus: Callable
+    w1: Callable
     validity_fn: Callable[[float], Verdict] = field(repr=False)
     poles_fn: Callable[[float], tuple] = field(repr=False)
     scan_clear_fn: Callable[[float], bool] = field(repr=False)
 
-    _EVALUATORS = ("affine", "w1plus", "w1minus")
+    _EVALUATORS = ("affine", "w1")
 
     def __post_init__(self):
         for fname in self._EVALUATORS:
@@ -150,12 +153,28 @@ class SuperpotentialFamily:
         k0, _, k1, _ = self.affine(x)
         return k0 + m * k1
 
-    def W(self, x, m):
-        """(W, W') with W = W0 + W1+ - W1-."""
+    def w1plus(self, x, m):
+        """(W1+, W1+') at one m."""
+        p, pd, _, _ = self.w1(x, (m,))
+        return p[0], pd[0]
+
+    def w1minus(self, x, m):
+        """(W1-, W1-') at one m."""
+        _, _, q, qd = self.w1(x, (m,))
+        return q[0], qd[0]
+
+    def w_rows(self, x, m_values):
+        """(W, W') with W = W0 + W1+ - W1-, one row per m, from one call of
+        each evaluator."""
         k0, k0d, k1, k1d = self.affine(x)
-        p, pd = self.w1plus(x, m)
-        q, qd = self.w1minus(x, m)
+        p, pd, q, qd = self.w1(x, m_values)
+        m = _rows(m_values, np.ndim(p) - 1)
         return k0 + m * k1 + p - q, k0d + m * k1d + pd - qd
+
+    def W(self, x, m):
+        """(W, W') with W = W0 + W1+ - W1-, at one m."""
+        w, wd = self.w_rows(x, (m,))
+        return w[0], wd[0]
 
     def validity(self, m: float) -> Verdict:
         return self.validity_fn(m)
@@ -167,6 +186,12 @@ class SuperpotentialFamily:
     def scan_clear(self, m: float) -> bool:
         """Independent root test: True when no offending root is found."""
         return self.scan_clear_fn(m)
+
+
+def _rows(values, ndim: int) -> np.ndarray:
+    """The floats values as a column that broadcasts one per row against
+    arrays of ndim further axes."""
+    return np.reshape(np.asarray(values, dtype=float), (-1,) + (1,) * ndim)
 
 
 def _as_x(x):
@@ -203,13 +228,10 @@ def _eval_guarded(family, x, m, pole_radius, entry):
 
 def _edge_passes(family, m_values, xs: np.ndarray) -> np.ndarray:
     """Which abscissae pass the edge test at every m: W and W' finite there
-    and |W| <= _EDGE_W_CAP.  One array call of (W, W') per m."""
-    ok = np.ones(xs.shape, dtype=bool)
+    and |W| <= _EDGE_W_CAP.  One call of (W, W') for all m."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m in m_values:
-            w, wd = family.W(xs, m)
-            ok &= np.isfinite(w) & np.isfinite(wd) & (np.abs(w) <= _EDGE_W_CAP)
-    return ok
+        w, wd = family.w_rows(xs, m_values)
+        return np.all(np.isfinite(w) & np.isfinite(wd) & (np.abs(w) <= _EDGE_W_CAP), axis=0)
 
 
 def _expand_edge(family, m_values, start: float, sign: float) -> float:
@@ -256,11 +278,13 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
     InvalidParameterError naming the violated inequality), infinite sides are
     compressed through x = a + L*atanh(u), and every point keeps
     pole_exclusion_radius distance from every detected denominator root of
-    every requested m.
+    every requested m.  A UsageError says so when that exclusion leaves
+    fewer than spec.n_points abscissae after the retries that top the
+    layout up.
 
     The edge of an infinite side comes from one array probe per side: the
-    pair (W, W') is evaluated at every doubling candidate in one call per m,
-    and a candidate fails where either is not finite (the family's
+    pair (W, W') is evaluated at every doubling candidate and every m in one
+    call, and a candidate fails where either is not finite (the family's
     evaluators return nan or inf where g(x) overflows or D vanishes, they do
     not raise) or where |W| exceeds _EDGE_W_CAP.  The edge is the last candidate before
     the first failure.
@@ -318,6 +342,10 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
         if points.size >= spec.n_points:
             break
         n_gen += 2 * (spec.n_points - points.size) + 8
+    else:
+        raise UsageError(
+            f"{family.name}: pole exclusion radius {spec.pole_exclusion_radius:g} leaves "
+            f"{points.size} of {spec.n_points} grid points")
     if points.size > spec.n_points:
         idx = np.floor(np.linspace(0.0, points.size - 1e-9, spec.n_points)).astype(int)
         points = points[idx]
@@ -340,35 +368,36 @@ def with_perturbation(family: SuperpotentialFamily, mode: str,
 
     Used by negative-control tests and the CLI's hidden perturbation hook;
     poles and validity are inherited unchanged (the injected terms are
-    entire).
+    entire).  The W1 defects apply at every m of a w1 call.
     """
     if mode not in PERTURBATION_MODES:
         raise UsageError(f"unknown perturbation mode {mode!r}")
     size = float(size)
-    w1p, w1m, affine = family.w1plus, family.w1minus, family.affine
+    w1, affine = family.w1, family.affine
+    # the slopes s(m) of W1+ and W1-, each adding (s*x, s) to (W1, W1'), and
+    # an offset of W1- that shifts its value alone; None leaves a term as is
+    plus, minus, offset = {
+        "wminus-slope": (None, lambda m: size, None),
+        "wplus-slope": (lambda m: size, None, None),
+        "wminus-offset": (None, None, size),
+        "paired-mx-slope": (lambda m: size * m, lambda m: size * (m - 1.0), None),
+    }.get(mode, (None,) * 3)
 
-    def sloped(fn, slope):
-        # (W1, W1') + (slope(m)*x, slope(m))
-        def patched(x, m):
-            w, wd = fn(x, m)
-            return w + slope(m) * np.asarray(x, dtype=float), wd + slope(m)
+    def patched(x, m_values):
+        p, pd, q, qd = w1(x, m_values)
+        xs = np.asarray(x, dtype=float)
+        if plus is not None:
+            slope = _rows([plus(m) for m in m_values], xs.ndim)
+            p, pd = p + slope * xs, pd + slope
+        if minus is not None:
+            slope = _rows([minus(m) for m in m_values], xs.ndim)
+            q, qd = q + slope * xs, qd + slope
+        if offset is not None:
+            q = q + offset
+        return p, pd, q, qd
 
-        return patched
-
-    def offset(x, m):
-        # the value shifts, W1-' does not
-        w, wd = w1m(x, m)
-        return w + size, wd
-
-    if mode == "wminus-slope":
-        patch = dict(w1minus=sloped(w1m, lambda m: size))
-    elif mode == "wplus-slope":
-        patch = dict(w1plus=sloped(w1p, lambda m: size))
-    elif mode == "wminus-offset":
-        patch = dict(w1minus=offset)
-    elif mode == "paired-mx-slope":
-        patch = dict(w1plus=sloped(w1p, lambda m: size * m),
-                     w1minus=sloped(w1m, lambda m: size * (m - 1.0)))
+    if mode != "k1-slope":
+        patch = dict(w1=patched)
     else:
         def sloped_affine(x):
             k0, k0d, k1, k1d = affine(x)

@@ -6,7 +6,7 @@ from shapeinv import GridSpec, ParamPoint, SuperpotentialFamily, Verdict, poly_e
 
 def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
     """A family with no rational extension: W1+- identically zero."""
-    zero = lambda x, m_: (np.zeros_like(np.asarray(x, dtype=float)),) * 2
+    zero = lambda x, ms: (np.zeros((len(ms),) + np.shape(x)),) * 4
     return SuperpotentialFamily(
         name=name,
         tag=name,
@@ -14,7 +14,7 @@ def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
         params=ParamPoint(m=m),
         is_real=True,
         affine=lambda x: (k0(x), k0_deriv(x), k1(x), k1_deriv(x)),
-        w1plus=zero, w1minus=zero,
+        w1=zero,
         validity_fn=lambda m_: Verdict(True, None),
         poles_fn=lambda m_: (),
         scan_clear_fn=lambda m_: True,

@@ -85,6 +85,24 @@ class TestVerify:
         assert doc["overall_pass"] is False
         assert doc["results"][0]["verdicts"]["translation"] is False
 
+    @pytest.mark.parametrize("radius, message", [
+        ("1e308", "leaves 0 of 512 grid points"),
+        ("NaN", "pole_exclusion_radius must be finite"),
+    ])
+    def test_pole_radius_that_empties_the_grid_exit_2(self, tmp_path, capsys, radius, message):
+        # Xl-PT-Scarf always has its x = 0 pole, so such a radius once left
+        # no grid point: every residual read 0.0 and a perturbed control
+        # passed (exit 0)
+        config = tmp_path / "config.json"
+        config.write_text('{"family": "Xl-PT-Scarf", "sample": 1, "seed": 5, '
+                          f'"grid": {{"pole_exclusion_radius": {radius}}}}}', encoding="utf-8")
+        code = main(["verify", "--config", str(config), "--perturb", "0.01",
+                     "--checks", "translation,compatibility,algebra", "--no-timestamp",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_deterministic_reports(self, tmp_path):
         args = (
             "verify", "--family", "Xl-radial-oscillator", "--sample", "2", "--seed", "3",

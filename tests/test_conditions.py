@@ -1,5 +1,4 @@
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -258,8 +257,6 @@ class TestRunConditionChecks:
 
 
 class TestSharedW1Table:
-    W1_NAMES = ("w1plus", "w1minus")
-
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     @pytest.mark.parametrize("perturb", [None, "paired-mx-slope"])
     def test_residuals_equal_separate_checks(self, tag, perturb):
@@ -284,43 +281,40 @@ class TestSharedW1Table:
     def test_each_w1_evaluated_once_per_m(self, m_list):
         entry, p, grid = family_on_grid("Xl-Poschl-Teller", seed=19, n=128)
         m_list = (p.m, p.m - 1.0, p.m - 2.0) if m_list == "default" else (p.m, p.m - 2.0)
-        calls = Counter()
+        calls = []
+        w1 = entry.family.w1
 
-        def counted(name):
-            fn = getattr(entry.family, name)
+        def counted(x, m_values):
+            calls.append(tuple(m_values))
+            return w1(x, m_values)
 
-            def wrapped(x, m):
-                calls[name, m] += 1
-                return fn(x, m)
-
-            return wrapped
-
-        fam = dataclasses.replace(entry.family, **{n: counted(n) for n in self.W1_NAMES})
+        fam = dataclasses.replace(entry.family, w1=counted)
         assert run_condition_checks(fam, grid, m_list).passed
-        # the checks also read m0 - 1, which a custom m_list may leave out
-        wanted = set(m_list) | {p.m - 1.0}
-        assert calls == Counter({(n, m): 1 for n in self.W1_NAMES for m in wanted})
+        # one call for every m; the checks also read m0 - 1, which a custom
+        # m_list may leave out
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(set(m_list) | {p.m - 1.0})
         run_condition_checks(fam, grid, m_list)  # no table outlives a call
-        assert set(calls.values()) == {2}
+        assert len(calls) == 2
 
     # poly_eval calls of make_grid + run_condition_checks at the default m
-    # list (m, m-1, m-2) and 128 points, when each W1 and each W1' was a
-    # kernel call of its own: the Poschl-Teller grid probes one infinite
-    # side, the Scarf grid two
-    SEPARATE_W1_DERIV_CALLS = {"Xl-Poschl-Teller": 24, "Xl-PT-Scarf": 36}
+    # list (m, m-1, m-2) and 128 points: one per probed infinite side of the
+    # grid (the Poschl-Teller grid probes one, the Scarf grid two) and one
+    # for all the checks, each an order-2 pass over every P+- of the m list
+    KERNEL_CALLS = {"Xl-Poschl-Teller": 2, "Xl-PT-Scarf": 3}
 
-    @pytest.mark.parametrize("tag", sorted(SEPARATE_W1_DERIV_CALLS))
+    @pytest.mark.parametrize("tag", sorted(KERNEL_CALLS))
     @pytest.mark.parametrize("seed", [19, 3])
-    def test_one_kernel_call_per_pair(self, tag, seed, monkeypatch):
+    def test_one_kernel_call_per_grid_side_and_run(self, tag, seed, monkeypatch):
         import shapeinv.catalog
         import shapeinv.polynomials
 
-        orders = Counter()
+        calls = []
         kernel = shapeinv.polynomials.poly_eval
 
-        def counted(spec, z, order=0):
-            orders[order] += 1
-            return kernel(spec, z, order)
+        def counted(spec, z, order=0, *, more=None):
+            calls.append((order, 1 + len(more or ())))
+            return kernel(spec, z, order, more=more)
 
         monkeypatch.setattr(shapeinv.polynomials, "poly_eval", counted)
         monkeypatch.setattr(shapeinv.catalog, "poly_eval", counted)
@@ -329,5 +323,6 @@ class TestSharedW1Table:
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
         grid = make_grid(fam, GridSpec(n_points=128), m_values=m_list)
         assert run_condition_checks(fam, grid, m_list).passed
-        assert sum(orders.values()) == self.SEPARATE_W1_DERIV_CALLS[tag] // 2
-        assert set(orders) == {2}
+        assert len(calls) == self.KERNEL_CALLS[tag]
+        # P+- at three m, each distinct spec once
+        assert all(order == 2 and 3 <= specs <= 6 for order, specs in calls)

@@ -191,6 +191,76 @@ class TestOnePassDerivatives:
         assert p2[0] == poly_eval(spec, 0.3, 2)[2]  # constant
 
 
+class TestStackedPass:
+    """poly_eval with more= against one call per spec, bit for bit.  The
+    specs are those of one Xl verify grid, P+- at m, m - 1 and m - 2, so
+    some repeat; every case runs under the suite's warnings-as-errors."""
+
+    XS = np.linspace(0.0, 6.0, 25)
+    # edge-probe candidates far out, where u**s overflows at high degree
+    FAR = 2.0 ** np.arange(11)
+    ARGS = {
+        "jacobi-series": (JACOBI, np.cosh(np.concatenate([XS, FAR[FAR < 700.0]]))),
+        "jacobi-mixed": (JACOBI, np.linspace(-3.0, 3.0, 41)),  # |z| < 1 in the monomial basis
+        "jacobi-imaginary": (JACOBI, 1j * np.sinh(np.concatenate([-XS, XS]))),
+        "laguerre": (LAGUERRE, -1.3 * np.concatenate([XS, 1e3 * FAR]) ** 2 / 2.0),
+    }
+
+    @staticmethod
+    def specs(kind, n):
+        ms = (0.4, -0.6, -1.6)
+        if kind == JACOBI:
+            B = -2.3
+            return [PolySpec(JACOBI, n, -B + m - a, -B - m - b)
+                    for a, b in ((0.5, 1.5), (1.5, 0.5)) for m in ms]
+        return [PolySpec(LAGUERRE, n, -m - a) for a in (1.5, 0.5) for m in ms]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 10, DEGREE_CAP])
+    @pytest.mark.parametrize("case", sorted(ARGS))
+    def test_equals_separate_calls(self, case, n, order):
+        kind, z = self.ARGS[case]
+        specs = self.specs(kind, n)
+        stacked = poly_eval(specs[0], z, order, more=tuple(specs[1:]))
+        stacked = stacked if order else (stacked,)
+        for i, spec in enumerate(specs):
+            one = poly_eval(spec, z, order)
+            one = one if order else (one,)
+            for j in range(order + 1):
+                assert stacked[j].shape == (len(specs),) + z.shape
+                assert np.array_equal(stacked[j][i], one[j], equal_nan=True), (i, j)
+
+    @pytest.mark.parametrize("case", ["jacobi-series", "laguerre"])
+    def test_far_candidates_overflow_quietly(self, case):
+        kind, z = self.ARGS[case]
+        specs = self.specs(kind, DEGREE_CAP)
+        p0, p1, p2 = poly_eval(specs[0], z, 2, more=tuple(specs[1:]))
+        assert not np.all(np.isfinite(p0))  # the overflow is reached
+        assert np.all(np.isfinite(p0[:, :self.XS.size]))
+
+    def test_scalar_argument(self):
+        specs = self.specs(JACOBI, 3)
+        got = poly_eval(specs[0], 0.4, 1, more=tuple(specs[1:]))
+        assert [g.shape for g in got] == [(len(specs),)] * 2
+        assert [complex(v) for v in got[1]] == [poly_eval(s, 0.4, 1)[1] for s in specs]
+
+    def test_empty_stack_keeps_the_spec_axis(self):
+        spec, z = self.specs(LAGUERRE, 4)[0], np.linspace(-2.0, 2.0, 5)
+        p0, p1 = poly_eval(spec, z, 1, more=())
+        assert p0.shape == p1.shape == (1, 5)
+        assert np.array_equal(p1[0], poly_eval(spec, z, 1)[1])
+
+    @pytest.mark.parametrize("more", [
+        (PolySpec(JACOBI, 4, 0.5, 0.5),),
+        (PolySpec(LAGUERRE, 3, 0.5),),
+        [PolySpec(JACOBI, 3, 0.5, 0.5)],
+        ("jacobi",),
+    ])
+    def test_mixed_stack_rejected(self, more):
+        with pytest.raises(ValueError, match="more"):
+            poly_eval(PolySpec(JACOBI, 3, 1.5, -0.5), np.array([0.5, 2.0]), 2, more=more)
+
+
 class TestRealness:
     def test_real_input_exactly_real(self):
         rng = np.random.default_rng(7)
@@ -305,7 +375,8 @@ def reference_scan(f, lo, hi, n_sub, xs=None, vals=None):
 
 class TestScan:
     def test_exact_zero_at_node(self):
-        assert scan_roots(lambda x: x, -1.0, 1.0, 64) == [0.0]
+        xs = np.linspace(-1.0, 1.0, 65)
+        assert scan_roots(lambda x: x, -1.0, 1.0, 64, xs, xs) == [0.0]
 
     def test_given_nodes_and_signs(self):
         # uneven nodes; only the signs of the values are read
@@ -324,7 +395,8 @@ class TestScan:
             sizes.append(x.size)
             return (x + 0.3) * (x - 0.25) * (x - 0.7)
 
-        roots = scan_roots(f, -1.0, 1.0, 4)
+        xs = np.linspace(-1.0, 1.0, 5)
+        roots = scan_roots(f, -1.0, 1.0, 4, xs, f(xs))
         # the nodes, then one call per step; the exact zero drops out at once
         assert sizes[:3] == [5, 3, 2]
         assert len(sizes) == 1 + 39

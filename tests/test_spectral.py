@@ -478,9 +478,9 @@ class TestSpectralWindow:
 
     @staticmethod
     def assert_passes(w, w_deriv, k, passes):
-        """Each pass makes one probe-grid call plus one call per side and m,
-        and no single-point call; the search stops after the first pass that
-        returns the window it started from."""
+        """Each pass makes one probe-grid call plus one call per side for
+        both m, and no single-point call; the search stops after the first
+        pass that returns the window it started from."""
         sizes = []
 
         def k0(x):
@@ -489,10 +489,10 @@ class TestSpectralWindow:
 
         got = window(line_family(k0, w_deriv), (0.0, -1.0), k)
         assert got == reference_window(line_family(w, w_deriv), (0.0, -1.0), k)
-        assert len(sizes) == passes * (1 + 2 * 2)
+        assert len(sizes) == passes * (1 + 2)
         assert min(sizes) > 1
 
-    def test_one_array_call_per_side_and_m(self):
+    def test_one_array_call_per_side(self):
         # W = x: V at -8 and 8 already exceeds the target, so the first pass
         # leaves the window as it found it
         self.assert_passes(lambda x: np.asarray(x, dtype=float),

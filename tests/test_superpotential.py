@@ -9,6 +9,7 @@ from shapeinv import (
     ParamPoint,
     PoleError,
     InvalidParameterError,
+    PERTURBATION_MODES,
     eval_w,
     eval_w_deriv,
     get_family,
@@ -70,6 +71,8 @@ class TestGridSpec:
             {"boundary_margin": 0.0},
             {"boundary_margin": 0.5},
             {"pole_exclusion_radius": 0.0},
+            {"pole_exclusion_radius": float("nan")},
+            {"pole_exclusion_radius": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -278,6 +281,25 @@ class TestPerturbations:
         (pert_plus, _), (fam_plus, _) = pert.w1plus(xs, p.m), fam.w1plus(xs, p.m)
         assert np.allclose(np.asarray(pert_minus) - np.asarray(fam_minus), 0.01 * xs)
         assert np.array_equal(np.asarray(pert_plus), np.asarray(fam_plus))
+
+    @pytest.mark.parametrize("mode", PERTURBATION_MODES)
+    @pytest.mark.parametrize("tag", ["X1-radial-oscillator", "Xl-Poschl-Teller", "Xl-PT-Scarf"])
+    def test_batch_equals_one_m_methods(self, tag, mode):
+        # every mode patches w1 (or affine) at each m of a batch, as the
+        # one-m methods see it
+        entry, p = sampled_entry(tag)
+        pert = with_perturbation(entry.family, mode, 0.01)
+        xs = np.linspace(0.5, 2.0, 9)
+        m_values = (p.m, p.m - 1.0, p.m - 2.0)
+        rows = pert.w1(xs, m_values)
+        w, wd = pert.w_rows(xs, m_values)
+        for i, m in enumerate(m_values):
+            one = (*pert.w1plus(xs, m), *pert.w1minus(xs, m))
+            assert all(np.array_equal(r[i], o) for r, o in zip(rows, one))
+            assert all(np.array_equal(a[i], b) for a, b in zip((w, wd), pert.W(xs, m)))
+        if mode != "k1-slope":
+            base = entry.family.w1(xs, m_values)
+            assert any(not np.array_equal(r, b) for r, b in zip(rows, base))
 
     def test_paired_mode_keeps_translation(self):
         entry, p = sampled_entry("X1-radial-oscillator")

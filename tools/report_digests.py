@@ -1,0 +1,68 @@
+"""sha256 digests of the `--no-timestamp` reports on a fixed set of configs.
+
+Run from anywhere, with no arguments:
+
+    python3 tools/report_digests.py
+
+It imports shapeinv from the src/ of the checkout it lives in, runs
+`verify`, `scan --m-list m,m-1,m-2` and `spectrum` on each family at the
+sample points of SEEDS, and `verify --perturb` on one point per Xl family,
+and prints one line per report: the sha256 of its bytes, the command, the
+family, the seed and the exit code.  Running it on two checkouts and
+diffing the output lists every report that a change alters.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from shapeinv import catalog  # noqa: E402
+from shapeinv.cli import main  # noqa: E402
+
+# each family at sample_valid_params(tag, 1, seed) for these seeds
+SEEDS = (3, 7, 11)
+# the perturbed controls: one point per Xl family, W1- += PERTURB * x
+CONTROL_SEED = 5
+PERTURB = "0.01"
+
+
+def configs():
+    """(label, argv) of every report, in a fixed order."""
+    for tag in catalog.FAMILY_TAGS:
+        for seed in SEEDS:
+            point = ["--family", tag, "--sample", "1", "--seed", str(seed), "--no-timestamp"]
+            m = catalog.sample_valid_params(tag, 1, seed)[0].m
+            yield f"verify {tag} seed={seed}", ["verify", *point]
+            yield f"scan {tag} seed={seed}", ["scan", *point, f"--m-list={m!r},{m - 1.0!r},{m - 2.0!r}"]
+            if tag in catalog.REAL_TAGS:
+                yield f"spectrum {tag} seed={seed}", ["spectrum", *point]
+    for tag in catalog.FAMILY_TAGS:
+        if tag.startswith("Xl-"):
+            yield (f"verify {tag} seed={CONTROL_SEED} perturb={PERTURB}",
+                   ["verify", "--family", tag, "--sample", "1", "--seed", str(CONTROL_SEED),
+                    "--perturb", PERTURB, "--no-timestamp"])
+
+
+def digest(argv) -> tuple[str, int]:
+    """The sha256 of the report that argv writes to standard output, and
+    the exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+
+
+def run() -> None:
+    for label, argv in configs():
+        sha, code = digest(argv)
+        print(f"{sha}  {label} exit={code}")
+
+
+if __name__ == "__main__":
+    run()
