@@ -10,8 +10,9 @@ Subcommands:
             the partner potentials for real families.  With
             --m-list m,m-1,m-2 its grid is the one verify uses for the same
             point.
-  spectrum  run the isospectrality cross-check and report both spectra, the
-            remainder R and the level mismatch as JSON.
+  spectrum  run the isospectrality cross-check and report the V+ spectrum
+            with its error estimates, the remainder R, its flatness and the
+            Weyl bound on the level mismatch as JSON.
 
 A config file (--config, single JSON object) provides the same fields as the
 flags; explicit flags win.  JSON reports are exactly
@@ -218,7 +219,6 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
         result["verdicts"]["spectrum"] = iso.mismatch < tols["spectrum"]
         result["spectrum"] = {
             "plus": iso.spectrum_plus.eigenvalues.tolist(),
-            "minus": iso.spectrum_minus.eigenvalues.tolist(),
             "remainder": iso.remainder_value,
             "window": list(iso.window),
         }
@@ -296,9 +296,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "flatness_residual": iso.flatness_residual,
         "plus": iso.spectrum_plus.eigenvalues.tolist(),
         "plus_error_estimates": iso.spectrum_plus.error_estimates.tolist(),
-        "minus": iso.spectrum_minus.eigenvalues.tolist(),
-        "minus_error_estimates": iso.spectrum_minus.error_estimates.tolist(),
-        "minus_shifted": (iso.spectrum_minus.eigenvalues + iso.remainder_value).tolist(),
         "mismatch": iso.mismatch,
         "tolerance": cfg.tolerance_map()["spectrum"],
     }

@@ -4,17 +4,19 @@ V-(x) = W^2 - W' and V+(x) = W^2 + W' form the partner pair; shape
 invariance under m -> m-1 means V+(x, m) - V-(x, m-1) is a constant R(m).
 The eigensolver is a second-order central-difference Hamiltonian
 -d^2/dx^2 + V with Dirichlet ends on a symmetric tridiagonal matrix.
-Isospectrality is validated via the constant-shift route: the spectra of
-V+(., m) and V-(., m-1) + R must coincide level by level, which exercises
-the whole pipeline, discretization included.  The complex PT-symmetric
-family is excluded from spectra by contract.
+Isospectrality is bounded, not measured twice: on one shared grid the
+matrices of V+(., m) and V-(., m-1) + R differ only on the diagonal, by
+V+ - V- - R, so by Weyl's inequality no level pair differs by more than
+the flatness of that difference.  Only V+ is solved, for its levels and
+their error estimates.  The complex PT-symmetric family is excluded from
+spectra by contract.
 
-Only the window search's 400-point probe is bisected.  Every other level
-set is refined by inverse iteration from shifts: V+'s spacing-doubled grid
-from the probe's levels, V-'s from V+'s levels - R, and each fine grid
-from its own spacing-doubled levels.  A level set is accepted only under a
-certificate on its own matrix (disjoint residual intervals and one Sturm
-count); where that fails, the matrix is bisected instead.
+Only the window search's 400-point probe is bisected.  V+'s levels are
+refined by inverse iteration from shifts: its spacing-doubled grid from the
+probe's levels, and the fine grid from the spacing-doubled levels.  A level
+set is accepted only under a certificate on its own matrix (disjoint
+residual intervals and one Sturm count); where that fails, the matrix is
+bisected instead.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ class PotentialGrid:
 
     x: np.ndarray
     values: np.ndarray
-    which: str  # "minus" | "plus"
-    m: float
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -66,8 +66,6 @@ class PotentialGrid:
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray
-    grid_size: int
-    spacing: float
     error_estimates: np.ndarray
 
     def __post_init__(self):
@@ -82,13 +80,13 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class IsospectralResult:
+    """mismatch is Weyl's bound on |E+ - (E- + R)| over the k lowest levels."""
+
     mismatch: float
     remainder_value: float
     flatness_residual: float
     spectrum_plus: SpectrumResult
-    spectrum_minus: SpectrumResult
     window: tuple[float, float]
-    k: int
 
 
 def _real_potential_values(family, x, m_values):
@@ -110,24 +108,23 @@ def partner_potentials(family: SuperpotentialFamily, m: float, grid):
     x = np.asarray(grid, dtype=float)
     (w,), (wd,) = _real_potential_values(family, x, (m,))
     w2 = w * w
-    return (
-        PotentialGrid(x=x, values=w2 - wd, which="minus", m=float(m)),
-        PotentialGrid(x=x, values=w2 + wd, which="plus", m=float(m)),
-    )
+    return PotentialGrid(x=x, values=w2 - wd), PotentialGrid(x=x, values=w2 + wd)
 
 
-def _shift(v_plus: PotentialGrid, v_minus_prev: PotentialGrid):
-    """(R, flatness) of V+ - V- on their shared grid: mean and max deviation."""
-    diff = v_plus.values - v_minus_prev.values
+def _plus_and_remainder(family, m: float, x: np.ndarray):
+    """(V+(x, m), R, flatness) of V+(x, m) - V-(x, m-1), from one evaluation
+    of W at both m: R is the difference's mean, flatness its max deviation."""
+    w, wd = _real_potential_values(family, x, (m, m - 1.0))
+    w2 = w * w
+    v_plus = w2[0] + wd[0]
+    diff = v_plus - (w2[1] - wd[1])
     r = float(np.mean(diff))
-    return r, float(np.max(np.abs(diff - r)))
+    return v_plus, r, float(np.max(np.abs(diff - r)))
 
 
 def remainder(family: SuperpotentialFamily, m: float, grid):
     """(R, flatness) of V+(x, m) - V-(x, m-1): mean and max deviation."""
-    _, v_plus = partner_potentials(family, m, grid)
-    v_minus_prev, _ = partner_potentials(family, m - 1.0, grid)
-    return _shift(v_plus, v_minus_prev)
+    return _plus_and_remainder(family, m, np.asarray(grid, dtype=float))[1:]
 
 
 def _tridiagonal(values: np.ndarray, h: float):
@@ -243,12 +240,7 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     else:
         coarse = _certified_levels(potential.values[1::2], 2.0 * h, shifts)
     evals = _certified_levels(potential.values, h, coarse)
-    return SpectrumResult(
-        eigenvalues=evals,
-        grid_size=n,
-        spacing=h,
-        error_estimates=np.abs(evals - coarse) / 3.0,
-    )
+    return SpectrumResult(eigenvalues=evals, error_estimates=np.abs(evals - coarse) / 3.0)
 
 
 def dirichlet_grid(a: float, b: float, n: int) -> np.ndarray:
@@ -341,14 +333,15 @@ def spectral_window(family: SuperpotentialFamily, m_values,
 
 def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = 5,
                          n_points: int = 4000) -> IsospectralResult:
-    """Max relative level mismatch of spectrum(V+(., m)) vs
-    spectrum(V-(., m-1)) + R over the k lowest levels, on one shared grid.
+    """Weyl's bound on the level mismatch of spectrum(V+(., m)) vs
+    spectrum(V-(., m-1)) + R over the k lowest levels, on one shared grid,
+    and the levels of V+.
 
-    Shape invariance makes each level set a near-exact shift for the next:
-    V+ is seeded with the window probe's bisected levels and V- with V+'s
-    levels - R.  Each matrix is still certified on its own values, with
-    bisection as the fallback, so the minus spectrum stays an independent
-    measurement and a broken family still shows its mismatch.
+    The two matrices differ by the diagonal V+ - V- - R, so no level pair
+    differs by more than its largest entry, the flatness of the remainder.
+    The mismatch adds 4 eps/h^2 for the rounding in forming the two
+    diagonals 2/h^2 + V.  V+ alone is solved, seeded with the window
+    probe's bisected levels and certified on its own matrix.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -356,21 +349,12 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = 5,
         raise UsageError(f"k = {k} too large for a {n_points}-point grid")
     window, probe = spectral_window(family, (m, m - 1.0), k)
     x = dirichlet_grid(window[0], window[1], n_points)
-    _, v_plus = partner_potentials(family, m, x)
-    v_minus_prev, _ = partner_potentials(family, m - 1.0, x)
-    r, flatness = _shift(v_plus, v_minus_prev)
-
-    sp = solve_spectrum(v_plus, k, shifts=probe)
-    sm = solve_spectrum(v_minus_prev, k, shifts=sp.eigenvalues - r)
-    shifted = sm.eigenvalues + r
-    denom = np.maximum(np.maximum(np.abs(sp.eigenvalues), np.abs(shifted)), 1.0)
-    mismatch = float(np.max(np.abs(sp.eigenvalues - shifted) / denom))
+    v_plus, r, flatness = _plus_and_remainder(family, m, x)
+    h = float(x[1] - x[0])
     return IsospectralResult(
-        mismatch=mismatch,
+        mismatch=flatness + 4.0 * _EPS / (h * h),
         remainder_value=r,
         flatness_residual=flatness,
-        spectrum_plus=sp,
-        spectrum_minus=sm,
+        spectrum_plus=solve_spectrum(PotentialGrid(x=x, values=v_plus), k, shifts=probe),
         window=window,
-        k=k,
     )

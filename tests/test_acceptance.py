@@ -252,10 +252,10 @@ def test_criterion_5_spectral_suite():
         worst_mismatch = max(worst_mismatch, iso.mismatch)
 
     xs = dirichlet_grid(-12.0, 12.0, 4000)
-    ho = solve_spectrum(PotentialGrid(x=xs, values=xs**2, which="minus", m=0.0), 4)
+    ho = solve_spectrum(PotentialGrid(x=xs, values=xs**2), 4)
     ho_err = float(np.max(np.abs(ho.eigenvalues - np.asarray([1.0, 3.0, 5.0, 7.0]))))
     xs = dirichlet_grid(0.0, np.pi, 4000)
-    box = solve_spectrum(PotentialGrid(x=xs, values=np.zeros_like(xs), which="minus", m=0.0), 3)
+    box = solve_spectrum(PotentialGrid(x=xs, values=np.zeros_like(xs)), 3)
     box_err = float(np.max(np.abs(box.eigenvalues - np.asarray([1.0, 4.0, 9.0]))))
 
     elapsed = time.perf_counter() - t0

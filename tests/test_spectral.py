@@ -101,14 +101,14 @@ class TestRemainder:
 class TestSolveSpectrum:
     def test_harmonic_oscillator(self):
         xs = dirichlet_grid(-12.0, 12.0, 4000)
-        pot = PotentialGrid(x=xs, values=xs**2, which="minus", m=0.0)
+        pot = PotentialGrid(x=xs, values=xs**2)
         res = solve_spectrum(pot, 4)
         assert np.allclose(res.eigenvalues, [1.0, 3.0, 5.0, 7.0], atol=1e-4)
         assert np.all(res.error_estimates >= 0.0)
 
     def test_particle_in_a_box(self):
         xs = dirichlet_grid(0.0, np.pi, 4000)
-        pot = PotentialGrid(x=xs, values=np.zeros_like(xs), which="minus", m=0.0)
+        pot = PotentialGrid(x=xs, values=np.zeros_like(xs))
         res = solve_spectrum(pot, 3)
         assert np.allclose(res.eigenvalues, [1.0, 4.0, 9.0], atol=1e-4)
 
@@ -117,7 +117,7 @@ class TestSolveSpectrum:
         errs = []
         for n in (500, 1000):
             xs = dirichlet_grid(-12.0, 12.0, n)
-            pot = PotentialGrid(x=xs, values=xs**2, which="minus", m=0.0)
+            pot = PotentialGrid(x=xs, values=xs**2)
             res = solve_spectrum(pot, 3)
             errs.append(np.abs(res.eigenvalues - np.asarray([1.0, 3.0, 5.0])))
         ratio = errs[0] / errs[1]
@@ -141,21 +141,20 @@ class TestSolveSpectrum:
 
     def test_constant_shift_invariance(self):
         xs = dirichlet_grid(-10.0, 10.0, 1500)
-        pot = PotentialGrid(x=xs, values=xs**2, which="minus", m=0.0)
-        shifted = PotentialGrid(x=xs, values=xs**2 + 7.5, which="minus", m=0.0)
+        pot = PotentialGrid(x=xs, values=xs**2)
+        shifted = PotentialGrid(x=xs, values=xs**2 + 7.5)
         e0 = solve_spectrum(pot, 4).eigenvalues
         e1 = solve_spectrum(shifted, 4).eigenvalues
         assert np.max(np.abs((e1 - 7.5) - e0)) < 1e-10
 
     def test_usage_errors(self):
         xs = dirichlet_grid(0.0, 1.0, 200)
-        pot = PotentialGrid(x=xs, values=np.zeros_like(xs), which="minus", m=0.0)
+        pot = PotentialGrid(x=xs, values=np.zeros_like(xs))
         with pytest.raises(UsageError):
             solve_spectrum(pot, 0)
         with pytest.raises(UsageError):
             solve_spectrum(pot, 100)  # k not << grid size
-        bumpy = PotentialGrid(x=np.sort(np.r_[xs[:-1], 0.9993]), values=np.zeros(200),
-                              which="minus", m=0.0)
+        bumpy = PotentialGrid(x=np.sort(np.r_[xs[:-1], 0.9993]), values=np.zeros(200))
         with pytest.raises(UsageError):
             solve_spectrum(bumpy, 2)
         with pytest.raises(UsageError):
@@ -163,10 +162,9 @@ class TestSolveSpectrum:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            PotentialGrid(x=np.asarray([1.0, 0.5]), values=np.zeros(2), which="minus", m=0.0)
+            PotentialGrid(x=np.asarray([1.0, 0.5]), values=np.zeros(2))
         with pytest.raises(ValueError):
-            PotentialGrid(x=np.asarray([0.0, 1.0]), values=np.asarray([np.nan, 0.0]),
-                          which="minus", m=0.0)
+            PotentialGrid(x=np.asarray([0.0, 1.0]), values=np.asarray([np.nan, 0.0]))
 
 
 def dense_levels(potential, k, h=None):
@@ -207,8 +205,7 @@ class TestSolveSpectrumOracle:
         xs = dirichlet_grid(0.0, length, n)
         u = xs / length - 0.5
         values = (well * u * u + ripple * np.cos(frequency * 2.0 * np.pi * u)) / length ** 2 + offset
-        assert_matches_dense(PotentialGrid(x=xs, values=values, which="minus", m=0.0),
-                             min(k, n // 8))
+        assert_matches_dense(PotentialGrid(x=xs, values=values), min(k, n // 8))
 
     @given(n=st.integers(64, 600), k=st.integers(1, 8), scale=st.floats(0.0, 1e4),
            seed=st.integers(0, 2**32 - 1))
@@ -218,8 +215,7 @@ class TestSolveSpectrumOracle:
         # fine grid's, so these reach the certificate's failure path too
         xs = dirichlet_grid(0.0, 1.0, n)
         values = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-        assert_matches_dense(PotentialGrid(x=xs, values=values, which="minus", m=0.0),
-                             min(k, n // 8))
+        assert_matches_dense(PotentialGrid(x=xs, values=values), min(k, n // 8))
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_partners_on_their_window(self, tag):
@@ -288,10 +284,10 @@ class TestIsospectrality:
         assert iso.remainder_value == pytest.approx(2.0, abs=1e-9)  # 2*omega, omega = 1
 
     def test_broken_family_mismatch(self):
-        # A shape-invariance defect propagates to the spectra.  Much of a
-        # slope perturbation is soaked up by the remainder shift, so the
-        # level mismatch grows slower than the flatness residual: the 0.01
-        # kick clears the 1e-3 detection floor, the 0.05 one reaches 1e-2.
+        # A shape-invariance defect shows in the remainder's flatness, and
+        # the reported mismatch, Weyl's bound on the level pairs, carries
+        # it: the 0.01 kick clears the 1e-3 detection floor, the 0.05 one
+        # reaches 1e-2.
         p = sample_valid_params("X1-radial-oscillator", 1, seed=21)[0]
         fam = get_family("X1-radial-oscillator", p).family
         iso_small = check_isospectrality(
@@ -531,9 +527,9 @@ def bisected_sizes(monkeypatch):
 
 
 class TestSeededSolve:
-    """check_isospectrality seeds V+ with the window probe's levels and V-
-    with V+'s levels - R; every level set is still certified on its own
-    matrix, with bisection as the fallback."""
+    """check_isospectrality seeds V+ with the window probe's levels; every
+    level set is still certified on its own matrix, with bisection as the
+    fallback."""
 
     @pytest.mark.parametrize("tag, index", SEEDED_CASES)
     def test_levels_match_dense(self, tag, index):
@@ -544,21 +540,18 @@ class TestSeededSolve:
         x = dirichlet_grid(iso.window[0], iso.window[1], n)
         h = x[1] - x[0]
         _, v_plus = partner_potentials(fam, m, x)
-        v_minus_prev, _ = partner_potentials(fam, m - 1.0, x)
+        spectrum = iso.spectrum_plus
         ulp = ORACLE_ULPS * np.finfo(float).eps
-        for potential, spectrum in ((v_plus, iso.spectrum_plus),
-                                    (v_minus_prev, iso.spectrum_minus)):
-            want, norm = dense_levels(potential, 5)
-            assert np.max(np.abs(spectrum.eigenvalues - want)) <= ulp * norm
-            # the error estimate |fine - coarse|/3 implies the coarse level
-            # up to its side of the fine one
-            coarse = PotentialGrid(x=potential.x[1::2], values=potential.values[1::2],
-                                   which=potential.which, m=potential.m)
-            want, norm = dense_levels(coarse, 5, h=2.0 * h)
-            step = 3.0 * spectrum.error_estimates
-            off = np.minimum(np.abs(spectrum.eigenvalues - step - want),
-                             np.abs(spectrum.eigenvalues + step - want))
-            assert np.max(off) <= ulp * norm
+        want, norm = dense_levels(v_plus, 5)
+        assert np.max(np.abs(spectrum.eigenvalues - want)) <= ulp * norm
+        # the error estimate |fine - coarse|/3 implies the coarse level up
+        # to its side of the fine one
+        coarse = PotentialGrid(x=v_plus.x[1::2], values=v_plus.values[1::2])
+        want, norm = dense_levels(coarse, 5, h=2.0 * h)
+        step = 3.0 * spectrum.error_estimates
+        off = np.minimum(np.abs(spectrum.eigenvalues - step - want),
+                         np.abs(spectrum.eigenvalues + step - want))
+        assert np.max(off) <= ulp * norm
 
     @pytest.mark.parametrize("tag, index", SEEDED_CASES)
     def test_only_the_probe_is_bisected(self, tag, index, monkeypatch):
@@ -612,11 +605,48 @@ class TestSeededSolve:
         x = dirichlet_grid(a, b, 4000)
         h = x[1] - x[0]
         _, v_plus = partner_potentials(fam, 0.0, x)
-        v_minus_prev, _ = partner_potentials(fam, -1.0, x)
-        for potential, spectrum in ((v_plus, iso.spectrum_plus),
-                                    (v_minus_prev, iso.spectrum_minus)):
-            want = solve_spectrum(potential, 5).eigenvalues
-            # Gershgorin's bound on ||T||_1
-            norm = float(np.max(np.abs(potential.values))) + 4.0 / (h * h)
-            assert np.max(np.abs(spectrum.eigenvalues - want)) <= (
-                ORACLE_ULPS * np.finfo(float).eps * norm)
+        want = solve_spectrum(v_plus, 5).eigenvalues
+        # Gershgorin's bound on ||T||_1
+        norm = float(np.max(np.abs(v_plus.values))) + 4.0 / (h * h)
+        assert np.max(np.abs(iso.spectrum_plus.eigenvalues - want)) <= (
+            ORACLE_ULPS * np.finfo(float).eps * norm)
+
+
+# SEEDED_CASES and a control that breaks compatibility but not translation
+WEYL_CASES = SEEDED_CASES + [("X1-radial-oscillator", "paired-mx-slope")]
+
+
+class TestWeylBound:
+    """check_isospectrality solves V+ alone and reports Weyl's bound on the
+    level mismatch; V-(., m-1) is solved here, on the same grid, to show
+    that the bound holds."""
+
+    @pytest.mark.parametrize("tag, index", WEYL_CASES)
+    def test_bound_holds(self, tag, index):
+        # without its 4 eps/h^2 rounding term the bound fails on the valid
+        # X1-hyperbolic, X1-radial, Xl-Poschl-Teller and Xl-radial points
+        if index == "paired-mx-slope":
+            p = sample_valid_params(tag, 2, seed=5)[0]
+            fam, m = with_perturbation(get_family(tag, p).family, index, 1e-6), p.m
+        else:
+            fam, m = seeded_case(tag, index)
+        iso = check_isospectrality(fam, m, k=5, n_points=4000)
+        x = dirichlet_grid(iso.window[0], iso.window[1], 4000)
+        v_minus_prev, _ = partner_potentials(fam, m - 1.0, x)
+        minus = solve_spectrum(v_minus_prev, 5).eigenvalues
+        gap = np.max(np.abs(iso.spectrum_plus.eigenvalues - (minus + iso.remainder_value)))
+        assert gap <= iso.mismatch
+
+    def test_one_solve_and_one_fine_grid_evaluation(self, monkeypatch):
+        from shapeinv import spectral
+
+        solves, sizes = [], []
+        solve, values = spectral.solve_spectrum, spectral._real_potential_values
+        monkeypatch.setattr(spectral, "solve_spectrum",
+                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        monkeypatch.setattr(spectral, "_real_potential_values",
+                            lambda fam, x, ms: sizes.append(np.size(x)) or values(fam, x, ms))
+        fam, m = seeded_case("X1-radial-oscillator", 0)
+        check_isospectrality(fam, m, k=5, n_points=4000)
+        assert len(solves) == 1
+        assert sizes.count(4000) == 1
