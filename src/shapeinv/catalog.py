@@ -158,13 +158,13 @@ def _log_derivs(data: FamilyData, g_dd: Callable):
     For the Xl families D, D' and D'' of every distinct P+-(m) come from one
     order-2 kernel call; equal specs (P- at m often equals P+ at m - 1)
     share a row.  The X1 families' degree-1 P is evaluated directly.  The
-    polynomial kernel returns complex values; real families drop their
-    exactly zero imaginary part.  Where g(x) is not finite D is nan, and
+    polynomial kernel returns float64 for the real families' real g(x) and
+    complex128 for the complex family's imaginary one, so W1 keeps the
+    family's dtype.  Where g(x) is not finite D is nan, and
     where D is zero W1 is not finite: the evaluator never raises there, so
     the grid's edge probe can test many abscissae in one call."""
     g, g_d, linear = data.g, data.g_deriv, data.linear
     pair = (data.p_plus, data.p_minus)
-    real = data.is_real and not linear
 
     def w1(x, m_values):
         gx = g(x)
@@ -187,8 +187,6 @@ def _log_derivs(data: FamilyData, g_dd: Callable):
             D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(gx)
         r = D1 / D
         rd = D2 / D - r * r
-        if real:
-            r, rd = r.real, rd.real
         k = len(m_values)
         return r[:k], rd[:k], r[k:], rd[k:]
 

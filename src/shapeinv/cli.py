@@ -194,6 +194,9 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     tols = cfg.tolerance_map()
 
     grid = make_grid(family, cfg.grid, m_values=m_list)
+    # W1 at every m of m_list and at m_list[0] - 1, shared by the identity
+    # checks and the remainder
+    values = grid_values(family, grid, m_list + (m_list[0] - 1.0,))
     report = run_condition_checks(
         family,
         grid,
@@ -202,12 +205,13 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
         tolerances=tols,
         grid_spec=cfg.grid,
         expected_ab=(entry.expected_a, entry.expected_b),
+        values=values,
     )
     result = report.to_dict()
     result["param_index"] = index
 
     if "remainder" in cfg.checks:
-        r, flat = remainder(family, m_list[0], grid)
+        r, flat = remainder(family, m_list[0], grid, values=values)
         result["residuals"]["remainder_flatness"] = flat
         result["tolerances"]["remainder"] = tols["remainder"]
         result["verdicts"]["remainder"] = flat < tols["remainder"]

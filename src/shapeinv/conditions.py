@@ -222,6 +222,8 @@ def run_condition_checks(
     tolerances: dict | None = None,
     grid_spec: GridSpec | None = None,
     expected_ab: tuple[float, float] | None = None,
+    *,
+    values: GridValues | None = None,
 ) -> ResidualReport:
     """Run the selected identity checks on a prebuilt grid and assemble a report.
 
@@ -230,8 +232,9 @@ def run_condition_checks(
     constants are also matched against it under the infeld_hull tolerance.
     The family is evaluated once (grid_values): affine on the grid, and w1
     for all of m_list and m_list[0] - 1, the translate that translation,
-    algebra and equivalence read.  The checks share those values, so each
-    residual equals that of the separate check_* call bit for bit.
+    algebra and equivalence read; values, that grid_values result, spares
+    the evaluation.  The checks share those values, so each residual
+    equals that of the separate check_* call bit for bit.
     """
     m_list = tuple(float(m) for m in m_list)
     tol = dict(tolerances or {})
@@ -246,7 +249,7 @@ def run_condition_checks(
         m_list=m_list,
     )
     m0 = m_list[0]
-    values = grid_values(family, grid, m_list + (m0 - 1.0,))
+    values = values or grid_values(family, grid, m_list + (m0 - 1.0,))
 
     if "translation" in checks:
         r = check_translation(family, m0, grid, values=values)

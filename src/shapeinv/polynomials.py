@@ -35,8 +35,10 @@ interval, with every sign taken exactly in integers.  Whether a root lies
 in a given set at all (has_root_in) stops before the refinement: Descartes'
 rule answers most such questions alone.
 
-Real parameters with a real argument are evaluated in float64 and only cast
-to complex on output, so the imaginary part of such results is exactly zero.
+A real argument is evaluated in float64 and returned as float64 (a Python
+float for a scalar); only a complex argument gives complex128 results, and
+one whose imaginary part is zero everywhere is still evaluated in float64,
+so the imaginary part of its results is exactly zero.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def _prepare_argument(z):
         work = arr.astype(np.complex128)
     else:
         work = arr.real.astype(np.float64)
-    return work, arr.ndim == 0
+    return work, arr.ndim == 0, np.iscomplexobj(arr)
 
 
 def _derivative_rows(coefs: list, order: int, h: float) -> np.ndarray:
@@ -228,11 +230,12 @@ def _stack(spec: PolySpec, more) -> tuple:
 def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
     """Evaluate the polynomial at z (scalar or array, real or complex).
 
-    Returns complex128; real parameters with real argument give an exactly
-    zero imaginary part.  Jacobi arguments with |z| < 1 go through the
-    monomial basis (see the module docstring).  With order > 0 it returns
-    the tuple (P, P', ..., P^(order)) from one pass, each entry shaped like
-    the order-0 result.
+    Returns float64 for a real argument (a Python float for a scalar) and
+    complex128 for a complex one; a complex argument with zero imaginary
+    part gives an exactly zero imaginary part.  Jacobi arguments with
+    |z| < 1 go through the monomial basis (see the module docstring).  With
+    order > 0 it returns the tuple (P, P', ..., P^(order)) from one pass,
+    each entry shaped like the order-0 result.
 
     more, a tuple of further PolySpecs of spec's kind and degree (it may be
     empty), joins the same pass: each entry then gains a leading axis, one
@@ -240,7 +243,7 @@ def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
     polynomial's own call bit for bit.
     """
     specs = _stack(spec, more)
-    work, scalar = _prepare_argument(z)
+    work, scalar, complex_arg = _prepare_argument(z)
     flat = work.reshape(-1)
     jacobi = spec.kind == JACOBI
     u, h = ((flat - 1.0) / 2.0, 2.0) if jacobi else (flat, 1.0)
@@ -253,11 +256,13 @@ def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
                 out[:, inner] = _eval_rows(
                     _derivative_rows([monomial_coefficients(s) for s in specs], order, 1.0),
                     flat[inner], len(specs))
-    out = out.astype(np.complex128).reshape((order + 1, len(specs)) + work.shape)
+    if complex_arg:
+        out = out.astype(np.complex128, copy=False)
+    out = out.reshape((order + 1, len(specs)) + work.shape)
     if more is not None:
         vals = list(out)
     else:
-        vals = [complex(v[0]) for v in out] if scalar else [v[0] for v in out]
+        vals = [v[0].item() for v in out] if scalar else [v[0] for v in out]
     return vals[0] if order == 0 else tuple(vals)
 
 

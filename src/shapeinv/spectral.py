@@ -13,23 +13,27 @@ spectra by contract.
 
 Only the window search's 400-point probe is bisected.  V+'s levels are
 refined by inverse iteration from shifts: its spacing-doubled grid from the
-probe's levels, and the fine grid from the spacing-doubled levels.  A level
-set is accepted only under a certificate on its own matrix (disjoint
-residual intervals and one Sturm count); where that fails, the matrix is
-bisected instead.
+probe's levels, and the fine grid from the spacing-doubled levels.  The
+fine grid also starts from the spacing-doubled grid's eigenvectors,
+interpolated linearly, so it needs fewer steps; a fixed random vector
+starts any level that has no such vector.  A level set is accepted only
+under a certificate on its own matrix (disjoint residual intervals and one
+Sturm count); where that fails, the matrix is bisected instead.  A real
+family's W must arrive as float64: complex values are refused, not
+truncated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedError, UsageError
-from .superpotential import SuperpotentialFamily
+from .superpotential import SuperpotentialFamily, assemble_w
 
-_IMAG_LEAK_TOL = 1e-9
 _EDGE_MARGIN_ABOVE_TOP_LEVEL = 25.0
 # Abscissae of the grid on which the window search estimates the k-th level
 _PROBE_POINTS = 400
@@ -89,17 +93,20 @@ class IsospectralResult:
     window: tuple[float, float]
 
 
-def _real_potential_values(family, x, m_values):
-    """(W, W') on x as real arrays, one row per m."""
+def _real_potential_values(family, x, m_values, values=None):
+    """(W, W') on x as float64 arrays, one row per m.  values, the
+    conditions.grid_values of x at these m among others, stands in for
+    evaluating the family.  Complex W is refused, not truncated."""
     if not family.is_real:
         raise UnsupportedError(f"{family.tag}: complex family unsupported for spectra")
-    w, wd = (np.asarray(v) for v in family.w_rows(x, m_values))
+    if values is None:
+        w, wd = family.w_rows(x, m_values)
+    else:
+        w1 = tuple(np.stack(r) for r in zip(*(values.w1[m] for m in m_values)))
+        w, wd = assemble_w(values.affine, w1, m_values)
+    w, wd = np.asarray(w), np.asarray(wd)
     if np.iscomplexobj(w) or np.iscomplexobj(wd):
-        scale = 1.0 + max(float(np.max(np.abs(w))), float(np.max(np.abs(wd))))
-        leak = max(float(np.max(np.abs(w.imag))), float(np.max(np.abs(wd.imag))))
-        if leak > _IMAG_LEAK_TOL * scale:
-            raise UnsupportedError(f"{family.tag}: nonreal W on a real family")
-        w, wd = w.real, wd.real
+        raise UnsupportedError(f"{family.tag}: complex W on a real family")
     return w, wd
 
 
@@ -111,10 +118,10 @@ def partner_potentials(family: SuperpotentialFamily, m: float, grid):
     return PotentialGrid(x=x, values=w2 - wd), PotentialGrid(x=x, values=w2 + wd)
 
 
-def _plus_and_remainder(family, m: float, x: np.ndarray):
+def _plus_and_remainder(family, m: float, x: np.ndarray, values=None):
     """(V+(x, m), R, flatness) of V+(x, m) - V-(x, m-1), from one evaluation
     of W at both m: R is the difference's mean, flatness its max deviation."""
-    w, wd = _real_potential_values(family, x, (m, m - 1.0))
+    w, wd = _real_potential_values(family, x, (m, m - 1.0), values)
     w2 = w * w
     v_plus = w2[0] + wd[0]
     diff = v_plus - (w2[1] - wd[1])
@@ -122,9 +129,12 @@ def _plus_and_remainder(family, m: float, x: np.ndarray):
     return v_plus, r, float(np.max(np.abs(diff - r)))
 
 
-def remainder(family: SuperpotentialFamily, m: float, grid):
-    """(R, flatness) of V+(x, m) - V-(x, m-1): mean and max deviation."""
-    return _plus_and_remainder(family, m, np.asarray(grid, dtype=float))[1:]
+def remainder(family: SuperpotentialFamily, m: float, grid, *, values=None):
+    """(R, flatness) of V+(x, m) - V-(x, m-1): mean and max deviation.
+    values, conditions.grid_values(family, grid, m_values) for m_values
+    that hold m and m - 1, spares evaluating the family again; the result
+    is the same bit for bit."""
+    return _plus_and_remainder(family, m, np.asarray(grid, dtype=float), values)[1:]
 
 
 def _tridiagonal(values: np.ndarray, h: float):
@@ -133,13 +143,17 @@ def _tridiagonal(values: np.ndarray, h: float):
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Levels first..last (0-based, ascending) by bisection to eps*||T||_1."""
+    """Levels first..last (0-based, ascending) by bisection to eps*||T||_1:
+    the dstebz call that scipy's eigh_tridiagonal makes, without its
+    argument checks (every grid is finite by PotentialGrid)."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only spectra need it
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz
 
-    return eigh_tridiagonal(diag, off, select="i", select_range=(first, last),
-                            eigvals_only=True)
+    count, w, *_, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, b"E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed to converge (info = {info})")
+    return w[:count]
 
 
 def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
@@ -148,8 +162,8 @@ def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
 
 
 def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float):
-    """(rho, r) from fixed-shift inverse iteration on T - shift*I: the
-    Rayleigh quotient rho of the unit iterate v and r = ||T v - rho v||,
+    """(rho, r, v) from fixed-shift inverse iteration on T - shift*I: the
+    unit iterate v, its Rayleigh quotient rho and r = ||T v - rho v||,
     computed from T itself.  None where T - shift*I is singular or r stays
     above tol for _MAX_STEPS steps."""
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -167,20 +181,45 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float):
         rho = float(v @ tv)
         r = float(np.linalg.norm(tv - rho * v))
         if r <= tol:
-            return rho, r
+            return rho, r, v
     return None
 
 
-def _certified_levels(values: np.ndarray, h: float, shifts) -> np.ndarray:
-    """The len(shifts) lowest levels of the grid's matrix T, refined from
-    the shifts by inverse iteration and accepted under a certificate;
-    bisection where the certificate fails.
+@functools.lru_cache(maxsize=8)
+def _random_start(n: int) -> np.ndarray:
+    """A fixed random n-vector, read-only: a symmetric start would miss
+    every odd level of a symmetric potential."""
+    start = np.random.default_rng(0).standard_normal(n)
+    start.setflags(write=False)
+    return start
+
+
+def _prolong(coarse: np.ndarray, n: int) -> np.ndarray:
+    """Vectors on the spacing-doubled grid (fine nodes 1, 3, ...; one per
+    row) interpolated linearly to the n fine nodes: odd nodes take the
+    coarse values, even nodes the mean of their two neighbours, with the
+    walls at 0."""
+    fine = np.zeros((coarse.shape[0], n))
+    fine[:, 1::2] = coarse
+    walled = np.pad(coarse, ((0, 0), (1, 1)))
+    even = (n + 1) // 2
+    fine[:, 0::2] = 0.5 * (walled[:, :even] + walled[:, 1:even + 1])
+    return fine
+
+
+def _certified_levels(values: np.ndarray, h: float, shifts, starts=None):
+    """(levels, vectors): the len(shifts) lowest levels of the grid's matrix
+    T, refined from the shifts by inverse iteration and accepted under a
+    certificate, with their unit iterates (one per row, ascending); or
+    bisected levels and None where the certificate fails.  Level i starts
+    from starts[i] when given, else from a fixed random vector.
 
     Each refined value rho_i has an eigenvalue of T within its residual r_i
     (v has unit norm to within n*eps) plus a rounding guard.  When those
     intervals are pairwise disjoint and one Sturm count finds exactly
     len(shifts) eigenvalues up to the top of the highest, each interval
-    holds one of the lowest levels, in order.
+    holds one of the lowest levels, in order.  The start vectors only
+    change how fast the iteration gets there, never what is accepted.
     """
     from scipy.linalg.lapack import dstebz
 
@@ -190,24 +229,24 @@ def _certified_levels(values: np.ndarray, h: float, shifts) -> np.ndarray:
     norm = float(np.max(np.abs(diag))) + 2.0 / (h * h)
     floor = float(np.min(diag)) - 2.0 / (h * h)
     tol, guard = _RESIDUAL_ULPS * _EPS * norm, _GUARD_ULPS * _EPS * norm
-    # a fixed random start: a symmetric one would miss every odd level of
-    # a symmetric potential
-    start = np.random.default_rng(0).standard_normal(values.size)
+    if starts is None:
+        starts = [_random_start(values.size)] * k
     found = []
-    for s in shifts:
+    for s, start in zip(shifts, starts):
         found.append(_inverse_iteration(diag, off, float(s), start, tol))
         if found[-1] is None:
             break
     else:
-        rho, r = np.asarray(sorted(found)).T
+        found.sort(key=lambda f: f[0])
+        rho, r = np.array([f[:2] for f in found]).T
         lo, hi = rho - r - guard, rho + r + guard
         if np.all(lo[1:] > hi[:-1]):
             # abstol spans the whole interval: dstebz counts, no bisection
             count, *_, info = dstebz(diag, off, 1, floor - guard, hi[-1], 0, 0,
                                      hi[-1] - floor, b"E")
             if info == 0 and count == k:
-                return rho
-    return _bisect(diag, off, 0, k - 1)
+                return rho, np.array([f[2] for f in found])
+    return _bisect(diag, off, 0, k - 1), None
 
 
 def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumResult:
@@ -218,9 +257,13 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     problem's levels are refined by inverse iteration from shifts, estimates
     of the k lowest levels, when they are given, and bisected otherwise.
     They are in turn the shifts from which the fine-grid levels are refined.
-    Each refined level set is accepted only under a residual and Sturm-count
+    When they were refined, their eigenvectors, interpolated linearly to the
+    fine nodes (walls at 0), are the fine grid's start vectors; after a
+    bisection a fixed random vector starts every fine-grid level.  Each
+    refined level set is accepted only under a residual and Sturm-count
     certificate on its own matrix, and that matrix is bisected where the
-    certificate fails, so bad shifts cost time but cannot yield wrong levels.
+    certificate fails, so bad shifts or starts cost time but cannot yield
+    wrong levels.
     The per-level error estimate compares the two grids, scaled by the 1/3
     factor of second-order Richardson extrapolation.
     """
@@ -235,11 +278,13 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     h = float(steps[0])
     if float(np.max(np.abs(steps - h))) > 1e-9 * h:
         raise UsageError("solve_spectrum needs a uniform grid")
+    coarse_values = potential.values[1::2]
     if shifts is None:
-        coarse = _lowest_eigenvalues(potential.values[1::2], 2.0 * h, k)
+        coarse, vectors = _lowest_eigenvalues(coarse_values, 2.0 * h, k), None
     else:
-        coarse = _certified_levels(potential.values[1::2], 2.0 * h, shifts)
-    evals = _certified_levels(potential.values, h, coarse)
+        coarse, vectors = _certified_levels(coarse_values, 2.0 * h, shifts)
+    starts = None if vectors is None else _prolong(vectors, n)
+    evals, _ = _certified_levels(potential.values, h, coarse, starts)
     return SpectrumResult(eigenvalues=evals, error_estimates=np.abs(evals - coarse) / 3.0)
 
 

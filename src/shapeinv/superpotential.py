@@ -6,9 +6,9 @@ with its analytic x-derivative (k0' and k1' come with k0 and k1), the
 non-singularity predicate and pole bookkeeping.  The corrections come from
 one evaluator for a whole list of m, so a grid that several m share costs
 one pass.  Instances are immutable, every evaluation is a pure vectorised
-function of x, and the complex PT-symmetric family shares all code paths
-(real families simply return float64 arrays whose cast to complex has an
-exactly zero imaginary part).
+function of x, and the complex PT-symmetric family shares all code paths:
+real families compute and return float64 arrays, the complex family
+complex128 ones.
 """
 
 from __future__ import annotations
@@ -166,10 +166,7 @@ class SuperpotentialFamily:
     def w_rows(self, x, m_values):
         """(W, W') with W = W0 + W1+ - W1-, one row per m, from one call of
         each evaluator."""
-        k0, k0d, k1, k1d = self.affine(x)
-        p, pd, q, qd = self.w1(x, m_values)
-        m = _rows(m_values, np.ndim(p) - 1)
-        return k0 + m * k1 + p - q, k0d + m * k1d + pd - qd
+        return assemble_w(self.affine(x), self.w1(x, m_values), m_values)
 
     def W(self, x, m):
         """(W, W') with W = W0 + W1+ - W1-, at one m."""
@@ -186,6 +183,16 @@ class SuperpotentialFamily:
     def scan_clear(self, m: float) -> bool:
         """Independent root test: True when no offending root is found."""
         return self.scan_clear_fn(m)
+
+
+def assemble_w(affine: tuple, w1: tuple, m_values):
+    """(W, W') with W = W0 + W1+ - W1-, one row per m, from the affine tuple
+    (k0, k0', k1, k1') and the w1 tuple (W1+, W1+', W1-, W1-') whose rows
+    belong to m_values."""
+    k0, k0d, k1, k1d = affine
+    p, pd, q, qd = w1
+    m = _rows(m_values, np.ndim(p) - 1)
+    return k0 + m * k1 + p - q, k0d + m * k1d + pd - qd
 
 
 def _rows(values, ndim: int) -> np.ndarray:

@@ -85,6 +85,20 @@ class TestTranslationIdentity:
             assert check_translation(fam, p.m, grid) < 1e-12
 
 
+class TestW1Dtype:
+    """W1 keeps the family's dtype: the kernel computes the real families
+    in float64 end to end, and only the complex family in complex128."""
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_w1_rows(self, tag):
+        p = sample_valid_params(tag, 1, seed=3)[0]
+        fam = get_family(tag, p).family
+        rows = fam.w1(make_grid(fam, GridSpec(n_points=64)), (p.m, p.m - 1.0))
+        want = np.float64 if tag in REAL_TAGS else np.complex128
+        assert [r.dtype for r in rows] == [want] * 4
+        assert all(r.shape == (2, 64) for r in rows)
+
+
 class TestDegreeOneClosedForms:
     def test_xl_radial_ell1(self):
         # spec of the ratio at ell = 1: W1+ = x / (2.5 + x^2/2) for omega=1, m=-3

@@ -132,6 +132,37 @@ class TestVerify:
         assert set(doc["results"][0]["verdicts"]) == {"translation", "compatibility"}
         assert doc["results"][0]["m_list"] == [-3.0, -4.0]
 
+    @pytest.mark.parametrize("checks, calls", [("compatibility", 2),
+                                               ("compatibility,remainder", 2)])
+    def test_remainder_reuses_the_checks_values(self, tmp_path, monkeypatch, checks, calls):
+        # one kernel pass for the 20-point edge probe, one for the grid; the
+        # remainder reads the checks' W1 table instead of a third pass
+        from shapeinv import catalog
+
+        points = []
+        poly_eval = catalog.poly_eval
+        monkeypatch.setattr(catalog, "poly_eval",
+                            lambda spec, z, *a, **kw: points.append(np.size(z))
+                            or poly_eval(spec, z, *a, **kw))
+        code, text = run(tmp_path, "verify", "--family", "Xl-Poschl-Teller", "--sample", "1",
+                         "--seed", "3", "--checks", checks, "--no-timestamp")
+        assert code == 0
+        assert len(points) == calls
+
+    def test_remainder_equals_its_own_evaluation(self, tmp_path):
+        # the shared table changes no bit of the remainder or its flatness
+        from shapeinv import remainder
+
+        code, text = run(tmp_path, "verify", "--family", "Xl-radial-oscillator", "--sample", "1",
+                         "--seed", "3", "--checks", "remainder", "--no-timestamp")
+        result = json.loads(text)["results"][0]
+        p = sample_valid_params("Xl-radial-oscillator", 1, 3)[0]
+        fam = get_family("Xl-radial-oscillator", p).family
+        m_list = (p.m, p.m - 1.0, p.m - 2.0)
+        r, flat = remainder(fam, p.m, make_grid(fam, GridSpec(), m_values=m_list))
+        assert code == 0
+        assert (result["remainder"], result["residuals"]["remainder_flatness"]) == (r, flat)
+
     def test_unknown_check_exit_2(self, capsys):
         assert main([
             "verify", "--family", "X1-radial-oscillator", "--sample", "1",

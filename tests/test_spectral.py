@@ -66,6 +66,21 @@ class TestPartnerPotentials:
         with pytest.raises(UnsupportedError):
             partner_potentials(fam, 0.5, np.asarray([0.7]))
 
+    @pytest.mark.parametrize("imaginary", [0.0, 1e-300])
+    def test_complex_w_on_a_real_family_rejected(self, imaginary):
+        # a real family whose W arrives complex, even with an imaginary part
+        # that is zero or far below any tolerance, is refused
+        import dataclasses
+
+        p = sample_valid_params("Xl-Poschl-Teller", 1, seed=3)[0]
+        fam = get_family("Xl-Poschl-Teller", p).family
+        w1 = fam.w1
+        leaky = dataclasses.replace(
+            fam, w1=lambda x, ms: tuple(r + 1j * imaginary for r in w1(x, ms)))
+        assert leaky.is_real
+        with pytest.raises(UnsupportedError, match="complex W"):
+            partner_potentials(leaky, p.m, np.asarray([0.7, 1.4]))
+
 
 class TestRemainder:
     def test_free_radial_flat(self, free_radial):
@@ -239,12 +254,15 @@ class TestCertificate:
 
         return _lowest_eigenvalues(self.VALUES, self.H, k)
 
-    def certified(self, shifts, monkeypatch):
-        """(levels, number of bisection calls) for these shifts."""
+    def certified(self, shifts, monkeypatch, starts=None):
+        """(levels, number of bisection calls) for these shifts; the unit
+        iterates come back exactly when no bisection ran."""
         from shapeinv.spectral import _certified_levels
 
         calls = bisected_sizes(monkeypatch)
-        return _certified_levels(self.VALUES, self.H, shifts), len(calls)
+        levels, vectors = _certified_levels(self.VALUES, self.H, shifts, starts)
+        assert (vectors is None) == bool(calls)
+        return levels, len(calls)
 
     def test_shifts_near_the_levels_are_accepted(self, monkeypatch):
         got, calls = self.certified(self.levels(5) + 0.01, monkeypatch)
@@ -262,12 +280,94 @@ class TestCertificate:
         assert calls == 1
         assert np.array_equal(got, self.levels(5))
 
+    @pytest.mark.parametrize("order", [(1, 0, 2, 3, 4), (4, 0, 1, 2, 3), (4, 3, 2, 1, 0)])
+    def test_swapped_starts_never_give_wrong_levels(self, order, monkeypatch):
+        # level j's own eigenvector as the start for shift i: the iteration
+        # may stay on level j, and the certificate must then refuse the set
+        from shapeinv.spectral import _certified_levels
+
+        shifts = self.levels(5) + 0.01
+        _, vectors = _certified_levels(self.VALUES, self.H, shifts)
+        got, calls = self.certified(shifts, monkeypatch, starts=vectors[list(order)])
+        if calls:
+            assert np.array_equal(got, self.levels(5))
+        else:
+            assert np.max(np.abs(got - self.levels(5))) < 1e-9
+
     def test_shift_between_two_levels_falls_back(self, monkeypatch):
         # equidistant from levels 0 and 1: no convergence within the step cap
         lv = self.levels(2)
         got, calls = self.certified([lv[0], (lv[0] + lv[1]) / 2.0], monkeypatch)
         assert calls == 1
         assert np.array_equal(got, lv)
+
+
+class TestProlong:
+    """_prolong carries spacing-doubled vectors (fine nodes 1, 3, ...) to
+    the fine grid, with the Dirichlet walls at 0."""
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_keeps_the_coarse_values(self, n):
+        from shapeinv.spectral import _prolong
+
+        coarse = np.random.default_rng(3).standard_normal((3, n // 2))
+        fine = _prolong(coarse, n)
+        assert fine.shape == (3, n)
+        assert np.array_equal(fine[:, 1::2], coarse)
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_exact_on_linear_functions(self, n):
+        from shapeinv.spectral import _prolong
+
+        # f[j] at fine node j - 1: the walls are f[0] and f[-1]; integer
+        # values keep every mean exact
+        nodes = np.arange(-1.0, n + 1.0)
+        f = np.stack([3.0 + 2.0 * nodes,   # zero at neither wall
+                      5.0 * (nodes + 1.0),  # zero at the left wall
+                      7.0 * (n - nodes)])   # zero at the right wall
+        fine = _prolong(f[:, 2:2 * (n // 2) + 1:2], n)
+        want = f[:, 1:-1]
+        # every node between two coarse nodes
+        assert np.array_equal(fine[:, 1:n - 1], want[:, 1:n - 1])
+        # the first node is exact where the left wall is 0
+        assert np.array_equal(fine[1:, 0] == want[1:, 0], [True, False])
+        # the last node is a coarse node for even n, and for odd n exact
+        # where the right wall is 0
+        if n % 2 == 0:
+            assert np.array_equal(fine[:, -1], want[:, -1])
+        else:
+            assert fine[2, -1] == want[2, -1] and fine[1, -1] != want[1, -1]
+
+
+class TestBisect:
+    """_bisect makes eigh_tridiagonal's own dstebz call, so its levels are
+    that function's bit for bit."""
+
+    @staticmethod
+    def matrix(case):
+        from shapeinv.spectral import _PROBE_POINTS, _tridiagonal
+
+        if case == "certificate":
+            return _tridiagonal(TestCertificate.VALUES, TestCertificate.H)
+        p = sample_valid_params(case, 1, seed=21)[0]
+        fam = get_family(case, p).family
+        (a, b), _ = spectral_window(fam, (p.m, p.m - 1.0), 5)
+        _, v_plus = partner_potentials(fam, p.m, dirichlet_grid(a, b, _PROBE_POINTS))
+        return _tridiagonal(v_plus.values, v_plus.x[1] - v_plus.x[0])
+
+    @pytest.mark.parametrize("case", ["certificate", *REAL_TAGS])
+    def test_equals_eigh_tridiagonal(self, case):
+        from scipy.linalg import eigh_tridiagonal
+
+        from shapeinv.spectral import _bisect
+
+        diag, off = self.matrix(case)
+        for first, last in ((0, 4), (0, 0), (2, 7)):
+            want = eigh_tridiagonal(diag, off, select="i", select_range=(first, last),
+                                    eigvals_only=True)
+            got = _bisect(diag, off, first, last)
+            assert got.size == last - first + 1
+            assert np.array_equal(got, want)
 
 
 class TestIsospectrality:
@@ -562,6 +662,25 @@ class TestSeededSolve:
         check_isospectrality(fam, m, k=5, n_points=4000)
         assert sizes and set(sizes) == {_PROBE_POINTS}
 
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_warm_started_levels_match_bisection(self, tag, monkeypatch):
+        # the fine grid starts from the coarse grid's prolonged vectors: its
+        # levels are bisection's within the certificate's bound
+        from shapeinv.spectral import (_EPS, _GUARD_ULPS, _RESIDUAL_ULPS,
+                                       _lowest_eigenvalues)
+
+        p = sample_valid_params(tag, 1, seed=21)[0]
+        fam = get_family(tag, p).family
+        (a, b), probe = spectral_window(fam, (p.m, p.m - 1.0), 5)
+        _, v_plus = partner_potentials(fam, p.m, dirichlet_grid(a, b, 4000))
+        h = v_plus.x[1] - v_plus.x[0]
+        sizes = bisected_sizes(monkeypatch)
+        got = solve_spectrum(v_plus, 5, shifts=probe).eigenvalues
+        assert sizes == []  # both grids certified
+        want = _lowest_eigenvalues(v_plus.values, h, 5)
+        norm = np.max(np.abs(2.0 / (h * h) + v_plus.values)) + 2.0 / (h * h)
+        assert np.max(np.abs(got - want)) <= (_RESIDUAL_ULPS + _GUARD_ULPS) * _EPS * norm
+
     @pytest.mark.parametrize("bad", ["skipped level", "all equal", "one level up"])
     def test_bad_shifts_give_the_unseeded_result(self, bad, monkeypatch):
         from shapeinv.spectral import _lowest_eigenvalues
@@ -645,7 +764,8 @@ class TestWeylBound:
         monkeypatch.setattr(spectral, "solve_spectrum",
                             lambda *a, **kw: solves.append(1) or solve(*a, **kw))
         monkeypatch.setattr(spectral, "_real_potential_values",
-                            lambda fam, x, ms: sizes.append(np.size(x)) or values(fam, x, ms))
+                            lambda fam, x, ms, *table: sizes.append(np.size(x))
+                            or values(fam, x, ms, *table))
         fam, m = seeded_case("X1-radial-oscillator", 0)
         check_isospectrality(fam, m, k=5, n_points=4000)
         assert len(solves) == 1
