@@ -160,7 +160,8 @@ def _log_derivs(data: FamilyData, g_dd: Callable):
     share a row.  The X1 families' degree-1 P is evaluated directly.  The
     polynomial kernel returns float64 for the real families' real g(x) and
     complex128 for the complex family's imaginary one, so W1 keeps the
-    family's dtype.  Where g(x) is not finite D is nan, and
+    family's dtype.  W1 and W1' are formed once per distinct spec and then
+    gathered into their (P, m) rows.  Where g(x) is not finite D is nan, and
     where D is zero W1 is not finite: the evaluator never raises there, so
     the grid's edge probe can test many abscissae in one call."""
     g, g_d, linear = data.g, data.g_deriv, data.linear
@@ -174,6 +175,7 @@ def _log_derivs(data: FamilyData, g_dd: Callable):
             coef = np.array([P(m) for P in pair for m in m_values], dtype=float)
             p0, p1 = coef.T.reshape((2, -1) + (1,) * np.ndim(gx))  # one row per (P, m)
             D, D1, D2 = p0 + p1 * gx, p1 * g_d(x), p1 * g_dd(gx)
+            rows = slice(None)
         else:
             specs = [P(m) for P in pair for m in m_values]
             distinct = list(dict.fromkeys(specs))
@@ -181,12 +183,13 @@ def _log_derivs(data: FamilyData, g_dd: Callable):
             # z = 1 stands in where g(x) is not finite: any finite value would
             # do, and |z| = 1 keeps those points in the series basis
             rows = [distinct.index(s) for s in specs]
-            P0, P1, P2 = (v[rows] for v in poly_eval(
-                distinct[0], np.where(bad, 1.0, gx), 2, more=tuple(distinct[1:])))
+            P0, P1, P2 = poly_eval(distinct[0], np.where(bad, 1.0, gx), 2,
+                                   more=tuple(distinct[1:]))
             gd = g_d(x)
             D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(gx)
         r = D1 / D
         rd = D2 / D - r * r
+        r, rd = r[rows], rd[rows]
         k = len(m_values)
         return r[:k], rd[:k], r[k:], rd[k:]
 

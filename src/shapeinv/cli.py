@@ -273,7 +273,7 @@ def cmd_scan(cfg: RunConfig) -> int:
         columns.append((f"eps[m={m:g}]_re", eps.real))
         columns.append((f"eps[m={m:g}]_im", eps.imag))
     if family.is_real:
-        v_minus, v_plus = partner_potentials(family, m_list[0], grid)
+        v_minus, v_plus = partner_potentials(family, m_list[0], grid, values=values)
         columns.append(("V_minus", v_minus.values))
         columns.append(("V_plus", v_plus.values))
 

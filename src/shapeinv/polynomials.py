@@ -198,19 +198,28 @@ def _eval_rows(rows: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
     are _derivative_rows' blocks of `width` rows each, one block per
     derivative order, so the rows whose degree reaches s are a prefix; a
     row stops at its degree, and a zero past it never meets an overflowed
-    power (0 * inf)."""
+    power (0 * inf).
+
+    The sums, their compensations and two work arrays are allocated once
+    per call; every term writes into views of them, and the power is
+    raised in place, in the same operations and order as
+    y = c*u**s - comp, t = total + y, comp = (t - total) - y, total = t."""
     n = rows.shape[1] - 1
     total = np.zeros((rows.shape[0], u.size), dtype=np.result_type(rows, u))
     comp = np.zeros_like(total)
+    y_buf, t_buf = np.empty_like(total), np.empty_like(total)
     power = np.ones_like(u)
     for s in range(n + 1):
         live = min(rows.shape[0], (n + 1 - s) * width)  # rows whose degree reaches s
-        y = rows[:live, s, None] * power - comp[:live]
-        t = total[:live] + y
-        comp[:live] = (t - total[:live]) - y
-        total[:live] = t
+        tot, c, y, t = total[:live], comp[:live], y_buf[:live], t_buf[:live]
+        np.multiply(rows[:live, s, None], power, out=y)
+        np.subtract(y, c, out=y)
+        np.add(tot, y, out=t)
+        np.subtract(t, tot, out=c)
+        np.subtract(c, y, out=c)
+        np.copyto(tot, t)
         if s < n:
-            power = power * u
+            np.multiply(power, u, out=power)
     return total
 
 

@@ -11,12 +11,13 @@ the flatness of that difference.  Only V+ is solved, for its levels and
 their error estimates.  The complex PT-symmetric family is excluded from
 spectra by contract.
 
-Only the window search's 400-point probe is bisected.  V+'s levels are
-refined by inverse iteration from shifts: its spacing-doubled grid from the
-probe's levels, and the fine grid from the spacing-doubled levels.  The
-fine grid also starts from the spacing-doubled grid's eigenvectors,
-interpolated linearly, so it needs fewer steps; a fixed random vector
-starts any level that has no such vector.  A level set is accepted only
+The window search evaluates W once per pass, for its 400-point probe grid
+and every edge candidate of both sides at every m.  Only that probe is
+bisected.  V+'s levels are refined by inverse iteration from shifts: its
+spacing-doubled grid from the probe's levels, and the fine grid from the
+spacing-doubled levels.  The fine grid also starts from the spacing-doubled
+grid's eigenvectors, interpolated linearly, so it needs fewer steps; a
+fixed random vector starts any level that has no such vector.  A level set is accepted only
 under a certificate on its own matrix (disjoint residual intervals and one
 Sturm count); where that fails, the matrix is bisected instead.  A real
 family's W must arrive as float64: complex values are refused, not
@@ -110,10 +111,13 @@ def _real_potential_values(family, x, m_values, values=None):
     return w, wd
 
 
-def partner_potentials(family: SuperpotentialFamily, m: float, grid):
-    """(V-, V+) with V-+ = W^2 -+ W' on the given abscissae."""
+def partner_potentials(family: SuperpotentialFamily, m: float, grid, *, values=None):
+    """(V-, V+) with V-+ = W^2 -+ W' on the given abscissae.  values,
+    conditions.grid_values(family, grid, m_values) for m_values that hold
+    m, spares evaluating the family again; the result is the same bit for
+    bit."""
     x = np.asarray(grid, dtype=float)
-    (w,), (wd,) = _real_potential_values(family, x, (m,))
+    (w,), (wd,) = _real_potential_values(family, x, (m,), values)
     w2 = w * w
     return PotentialGrid(x=x, values=w2 - wd), PotentialGrid(x=x, values=w2 + wd)
 
@@ -293,23 +297,13 @@ def dirichlet_grid(a: float, b: float, n: int) -> np.ndarray:
     return np.linspace(a, b, n + 2)[1:-1]
 
 
-def _edge_values(family, m_values, xs) -> tuple[np.ndarray, np.ndarray]:
-    """(min over m of min(V-, V+), all finite) at each abscissa: one array
-    call for all m.  Far candidates may overflow, so nothing is checked
-    here; _grow_edge raises where it reaches a value that is not finite."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, wd = _real_potential_values(family, np.asarray(xs, dtype=float), m_values)
-        w2 = w * w
-        vm, vp = w2 - wd, w2 + wd
-        finite = np.all(np.isfinite(vm) & np.isfinite(vp), axis=0)
-        return np.min(np.minimum(vm, vp), axis=0), finite
-
-
-def _grow_edge(family, m_values, candidates: list, target: float, margin: float) -> float:
+def _walk_edge(candidates: list, v: np.ndarray, finite: np.ndarray, target: float,
+               margin: float) -> float:
     """The edge reached by walking the candidates while V there is below
     target and each step raises V by more than margin.  candidates[0] is
-    the current edge; V at all of them comes from one _edge_values call."""
-    v, finite = _edge_values(family, m_values, candidates)
+    the current edge; v is min over m of min(V-, V+) at each candidate and
+    finite says where all of them are finite.  Reaching a candidate whose
+    values are not finite raises."""
     for k in range(len(candidates)):
         if not finite[k]:
             raise ValueError("potential grid must be finite")
@@ -342,6 +336,11 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     pass that leaves the window unchanged, and after 3 passes at most.  The
     levels then belong to the returned window, except after a third pass
     that still moved an edge.
+
+    Every growth candidate of both sides follows from the window the pass
+    starts from, so a pass evaluates W once, at every m, on the probe grid
+    and all candidates together: the probe's V+ is row 0 of that table, and
+    each side's walk reads its candidates' columns.
     """
     lo, hi = family.domain
     if math.isinf(lo) and math.isinf(hi):
@@ -357,20 +356,35 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     for _ in range(3):
         start = (a, b)
         x = dirichlet_grid(a, b, _PROBE_POINTS)
-        _, v_plus = partner_potentials(family, m_values[0], x)
-        levels = _lowest_eigenvalues(v_plus.values, x[1] - x[0], k)
+        # the growth candidates of each side, from the window the pass
+        # starts from: b grows on an infinite side, a on an infinite side
+        # or, next to a finite end at 0, halves towards it
+        right = _steps(b, lambda t: t * 1.4, 60) if math.isinf(hi) else []
+        left, left_margin = [], 1.0
+        if math.isinf(lo):
+            left = _steps(a, lambda t: t * 1.4 if t < 0 else t - 1.0, 60)
+        elif lo == 0.0:
+            left, left_margin = [a], 0.0
+            while left[-1] > 1e-4:
+                left.append(left[-1] / 2.0)
+        # one evaluation of W for the probe grid and every candidate at every
+        # m.  Far candidates may overflow, so nothing is checked here; the
+        # walk raises where it reaches a value that is not finite
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w, wd = _real_potential_values(family, np.concatenate([x, right, left]), m_values)
+            w2 = w * w
+            v_minus, v_plus = w2 - wd, w2 + wd
+            edge_v = np.min(np.minimum(v_minus, v_plus)[:, x.size:], axis=0)
+            finite = np.all(np.isfinite(v_minus) & np.isfinite(v_plus), axis=0)[x.size:]
+        probe = PotentialGrid(x=x, values=v_plus[0, :x.size])
+        levels = _lowest_eigenvalues(probe.values, x[1] - x[0], k)
         target = float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
 
-        if math.isinf(hi):
-            b = _grow_edge(family, m_values, _steps(b, lambda t: t * 1.4, 60), target, 1.0)
-        if math.isinf(lo):
-            a = _grow_edge(family, m_values,
-                           _steps(a, lambda t: t * 1.4 if t < 0 else t - 1.0, 60), target, 1.0)
-        if lo == 0.0:
-            halves = [a]
-            while halves[-1] > 1e-4:
-                halves.append(halves[-1] / 2.0)
-            a = _grow_edge(family, m_values, halves, target, 0.0)
+        n = len(right)
+        if right:
+            b = _walk_edge(right, edge_v[:n], finite[:n], target, 1.0)
+        if left:
+            a = _walk_edge(left, edge_v[n:], finite[n:], target, left_margin)
         if (a, b) == start:
             break
     return (float(a), float(b)), levels

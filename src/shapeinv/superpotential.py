@@ -241,27 +241,34 @@ def _edge_passes(family, m_values, xs: np.ndarray) -> np.ndarray:
         return np.all(np.isfinite(w) & np.isfinite(wd) & (np.abs(w) <= _EDGE_W_CAP), axis=0)
 
 
-def _expand_edge(family, m_values, start: float, sign: float) -> float:
-    """Largest |edge| in a doubling sequence that still evaluates cleanly.
+def _expand_edge(family, m_values, start: float, signs: tuple) -> tuple:
+    """Largest |edge| in a doubling sequence that still evaluates cleanly,
+    on each side sign * x of signs.
 
-    The candidates start*2**k, k < 40, up to _EDGE_X_CAP are tested in one
-    array probe; the edge is the last one before the first failure.  When
-    start itself fails, the edge is the first of start/2**k, k >= 1, above
-    1e-3 that passes.
+    The candidates start*2**k, k < 40, up to _EDGE_X_CAP of every side are
+    tested in one array probe; a side's edge is the last one before its
+    first failure.  When start itself fails on a side, that side's edge is
+    the first of start/2**k, k >= 1, above 1e-3 that passes, probed for
+    that side alone.
     """
     up = start * 2.0 ** np.arange(40)
     up = up[up <= _EDGE_X_CAP]
-    leading = int(np.sum(np.logical_and.accumulate(_edge_passes(family, m_values, sign * up))))
-    if leading:
-        return float(up[leading - 1])
-    down = start / 2.0 ** np.arange(1, max(1, math.ceil(math.log2(start / 1e-3))) + 2)
-    down = down[down > 1e-3]
-    ok = _edge_passes(family, m_values, sign * down)
-    if ok.any():
-        return float(down[np.argmax(ok)])
-    raise InvalidParameterError(
-        "evaluable window", f"{family.name}: no evaluable window edge found"
-    )
+    passes = _edge_passes(family, m_values, np.concatenate([sign * up for sign in signs]))
+    edges = []
+    for sign, ok in zip(signs, passes.reshape(len(signs), -1)):
+        leading = int(np.sum(np.logical_and.accumulate(ok)))
+        if leading:
+            edges.append(float(up[leading - 1]))
+            continue
+        down = start / 2.0 ** np.arange(1, max(1, math.ceil(math.log2(start / 1e-3))) + 2)
+        down = down[down > 1e-3]
+        ok = _edge_passes(family, m_values, sign * down)
+        if not ok.any():
+            raise InvalidParameterError(
+                "evaluable window", f"{family.name}: no evaluable window edge found"
+            )
+        edges.append(float(down[np.argmax(ok)]))
+    return tuple(edges)
 
 
 def _tanh_points(a: float, b: float, n: int, symmetric: bool,
@@ -289,12 +296,13 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
     fewer than spec.n_points abscissae after the retries that top the
     layout up.
 
-    The edge of an infinite side comes from one array probe per side: the
-    pair (W, W') is evaluated at every doubling candidate and every m in one
-    call, and a candidate fails where either is not finite (the family's
-    evaluators return nan or inf where g(x) overflows or D vanishes, they do
-    not raise) or where |W| exceeds _EDGE_W_CAP.  The edge is the last candidate before
-    the first failure.
+    The edges of the infinite sides come from one array probe: the pair
+    (W, W') is evaluated at every doubling candidate of every infinite side
+    and every m in one call, and a candidate fails where either is not
+    finite (the family's evaluators return nan or inf where g(x) overflows
+    or D vanishes, they do not raise) or where |W| exceeds _EDGE_W_CAP.  A
+    side's edge is its last candidate before its first failure; a side
+    whose first candidate fails is probed again alone, inwards.
     """
     spec = spec or GridSpec()
     if m_values is None:
@@ -318,15 +326,15 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
         layout, symmetric, dense_end = "linear", True, "lo"
     elif not lo_inf:
         a = lo + margin
-        b = _expand_edge(family, m_values, max(2.0 * a, a + 1.0), +1.0)
+        b = _expand_edge(family, m_values, max(2.0 * a, a + 1.0), (+1.0,))[0]
         layout, symmetric, dense_end = "tanh", False, "lo"
     elif not hi_inf:
         b = hi - margin
-        a = -_expand_edge(family, m_values, max(2.0 * abs(b), abs(b) + 1.0), -1.0)
+        a = -_expand_edge(family, m_values, max(2.0 * abs(b), abs(b) + 1.0), (-1.0,))[0]
         layout, symmetric, dense_end = "tanh", False, "hi"
     else:
-        b = _expand_edge(family, m_values, 1.0, +1.0)
-        a = -_expand_edge(family, m_values, 1.0, -1.0)
+        right, left = _expand_edge(family, m_values, 1.0, (+1.0, -1.0))
+        a, b = -left, right
         layout, symmetric, dense_end = "tanh", True, "lo"
 
     poles: list[float] = []

@@ -439,6 +439,30 @@ class TestScan:
         assert np.array_equal(columns[2], eps.imag)
         assert (tag == "Xl-PT-Scarf") == np.any(eps.imag != 0.0)
 
+    def test_potentials_reuse_the_epsilon_values(self, tmp_path, monkeypatch):
+        # one kernel pass for the 20-point edge probe and one for the grid:
+        # V+- read the epsilon columns' W table, and equal V+- evaluated
+        # alone bit for bit
+        from shapeinv import catalog, partner_potentials
+
+        points = []
+        poly_eval = catalog.poly_eval
+        monkeypatch.setattr(catalog, "poly_eval",
+                            lambda spec, z, *a, **kw: points.append(np.size(z))
+                            or poly_eval(spec, z, *a, **kw))
+        code, text = run(tmp_path, "scan", "--family", "Xl-Poschl-Teller", "--sample", "1",
+                         "--seed", "3", out_name="scan.csv")
+        assert code == 0
+        assert points == [20, 512]
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0][-2:] == ["V_minus", "V_plus"]
+        columns = np.asarray(rows[1:], dtype=float).T
+        p = sample_valid_params("Xl-Poschl-Teller", 1, 3)[0]
+        v_minus, v_plus = partner_potentials(get_family("Xl-Poschl-Teller", p).family, p.m,
+                                             columns[0])
+        assert np.array_equal(columns[-2], v_minus.values)
+        assert np.array_equal(columns[-1], v_plus.values)
+
     def test_complex_family_has_no_potential_columns(self, tmp_path):
         code, text = run(
             tmp_path, "scan", "--family", "Xl-PT-Scarf",

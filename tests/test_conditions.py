@@ -298,10 +298,11 @@ class TestSharedW1Table:
         assert len(calls) == 2
 
     # poly_eval calls of make_grid + run_condition_checks at the default m
-    # list (m, m-1, m-2) and 128 points: one per probed infinite side of the
-    # grid (the Poschl-Teller grid probes one, the Scarf grid two) and one
-    # for all the checks, each an order-2 pass over every P+- of the m list
-    KERNEL_CALLS = {"Xl-Poschl-Teller": 2, "Xl-PT-Scarf": 3}
+    # list (m, m-1, m-2) and 128 points: one for the grid's edge probe (the
+    # Poschl-Teller grid probes one infinite side, the Scarf grid both in
+    # one call) and one for all the checks, each an order-2 pass over every
+    # P+- of the m list
+    KERNEL_CALLS = {"Xl-Poschl-Teller": 2, "Xl-PT-Scarf": 2}
 
     @pytest.mark.parametrize("tag", sorted(KERNEL_CALLS))
     @pytest.mark.parametrize("seed", [19, 3])

@@ -263,6 +263,57 @@ class TestStackedPass:
             poly_eval(PolySpec(JACOBI, 3, 1.5, -0.5), np.array([0.5, 2.0]), 2, more=more)
 
 
+def allocating_eval_rows(rows, u, width):
+    """The kernel loop with fresh temporaries for every term: the reference
+    that _eval_rows, which writes into buffers, must equal bit for bit."""
+    n = rows.shape[1] - 1
+    total = np.zeros((rows.shape[0], u.size), dtype=np.result_type(rows, u))
+    comp = np.zeros_like(total)
+    power = np.ones_like(u)
+    for s in range(n + 1):
+        live = min(rows.shape[0], (n + 1 - s) * width)
+        y = rows[:live, s, None] * power - comp[:live]
+        t = total[:live] + y
+        comp[:live] = (t - total[:live]) - y
+        total[:live] = t
+        if s < n:
+            power = power * u
+    return total
+
+
+class TestKernelBuffers:
+    """_eval_rows against the allocating loop, compared as bit patterns so
+    that nan and inf count too.  Far arguments overflow u**s below the top
+    degree: the P rows meet inf, their derivative rows stop before it."""
+
+    REAL_U = np.concatenate([np.linspace(-3.0, 3.0, 13), [0.0, 0.5, -0.5, 1.0],
+                             [1e10, -1e20, 3e40, -1e80, 1e160, 1e300]])
+    ARGS = {"real": REAL_U, "complex": REAL_U * (0.6 - 0.8j) + 0.25j}
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    @pytest.mark.parametrize("case", sorted(ARGS))
+    def test_equals_allocating_loop(self, case, width):
+        from shapeinv.polynomials import _derivative_rows, _eval_rows
+
+        u = self.ARGS[case]
+        rng = np.random.default_rng(width)
+        for degree in range(17):
+            coefs = [rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-5, 5, degree + 1)
+                     for _ in range(width)]
+            for order in (0, 2):
+                rows = _derivative_rows(coefs, order, 2.0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _eval_rows(rows, u, width)
+                    want = allocating_eval_rows(rows, u, width)
+                assert got.dtype == want.dtype == np.result_type(rows, u)
+                assert np.array_equal(self.bits(got), self.bits(want)), (degree, order)
+        assert not np.isfinite(got).all()  # the overflow is reached
+
+
 class TestRealness:
     def test_real_input_exactly_real(self):
         rng = np.random.default_rng(7)

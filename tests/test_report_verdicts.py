@@ -68,6 +68,11 @@ EXPECTED = [
     ("verify Xl-Poschl-Teller seed=5 perturb=0.01", 1),
     ("verify Xl-PT-Scarf seed=5 perturb=0.01", 1),
     ("verify Xl-radial-oscillator seed=5 perturb=0.01", 1),
+    ("verify X1-hyperbolic seed=3 checks=compatibility,remainder,spectrum", 0),
+    ("verify X1-radial-oscillator seed=3 checks=compatibility,remainder,spectrum", 0),
+    ("verify X1-trigonometric seed=3 checks=compatibility,remainder,spectrum", 0),
+    ("verify Xl-Poschl-Teller seed=3 checks=compatibility,remainder,spectrum", 0),
+    ("verify Xl-radial-oscillator seed=3 checks=compatibility,remainder,spectrum", 0),
 ]
 
 

@@ -496,9 +496,10 @@ def perturbed_control(tag):
 
 
 class TestSpectralWindow:
-    """The edge potential at every growth candidate of a side comes from one
-    array call per m; the window must be the one the step-by-step rule
-    reaches, bit for bit, and the levels those of its last probe."""
+    """Each pass evaluates W once, for its probe grid and every growth
+    candidate of both sides at every m; the window must be the one the
+    step-by-step rule reaches, bit for bit, and the levels those of its
+    last probe."""
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_points(self, tag):
@@ -510,6 +511,27 @@ class TestSpectralWindow:
                 assert got == reference_window(fam, m_values, k)
                 # these points settle within 3 passes: the probe saw this window
                 assert np.array_equal(levels, probe_levels(fam, p.m, got, k))
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_probe_v_plus_equals_partner_potentials(self, tag, monkeypatch):
+        # every pass's probe V+ is row 0 of the shared table, and equals
+        # V+ evaluated alone on the probe grid, bit for bit
+        from shapeinv import spectral
+
+        passes = []
+        make, lowest = spectral.dirichlet_grid, spectral._lowest_eigenvalues
+        monkeypatch.setattr(spectral, "dirichlet_grid",
+                            lambda *a: passes.append([make(*a)]) or passes[-1][0])
+        monkeypatch.setattr(spectral, "_lowest_eigenvalues",
+                            lambda v, *a: passes[-1].append(v) or lowest(v, *a))
+        for p in sample_valid_params(tag, 3, seed=9):
+            fam = get_family(tag, p).family
+            passes.clear()
+            spectral_window(fam, (p.m, p.m - 1.0), 5)
+            assert passes
+            for x, v in passes:
+                _, v_plus = partner_potentials(fam, p.m, x)
+                assert v.tobytes() == v_plus.values.tobytes()
 
     @pytest.mark.parametrize("tag", CONTROLS)
     def test_perturbed_controls(self, tag):
@@ -574,9 +596,9 @@ class TestSpectralWindow:
 
     @staticmethod
     def assert_passes(w, w_deriv, k, passes):
-        """Each pass makes one probe-grid call plus one call per side for
-        both m, and no single-point call; the search stops after the first
-        pass that returns the window it started from."""
+        """Each pass makes one call for the probe grid and both sides'
+        candidates at both m, and no single-point call; the search stops
+        after the first pass that returns the window it started from."""
         sizes = []
 
         def k0(x):
@@ -585,7 +607,7 @@ class TestSpectralWindow:
 
         got = window(line_family(k0, w_deriv), (0.0, -1.0), k)
         assert got == reference_window(line_family(w, w_deriv), (0.0, -1.0), k)
-        assert len(sizes) == passes * (1 + 2)
+        assert len(sizes) == passes * 1
         assert min(sizes) > 1
 
     def test_one_array_call_per_side(self):

@@ -358,7 +358,7 @@ class TestEdgeProbe:
                            k1=lambda x: 1.0 / x, k1_deriv=lambda x: -1.0 / (x * x),
                            domain=(0.0, np.inf), m=1.0)
         m_values = (1.0, 0.0)
-        edge = _expand_edge(fam, m_values, 1.05, +1.0)
+        edge = _expand_edge(fam, m_values, 1.05, (+1.0,))[0]
         assert edge == reference_edge(fam, m_values, 1.05, +1.0) == 1.05 / 4
         grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
         assert grid[-1] == edge
@@ -370,7 +370,7 @@ class TestEdgeProbe:
         m_values = (0.6, -0.4, -1.4)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.cosh(1024.0))
-        edge = _expand_edge(fam, m_values, 1.0, +1.0)
+        edge = _expand_edge(fam, m_values, 1.0, (+1.0,))[0]
         assert edge == reference_edge(fam, m_values, 1.0, +1.0) == 512.0
         w1, _ = fam.w1plus(np.array([1024.0]), 0.6)
         assert np.isnan(w1[0])
@@ -380,8 +380,9 @@ class TestEdgeProbe:
         # it: the edge is the last candidate before the first failure
         fam = plain_family(k0=lambda x: 1.0 / (x - 8.0), k0_deriv=lambda x: -1.0 / (x - 8.0) ** 2,
                            k1=zeros, k1_deriv=zeros, domain=(-np.inf, np.inf), m=0.0)
-        assert _expand_edge(fam, (0.0,), 1.0, +1.0) == reference_edge(fam, (0.0,), 1.0, +1.0) == 4.0
-        left = _expand_edge(fam, (0.0,), 1.0, -1.0)
+        right = _expand_edge(fam, (0.0,), 1.0, (+1.0,))[0]
+        assert right == reference_edge(fam, (0.0,), 1.0, +1.0) == 4.0
+        left = _expand_edge(fam, (0.0,), 1.0, (-1.0,))[0]
         assert left == reference_edge(fam, (0.0,), 1.0, -1.0) == 2.0 ** 19
         grid = make_grid(fam, GridSpec(n_points=64), m_values=(0.0,))
         assert (grid[0], grid[-1]) == (-left, 4.0)
@@ -394,9 +395,9 @@ class TestEdgeProbe:
         edges = {}
         for size in (1e-2, 1.0):
             fam = with_perturbation(entry.family, "wminus-slope", size)
-            edges[size] = _expand_edge(fam, m_values, 1.05, +1.0)
+            edges[size] = _expand_edge(fam, m_values, 1.05, (+1.0,))[0]
             assert edges[size] == reference_edge(fam, m_values, 1.05, +1.0)
-        assert edges[1.0] < edges[1e-2] == _expand_edge(entry.family, m_values, 1.05, +1.0)
+        assert edges[1.0] < edges[1e-2] == _expand_edge(entry.family, m_values, 1.05, (+1.0,))[0]
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_sampled_families(self, tag):
@@ -406,5 +407,36 @@ class TestEdgeProbe:
             for start, sign in ((1.0, 1.0), (1.0, -1.0), (1.05, 1.0)):
                 if not fam.domain[0] < sign * start < fam.domain[1]:
                     continue
-                assert _expand_edge(fam, m_values, start, sign) == \
+                assert _expand_edge(fam, m_values, start, (sign,))[0] == \
                     reference_edge(fam, m_values, start, sign)
+
+    @pytest.mark.parametrize("case", ["Xl-PT-Scarf", "pole-at-8", "halving-on-the-right"])
+    def test_both_sides_in_one_probe(self, case):
+        # a two-sided domain probes both sides' doubling candidates in one
+        # (W, W') call; each side's edge is the one its own probe reaches,
+        # and only a side whose first candidate fails is probed again
+        if case == "Xl-PT-Scarf":
+            entry, p = sampled_entry(case)
+            fam, m_values = entry.family, (p.m, p.m - 1.0, p.m - 2.0)
+        elif case == "pole-at-8":
+            fam = plain_family(k0=lambda x: 1.0 / (x - 8.0),
+                               k0_deriv=lambda x: -1.0 / (x - 8.0) ** 2,
+                               k1=zeros, k1_deriv=zeros, domain=(-np.inf, np.inf), m=0.0)
+            m_values = (0.0,)
+        else:
+            # W = 200 x for x > 0: the right side fails at x = 1 and halves
+            fam = plain_family(k0=lambda x: np.where(np.asarray(x) > 0, 200.0 * x, 0.0),
+                               k0_deriv=lambda x: np.where(np.asarray(x) > 0, 200.0, 0.0),
+                               k1=zeros, k1_deriv=zeros, domain=(-np.inf, np.inf), m=0.0)
+            m_values = (0.0,)
+        calls = []
+        affine = fam.affine
+        counted = dataclasses.replace(
+            fam, affine=lambda x: calls.append(np.size(x)) or affine(x))
+        right, left = _expand_edge(counted, m_values, 1.0, (+1.0, -1.0))
+        assert (right, left) == (reference_edge(fam, m_values, 1.0, +1.0),
+                                 reference_edge(fam, m_values, 1.0, -1.0))
+        halved = int(case == "halving-on-the-right")
+        assert len(calls) == 1 + halved
+        grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
+        assert (grid[0], grid[-1]) == (-left, right)

@@ -6,8 +6,9 @@ Run from anywhere, with no arguments:
 
 It imports shapeinv from the src/ of the checkout it lives in, runs
 `verify`, `scan --m-list m,m-1,m-2` and `spectrum` on each family at the
-sample points of SEEDS, and `verify --perturb` on one point per Xl family,
-and prints one line per report: the sha256 of its bytes, the command, the
+sample points of SEEDS, `verify --perturb` on one point per Xl family, and
+`verify --checks` with the remainder and spectrum checks on one point per
+real family, and prints one line per report: the sha256 of its bytes, the command, the
 family, the seed and the exit code.  Running it on two checkouts and
 diffing the output lists every report that a change alters.
 """
@@ -30,6 +31,9 @@ SEEDS = (3, 7, 11)
 # the perturbed controls: one point per Xl family, W1- += PERTURB * x
 CONTROL_SEED = 5
 PERTURB = "0.01"
+# verify's checks that read the remainder's shared W table and solve a
+# spectrum, on each real family at its sample_valid_params(tag, 1, SEEDS[0])
+CHECKS = "compatibility,remainder,spectrum"
 
 
 def configs():
@@ -47,6 +51,10 @@ def configs():
             yield (f"verify {tag} seed={CONTROL_SEED} perturb={PERTURB}",
                    ["verify", "--family", tag, "--sample", "1", "--seed", str(CONTROL_SEED),
                     "--perturb", PERTURB, "--no-timestamp"])
+    for tag in catalog.REAL_TAGS:
+        yield (f"verify {tag} seed={SEEDS[0]} checks={CHECKS}",
+               ["verify", "--family", tag, "--sample", "1", "--seed", str(SEEDS[0]),
+                "--checks", CHECKS, "--no-timestamp"])
 
 
 def digest(argv) -> tuple[str, int]:
