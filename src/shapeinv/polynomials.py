@@ -200,24 +200,34 @@ def _eval_rows(rows: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
     row stops at its degree, and a zero past it never meets an overflowed
     power (0 * inf).
 
-    The sums, their compensations and two work arrays are allocated once
-    per call; every term writes into views of them, and the power is
-    raised in place, in the same operations and order as
-    y = c*u**s - comp, t = total + y, comp = (t - total) - y, total = t."""
+    Each term s >= 1 is the Kahan step y = c*u**s - comp, t = total + y,
+    comp = (t - total) - y, total = t.  The s = 0 term sets total = c_0
+    and comp = 0 directly, which is what that step gives from zero sums for
+    finite c_0, so s = 1 skips subtracting comp.  The sums, their
+    compensations and two work arrays are allocated once per call; every
+    term writes into views of them, the power is raised in place, and the
+    new sums' buffer becomes total by a swap, not a copy.  A row that stops
+    at its degree is copied once into the other buffer, which no later term
+    writes for it."""
     n = rows.shape[1] - 1
-    total = np.zeros((rows.shape[0], u.size), dtype=np.result_type(rows, u))
-    comp = np.zeros_like(total)
-    y_buf, t_buf = np.empty_like(total), np.empty_like(total)
-    power = np.ones_like(u)
-    for s in range(n + 1):
+    total = np.empty((rows.shape[0], u.size), dtype=np.result_type(rows, u))
+    # + 0.0 gives the +0.0 that the Kahan step makes of a c_0 of -0.0
+    np.add(rows[:, 0, None], 0.0, out=total)
+    comp, y_buf, t_buf = np.empty_like(total), np.empty_like(total), np.empty_like(total)
+    power = np.ones_like(u) * u  # the signed zeros of 1 * u, as the iterated product has
+    was_live = rows.shape[0]
+    for s in range(1, n + 1):
         live = min(rows.shape[0], (n + 1 - s) * width)  # rows whose degree reaches s
         tot, c, y, t = total[:live], comp[:live], y_buf[:live], t_buf[:live]
         np.multiply(rows[:live, s, None], power, out=y)
-        np.subtract(y, c, out=y)
+        if s > 1:
+            np.subtract(y, c, out=y)
         np.add(tot, y, out=t)
         np.subtract(t, tot, out=c)
         np.subtract(c, y, out=c)
-        np.copyto(tot, t)
+        if live < was_live:  # these rows stopped at s - 1
+            t_buf[live:was_live] = total[live:was_live]
+        total, t_buf, was_live = t_buf, total, live
         if s < n:
             np.multiply(power, u, out=power)
     return total
@@ -251,6 +261,8 @@ def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
     row per polynomial of (spec, *more), and every row equals the
     polynomial's own call bit for bit.
     """
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
     specs = _stack(spec, more)
     work, scalar, complex_arg = _prepare_argument(z)
     flat = work.reshape(-1)

@@ -169,21 +169,31 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float):
     """(rho, r, v) from fixed-shift inverse iteration on T - shift*I: the
     unit iterate v, its Rayleigh quotient rho and r = ||T v - rho v||,
     computed from T itself.  None where T - shift*I is singular or r stays
-    above tol for _MAX_STEPS steps."""
+    above tol for _MAX_STEPS steps.
+
+    start is copied once, and every step solves in place in that copy; T v,
+    the residual vector and the off-diagonal products have one buffer each
+    for the whole level, so a step allocates nothing.  Both norms are
+    sqrt(v @ v), the sum np.linalg.norm forms for a 1-d float64 array."""
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     dl, d, du, du2, ipiv, info = dgttrf(off, diag - shift, off)
     if info != 0:
         return None
-    v = start
+    v = np.array(start, dtype=float)
+    tv, res, prod = np.empty_like(v), np.empty_like(v), np.empty_like(off)
     for _ in range(_MAX_STEPS):
-        v, info = dgttrs(dl, d, du, du2, ipiv, v)
-        v /= np.linalg.norm(v)
-        tv = diag * v
-        tv[1:] += off * v[:-1]
-        tv[:-1] += off * v[1:]
+        v, info = dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
+        v /= math.sqrt(v @ v)
+        np.multiply(diag, v, out=tv)
+        np.multiply(off, v[:-1], out=prod)
+        tv[1:] += prod
+        np.multiply(off, v[1:], out=prod)
+        tv[:-1] += prod
         rho = float(v @ tv)
-        r = float(np.linalg.norm(tv - rho * v))
+        np.multiply(rho, v, out=res)
+        np.subtract(tv, res, out=res)
+        r = math.sqrt(res @ res)
         if r <= tol:
             return rho, r, v
     return None

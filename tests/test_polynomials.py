@@ -304,7 +304,7 @@ class TestKernelBuffers:
         for degree in range(17):
             coefs = [rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-5, 5, degree + 1)
                      for _ in range(width)]
-            for order in (0, 2):
+            for order in (0, 1, 2):
                 rows = _derivative_rows(coefs, order, 2.0)
                 with np.errstate(over="ignore", invalid="ignore"):
                     got = _eval_rows(rows, u, width)
@@ -714,6 +714,12 @@ class TestErrors:
                 real_roots_in(spec, interval)
         for interval in ((0.0, np.inf), (-1.0, 3.0)):
             assert real_roots_in(spec, interval) == pytest.approx([2.0], abs=1e-11)
+
+    @pytest.mark.parametrize("order", [-1, -2, 1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("more", [None, (PolySpec(JACOBI, 3, 0.5, 0.5),)])
+    def test_bad_order(self, order, more):
+        with pytest.raises(ValueError, match="order"):
+            poly_eval(PolySpec(JACOBI, 3, 1.5, -0.5), np.array([0.5, 2.0]), order, more=more)
 
     def test_degree_cap(self):
         with pytest.raises(UnsupportedError):

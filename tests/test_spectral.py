@@ -302,6 +302,134 @@ class TestCertificate:
         assert np.array_equal(got, lv)
 
 
+def allocating_inverse_iteration(diag, off, shift, start, tol):
+    """The inverse-iteration loop with fresh arrays on every step: the
+    reference that _inverse_iteration, which works in buffers, must equal
+    bit for bit."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    from shapeinv.spectral import _MAX_STEPS
+
+    dl, d, du, du2, ipiv, info = dgttrf(off, diag - shift, off)
+    if info != 0:
+        return None
+    v = start
+    for _ in range(_MAX_STEPS):
+        v, info = dgttrs(dl, d, du, du2, ipiv, v)
+        v /= np.linalg.norm(v)
+        tv = diag * v
+        tv[1:] += off * v[:-1]
+        tv[:-1] += off * v[1:]
+        rho = float(v @ tv)
+        r = float(np.linalg.norm(tv - rho * v))
+        if r <= tol:
+            return rho, r, v
+    return None
+
+
+class TestInverseIterationBuffers:
+    """_inverse_iteration against the allocating loop: rho, r and the bit
+    pattern of v, or None from both."""
+
+    @staticmethod
+    def matrix(n, seed):
+        """(diag, off, h, values) of a rough well on n nodes."""
+        from shapeinv.spectral import _tridiagonal
+
+        xs = dirichlet_grid(-6.0, 6.0, n)
+        h = float(xs[1] - xs[0])
+        values = xs ** 2 + np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+        return (*_tridiagonal(values, h), h, values)
+
+    @staticmethod
+    def tol(diag, h):
+        from shapeinv.spectral import _EPS, _RESIDUAL_ULPS
+
+        return _RESIDUAL_ULPS * _EPS * (float(np.max(np.abs(diag))) + 2.0 / (h * h))
+
+    def assert_same(self, diag, off, shift, start, tol):
+        from shapeinv.spectral import _inverse_iteration
+
+        got = _inverse_iteration(diag, off, shift, start, tol)
+        want = allocating_inverse_iteration(diag, off, shift, start, tol)
+        if want is None:
+            assert got is None
+            return None
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2].view(np.uint64), want[2].view(np.uint64))
+        return got
+
+    @pytest.mark.parametrize("n", [64, 301, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_start(self, n, seed):
+        from shapeinv.spectral import _bisect, _random_start
+
+        diag, off, h, _ = self.matrix(n, seed)
+        tol = self.tol(diag, h)
+        levels = _bisect(diag, off, 0, 5)
+        converged = 0
+        for i, level in enumerate(levels):
+            for shift in (level + 1e-2, level - 1e-4 * (i + 1), level):
+                got = self.assert_same(diag, off, float(shift), _random_start(n), tol)
+                converged += got is not None
+        assert converged >= len(levels)
+
+    @pytest.mark.parametrize("n", [301, 1000, 4000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_prolonged_start(self, n, seed):
+        from scipy.linalg import eigh_tridiagonal
+
+        from shapeinv.spectral import _prolong, _tridiagonal
+
+        diag, off, h, values = self.matrix(n, seed)
+        coarse, vectors = eigh_tridiagonal(*_tridiagonal(values[1::2], 2.0 * h),
+                                           select="i", select_range=(0, 4))
+        starts = _prolong(vectors.T, n)
+        tol = self.tol(diag, h)
+        converged = sum(
+            self.assert_same(diag, off, float(shift), start, tol) is not None
+            for shift, start in zip(coarse, starts))
+        assert converged >= 1
+        # the rows of the prolonged array are not written
+        assert np.array_equal(starts, _prolong(vectors.T, n))
+
+    def test_step_cap(self):
+        from scipy.linalg.lapack import dgttrf
+
+        from shapeinv.spectral import _bisect, _random_start
+
+        # equidistant from levels 0 and 1: no convergence within the step cap
+        diag, off, h, _ = self.matrix(600, 3)
+        lv = _bisect(diag, off, 0, 1)
+        shift = float((lv[0] + lv[1]) / 2.0)
+        assert dgttrf(off, diag - shift, off)[-1] == 0
+        assert self.assert_same(diag, off, shift, _random_start(600), self.tol(diag, h)) is None
+
+    def test_zero_pivot(self):
+        from scipy.linalg.lapack import dgttrf
+
+        from shapeinv.spectral import _random_start
+
+        # T - shift*I with an all-zero first column
+        diag, off, h, _ = self.matrix(200, 4)
+        off[0] = 0.0
+        shift = float(diag[0])
+        assert dgttrf(off, diag - shift, off)[-1] != 0
+        assert self.assert_same(diag, off, shift, _random_start(200), self.tol(diag, h)) is None
+
+    def test_cached_start_untouched(self):
+        from shapeinv.spectral import _random_start
+
+        # unseeded, the coarse grid is bisected and every fine-grid level
+        # starts from _random_start(n)
+        n = 1000
+        before = _random_start(n).copy()
+        xs = dirichlet_grid(-6.0, 6.0, n)
+        solve_spectrum(PotentialGrid(x=xs, values=xs ** 2), 5)
+        assert np.array_equal(_random_start(n), before)
+        assert not _random_start(n).flags.writeable
+
+
 class TestProlong:
     """_prolong carries spacing-doubled vectors (fine nodes 1, 3, ...) to
     the fine grid, with the Dirichlet walls at 0."""
