@@ -73,6 +73,12 @@ EXPECTED = [
     ("verify X1-trigonometric seed=3 checks=compatibility,remainder,spectrum", 0),
     ("verify Xl-Poschl-Teller seed=3 checks=compatibility,remainder,spectrum", 0),
     ("verify Xl-radial-oscillator seed=3 checks=compatibility,remainder,spectrum", 0),
+    ("verify X1-hyperbolic seed=3 format=csv", 0),
+    ("verify X1-radial-oscillator seed=3 format=csv", 0),
+    ("verify X1-trigonometric seed=3 format=csv", 0),
+    ("verify Xl-Poschl-Teller seed=3 format=csv", 0),
+    ("verify Xl-PT-Scarf seed=3 format=csv", 0),
+    ("verify Xl-radial-oscillator seed=3 format=csv", 0),
 ]
 
 

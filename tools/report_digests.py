@@ -8,7 +8,8 @@ It imports shapeinv from the src/ of the checkout it lives in, runs
 `verify`, `scan --m-list m,m-1,m-2` and `spectrum` on each family at the
 sample points of SEEDS, `verify --perturb` on one point per Xl family, and
 `verify --checks` with the remainder and spectrum checks on one point per
-real family, and prints one line per report: the sha256 of its bytes, the command, the
+real family, `verify --format csv` on one point per family (every check
+that the family supports), and prints one line per report: the sha256 of its bytes, the command, the
 family, the seed and the exit code.  Running it on two checkouts and
 diffing the output lists every report that a change alters.
 """
@@ -34,6 +35,9 @@ PERTURB = "0.01"
 # verify's checks that read the remainder's shared W table and solve a
 # spectrum, on each real family at its sample_valid_params(tag, 1, SEEDS[0])
 CHECKS = "compatibility,remainder,spectrum"
+# the CSV report's checks: the five identity checks on every family, and
+# the remainder and spectrum on the real ones (complex families have no spectra)
+IDENTITY_CHECKS = "translation,compatibility,infeld_hull,algebra,equivalence"
 
 
 def configs():
@@ -55,6 +59,11 @@ def configs():
         yield (f"verify {tag} seed={SEEDS[0]} checks={CHECKS}",
                ["verify", "--family", tag, "--sample", "1", "--seed", str(SEEDS[0]),
                 "--checks", CHECKS, "--no-timestamp"])
+    for tag in catalog.FAMILY_TAGS:
+        checks = IDENTITY_CHECKS + (",remainder,spectrum" if tag in catalog.REAL_TAGS else "")
+        yield (f"verify {tag} seed={SEEDS[0]} format=csv",
+               ["verify", "--family", tag, "--sample", "1", "--seed", str(SEEDS[0]),
+                "--checks", checks, "--format", "csv", "--no-timestamp"])
 
 
 def digest(argv) -> tuple[str, int]:
