@@ -3,9 +3,10 @@
 The package evaluates superpotential families W = W0 + W1+ - W1- built from
 Jacobi/Laguerre gauge denominators, checks the translation relation, the
 compatibility condition (m-independence), the factorization constants and the
-potential-algebra closure condition on grids, replays the reduction chain
-that proves those conditions equivalent, and cross-validates shape invariance
-with a finite-difference eigensolver.
+potential-algebra closure condition on grids, replays the reduction that
+proves those conditions equivalent (the steps a family can fail), judges every
+check against its tolerance from conditions.check_tolerances, and
+cross-validates shape invariance with a finite-difference eigensolver.
 """
 
 from .catalog import (

@@ -38,7 +38,9 @@ from . import catalog
 from .conditions import (
     CHECK_NAMES,
     DEFAULT_TOL,
+    SPECTRUM_TOL,
     TRANSLATION_TOL,
+    check_tolerances,
     compatibility_lhs,
     grid_values,
     run_condition_checks,
@@ -48,7 +50,6 @@ from .spectral import check_isospectrality, partner_potentials, remainder
 from .superpotential import GridSpec, ParamPoint, make_grid, with_perturbation
 
 ALL_CHECKS = CHECK_NAMES + ("remainder", "spectrum")
-_SPECTRUM_TOL = 1e-4
 
 
 @dataclasses.dataclass
@@ -85,24 +86,25 @@ class RunConfig:
                 raise UsageError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
         if not isinstance(self.tolerances, (dict, type(None))):
             raise UsageError(f"tolerances must be an object, got {self.tolerances!r}")
+        unknown = set(self.tolerances or {}) - set(ALL_CHECKS)
+        if unknown:
+            raise UsageError(f"unknown tolerances {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")
         for v in (self.tol, *(self.tolerances or {}).values()):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise UsageError(f"tolerances must be numbers, got {v!r}")
             if v <= 0:
                 raise UsageError("tolerances must be > 0")
+        if isinstance(self.perturb, bool) or not isinstance(self.perturb, (int, float)):
+            raise UsageError(f"perturb must be a number, got {self.perturb!r}")
+        if not isinstance(self.out, (str, type(None))):
+            raise UsageError(f"out must be a path, got {self.out!r}")
         if self.fmt not in ("json", "csv"):
             raise UsageError("format must be json or csv")
         if self.params is None and self.sample < 1:
             raise UsageError("give --params or --sample N")
 
     def tolerance_map(self) -> dict:
-        tols = {name: self.tol for name in ("compatibility", "infeld_hull",
-                                            "algebra", "equivalence")}
-        tols["translation"] = TRANSLATION_TOL
-        tols["remainder"] = self.tol
-        tols["spectrum"] = _SPECTRUM_TOL
-        tols.update(self.tolerances or {})
-        return tols
+        return check_tolerances(self.tol, self.tolerances)
 
 
 def _param_point(data: dict) -> ParamPoint:
@@ -190,7 +192,6 @@ def _report_skeleton(cfg: RunConfig, command: str) -> dict:
 def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     entry, family = _entry_for(cfg, point)
     m_list = tuple(cfg.m_list) if cfg.m_list else (point.m, point.m - 1.0, point.m - 2.0)
-    condition_checks = tuple(c for c in cfg.checks if c in CHECK_NAMES)
     tols = cfg.tolerance_map()
 
     grid = make_grid(family, cfg.grid, m_values=m_list)
@@ -201,33 +202,25 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
         family,
         grid,
         m_list,
-        checks=condition_checks,
+        checks=cfg.checks,
         tolerances=tols,
         grid_spec=cfg.grid,
         expected_ab=(entry.expected_a, entry.expected_b),
         values=values,
     )
-    result = report.to_dict()
-    result["param_index"] = index
-
+    extra = {"param_index": index}
     if "remainder" in cfg.checks:
-        r, flat = remainder(family, m_list[0], grid, values=values)
-        result["residuals"]["remainder_flatness"] = flat
-        result["tolerances"]["remainder"] = tols["remainder"]
-        result["verdicts"]["remainder"] = flat < tols["remainder"]
-        result["remainder"] = r
+        extra["remainder"], flat = remainder(family, m_list[0], grid, values=values)
+        report.record("remainder", tols["remainder"], remainder_flatness=flat)
     if "spectrum" in cfg.checks:
         iso = check_isospectrality(family, m_list[0], k=cfg.k, n_points=cfg.spectrum_points)
-        result["residuals"]["spectrum_mismatch"] = iso.mismatch
-        result["tolerances"]["spectrum"] = tols["spectrum"]
-        result["verdicts"]["spectrum"] = iso.mismatch < tols["spectrum"]
-        result["spectrum"] = {
+        report.record("spectrum", tols["spectrum"], spectrum_mismatch=iso.mismatch)
+        extra["spectrum"] = {
             "plus": iso.spectrum_plus.eigenvalues.tolist(),
             "remainder": iso.remainder_value,
             "window": list(iso.window),
         }
-    result["passed"] = all(result["verdicts"].values())
-    return result
+    return {**report.to_dict(), **extra}
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -243,18 +236,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         lines = ["param_index,check,residual,tolerance,pass"]
         for r in results:
-            for name in sorted(r["residuals"]):
-                base = name
-                if name.startswith("equivalence"):
-                    base = "equivalence"
-                elif name == "remainder_flatness":
-                    base = "remainder"
-                elif name == "spectrum_mismatch":
-                    base = "spectrum"
-                tol = r["tolerances"].get(name, r["tolerances"].get(base, cfg.tol))
-                ok = r["residuals"][name] < tol
+            tols = r["tolerances"]
+            for name, residual in sorted(r["residuals"].items()):
+                # a residual's own tolerance, else that of its check
+                tol = tols[name] if name in tols else tols[name.partition("_")[0]]
                 lines.append(
-                    f"{r['param_index']},{name},{_fmt17(r['residuals'][name])},{_fmt17(tol)},{ok}"
+                    f"{r['param_index']},{name},{_fmt17(residual)},{_fmt17(tol)},{residual < tol}"
                 )
         _write_text(cfg.out, "\n".join(lines) + "\n")
     return 0 if doc["overall_pass"] else 1
@@ -303,7 +290,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "mismatch": iso.mismatch,
         "tolerance": cfg.tolerance_map()["spectrum"],
     }
-    doc["overall_pass"] = iso.mismatch < cfg.tolerance_map()["spectrum"]
+    doc["overall_pass"] = iso.mismatch < doc["spectrum"]["tolerance"]
     _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if doc["overall_pass"] else 1
 
@@ -331,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--checks", help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
         sp.add_argument("--grid-points", dest="grid_points", type=int)
         sp.add_argument("--tol", type=float,
-                        help="base residual tolerance (translation stays 1e-12)")
+                        help=f"base residual tolerance (default {DEFAULT_TOL:g}); translation "
+                             f"stays at {TRANSLATION_TOL:g} and spectrum at {SPECTRUM_TOL:g}")
         sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=None)
@@ -380,6 +368,8 @@ def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
         checks = tuple(file_cfg["checks"])
 
     grid_cfg = file_cfg.get("grid", {})
+    if not isinstance(grid_cfg, dict):
+        raise UsageError(f"grid must be an object, got {grid_cfg!r}")
     grid = {
         "n_points": pick(args.grid_points, "n_points", grid_cfg),
         "boundary_margin": grid_cfg.get("boundary_margin"),
@@ -399,7 +389,7 @@ def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
     }
     try:
         grid_spec = GridSpec(**{k: v for k, v in grid.items() if v is not None})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"grid: {exc}") from exc
     return RunConfig(
         family=family,

@@ -9,8 +9,12 @@ residual over a grid (a single bad point must fail the verdict, so no RMS):
   infeld_hull     k1' + k1^2 and -k0' - k1*k0 are the constants (a, b)
   algebra         the closure condition of the potential algebra, in its
                   integer-shifted form with F = k1, G = -k0, U = W1+ - W1-
-  equivalence     the three-step reduction tying the closure condition to
-                  the compatibility condition and the translation relation
+  equivalence     the reduction tying the closure condition to the
+                  compatibility condition and the translation relation, one
+                  residual per step that can fail
+
+check_tolerances states each check's default tolerance, and
+ResidualReport.record turns a check's residuals into its verdict.
 """
 
 from __future__ import annotations
@@ -24,9 +28,20 @@ from .errors import UsageError
 from .superpotential import GridSpec, ParamPoint, SuperpotentialFamily
 
 TRANSLATION_TOL = 1e-12
+SPECTRUM_TOL = 1e-4
 DEFAULT_TOL = 1e-9
 
 CHECK_NAMES = ("translation", "compatibility", "infeld_hull", "algebra", "equivalence")
+
+
+def check_tolerances(tol: float = DEFAULT_TOL, overrides: dict | None = None) -> dict:
+    """Every check's tolerance, by check name: TRANSLATION_TOL for
+    translation, SPECTRUM_TOL for spectrum, tol for the others (the
+    remainder included), then overrides."""
+    tols = dict.fromkeys(CHECK_NAMES + ("remainder",), tol)
+    tols.update(translation=TRANSLATION_TOL, spectrum=SPECTRUM_TOL)
+    tols.update(overrides or {})
+    return tols
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,13 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
+
+    def record(self, check: str, tolerance: float, **residuals: float) -> None:
+        """Record a check's residuals and tolerance, and its verdict: every
+        residual below the tolerance."""
+        self.residuals.update(residuals)
+        self.tolerances[check] = tolerance
+        self.verdicts[check] = all(r < tolerance for r in residuals.values())
 
     def to_dict(self) -> dict:
         return {
@@ -112,13 +134,9 @@ def compatibility_lhs(family: SuperpotentialFamily, m: float, x, *, values=None)
     return p * p + pd + q * q + qd - 2.0 * w0 * q + 2.0 * w0 * p - 2.0 * q * p
 
 
-def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=None):
-    """m-independence residual of the seven-term combination.
-
-    Returns (residual, (x, epsilon)): the residual is the max over grid
-    points and m pairs, and the samples are the grid and the combination's
-    values on it at the first m, as arrays.
-    """
+def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=None) -> float:
+    """m-independence residual of the seven-term combination: the max over
+    grid points and m pairs."""
     m_list = tuple(float(m) for m in m_list)
     if len(m_list) < 2:
         raise UsageError("check_compatibility needs at least two m values")
@@ -128,7 +146,7 @@ def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=No
     for i in range(len(lhs)):
         for j in range(i + 1, len(lhs)):
             residual = max(residual, _maxabs(lhs[i] - lhs[j]))
-    return residual, (np.asarray(grid, dtype=float), lhs[0])
+    return residual
 
 
 def check_infeld_hull(family: SuperpotentialFamily, grid, *, values=None):
@@ -176,21 +194,15 @@ def check_algebra_condition(family: SuperpotentialFamily, m: float, grid, *,
     return _maxabs(_closure_expression(values or grid_values(family, grid, (m, m - 1.0)), m))
 
 
-def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid, *, values=None):
-    """Numerical replay of the reduction proof, one residual per step.
+def _reduction_steps(values: GridValues, m):
+    """Steps 2 and 3 of the reduction proof.
 
-    step1: the closure condition in (F, G, U) variables.
-    step2: the same expression rewritten directly in k0, k1, W1+-.
+    step2: the closure condition (_closure_expression) rewritten directly in
+           k0, k1, W1+-; the two agree for any values, which tests check
+           exactly.
     step3: what survives of step2 once the compatibility condition is used
            at m and m-1; it vanishes by the translation relation alone.
-
-    Returns (max|step1 - step2|, max|step2 - step3|, max|step3|): the first
-    difference is a pure algebraic identity, the second isolates the
-    compatibility condition, the last isolates the translation relation.
     """
-    values = values or grid_values(family, grid, (m, m - 1.0))
-    step1 = _closure_expression(values, m)
-
     p_prev, pd_prev, q_prev, qd_prev = values.w1[m - 1.0]
     p_here, pd_here, q_here, qd_here = values.w1[m]
     v_prev = q_prev - p_prev
@@ -208,10 +220,18 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid, *, val
         - pd_prev
         - pd_here
     )
-
     step3 = -2.0 * pd_prev + 2.0 * qd_here
+    return step2, step3
 
-    return (_maxabs(step1 - step2), _maxabs(step2 - step3), _maxabs(step3))
+
+def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid, *, values=None):
+    """Numerical replay of the reduction proof (_reduction_steps).
+
+    Returns (max|step2 - step3|, max|step3|): the first isolates the
+    compatibility condition, the second the translation relation.
+    """
+    step2, step3 = _reduction_steps(values or grid_values(family, grid, (m, m - 1.0)), m)
+    return _maxabs(step2 - step3), _maxabs(step3)
 
 
 def run_condition_checks(
@@ -227,7 +247,8 @@ def run_condition_checks(
 ) -> ResidualReport:
     """Run the selected identity checks on a prebuilt grid and assemble a report.
 
-    The grid must avoid the poles of every m in m_list (make_grid with
+    checks names the checks to run (others in it are skipped), and
+    tolerances, by check name, override check_tolerances().  The grid must avoid the poles of every m in m_list (make_grid with
     m_values=m_list does that).  When expected_ab is given, the inferred
     constants are also matched against it under the infeld_hull tolerance.
     The family is evaluated once (grid_values): affine on the grid, and w1
@@ -237,11 +258,7 @@ def run_condition_checks(
     equals that of the separate check_* call bit for bit.
     """
     m_list = tuple(float(m) for m in m_list)
-    tol = dict(tolerances or {})
-    tol.setdefault("translation", TRANSLATION_TOL)
-    for name in ("compatibility", "infeld_hull", "algebra", "equivalence"):
-        tol.setdefault(name, DEFAULT_TOL)
-
+    tol = check_tolerances(overrides=tolerances)
     report = ResidualReport(
         family_tag=family.tag,
         params=family.params,
@@ -252,38 +269,25 @@ def run_condition_checks(
     values = values or grid_values(family, grid, m_list + (m0 - 1.0,))
 
     if "translation" in checks:
-        r = check_translation(family, m0, grid, values=values)
-        report.residuals["translation"] = r
-        report.tolerances["translation"] = tol["translation"]
-        report.verdicts["translation"] = r < tol["translation"]
+        report.record("translation", tol["translation"],
+                      translation=check_translation(family, m0, grid, values=values))
     if "compatibility" in checks:
-        r, _ = check_compatibility(family, m_list, grid, values=values)
-        report.residuals["compatibility"] = r
-        report.tolerances["compatibility"] = tol["compatibility"]
-        report.verdicts["compatibility"] = r < tol["compatibility"]
+        report.record("compatibility", tol["compatibility"],
+                      compatibility=check_compatibility(family, m_list, grid, values=values))
     if "infeld_hull" in checks:
         constants, r = check_infeld_hull(family, grid, values=values)
         report.inferred_a = constants.a
         report.inferred_b = constants.b
-        report.residuals["infeld_hull"] = r
-        report.tolerances["infeld_hull"] = tol["infeld_hull"]
-        report.verdicts["infeld_hull"] = r < tol["infeld_hull"]
+        report.record("infeld_hull", tol["infeld_hull"], infeld_hull=r)
         if expected_ab is not None:
             match = max(abs(constants.a - expected_ab[0]), abs(constants.b - expected_ab[1]))
-            report.residuals["infeld_hull_match"] = match
-            report.tolerances["infeld_hull_match"] = tol["infeld_hull"]
-            report.verdicts["infeld_hull_match"] = match < tol["infeld_hull"]
+            report.record("infeld_hull_match", tol["infeld_hull"], infeld_hull_match=match)
     if "algebra" in checks:
-        r = check_algebra_condition(family, m0, grid, values=values)
-        report.residuals["algebra"] = r
-        report.tolerances["algebra"] = tol["algebra"]
-        report.verdicts["algebra"] = r < tol["algebra"]
+        report.record("algebra", tol["algebra"],
+                      algebra=check_algebra_condition(family, m0, grid, values=values))
     if "equivalence" in checks:
-        r12, r23, r30 = check_equivalence_chain(family, m0, grid, values=values)
-        report.residuals["equivalence_step1_vs_step2"] = r12
-        report.residuals["equivalence_step2_vs_step3"] = r23
-        report.residuals["equivalence_step3_vs_zero"] = r30
-        report.tolerances["equivalence"] = tol["equivalence"]
-        report.verdicts["equivalence"] = max(r12, r23, r30) < tol["equivalence"]
+        r23, r30 = check_equivalence_chain(family, m0, grid, values=values)
+        report.record("equivalence", tol["equivalence"],
+                      equivalence_step2_vs_step3=r23, equivalence_step3_vs_zero=r30)
 
     return report

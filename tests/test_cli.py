@@ -8,7 +8,7 @@ from shapeinv import (
     FAMILY_TAGS,
     REAL_TAGS,
     GridSpec,
-    check_compatibility,
+    compatibility_lhs,
     get_family,
     make_grid,
     sample_valid_params,
@@ -322,6 +322,13 @@ class TestInputErrors:
         ("m_list", "-3", "m_list must be a list of numbers"),
         ("tolerances", {"compatibility": "1e-9"}, "tolerances must be numbers"),
         ("tolerances", [1], "tolerances must be an object"),
+        ("out", 3, "out must be a path"),
+        ("perturb", "x", "perturb must be a number"),
+        ("grid", [1], "grid must be an object"),
+        ("grid", "x", "grid must be an object"),
+        ("grid", {"boundary_margin": "0.1"}, "grid: "),
+        # once accepted and ignored: compatibility was judged at 1e-9
+        ("tolerances", {"compatibilty": 1e-30}, "unknown tolerances ['compatibilty']"),
     ])
     def test_non_integral_config_value_exit_2(self, tmp_path, capsys, field, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -420,7 +427,7 @@ class TestScan:
     @pytest.mark.parametrize("tag,seed", [("Xl-Poschl-Teller", 3), ("Xl-PT-Scarf", 7)])
     def test_epsilon_columns_are_the_compatibility_samples(self, tmp_path, tag, seed):
         # scan --m-list m,m-1,m-2 builds the grid verify builds for the
-        # point, and writes check_compatibility's samples at m
+        # point, and writes compatibility_lhs's samples at m
         p = sample_valid_params(tag, 1, seed)[0]
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
         code, text = run(tmp_path, "scan", "--family", tag, "--sample", "1", "--seed", str(seed),
@@ -431,9 +438,7 @@ class TestScan:
         columns = np.asarray(rows[1:], dtype=float).T
         fam = get_family(tag, p).family
         grid = make_grid(fam, GridSpec(), m_values=m_list)
-        _, (xs, eps) = check_compatibility(fam, m_list, grid)
-        eps = np.asarray(eps, dtype=complex)
-        assert np.array_equal(columns[0], xs)
+        eps = np.asarray(compatibility_lhs(fam, p.m, grid), dtype=complex)
         assert np.array_equal(columns[0], grid)
         assert np.array_equal(columns[1], eps.real)
         assert np.array_equal(columns[2], eps.imag)

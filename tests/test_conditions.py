@@ -21,6 +21,7 @@ from shapeinv import (
 )
 
 import oracles
+from shapeinv.conditions import GridValues, _closure_expression, _reduction_steps
 
 
 def family_on_grid(tag, seed=3, n=256):
@@ -36,8 +37,7 @@ class TestCatalogIdentities:
         entry, p, grid = family_on_grid(tag)
         fam = entry.family
         assert check_translation(fam, p.m, grid) < 1e-12
-        resid, _ = check_compatibility(fam, (p.m, p.m - 1.0, p.m - 2.0), grid)
-        assert resid < 1e-9
+        assert check_compatibility(fam, (p.m, p.m - 1.0, p.m - 2.0), grid) < 1e-9
         assert check_algebra_condition(fam, p.m, grid) < 1e-9
         assert max(check_equivalence_chain(fam, p.m, grid)) < 1e-9
 
@@ -65,12 +65,29 @@ class TestTrivialFamily:
         grid = np.linspace(0.3, 6.0, 200)
         m = 2.0
         assert check_translation(free_radial, m, grid) == 0.0
-        resid, (xs, eps) = check_compatibility(free_radial, (m, m - 1.0), grid)
-        assert resid == 0.0
-        assert np.array_equal(xs, grid)
-        assert np.all(eps == 0.0)
+        assert check_compatibility(free_radial, (m, m - 1.0), grid) == 0.0
+        assert np.all(compatibility_lhs(free_radial, m, grid) == 0.0)
         assert check_algebra_condition(free_radial, m, grid) == 0.0
-        assert check_equivalence_chain(free_radial, m, grid) == (0.0, 0.0, 0.0)
+        assert check_equivalence_chain(free_radial, m, grid) == (0.0, 0.0)
+
+
+class TestReductionAlgebra:
+    """The reduction's first step is an identity of the code's own
+    expressions, whatever the values: checked exactly, on integer-valued
+    float64 inputs with |v| <= 2**10, where every product and sum stays an
+    integer below 2**53.  A nonzero polynomial vanishes on random integer
+    points only with negligible probability (Schwartz-Zippel)."""
+
+    @pytest.mark.parametrize("m", [-3.0, 0.0, 2.0, 5.0])
+    def test_identities_hold_exactly(self, m):
+        rng = np.random.default_rng(int(m) + 100)
+        p, pd, q, qd, k0, k0d, k1, k1d = rng.integers(-1024, 1025, (8, 1000)).astype(float)
+        pp, ppd, qp, qpd = rng.integers(-1024, 1025, (4, 1000)).astype(float)
+        values = GridValues((k0, k0d, k1, k1d), {m: (p, pd, q, qd), m - 1.0: (pp, ppd, qp, qpd)})
+        step2, step3 = _reduction_steps(values, m)
+        assert np.array_equal(_closure_expression(values, m), step2)
+        lhs = {mm: compatibility_lhs(None, mm, None, values=values) for mm in (m, m - 1.0)}
+        assert np.array_equal(step2 - step3, lhs[m - 1.0] - lhs[m])
 
 
 class TestOracleAgreement:
@@ -117,8 +134,7 @@ class TestNegativeControls:
         pert = with_perturbation(entry.family, "paired-mx-slope", 0.01)
         # translation stays intact by construction
         assert check_translation(pert, p.m, grid) < 1e-12
-        resid, _ = check_compatibility(pert, (p.m, p.m - 1.0), grid)
-        assert resid >= 1e-3
+        assert check_compatibility(pert, (p.m, p.m - 1.0), grid) >= 1e-3
 
     def test_algebra_detects_both_modes(self):
         entry, p, grid = family_on_grid("X1-radial-oscillator")
@@ -133,12 +149,11 @@ class TestNegativeControls:
         assert resid >= 1e-3
 
     def test_chain_isolates_translation_violation(self):
-        # an x-slope on W1- breaks the translation relation; the algebraic
-        # first step must stay clean while the final step flags it
+        # an x-slope on W1- breaks the translation relation; the final step
+        # flags it
         entry, p, grid = family_on_grid("X1-radial-oscillator")
         pert = with_perturbation(entry.family, "wminus-slope", 0.01)
-        r12, r23, r30 = check_equivalence_chain(pert, p.m, grid)
-        assert r12 < 1e-9
+        r23, r30 = check_equivalence_chain(pert, p.m, grid)
         assert r30 >= 1e-3
 
     def test_chain_middle_step_isolates_compatibility(self):
@@ -146,8 +161,7 @@ class TestNegativeControls:
         # stays at zero while the middle step carries the violation
         entry, p, grid = family_on_grid("X1-radial-oscillator")
         pert = with_perturbation(entry.family, "paired-mx-slope", 0.01)
-        r12, r23, r30 = check_equivalence_chain(pert, p.m, grid)
-        assert r12 < 1e-9
+        r23, r30 = check_equivalence_chain(pert, p.m, grid)
         assert r23 >= 1e-3
         assert r30 < 1e-12
 
@@ -155,7 +169,7 @@ class TestNegativeControls:
         entry, p, grid = family_on_grid("X1-radial-oscillator")
         pert = with_perturbation(entry.family, "wminus-offset", 0.01)
         assert check_translation(pert, p.m, grid) >= 1e-3
-        r12, r23, r30 = check_equivalence_chain(pert, p.m, grid)
+        r23, r30 = check_equivalence_chain(pert, p.m, grid)
         assert r30 == 0.0  # a constant shift is invisible to the derivative step
         assert r23 >= 1e-3
 
@@ -166,9 +180,7 @@ class TestNegativeControls:
         for s in sizes:
             pert = with_perturbation(entry.family, "wminus-slope", s)
             by_check["translation"].append(check_translation(pert, p.m, grid))
-            by_check["compatibility"].append(
-                check_compatibility(pert, (p.m, p.m - 1.0), grid)[0]
-            )
+            by_check["compatibility"].append(check_compatibility(pert, (p.m, p.m - 1.0), grid))
             by_check["algebra"].append(check_algebra_condition(pert, p.m, grid))
         for name, vals in by_check.items():
             for big, small in zip(vals, vals[1:]):
@@ -228,7 +240,7 @@ class TestEquivalenceTheoremSampled:
                     fam = with_perturbation(fam, mode, sizes[i % len(sizes)])
                 i += 1
                 tr = check_translation(fam, p.m, grid)
-                comp, _ = check_compatibility(fam, (p.m, p.m - 1.0), grid)
+                comp = check_compatibility(fam, (p.m, p.m - 1.0), grid)
                 alg = check_algebra_condition(fam, p.m, grid)
                 assert ((tr < tol) and (comp < tol)) == (alg < tol), (tag, mode, tr, comp, alg)
 
@@ -264,14 +276,12 @@ class TestSharedW1Table:
         fam = entry.family if perturb is None else with_perturbation(entry.family, perturb, 1e-4)
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
         report = run_condition_checks(fam, grid, m_list)
-        r12, r23, r30 = check_equivalence_chain(fam, p.m, grid)
-        compat, _ = check_compatibility(fam, m_list, grid)
+        r23, r30 = check_equivalence_chain(fam, p.m, grid)
         separate = {
             "translation": check_translation(fam, p.m, grid),
-            "compatibility": compat,
+            "compatibility": check_compatibility(fam, m_list, grid),
             "infeld_hull": check_infeld_hull(fam, grid)[1],
             "algebra": check_algebra_condition(fam, p.m, grid),
-            "equivalence_step1_vs_step2": r12,
             "equivalence_step2_vs_step3": r23,
             "equivalence_step3_vs_zero": r30,
         }
