@@ -365,6 +365,8 @@ def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     elif "checks" in file_cfg:
+        if not isinstance(file_cfg["checks"], list):
+            raise UsageError(f"checks must be a list of check names, got {file_cfg['checks']!r}")
         checks = tuple(file_cfg["checks"])
 
     grid_cfg = file_cfg.get("grid", {})

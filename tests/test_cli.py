@@ -327,6 +327,7 @@ class TestInputErrors:
         ("grid", [1], "grid must be an object"),
         ("grid", "x", "grid must be an object"),
         ("grid", {"boundary_margin": "0.1"}, "grid: "),
+        ("checks", 3, "checks must be a list"),
         # once accepted and ignored: compatibility was judged at 1e-9
         ("tolerances", {"compatibilty": 1e-30}, "unknown tolerances ['compatibilty']"),
     ])
