@@ -36,6 +36,7 @@ import numpy as np
 
 from . import catalog
 from .conditions import (
+    ALL_CHECKS,
     CHECK_NAMES,
     DEFAULT_TOL,
     SPECTRUM_TOL,
@@ -48,8 +49,6 @@ from .conditions import (
 from .errors import ShapeInvError, UsageError
 from .spectral import check_isospectrality, partner_potentials, remainder
 from .superpotential import GridSpec, ParamPoint, make_grid, with_perturbation
-
-ALL_CHECKS = CHECK_NAMES + ("remainder", "spectrum")
 
 
 @dataclasses.dataclass

@@ -13,8 +13,7 @@ residual over a grid (a single bad point must fail the verdict, so no RMS):
                   compatibility condition and the translation relation, one
                   residual per step that can fail
 
-check_tolerances states each check's default tolerance, and
-ResidualReport.record turns a check's residuals into its verdict.
+check_tolerances holds every check's default tolerance.
 """
 
 from __future__ import annotations
@@ -32,13 +31,15 @@ SPECTRUM_TOL = 1e-4
 DEFAULT_TOL = 1e-9
 
 CHECK_NAMES = ("translation", "compatibility", "infeld_hull", "algebra", "equivalence")
+# with the checks that verify runs from the spectral module
+ALL_CHECKS = CHECK_NAMES + ("remainder", "spectrum")
 
 
 def check_tolerances(tol: float = DEFAULT_TOL, overrides: dict | None = None) -> dict:
     """Every check's tolerance, by check name: TRANSLATION_TOL for
     translation, SPECTRUM_TOL for spectrum, tol for the others (the
     remainder included), then overrides."""
-    tols = dict.fromkeys(CHECK_NAMES + ("remainder",), tol)
+    tols = dict.fromkeys(ALL_CHECKS, tol)
     tols.update(translation=TRANSLATION_TOL, spectrum=SPECTRUM_TOL)
     tols.update(overrides or {})
     return tols
@@ -248,9 +249,10 @@ def run_condition_checks(
     """Run the selected identity checks on a prebuilt grid and assemble a report.
 
     checks names the checks to run (others in it are skipped), and
-    tolerances, by check name, override check_tolerances().  The grid must avoid the poles of every m in m_list (make_grid with
-    m_values=m_list does that).  When expected_ab is given, the inferred
-    constants are also matched against it under the infeld_hull tolerance.
+    tolerances, by check name, override check_tolerances().  The grid must
+    avoid the poles of every m in m_list (make_grid with m_values=m_list
+    does that).  When expected_ab is given, the inferred constants are also
+    matched against it under the infeld_hull tolerance.
     The family is evaluated once (grid_values): affine on the grid, and w1
     for all of m_list and m_list[0] - 1, the translate that translation,
     algebra and equivalence read; values, that grid_values result, spares
