@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands:
+Subcommands, each with its runner, default checks, default m list and
+report formats in COMMANDS:
 
   verify    run selected identity checks over one or more parameter points
             and write a JSON (or CSV) report of verdicts, residuals and
@@ -14,12 +15,13 @@ Subcommands:
             with its error estimates, the remainder R, its flatness and the
             Weyl bound on the level mismatch as JSON.
 
-A config file (--config, single JSON object) provides the same fields as the
-flags; explicit flags win.  JSON reports are exactly
-json.dumps(doc, indent=2, sort_keys=True) plus a newline, so floats take
-Python's shortest round-trip repr; CSV output writes 17 significant digits.
-Both round-trip every double, and --no-timestamp makes reports
-byte-identical for identical configs.
+A run's RunConfig is the command's defaults, updated by a config file
+(--config: one JSON object whose keys are RunConfig's fields, and grid's
+GridSpec's; any other key exits 2), then by the flags that were given.
+JSON reports are exactly json.dumps(doc, indent=2, sort_keys=True) plus a
+newline, so floats take Python's shortest round-trip repr; CSV output
+writes 17 significant digits.  Both round-trip every double, and
+--no-timestamp makes reports byte-identical for identical configs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,27 +50,36 @@ from .conditions import (
     run_condition_checks,
 )
 from .errors import ShapeInvError, UsageError
-from .spectral import check_isospectrality, partner_potentials, remainder
+from .spectral import (
+    DEFAULT_LEVELS,
+    DEFAULT_SPECTRUM_POINTS,
+    check_isospectrality,
+    partner_potentials,
+    remainder,
+)
 from .superpotential import GridSpec, ParamPoint, make_grid, with_perturbation
 
 
 @dataclasses.dataclass
 class RunConfig:
+    """One run's settings; __post_init__ checks each and turns m_list and
+    checks into tuples."""
+
     family: str
     params: dict | None = None
     sample: int = 0
     seed: int = 0
-    m_list: list | None = None
+    m_list: tuple | None = None  # None: the command's default
     checks: tuple = CHECK_NAMES
     grid: GridSpec = dataclasses.field(default_factory=GridSpec)
     tol: float = DEFAULT_TOL
     tolerances: dict | None = None
-    fmt: str = "json"
+    format: str = "json"
     out: str | None = None
     no_timestamp: bool = False
     perturb: float = 0.0
-    k: int = 5
-    spectrum_points: int = 4000
+    k: int = DEFAULT_LEVELS
+    spectrum_points: int = DEFAULT_SPECTRUM_POINTS
 
     def __post_init__(self):
         for name in ("sample", "seed", "k", "spectrum_points"):
@@ -78,6 +90,17 @@ class RunConfig:
             raise UsageError(
                 f"unknown family {self.family!r}; known: {', '.join(catalog.FAMILY_TAGS)}"
             )
+        if not isinstance(self.params, (dict, type(None))):
+            raise UsageError(f"params must be a JSON object, got {self.params!r}")
+        if not isinstance(self.m_list, (list, tuple, type(None))):
+            raise UsageError(f"m_list must be a list of numbers, got {self.m_list!r}")
+        try:
+            self.m_list = tuple(float(v) for v in self.m_list or ()) or None
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"m_list: {exc}") from exc
+        if not isinstance(self.checks, (list, tuple)):
+            raise UsageError(f"checks must be a list of check names, got {self.checks!r}")
+        self.checks = tuple(self.checks)
         if not self.checks:
             raise UsageError("at least one check must be selected")
         for c in self.checks:
@@ -97,8 +120,6 @@ class RunConfig:
             raise UsageError(f"perturb must be a number, got {self.perturb!r}")
         if not isinstance(self.out, (str, type(None))):
             raise UsageError(f"out must be a path, got {self.out!r}")
-        if self.fmt not in ("json", "csv"):
-            raise UsageError("format must be json or csv")
         if self.params is None and self.sample < 1:
             raise UsageError("give --params or --sample N")
 
@@ -106,9 +127,12 @@ class RunConfig:
         return check_tolerances(self.tol, self.tolerances)
 
 
+_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
+_GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
+
+
 def _param_point(data: dict) -> ParamPoint:
-    known = {"m", "c", "beta", "d", "omega", "B", "ell"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(ParamPoint)}
     if unknown:
         raise UsageError(f"unknown parameter fields {sorted(unknown)}")
     if "m" not in data:
@@ -123,25 +147,19 @@ def _param_point(data: dict) -> ParamPoint:
         raise UsageError(str(exc)) from exc
 
 
-def _m_list(values) -> list[float]:
-    """The m values of --m-list (its comma-separated fields) or of the
-    config file (a JSON list)."""
-    if not isinstance(values, list):
-        raise UsageError(f"m_list must be a list of numbers, got {values!r}")
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"m_list: {exc}") from exc
+def _load_params_arg(text: str):
+    # an inline JSON object (text starting with '{') or the path of a file
+    if not text.lstrip().startswith("{"):
+        text = Path(text).read_text(encoding="utf-8")
+    return json.loads(text)
 
 
-def _load_params_arg(text: str) -> dict:
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-    else:
-        payload = json.loads(Path(text).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise UsageError("--params must be a JSON object (inline or file)")
-    return payload
+def _split(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+# flags whose text is parsed here, inside main's error handling: bad text exits 2
+_TEXT_FORMS = {"params": _load_params_arg, "m_list": _split, "checks": _split}
 
 
 def _resolve_points(cfg: RunConfig) -> list[ParamPoint]:
@@ -188,9 +206,14 @@ def _report_skeleton(cfg: RunConfig, command: str) -> dict:
     return doc
 
 
+def _m_values(cfg: RunConfig, point: ParamPoint, command: str) -> tuple:
+    """--m-list, else the command's default translates of the point's m."""
+    return cfg.m_list or tuple(point.m - t for t in COMMANDS[command].m_translates)
+
+
 def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     entry, family = _entry_for(cfg, point)
-    m_list = tuple(cfg.m_list) if cfg.m_list else (point.m, point.m - 1.0, point.m - 2.0)
+    m_list = _m_values(cfg, point, "verify")
     tols = cfg.tolerance_map()
 
     grid = make_grid(family, cfg.grid, m_values=m_list)
@@ -230,7 +253,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     doc["results"] = results
     doc["overall_pass"] = all(r["passed"] for r in results)
 
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         lines = ["param_index,check,residual,tolerance,pass"]
@@ -249,7 +272,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_scan(cfg: RunConfig) -> int:
     point = _resolve_points(cfg)[0]
     entry, family = _entry_for(cfg, point)
-    m_list = tuple(cfg.m_list) if cfg.m_list else (point.m, point.m - 1.0)
+    m_list = _m_values(cfg, point, "scan")
     grid = make_grid(family, cfg.grid, m_values=m_list)
 
     columns: list[tuple[str, np.ndarray]] = [("x", grid)]
@@ -273,7 +296,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     point = _resolve_points(cfg)[0]
     entry, family = _entry_for(cfg, point)
-    m = cfg.m_list[0] if cfg.m_list else point.m
+    m = _m_values(cfg, point, "spectrum")[0]
     iso = check_isospectrality(family, m, k=cfg.k, n_points=cfg.spectrum_points)
 
     doc = _report_skeleton(cfg, "spectrum")
@@ -294,17 +317,38 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0 if doc["overall_pass"] else 1
 
 
+class Command(NamedTuple):
+    run: Callable[[RunConfig], int]
+    help: str
+    checks: tuple  # the default checks
+    m_translates: tuple  # the default m list: m - t for each t
+    formats: tuple  # the report formats it writes, its default first
+
+
+COMMANDS = {
+    "verify": Command(cmd_verify, "run identity checks and write a report",
+                      CHECK_NAMES, (0.0, 1.0, 2.0), ("json", "csv")),
+    "scan": Command(cmd_scan, "emit CSV samples of epsilon(x) and the partner potentials",
+                    ("compatibility",), (0.0, 1.0), ("csv",)),
+    "spectrum": Command(cmd_spectrum, "isospectrality cross-check via the constant-shift route",
+                        ("spectrum",), (0.0,), ("json",)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parse_args keeps no state."""
+    """The CLI's parser, built once per process; parse_args keeps no state.
+    Every option's dest is a RunConfig field, but for --config and
+    --grid-points, and its default None stands for not given."""
     p = argparse.ArgumentParser(
         prog="shapeinv",
         description="Verify shape-invariance identities of rationally extended "
                     "superpotential families and cross-validate their spectra.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for name, spec in COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        m_default = ", ".join(f"m-{t:g}" if t else "m" for t in spec.m_translates)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         sp.add_argument("--family", help="family tag, e.g. X1-radial-oscillator")
         sp.add_argument("--params",
@@ -312,112 +356,62 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sample", type=int, metavar="N",
                         help="draw N valid parameter points instead of --params")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--m-list", dest="m_list",
-                        help="comma-separated m values (default: m, m-1, m-2)")
+        sp.add_argument("--m-list", help=f"comma-separated m values (default: {m_default})")
         sp.add_argument("--checks", help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
-        sp.add_argument("--grid-points", dest="grid_points", type=int)
+        sp.add_argument("--grid-points", type=int)
         sp.add_argument("--tol", type=float,
                         help=f"base residual tolerance (default {DEFAULT_TOL:g}); translation "
                              f"stays at {TRANSLATION_TOL:g} and spectrum at {SPECTRUM_TOL:g}")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
+        sp.add_argument("--format", choices=spec.formats,
+                        help=f"report format (default: {spec.formats[0]})")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=None)
+        sp.add_argument("--no-timestamp", action="store_true", default=None)
         sp.add_argument("--perturb", type=float, help=argparse.SUPPRESS)
-        sp.add_argument("--k", type=int, help="levels for spectral checks")
-        sp.add_argument("--spectrum-points", dest="spectrum_points", type=int)
-
-    for name, descr in (
-        ("verify", "run identity checks and write a report"),
-        ("scan", "emit CSV samples of epsilon(x) and the partner potentials"),
-        ("spectrum", "isospectrality cross-check via the constant-shift route"),
-    ):
-        add_common(sub.add_parser(name, help=descr))
+        sp.add_argument("--k", type=int,
+                        help=f"levels for spectral checks (default {DEFAULT_LEVELS})")
+        sp.add_argument("--spectrum-points", type=int)
     return p
 
 
-def _config_from_args(args: argparse.Namespace, default_checks) -> RunConfig:
-    file_cfg: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {args.config}")
-        file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-
-    def pick(flag_value, key, source=file_cfg):
-        # a flag that was given wins; None leaves the RunConfig default
-        return flag_value if flag_value is not None else source.get(key)
-
-    family = args.family or file_cfg.get("family")
-    if not family:
-        raise UsageError("--family is required (flag or config file)")
-
-    params = _load_params_arg(args.params) if args.params else file_cfg.get("params")
-    m_list = None
-    if args.m_list:
-        m_list = _m_list([v for v in args.m_list.split(",") if v.strip()])
-    elif "m_list" in file_cfg:
-        m_list = _m_list(file_cfg["m_list"])
-
-    checks = default_checks
-    if args.checks:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    elif "checks" in file_cfg:
-        if not isinstance(file_cfg["checks"], list):
-            raise UsageError(f"checks must be a list of check names, got {file_cfg['checks']!r}")
-        checks = tuple(file_cfg["checks"])
-
-    grid_cfg = file_cfg.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise UsageError(f"grid must be an object, got {grid_cfg!r}")
-    grid = {
-        "n_points": pick(args.grid_points, "n_points", grid_cfg),
-        "boundary_margin": grid_cfg.get("boundary_margin"),
-        "pole_exclusion_radius": grid_cfg.get("pole_exclusion_radius"),
-    }
-    given = {
-        "sample": pick(args.sample, "sample"),
-        "seed": pick(args.seed, "seed"),
-        "tol": pick(args.tol, "tol"),
-        "tolerances": file_cfg.get("tolerances"),
-        "fmt": pick(args.fmt, "format"),
-        "out": pick(args.out, "out"),
-        "no_timestamp": pick(args.no_timestamp, "no_timestamp"),
-        "perturb": pick(args.perturb, "perturb"),
-        "k": pick(args.k, "k"),
-        "spectrum_points": pick(args.spectrum_points, "spectrum_points"),
-    }
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """{command defaults, **config file, **given flags} as a RunConfig."""
+    spec = COMMANDS[args.command]
+    file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(file_cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    grid = file_cfg.get("grid", {})
+    if not isinstance(grid, dict):
+        raise UsageError(f"grid must be an object, got {grid!r}")
+    unknown = "; ".join(f"unknown {what} fields {sorted(bad)}" for what, bad in (
+        ("config", set(file_cfg).difference(_FIELDS)),
+        ("grid", set(grid).difference(_GRID_FIELDS))) if bad)
+    if unknown:
+        raise UsageError(unknown)
+    if args.grid_points is not None:
+        grid = {**grid, "n_points": args.grid_points}
     try:
-        grid_spec = GridSpec(**{k: v for k, v in grid.items() if v is not None})
+        grid = GridSpec(**grid)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"grid: {exc}") from exc
-    return RunConfig(
-        family=family,
-        params=params,
-        m_list=m_list,
-        checks=checks,
-        grid=grid_spec,
-        **{k: v for k, v in given.items() if v is not None},
-    )
+
+    merged = {"checks": spec.checks, "format": spec.formats[0], **file_cfg, "grid": grid}
+    for name in _FIELDS:
+        value = getattr(args, name, None)
+        if value is not None:
+            merged[name] = _TEXT_FORMS[name](value) if name in _TEXT_FORMS else value
+    if not merged.get("family"):
+        raise UsageError("--family is required (flag or config file)")
+    cfg = RunConfig(**merged)
+    if cfg.format not in spec.formats:
+        raise UsageError(f"{args.command} writes {' or '.join(spec.formats)}, not {cfg.format}")
+    return cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            cfg = _config_from_args(args, CHECK_NAMES)
-            return cmd_verify(cfg)
-        if args.command == "scan":
-            cfg = _config_from_args(args, ("compatibility",))
-            return cmd_scan(cfg)
-        cfg = _config_from_args(args, ("spectrum",))
-        return cmd_spectrum(cfg)
-    except ShapeInvError as exc:
-        print(f"shapeinv: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        return COMMANDS[args.command].run(_config_from_args(args))
+    except (ShapeInvError, OSError, json.JSONDecodeError) as exc:
         print(f"shapeinv: error: {exc}", file=sys.stderr)
         return 2
 

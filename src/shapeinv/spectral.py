@@ -46,6 +46,9 @@ _MAX_STEPS = 8
 # and in the Sturm count
 _RESIDUAL_ULPS = 4.0
 _GUARD_ULPS = 8.0
+# check_isospectrality's default level count and grid size
+DEFAULT_LEVELS = 5
+DEFAULT_SPECTRUM_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -400,8 +403,8 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     return (float(a), float(b)), levels
 
 
-def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = 5,
-                         n_points: int = 4000) -> IsospectralResult:
+def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAULT_LEVELS,
+                         n_points: int = DEFAULT_SPECTRUM_POINTS) -> IsospectralResult:
     """Weyl's bound on the level mismatch of spectrum(V+(., m)) vs
     spectrum(V-(., m-1)) + R over the k lowest levels, on one shared grid,
     and the levels of V+.

@@ -52,10 +52,8 @@ class ParamPoint:
     B: float | None = None
     ell: int | None = None
 
-    _CONSTANTS = ("c", "beta", "d", "omega", "B", "ell")
-
     def __post_init__(self):
-        for name in ("m", "c", "beta", "d", "omega", "B"):
+        for name in _PARAM_FIELDS[:-1]:  # ell is checked below
             v = getattr(self, name)
             if v is not None and not math.isfinite(float(v)):
                 raise ValueError(f"{name} must be finite, got {v!r}")
@@ -66,7 +64,7 @@ class ParamPoint:
 
     def constants(self) -> dict:
         return {
-            k: getattr(self, k) for k in self._CONSTANTS if getattr(self, k) is not None
+            k: getattr(self, k) for k in _PARAM_FIELDS[1:] if getattr(self, k) is not None
         }
 
     def to_dict(self) -> dict:
@@ -74,6 +72,10 @@ class ParamPoint:
 
     def with_m(self, m: float) -> "ParamPoint":
         return dataclasses.replace(self, m=float(m))
+
+
+# m, then the family constants; ell comes last
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ParamPoint))
 
 
 @dataclass(frozen=True)
@@ -285,7 +287,7 @@ def _tanh_points(a: float, b: float, n: int, symmetric: bool,
 
 
 def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
-              m_values=None, exclude_poles: bool = True) -> np.ndarray:
+              m_values=None) -> np.ndarray:
     """Verification abscissae strictly inside the family's domain.
 
     Validity is enforced for every m in m_values (raising
@@ -337,10 +339,7 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
         a, b = -left, right
         layout, symmetric, dense_end = "tanh", True, "lo"
 
-    poles: list[float] = []
-    if exclude_poles:
-        for m in m_values:
-            poles.extend(family.poles(m))
+    poles = [p for m in m_values for p in family.poles(m)]
 
     n_gen = spec.n_points
     points = np.empty(0)

@@ -112,8 +112,7 @@ def test_criterion_3_equivalence_randomized():
         tag = FAMILY_TAGS[i % len(FAMILY_TAGS)]
         p = sample_valid_params(tag, 1, seed=3000 + i)[0]
         fam = get_family(tag, p).family
-        grid = make_grid(fam, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0),
-                         exclude_poles=False)
+        grid = make_grid(fam, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0))
         mode = modes[i % len(modes)]
         if mode:
             fam = with_perturbation(fam, mode, sizes[i % len(sizes)])
@@ -334,7 +333,7 @@ def test_criterion_7_oracle_agreement():
         tag = FAMILY_TAGS[i % len(FAMILY_TAGS)]
         p = sample_valid_params(tag, 1, seed=7000 + i)[0]
         fam = get_family(tag, p).family
-        grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,), exclude_poles=False)
+        grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
         x = float(rng.choice(grid[4:-4]))
 
         w_got, _ = fam.W(np.asarray([x]), p.m)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -330,6 +331,9 @@ class TestInputErrors:
         ("checks", 3, "checks must be a list"),
         # once accepted and ignored: compatibility was judged at 1e-9
         ("tolerances", {"compatibilty": 1e-30}, "unknown tolerances ['compatibilty']"),
+        # once accepted and ignored: translation judged at 1e-12 on 512 points
+        ("tolerance", {"translation": 1e-30}, "unknown config fields ['tolerance']"),
+        ("grid", {"n_point": 16}, "unknown grid fields ['n_point']"),
     ])
     def test_non_integral_config_value_exit_2(self, tmp_path, capsys, field, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -337,6 +341,81 @@ class TestInputErrors:
                                         field: value}), encoding="utf-8")
         assert main(["spectrum", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+
+    def test_unknown_config_and_grid_keys_named_together(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "X1-radial-oscillator", "params": self.X1,
+                                        "tolerance": {"translation": 1e-30},
+                                        "grid": {"n_point": 16}}), encoding="utf-8")
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config fields ['tolerance']" in err
+        assert "unknown grid fields ['n_point']" in err
+
+    @pytest.mark.parametrize("command, fmt", [("scan", "json"), ("spectrum", "csv")])
+    def test_format_the_command_does_not_write_exit_2(self, tmp_path, capsys, command, fmt):
+        # scan once wrote CSV for json, and spectrum JSON for csv
+        args = [command, "--family", "X1-radial-oscillator", "--params", json.dumps(self.X1)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--format", fmt])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"format": fmt}), encoding="utf-8")
+        assert main(args + ["--config", str(cfg_path)]) == 2
+        assert f"{command} writes" in capsys.readouterr().err
+
+
+class TestCommandDefaults:
+    @pytest.mark.parametrize("command, m_list", [("verify", "m, m-1, m-2"),
+                                                 ("scan", "m, m-1"), ("spectrum", "m")])
+    def test_m_list_help_names_the_commands_default(self, monkeypatch, capsys, command, m_list):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"comma-separated m values (default: {m_list})" in capsys.readouterr().out
+
+    # every RunConfig field, each but format and out away from its default
+    EVERY_FIELD = {
+        "family": "Xl-radial-oscillator",
+        "params": {"m": -2.5, "omega": 1.5, "ell": 2},
+        "sample": 2,
+        "seed": 9,
+        "m_list": [-2.5, -3.5],
+        "checks": ["translation", "compatibility", "remainder", "spectrum"],
+        "grid": {"n_points": 96, "boundary_margin": 0.04, "pole_exclusion_radius": 2e-3},
+        "tol": 1e-8,
+        "tolerances": {"compatibility": 1e-10},
+        "no_timestamp": True,
+        "perturb": 1e-3,
+        "k": 3,
+        "spectrum_points": 1000,
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_config_file_writes_what_the_flags_write(self, tmp_path, fmt):
+        cfg = {**self.EVERY_FIELD, "format": fmt, "out": str(tmp_path / "file.out")}
+        assert set(cfg) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert set(cfg["grid"]) == {f.name for f in dataclasses.fields(GridSpec)}
+        (tmp_path / "all.json").write_text(json.dumps(cfg), encoding="utf-8")
+        # tolerances and two grid fields have no flag
+        rest = {"tolerances": cfg["tolerances"],
+                "grid": {k: v for k, v in cfg["grid"].items() if k != "n_points"}}
+        (tmp_path / "rest.json").write_text(json.dumps(rest), encoding="utf-8")
+        flags = ["--config", str(tmp_path / "rest.json"), "--family", cfg["family"],
+                 "--params", json.dumps(cfg["params"]), "--sample", "2", "--seed", "9",
+                 "--m-list=-2.5,-3.5", "--checks", ",".join(cfg["checks"]),
+                 "--grid-points", "96", "--tol", "1e-8", "--format", fmt,
+                 "--out", str(tmp_path / "flags.out"), "--no-timestamp", "--perturb", "1e-3",
+                 "--k", "3", "--spectrum-points", "1000"]
+        assert main(["verify", "--config", str(tmp_path / "all.json")]) == 1
+        assert main(["verify", *flags]) == 1
+        from_file = (tmp_path / "file.out").read_text(encoding="utf-8")
+        assert from_file == (tmp_path / "flags.out").read_text(encoding="utf-8")
+        if fmt == "json":
+            config = json.loads(from_file)["config"]
+            assert (config["grid_points"], config["sample"], config["seed"]) == (96, 2, 9)
 
 
 def assert_reference_json(text):

@@ -232,8 +232,7 @@ class TestEquivalenceTheoremSampled:
         for tag in FAMILY_TAGS:
             for p in sample_valid_params(tag, 3, seed=61):
                 entry = get_family(tag, p)
-                grid = make_grid(entry.family, GridSpec(n_points=96),
-                                 m_values=(p.m, p.m - 1.0), exclude_poles=False)
+                grid = make_grid(entry.family, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0))
                 mode = modes[i % len(modes)]
                 fam = entry.family
                 if mode:

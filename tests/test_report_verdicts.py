@@ -79,6 +79,7 @@ EXPECTED = [
     ("verify Xl-Poschl-Teller seed=3 format=csv", 0),
     ("verify Xl-PT-Scarf seed=3 format=csv", 0),
     ("verify Xl-radial-oscillator seed=3 format=csv", 0),
+    ("verify Xl-radial-oscillator config=every-field", 1),
 ]
 
 
@@ -89,14 +90,16 @@ def load_digests():
     return module
 
 
-CONFIGS = dict(load_digests().configs())
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    return dict(load_digests().configs(tmp_path_factory.mktemp("configs")))
 
 
-def test_every_config_has_an_expected_code():
-    assert list(CONFIGS) == [label for label, _ in EXPECTED]
+def test_every_config_has_an_expected_code(configs):
+    assert list(configs) == [label for label, _ in EXPECTED]
 
 
 @pytest.mark.parametrize("label, code", EXPECTED)
-def test_exit_code(label, code):
+def test_exit_code(configs, label, code):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(CONFIGS[label]) == code
+        assert main(configs[label]) == code

@@ -9,9 +9,11 @@ It imports shapeinv from the src/ of the checkout it lives in, runs
 sample points of SEEDS, `verify --perturb` on one point per Xl family, and
 `verify --checks` with the remainder and spectrum checks on one point per
 real family, `verify --format csv` on one point per family (every check
-that the family supports), and prints one line per report: the sha256 of its bytes, the command, the
-family, the seed and the exit code.  Running it on two checkouts and
-diffing the output lists every report that a change alters.
+that the family supports), and `verify --config` on a file that sets every
+config field (EVERY_FIELD, written to a temporary directory), and prints
+one line per report: the sha256 of its bytes, the command, the family, the
+seed and the exit code.  Running it on two checkouts and diffing the output
+lists every report that a change alters.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -38,10 +42,30 @@ CHECKS = "compatibility,remainder,spectrum"
 # the CSV report's checks: the five identity checks on every family, and
 # the remainder and spectrum on the real ones (complex families have no spectra)
 IDENTITY_CHECKS = "translation,compatibility,infeld_hull,algebra,equivalence"
+# a config file that sets every field; all but format and out (standard output)
+# differ from their defaults
+EVERY_FIELD = {
+    "family": "Xl-radial-oscillator",
+    "params": {"m": -2.5, "omega": 1.5, "ell": 2},
+    "sample": 2,
+    "seed": 9,
+    "m_list": [-2.5, -3.5],
+    "checks": [*IDENTITY_CHECKS.split(","), "remainder", "spectrum"],
+    "grid": {"n_points": 256, "boundary_margin": 0.04, "pole_exclusion_radius": 2e-3},
+    "tol": 1e-8,
+    "tolerances": {"compatibility": 1e-10},
+    "format": "json",
+    "out": "-",
+    "no_timestamp": True,
+    "perturb": 1e-3,
+    "k": 3,
+    "spectrum_points": 1000,
+}
 
 
-def configs():
-    """(label, argv) of every report, in a fixed order."""
+def configs(tmp: Path):
+    """(label, argv) of every report, in a fixed order; tmp is a directory
+    for the config file."""
     for tag in catalog.FAMILY_TAGS:
         for seed in SEEDS:
             point = ["--family", tag, "--sample", "1", "--seed", str(seed), "--no-timestamp"]
@@ -64,6 +88,9 @@ def configs():
         yield (f"verify {tag} seed={SEEDS[0]} format=csv",
                ["verify", "--family", tag, "--sample", "1", "--seed", str(SEEDS[0]),
                 "--checks", checks, "--format", "csv", "--no-timestamp"])
+    path = tmp / "every-field.json"
+    path.write_text(json.dumps(EVERY_FIELD), encoding="utf-8")
+    yield f"verify {EVERY_FIELD['family']} config=every-field", ["verify", "--config", str(path)]
 
 
 def digest(argv) -> tuple[str, int]:
@@ -76,9 +103,10 @@ def digest(argv) -> tuple[str, int]:
 
 
 def run() -> None:
-    for label, argv in configs():
-        sha, code = digest(argv)
-        print(f"{sha}  {label} exit={code}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv in configs(Path(tmp)):
+            sha, code = digest(argv)
+            print(f"{sha}  {label} exit={code}")
 
 
 if __name__ == "__main__":
