@@ -30,6 +30,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -86,6 +87,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:  # numpy's seeding takes no negative entropy
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.family not in catalog.FAMILY_TAGS:
             raise UsageError(
                 f"unknown family {self.family!r}; known: {', '.join(catalog.FAMILY_TAGS)}"
@@ -111,11 +114,13 @@ class RunConfig:
         unknown = set(self.tolerances or {}) - set(ALL_CHECKS)
         if unknown:
             raise UsageError(f"unknown tolerances {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")
-        for v in (self.tol, *(self.tolerances or {}).values()):
+        named = [("tol", self.tol)]
+        named += [(f"tolerances.{k}", v) for k, v in (self.tolerances or {}).items()]
+        for name, v in named:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise UsageError(f"tolerances must be numbers, got {v!r}")
-            if v <= 0:
-                raise UsageError("tolerances must be > 0")
+            if not (math.isfinite(v) and v > 0):  # nan fails every gate, inf opens it
+                raise UsageError(f"{name} must be a finite number > 0, got {v!r}")
         if isinstance(self.perturb, bool) or not isinstance(self.perturb, (int, float)):
             raise UsageError(f"perturb must be a number, got {self.perturb!r}")
         if not isinstance(self.out, (str, type(None))):

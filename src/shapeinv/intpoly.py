@@ -12,7 +12,6 @@ cache, every interpreter compiles each module it imports).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Iterator
@@ -33,17 +32,24 @@ def variations(a: list[int]) -> int:
     """Sign changes along the coefficients, zeros skipped.  By Descartes'
     rule this bounds the number of positive roots, with the same parity."""
     signs = [c > 0 for c in a if c]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def reflected(a: list[int]) -> list[int]:
+    """Coefficients of a(-x)."""
+    return [c if k % 2 == 0 else -c for k, c in enumerate(a)]
 
 
 def taylor_shift(a: list[int], p: int) -> list[int]:
-    """Coefficients of a(t + p): each pass is a suffix Horner sum."""
+    """Coefficients of a(t + p): n passes of Horner's rule from the top, in
+    place.  Up to degree 64 plain loops are faster than a list per pass."""
     b = list(a)
+    n = len(b) - 1
     if p == 0:
         return b
-    step = operator.add if p == 1 else (lambda acc, c: c + p * acc)
-    for i in range(len(b) - 1):
-        b[i:] = list(itertools.accumulate(reversed(b[i:]), step))[::-1]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            b[j] += p * b[j + 1]
     return b
 
 
@@ -51,15 +57,27 @@ def affine_image(a: list[int], lo: int, hi: int, den: int) -> list[int]:
     """b(x) = den**n a((lo + (hi - lo) x) / den).  The roots of a in
     (lo/den, hi/den) become those of b in (0, 1); with hi = lo + 1 (or
     lo - 1) those in (lo/den, inf) (or (-inf, lo/den)) become those of b in
-    (0, inf)."""
+    (0, inf).  A power-of-two den scales by shifts, and hi - lo = +-1 by
+    sign flips."""
     n = len(a) - 1
-    b = taylor_shift([c * den ** (n - k) for k, c in enumerate(a)], lo)
+    if den & (den - 1):
+        a = [c * den ** (n - k) for k, c in enumerate(a)]
+    elif den > 1:
+        t = den.bit_length() - 1
+        a = [c << t * (n - k) for k, c in enumerate(a)]
+    b = taylor_shift(a, lo)
     w = hi - lo
+    if w == 1:
+        return b
+    if w == -1:
+        return reflected(b)
     return [c * w ** k for k, c in enumerate(b)]
 
 
 def sign_at(a: list[int], num: int, den: int) -> int:
     """The sign of a at num/den, for den > 0."""
+    if num == 0:
+        return (a[0] > 0) - (a[0] < 0)
     acc, den_power = a[-1], 1
     for c in reversed(a[:-1]):  # den**n times the value, by Horner
         den_power *= den
@@ -167,8 +185,7 @@ def has_imaginary_root(d: list[int]) -> bool:
     s != 0 exactly when gcd(R, J) has a root y in (0, inf).  A zero
     polynomial counts as having none.
     """
-    re = [c if j % 2 == 0 else -c for j, c in enumerate(d[0::2])]
-    im = [c if j % 2 == 0 else -c for j, c in enumerate(d[1::2])]
+    re, im = reflected(d[0::2]), reflected(d[1::2])
     g = gcd(re, im)
     g = g[next((k for k, c in enumerate(g) if c), len(g)):]  # y = 0 is s = 0
     if len(g) < 2 or variations(g) == 0:

@@ -33,7 +33,13 @@ roots, Vincent-Collins-Akritas bisection isolates the roots that are there,
 and a bisection at float midpoints refines each root inside its isolating
 interval, with every sign taken exactly in integers.  Whether a root lies
 in a given set at all (has_root_in) stops before the refinement: Descartes'
-rule answers most such questions alone.
+rule answers most such questions alone.  The exact series of a polynomial
+is built once for each parameter point a run checks: a small cache, sized
+to one point's few polynomials, serves the root questions and the float
+coefficient caches alike.  Descartes' rule reads only the signs of a
+half-line's image, so a half-line that ends at the series origin (Jacobi's
+(1, inf), Laguerre's (-inf, 0)) needs no Taylor shift: its image is the
+series itself, or the series with alternating signs.
 
 A real argument is evaluated in float64 and returned as float64 (a Python
 float for a scalar); only a complex argument gives complex128 results, and
@@ -44,9 +50,7 @@ so the imaginary part of its results is exactly zero.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -64,6 +68,10 @@ _FLOAT_MAX = sys.float_info.max
 # Coefficient caches, keyed by PolySpec; bounded because every new parameter
 # point brings new specs.
 _COEF_CACHE_SIZE = 4096
+# The exact series cache holds one parameter point's polynomials (P+- at a
+# few m): the root questions, the kernel's coefficient caches and
+# has_imaginary_root then share one build per PolySpec
+_SERIES_CACHE_SIZE = 64
 # z = z0 + h*u: where each kind's series variable u starts and its scale
 _ORIGIN = {JACOBI: (1, 2), LAGUERRE: (0, 1)}
 
@@ -93,35 +101,49 @@ class PolySpec:
             raise ValueError("Laguerre takes no beta")
 
 
-def _exact_series(spec: PolySpec) -> tuple[list[int], int]:
+@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
+def _exact_series(spec: PolySpec) -> tuple[tuple[int, ...], int]:
     """The series coefficients c_s exactly: integers N_s and a positive
-    integer S with c_s = N_s / S.
+    integer S with c_s = N_s / S, cached (the tuple is immutable).
 
     Float parameters are exact rationals p / q with q a power of two, so
     with den the larger denominator, Jacobi has N_s = C(n, s) *
-    prod_{j<s} ((n+1+j)*den + ia + ib) * prod_{j>=s} ((j+1)*den + ia) and
-    Laguerre N_s = (-1)**s * C(n, s) * den**s * prod_{j>s} (ia + j*den),
-    both over S = n! * den**n.
+    prod_{j<s} ((n+1+j)*den + ia + ib) * F_s and Laguerre
+    N_s = (-1)**s * C(n, s) * den**s * F_s, both over S = n! * den**n, with
+    the same falling product F_s = prod_{k>s} (ia + k*den).  C(n, s) and
+    the rising product are running products along s, F_s comes from one
+    suffix table, and den**s is a shift.
     """
     n = spec.degree
-    params = (spec.alpha,) if spec.kind == LAGUERRE else (spec.alpha, spec.beta)
-    ratios = [float(v).as_integer_ratio() for v in params]
-    den = max(q for _, q in ratios)  # all powers of two
-    ia, ib = ([p * (den // q) for p, q in ratios] + [0])[:2]
+    ia, den = float(spec.alpha).as_integer_ratio()
+    ib = 0
     if spec.kind == JACOBI:
-        up = [(n + 1 + j) * den + ia + ib for j in range(n)]
-        down = [(j + 1) * den + ia for j in range(n)]
-        prefix = list(itertools.accumulate(up, operator.mul, initial=1))
-        suffix = list(itertools.accumulate(reversed(down), operator.mul, initial=1))[::-1]
-        nums = [math.comb(n, s) * prefix[s] * suffix[s] for s in range(n + 1)]
+        ib, q = float(spec.beta).as_integer_ratio()
+        if q > den:
+            ia, den = ia * (q // den), q
+        else:
+            ib *= den // q
+    shift = den.bit_length() - 1  # den is a power of two
+    suffix, acc = [1] * (n + 1), 1
+    for k in range(n, 0, -1):
+        acc *= ia + k * den
+        suffix[k - 1] = acc
+    nums, comb = [], 1
+    if spec.kind == JACOBI:
+        rising, up = 1, (n + 1) * den + ia + ib
+        for s in range(n + 1):
+            nums.append(comb * rising * suffix[s])
+            comb = comb * (n - s) // (s + 1)
+            rising *= up
+            up += den
     else:
-        tail = [ia + j * den for j in range(n, 0, -1)]
-        suffix = list(itertools.accumulate(tail, operator.mul, initial=1))[::-1]
-        nums = [(-1) ** s * math.comb(n, s) * den ** s * suffix[s] for s in range(n + 1)]
-    return nums, math.factorial(n) * den ** n
+        for s in range(n + 1):
+            nums.append((comb * suffix[s]) << (s * shift))
+            comb = -comb * (n - s) // (s + 1)
+    return tuple(nums), math.factorial(n) << (n * shift)
 
 
-def _rounded(spec: PolySpec, nums: list[int], scale: int) -> np.ndarray:
+def _rounded(spec: PolySpec, nums: tuple[int, ...], scale: int) -> np.ndarray:
     """The exact ratios nums[k] / scale, each rounded once, read-only."""
     try:
         coef = np.array([c / scale for c in nums])  # int / int rounds correctly
@@ -140,7 +162,7 @@ def _series_coefficients(spec: PolySpec) -> np.ndarray:
     return _rounded(spec, *_exact_series(spec))
 
 
-def _monomial_integers(spec: PolySpec) -> tuple[list[int], int]:
+def _monomial_integers(spec: PolySpec) -> tuple[tuple[int, ...], int]:
     """The coefficients d_k in z exactly, as integers over one positive
     integer.  Jacobi's u = (z - 1)/2 is undone by an exact Taylor shift."""
     from . import intpoly
@@ -149,7 +171,7 @@ def _monomial_integers(spec: PolySpec) -> tuple[list[int], int]:
     if spec.kind == LAGUERRE:
         return nums, scale
     n = spec.degree
-    return intpoly.taylor_shift([c << (n - s) for s, c in enumerate(nums)], -1), scale << n
+    return tuple(intpoly.taylor_shift([c << (n - s) for s, c in enumerate(nums)], -1)), scale << n
 
 
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
@@ -415,20 +437,26 @@ def _origin_split(a: list[int]) -> tuple[bool, list[int]]:
 def _half_line_images(a: list[int], lo: float, hi: float, z0: int, h: int):
     """For Descartes' rule: the polynomials whose positive roots are the
     roots of a (in u) in (lo, hi), when that interval is a half-line or the
-    whole line (for Jacobi on (1, inf) the coefficients themselves, for
-    Laguerre on (-inf, 0) their alternating signs); None for a bounded
-    interval."""
+    whole line; None for a bounded interval.  Only their signs are read, so
+    the end p/q is taken in lowest terms, and a half-line that ends at the
+    series origin (for Jacobi (1, inf), for Laguerre (-inf, 0)) needs no
+    shift or scaling: its image is a, or a with alternating signs."""
     from . import intpoly
 
     if math.isinf(lo) and math.isinf(hi):
-        return [a, [c if k % 2 == 0 else -c for k, c in enumerate(a)]]
+        return [a, intpoly.reflected(a)]
     if math.isinf(hi):
         p, q = _dyadic_u(lo, z0, h)
-        return [intpoly.affine_image(a, p, p + 1, q)]  # t = q*u - p
-    if math.isinf(lo):
+    elif math.isinf(lo):
+        # the roots u < p/q of a are the roots -u > -p/q of a(-u)
         p, q = _dyadic_u(hi, z0, h)
-        return [intpoly.affine_image(a, p, p - 1, q)]  # t = p - q*u
-    return None
+        a, p = intpoly.reflected(a), -p
+    else:
+        return None
+    if p == 0:
+        return [a]
+    k = min(p & -p, q)  # their common power of two
+    return [intpoly.affine_image(a, p // k, p // k + 1, q // k)]  # t = q*u - p
 
 
 def _isolate(a: list[int], kind: str, lo: float, hi: float):

@@ -334,6 +334,15 @@ class TestInputErrors:
         # once accepted and ignored: translation judged at 1e-12 on 512 points
         ("tolerance", {"translation": 1e-30}, "unknown config fields ['tolerance']"),
         ("grid", {"n_point": 16}, "unknown grid fields ['n_point']"),
+        # once numpy's ValueError from the sampler (exit 1)
+        ("seed", -1, "seed must be >= 0, got -1"),
+        # NaN failed every gate (exit 1); Infinity opened every gate (exit 0)
+        ("tol", float("nan"), "tol must be a finite number > 0, got nan"),
+        ("tol", float("inf"), "tol must be a finite number > 0, got inf"),
+        ("tolerances", {"compatibility": float("nan")},
+         "tolerances.compatibility must be a finite number > 0, got nan"),
+        ("tolerances", {"translation": float("inf")},
+         "tolerances.translation must be a finite number > 0, got inf"),
     ])
     def test_non_integral_config_value_exit_2(self, tmp_path, capsys, field, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -342,6 +351,19 @@ class TestInputErrors:
         assert main(["spectrum", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--tol", "nan", "tol must be a finite number > 0, got nan"),
+        ("--tol", "inf", "tol must be a finite number > 0, got inf"),
+        ("--tol", "0", "tol must be a finite number > 0, got 0.0"),
+    ])
+    def test_negative_seed_and_non_finite_tol_flags_exit_2(self, capsys, flag, value, message):
+        # --seed -1 once escaped main as numpy's ValueError (exit 1); --tol
+        # nan failed every gate (exit 1) and --tol inf opened every gate
+        code = main(["verify", "--family", "X1-hyperbolic", "--sample", "1", flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_config_and_grid_keys_named_together(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

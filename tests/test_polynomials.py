@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapeinv import DEGREE_CAP, JACOBI, LAGUERRE, PolySpec, poly_deriv, poly_eval, real_roots_in
-from shapeinv import intpoly, polynomials
+from shapeinv import catalog, cli, intpoly, polynomials
 from shapeinv.errors import DomainError, UnsupportedError
 from shapeinv.polynomials import (
     Interval,
@@ -697,6 +697,111 @@ class TestMonomialBasis:
         for coef in (_series_coefficients(spec), monomial_coefficients(spec)):
             with pytest.raises(ValueError):
                 coef[0] = 1.0
+
+
+def closed_form_series(spec):
+    """_exact_series by the closed forms of its docstring, term by term
+    (math.comb, den**s, products of factors): the reference for its running
+    products."""
+    n = spec.degree
+    params = (spec.alpha,) if spec.kind == LAGUERRE else (spec.alpha, spec.beta)
+    ratios = [float(v).as_integer_ratio() for v in params]
+    den = max(q for _, q in ratios)
+    ia, ib = ([p * (den // q) for p, q in ratios] + [0])[:2]
+    if spec.kind == JACOBI:
+        nums = [math.comb(n, s) * math.prod((n + 1 + j) * den + ia + ib for j in range(s))
+                * math.prod((j + 1) * den + ia for j in range(s, n)) for s in range(n + 1)]
+    else:
+        nums = [(-1) ** s * math.comb(n, s) * den ** s
+                * math.prod(ia + j * den for j in range(s + 1, n + 1)) for s in range(n + 1)]
+    return tuple(nums), math.factorial(n) * den ** n
+
+
+def assert_exact_series(spec):
+    """The series integers are those of the closed forms, and the monomial
+    integers over their scale are the oracle's Fraction coefficients."""
+    assert polynomials._exact_series(spec) == closed_form_series(spec)
+    d, scale = polynomials._monomial_integers(spec)
+    exact = oracles.exact_coefficients(spec.degree, spec.alpha, spec.beta)
+    assert intpoly.trimmed([Fraction(c, scale) for c in d]) == exact
+
+
+def reference_affine_image(a, lo, hi, den):
+    """den**n a((lo + (hi - lo) x) / den) by the binomial theorem, with **
+    powers: the reference for intpoly.affine_image and its Taylor shift."""
+    n, w = len(a) - 1, hi - lo
+    return [sum(c * den ** (n - k) * math.comb(k, j) * lo ** (k - j)
+                for k, c in enumerate(a) if k >= j) * w ** j for j in range(n + 1)]
+
+
+class TestExactSeries:
+    """The exact integer series, its cache, and the half-line images that
+    Descartes' rule reads."""
+
+    # every float is dyadic; quarters also make integer-valued parameters
+    param = st.one_of(st.floats(min_value=-8, max_value=8, allow_nan=False),
+                      st.integers(min_value=-32, max_value=32).map(lambda k: k / 4))
+
+    @given(jacobi=st.booleans(), n=st.integers(min_value=0, max_value=16), a=param, b=param)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_closed_forms_and_oracle(self, jacobi, n, a, b):
+        assert_exact_series(PolySpec(JACOBI, n, a, b) if jacobi else PolySpec(LAGUERRE, n, a))
+
+    @pytest.mark.parametrize("spec", [
+        # a vanishing factor: (alpha + 1 + j) at alpha = -1, -2, and
+        # (n + 1 + j + alpha + beta) at beta = -3 (P_3^(-1, -3) is zero)
+        *(PolySpec(JACOBI, n, a, -3.0) for n in (1, 3, 5) for a in (-1.0, -2.0)),
+        *(PolySpec(LAGUERRE, n, a) for n in (1, 3, 5) for a in (-1.0, -2.0)),
+        PolySpec(JACOBI, DEGREE_CAP, 0.5, -1.25),
+        PolySpec(LAGUERRE, DEGREE_CAP, -3.75),
+    ], ids=str)
+    def test_vanishing_factors_and_degree_cap(self, spec):
+        assert_exact_series(spec)
+
+    def test_one_build_per_spec_in_a_verify_op(self, tmp_path):
+        # the root layer and the coefficient caches share one build of each
+        # of the distinct P+-(m), P+-(m - 1), P+-(m - 2).  P-(m) is P+(m - 1)
+        # unless rounding parts their parameters: 4 to 6 specs
+        tag, seed = "Xl-Poschl-Teller", 8
+        p = catalog.sample_valid_params(tag, 1, seed)[0]
+        data = catalog.family_data(tag, p)
+        specs = {P(p.m - k) for P in (data.p_plus, data.p_minus) for k in range(3)}
+        for cached in (polynomials._exact_series, _series_coefficients, monomial_coefficients):
+            cached.cache_clear()
+        code = cli.main(["verify", "--family", tag, "--sample", "1", "--seed", str(seed),
+                         "--no-timestamp", "--out", str(tmp_path / "report.json")])
+        assert code == 0
+        info = polynomials._exact_series.cache_info()
+        assert info.misses == len(specs) and info.hits > 0
+
+    @given(a=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=12),
+           lo=st.integers(min_value=-50, max_value=50),
+           w=st.sampled_from([1, -1, 3, -4]),
+           den=st.sampled_from([1, 2, 8, 1024, 3, 12, 2**60 + 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_affine_image_is_its_formula(self, a, lo, w, den):
+        # shifts for a power-of-two den and sign flips for w = +-1 give
+        # the same integers (the isolation stage's image feeds z_at)
+        hi = lo + w
+        assert intpoly.affine_image(a, lo, hi, den) == reference_affine_image(a, lo, hi, den)
+
+    @given(a=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=12),
+           kind=st.sampled_from([JACOBI, LAGUERRE]),
+           end=st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+                         st.integers(min_value=-64, max_value=64).map(lambda k: k / 16),
+                         st.floats(min_value=-1e3, max_value=1e3)),
+           upper=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_half_line_images_keep_the_variations(self, a, kind, end, upper):
+        # the origin half-lines skip the shift, and the others take their
+        # end in lowest terms: the sign changes are those of the image of
+        # the end as _dyadic_u gives it
+        z0, h = polynomials._ORIGIN[kind]
+        p, q = polynomials._dyadic_u(end, z0, h)
+        old = reference_affine_image(a, p, p + 1 if upper else p - 1, q)
+        interval = (end, math.inf) if upper else (-math.inf, end)
+        images = polynomials._half_line_images(tuple(a), *interval, z0, h)
+        assert [intpoly.variations(b) for b in images] == [intpoly.variations(old)]
 
 
 class TestErrors:
