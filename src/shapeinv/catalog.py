@@ -134,11 +134,11 @@ def _first_violated(*conditions) -> Verdict:
 
 # The builder: everything the record does not state, in one code path.
 
-def _roots(data: FamilyData, P: Callable, m, lo: float, hi: float) -> list:
-    """Real roots of P(m) in the open interval (lo, hi)."""
+def _roots(data: FamilyData, spec, lo: float, hi: float) -> list:
+    """Real roots of the polynomial spec, one P+-(m), in the open interval (lo, hi)."""
     if not data.linear:
-        return real_roots_in(P(m), (lo, hi))
-    p0, p1 = P(m)
+        return real_roots_in(spec, (lo, hi))
+    p0, p1 = spec
     return [-p0 / p1] if p1 != 0.0 and lo < -p0 / p1 < hi else []
 
 
@@ -216,7 +216,7 @@ def _scan_clear(data: FamilyData, m) -> bool:
     if data.scan is not None:
         return all(data.scan(P(m)) for P in pair)
     if data.linear:
-        return not any(t in iv for P in pair for t in _roots(data, P, m, -np.inf, np.inf)
+        return not any(t in iv for P in pair for t in _roots(data, P(m), -np.inf, np.inf)
                        for iv in data.forbidden)
     return not any(has_root_in(P(m), data.forbidden) for P in pair)
 
@@ -229,10 +229,12 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
         # g'' = R'(g)/2, from g'**2 = R(g)
         return _horner(dR, t) / 2.0
 
-    def poles(m):
+    def poles(m_values):
+        # P- at m often equals P+ at m - 1: each distinct spec is solved once
         found = list(data.punctures)
         if data.g_range is not None:
-            found += [float(data.g_inv(t)) for P in pair for t in _roots(data, P, m, *data.g_range)]
+            specs = dict.fromkeys(P(m) for P in pair for m in m_values)
+            found += [float(data.g_inv(t)) for spec in specs for t in _roots(data, spec, *data.g_range)]
         return tuple(sorted(found))
 
     return SuperpotentialFamily(

@@ -221,10 +221,11 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     m_list = _m_values(cfg, point, "verify")
     tols = cfg.tolerance_map()
 
-    grid = make_grid(family, cfg.grid, m_values=m_list)
-    # W1 at every m of m_list and at m_list[0] - 1, shared by the identity
-    # checks and the remainder
-    values = grid_values(family, grid, m_list + (m_list[0] - 1.0,))
+    # every m that the identity checks and the remainder read, validated,
+    # pole-cleared and evaluated once: m_list and its translate m_list[0] - 1
+    m_read = tuple(dict.fromkeys(m_list + (m_list[0] - 1.0,)))
+    grid = make_grid(family, cfg.grid, m_values=m_read)
+    values = grid_values(family, grid, m_read)
     report = run_condition_checks(
         family,
         grid,

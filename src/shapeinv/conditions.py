@@ -13,11 +13,17 @@ residual over a grid (a single bad point must fail the verdict, so no RMS):
                   compatibility condition and the translation relation, one
                   residual per step that can fail
 
+All five read rows of one table, GridValues: (k0, k0', k1, k1') and the
+four W1 arrays with one row per m, as one call of each evaluator returns
+them.  Every residual is one nan-propagating maximum, so a point where W is
+not finite fails the verdict instead of dropping out of it.
+
 check_tolerances holds every check's default tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,26 +101,31 @@ class ResidualReport:
         }
 
 
-def _maxabs(values) -> float:
-    arr = np.asarray(values)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+def _worst(*terms) -> float:
+    """The largest |entry| of all the terms, nan if any entry is nan (a
+    point where the family does not evaluate must fail the verdict)."""
+    return float(functools.reduce(np.maximum, [np.abs(t).max(initial=0.0) for t in terms]))
 
 
 class GridValues(NamedTuple):
-    """What the checks read on one grid: the affine tuple (k0, k0', k1, k1')
-    and, for each m, the tuple (W1+, W1+', W1-, W1-')."""
+    """One evaluation of the family on a grid, read by row: m_values (the
+    distinct m, in call order), the affine tuple (k0, k0', k1, k1') and the
+    w1 tuple (W1+, W1+', W1-, W1-'), each with one row per m of m_values."""
 
+    m_values: tuple
     affine: tuple
-    w1: dict
+    w1: tuple
+
+    def rows(self, *m) -> list:
+        """The row index of each of the given m."""
+        return [self.m_values.index(float(v)) for v in m]
 
 
 def grid_values(family: SuperpotentialFamily, grid, m_values) -> GridValues:
     """The family's evaluators on the grid: affine once, and w1 once for all
     the distinct m of m_values."""
     m_values = tuple(dict.fromkeys(float(m) for m in m_values))
-    rows = family.w1(grid, m_values)
-    return GridValues(family.affine(grid),
-                      {m: tuple(r[i] for r in rows) for i, m in enumerate(m_values)})
+    return GridValues(m_values, family.affine(grid), family.w1(grid, m_values))
 
 
 # Each check takes the grid's values as a keyword; without it, the check
@@ -122,32 +133,35 @@ def grid_values(family: SuperpotentialFamily, grid, m_values) -> GridValues:
 
 def check_translation(family: SuperpotentialFamily, m: float, grid, *, values=None) -> float:
     """max |W1-(x, m) - W1+(x, m-1)| over the grid."""
-    w1 = (values or grid_values(family, grid, (m, m - 1.0))).w1
-    return _maxabs(w1[m][2] - w1[m - 1.0][0])
+    values = values or grid_values(family, grid, (m, m - 1.0))
+    here, prev = values.rows(m, m - 1.0)
+    p, _, q, _ = values.w1
+    return _worst(q[here] - p[prev])
+
+
+def _seven_terms(values: GridValues, m_list):
+    """The seven-term combination, one row per m of m_list."""
+    p, pd, q, qd = (r[values.rows(*m_list)] for r in values.w1)
+    k0, _, k1, _ = values.affine
+    w0 = k0 + np.multiply.outer(m_list, k1)
+    return p * p + pd + q * q + qd - 2.0 * w0 * q + 2.0 * w0 * p - 2.0 * q * p
 
 
 def compatibility_lhs(family: SuperpotentialFamily, m: float, x, *, values=None):
     """The seven-term combination; equals epsilon(x) when the condition holds."""
-    values = values or grid_values(family, x, (m,))
-    p, pd, q, qd = values.w1[m]
-    k0, _, k1, _ = values.affine
-    w0 = k0 + m * k1
-    return p * p + pd + q * q + qd - 2.0 * w0 * q + 2.0 * w0 * p - 2.0 * q * p
+    return _seven_terms(values or grid_values(family, x, (m,)), (float(m),))[0]
 
 
 def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=None) -> float:
-    """m-independence residual of the seven-term combination: the max over
-    grid points and m pairs."""
+    """m-independence residual of the seven-term combination: the max of
+    |lhs(m_i) - lhs(m_j)| over grid points and every pair of rows (pairs,
+    not the spread max - min of each point, which complex rows do not
+    have)."""
     m_list = tuple(float(m) for m in m_list)
     if len(m_list) < 2:
         raise UsageError("check_compatibility needs at least two m values")
-    values = values or grid_values(family, grid, m_list)
-    lhs = [compatibility_lhs(family, m, grid, values=values) for m in m_list]
-    residual = 0.0
-    for i in range(len(lhs)):
-        for j in range(i + 1, len(lhs)):
-            residual = max(residual, _maxabs(lhs[i] - lhs[j]))
-    return residual
+    lhs = _seven_terms(values or grid_values(family, grid, m_list), m_list)
+    return _worst(lhs[:, None] - lhs)
 
 
 def check_infeld_hull(family: SuperpotentialFamily, grid, *, values=None):
@@ -162,22 +176,17 @@ def check_infeld_hull(family: SuperpotentialFamily, grid, *, values=None):
     vb = -k0d - f * k0
     a_mean = complex(np.mean(va))
     b_mean = complex(np.mean(vb))
-    residual = max(
-        _maxabs(va - a_mean),
-        _maxabs(vb - b_mean),
-        abs(a_mean.imag),
-        abs(b_mean.imag),
-    )
-    return AlgebraConstants(a=a_mean.real, b=b_mean.real), float(residual)
+    residual = _worst(va - a_mean, vb - b_mean, a_mean.imag, b_mean.imag)
+    return AlgebraConstants(a=a_mean.real, b=b_mean.real), residual
 
 
 def _closure_expression(values: GridValues, m):
     k0, _, F, _ = values.affine
     G = -k0
-    p, pd, q, qd = values.w1[m - 1.0]
-    u_prev, ud_prev = p - q, pd - qd
-    p, pd, q, qd = values.w1[m]
-    u_here, ud_here = p - q, pd - qd
+    prev, here = values.rows(m - 1.0, m)
+    p, pd, q, qd = values.w1
+    u_prev, ud_prev = p[prev] - q[prev], pd[prev] - qd[prev]
+    u_here, ud_here = p[here] - q[here], pd[here] - qd[here]
     return (
         u_prev * u_prev
         - 2.0 * G * (u_prev - u_here)
@@ -192,7 +201,7 @@ def check_algebra_condition(family: SuperpotentialFamily, m: float, grid, *,
                             values=None) -> float:
     """max |closure condition| over the grid, in the integer-shifted form,
     with F = k1, G = -k0 and U = W1+ - W1-."""
-    return _maxabs(_closure_expression(values or grid_values(family, grid, (m, m - 1.0)), m))
+    return _worst(_closure_expression(values or grid_values(family, grid, (m, m - 1.0)), m))
 
 
 def _reduction_steps(values: GridValues, m):
@@ -204,10 +213,10 @@ def _reduction_steps(values: GridValues, m):
     step3: what survives of step2 once the compatibility condition is used
            at m and m-1; it vanishes by the translation relation alone.
     """
-    p_prev, pd_prev, q_prev, qd_prev = values.w1[m - 1.0]
-    p_here, pd_here, q_here, qd_here = values.w1[m]
-    v_prev = q_prev - p_prev
-    v_here = q_here - p_here
+    prev, here = values.rows(m - 1.0, m)
+    p, pd, q, qd = values.w1
+    v_prev, v_here = q[prev] - p[prev], q[here] - p[here]
+    pd_prev, pd_here, qd_prev, qd_here = pd[prev], pd[here], qd[prev], qd[here]
     k0, _, k1, _ = values.affine
     w0_prev = k0 + (m - 1.0) * k1
     w0_here = k0 + m * k1
@@ -232,7 +241,7 @@ def check_equivalence_chain(family: SuperpotentialFamily, m: float, grid, *, val
     compatibility condition, the second the translation relation.
     """
     step2, step3 = _reduction_steps(values or grid_values(family, grid, (m, m - 1.0)), m)
-    return _maxabs(step2 - step3), _maxabs(step3)
+    return _worst(step2 - step3), _worst(step3)
 
 
 def run_condition_checks(
@@ -249,15 +258,16 @@ def run_condition_checks(
     """Run the selected identity checks on a prebuilt grid and assemble a report.
 
     checks names the checks to run (others in it are skipped), and
-    tolerances, by check name, override check_tolerances().  The grid must
-    avoid the poles of every m in m_list (make_grid with m_values=m_list
-    does that).  When expected_ab is given, the inferred constants are also
-    matched against it under the infeld_hull tolerance.
+    tolerances, by check name, override check_tolerances().  The checks
+    read W at every m of m_list and at m_list[0] - 1, the translate that
+    translation, algebra and equivalence read, so the grid must avoid the
+    poles of all of them (make_grid with those m_values does that).  When
+    expected_ab is given, the inferred constants are also matched against
+    it under the infeld_hull tolerance.
     The family is evaluated once (grid_values): affine on the grid, and w1
-    for all of m_list and m_list[0] - 1, the translate that translation,
-    algebra and equivalence read; values, that grid_values result, spares
-    the evaluation.  The checks share those values, so each residual
-    equals that of the separate check_* call bit for bit.
+    at all those m; values, that grid_values result, spares the
+    evaluation.  The checks share those values, so each residual equals
+    that of the separate check_* call bit for bit.
     """
     m_list = tuple(float(m) for m in m_list)
     tol = check_tolerances(overrides=tolerances)
@@ -282,7 +292,7 @@ def run_condition_checks(
         report.inferred_b = constants.b
         report.record("infeld_hull", tol["infeld_hull"], infeld_hull=r)
         if expected_ab is not None:
-            match = max(abs(constants.a - expected_ab[0]), abs(constants.b - expected_ab[1]))
+            match = _worst(constants.a - expected_ab[0], constants.b - expected_ab[1])
             report.record("infeld_hull_match", tol["infeld_hull"], infeld_hull_match=match)
     if "algebra" in checks:
         report.record("algebra", tol["algebra"],

@@ -106,7 +106,7 @@ def _real_potential_values(family, x, m_values, values=None):
     if values is None:
         w, wd = family.w_rows(x, m_values)
     else:
-        w1 = tuple(np.stack(r) for r in zip(*(values.w1[m] for m in m_values)))
+        w1 = tuple(r[values.rows(*m_values)] for r in values.w1)
         w, wd = assemble_w(values.affine, w1, m_values)
     w, wd = np.asarray(w), np.asarray(wd)
     if np.iscomplexobj(w) or np.iscomplexobj(wd):

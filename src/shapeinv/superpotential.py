@@ -126,8 +126,7 @@ class SuperpotentialFamily:
     (x, m_values) to the tuple (W1+, W1+', W1-, W1-'), each with one row per
     m (a leading axis of len(m_values)), all from one evaluation of the
     gauge denominators D+- with W1 = D'/D; on the Xl families that is one
-    polynomial kernel pass for every m.  The methods ``w1plus``,
-    ``w1minus``, ``W`` and ``w_rows`` read it.
+    polynomial kernel pass for every m.  ``w_rows`` assembles W from both.
     W1- is always its own transcribed formula rather than W1+ at m - 1, so
     the translation identity is a genuine two-route check.
     """
@@ -140,7 +139,7 @@ class SuperpotentialFamily:
     affine: Callable
     w1: Callable
     validity_fn: Callable[[float], Verdict] = field(repr=False)
-    poles_fn: Callable[[float], tuple] = field(repr=False)
+    poles_fn: Callable[[tuple], tuple] = field(repr=False)
     scan_clear_fn: Callable[[float], bool] = field(repr=False)
 
     _EVALUATORS = ("affine", "w1")
@@ -151,36 +150,18 @@ class SuperpotentialFamily:
             if not getattr(fn, "_quiet_wrapped", False):
                 object.__setattr__(self, fname, _quiet(fn))
 
-    def w0(self, x, m):
-        k0, _, k1, _ = self.affine(x)
-        return k0 + m * k1
-
-    def w1plus(self, x, m):
-        """(W1+, W1+') at one m."""
-        p, pd, _, _ = self.w1(x, (m,))
-        return p[0], pd[0]
-
-    def w1minus(self, x, m):
-        """(W1-, W1-') at one m."""
-        _, _, q, qd = self.w1(x, (m,))
-        return q[0], qd[0]
-
     def w_rows(self, x, m_values):
         """(W, W') with W = W0 + W1+ - W1-, one row per m, from one call of
         each evaluator."""
         return assemble_w(self.affine(x), self.w1(x, m_values), m_values)
 
-    def W(self, x, m):
-        """(W, W') with W = W0 + W1+ - W1-, at one m."""
-        w, wd = self.w_rows(x, (m,))
-        return w[0], wd[0]
-
     def validity(self, m: float) -> Verdict:
         return self.validity_fn(m)
 
-    def poles(self, m: float) -> tuple:
-        """x positions of all denominator roots inside the domain at this m."""
-        return self.poles_fn(m)
+    def poles(self, m_values) -> tuple:
+        """x positions of all denominator roots inside the domain at every
+        m of m_values, each distinct denominator's found once."""
+        return self.poles_fn(m_values)
 
     def scan_clear(self, m: float) -> bool:
         """Independent root test: True when no offending root is found."""
@@ -226,12 +207,12 @@ def _eval_guarded(family, x, m, pole_radius, entry):
     lo, hi = family.domain
     if np.any(xs <= lo) or np.any(xs >= hi):
         raise UsageError(f"x outside the open domain ({lo}, {hi}) of {family.name}")
-    for root in family.poles(m):
+    for root in family.poles((m,)):
         dist = np.abs(xs - root)
         if np.any(dist < pole_radius):
             bad = float(np.asarray(xs)[dist < pole_radius].flat[0])
             raise PoleError(bad, root)
-    out = np.asarray(family.W(xs, m)[entry], dtype=np.complex128)
+    out = np.asarray(family.w_rows(xs, (m,))[entry][0], dtype=np.complex128)
     return complex(out[()]) if scalar else out
 
 
@@ -339,7 +320,7 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
         a, b = -left, right
         layout, symmetric, dense_end = "tanh", True, "lo"
 
-    poles = [p for m in m_values for p in family.poles(m)]
+    poles = family.poles(m_values)
 
     n_gen = spec.n_points
     points = np.empty(0)

@@ -53,8 +53,7 @@ class TestGetFamily:
 
     def test_x1_radial_w1plus_value(self):
         entry = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=2.0, d=1.0))
-        w1, _ = entry.family.w1plus(np.asarray([1.0]), -3.0)
-        got = w1[0]
+        got = entry.family.w1(np.asarray([1.0]), (-3.0,))[0][0, 0]
         assert got == pytest.approx(0.8, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -104,12 +103,9 @@ class TestDegreeOneClosedForms:
         # spec of the ratio at ell = 1: W1+ = x / (2.5 + x^2/2) for omega=1, m=-3
         entry = get_family("Xl-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, ell=1))
         xs = np.linspace(0.3, 4.0, 40)
-        got, _ = entry.family.w1plus(xs, -3.0)
-        got = np.asarray(got)
+        (got,), _, (got_m,), _ = entry.family.w1(xs, (-3.0,))
         assert np.max(np.abs(got - xs / (2.5 + xs**2 / 2.0))) < 1e-12
         # W1- closed form: omega*x / ((1/2 - m) + omega*x^2/2)
-        got_m, _ = entry.family.w1minus(xs, -3.0)
-        got_m = np.asarray(got_m)
         assert np.max(np.abs(got_m - xs / (3.5 + xs**2 / 2.0))) < 1e-12
 
     def test_xl_poschl_teller_ell1(self):
@@ -121,8 +117,7 @@ class TestDegreeOneClosedForms:
         pref = 0.5 * (1.0 - 2.0 * B - 1.0)
         p1 = (-B + m - 0.5 + 1.0) + (-2.0 * B) * (t - 1.0) / 2.0
         expected = pref * np.sinh(xs) / p1
-        got, _ = entry.family.w1plus(xs, m)
-        got = np.asarray(got)
+        got = entry.family.w1(xs, (m,))[0][0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_xl_scarf_ell1(self):
@@ -133,8 +128,7 @@ class TestDegreeOneClosedForms:
         pref = 0.5j * (1.0 - 2.0 * B - 1.0)
         p1 = (-B + m - 0.5 + 1.0) + (-2.0 * B) * (z - 1.0) / 2.0
         expected = pref * np.cosh(xs) / p1
-        got, _ = entry.family.w1plus(xs, m)
-        got = np.asarray(got)
+        got = entry.family.w1(xs, (m,))[0][0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -380,7 +374,7 @@ class TestFamilyData:
     def test_poles_are_denominator_zeros(self, tag, p):
         family = get_family(tag, p).family
         data = family_data(tag, p)
-        poles = family.poles(p.m)
+        poles = family.poles((p.m,))
         assert poles
         for x in poles:
             xs = np.asarray([x])
@@ -396,6 +390,22 @@ class TestFamilyData:
                 relative.append(abs(denominator(data, spec_of_m, xs, p.m)[0]) / size)
             assert min(relative) < 1e-9, (x, relative)
 
+    def test_poles_solve_each_distinct_denominator_once(self, monkeypatch):
+        # P-(m) equals P+(m - 1) at dyadic m and B, so m, m-1, m-2 need four
+        # root searches, not six, and find the poles that each m finds
+        import shapeinv.catalog
+
+        specs = []
+        real_roots_in = shapeinv.catalog.real_roots_in
+        monkeypatch.setattr(shapeinv.catalog, "real_roots_in",
+                            lambda spec, iv: specs.append(spec) or real_roots_in(spec, iv))
+        family = get_family("Xl-Poschl-Teller", ParamPoint(m=-2.5, B=-2.0, ell=1)).family
+        m_values = (-2.5, -3.5, -4.5)
+        poles = family.poles(m_values)
+        assert len(specs) == len(set(specs)) == 4
+        each = [x for m in m_values for x in family.poles((m,))]
+        assert poles and set(poles) == set(each)
+
     @pytest.mark.parametrize(
         "tag,p",
         [
@@ -409,7 +419,7 @@ class TestFamilyData:
     def test_x1_point_just_outside_has_a_pole(self, tag, p):
         family = get_family(tag, p).family
         assert not family.validity(p.m).valid
-        assert family.poles(p.m)
+        assert family.poles((p.m,))
 
 
 class TestSampler:
@@ -450,7 +460,7 @@ class TestScarfStructure:
 
     def test_puncture_is_the_only_declared_pole(self):
         entry = get_family("Xl-PT-Scarf", ParamPoint(m=-0.8, B=-3.0, ell=3))
-        assert entry.family.poles(-0.8) == (0.0,)
+        assert entry.family.poles((-0.8,)) == (0.0,)
 
 
 class TestScarfAccuracy:

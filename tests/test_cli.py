@@ -57,6 +57,15 @@ class TestVerify:
         assert code == 2
         assert "m < -(1 + 2*d)/2" in capsys.readouterr().err
 
+    def test_invalid_first_translate_exit_2(self, capsys):
+        # m = 0.3 and 1.3 lie in the region m > 0, but translation, algebra,
+        # equivalence and the remainder also read W at m_list[0] - 1 = -0.7
+        code = main(["verify", "--family", "X1-hyperbolic",
+                     "--params", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.0}',
+                     "--m-list", "0.3,1.3", "--no-timestamp"])
+        assert code == 2
+        assert "m = -0.7 violates m > (2*beta + c^2 - 2*c*d)/(2*c^2)" in capsys.readouterr().err
+
     def test_singular_scarf_point_exit_2(self, capsys):
         # P+ = P_2^(-7/4,-7/4) vanishes at z = +-i*sqrt(2), so D+ has real
         # poles at x = +-1.146; the run once passed with compatibility 2e-13

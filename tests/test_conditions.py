@@ -6,6 +6,7 @@ import pytest
 from shapeinv import (
     FAMILY_TAGS,
     GridSpec,
+    ParamPoint,
     UsageError,
     check_algebra_condition,
     check_compatibility,
@@ -21,7 +22,7 @@ from shapeinv import (
 )
 
 import oracles
-from shapeinv.conditions import GridValues, _closure_expression, _reduction_steps
+from shapeinv.conditions import GridValues, _closure_expression, _reduction_steps, grid_values
 
 
 def family_on_grid(tag, seed=3, n=256):
@@ -81,13 +82,72 @@ class TestReductionAlgebra:
     @pytest.mark.parametrize("m", [-3.0, 0.0, 2.0, 5.0])
     def test_identities_hold_exactly(self, m):
         rng = np.random.default_rng(int(m) + 100)
-        p, pd, q, qd, k0, k0d, k1, k1d = rng.integers(-1024, 1025, (8, 1000)).astype(float)
-        pp, ppd, qp, qpd = rng.integers(-1024, 1025, (4, 1000)).astype(float)
-        values = GridValues((k0, k0d, k1, k1d), {m: (p, pd, q, qd), m - 1.0: (pp, ppd, qp, qpd)})
+        affine = rng.integers(-1024, 1025, (4, 1000)).astype(float)
+        w1 = rng.integers(-1024, 1025, (4, 2, 1000)).astype(float)
+        values = GridValues((m, m - 1.0), tuple(affine), tuple(w1))
         step2, step3 = _reduction_steps(values, m)
         assert np.array_equal(_closure_expression(values, m), step2)
         lhs = {mm: compatibility_lhs(None, mm, None, values=values) for mm in (m, m - 1.0)}
         assert np.array_equal(step2 - step3, lhs[m - 1.0] - lhs[m])
+        # the stacked residual is the one pair's maximum, exactly
+        assert check_compatibility(None, (m, m - 1.0), None, values=values) == float(
+            np.max(np.abs(lhs[m] - lhs[m - 1.0])))
+
+
+class TestStackedCompatibility:
+    """check_compatibility forms the seven-term combination for every m in
+    one stacked table and reduces every pair of rows at once: it equals, as
+    a float, the maximum over pairs i < j of max|lhs_i - lhs_j| with each
+    lhs from its own compatibility_lhs call."""
+
+    @pytest.mark.parametrize("case", [*FAMILY_TAGS, "Xl-Poschl-Teller+paired-mx-slope"])
+    def test_equals_maximum_over_pairs(self, case):
+        tag, _, mode = case.partition("+")
+        p = sample_valid_params(tag, 1, seed=19)[0]
+        fam = get_family(tag, p).family
+        m_list = (p.m, p.m - 0.5, p.m - 1.0, p.m - 2.0)
+        grid = make_grid(fam, GridSpec(n_points=128), m_values=m_list)
+        if mode:
+            fam = with_perturbation(fam, mode, 1e-4)
+        lhs = [compatibility_lhs(fam, m, grid) for m in m_list]
+        pairs = [float(np.max(np.abs(lhs[i] - lhs[j])))
+                 for i in range(len(lhs)) for j in range(i + 1, len(lhs))]
+        assert check_compatibility(fam, m_list, grid) == max(pairs)
+        assert (max(pairs) >= 1e-6) == bool(mode)
+
+
+class TestNonFiniteValues:
+    """A point where the family does not evaluate makes the residual nan,
+    and a nan residual fails its verdict: none drops out of a maximum."""
+
+    def test_overflow_fails_every_check(self):
+        # cosh overflows at x = 1000, so W1 is nan there at every m
+        p = ParamPoint(m=0.3, B=-2.5, ell=3)
+        fam = get_family("Xl-Poschl-Teller", p).family
+        grid = np.array([0.5, 1.0, 1000.0])
+        m_list = (p.m, p.m - 1.0, p.m - 2.0)
+        assert np.isnan(check_compatibility(fam, m_list, grid))
+        report = run_condition_checks(fam, grid, m_list)
+        assert all(np.isnan(r) for r in report.residuals.values())
+        assert not any(report.verdicts.values())
+        assert report.verdicts["compatibility"] is False
+
+    def test_nan_b_fails_infeld_hull_and_its_match(self):
+        entry, p, grid = family_on_grid("X1-radial-oscillator")
+        m_list = (p.m, p.m - 1.0)
+        values = grid_values(entry.family, grid, m_list)
+        k0, k0d, k1, k1d = values.affine
+        k0d = k0d.copy()
+        k0d[3] = np.nan  # only -k0' - k1*k0 is nan there
+        values = values._replace(affine=(k0, k0d, k1, k1d))
+        constants, resid = check_infeld_hull(entry.family, grid, values=values)
+        assert np.isfinite(constants.a) and np.isnan(constants.b)
+        assert np.isnan(resid)
+        report = run_condition_checks(entry.family, grid, m_list, checks=("infeld_hull",),
+                                      expected_ab=(entry.expected_a, entry.expected_b),
+                                      values=values)
+        assert np.isnan(report.residuals["infeld_hull_match"])
+        assert report.verdicts == {"infeld_hull": False, "infeld_hull_match": False}
 
 
 class TestOracleAgreement:
@@ -109,8 +169,8 @@ class TestOracleAgreement:
         for x in xs:
             x = float(x)
             w_ref = oracles.to_complex(oracles.w_value(tag, p, p.m, x))
-            w_got, _ = fam.W(np.asarray([x]), p.m)
-            w_got = complex(np.asarray(w_got)[0])
+            w_got, _ = fam.w_rows(np.asarray([x]), (p.m,))
+            w_got = complex(w_got[0, 0])
             assert abs(w_got - w_ref) <= 1e-11 * max(1.0, abs(w_ref))
             c_ref = oracles.to_complex(oracles.compatibility_value(tag, p, p.m, x))
             c_got = complex(np.asarray(compatibility_lhs(fam, p.m, np.asarray([x])))[0])

@@ -80,6 +80,7 @@ EXPECTED = [
     ("verify Xl-PT-Scarf seed=3 format=csv", 0),
     ("verify Xl-radial-oscillator seed=3 format=csv", 0),
     ("verify Xl-radial-oscillator config=every-field", 1),
+    ("verify X1-hyperbolic m-list=0.3,1.3", 2),
 ]
 
 

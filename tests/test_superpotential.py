@@ -149,16 +149,16 @@ class TestDerivativeConsistency:
         xs = rng.choice(grid[4:-4], size=200, replace=True)
 
         def w_at(t):
-            w, _ = fam.W(np.asarray([t]), p.m)
-            return complex(w[0])
+            w, _ = fam.w_rows(np.asarray([t]), (p.m,))
+            return complex(w[0, 0])
 
         for x in xs:
             x = float(x)
             h = 1e-4 * (1.0 + abs(x))
             fd = richardson(w_at, x, h)
-            w_here, an = fam.W(np.asarray([x]), p.m)
-            an = complex(np.asarray(an)[0])
-            w_here = complex(np.asarray(w_here)[0])
+            w_here, an = fam.w_rows(np.asarray([x]), (p.m,))
+            an = complex(an[0, 0])
+            w_here = complex(w_here[0, 0])
             scale = max(1.0, abs(an), abs(w_here))
             assert abs(fd - an) <= 1e-8 * scale
 
@@ -170,9 +170,10 @@ class TestAffinity:
         fam = entry.family
         grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
         m1, m2, m3 = p.m - 1.0, p.m - 0.25, p.m + 0.5
-        w1 = np.asarray(fam.w0(grid, m1))
-        w2 = np.asarray(fam.w0(grid, m2))
-        w3 = np.asarray(fam.w0(grid, m3))
+        # W0 = W - W1+ + W1-, as w_rows assembles W
+        w, _ = fam.w_rows(grid, (m1, m2, m3))
+        plus, _, minus, _ = fam.w1(grid, (m1, m2, m3))
+        w1, w2, w3 = w - plus + minus
         slope_12 = (w2 - w1) / (m2 - m1)
         slope_13 = (w3 - w1) / (m3 - m1)
         scale = np.maximum(np.abs(slope_13), 1.0)
@@ -200,8 +201,7 @@ class TestLogDerivativeStructure:
             else:
                 d_here = complex(np.asarray(D(x))[0])
                 fd = richardson(lambda t: complex(np.asarray(D(t))[0]), x, h) / d_here
-            w1, _ = fam.w1plus(np.asarray([x]), p.m)
-            w1 = complex(np.asarray(w1)[0])
+            w1 = complex(fam.w1(np.asarray([x]), (p.m,))[0][0, 0])
             assert abs(fd - w1) < 1e-9 * max(1.0, abs(w1))
 
 
@@ -223,9 +223,7 @@ class TestMakeGrid:
         entry = get_family("X1-hyperbolic", params)
         grid = make_grid(entry.family, GridSpec(n_points=512), m_values=(-4.0, -5.0, -6.0))
         assert grid.size == 512
-        roots = []
-        for m in (-4.0, -5.0, -6.0):
-            roots.extend(entry.family.poles(m))
+        roots = entry.family.poles((-4.0, -5.0, -6.0))
         for r in roots:
             assert np.min(np.abs(grid - r)) >= 1e-3
 
@@ -277,16 +275,16 @@ class TestPerturbations:
         fam = entry.family
         pert = with_perturbation(fam, "wminus-slope", 0.01)
         xs = np.linspace(0.5, 2.0, 9)
-        (pert_minus, _), (fam_minus, _) = pert.w1minus(xs, p.m), fam.w1minus(xs, p.m)
-        (pert_plus, _), (fam_plus, _) = pert.w1plus(xs, p.m), fam.w1plus(xs, p.m)
-        assert np.allclose(np.asarray(pert_minus) - np.asarray(fam_minus), 0.01 * xs)
-        assert np.array_equal(np.asarray(pert_plus), np.asarray(fam_plus))
+        pert_plus, _, pert_minus, _ = pert.w1(xs, (p.m,))
+        fam_plus, _, fam_minus, _ = fam.w1(xs, (p.m,))
+        assert np.allclose(pert_minus - fam_minus, 0.01 * xs)
+        assert np.array_equal(pert_plus, fam_plus)
 
     @pytest.mark.parametrize("mode", PERTURBATION_MODES)
     @pytest.mark.parametrize("tag", ["X1-radial-oscillator", "Xl-Poschl-Teller", "Xl-PT-Scarf"])
     def test_batch_equals_one_m_methods(self, tag, mode):
-        # every mode patches w1 (or affine) at each m of a batch, as the
-        # one-m methods see it
+        # every mode patches w1 (or affine) at each m of a batch, as a
+        # call at that m alone sees it
         entry, p = sampled_entry(tag)
         pert = with_perturbation(entry.family, mode, 0.01)
         xs = np.linspace(0.5, 2.0, 9)
@@ -294,9 +292,10 @@ class TestPerturbations:
         rows = pert.w1(xs, m_values)
         w, wd = pert.w_rows(xs, m_values)
         for i, m in enumerate(m_values):
-            one = (*pert.w1plus(xs, m), *pert.w1minus(xs, m))
-            assert all(np.array_equal(r[i], o) for r, o in zip(rows, one))
-            assert all(np.array_equal(a[i], b) for a, b in zip((w, wd), pert.W(xs, m)))
+            one = pert.w1(xs, (m,))
+            assert all(np.array_equal(r[i], o[0]) for r, o in zip(rows, one))
+            one = pert.w_rows(xs, (m,))
+            assert all(np.array_equal(a[i], b[0]) for a, b in zip((w, wd), one))
         if mode != "k1-slope":
             base = entry.family.w1(xs, m_values)
             assert any(not np.array_equal(r, b) for r, b in zip(rows, base))
@@ -305,9 +304,8 @@ class TestPerturbations:
         entry, p = sampled_entry("X1-radial-oscillator")
         pert = with_perturbation(entry.family, "paired-mx-slope", 0.01)
         xs = np.linspace(0.5, 2.0, 9)
-        lhs, _ = pert.w1minus(xs, p.m)
-        rhs, _ = pert.w1plus(xs, p.m - 1.0)
-        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+        _, _, lhs, _ = pert.w1(xs, (p.m,))
+        rhs, _, _, _ = pert.w1(xs, (p.m - 1.0,))
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
@@ -322,7 +320,7 @@ def reference_edge(family, m_values, start, sign):
         try:
             with np.errstate(all="ignore"):
                 for m in m_values:
-                    w, wd = family.W(xs, m)
+                    w, wd = family.w_rows(xs, (m,))
                     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wd))):
                         return False
                     if np.max(np.abs(w)) > _EDGE_W_CAP:
@@ -372,8 +370,8 @@ class TestEdgeProbe:
             assert not np.isfinite(np.cosh(1024.0))
         edge = _expand_edge(fam, m_values, 1.0, (+1.0,))[0]
         assert edge == reference_edge(fam, m_values, 1.0, +1.0) == 512.0
-        w1, _ = fam.w1plus(np.array([1024.0]), 0.6)
-        assert np.isnan(w1[0])
+        w1 = fam.w1(np.array([1024.0]), (0.6,))[0]
+        assert np.isnan(w1[0, 0])
 
     def test_one_nonfinite_candidate(self):
         # W = 1/(x - 8) is infinite at the candidate x = 8 and finite past

@@ -9,8 +9,10 @@ It imports shapeinv from the src/ of the checkout it lives in, runs
 sample points of SEEDS, `verify --perturb` on one point per Xl family, and
 `verify --checks` with the remainder and spectrum checks on one point per
 real family, `verify --format csv` on one point per family (every check
-that the family supports), and `verify --config` on a file that sets every
-config field (EVERY_FIELD, written to a temporary directory), and prints
+that the family supports), `verify --config` on a file that sets every
+config field (EVERY_FIELD, written to a temporary directory), and
+`verify --m-list` on a list whose first translate m - 1 leaves the region
+(OUTSIDE_TRANSLATE: exit 2 and an empty report), and prints
 one line per report: the sha256 of its bytes, the command, the family, the
 seed and the exit code.  Running it on two checkouts and diffing the output
 lists every report that a change alters.
@@ -62,6 +64,10 @@ EVERY_FIELD = {
     "spectrum_points": 1000,
 }
 
+# m and m + 1 lie in X1-hyperbolic's region m > 0 at these constants, the
+# translate m - 1 that verify also reads does not
+OUTSIDE_TRANSLATE = ("X1-hyperbolic", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.0}', "0.3,1.3")
+
 
 def configs(tmp: Path):
     """(label, argv) of every report, in a fixed order; tmp is a directory
@@ -91,6 +97,9 @@ def configs(tmp: Path):
     path = tmp / "every-field.json"
     path.write_text(json.dumps(EVERY_FIELD), encoding="utf-8")
     yield f"verify {EVERY_FIELD['family']} config=every-field", ["verify", "--config", str(path)]
+    tag, params, m_list = OUTSIDE_TRANSLATE
+    yield (f"verify {tag} m-list={m_list}",
+           ["verify", "--family", tag, "--params", params, "--m-list", m_list, "--no-timestamp"])
 
 
 def digest(argv) -> tuple[str, int]:
