@@ -19,11 +19,12 @@ coefficients of P+- (polynomials.real_roots_in for the poles; for the
 witness polynomials.has_root_in, which only asks whether a root exists, and
 has_imaginary_root for Xl-PT-Scarf), so the count of roots is certified, not
 sampled; the X1 families' degree-1 P has its root in closed form.
-The region is thus encoded twice, as a strict-inequality predicate in m and
-as that test on the roots of P+-; Xl-PT-Scarf, whose region has no closed
-form, states the exact test as its predicate.  P- is transcribed on its own,
-not taken as P+ at m - 1, so the translation identity stays a two-route
-check.
+The region is stated once, as a Region (conditions on the constants and
+open m-intervals) that the predicate, the sampler and the tests read; the
+witness test on the roots of P+- is an independent second encoding.
+Xl-PT-Scarf's region has no closed form, so that test is its predicate.
+P- is transcribed on its own, not taken as P+ at m - 1, so the translation
+identity stays a two-route check.
 
 To add a family, write one function from its constants to a FamilyData and
 register it in ``_FAMILIES`` with the names of those constants.  The fields:
@@ -33,11 +34,10 @@ inverse on the domain); g_range (g(domain), where a real root of P is a
 pole); p_plus and p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when
 linear is set, else a PolySpec); forbidden (where the region allows no
 real root t of P, as a tuple of polynomials.Interval, each end open or
-closed); validity (the analytic predicate,
-m -> Verdict); expected_ab (the factorization constants); and for a complex
-family is_real, punctures (its declared poles) and scan (a test of P that
-replaces the real-root test; Xl-PT-Scarf's asks exactly whether P has a
-root i*s with real s != 0).
+closed); region (where the family is non-singular, a Region); expected_ab
+(the factorization constants); and for a complex family is_real, punctures
+(its declared poles) and scan (a test of P that replaces the real-root
+test; Xl-PT-Scarf's asks exactly whether P has a root i*s, real s != 0).
 
 Family tags, in catalog order:
 
@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,7 +101,23 @@ class ValidityReport:
     agrees: bool
 
 
-@dataclass(frozen=True)
+class Region(NamedTuple):
+    """Where a family is non-singular: every condition on its constants holds
+    (each a pair (holds, statement)) and m lies in one of the open intervals,
+    which statement states.  intervals None: the exact root test decides."""
+
+    conditions: tuple[tuple[bool, str], ...]
+    intervals: tuple[Interval, ...] | None
+    statement: str
+
+
+def _region(conditions: tuple, statement: str, intervals: Callable[[], tuple]) -> Region:
+    """The Region with the m-intervals that intervals() returns, called only
+    where every condition holds: an edge may divide by a constant (c = 0)."""
+    return Region(conditions, intervals() if all(h for h, _ in conditions) else (), statement)
+
+
+@dataclass(frozen=True, slots=True)
 class FamilyData:
     """One family at fixed constants, as data (fields: module docstring)."""
 
@@ -113,7 +129,7 @@ class FamilyData:
     g_deriv: Callable
     p_plus: Callable
     p_minus: Callable
-    validity: Callable[[float], Verdict]
+    region: Region
     expected_ab: tuple[float, float]
     g_inv: Callable | None = None
     g_range: tuple[float, float] | None = None
@@ -122,14 +138,6 @@ class FamilyData:
     is_real: bool = True
     punctures: tuple = ()
     scan: Callable[[PolySpec], bool] | None = None
-
-
-def _first_violated(*conditions) -> Verdict:
-    """Verdict of the first (holds, statement) pair that fails, else valid."""
-    for holds, statement in conditions:
-        if not holds:
-            return Verdict(False, statement)
-    return Verdict(True, None)
 
 
 # The builder: everything the record does not state, in one code path.
@@ -221,6 +229,17 @@ def _scan_clear(data: FamilyData, m) -> bool:
     return not any(has_root_in(P(m), data.forbidden) for P in pair)
 
 
+def _verdict(data: FamilyData, m) -> Verdict:
+    """The region's verdict at m: the first condition on the constants that
+    fails, else whether m lies in an interval (or passes the exact root test)."""
+    conditions, intervals, statement = data.region
+    for holds, condition in conditions:
+        if not holds:
+            return Verdict(False, condition)
+    inside = _scan_clear(data, m) if intervals is None else any([lo < m < hi for lo, hi, _ in intervals])
+    return Verdict(True, None) if inside else Verdict(False, statement)
+
+
 def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> SuperpotentialFamily:
     pair = (data.p_plus, data.p_minus)
     dR = _deriv(data.R)
@@ -240,7 +259,7 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
     return SuperpotentialFamily(
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
         affine=_affine(data, g_dd), w1=_log_derivs(data, g_dd),
-        validity_fn=data.validity, poles_fn=poles,
+        validity_fn=functools.partial(_verdict, data), poles_fn=poles,
         scan_clear_fn=functools.partial(_scan_clear, data),
     )
 
@@ -248,8 +267,6 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
 # X1 families: P is p0 + p1*t in t = cosh(c x), x**2 or sin(c x).
 
 def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
-    thr_neg = (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)
-    thr_pos = (2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c)
     return FamilyData(
         domain=(0.0, np.inf),
         R=(-c * c, 0.0, c * c), K0=(c * d, -beta), K1=(0.0, c * c),
@@ -259,11 +276,12 @@ def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
         p_plus=lambda m: (-2.0 * beta + c * c * (2.0 * m + 1.0), 2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (2.0 * m - 1.0), 2.0 * c * d),
         linear=True, forbidden=(Interval(1.0, np.inf),),
-        validity=lambda m: _first_violated(
-            (c > 0.0, "c > 0"),
-            (d != 0.0, "d != 0"),
-            (m < thr_neg, "m < (2*beta - c^2 - 2*c*d)/(2*c^2)") if d < 0.0
-            else (m > thr_pos, "m > (2*beta + c^2 - 2*c*d)/(2*c^2)"),
+        region=_region(
+            ((c > 0.0, "c > 0"), (d != 0.0, "d != 0")),
+            "m < (2*beta - c^2 - 2*c*d)/(2*c^2)" if d < 0.0
+            else "m > (2*beta + c^2 - 2*c*d)/(2*c^2)",
+            lambda: (Interval(-np.inf, (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)),)
+            if d < 0.0 else (Interval((2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c), np.inf),),
         ),
         expected_ab=(c ** 2, beta),
     )
@@ -279,30 +297,30 @@ def _x1_radial(omega: float, d: float) -> FamilyData:
         p_plus=lambda m: (1.0 + 2.0 * d + 2.0 * m, -omega),
         p_minus=lambda m: (-1.0 + 2.0 * d + 2.0 * m, -omega),
         linear=True, forbidden=(Interval(0.0, np.inf),),
-        validity=lambda m: _first_violated(
-            (omega > 0.0, "omega > 0"),
-            (d > 0.0, "d > 0"),
-            (m < -(1.0 + 2.0 * d) / 2.0, "m < -(1 + 2*d)/2"),
-        ),
+        region=Region(((omega > 0.0, "omega > 0"), (d > 0.0, "d > 0")),
+                      (Interval(-np.inf, -(1.0 + 2.0 * d) / 2.0),), "m < -(1 + 2*d)/2"),
         expected_ab=(0.0, -omega),
     )
 
 
 def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
-    half_width = np.pi / (2.0 * c)
-    # Both denominators keep a fixed sign while sin(c x) sweeps (-1, 1); in
-    # |d| the two edges of that region read the same for either sign of d.
-    hi = (-2.0 * beta - c * c - 2.0 * c * abs(d)) / (2.0 * c * c)
-    lo = (-2.0 * beta + c * c + 2.0 * c * abs(d)) / (2.0 * c * c)
-    # Where c > 2|d| a third interval lies between them: in the band
-    # |2*beta + 2*c^2*m| < c^2 - 2*c*|d| the constant term of each
-    # denominator outweighs its sin(c x) term, so neither can vanish.
-    band = c * c - 2.0 * c * abs(d)
+    def intervals():
+        # Both denominators keep a fixed sign while sin(c x) sweeps (-1, 1) for
+        # m below hi or above lo (in |d|, so for either sign of d), and where
+        # their constant terms outweigh their sin(c x) terms: in the band
+        # |2*beta + 2*c^2*m| < c^2 - 2*c*|d| between the two, where c > 2|d|.
+        hi = (-2.0 * beta - c * c - 2.0 * c * abs(d)) / (2.0 * c * c)
+        lo = (-2.0 * beta + c * c + 2.0 * c * abs(d)) / (2.0 * c * c)
+        band = c * c - 2.0 * c * abs(d)
+        return (Interval(-np.inf, hi), Interval(lo, np.inf)) + (
+            (Interval((-band - 2.0 * beta) / (2.0 * c * c), (band - 2.0 * beta) / (2.0 * c * c)),)
+            if band > 0.0 else ())
+
     s1, s2 = ("-", "+") if d > 0.0 else ("+", "-")
     statement = (f"m < (-2*beta - c^2 {s1} 2*c*d)/(2*c^2) or m > (-2*beta + c^2 {s2} 2*c*d)/(2*c^2)"
                  " or |2*beta + 2*c^2*m| < c^2 - 2*c*|d|")
     return FamilyData(
-        domain=(-half_width, half_width),
+        domain=(-np.pi / (2.0 * c), np.pi / (2.0 * c)) if c > 0.0 else (np.nan, np.nan),
         R=(c * c, 0.0, -c * c), K0=(c * d, -beta), K1=(0.0, -c * c),
         g=lambda x: np.sin(c * x),
         g_deriv=lambda x: c * np.cos(c * x),
@@ -310,9 +328,7 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
         p_plus=lambda m: (2.0 * beta + c * c * (1.0 + 2.0 * m), -2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
         linear=True, forbidden=(Interval(-1.0, 1.0),),
-        validity=lambda m: _first_violated(
-            (c > 0.0, "c > 0"), (d != 0.0, "d != 0"),
-            (m < hi or m > lo or abs(2.0 * beta + 2.0 * c * c * m) < band, statement)),
+        region=_region(((c > 0.0, "c > 0"), (d != 0.0, "d != 0")), statement, intervals),
         expected_ab=(-c ** 2, beta),
     )
 
@@ -346,34 +362,27 @@ def _xl_poschl_teller(B: float, ell: int) -> FamilyData:
         g=np.cosh, g_deriv=np.sinh, g_inv=np.arccosh, g_range=(1.0, np.inf),
         forbidden=(Interval(-np.inf, -1.0, (False, True)),
                    Interval(1.0, np.inf, (True, False))),
-        validity=lambda m: _first_violated(
-            (B < -0.5, "B < -1/2"),
-            ((1.0 + 2.0 * B) / 2.0 < m < -(1.0 + 2.0 * B) / 2.0,
-             "(1 + 2*B)/2 < m < -(1 + 2*B)/2"),
-        ),
+        region=Region(((B < -0.5, "B < -1/2"),), (Interval((1.0 + 2.0 * B) / 2.0, -(1.0 + 2.0 * B) / 2.0),),
+                      "(1 + 2*B)/2 < m < -(1 + 2*B)/2"),
         expected_ab=(1.0, 0.0),
     )
 
 
+# Xl-PT-Scarf's P has an imaginary argument, so apart from the declared x = 0
+# puncture the family is singular exactly where P+- has a root i*s, s != 0: a
+# region with no closed form, whose predicate is the exact root test itself.
+_SCARF_REGION = Region((), None, "P+- has no root i*s with real s != 0")
+
+
 def _xl_pt_scarf(B: float, ell: int) -> FamilyData:
     _check_prefactor("Xl-PT-Scarf", ell, B)
-    pair = _jacobi_pair(B, ell)
-
-    def scan(spec):
-        return not has_imaginary_root(spec)
-
-    # The argument of P is purely imaginary, so no real root of P maps into
-    # the domain: apart from the declared x = 0 puncture the family is
-    # singular exactly where P+- has a root i*s, s != 0.  That region has no
-    # closed form, so the predicate is the exact root test itself.
     return FamilyData(
-        domain=(-np.inf, np.inf), **pair,
+        domain=(-np.inf, np.inf), **_jacobi_pair(B, ell),
         g=lambda x: 1j * np.sinh(np.asarray(x, dtype=float)),
         g_deriv=lambda x: 1j * np.cosh(np.asarray(x, dtype=float)),
-        validity=lambda m: _first_violated(
-            (scan(pair["p_plus"](m)) and scan(pair["p_minus"](m)),
-             "P+- has no root i*s with real s != 0")),
-        expected_ab=(1.0, 0.0), is_real=False, punctures=(0.0,), scan=scan,
+        region=_SCARF_REGION,
+        expected_ab=(1.0, 0.0), is_real=False, punctures=(0.0,),
+        scan=lambda spec: not has_imaginary_root(spec),
     )
 
 
@@ -389,7 +398,7 @@ def _xl_radial(omega: float, ell: int) -> FamilyData:
         forbidden=(Interval(-np.inf, 0.0, (False, True)),),
         # m < -1/2 keeps both Laguerre parameters above -1, so every root
         # lies in (0, inf), which the argument -omega*x^2/2 never reaches
-        validity=lambda m: _first_violated((omega > 0.0, "omega > 0"), (m < -0.5, "m < -1/2")),
+        region=Region(((omega > 0.0, "omega > 0"),), (Interval(-np.inf, -0.5),), "m < -1/2"),
         expected_ab=(0.0, -omega),
     )
 
@@ -443,7 +452,7 @@ def validity_witness(tag: str, params: ParamPoint) -> ValidityReport:
     agree).  Xl-PT-Scarf's predicate is that test, so there the cross-check
     is not independent and `agrees` always holds."""
     data = family_data(tag, params)
-    verdict = data.validity(params.m)
+    verdict = _verdict(data, params.m)
     clear = _scan_clear(data, params.m)
     return ValidityReport(verdict.valid, verdict.violated, clear, clear == verdict.valid)
 
@@ -452,68 +461,58 @@ def _sampler_rng(tag: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(tag.encode())])
 
 
-def _draw_params(tag: str, rng: np.random.Generator) -> ParamPoint:
-    u = rng.uniform
+def _draw_params(tag: str, rng: np.random.Generator) -> tuple[ParamPoint, FamilyData]:
+    """One draw from the tag's box and its record: the constants, then m in
+    one interval of the region, with m and m - 2 the margin inside it."""
+    u, ell = rng.uniform, lambda: int(rng.integers(1, _ELL_MAX + 1))
+    side = 0  # which interval of the region
     if tag == "X1-hyperbolic":
-        c = u(0.5, 2.0)
-        beta = u(-3.0, 3.0)
-        if rng.integers(0, 2) == 0:
-            d = u(-3.0, -0.3)
-            thr = (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)
-            m = thr - _SAMPLER_MARGIN - u(0.0, 3.0)
-        else:
-            d = u(0.3, 3.0)
-            thr = (2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c)
-            m = thr + 2.0 + _SAMPLER_MARGIN + u(0.0, 3.0)
-        return ParamPoint(m=m, c=c, beta=beta, d=d)
-    if tag == "X1-radial-oscillator":
-        omega = u(0.5, 3.0)
-        d = u(0.3, 3.0)
-        thr = -(1.0 + 2.0 * d) / 2.0
-        return ParamPoint(m=thr - _SAMPLER_MARGIN - u(0.0, 3.0), omega=omega, d=d)
-    if tag == "X1-trigonometric":
-        c = u(0.5, 2.0)
-        beta = u(-3.0, 3.0)
-        sgn = 1.0 if rng.integers(0, 2) == 0 else -1.0
-        d = sgn * u(0.3, 3.0)
-        hi = (-2.0 * beta - c * c - sgn * 2.0 * c * abs(d)) / (2.0 * c * c)
-        lo = (-2.0 * beta + c * c + sgn * 2.0 * c * abs(d)) / (2.0 * c * c)
-        if rng.integers(0, 2) == 0:
-            m = hi - _SAMPLER_MARGIN - u(0.0, 3.0)
-        else:
-            m = lo + 2.0 + _SAMPLER_MARGIN + u(0.0, 3.0)
-        return ParamPoint(m=m, c=c, beta=beta, d=d)
-    if tag == "Xl-Poschl-Teller":
-        # B <= -1.7 keeps the m window wider than 2.2, leaving room for the
-        # translates m-1, m-2 plus the sampling margin.
-        B = u(-4.0, -1.7)
-        lo = (1.0 + 2.0 * B) / 2.0
-        hi = -lo
-        m = u(lo + 2.0 + _SAMPLER_MARGIN, hi - _SAMPLER_MARGIN)
-        return ParamPoint(m=m, B=B, ell=int(rng.integers(1, _ELL_MAX + 1)))
-    if tag == "Xl-PT-Scarf":
-        return ParamPoint(m=u(-2.0, 2.0), B=u(-4.0, -0.6), ell=int(rng.integers(1, _ELL_MAX + 1)))
-    if tag == "Xl-radial-oscillator":
-        return ParamPoint(m=u(-4.0, -0.5 - _SAMPLER_MARGIN), omega=u(0.5, 3.0),
-                          ell=int(rng.integers(1, _ELL_MAX + 1)))
-    raise UnsupportedError(f"unknown family tag {tag!r}")
+        c, beta = u(0.5, 2.0), u(-3.0, 3.0)
+        constants = dict(c=c, beta=beta, d=u(-3.0, -0.3) if rng.integers(0, 2) == 0 else u(0.3, 3.0))
+    elif tag == "X1-radial-oscillator":
+        constants = dict(omega=u(0.5, 3.0), d=u(0.3, 3.0))
+    elif tag == "X1-trigonometric":
+        c, beta = u(0.5, 2.0), u(-3.0, 3.0)
+        constants = dict(c=c, beta=beta, d=(1.0 if rng.integers(0, 2) == 0 else -1.0) * u(0.3, 3.0))
+        side = int(rng.integers(0, 2))
+    elif tag == "Xl-Poschl-Teller":
+        # B <= -1.7 keeps the m window wider than 2.2: m, m-1, m-2 and the margin
+        B, fraction = u(-4.0, -1.7), rng.random()
+        constants = dict(B=B, ell=ell())
+    elif tag == "Xl-radial-oscillator":
+        fraction = rng.random()
+        constants = dict(omega=u(0.5, 3.0), ell=ell())
+    else:  # Xl-PT-Scarf, whose region has no edges; family_data rejects an unknown tag
+        p = ParamPoint(m=u(-2.0, 2.0), B=u(-4.0, -0.6), ell=ell())
+        return p, family_data(tag, p)
+    data = family_data(tag, ParamPoint(m=0.0, **constants))
+    iv = data.region.intervals[side]
+    lo, hi = iv.lo + 2.0 + _SAMPLER_MARGIN, iv.hi - _SAMPLER_MARGIN
+    if tag.startswith("X1-"):
+        # a step past the margin from the interval's one finite edge
+        step = u(0.0, 3.0)
+        m = hi - step if np.isinf(lo) else lo + step
+    else:
+        # uniform on (lo, hi), a half-line cut at m = -4: the fraction was
+        # drawn before the constants that fix lo and hi, and lo + (hi - lo) *
+        # rng.random() is rng.uniform(lo, hi) bit for bit
+        lo = max(lo, -4.0)
+        m = lo + (hi - lo) * fraction
+    return ParamPoint(m=m, **constants), data
 
 
 def sample_valid_params(tag: str, count: int, seed: int) -> list[ParamPoint]:
-    """Deterministic valid parameter points, margin 0.1 from region borders.
-
-    Validity is enforced at m, m-1 and m-2 because verification runs always
-    evaluate those translates.
-    """
+    """Deterministic valid parameter points: each family's box of constants,
+    then m in its region with m and m - 2 at least 0.1 from every edge.
+    Validity is enforced at m, m-1 and m-2, which every verification reads."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = _sampler_rng(tag, seed)
     out: list[ParamPoint] = []
     rejections = 0
     while len(out) < count:
-        p = _draw_params(tag, rng)
-        validity = family_data(tag, p).validity
-        if all(validity(p.m - k).valid for k in (0, 1, 2)):
+        p, data = _draw_params(tag, rng)
+        if all(_verdict(data, p.m - k).valid for k in (0, 1, 2)):
             out.append(p)
         else:
             rejections += 1

@@ -53,6 +53,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,8 +410,7 @@ def _dyadic_u(z: float, z0: int, h: int) -> tuple[int, int]:
     return p - z0 * q, h * q
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """The real numbers between lo and hi.  Each end is open unless
     closed = (lower, upper) marks it closed; an infinite end is never in
     the interval."""

@@ -31,6 +31,7 @@ from shapeinv import (
     validity_witness,
     with_perturbation,
 )
+from shapeinv.catalog import family_data
 
 import oracles
 
@@ -132,84 +133,44 @@ def test_criterion_3_equivalence_randomized():
 
 
 def _boundary_cases(tag, rng):
-    """(inside, outside) ParamPoint pairs at margin 0.05 from one inequality
-    boundary of the family; boundaries are cycled across draws."""
+    """(inside, outside) ParamPoint pairs at margin 0.05 from one finite m
+    edge of the family's region, as its record states it; edges are drawn
+    across draws, and Xl-Poschl-Teller also crosses its condition B < -1/2."""
     eps = 0.05
-    if tag == "X1-hyperbolic":
-        c = rng.uniform(0.5, 2.0)
-        beta = rng.uniform(-2.0, 2.0)
-        if rng.integers(0, 2) == 0:
-            d = rng.uniform(-3.0, -0.3)
-            thr = (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)
-            return (
-                ParamPoint(m=thr - eps, c=c, beta=beta, d=d),
-                ParamPoint(m=thr + eps, c=c, beta=beta, d=d),
-            )
-        d = rng.uniform(0.3, 3.0)
-        thr = (2.0 * beta + c * c - 2.0 * c * d) / (2.0 * c * c)
-        return (
-            ParamPoint(m=thr + eps, c=c, beta=beta, d=d),
-            ParamPoint(m=thr - eps, c=c, beta=beta, d=d),
-        )
-    if tag == "X1-radial-oscillator":
-        omega = rng.uniform(0.5, 3.0)
-        d = rng.uniform(0.3, 3.0)
-        thr = -(1.0 + 2.0 * d) / 2.0
-        return (
-            ParamPoint(m=thr - eps, omega=omega, d=d),
-            ParamPoint(m=thr + eps, omega=omega, d=d),
-        )
-    if tag == "X1-trigonometric":
-        c = rng.uniform(0.5, 2.0)
-        beta = rng.uniform(-2.0, 2.0)
-        sgn = 1.0 if rng.integers(0, 2) == 0 else -1.0
-        d = sgn * rng.uniform(0.3, 3.0)
-        # for either d sign the valid set is m < hi or m > lo, with
-        hi = (-2.0 * beta - c * c - 2.0 * c * abs(d)) / (2.0 * c * c)
-        lo = (-2.0 * beta + c * c + 2.0 * c * abs(d)) / (2.0 * c * c)
-        if rng.integers(0, 2) == 0:
-            return (
-                ParamPoint(m=hi - eps, c=c, beta=beta, d=d),
-                ParamPoint(m=hi + eps, c=c, beta=beta, d=d),
-            )
-        return (
-            ParamPoint(m=lo + eps, c=c, beta=beta, d=d),
-            ParamPoint(m=lo - eps, c=c, beta=beta, d=d),
-        )
-    if tag == "Xl-Poschl-Teller":
+    u = rng.uniform
+    if tag == "Xl-PT-Scarf":
+        # Xl-PT-Scarf is non-singular for every parameter point: there is no
+        # inequality boundary to cross, so both slots get valid draws and the
+        # scan must agree on validity for all of them.
         ell = int(rng.integers(1, 4))
-        which = int(rng.integers(0, 3))
-        if which == 2:
+        B = u(-4.0, -0.6)
+        return ParamPoint(m=u(-2.0, 2.0), B=B, ell=ell), None
+    if tag in ("X1-hyperbolic", "X1-trigonometric"):
+        c, beta = u(0.5, 2.0), u(-2.0, 2.0)
+        constants = dict(c=c, beta=beta, d=(1.0 if rng.integers(0, 2) == 0 else -1.0) * u(0.3, 3.0))
+    elif tag == "X1-radial-oscillator":
+        constants = dict(omega=u(0.5, 3.0), d=u(0.3, 3.0))
+    elif tag == "Xl-Poschl-Teller":
+        ell = int(rng.integers(1, 4))
+        if rng.integers(0, 3) == 2:
             # cross the B < -1/2 boundary at m = 0
             return (
                 ParamPoint(m=0.0, B=-0.5 - eps, ell=ell),
                 ParamPoint(m=0.0, B=-0.5 + eps, ell=ell),
             )
-        B = rng.uniform(-4.0, -1.0)
-        hi = -(1.0 + 2.0 * B) / 2.0
-        if which == 0:
-            return (
-                ParamPoint(m=hi - eps, B=B, ell=ell),
-                ParamPoint(m=hi + eps, B=B, ell=ell),
-            )
-        return (
-            ParamPoint(m=-hi + eps, B=B, ell=ell),
-            ParamPoint(m=-hi - eps, B=B, ell=ell),
-        )
-    if tag == "Xl-radial-oscillator":
-        omega = rng.uniform(0.5, 3.0)
-        ell = int(rng.integers(1, 4))
-        return (
-            ParamPoint(m=-0.5 - eps, omega=omega, ell=ell),
-            ParamPoint(m=-0.5 + eps, omega=omega, ell=ell),
-        )
-    # Xl-PT-Scarf is non-singular for every parameter point: there is no
-    # inequality boundary to cross, so both slots get valid draws and the
-    # scan must agree on validity for all of them.
-    ell = int(rng.integers(1, 4))
-    B = rng.uniform(-4.0, -0.6)
-    m = rng.uniform(-2.0, 2.0)
-    return ParamPoint(m=m, B=B, ell=ell), None
+        constants = dict(B=u(-4.0, -1.0), ell=ell)
+    else:
+        constants = dict(omega=u(0.5, 3.0), ell=int(rng.integers(1, 4)))
+    region = family_data(tag, ParamPoint(m=0.0, **constants)).region
+    # each finite edge, with the direction into its interval, of every
+    # interval wide enough to hold a point eps inside it
+    edges = [(edge, inward) for iv in region.intervals if iv.hi - iv.lo > 2.0 * eps
+             for edge, inward in ((iv.lo, 1.0), (iv.hi, -1.0)) if np.isfinite(edge)]
+    edge, inward = edges[rng.integers(len(edges))]
+    return (
+        ParamPoint(m=edge + inward * eps, **constants),
+        ParamPoint(m=edge - inward * eps, **constants),
+    )
 
 
 def test_criterion_4_validity_regions():

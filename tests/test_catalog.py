@@ -229,6 +229,12 @@ class TestValidityWitness:
         assert rep_in.valid and rep_in.agrees
         assert not rep_out.valid and rep_out.agrees
 
+    @pytest.mark.parametrize("tag", ["X1-hyperbolic", "X1-trigonometric"])
+    def test_zero_c_names_its_condition(self, tag):
+        # every m edge divides by c; c = 0 once raised ZeroDivisionError
+        rep = validity_witness(tag, ParamPoint(m=1.0, c=0.0, beta=0.5, d=1.0))
+        assert not rep.valid and rep.violated == "c > 0"
+
     def test_trigonometric_band_point(self):
         # D+- = 4 -+ 2 sin(2x): neither vanishes
         rep = validity_witness("X1-trigonometric", ParamPoint(m=0.0, c=2.0, beta=0.0, d=0.5))
@@ -239,7 +245,9 @@ class TestValidityWitness:
     def test_trigonometric_band_edges_agree_with_scan(self, c, beta, d, side):
         # the band |2*beta + 2*c^2*m| < c^2 - 2*c*|d| between the two outer
         # intervals, 0.05 inside and outside each of its edges
-        edge = (side * (c * c - 2.0 * c * abs(d)) - 2.0 * beta) / (2.0 * c * c)
+        region = family_data("X1-trigonometric", ParamPoint(m=0.0, c=c, beta=beta, d=d)).region
+        (band,) = region.intervals[2:]
+        edge = band.hi if side > 0.0 else band.lo
         for step, inside in ((-0.05 * side, True), (0.05 * side, False)):
             rep = validity_witness("X1-trigonometric",
                                    ParamPoint(m=edge + step, c=c, beta=beta, d=d))
@@ -428,15 +436,17 @@ class TestSampler:
         b = sample_valid_params("X1-trigonometric", 4, seed=99)
         assert a == b
 
-    def test_x1_radial_margin(self):
-        for p in sample_valid_params("X1-radial-oscillator", 3, seed=7):
-            assert p.m < -(1.0 + 2.0 * p.d) / 2.0 - 0.1
-
-    def test_poschl_teller_box(self):
-        for p in sample_valid_params("Xl-Poschl-Teller", 4, seed=1):
-            assert p.B < -0.6
-            lo = (1.0 + 2.0 * p.B) / 2.0
-            assert lo < p.m < -lo
+    # the five real families are the ones whose regions have closed forms
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_margin_from_region_edges(self, tag):
+        # m, m-1 and m-2 keep the sampler's margin 0.1 from every edge of the
+        # region, up to the rounding of m - k
+        for seed in range(200):
+            for p in sample_valid_params(tag, 5, seed):
+                intervals = family_data(tag, p).region.intervals
+                gap = min(abs(p.m - k - edge) for k in (0, 1, 2) for iv in intervals
+                          for edge in (iv.lo, iv.hi) if math.isfinite(edge))
+                assert gap >= 0.1 - 1e-12, (seed, p, gap)
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_translates_stay_valid(self, tag):

@@ -57,6 +57,15 @@ class TestVerify:
         assert code == 2
         assert "m < -(1 + 2*d)/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tag", ["X1-hyperbolic", "X1-trigonometric"])
+    def test_zero_c_exit_2(self, tag, capsys):
+        # the m edges and X1-trigonometric's domain divide by c, which once
+        # raised ZeroDivisionError (exit 1, the violation code)
+        code = main(["verify", "--family", tag,
+                     "--params", '{"m": 1.0, "c": 0.0, "beta": 0.5, "d": 1.0}'])
+        assert code == 2
+        assert "violates c > 0" in capsys.readouterr().err
+
     def test_invalid_first_translate_exit_2(self, capsys):
         # m = 0.3 and 1.3 lie in the region m > 0, but translation, algebra,
         # equivalence and the remainder also read W at m_list[0] - 1 = -0.7

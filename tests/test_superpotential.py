@@ -10,6 +10,7 @@ from shapeinv import (
     PoleError,
     InvalidParameterError,
     PERTURBATION_MODES,
+    REAL_TAGS,
     eval_w,
     eval_w_deriv,
     get_family,
@@ -218,14 +219,14 @@ class TestMakeGrid:
             make_grid(entry.family, GridSpec())
         assert err.value.violated == "m < -(1 + 2*d)/2"
 
-    def test_hyperbolic_keeps_clear_of_denominator_roots(self):
-        params = ParamPoint(m=-4.0, c=1.0, beta=0.5, d=-1.0)
-        entry = get_family("X1-hyperbolic", params)
-        grid = make_grid(entry.family, GridSpec(n_points=512), m_values=(-4.0, -5.0, -6.0))
-        assert grid.size == 512
-        roots = entry.family.poles((-4.0, -5.0, -6.0))
-        for r in roots:
-            assert np.min(np.abs(grid - r)) >= 1e-3
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_sampled_points_have_no_poles(self, tag):
+        # the sampler draws inside the region at m, m-1 and m-2, where no
+        # denominator vanishes in the domain
+        for seed in range(100):
+            for p in sample_valid_params(tag, 5, seed):
+                poles = get_family(tag, p).family.poles((p.m, p.m - 1.0, p.m - 2.0))
+                assert poles == (), (seed, p, poles)
 
     def test_scarf_puncture_excluded(self):
         entry = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))

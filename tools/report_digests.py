@@ -14,8 +14,10 @@ config field (EVERY_FIELD, written to a temporary directory), and
 `verify --m-list` on a list whose first translate m - 1 leaves the region
 (OUTSIDE_TRANSLATE: exit 2 and an empty report), and prints
 one line per report: the sha256 of its bytes, the command, the family, the
-seed and the exit code.  Running it on two checkouts and diffing the output
-lists every report that a change alters.
+seed and the exit code.  Then it prints one line per family for the
+sampler: the sha256 of the repr of sample_valid_params(tag, 5, s) for every
+s in SAMPLER_SEEDS.  Running it on two checkouts and diffing the output
+lists every report, and every family's draws, that a change alters.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ EVERY_FIELD = {
 OUTSIDE_TRANSLATE = ("X1-hyperbolic", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.0}', "0.3,1.3")
 
 
+# the sampler's seeds: each family's draws, 5 points per seed, digested together
+SAMPLER_SEEDS = range(200)
+
+
 def configs(tmp: Path):
     """(label, argv) of every report, in a fixed order; tmp is a directory
     for the config file."""
@@ -116,6 +122,10 @@ def run() -> None:
         for label, argv in configs(Path(tmp)):
             sha, code = digest(argv)
             print(f"{sha}  {label} exit={code}")
+    for tag in catalog.FAMILY_TAGS:
+        draws = [catalog.sample_valid_params(tag, 5, s) for s in SAMPLER_SEEDS]
+        sha = hashlib.sha256(repr(draws).encode("utf-8")).hexdigest()
+        print(f"{sha}  sample {tag} seeds={SAMPLER_SEEDS.start}..{SAMPLER_SEEDS.stop - 1} count=5")
 
 
 if __name__ == "__main__":
