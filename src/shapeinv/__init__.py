@@ -12,7 +12,6 @@ cross-validates shape invariance with a finite-difference eigensolver.
 from .catalog import (
     FAMILY_TAGS,
     REAL_TAGS,
-    CatalogEntry,
     ValidityReport,
     get_family,
     sample_valid_params,
@@ -33,7 +32,6 @@ from .errors import (
     DomainError,
     InvalidParameterError,
     ParamSchemaError,
-    PoleError,
     SamplingError,
     ShapeInvError,
     UnsupportedError,
@@ -64,8 +62,6 @@ from .superpotential import (
     ParamPoint,
     SuperpotentialFamily,
     Verdict,
-    eval_w,
-    eval_w_deriv,
     make_grid,
     with_perturbation,
 )

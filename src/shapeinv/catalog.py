@@ -35,7 +35,8 @@ pole); p_plus and p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when
 linear is set, else a PolySpec); forbidden (where the region allows no
 real root t of P, as a tuple of polynomials.Interval, each end open or
 closed); region (where the family is non-singular, a Region); expected_ab
-(the factorization constants); and for a complex family is_real, punctures
+(the factorization constants, which the built family carries for
+run_condition_checks to match); and for a complex family is_real, punctures
 (its declared poles) and scan (a test of P that replaces the real-root
 test; Xl-PT-Scarf's asks exactly whether P has a root i*s, real s != 0).
 
@@ -82,15 +83,6 @@ from .superpotential import ParamPoint, SuperpotentialFamily, Verdict
 _SAMPLER_MARGIN = 0.1
 # Largest Xl degree the sampler draws; verification is checked up to here.
 _ELL_MAX = 10
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A parameter-bound family plus its expected factorization constants."""
-
-    family: SuperpotentialFamily
-    expected_a: float
-    expected_b: float
 
 
 @dataclass(frozen=True)
@@ -170,33 +162,34 @@ def _log_derivs(data: FamilyData, g_dd: Callable):
     complex128 for the complex family's imaginary one, so W1 keeps the
     family's dtype.  W1 and W1' are formed once per distinct spec and then
     gathered into their (P, m) rows.  Where g(x) is not finite D is nan, and
-    where D is zero W1 is not finite: the evaluator never raises there, so
-    the grid's edge probe can test many abscissae in one call."""
+    where D is zero W1 is not finite: the evaluator neither raises nor warns
+    there, so the grid's edge probe can test many abscissae in one call."""
     g, g_d, linear = data.g, data.g_deriv, data.linear
     pair = (data.p_plus, data.p_minus)
 
     def w1(x, m_values):
-        gx = g(x)
-        if linear:
-            # D'' = p1*g'' alone: P''(g)*g'**2 would be 0*inf = nan
-            # wherever g'**2 overflows (cosh(c x) beyond c x = 355)
-            coef = np.array([P(m) for P in pair for m in m_values], dtype=float)
-            p0, p1 = coef.T.reshape((2, -1) + (1,) * np.ndim(gx))  # one row per (P, m)
-            D, D1, D2 = p0 + p1 * gx, p1 * g_d(x), p1 * g_dd(gx)
-            rows = slice(None)
-        else:
-            specs = [P(m) for P in pair for m in m_values]
-            distinct = list(dict.fromkeys(specs))
-            bad = ~np.isfinite(gx)
-            # z = 1 stands in where g(x) is not finite: any finite value would
-            # do, and |z| = 1 keeps those points in the series basis
-            rows = [distinct.index(s) for s in specs]
-            P0, P1, P2 = poly_eval(distinct[0], np.where(bad, 1.0, gx), 2,
-                                   more=tuple(distinct[1:]))
-            gd = g_d(x)
-            D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(gx)
-        r = D1 / D
-        rd = D2 / D - r * r
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gx = g(x)
+            if linear:
+                # D'' = p1*g'' alone: P''(g)*g'**2 would be 0*inf = nan
+                # wherever g'**2 overflows (cosh(c x) beyond c x = 355)
+                coef = np.array([P(m) for P in pair for m in m_values], dtype=float)
+                p0, p1 = coef.T.reshape((2, -1) + (1,) * np.ndim(gx))  # one row per (P, m)
+                D, D1, D2 = p0 + p1 * gx, p1 * g_d(x), p1 * g_dd(gx)
+                rows = slice(None)
+            else:
+                specs = [P(m) for P in pair for m in m_values]
+                distinct = list(dict.fromkeys(specs))
+                bad = ~np.isfinite(gx)
+                # z = 1 stands in where g(x) is not finite: any finite value
+                # would do, and |z| = 1 keeps those points in the series basis
+                rows = [distinct.index(s) for s in specs]
+                P0, P1, P2 = poly_eval(distinct[0], np.where(bad, 1.0, gx), 2,
+                                       more=tuple(distinct[1:]))
+                gd = g_d(x)
+                D, D1, D2 = np.where(bad, np.nan, P0), P1 * gd, P2 * gd * gd + P1 * g_dd(gx)
+            r = D1 / D
+            rd = D2 / D - r * r
         r, rd = r[rows], rd[rows]
         k = len(m_values)
         return r[:k], rd[:k], r[k:], rd[k:]
@@ -210,10 +203,11 @@ def _affine(data: FamilyData, g_dd: Callable):
     dK0, dK1 = _deriv(data.K0), _deriv(data.K1)
 
     def affine(x):
-        t, gd = data.g(x), data.g_deriv(x)
-        ratio = g_dd(t) / gd
-        k0, k1 = _horner(data.K0, t) / gd, _horner(data.K1, t) / gd
-        return k0, _horner(dK0, t) - k0 * ratio, k1, _horner(dK1, t) - k1 * ratio
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t, gd = data.g(x), data.g_deriv(x)
+            ratio = g_dd(t) / gd
+            k0, k1 = _horner(data.K0, t) / gd, _horner(data.K1, t) / gd
+            return k0, _horner(dK0, t) - k0 * ratio, k1, _horner(dK1, t) - k1 * ratio
 
     return affine
 
@@ -260,11 +254,18 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
         affine=_affine(data, g_dd), w1=_log_derivs(data, g_dd),
         validity_fn=functools.partial(_verdict, data), poles_fn=poles,
-        scan_clear_fn=functools.partial(_scan_clear, data),
+        expected_ab=tuple(float(v) for v in data.expected_ab),
     )
 
 
 # X1 families: P is p0 + p1*t in t = cosh(c x), x**2 or sin(c x).
+
+def _x1_conditions(c: float, d: float) -> tuple:
+    """The conditions on X1-hyperbolic's and X1-trigonometric's constants.
+    Their m edges divide by 2*c^2, which underflows to 0 for c below about
+    1e-162."""
+    return (c > 0.0, "c > 0"), (2.0 * c * c > 0.0, "2*c^2 > 0"), (d != 0.0, "d != 0")
+
 
 def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
     return FamilyData(
@@ -277,7 +278,7 @@ def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
         p_minus=lambda m: (-2.0 * beta + c * c * (2.0 * m - 1.0), 2.0 * c * d),
         linear=True, forbidden=(Interval(1.0, np.inf),),
         region=_region(
-            ((c > 0.0, "c > 0"), (d != 0.0, "d != 0")),
+            _x1_conditions(c, d),
             "m < (2*beta - c^2 - 2*c*d)/(2*c^2)" if d < 0.0
             else "m > (2*beta + c^2 - 2*c*d)/(2*c^2)",
             lambda: (Interval(-np.inf, (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)),)
@@ -328,7 +329,7 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
         p_plus=lambda m: (2.0 * beta + c * c * (1.0 + 2.0 * m), -2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
         linear=True, forbidden=(Interval(-1.0, 1.0),),
-        region=_region(((c > 0.0, "c > 0"), (d != 0.0, "d != 0")), statement, intervals),
+        region=_region(_x1_conditions(c, d), statement, intervals),
         expected_ab=(-c ** 2, beta),
     )
 
@@ -432,8 +433,9 @@ def family_data(tag: str, params: ParamPoint) -> FamilyData:
     return record(*values)
 
 
-def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
-    """Build the tagged family at the given parameters.
+def get_family(tag: str, params: ParamPoint) -> SuperpotentialFamily:
+    """Build the tagged family at the given parameters, with its expected
+    factorization constants as expected_ab.
 
     Raises ParamSchemaError for missing constants, UnsupportedError for an
     unknown tag or ell = 0, InvalidParameterError for the degenerate
@@ -441,9 +443,7 @@ def get_family(tag: str, params: ParamPoint) -> CatalogEntry:
     """
     data = family_data(tag, params)
     constants = ", ".join(f"{n}={float(getattr(params, n)):g}" for n in _FAMILIES[tag][0])
-    a, b = data.expected_ab
-    return CatalogEntry(family=_build(f"{tag}({constants})", tag, params, data),
-                        expected_a=float(a), expected_b=float(b))
+    return _build(f"{tag}({constants})", tag, params, data)
 
 
 def validity_witness(tag: str, params: ParamPoint) -> ValidityReport:

@@ -8,12 +8,16 @@ report formats in COMMANDS:
             tolerances; exit 0 iff every verdict passes, 1 on any violation,
             2 on input/config errors.
   scan      emit plot-ready CSV columns: x, epsilon(x) per requested m, and
-            the partner potentials for real families.  With
-            --m-list m,m-1,m-2 its grid is the one verify uses for the same
-            point.
-  spectrum  run the isospectrality cross-check and report the V+ spectrum
-            with its error estimates, the remainder R, its flatness and the
-            Weyl bound on the level mismatch as JSON.
+            the partner potentials for real families, at one parameter
+            point.  With --m-list m,m-1,m-2 its grid is the one verify uses
+            for the same point.
+  spectrum  run the isospectrality cross-check at one parameter point and
+            one m, and report the V+ spectrum with its error estimates, the
+            remainder R, its flatness and the Weyl bound on the level
+            mismatch as JSON.
+
+scan and spectrum exit 2 on --sample N > 1, and spectrum on an m list of
+more than one value, rather than drop the rest.
 
 A run's RunConfig is the command's defaults, updated by a config file
 (--config: one JSON object whose keys are RunConfig's fields, and grid's
@@ -173,12 +177,19 @@ def _resolve_points(cfg: RunConfig) -> list[ParamPoint]:
     return catalog.sample_valid_params(cfg.family, cfg.sample, cfg.seed)
 
 
-def _entry_for(cfg: RunConfig, point: ParamPoint):
-    entry = catalog.get_family(cfg.family, point)
-    family = entry.family
+def _one_point(cfg: RunConfig, command: str) -> ParamPoint:
+    """The one parameter point that scan and spectrum run."""
+    if cfg.sample > 1:
+        raise UsageError(f"{command} runs one parameter point: sample must be at most 1, "
+                         f"got {cfg.sample}")
+    return _resolve_points(cfg)[0]
+
+
+def _family_for(cfg: RunConfig, point: ParamPoint):
+    family = catalog.get_family(cfg.family, point)
     if cfg.perturb:
         family = with_perturbation(family, "wminus-slope", cfg.perturb)
-    return entry, family
+    return family
 
 
 def _fmt17(v: float) -> str:
@@ -217,7 +228,7 @@ def _m_values(cfg: RunConfig, point: ParamPoint, command: str) -> tuple:
 
 
 def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
-    entry, family = _entry_for(cfg, point)
+    family = _family_for(cfg, point)
     m_list = _m_values(cfg, point, "verify")
     tols = cfg.tolerance_map()
 
@@ -233,7 +244,6 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
         checks=cfg.checks,
         tolerances=tols,
         grid_spec=cfg.grid,
-        expected_ab=(entry.expected_a, entry.expected_b),
         values=values,
     )
     extra = {"param_index": index}
@@ -276,8 +286,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    point = _resolve_points(cfg)[0]
-    entry, family = _entry_for(cfg, point)
+    point = _one_point(cfg, "scan")
+    family = _family_for(cfg, point)
     m_list = _m_values(cfg, point, "scan")
     grid = make_grid(family, cfg.grid, m_values=m_list)
 
@@ -300,9 +310,12 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    point = _resolve_points(cfg)[0]
-    entry, family = _entry_for(cfg, point)
-    m = _m_values(cfg, point, "spectrum")[0]
+    point = _one_point(cfg, "spectrum")
+    m_list = _m_values(cfg, point, "spectrum")
+    if len(m_list) > 1:
+        raise UsageError(f"spectrum runs one m: m_list must hold one value, got {len(m_list)}")
+    m = m_list[0]
+    family = _family_for(cfg, point)
     iso = check_isospectrality(family, m, k=cfg.k, n_points=cfg.spectrum_points)
 
     doc = _report_skeleton(cfg, "spectrum")

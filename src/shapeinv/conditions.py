@@ -251,7 +251,6 @@ def run_condition_checks(
     checks=CHECK_NAMES,
     tolerances: dict | None = None,
     grid_spec: GridSpec | None = None,
-    expected_ab: tuple[float, float] | None = None,
     *,
     values: GridValues | None = None,
 ) -> ResidualReport:
@@ -262,8 +261,8 @@ def run_condition_checks(
     read W at every m of m_list and at m_list[0] - 1, the translate that
     translation, algebra and equivalence read, so the grid must avoid the
     poles of all of them (make_grid with those m_values does that).  When
-    expected_ab is given, the inferred constants are also matched against
-    it under the infeld_hull tolerance.
+    the family has expected_ab (every catalog family does), the inferred
+    constants are also matched against it under the infeld_hull tolerance.
     The family is evaluated once (grid_values): affine on the grid, and w1
     at all those m; values, that grid_values result, spares the
     evaluation.  The checks share those values, so each residual equals
@@ -291,8 +290,9 @@ def run_condition_checks(
         report.inferred_a = constants.a
         report.inferred_b = constants.b
         report.record("infeld_hull", tol["infeld_hull"], infeld_hull=r)
-        if expected_ab is not None:
-            match = _worst(constants.a - expected_ab[0], constants.b - expected_ab[1])
+        if family.expected_ab is not None:
+            a, b = family.expected_ab
+            match = _worst(constants.a - a, constants.b - b)
             report.record("infeld_hull_match", tol["infeld_hull"], infeld_hull_match=match)
     if "algebra" in checks:
         report.record("algebra", tol["algebra"],

@@ -32,18 +32,6 @@ class InvalidParameterError(ShapeInvError, ValueError):
         super().__init__(message or f"invalid parameters: violated {violated}")
 
 
-class PoleError(ShapeInvError, ArithmeticError):
-    """Evaluation at, or too close to, a denominator root."""
-
-    def __init__(self, x: float, root: float | None = None):
-        self.x = x
-        self.root = root
-        where = f"x = {x}"
-        if root is not None:
-            where += f" (denominator root at {root})"
-        super().__init__(f"evaluation hit a pole near {where}")
-
-
 class SamplingError(ShapeInvError, RuntimeError):
     """Rejection sampler exhausted its budget (empty or razor-thin region)."""
 

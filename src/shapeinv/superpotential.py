@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, PoleError, UsageError
+from .errors import InvalidParameterError, UsageError
 
 DEFAULT_POLE_RADIUS = 1e-3
 
@@ -70,9 +70,6 @@ class ParamPoint:
     def to_dict(self) -> dict:
         return {"m": self.m, **self.constants()}
 
-    def with_m(self, m: float) -> "ParamPoint":
-        return dataclasses.replace(self, m=float(m))
-
 
 # m, then the family constants; ell comes last
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ParamPoint))
@@ -103,19 +100,6 @@ class GridSpec:
             raise ValueError("pole_exclusion_radius must be finite and > 0")
 
 
-def _quiet(fn):
-    """Silence IEEE warnings inside evaluators: intermediate overflow at deep
-    asymptotic points (1/sinh^2 underflowing through inf) is expected and
-    benign; genuine NaNs still propagate and fail verdicts loudly."""
-
-    def wrapped(*args):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(*args)
-
-    wrapped._quiet_wrapped = True
-    return wrapped
-
-
 @dataclass(frozen=True)
 class SuperpotentialFamily:
     """Evaluation contract for one family at fixed constants.
@@ -129,6 +113,14 @@ class SuperpotentialFamily:
     polynomial kernel pass for every m.  ``w_rows`` assembles W from both.
     W1- is always its own transcribed formula rather than W1+ at m - 1, so
     the translation identity is a genuine two-route check.
+
+    Where the family does not evaluate (g(x) overflows, D vanishes) the
+    evaluators return inf or nan, and they neither raise nor warn there
+    (the catalog's evaluate under np.errstate): intermediate overflow at
+    deep asymptotic points is expected, and a nan still fails every verdict
+    that reads it.  expected_ab holds the
+    factorization constants (a, b) that run_condition_checks matches the
+    inferred ones against; None leaves that match out.
     """
 
     name: str
@@ -140,15 +132,7 @@ class SuperpotentialFamily:
     w1: Callable
     validity_fn: Callable[[float], Verdict] = field(repr=False)
     poles_fn: Callable[[tuple], tuple] = field(repr=False)
-    scan_clear_fn: Callable[[float], bool] = field(repr=False)
-
-    _EVALUATORS = ("affine", "w1")
-
-    def __post_init__(self):
-        for fname in self._EVALUATORS:
-            fn = getattr(self, fname)
-            if not getattr(fn, "_quiet_wrapped", False):
-                object.__setattr__(self, fname, _quiet(fn))
+    expected_ab: tuple[float, float] | None = None
 
     def w_rows(self, x, m_values):
         """(W, W') with W = W0 + W1+ - W1-, one row per m, from one call of
@@ -162,10 +146,6 @@ class SuperpotentialFamily:
         """x positions of all denominator roots inside the domain at every
         m of m_values, each distinct denominator's found once."""
         return self.poles_fn(m_values)
-
-    def scan_clear(self, m: float) -> bool:
-        """Independent root test: True when no offending root is found."""
-        return self.scan_clear_fn(m)
 
 
 def assemble_w(affine: tuple, w1: tuple, m_values):
@@ -182,38 +162,6 @@ def _rows(values, ndim: int) -> np.ndarray:
     """The floats values as a column that broadcasts one per row against
     arrays of ndim further axes."""
     return np.reshape(np.asarray(values, dtype=float), (-1,) + (1,) * ndim)
-
-
-def _as_x(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def eval_w(family: SuperpotentialFamily, x, m: float | None = None,
-           pole_radius: float = DEFAULT_POLE_RADIUS):
-    """W(x, m) as complex, guarding a pole_radius neighbourhood of each pole."""
-    return _eval_guarded(family, x, m, pole_radius, 0)
-
-
-def eval_w_deriv(family: SuperpotentialFamily, x, m: float | None = None,
-                 pole_radius: float = DEFAULT_POLE_RADIUS):
-    """dW/dx assembled from the analytic component derivatives."""
-    return _eval_guarded(family, x, m, pole_radius, 1)
-
-
-def _eval_guarded(family, x, m, pole_radius, entry):
-    m = family.params.m if m is None else float(m)
-    xs, scalar = _as_x(x)
-    lo, hi = family.domain
-    if np.any(xs <= lo) or np.any(xs >= hi):
-        raise UsageError(f"x outside the open domain ({lo}, {hi}) of {family.name}")
-    for root in family.poles((m,)):
-        dist = np.abs(xs - root)
-        if np.any(dist < pole_radius):
-            bad = float(np.asarray(xs)[dist < pole_radius].flat[0])
-            raise PoleError(bad, root)
-    out = np.asarray(family.w_rows(xs, (m,))[entry][0], dtype=np.complex128)
-    return complex(out[()]) if scalar else out
 
 
 def _edge_passes(family, m_values, xs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
         w1=zero,
         validity_fn=lambda m_: Verdict(True, None),
         poles_fn=lambda m_: (),
-        scan_clear_fn=lambda m_: True,
     )
 
 

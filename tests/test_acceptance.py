@@ -48,7 +48,7 @@ def test_criterion_1_identity_suite():
     worst = {"translation": 0.0, "compatibility": 0.0, "algebra": 0.0, "equivalence": 0.0}
     for tag in FAMILY_TAGS:
         for p in sample_valid_params(tag, 5, seed=101):
-            fam = get_family(tag, p).family
+            fam = get_family(tag, p)
             m_list = (p.m, p.m - 1.0, p.m - 2.0)
             grid = make_grid(fam, GridSpec(n_points=512), m_values=m_list)
             worst["translation"] = max(worst["translation"], check_translation(fam, p.m, grid))
@@ -81,15 +81,12 @@ def test_criterion_2_constants_suite():
     worst_const = 0.0
     for tag in FAMILY_TAGS:
         for p in sample_valid_params(tag, 5, seed=202):
-            entry = get_family(tag, p)
-            grid = make_grid(entry.family, GridSpec(n_points=512), m_values=(p.m,))
-            constants, resid = check_infeld_hull(entry.family, grid)
+            fam = get_family(tag, p)
+            grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m,))
+            constants, resid = check_infeld_hull(fam, grid)
+            a, b = fam.expected_ab
             worst_const = max(worst_const, resid)
-            worst_match = max(
-                worst_match,
-                abs(constants.a - entry.expected_a),
-                abs(constants.b - entry.expected_b),
-            )
+            worst_match = max(worst_match, abs(constants.a - a), abs(constants.b - b))
     ok = worst_match < 1e-9 and worst_const < 1e-9
     report(
         2,
@@ -112,7 +109,7 @@ def test_criterion_3_equivalence_randomized():
     for i in range(1000):
         tag = FAMILY_TAGS[i % len(FAMILY_TAGS)]
         p = sample_valid_params(tag, 1, seed=3000 + i)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         grid = make_grid(fam, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0))
         mode = modes[i % len(modes)]
         if mode:
@@ -204,7 +201,7 @@ def test_criterion_5_spectral_suite():
     worst_mismatch = 0.0
     for tag in REAL_TAGS:
         p = sample_valid_params(tag, 1, seed=505)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m, p.m - 1.0))
         _, flat = remainder(fam, p.m, grid)
         worst_flat = max(worst_flat, flat)
@@ -240,16 +237,16 @@ def test_criterion_6_negative_controls():
     1e-3, and a pure translation violation is flagged by the final chain
     step."""
     p = sample_valid_params("X1-radial-oscillator", 1, seed=606)[0]
-    fam = get_family("X1-radial-oscillator", p).family
+    fam = get_family("X1-radial-oscillator", p)
     grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m, p.m - 1.0))
     hyp = sample_valid_params("X1-hyperbolic", 1, seed=606)[0]
-    hyp_fam = get_family("X1-hyperbolic", hyp).family
+    hyp_fam = get_family("X1-hyperbolic", hyp)
     hyp_grid = make_grid(hyp_fam, GridSpec(n_points=512), m_values=(hyp.m,))
     # the box-walled trigonometric family has the most level-sensitive
     # spectrum; radial perturbation profiles are nearly constant and get
     # absorbed into the remainder shift
     trig = sample_valid_params("X1-trigonometric", 1, seed=606)[0]
-    trig_fam = get_family("X1-trigonometric", trig).family
+    trig_fam = get_family("X1-trigonometric", trig)
 
     flagged = {}
     flagged["translation"] = check_translation(
@@ -293,7 +290,7 @@ def test_criterion_7_oracle_agreement():
     for i in range(100):
         tag = FAMILY_TAGS[i % len(FAMILY_TAGS)]
         p = sample_valid_params(tag, 1, seed=7000 + i)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
         x = float(rng.choice(grid[4:-4]))
 

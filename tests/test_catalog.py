@@ -52,8 +52,8 @@ class TestGetFamily:
             get_family("Xl-Poschl-Teller", ParamPoint(m=0.0, B=0.5, ell=2))
 
     def test_x1_radial_w1plus_value(self):
-        entry = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=2.0, d=1.0))
-        got = entry.family.w1(np.asarray([1.0]), (-3.0,))[0][0, 0]
+        fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=2.0, d=1.0))
+        got = fam.w1(np.asarray([1.0]), (-3.0,))[0][0, 0]
         assert got == pytest.approx(0.8, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -69,17 +69,16 @@ class TestGetFamily:
     )
     def test_expected_constants(self, tag, expected):
         p = sample_valid_params(tag, 1, seed=2)[0]
-        entry = get_family(tag, p)
+        fam = get_family(tag, p)
         a, b = expected(p)
-        assert entry.expected_a == pytest.approx(a)
-        assert entry.expected_b == pytest.approx(b)
+        assert fam.expected_ab == pytest.approx((a, b))
 
 
 class TestTranslationIdentity:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_translation_exact_substitution(self, tag):
         for p in sample_valid_params(tag, 5, seed=41):
-            fam = get_family(tag, p).family
+            fam = get_family(tag, p)
             grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m, p.m - 1.0))
             assert check_translation(fam, p.m, grid) < 1e-12
 
@@ -91,7 +90,7 @@ class TestW1Dtype:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_w1_rows(self, tag):
         p = sample_valid_params(tag, 1, seed=3)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         rows = fam.w1(make_grid(fam, GridSpec(n_points=64)), (p.m, p.m - 1.0))
         want = np.float64 if tag in REAL_TAGS else np.complex128
         assert [r.dtype for r in rows] == [want] * 4
@@ -101,9 +100,9 @@ class TestW1Dtype:
 class TestDegreeOneClosedForms:
     def test_xl_radial_ell1(self):
         # spec of the ratio at ell = 1: W1+ = x / (2.5 + x^2/2) for omega=1, m=-3
-        entry = get_family("Xl-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, ell=1))
+        fam = get_family("Xl-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, ell=1))
         xs = np.linspace(0.3, 4.0, 40)
-        (got,), _, (got_m,), _ = entry.family.w1(xs, (-3.0,))
+        (got,), _, (got_m,), _ = fam.w1(xs, (-3.0,))
         assert np.max(np.abs(got - xs / (2.5 + xs**2 / 2.0))) < 1e-12
         # W1- closed form: omega*x / ((1/2 - m) + omega*x^2/2)
         assert np.max(np.abs(got_m - xs / (3.5 + xs**2 / 2.0))) < 1e-12
@@ -111,24 +110,24 @@ class TestDegreeOneClosedForms:
     def test_xl_poschl_teller_ell1(self):
         # degree-0 over degree-1 Jacobi: P1^{(a,b)}(t) = (a+1) + (a+b+2)(t-1)/2
         B, m = -1.0, 0.0
-        entry = get_family("Xl-Poschl-Teller", ParamPoint(m=m, B=B, ell=1))
+        fam = get_family("Xl-Poschl-Teller", ParamPoint(m=m, B=B, ell=1))
         xs = np.linspace(0.3, 3.0, 30)
         t = np.cosh(xs)
         pref = 0.5 * (1.0 - 2.0 * B - 1.0)
         p1 = (-B + m - 0.5 + 1.0) + (-2.0 * B) * (t - 1.0) / 2.0
         expected = pref * np.sinh(xs) / p1
-        got = entry.family.w1(xs, (m,))[0][0]
+        got = fam.w1(xs, (m,))[0][0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_xl_scarf_ell1(self):
         B, m = -1.5, 0.4
-        entry = get_family("Xl-PT-Scarf", ParamPoint(m=m, B=B, ell=1))
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=m, B=B, ell=1))
         xs = np.linspace(-2.0, 2.0, 21)
         z = 1j * np.sinh(xs)
         pref = 0.5j * (1.0 - 2.0 * B - 1.0)
         p1 = (-B + m - 0.5 + 1.0) + (-2.0 * B) * (z - 1.0) / 2.0
         expected = pref * np.cosh(xs) / p1
-        got = entry.family.w1(xs, (m,))[0][0]
+        got = fam.w1(xs, (m,))[0][0]
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -136,12 +135,11 @@ class TestInfeldHullConstants:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_constants_match_catalog(self, tag):
         p = sample_valid_params(tag, 1, seed=5)[0]
-        entry = get_family(tag, p)
-        grid = make_grid(entry.family, GridSpec(n_points=256), m_values=(p.m,))
-        constants, residual = check_infeld_hull(entry.family, grid)
+        fam = get_family(tag, p)
+        grid = make_grid(fam, GridSpec(n_points=256), m_values=(p.m,))
+        constants, residual = check_infeld_hull(fam, grid)
         assert residual < 1e-9
-        assert constants.a == pytest.approx(entry.expected_a, abs=1e-9)
-        assert constants.b == pytest.approx(entry.expected_b, abs=1e-9)
+        assert (constants.a, constants.b) == pytest.approx(fam.expected_ab, abs=1e-9)
 
 
 class TestValidityWitness:
@@ -229,11 +227,14 @@ class TestValidityWitness:
         assert rep_in.valid and rep_in.agrees
         assert not rep_out.valid and rep_out.agrees
 
+    @pytest.mark.parametrize("c, condition", [(0.0, "c > 0"), (1e-170, "2*c^2 > 0"),
+                                              (1e-200, "2*c^2 > 0")])
     @pytest.mark.parametrize("tag", ["X1-hyperbolic", "X1-trigonometric"])
-    def test_zero_c_names_its_condition(self, tag):
-        # every m edge divides by c; c = 0 once raised ZeroDivisionError
-        rep = validity_witness(tag, ParamPoint(m=1.0, c=0.0, beta=0.5, d=1.0))
-        assert not rep.valid and rep.violated == "c > 0"
+    def test_zero_c_names_its_condition(self, tag, c, condition):
+        # every m edge divides by 2*c^2; c = 0, and a c > 0 whose 2*c^2
+        # underflows to 0, once raised ZeroDivisionError
+        rep = validity_witness(tag, ParamPoint(m=1.0, c=c, beta=0.5, d=1.0))
+        assert not rep.valid and rep.violated == condition
 
     def test_trigonometric_band_point(self):
         # D+- = 4 -+ 2 sin(2x): neither vanishes
@@ -290,7 +291,7 @@ class TestWitnessRootTest:
                 end = Fraction(hi if math.isinf(lo) else lo)
                 offending += oracles.sturm_count(exact, lo, hi)
                 offending += sum(c * end ** k for k, c in enumerate(exact)) == 0
-        assert get_family(tag, p).family.scan_clear(p.m) == (offending == 0), p
+        assert validity_witness(tag, p).scan_clear == (offending == 0), p
 
     # each Xl family on both sides of its region, and points where Descartes'
     # rule is inconclusive, so that the isolation stage runs
@@ -327,7 +328,7 @@ class TestAffineRecord:
         polyval = np.polynomial.polynomial.polyval
         for p in sample_valid_params(tag, 3, seed=17):
             data = family_data(tag, p)
-            grid = make_grid(get_family(tag, p).family, GridSpec(n_points=128))
+            grid = make_grid(get_family(tag, p), GridSpec(n_points=128))
             # where g'**2 stays finite (X1-hyperbolic grids reach cosh(c x)
             # past 1e154)
             grid = grid[np.abs(data.g_deriv(grid)) < 1e150]
@@ -380,7 +381,7 @@ class TestFamilyData:
 
     @pytest.mark.parametrize("tag,p", POINTS)
     def test_poles_are_denominator_zeros(self, tag, p):
-        family = get_family(tag, p).family
+        family = get_family(tag, p)
         data = family_data(tag, p)
         poles = family.poles((p.m,))
         assert poles
@@ -407,7 +408,7 @@ class TestFamilyData:
         real_roots_in = shapeinv.catalog.real_roots_in
         monkeypatch.setattr(shapeinv.catalog, "real_roots_in",
                             lambda spec, iv: specs.append(spec) or real_roots_in(spec, iv))
-        family = get_family("Xl-Poschl-Teller", ParamPoint(m=-2.5, B=-2.0, ell=1)).family
+        family = get_family("Xl-Poschl-Teller", ParamPoint(m=-2.5, B=-2.0, ell=1))
         m_values = (-2.5, -3.5, -4.5)
         poles = family.poles(m_values)
         assert len(specs) == len(set(specs)) == 4
@@ -425,7 +426,7 @@ class TestFamilyData:
         ],
     )
     def test_x1_point_just_outside_has_a_pole(self, tag, p):
-        family = get_family(tag, p).family
+        family = get_family(tag, p)
         assert not family.validity(p.m).valid
         assert family.poles((p.m,))
 
@@ -451,7 +452,7 @@ class TestSampler:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_translates_stay_valid(self, tag):
         for p in sample_valid_params(tag, 4, seed=13):
-            fam = get_family(tag, p).family
+            fam = get_family(tag, p)
             for k in (0, 1, 2):
                 assert fam.validity(p.m - k).valid
 
@@ -462,15 +463,15 @@ class TestSampler:
 
 class TestScarfStructure:
     def test_k0_purely_imaginary_at_real_x(self):
-        entry = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))
         xs = np.linspace(-3.0, 3.0, 31)
-        k0 = np.asarray(entry.family.affine(xs)[0])
+        k0 = np.asarray(fam.affine(xs)[0])
         assert np.max(np.abs(k0.real)) == 0.0
         assert np.max(np.abs(k0.imag)) > 0.0
 
     def test_puncture_is_the_only_declared_pole(self):
-        entry = get_family("Xl-PT-Scarf", ParamPoint(m=-0.8, B=-3.0, ell=3))
-        assert entry.family.poles((-0.8,)) == (0.0,)
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=-0.8, B=-3.0, ell=3))
+        assert fam.poles((-0.8,)) == (0.0,)
 
 
 class TestScarfAccuracy:
@@ -482,7 +483,7 @@ class TestScarfAccuracy:
     @pytest.mark.parametrize("ell", [6, 10, 12])
     def test_denominators_match_oracle(self, ell):
         point = ParamPoint(m=self.M, B=self.B, ell=ell)
-        fam = get_family("Xl-PT-Scarf", point).family
+        fam = get_family("Xl-PT-Scarf", point)
         data = family_data("Xl-PT-Scarf", point)
         ms = (self.M, self.M - 1.0, self.M - 2.0)
         grid = make_grid(fam, GridSpec(n_points=512), m_values=ms)

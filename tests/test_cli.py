@@ -57,14 +57,17 @@ class TestVerify:
         assert code == 2
         assert "m < -(1 + 2*d)/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c, condition", [("0.0", "c > 0"), ("1e-170", "2*c^2 > 0"),
+                                              ("1e-200", "2*c^2 > 0")])
     @pytest.mark.parametrize("tag", ["X1-hyperbolic", "X1-trigonometric"])
-    def test_zero_c_exit_2(self, tag, capsys):
-        # the m edges and X1-trigonometric's domain divide by c, which once
-        # raised ZeroDivisionError (exit 1, the violation code)
+    def test_zero_c_exit_2(self, tag, c, condition, capsys):
+        # the m edges divide by 2*c^2 and X1-trigonometric's domain by c;
+        # c = 0, and a c > 0 whose 2*c^2 underflows to 0, once raised
+        # ZeroDivisionError (exit 1, the violation code)
         code = main(["verify", "--family", tag,
-                     "--params", '{"m": 1.0, "c": 0.0, "beta": 0.5, "d": 1.0}'])
+                     "--params", f'{{"m": 1.0, "c": {c}, "beta": 0.5, "d": 1.0}}'])
         assert code == 2
-        assert "violates c > 0" in capsys.readouterr().err
+        assert f"violates {condition}" in capsys.readouterr().err
 
     def test_invalid_first_translate_exit_2(self, capsys):
         # m = 0.3 and 1.3 lie in the region m > 0, but translation, algebra,
@@ -176,7 +179,7 @@ class TestVerify:
                          "--seed", "3", "--checks", "remainder", "--no-timestamp")
         result = json.loads(text)["results"][0]
         p = sample_valid_params("Xl-radial-oscillator", 1, 3)[0]
-        fam = get_family("Xl-radial-oscillator", p).family
+        fam = get_family("Xl-radial-oscillator", p)
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
         r, flat = remainder(fam, p.m, make_grid(fam, GridSpec(), m_values=m_list))
         assert code == 0
@@ -540,7 +543,7 @@ class TestScan:
         xs = np.asarray([float(r[0]) for r in rows[1:]])
         from shapeinv import GridSpec, ParamPoint, get_family, make_grid
 
-        fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0)).family
+        fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0))
         grid = make_grid(fam, GridSpec(n_points=32), m_values=(-3.0, -4.0))
         assert np.array_equal(xs, grid)  # 17 significant digits reproduce doubles exactly
 
@@ -556,7 +559,7 @@ class TestScan:
         rows = list(csv.reader(text.splitlines()))
         assert rows[0][:3] == ["x", f"eps[m={p.m:g}]_re", f"eps[m={p.m:g}]_im"]
         columns = np.asarray(rows[1:], dtype=float).T
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         grid = make_grid(fam, GridSpec(), m_values=m_list)
         eps = np.asarray(compatibility_lhs(fam, p.m, grid), dtype=complex)
         assert np.array_equal(columns[0], grid)
@@ -583,10 +586,21 @@ class TestScan:
         assert rows[0][-2:] == ["V_minus", "V_plus"]
         columns = np.asarray(rows[1:], dtype=float).T
         p = sample_valid_params("Xl-Poschl-Teller", 1, 3)[0]
-        v_minus, v_plus = partner_potentials(get_family("Xl-Poschl-Teller", p).family, p.m,
+        v_minus, v_plus = partner_potentials(get_family("Xl-Poschl-Teller", p), p.m,
                                              columns[0])
         assert np.array_equal(columns[-2], v_minus.values)
         assert np.array_equal(columns[-1], v_plus.values)
+
+    @pytest.mark.parametrize("command", ["scan", "spectrum"])
+    @pytest.mark.parametrize("source", [["--sample", "3"],
+                                        ["--sample", "2", "--params", '{"m": -3.0, "omega": 2.0, "d": 1.0}']])
+    def test_more_than_one_point_exit_2(self, command, source, capsys):
+        # both run one parameter point; --sample 3 once wrote the report of
+        # --sample 1
+        code = main([command, "--family", "X1-radial-oscillator", *source])
+        assert code == 2
+        assert f"{command} runs one parameter point: sample must be at most 1" in \
+            capsys.readouterr().err
 
     def test_complex_family_has_no_potential_columns(self, tmp_path):
         code, text = run(
@@ -613,6 +627,13 @@ class TestSpectrum:
         assert spect["mismatch"] < 1e-4
         assert len(spect["plus"]) == 5
         assert not {"minus", "minus_error_estimates", "minus_shifted"} & set(spect)
+
+    def test_more_than_one_m_exit_2(self, capsys):
+        # spectrum runs one m; --m-list=-3,-9 once wrote the report of no list
+        code = main(["spectrum", "--family", "X1-radial-oscillator",
+                     "--params", '{"m": -3.0, "omega": 2.0, "d": 1.0}', "--m-list=-3,-9"])
+        assert code == 2
+        assert "spectrum runs one m: m_list must hold one value, got 2" in capsys.readouterr().err
 
     def test_complex_family_exit_2(self, capsys):
         code = main([

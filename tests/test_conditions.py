@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from shapeinv import (
     FAMILY_TAGS,
+    PERTURBATION_MODES,
     GridSpec,
     ParamPoint,
     UsageError,
@@ -27,16 +29,15 @@ from shapeinv.conditions import GridValues, _closure_expression, _reduction_step
 
 def family_on_grid(tag, seed=3, n=256):
     p = sample_valid_params(tag, 1, seed=seed)[0]
-    entry = get_family(tag, p)
-    grid = make_grid(entry.family, GridSpec(n_points=n), m_values=(p.m, p.m - 1.0, p.m - 2.0))
-    return entry, p, grid
+    fam = get_family(tag, p)
+    grid = make_grid(fam, GridSpec(n_points=n), m_values=(p.m, p.m - 1.0, p.m - 2.0))
+    return fam, p, grid
 
 
 class TestCatalogIdentities:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_all_conditions_hold(self, tag):
-        entry, p, grid = family_on_grid(tag)
-        fam = entry.family
+        fam, p, grid = family_on_grid(tag)
         assert check_translation(fam, p.m, grid) < 1e-12
         assert check_compatibility(fam, (p.m, p.m - 1.0, p.m - 2.0), grid) < 1e-9
         assert check_algebra_condition(fam, p.m, grid) < 1e-9
@@ -44,16 +45,14 @@ class TestCatalogIdentities:
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_epsilon_m_invariant_five_values(self, tag):
-        entry, p, grid = family_on_grid(tag, seed=19)
-        fam = entry.family
+        fam, p, grid = family_on_grid(tag, seed=19)
         base = np.asarray(compatibility_lhs(fam, p.m, grid))
         for k in (0.5, 1.0, 1.5, 2.0):
             other = np.asarray(compatibility_lhs(fam, p.m - k, grid))
             assert np.max(np.abs(base - other)) < 1e-9
 
     def test_scarf_residuals_in_both_components(self):
-        entry, p, grid = family_on_grid("Xl-PT-Scarf", seed=8)
-        fam = entry.family
+        fam, p, grid = family_on_grid("Xl-PT-Scarf", seed=8)
         lhs_a = np.asarray(compatibility_lhs(fam, p.m, grid))
         lhs_b = np.asarray(compatibility_lhs(fam, p.m - 1.0, grid))
         diff = lhs_a - lhs_b
@@ -70,6 +69,12 @@ class TestTrivialFamily:
         assert np.all(compatibility_lhs(free_radial, m, grid) == 0.0)
         assert check_algebra_condition(free_radial, m, grid) == 0.0
         assert check_equivalence_chain(free_radial, m, grid) == (0.0, 0.0)
+
+    def test_no_expected_constants_no_match(self, free_radial):
+        # a hand-built family has expected_ab None: nothing to match against
+        report = run_condition_checks(free_radial, np.linspace(0.3, 6.0, 200), (2.0, 1.0))
+        assert free_radial.expected_ab is None
+        assert "infeld_hull_match" not in report.verdicts and report.passed
 
 
 class TestReductionAlgebra:
@@ -104,7 +109,7 @@ class TestStackedCompatibility:
     def test_equals_maximum_over_pairs(self, case):
         tag, _, mode = case.partition("+")
         p = sample_valid_params(tag, 1, seed=19)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         m_list = (p.m, p.m - 0.5, p.m - 1.0, p.m - 2.0)
         grid = make_grid(fam, GridSpec(n_points=128), m_values=m_list)
         if mode:
@@ -120,32 +125,45 @@ class TestNonFiniteValues:
     """A point where the family does not evaluate makes the residual nan,
     and a nan residual fails its verdict: none drops out of a maximum."""
 
-    def test_overflow_fails_every_check(self):
-        # cosh overflows at x = 1000, so W1 is nan there at every m
-        p = ParamPoint(m=0.3, B=-2.5, ell=3)
-        fam = get_family("Xl-Poschl-Teller", p).family
+    # families whose g(x), cosh(c x) or sinh(x), overflows at x = 1000
+    OVERFLOW_POINTS = {
+        "X1-hyperbolic": ParamPoint(m=2.5, c=1.0, beta=0.5, d=1.0),
+        "Xl-Poschl-Teller": ParamPoint(m=0.3, B=-2.5, ell=3),
+        "Xl-PT-Scarf": ParamPoint(m=0.3, B=-2.5, ell=3),
+    }
+
+    @pytest.mark.parametrize("mode", [None, *PERTURBATION_MODES])
+    @pytest.mark.parametrize("tag", list(OVERFLOW_POINTS))
+    def test_overflow_fails_every_check(self, tag, mode):
+        # W is nan at x = 1000 at every m: the evaluators return it without
+        # a warning, and every residual, the match of (a, b) included, is nan
+        p = self.OVERFLOW_POINTS[tag]
+        fam = get_family(tag, p)
+        if mode is not None:
+            fam = with_perturbation(fam, mode, 0.01)
         grid = np.array([0.5, 1.0, 1000.0])
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
-        assert np.isnan(check_compatibility(fam, m_list, grid))
-        report = run_condition_checks(fam, grid, m_list)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(check_compatibility(fam, m_list, grid))
+            report = run_condition_checks(fam, grid, m_list)
+        assert "infeld_hull_match" in report.residuals
         assert all(np.isnan(r) for r in report.residuals.values())
         assert not any(report.verdicts.values())
         assert report.verdicts["compatibility"] is False
 
     def test_nan_b_fails_infeld_hull_and_its_match(self):
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
         m_list = (p.m, p.m - 1.0)
-        values = grid_values(entry.family, grid, m_list)
+        values = grid_values(fam, grid, m_list)
         k0, k0d, k1, k1d = values.affine
         k0d = k0d.copy()
         k0d[3] = np.nan  # only -k0' - k1*k0 is nan there
         values = values._replace(affine=(k0, k0d, k1, k1d))
-        constants, resid = check_infeld_hull(entry.family, grid, values=values)
+        constants, resid = check_infeld_hull(fam, grid, values=values)
         assert np.isfinite(constants.a) and np.isnan(constants.b)
         assert np.isnan(resid)
-        report = run_condition_checks(entry.family, grid, m_list, checks=("infeld_hull",),
-                                      expected_ab=(entry.expected_a, entry.expected_b),
-                                      values=values)
+        report = run_condition_checks(fam, grid, m_list, checks=("infeld_hull",), values=values)
         assert np.isnan(report.residuals["infeld_hull_match"])
         assert report.verdicts == {"infeld_hull": False, "infeld_hull_match": False}
 
@@ -157,14 +175,13 @@ class TestOracleAgreement:
         # epsilon identically zero)
         from shapeinv import ParamPoint
 
-        entry = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0))
-        got = complex(np.asarray(compatibility_lhs(entry.family, -3.0, np.asarray([1.0])))[0])
+        fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0))
+        got = complex(np.asarray(compatibility_lhs(fam, -3.0, np.asarray([1.0])))[0])
         assert abs(got) < 1e-13
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_w_and_lhs_match_oracle(self, tag):
-        entry, p, grid = family_on_grid(tag, seed=29, n=64)
-        fam = entry.family
+        fam, p, grid = family_on_grid(tag, seed=29, n=64)
         xs = grid[5:-5:11][:4]
         for x in xs:
             x = float(x)
@@ -185,60 +202,60 @@ class TestOracleAgreement:
 
 class TestNegativeControls:
     def test_translation_detects_slope(self):
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
-        pert = with_perturbation(entry.family, "wminus-slope", 0.01)
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        pert = with_perturbation(fam, "wminus-slope", 0.01)
         assert check_translation(pert, p.m, grid) >= 1e-3
 
     def test_compatibility_detects_paired_mode(self):
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
-        pert = with_perturbation(entry.family, "paired-mx-slope", 0.01)
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        pert = with_perturbation(fam, "paired-mx-slope", 0.01)
         # translation stays intact by construction
         assert check_translation(pert, p.m, grid) < 1e-12
         assert check_compatibility(pert, (p.m, p.m - 1.0), grid) >= 1e-3
 
     def test_algebra_detects_both_modes(self):
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
         for mode in ("wminus-slope", "paired-mx-slope"):
-            pert = with_perturbation(entry.family, mode, 0.01)
+            pert = with_perturbation(fam, mode, 0.01)
             assert check_algebra_condition(pert, p.m, grid) >= 1e-3
 
     def test_infeld_hull_detects_k1_slope(self):
-        entry, p, grid = family_on_grid("X1-hyperbolic", seed=6)
-        pert = with_perturbation(entry.family, "k1-slope", 0.01)
+        fam, p, grid = family_on_grid("X1-hyperbolic", seed=6)
+        pert = with_perturbation(fam, "k1-slope", 0.01)
         _, resid = check_infeld_hull(pert, grid)
         assert resid >= 1e-3
 
     def test_chain_isolates_translation_violation(self):
         # an x-slope on W1- breaks the translation relation; the final step
         # flags it
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
-        pert = with_perturbation(entry.family, "wminus-slope", 0.01)
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        pert = with_perturbation(fam, "wminus-slope", 0.01)
         r23, r30 = check_equivalence_chain(pert, p.m, grid)
         assert r30 >= 1e-3
 
     def test_chain_middle_step_isolates_compatibility(self):
         # the paired mode keeps the translation relation, so the final step
         # stays at zero while the middle step carries the violation
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
-        pert = with_perturbation(entry.family, "paired-mx-slope", 0.01)
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        pert = with_perturbation(fam, "paired-mx-slope", 0.01)
         r23, r30 = check_equivalence_chain(pert, p.m, grid)
         assert r23 >= 1e-3
         assert r30 < 1e-12
 
     def test_offset_mode_caught_by_values_not_derivatives(self):
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
-        pert = with_perturbation(entry.family, "wminus-offset", 0.01)
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        pert = with_perturbation(fam, "wminus-offset", 0.01)
         assert check_translation(pert, p.m, grid) >= 1e-3
         r23, r30 = check_equivalence_chain(pert, p.m, grid)
         assert r30 == 0.0  # a constant shift is invisible to the derivative step
         assert r23 >= 1e-3
 
     def test_residuals_scale_linearly(self):
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
         sizes = (1e-2, 1e-4, 1e-6)
         by_check = {"translation": [], "compatibility": [], "algebra": []}
         for s in sizes:
-            pert = with_perturbation(entry.family, "wminus-slope", s)
+            pert = with_perturbation(fam, "wminus-slope", s)
             by_check["translation"].append(check_translation(pert, p.m, grid))
             by_check["compatibility"].append(check_compatibility(pert, (p.m, p.m - 1.0), grid))
             by_check["algebra"].append(check_algebra_condition(pert, p.m, grid))
@@ -253,9 +270,9 @@ class TestInfeldHullLiteralValues:
         from shapeinv import ParamPoint
 
         p = ParamPoint(m=-4.0, c=1.5, beta=0.7, d=-1.0)
-        entry = get_family("X1-hyperbolic", p)
-        grid = make_grid(entry.family, GridSpec(n_points=128), m_values=(p.m,))
-        constants, resid = check_infeld_hull(entry.family, grid)
+        fam = get_family("X1-hyperbolic", p)
+        grid = make_grid(fam, GridSpec(n_points=128), m_values=(p.m,))
+        constants, resid = check_infeld_hull(fam, grid)
         assert constants.a == pytest.approx(2.25, abs=1e-9)
         assert constants.b == pytest.approx(0.7, abs=1e-9)
         assert resid < 1e-9
@@ -264,9 +281,9 @@ class TestInfeldHullLiteralValues:
         from shapeinv import ParamPoint
 
         p = ParamPoint(m=-3.0, omega=2.0, d=1.0)
-        entry = get_family("X1-radial-oscillator", p)
-        grid = make_grid(entry.family, GridSpec(n_points=128), m_values=(p.m,))
-        constants, resid = check_infeld_hull(entry.family, grid)
+        fam = get_family("X1-radial-oscillator", p)
+        grid = make_grid(fam, GridSpec(n_points=128), m_values=(p.m,))
+        constants, resid = check_infeld_hull(fam, grid)
         assert constants.a == pytest.approx(0.0, abs=1e-9)
         assert constants.b == pytest.approx(-2.0, abs=1e-9)
         assert resid < 1e-9
@@ -275,9 +292,9 @@ class TestInfeldHullLiteralValues:
         from shapeinv import ParamPoint
 
         p = ParamPoint(m=0.5, B=-2.0, ell=2)
-        entry = get_family("Xl-Poschl-Teller", p)
-        grid = make_grid(entry.family, GridSpec(n_points=128), m_values=(p.m,))
-        constants, resid = check_infeld_hull(entry.family, grid)
+        fam = get_family("Xl-Poschl-Teller", p)
+        grid = make_grid(fam, GridSpec(n_points=128), m_values=(p.m,))
+        constants, resid = check_infeld_hull(fam, grid)
         assert constants.a == pytest.approx(1.0, abs=1e-9)
         assert constants.b == pytest.approx(0.0, abs=1e-9)
         assert resid < 1e-9
@@ -291,10 +308,9 @@ class TestEquivalenceTheoremSampled:
         i = 0
         for tag in FAMILY_TAGS:
             for p in sample_valid_params(tag, 3, seed=61):
-                entry = get_family(tag, p)
-                grid = make_grid(entry.family, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0))
+                fam = get_family(tag, p)
+                grid = make_grid(fam, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0))
                 mode = modes[i % len(modes)]
-                fam = entry.family
                 if mode:
                     fam = with_perturbation(fam, mode, sizes[i % len(sizes)])
                 i += 1
@@ -306,15 +322,12 @@ class TestEquivalenceTheoremSampled:
 
 class TestRunConditionChecks:
     def test_report_round_trip(self):
-        entry, p, grid = family_on_grid("Xl-radial-oscillator", seed=15)
-        report = run_condition_checks(
-            entry.family,
-            grid,
-            (p.m, p.m - 1.0, p.m - 2.0),
-            expected_ab=(entry.expected_a, entry.expected_b),
-        )
+        fam, p, grid = family_on_grid("Xl-radial-oscillator", seed=15)
+        report = run_condition_checks(fam, grid, (p.m, p.m - 1.0, p.m - 2.0))
         assert report.passed
-        assert set(report.verdicts) >= {"translation", "compatibility", "infeld_hull", "algebra", "equivalence"}
+        # a catalog family carries its (a, b), so the match is checked too
+        assert set(report.verdicts) == {"translation", "compatibility", "infeld_hull",
+                                        "infeld_hull_match", "algebra", "equivalence"}
         for name, resid in report.residuals.items():
             assert resid >= 0.0
         doc = report.to_dict()
@@ -322,24 +335,28 @@ class TestRunConditionChecks:
         assert doc["inferred_b"] == pytest.approx(-p.omega, abs=1e-9)
 
     def test_compatibility_needs_two_m(self):
-        entry, p, grid = family_on_grid("X1-radial-oscillator")
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
         with pytest.raises(UsageError):
-            check_compatibility(entry.family, (p.m,), grid)
+            check_compatibility(fam, (p.m,), grid)
 
 
 class TestSharedW1Table:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     @pytest.mark.parametrize("perturb", [None, "paired-mx-slope"])
     def test_residuals_equal_separate_checks(self, tag, perturb):
-        entry, p, grid = family_on_grid(tag, seed=19, n=128)
-        fam = entry.family if perturb is None else with_perturbation(entry.family, perturb, 1e-4)
+        fam, p, grid = family_on_grid(tag, seed=19, n=128)
+        if perturb is not None:
+            fam = with_perturbation(fam, perturb, 1e-4)
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
         report = run_condition_checks(fam, grid, m_list)
         r23, r30 = check_equivalence_chain(fam, p.m, grid)
+        constants, infeld_hull = check_infeld_hull(fam, grid)
+        a, b = fam.expected_ab
         separate = {
             "translation": check_translation(fam, p.m, grid),
             "compatibility": check_compatibility(fam, m_list, grid),
-            "infeld_hull": check_infeld_hull(fam, grid)[1],
+            "infeld_hull": infeld_hull,
+            "infeld_hull_match": max(abs(constants.a - a), abs(constants.b - b)),
             "algebra": check_algebra_condition(fam, p.m, grid),
             "equivalence_step2_vs_step3": r23,
             "equivalence_step3_vs_zero": r30,
@@ -348,16 +365,16 @@ class TestSharedW1Table:
 
     @pytest.mark.parametrize("m_list", ["default", "custom"])
     def test_each_w1_evaluated_once_per_m(self, m_list):
-        entry, p, grid = family_on_grid("Xl-Poschl-Teller", seed=19, n=128)
+        fam, p, grid = family_on_grid("Xl-Poschl-Teller", seed=19, n=128)
         m_list = (p.m, p.m - 1.0, p.m - 2.0) if m_list == "default" else (p.m, p.m - 2.0)
         calls = []
-        w1 = entry.family.w1
+        w1 = fam.w1
 
         def counted(x, m_values):
             calls.append(tuple(m_values))
             return w1(x, m_values)
 
-        fam = dataclasses.replace(entry.family, w1=counted)
+        fam = dataclasses.replace(fam, w1=counted)
         assert run_condition_checks(fam, grid, m_list).passed
         # one call for every m; the checks also read m0 - 1, which a custom
         # m_list may leave out
@@ -389,7 +406,7 @@ class TestSharedW1Table:
         monkeypatch.setattr(shapeinv.polynomials, "poly_eval", counted)
         monkeypatch.setattr(shapeinv.catalog, "poly_eval", counted)
         p = sample_valid_params(tag, 1, seed=seed)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
         grid = make_grid(fam, GridSpec(n_points=128), m_values=m_list)
         assert run_condition_checks(fam, grid, m_list).passed

@@ -81,6 +81,8 @@ EXPECTED = [
     ("verify Xl-radial-oscillator seed=3 format=csv", 0),
     ("verify Xl-radial-oscillator config=every-field", 1),
     ("verify X1-hyperbolic m-list=0.3,1.3", 2),
+    ("verify X1-hyperbolic c=1e-200", 2),
+    ("verify X1-trigonometric c=1e-200", 2),
 ]
 
 

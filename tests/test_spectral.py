@@ -54,7 +54,7 @@ class TestPartnerPotentials:
 
     def test_x1_radial_matches_oracle(self):
         p = sample_valid_params("X1-radial-oscillator", 1, seed=12)[0]
-        fam = get_family("X1-radial-oscillator", p).family
+        fam = get_family("X1-radial-oscillator", p)
         xs = np.asarray([0.6, 1.3, 2.9])
         v_minus, _ = partner_potentials(fam, p.m, xs)
         for x, got in zip(xs, v_minus.values):
@@ -62,7 +62,7 @@ class TestPartnerPotentials:
             assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_complex_family_rejected(self):
-        fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1)).family
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1))
         with pytest.raises(UnsupportedError):
             partner_potentials(fam, 0.5, np.asarray([0.7]))
 
@@ -73,7 +73,7 @@ class TestPartnerPotentials:
         import dataclasses
 
         p = sample_valid_params("Xl-Poschl-Teller", 1, seed=3)[0]
-        fam = get_family("Xl-Poschl-Teller", p).family
+        fam = get_family("Xl-Poschl-Teller", p)
         w1 = fam.w1
         leaky = dataclasses.replace(
             fam, w1=lambda x, ms: tuple(r + 1j * imaginary for r in w1(x, ms)))
@@ -99,14 +99,14 @@ class TestRemainder:
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_flatness(self, tag):
         p = sample_valid_params(tag, 1, seed=9)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         grid = make_grid(fam, GridSpec(), m_values=(p.m, p.m - 1.0))
         _, flat = remainder(fam, p.m, grid)
         assert flat < 1e-9
 
     def test_broken_compatibility_not_flat(self):
         p = sample_valid_params("X1-radial-oscillator", 1, seed=9)[0]
-        fam = get_family("X1-radial-oscillator", p).family
+        fam = get_family("X1-radial-oscillator", p)
         pert = with_perturbation(fam, "wplus-slope", 0.01)
         grid = make_grid(fam, GridSpec(), m_values=(p.m, p.m - 1.0))
         _, flat = remainder(pert, p.m, grid)
@@ -142,7 +142,7 @@ class TestSolveSpectrum:
         # grid-refinement self-oracle: the lowest V- levels of a sampled
         # radial-oscillator point move by < 1e-4 when the mesh doubles
         p = sample_valid_params("X1-radial-oscillator", 1, seed=33)[0]
-        fam = get_family("X1-radial-oscillator", p).family
+        fam = get_family("X1-radial-oscillator", p)
         from shapeinv.spectral import spectral_window
 
         (a, b), _ = spectral_window(fam, (p.m,), 5)
@@ -235,7 +235,7 @@ class TestSolveSpectrumOracle:
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_partners_on_their_window(self, tag):
         for p in sample_valid_params(tag, 2, seed=5):
-            fam = get_family(tag, p).family
+            fam = get_family(tag, p)
             (a, b), _ = spectral_window(fam, (p.m, p.m - 1.0), 5)
             for potential in partner_potentials(fam, p.m, dirichlet_grid(a, b, 600)):
                 assert_matches_dense(potential, 5)
@@ -478,7 +478,7 @@ class TestBisect:
         if case == "certificate":
             return _tridiagonal(TestCertificate.VALUES, TestCertificate.H)
         p = sample_valid_params(case, 1, seed=21)[0]
-        fam = get_family(case, p).family
+        fam = get_family(case, p)
         (a, b), _ = spectral_window(fam, (p.m, p.m - 1.0), 5)
         _, v_plus = partner_potentials(fam, p.m, dirichlet_grid(a, b, _PROBE_POINTS))
         return _tridiagonal(v_plus.values, v_plus.x[1] - v_plus.x[0])
@@ -502,7 +502,7 @@ class TestIsospectrality:
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_families(self, tag):
         p = sample_valid_params(tag, 1, seed=21)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         iso = check_isospectrality(fam, p.m, k=5, n_points=4000)
         assert iso.mismatch < 1e-4
 
@@ -517,7 +517,7 @@ class TestIsospectrality:
         # it: the 0.01 kick clears the 1e-3 detection floor, the 0.05 one
         # reaches 1e-2.
         p = sample_valid_params("X1-radial-oscillator", 1, seed=21)[0]
-        fam = get_family("X1-radial-oscillator", p).family
+        fam = get_family("X1-radial-oscillator", p)
         iso_small = check_isospectrality(
             with_perturbation(fam, "wplus-slope", 0.01), p.m, k=5, n_points=2000
         )
@@ -528,7 +528,7 @@ class TestIsospectrality:
         assert iso_big.mismatch >= 1e-2
 
     def test_complex_family_rejected(self):
-        fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1)).family
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1))
         with pytest.raises(UnsupportedError):
             check_isospectrality(fam, 0.5, k=3)
 
@@ -620,7 +620,7 @@ CONTROLS = ["X1-radial-oscillator", "Xl-Poschl-Teller"]
 
 def perturbed_control(tag):
     p = sample_valid_params(tag, 1, seed=4)[0]
-    return with_perturbation(get_family(tag, p).family, "wplus-slope", 0.05), p.m
+    return with_perturbation(get_family(tag, p), "wplus-slope", 0.05), p.m
 
 
 class TestSpectralWindow:
@@ -632,7 +632,7 @@ class TestSpectralWindow:
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_points(self, tag):
         for p in sample_valid_params(tag, 3, seed=9):
-            fam = get_family(tag, p).family
+            fam = get_family(tag, p)
             for k in (3, 5):
                 m_values = (p.m, p.m - 1.0)
                 got, levels = spectral_window(fam, m_values, k)
@@ -653,7 +653,7 @@ class TestSpectralWindow:
         monkeypatch.setattr(spectral, "_lowest_eigenvalues",
                             lambda v, *a: passes[-1].append(v) or lowest(v, *a))
         for p in sample_valid_params(tag, 3, seed=9):
-            fam = get_family(tag, p).family
+            fam = get_family(tag, p)
             passes.clear()
             spectral_window(fam, (p.m, p.m - 1.0), 5)
             assert passes
@@ -758,7 +758,7 @@ def seeded_case(tag, index):
     if index == "control":
         return perturbed_control(tag)
     p = sample_valid_params(tag, 2, seed=5)[index]
-    return get_family(tag, p).family, p.m
+    return get_family(tag, p), p.m
 
 
 SEEDED_CASES = ([(tag, i) for tag in REAL_TAGS for i in (0, 1)]
@@ -820,7 +820,7 @@ class TestSeededSolve:
                                        _lowest_eigenvalues)
 
         p = sample_valid_params(tag, 1, seed=21)[0]
-        fam = get_family(tag, p).family
+        fam = get_family(tag, p)
         (a, b), probe = spectral_window(fam, (p.m, p.m - 1.0), 5)
         _, v_plus = partner_potentials(fam, p.m, dirichlet_grid(a, b, 4000))
         h = v_plus.x[1] - v_plus.x[0]
@@ -836,7 +836,7 @@ class TestSeededSolve:
         from shapeinv.spectral import _lowest_eigenvalues
 
         p = sample_valid_params("X1-radial-oscillator", 1, seed=21)[0]
-        fam = get_family("X1-radial-oscillator", p).family
+        fam = get_family("X1-radial-oscillator", p)
         (a, b), _ = spectral_window(fam, (p.m, p.m - 1.0), 5)
         _, v_plus = partner_potentials(fam, p.m, dirichlet_grid(a, b, 4000))
         h = v_plus.x[1] - v_plus.x[0]
@@ -896,7 +896,7 @@ class TestWeylBound:
         # X1-hyperbolic, X1-radial, Xl-Poschl-Teller and Xl-radial points
         if index == "paired-mx-slope":
             p = sample_valid_params(tag, 2, seed=5)[0]
-            fam, m = with_perturbation(get_family(tag, p).family, index, 1e-6), p.m
+            fam, m = with_perturbation(get_family(tag, p), index, 1e-6), p.m
         else:
             fam, m = seeded_case(tag, index)
         iso = check_isospectrality(fam, m, k=5, n_points=4000)

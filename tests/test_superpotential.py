@@ -7,12 +7,9 @@ from shapeinv import (
     FAMILY_TAGS,
     GridSpec,
     ParamPoint,
-    PoleError,
     InvalidParameterError,
     PERTURBATION_MODES,
     REAL_TAGS,
-    eval_w,
-    eval_w_deriv,
     get_family,
     make_grid,
     sample_valid_params,
@@ -30,7 +27,7 @@ def richardson(f, x, h):
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-def sampled_entry(tag, seed=11):
+def sampled_family(tag, seed=11):
     p = sample_valid_params(tag, 1, seed=seed)[0]
     return get_family(tag, p), p
 
@@ -59,7 +56,6 @@ class TestParamPoint:
     def test_round_trip(self):
         p = ParamPoint(m=-2.0, omega=1.5, d=0.3)
         assert p.to_dict() == {"m": -2.0, "omega": 1.5, "d": 0.3}
-        assert p.with_m(-3.0).m == -3.0
 
 
 class TestGridSpec:
@@ -81,22 +77,23 @@ class TestGridSpec:
             GridSpec(**kwargs)
 
 
-class TestEvalW:
+class TestWRows:
     def test_pure_affine(self, free_radial):
         # W = m/x with m = 2 at x = 0.5 -> 4
-        assert eval_w(free_radial, 0.5, m=2.0) == 4.0 + 0.0j
+        w, _ = free_radial.w_rows(np.asarray([0.5]), (2.0,))
+        assert w[0, 0] == 4.0
 
     def test_x1_radial_point(self):
         # omega = 1, d = 1, m = -2, x = 1: W0 = -0.5, W1+ = 1, W1- = 0.5
-        entry = get_family("X1-radial-oscillator", ParamPoint(m=-2.0, omega=1.0, d=1.0))
-        w = eval_w(entry.family, 1.0)
-        assert w == pytest.approx(-0.5 + 1.0 - 0.5, abs=1e-15)
-        assert w.imag == 0.0
+        fam = get_family("X1-radial-oscillator", ParamPoint(m=-2.0, omega=1.0, d=1.0))
+        w, _ = fam.w_rows(np.asarray([1.0]), (-2.0,))
+        assert w.dtype == np.float64
+        assert w[0, 0] == pytest.approx(-0.5 + 1.0 - 0.5, abs=1e-15)
 
     def test_scarf_is_complex_at_real_x(self):
-        entry = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1))
-        w = eval_w(entry.family, 0.7)
-        assert abs(w.imag) > 0.1  # i*B/cosh(x) contributes directly
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1))
+        w, _ = fam.w_rows(np.asarray([0.7]), (0.5,))
+        assert abs(w[0, 0].imag) > 0.1  # i*B/cosh(x) contributes directly
 
     def test_coth_derivative(self):
         fam = plain_family(
@@ -107,44 +104,20 @@ class TestEvalW:
             domain=(0.0, np.inf),
             m=1.0,
         )
-        got = eval_w_deriv(fam, 1.0, m=1.0)
-        assert got == pytest.approx(-1.0 / np.sinh(1.0) ** 2, rel=1e-15)
+        _, wd = fam.w_rows(np.asarray([1.0]), (1.0,))
+        assert wd[0, 0] == pytest.approx(-1.0 / np.sinh(1.0) ** 2, rel=1e-15)
 
     def test_plain_family_derivative_exact(self, free_radial):
         # no extension: dW/dx is exactly k0' + m*k1'
         xs = np.linspace(0.2, 5.0, 50)
-        got = np.asarray([eval_w_deriv(free_radial, x, m=2.0) for x in xs])
-        expected = 2.0 * (-1.0 / xs**2)
-        assert np.array_equal(got.real, expected)
-        assert np.all(got.imag == 0.0)
-
-    def test_outside_domain_rejected(self, free_radial):
-        from shapeinv.errors import UsageError
-
-        with pytest.raises(UsageError):
-            eval_w(free_radial, -1.0)
-
-    def test_pole_proximity_raises(self):
-        fam = plain_family(
-            k0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            k0_deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            k1=lambda x: 1.0 / x,
-            k1_deriv=lambda x: -1.0 / (x * x),
-            domain=(0.0, np.inf),
-            m=1.0,
-        )
-        fam = dataclasses.replace(fam, poles_fn=lambda m: (0.5,))
-        with pytest.raises(PoleError) as err:
-            eval_w(fam, 0.5004, m=1.0)
-        assert err.value.root == 0.5
-        assert eval_w(fam, 0.7, m=1.0) is not None
+        _, wd = free_radial.w_rows(xs, (2.0,))
+        assert np.array_equal(wd[0], 2.0 * (-1.0 / xs**2))
 
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_fd_agreement_200_points(self, tag):
-        entry, p = sampled_entry(tag)
-        fam = entry.family
+        fam, p = sampled_family(tag)
         grid = make_grid(fam, GridSpec(n_points=256), m_values=(p.m, p.m - 1.0))
         rng = np.random.default_rng(17)
         xs = rng.choice(grid[4:-4], size=200, replace=True)
@@ -167,8 +140,7 @@ class TestDerivativeConsistency:
 class TestAffinity:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_w0_collinear_in_m(self, tag):
-        entry, p = sampled_entry(tag, seed=23)
-        fam = entry.family
+        fam, p = sampled_family(tag, seed=23)
         grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
         m1, m2, m3 = p.m - 1.0, p.m - 0.25, p.m + 0.5
         # W0 = W - W1+ + W1-, as w_rows assembles W
@@ -185,8 +157,7 @@ class TestLogDerivativeStructure:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_w1plus_is_gauge_log_derivative(self, tag):
         # W1+ must equal d/dx log D for the declared gauge denominator
-        entry, p = sampled_entry(tag, seed=31)
-        fam = entry.family
+        fam, p = sampled_family(tag, seed=31)
         data = family_data(tag, p)
 
         def D(t):
@@ -214,9 +185,9 @@ class TestMakeGrid:
         assert np.all(np.diff(grid) > 0)
 
     def test_invalid_params_error_names_inequality(self):
-        entry = get_family("X1-radial-oscillator", ParamPoint(m=-1.0, omega=1.0, d=1.0))
+        fam = get_family("X1-radial-oscillator", ParamPoint(m=-1.0, omega=1.0, d=1.0))
         with pytest.raises(InvalidParameterError) as err:
-            make_grid(entry.family, GridSpec())
+            make_grid(fam, GridSpec())
         assert err.value.violated == "m < -(1 + 2*d)/2"
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
@@ -225,12 +196,12 @@ class TestMakeGrid:
         # denominator vanishes in the domain
         for seed in range(100):
             for p in sample_valid_params(tag, 5, seed):
-                poles = get_family(tag, p).family.poles((p.m, p.m - 1.0, p.m - 2.0))
+                poles = get_family(tag, p).poles((p.m, p.m - 1.0, p.m - 2.0))
                 assert poles == (), (seed, p, poles)
 
     def test_scarf_puncture_excluded(self):
-        entry = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))
-        grid = make_grid(entry.family, GridSpec(n_points=128), m_values=(0.5,))
+        fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))
+        grid = make_grid(fam, GridSpec(n_points=128), m_values=(0.5,))
         assert np.min(np.abs(grid)) >= 1e-3
         assert grid.size == 128
 
@@ -256,8 +227,8 @@ class TestMakeGrid:
         assert steps[-1] > 2.0 * steps[0]  # tanh compression, not a linear layout
 
     def test_finite_domain_linear(self):
-        entry = get_family("X1-trigonometric", ParamPoint(m=-6.0, c=1.0, beta=0.5, d=1.0))
-        grid = make_grid(entry.family, GridSpec(n_points=100), m_values=(-6.0,))
+        fam = get_family("X1-trigonometric", ParamPoint(m=-6.0, c=1.0, beta=0.5, d=1.0))
+        grid = make_grid(fam, GridSpec(n_points=100), m_values=(-6.0,))
         half = np.pi / 2.0
         assert np.all(np.abs(grid) < half)
         steps = np.diff(grid)
@@ -272,8 +243,7 @@ class TestPerturbations:
             with_perturbation(free_radial, "bogus", 0.01)
 
     def test_wminus_slope_changes_only_w1minus(self):
-        entry, p = sampled_entry("X1-radial-oscillator")
-        fam = entry.family
+        fam, p = sampled_family("X1-radial-oscillator")
         pert = with_perturbation(fam, "wminus-slope", 0.01)
         xs = np.linspace(0.5, 2.0, 9)
         pert_plus, _, pert_minus, _ = pert.w1(xs, (p.m,))
@@ -286,8 +256,8 @@ class TestPerturbations:
     def test_batch_equals_one_m_methods(self, tag, mode):
         # every mode patches w1 (or affine) at each m of a batch, as a
         # call at that m alone sees it
-        entry, p = sampled_entry(tag)
-        pert = with_perturbation(entry.family, mode, 0.01)
+        fam, p = sampled_family(tag)
+        pert = with_perturbation(fam, mode, 0.01)
         xs = np.linspace(0.5, 2.0, 9)
         m_values = (p.m, p.m - 1.0, p.m - 2.0)
         rows = pert.w1(xs, m_values)
@@ -298,12 +268,12 @@ class TestPerturbations:
             one = pert.w_rows(xs, (m,))
             assert all(np.array_equal(a[i], b[0]) for a, b in zip((w, wd), one))
         if mode != "k1-slope":
-            base = entry.family.w1(xs, m_values)
+            base = fam.w1(xs, m_values)
             assert any(not np.array_equal(r, b) for r, b in zip(rows, base))
 
     def test_paired_mode_keeps_translation(self):
-        entry, p = sampled_entry("X1-radial-oscillator")
-        pert = with_perturbation(entry.family, "paired-mx-slope", 0.01)
+        fam, p = sampled_family("X1-radial-oscillator")
+        pert = with_perturbation(fam, "paired-mx-slope", 0.01)
         xs = np.linspace(0.5, 2.0, 9)
         _, _, lhs, _ = pert.w1(xs, (p.m,))
         rhs, _, _, _ = pert.w1(xs, (p.m - 1.0,))
@@ -365,7 +335,7 @@ class TestEdgeProbe:
     def test_cosh_overflow_candidate(self):
         # cosh(1024) overflows: the kernel would raise there, the evaluators
         # return nan instead, and the edge stops at 512
-        fam = get_family("Xl-Poschl-Teller", ParamPoint(m=0.6, B=-2.5, ell=1)).family
+        fam = get_family("Xl-Poschl-Teller", ParamPoint(m=0.6, B=-2.5, ell=1))
         m_values = (0.6, -0.4, -1.4)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.cosh(1024.0))
@@ -389,19 +359,19 @@ class TestEdgeProbe:
     def test_perturbed_control(self):
         # W1- += size*x grows without bound; at size 1 the |W| cap sets the
         # edge before the overflow of cosh(x)**ell does
-        entry, p = sampled_entry("Xl-Poschl-Teller")
+        base, p = sampled_family("Xl-Poschl-Teller")
         m_values = (p.m, p.m - 1.0, p.m - 2.0)
         edges = {}
         for size in (1e-2, 1.0):
-            fam = with_perturbation(entry.family, "wminus-slope", size)
+            fam = with_perturbation(base, "wminus-slope", size)
             edges[size] = _expand_edge(fam, m_values, 1.05, (+1.0,))[0]
             assert edges[size] == reference_edge(fam, m_values, 1.05, +1.0)
-        assert edges[1.0] < edges[1e-2] == _expand_edge(entry.family, m_values, 1.05, (+1.0,))[0]
+        assert edges[1.0] < edges[1e-2] == _expand_edge(base, m_values, 1.05, (+1.0,))[0]
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_sampled_families(self, tag):
         for p in sample_valid_params(tag, 4, seed=29):
-            fam = get_family(tag, p).family
+            fam = get_family(tag, p)
             m_values = (p.m, p.m - 1.0, p.m - 2.0)
             for start, sign in ((1.0, 1.0), (1.0, -1.0), (1.05, 1.0)):
                 if not fam.domain[0] < sign * start < fam.domain[1]:
@@ -415,8 +385,8 @@ class TestEdgeProbe:
         # (W, W') call; each side's edge is the one its own probe reaches,
         # and only a side whose first candidate fails is probed again
         if case == "Xl-PT-Scarf":
-            entry, p = sampled_entry(case)
-            fam, m_values = entry.family, (p.m, p.m - 1.0, p.m - 2.0)
+            fam, p = sampled_family(case)
+            m_values = (p.m, p.m - 1.0, p.m - 2.0)
         elif case == "pole-at-8":
             fam = plain_family(k0=lambda x: 1.0 / (x - 8.0),
                                k0_deriv=lambda x: -1.0 / (x - 8.0) ** 2,

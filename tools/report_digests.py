@@ -12,7 +12,8 @@ real family, `verify --format csv` on one point per family (every check
 that the family supports), `verify --config` on a file that sets every
 config field (EVERY_FIELD, written to a temporary directory), and
 `verify --m-list` on a list whose first translate m - 1 leaves the region
-(OUTSIDE_TRANSLATE: exit 2 and an empty report), and prints
+(OUTSIDE_TRANSLATE: exit 2 and an empty report), and `verify` on each X1
+family with a c whose 2*c^2 underflows to 0 (UNDERFLOW_C: exit 2), and prints
 one line per report: the sha256 of its bytes, the command, the family, the
 seed and the exit code.  Then it prints one line per family for the
 sampler: the sha256 of the repr of sample_valid_params(tag, 5, s) for every
@@ -70,6 +71,10 @@ EVERY_FIELD = {
 # translate m - 1 that verify also reads does not
 OUTSIDE_TRANSLATE = ("X1-hyperbolic", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.0}', "0.3,1.3")
 
+# c > 0 holds at these constants, but 2*c^2, by which every m edge of the X1
+# families with a c divides, underflows to 0
+UNDERFLOW_C = '{"m": 1.0, "c": 1e-200, "beta": 0.5, "d": 1.0}'
+
 
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
 SAMPLER_SEEDS = range(200)
@@ -106,6 +111,9 @@ def configs(tmp: Path):
     tag, params, m_list = OUTSIDE_TRANSLATE
     yield (f"verify {tag} m-list={m_list}",
            ["verify", "--family", tag, "--params", params, "--m-list", m_list, "--no-timestamp"])
+    for tag in ("X1-hyperbolic", "X1-trigonometric"):
+        yield (f"verify {tag} c=1e-200",
+               ["verify", "--family", tag, "--params", UNDERFLOW_C, "--no-timestamp"])
 
 
 def digest(argv) -> tuple[str, int]:
