@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands, each with its runner, default checks, default m list and
-report formats in COMMANDS:
+Subcommands, each with its runner, default m list and the RunConfig fields
+it reads (its flags, config keys and report echo) in COMMANDS:
 
   verify    run selected identity checks over one or more parameter points
             and write a JSON (or CSV) report of verdicts, residuals and
@@ -16,12 +16,12 @@ report formats in COMMANDS:
             remainder R, its flatness and the Weyl bound on the level
             mismatch as JSON.
 
-scan and spectrum exit 2 on --sample N > 1, and spectrum on an m list of
-more than one value, rather than drop the rest.
+params with sample > 0 exits 2; scan and spectrum exit 2 on --sample N > 1,
+and spectrum on an m list of more than one value, rather than drop the rest.
 
-A run's RunConfig is the command's defaults, updated by a config file
-(--config: one JSON object whose keys are RunConfig's fields, and grid's
-GridSpec's; any other key exits 2), then by the flags that were given.
+A run's RunConfig is RunConfig's defaults, updated by a config file
+(--config: one JSON object whose keys are fields the command reads, and
+grid's GridSpec's; any other key exits 2), then by the flags that were given.
 JSON reports are exactly json.dumps(doc, indent=2, sort_keys=True) plus a
 newline, so floats take Python's shortest round-trip repr; CSV output
 writes 17 significant digits.  Both round-trip every double, and
@@ -127,10 +127,14 @@ class RunConfig:
                 raise UsageError(f"{name} must be a finite number > 0, got {v!r}")
         if isinstance(self.perturb, bool) or not isinstance(self.perturb, (int, float)):
             raise UsageError(f"perturb must be a number, got {self.perturb!r}")
+        if self.format not in ("json", "csv"):
+            raise UsageError(f"format must be json or csv, got {self.format!r}")
         if not isinstance(self.out, (str, type(None))):
             raise UsageError(f"out must be a path, got {self.out!r}")
         if self.params is None and self.sample < 1:
             raise UsageError("give --params or --sample N")
+        if self.params is not None and self.sample > 0:
+            raise UsageError(f"give params or sample, not both: params with sample {self.sample}")
 
     def tolerance_map(self) -> dict:
         return check_tolerances(self.tol, self.tolerances)
@@ -203,19 +207,13 @@ def _write_text(out: str | None, text: str) -> None:
     Path(out).write_text(text, encoding="utf-8")
 
 
-def _report_skeleton(cfg: RunConfig, command: str) -> dict:
+def _report_skeleton(cfg: RunConfig, command: str, **settings) -> dict:
+    """The report's head: config echoes the point's and the given settings."""
     doc = {
         "schema": "shapeinv-report-v1",
         "command": command,
-        "config": {
-            "family": cfg.family,
-            "checks": list(cfg.checks),
-            "grid_points": cfg.grid.n_points,
-            "tolerances": cfg.tolerance_map(),
-            "seed": cfg.seed,
-            "sample": cfg.sample,
-            "perturb": cfg.perturb,
-        },
+        "config": {"family": cfg.family, "seed": cfg.seed, "sample": cfg.sample,
+                   "perturb": cfg.perturb, **settings},
     }
     if not cfg.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -241,7 +239,7 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
         family,
         grid,
         m_list,
-        checks=cfg.checks,
+        checks=tuple(c for c in cfg.checks if c in CHECK_NAMES),  # the CLI runs the rest
         tolerances=tols,
         grid_spec=cfg.grid,
         values=values,
@@ -265,7 +263,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     points = _resolve_points(cfg)
     results = [_verify_one(cfg, i, p) for i, p in enumerate(points)]
 
-    doc = _report_skeleton(cfg, "verify")
+    settings = {"checks": list(cfg.checks), "grid_points": cfg.grid.n_points,
+                "tolerances": cfg.tolerance_map()}
+    if "spectrum" in cfg.checks:
+        settings.update(k=cfg.k, spectrum_points=cfg.spectrum_points)
+    doc = _report_skeleton(cfg, "verify", **settings)
     doc["results"] = results
     doc["overall_pass"] = all(r["passed"] for r in results)
 
@@ -339,26 +341,26 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 class Command(NamedTuple):
     run: Callable[[RunConfig], int]
     help: str
-    checks: tuple  # the default checks
     m_translates: tuple  # the default m list: m - t for each t
-    formats: tuple  # the report formats it writes, its default first
+    reads: tuple  # the RunConfig fields it reads: its flags, config keys and echo
 
 
+_POINT = ("family", "params", "sample", "seed", "m_list", "out", "perturb")
 COMMANDS = {
     "verify": Command(cmd_verify, "run identity checks and write a report",
-                      CHECK_NAMES, (0.0, 1.0, 2.0), ("json", "csv")),
+                      (0.0, 1.0, 2.0), _FIELDS),
     "scan": Command(cmd_scan, "emit CSV samples of epsilon(x) and the partner potentials",
-                    ("compatibility",), (0.0, 1.0), ("csv",)),
+                    (0.0, 1.0), _POINT + ("grid",)),
     "spectrum": Command(cmd_spectrum, "isospectrality cross-check via the constant-shift route",
-                        ("spectrum",), (0.0,), ("json",)),
+                        (0.0,), _POINT + ("tolerances", "no_timestamp", "k", "spectrum_points")),
 }
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parse_args keeps no state.
-    Every option's dest is a RunConfig field, but for --config and
-    --grid-points, and its default None stands for not given."""
+    A subcommand has the flags of the fields it reads, each with its field as
+    dest (but --config, and --grid-points: grid), default None: not given."""
     p = argparse.ArgumentParser(
         prog="shapeinv",
         description="Verify shape-invariance identities of rationally extended "
@@ -369,32 +371,34 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=spec.help)
         m_default = ", ".join(f"m-{t:g}" if t else "m" for t in spec.m_translates)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
-        sp.add_argument("--family", help="family tag, e.g. X1-radial-oscillator")
-        sp.add_argument("--params",
-                        help="inline JSON object (text starting with '{') or path to one")
-        sp.add_argument("--sample", type=int, metavar="N",
-                        help="draw N valid parameter points instead of --params")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--m-list", help=f"comma-separated m values (default: {m_default})")
-        sp.add_argument("--checks", help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
-        sp.add_argument("--grid-points", type=int)
-        sp.add_argument("--tol", type=float,
-                        help=f"base residual tolerance (default {DEFAULT_TOL:g}); translation "
-                             f"stays at {TRANSLATION_TOL:g} and spectrum at {SPECTRUM_TOL:g}")
-        sp.add_argument("--format", choices=spec.formats,
-                        help=f"report format (default: {spec.formats[0]})")
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--no-timestamp", action="store_true", default=None)
-        sp.add_argument("--perturb", type=float, help=argparse.SUPPRESS)
-        sp.add_argument("--k", type=int,
-                        help=f"levels for spectral checks (default {DEFAULT_LEVELS})")
-        sp.add_argument("--spectrum-points", type=int)
+        flags = {
+            "--family": {"help": "family tag, e.g. X1-radial-oscillator"},
+            "--params": {"help": "inline JSON object (text starting with '{') or path to one"},
+            "--sample": {"type": int, "metavar": "N",
+                         "help": "draw N valid parameter points instead of --params"},
+            "--seed": {"type": int},
+            "--m-list": {"help": f"comma-separated m values (default: {m_default})"},
+            "--checks": {"help": f"comma-separated subset of {','.join(ALL_CHECKS)}"},
+            "--grid-points": {"type": int},
+            "--tol": {"type": float, "help": (
+                f"tolerance of every check but translation ({TRANSLATION_TOL:g}) and spectrum "
+                f"({SPECTRUM_TOL:g}), default {DEFAULT_TOL:g}; config key tolerances sets one")},
+            "--format": {"choices": ("json", "csv"), "help": "report format (default: json)"},
+            "--out": {"help": "output path (default: stdout)"},
+            "--no-timestamp": {"action": "store_true", "default": None},
+            "--perturb": {"type": float, "help": argparse.SUPPRESS},
+            "--k": {"type": int, "help": f"levels for spectral checks (default {DEFAULT_LEVELS})"},
+            "--spectrum-points": {"type": int},
+        }
+        for flag, options in flags.items():
+            if ("grid" if flag == "--grid-points" else flag[2:].replace("-", "_")) in spec.reads:
+                sp.add_argument(flag, **options)
     return p
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """{command defaults, **config file, **given flags} as a RunConfig."""
-    spec = COMMANDS[args.command]
+    """{**config file, **given flags} as a RunConfig."""
+    reads = COMMANDS[args.command].reads
     file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise UsageError("config file must hold a JSON object")
@@ -402,28 +406,25 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if not isinstance(grid, dict):
         raise UsageError(f"grid must be an object, got {grid!r}")
     unknown = "; ".join(f"unknown {what} fields {sorted(bad)}" for what, bad in (
-        ("config", set(file_cfg).difference(_FIELDS)),
+        ("config", set(file_cfg).difference(reads)),
         ("grid", set(grid).difference(_GRID_FIELDS))) if bad)
     if unknown:
         raise UsageError(unknown)
-    if args.grid_points is not None:
+    if getattr(args, "grid_points", None) is not None:
         grid = {**grid, "n_points": args.grid_points}
     try:
         grid = GridSpec(**grid)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"grid: {exc}") from exc
 
-    merged = {"checks": spec.checks, "format": spec.formats[0], **file_cfg, "grid": grid}
-    for name in _FIELDS:
+    merged = {**file_cfg, "grid": grid}
+    for name in reads:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = _TEXT_FORMS[name](value) if name in _TEXT_FORMS else value
     if not merged.get("family"):
         raise UsageError("--family is required (flag or config file)")
-    cfg = RunConfig(**merged)
-    if cfg.format not in spec.formats:
-        raise UsageError(f"{args.command} writes {' or '.join(spec.formats)}, not {cfg.format}")
-    return cfg
+    return RunConfig(**merged)
 
 
 def main(argv=None) -> int:

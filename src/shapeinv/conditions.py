@@ -16,7 +16,9 @@ residual over a grid (a single bad point must fail the verdict, so no RMS):
 All five read rows of one table, GridValues: (k0, k0', k1, k1') and the
 four W1 arrays with one row per m, as one call of each evaluator returns
 them.  Every residual is one nan-propagating maximum, so a point where W is
-not finite fails the verdict instead of dropping out of it.
+not finite fails the verdict instead of dropping out of it; the checks' own
+arithmetic, like the evaluators, turns inf and nan into nan without a
+warning (_QUIET).
 
 check_tolerances holds every check's default tolerance.
 """
@@ -39,6 +41,9 @@ DEFAULT_TOL = 1e-9
 CHECK_NAMES = ("translation", "compatibility", "infeld_hull", "algebra", "equivalence")
 # with the checks that verify runs from the spectral module
 ALL_CHECKS = CHECK_NAMES + ("remainder", "spectrum")
+
+# the checks' arithmetic on inf or nan W values gives nan, silently
+_QUIET = np.errstate(invalid="ignore", over="ignore")
 
 
 def check_tolerances(tol: float = DEFAULT_TOL, overrides: dict | None = None) -> dict:
@@ -139,6 +144,7 @@ def check_translation(family: SuperpotentialFamily, m: float, grid, *, values=No
     return _worst(q[here] - p[prev])
 
 
+@_QUIET
 def _seven_terms(values: GridValues, m_list):
     """The seven-term combination, one row per m of m_list."""
     p, pd, q, qd = (r[values.rows(*m_list)] for r in values.w1)
@@ -152,6 +158,7 @@ def compatibility_lhs(family: SuperpotentialFamily, m: float, x, *, values=None)
     return _seven_terms(values or grid_values(family, x, (m,)), (float(m),))[0]
 
 
+@_QUIET
 def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=None) -> float:
     """m-independence residual of the seven-term combination: the max of
     |lhs(m_i) - lhs(m_j)| over grid points and every pair of rows (pairs,
@@ -164,6 +171,7 @@ def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=No
     return _worst(lhs[:, None] - lhs)
 
 
+@_QUIET
 def check_infeld_hull(family: SuperpotentialFamily, grid, *, values=None):
     """Infer (a, b) as grid means of k1' + k1^2 and -k0' - k1*k0.
 
@@ -180,6 +188,7 @@ def check_infeld_hull(family: SuperpotentialFamily, grid, *, values=None):
     return AlgebraConstants(a=a_mean.real, b=b_mean.real), residual
 
 
+@_QUIET
 def _closure_expression(values: GridValues, m):
     k0, _, F, _ = values.affine
     G = -k0
@@ -204,6 +213,7 @@ def check_algebra_condition(family: SuperpotentialFamily, m: float, grid, *,
     return _worst(_closure_expression(values or grid_values(family, grid, (m, m - 1.0)), m))
 
 
+@_QUIET
 def _reduction_steps(values: GridValues, m):
     """Steps 2 and 3 of the reduction proof.
 
@@ -256,11 +266,12 @@ def run_condition_checks(
 ) -> ResidualReport:
     """Run the selected identity checks on a prebuilt grid and assemble a report.
 
-    checks names the checks to run (others in it are skipped), and
-    tolerances, by check name, override check_tolerances().  The checks
-    read W at every m of m_list and at m_list[0] - 1, the translate that
-    translation, algebra and equivalence read, so the grid must avoid the
-    poles of all of them (make_grid with those m_values does that).  When
+    checks names the checks to run, each one of CHECK_NAMES (any other
+    name raises UsageError), and tolerances, by check name, override
+    check_tolerances().  The checks read W at every m of m_list and at
+    m_list[0] - 1, the translate that translation, algebra and equivalence
+    read, so the grid must avoid the poles of all of them (make_grid with
+    those m_values does that).  When
     the family has expected_ab (every catalog family does), the inferred
     constants are also matched against it under the infeld_hull tolerance.
     The family is evaluated once (grid_values): affine on the grid, and w1
@@ -268,6 +279,9 @@ def run_condition_checks(
     evaluation.  The checks share those values, so each residual equals
     that of the separate check_* call bit for bit.
     """
+    unknown = [c for c in checks if c not in CHECK_NAMES]
+    if unknown:
+        raise UsageError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")
     m_list = tuple(float(m) for m in m_list)
     tol = check_tolerances(overrides=tolerances)
     report = ResidualReport(

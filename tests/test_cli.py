@@ -350,6 +350,7 @@ class TestInputErrors:
         ("grid", "x", "grid must be an object"),
         ("grid", {"boundary_margin": "0.1"}, "grid: "),
         ("checks", 3, "checks must be a list"),
+        ("format", "xml", "format must be json or csv, got 'xml'"),
         # once accepted and ignored: compatibility was judged at 1e-9
         ("tolerances", {"compatibilty": 1e-30}, "unknown tolerances ['compatibilty']"),
         # once accepted and ignored: translation judged at 1e-12 on 512 points
@@ -369,9 +370,8 @@ class TestInputErrors:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"family": "X1-radial-oscillator", "params": self.X1,
                                         field: value}), encoding="utf-8")
-        assert main(["spectrum", "--config", str(cfg_path)]) == 2
+        assert main(["verify", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
-
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
@@ -396,19 +396,6 @@ class TestInputErrors:
         assert "unknown config fields ['tolerance']" in err
         assert "unknown grid fields ['n_point']" in err
 
-    @pytest.mark.parametrize("command, fmt", [("scan", "json"), ("spectrum", "csv")])
-    def test_format_the_command_does_not_write_exit_2(self, tmp_path, capsys, command, fmt):
-        # scan once wrote CSV for json, and spectrum JSON for csv
-        args = [command, "--family", "X1-radial-oscillator", "--params", json.dumps(self.X1)]
-        with pytest.raises(SystemExit) as exc:
-            main(args + ["--format", fmt])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"format": fmt}), encoding="utf-8")
-        assert main(args + ["--config", str(cfg_path)]) == 2
-        assert f"{command} writes" in capsys.readouterr().err
-
 
 class TestCommandDefaults:
     @pytest.mark.parametrize("command, m_list", [("verify", "m, m-1, m-2"),
@@ -419,10 +406,10 @@ class TestCommandDefaults:
             main([command, "--help"])
         assert f"comma-separated m values (default: {m_list})" in capsys.readouterr().out
 
-    # every RunConfig field, each but format and out away from its default
+    # every RunConfig field but params, which excludes sample, each but
+    # format and out away from its default
     EVERY_FIELD = {
         "family": "Xl-radial-oscillator",
-        "params": {"m": -2.5, "omega": 1.5, "ell": 2},
         "sample": 2,
         "seed": 9,
         "m_list": [-2.5, -3.5],
@@ -439,7 +426,7 @@ class TestCommandDefaults:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_config_file_writes_what_the_flags_write(self, tmp_path, fmt):
         cfg = {**self.EVERY_FIELD, "format": fmt, "out": str(tmp_path / "file.out")}
-        assert set(cfg) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert set(cfg) == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"params"}
         assert set(cfg["grid"]) == {f.name for f in dataclasses.fields(GridSpec)}
         (tmp_path / "all.json").write_text(json.dumps(cfg), encoding="utf-8")
         # tolerances and two grid fields have no flag
@@ -447,7 +434,7 @@ class TestCommandDefaults:
                 "grid": {k: v for k, v in cfg["grid"].items() if k != "n_points"}}
         (tmp_path / "rest.json").write_text(json.dumps(rest), encoding="utf-8")
         flags = ["--config", str(tmp_path / "rest.json"), "--family", cfg["family"],
-                 "--params", json.dumps(cfg["params"]), "--sample", "2", "--seed", "9",
+                 "--sample", "2", "--seed", "9",
                  "--m-list=-2.5,-3.5", "--checks", ",".join(cfg["checks"]),
                  "--grid-points", "96", "--tol", "1e-8", "--format", fmt,
                  "--out", str(tmp_path / "flags.out"), "--no-timestamp", "--perturb", "1e-3",
@@ -459,6 +446,68 @@ class TestCommandDefaults:
         if fmt == "json":
             config = json.loads(from_file)["config"]
             assert (config["grid_points"], config["sample"], config["seed"]) == (96, 2, 9)
+
+
+class TestCommandReads:
+    """A command takes a setting, as a flag or a config key, exactly when it
+    reads it (Command.reads); scan once wrote the same CSV under --checks,
+    --tol, --format, --no-timestamp, --k and --spectrum-points."""
+
+    X1 = {"m": -3.0, "omega": 1.0, "d": 1.0}
+    # each field's flag value (None: the flag takes none) and config value
+    VALUES = {
+        "family": ("X1-radial-oscillator", "X1-radial-oscillator"),
+        "params": (json.dumps(X1), X1),
+        "sample": ("1", 0),
+        "seed": ("3", 3),
+        "m_list": ("-3", [-3.0]),
+        "checks": ("translation", ["translation"]),
+        "grid": ("64", {"n_points": 64}),
+        "tol": ("1e-8", 1e-8),
+        "tolerances": (None, {"spectrum": 1e-3}),
+        "format": ("csv", "csv"),
+        "out": ("r.json", "-"),
+        "no_timestamp": (None, True),
+        "perturb": ("0.01", 0.01),
+        "k": ("3", 3),
+        "spectrum_points": ("1000", 1000),
+    }
+
+    def test_every_field_has_values(self):
+        assert list(self.VALUES) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+
+    @pytest.mark.parametrize("field", list(VALUES))
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_flag_and_config_key_iff_read(self, tmp_path, capsys, command, field):
+        reads = field in cli.COMMANDS[command].reads
+        flag_value, value = self.VALUES[field]
+        if field != "tolerances":  # the one field with no flag
+            flag = "--grid-points" if field == "grid" else "--" + field.replace("_", "-")
+            argv = [command, flag] + ([flag_value] if flag_value is not None else [])
+            if reads:
+                cli.build_parser().parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    cli.build_parser().parse_args(argv)
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "X1-radial-oscillator", "params": self.X1,
+                                        field: value}), encoding="utf-8")
+        args = cli.build_parser().parse_args([command, "--config", str(cfg_path)])
+        if reads:
+            assert isinstance(cli._config_from_args(args), cli.RunConfig)
+        else:
+            assert main([command, "--config", str(cfg_path)]) == 2
+            assert f"unknown config fields ['{field}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_params_with_sample_exit_2(self, command, capsys):
+        # verify --params P --sample 3 once ran P alone and echoed sample 3
+        code = main([command, "--family", "X1-radial-oscillator",
+                     "--params", json.dumps(self.X1), "--sample", "1"])
+        assert code == 2
+        assert "give params or sample, not both: params with sample 1" in capsys.readouterr().err
 
 
 def assert_reference_json(text):
@@ -497,6 +546,7 @@ class TestJsonWriter:
         code, text = run(tmp_path, "verify", "--family", "X1-trigonometric", "--sample", "2",
                          "--seed", "5", "--checks", "translation", "--no-timestamp")
         assert code == 0
+        assert not {"k", "spectrum_points"} & set(json.loads(text)["config"])
         assert [list(r["verdicts"]) for r in json.loads(text)["results"]] == [["translation"]] * 2
         assert_reference_json(text)
 
@@ -512,7 +562,10 @@ class TestJsonWriter:
                          "--seed", "5", "--checks", "compatibility,remainder,spectrum",
                          "--spectrum-points", "1000", "--no-timestamp")
         assert code == 0
-        assert "spectrum" in json.loads(text)["results"][1]
+        doc = json.loads(text)
+        assert "spectrum" in doc["results"][1]
+        # the spectral settings that verify reads are echoed with its others
+        assert (doc["config"]["k"], doc["config"]["spectrum_points"]) == (5, 1000)
         assert_reference_json(text)
 
 
@@ -592,15 +645,17 @@ class TestScan:
         assert np.array_equal(columns[-1], v_plus.values)
 
     @pytest.mark.parametrize("command", ["scan", "spectrum"])
-    @pytest.mark.parametrize("source", [["--sample", "3"],
-                                        ["--sample", "2", "--params", '{"m": -3.0, "omega": 2.0, "d": 1.0}']])
-    def test_more_than_one_point_exit_2(self, command, source, capsys):
+    @pytest.mark.parametrize("source, message", [
+        (["--sample", "3"], "{command} runs one parameter point: sample must be at most 1"),
+        (["--sample", "2", "--params", '{"m": -3.0, "omega": 2.0, "d": 1.0}'],
+         "give params or sample, not both: params with sample 2"),
+    ])
+    def test_more_than_one_point_exit_2(self, command, source, message, capsys):
         # both run one parameter point; --sample 3 once wrote the report of
         # --sample 1
         code = main([command, "--family", "X1-radial-oscillator", *source])
         assert code == 2
-        assert f"{command} runs one parameter point: sample must be at most 1" in \
-            capsys.readouterr().err
+        assert message.format(command=command) in capsys.readouterr().err
 
     def test_complex_family_has_no_potential_columns(self, tmp_path):
         code, text = run(
@@ -627,6 +682,8 @@ class TestSpectrum:
         assert spect["mismatch"] < 1e-4
         assert len(spect["plus"]) == 5
         assert not {"minus", "minus_error_estimates", "minus_shifted"} & set(spect)
+        # k, the grid's points and the tolerance are in the spectrum block
+        assert set(doc["config"]) == {"family", "perturb", "sample", "seed"}
 
     def test_more_than_one_m_exit_2(self, capsys):
         # spectrum runs one m; --m-list=-3,-9 once wrote the report of no list

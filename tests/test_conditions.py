@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -125,32 +126,63 @@ class TestNonFiniteValues:
     """A point where the family does not evaluate makes the residual nan,
     and a nan residual fails its verdict: none drops out of a maximum."""
 
-    # families whose g(x), cosh(c x) or sinh(x), overflows at x = 1000
+    # families whose g(x), cosh(c x) or sinh(x), overflows at x = 1000, and
+    # the radial ones at x = 1e200, where the checks' own products of k0,
+    # k1 and W1 overflow
     OVERFLOW_POINTS = {
-        "X1-hyperbolic": ParamPoint(m=2.5, c=1.0, beta=0.5, d=1.0),
-        "Xl-Poschl-Teller": ParamPoint(m=0.3, B=-2.5, ell=3),
-        "Xl-PT-Scarf": ParamPoint(m=0.3, B=-2.5, ell=3),
+        "X1-hyperbolic": (ParamPoint(m=2.5, c=1.0, beta=0.5, d=1.0), 1000.0),
+        "Xl-Poschl-Teller": (ParamPoint(m=0.3, B=-2.5, ell=3), 1000.0),
+        "Xl-PT-Scarf": (ParamPoint(m=0.3, B=-2.5, ell=3), 1000.0),
+        "X1-radial-oscillator": (ParamPoint(m=-3.0, omega=1.0, d=1.0), 1e200),
+        "Xl-radial-oscillator": (ParamPoint(m=-2.5, omega=1.0, ell=2), 1e200),
     }
+    # the residuals that read k0 or k1
+    AFFINE_RESIDUALS = ("compatibility", "infeld_hull", "infeld_hull_match", "algebra",
+                        "equivalence_step2_vs_step3")
 
     @pytest.mark.parametrize("mode", [None, *PERTURBATION_MODES])
     @pytest.mark.parametrize("tag", list(OVERFLOW_POINTS))
     def test_overflow_fails_every_check(self, tag, mode):
-        # W is nan at x = 1000 at every m: the evaluators return it without
-        # a warning, and every residual, the match of (a, b) included, is nan
-        p = self.OVERFLOW_POINTS[tag]
+        # the evaluators and the checks' arithmetic return inf or nan there
+        # without a warning (the radial families once raised RuntimeWarning
+        # from the checks), and every residual that reads k0 or k1, the
+        # match of (a, b) included, is nan
+        p, x = self.OVERFLOW_POINTS[tag]
         fam = get_family(tag, p)
         if mode is not None:
             fam = with_perturbation(fam, mode, 0.01)
-        grid = np.array([0.5, 1.0, 1000.0])
+        grid = np.array([0.5, 1.0, x])
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(check_compatibility(fam, m_list, grid))
             report = run_condition_checks(fam, grid, m_list)
-        assert "infeld_hull_match" in report.residuals
-        assert all(np.isnan(r) for r in report.residuals.values())
-        assert not any(report.verdicts.values())
+        assert all(np.isnan(report.residuals[r]) for r in self.AFFINE_RESIDUALS)
+        assert report.passed is False
         assert report.verdicts["compatibility"] is False
+        if tag == "X1-radial-oscillator":
+            if mode is None:
+                # W1+- stay finite at 1e200, so the two residuals that read
+                # W1 alone hold
+                assert report.residuals["translation"] == 0.0
+                assert report.residuals["equivalence_step3_vs_zero"] == 0.0
+        else:
+            assert all(np.isnan(r) for r in report.residuals.values())
+            assert not any(report.verdicts.values())
+
+    @pytest.mark.parametrize("mode", ["wminus-slope", "wplus-slope", "paired-mx-slope"])
+    def test_infinite_rows_fail_compatibility_quietly(self, mode):
+        # a slope control makes every row of the seven-term combination inf
+        # at x = 1e200; check_compatibility's inf - inf once raised
+        # RuntimeWarning
+        p = ParamPoint(m=0.5, c=0.8, beta=-2.5, d=0.75)
+        fam = with_perturbation(get_family("X1-trigonometric", p), mode, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_condition_checks(fam, np.array([0.5, 1.0, 1e200]),
+                                          (p.m, p.m - 1.0, p.m - 2.0))
+        assert np.isnan(report.residuals["compatibility"])
+        assert report.passed is False
 
     def test_nan_b_fails_infeld_hull_and_its_match(self):
         fam, p, grid = family_on_grid("X1-radial-oscillator")
@@ -338,6 +370,18 @@ class TestRunConditionChecks:
         fam, p, grid = family_on_grid("X1-radial-oscillator")
         with pytest.raises(UsageError):
             check_compatibility(fam, (p.m,), grid)
+
+    @pytest.mark.parametrize("checks, unknown", [
+        (("remainder",), "['remainder']"),
+        (("spectrum",), "['spectrum']"),
+        (("compatability", "translation", "spectrum"), "['compatability', 'spectrum']"),
+    ])
+    def test_check_outside_check_names_raises(self, checks, unknown):
+        # each once returned a report with no verdict that passed: the CLI
+        # runs remainder and spectrum itself, and a misspelt check ran none
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        with pytest.raises(UsageError, match=re.escape(f"unknown checks {unknown}")):
+            run_condition_checks(fam, grid, (p.m, p.m - 1.0), checks=checks)
 
 
 class TestSharedW1Table:

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from shapeinv.cli import main
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
 
@@ -83,6 +82,8 @@ EXPECTED = [
     ("verify X1-hyperbolic m-list=0.3,1.3", 2),
     ("verify X1-hyperbolic c=1e-200", 2),
     ("verify X1-trigonometric c=1e-200", 2),
+    ("scan X1-radial-oscillator seed=3 k=3", 2),
+    ("spectrum X1-radial-oscillator seed=3 config=grid", 2),
 ]
 
 
@@ -94,8 +95,13 @@ def load_digests():
 
 
 @pytest.fixture(scope="module")
-def configs(tmp_path_factory):
-    return dict(load_digests().configs(tmp_path_factory.mktemp("configs")))
+def digests():
+    return load_digests()
+
+
+@pytest.fixture(scope="module")
+def configs(digests, tmp_path_factory):
+    return dict(digests.configs(tmp_path_factory.mktemp("configs")))
 
 
 def test_every_config_has_an_expected_code(configs):
@@ -103,6 +109,6 @@ def test_every_config_has_an_expected_code(configs):
 
 
 @pytest.mark.parametrize("label, code", EXPECTED)
-def test_exit_code(configs, label, code):
+def test_exit_code(digests, configs, label, code):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(configs[label]) == code
+        assert digests.exit_code(configs[label]) == code

@@ -12,10 +12,11 @@ real family, `verify --format csv` on one point per family (every check
 that the family supports), `verify --config` on a file that sets every
 config field (EVERY_FIELD, written to a temporary directory), and
 `verify --m-list` on a list whose first translate m - 1 leaves the region
-(OUTSIDE_TRANSLATE: exit 2 and an empty report), and `verify` on each X1
-family with a c whose 2*c^2 underflows to 0 (UNDERFLOW_C: exit 2), and prints
-one line per report: the sha256 of its bytes, the command, the family, the
-seed and the exit code.  Then it prints one line per family for the
+(OUTSIDE_TRANSLATE: exit 2 and an empty report), `verify` on each X1
+family with a c whose 2*c^2 underflows to 0 (UNDERFLOW_C: exit 2), and one
+setting per command that it does not read (UNREAD: exit 2), and prints one
+line per report: the sha256 of its bytes, the command, the family, the seed
+and the exit code.  Then it prints one line per family for the
 sampler: the sha256 of the repr of sample_valid_params(tag, 5, s) for every
 s in SAMPLER_SEEDS.  Running it on two checkouts and diffing the output
 lists every report, and every family's draws, that a change alters.
@@ -47,11 +48,10 @@ CHECKS = "compatibility,remainder,spectrum"
 # the CSV report's checks: the five identity checks on every family, and
 # the remainder and spectrum on the real ones (complex families have no spectra)
 IDENTITY_CHECKS = "translation,compatibility,infeld_hull,algebra,equivalence"
-# a config file that sets every field; all but format and out (standard output)
-# differ from their defaults
+# a config file that sets every field but params, which excludes sample; all
+# but format and out (standard output) differ from their defaults
 EVERY_FIELD = {
     "family": "Xl-radial-oscillator",
-    "params": {"m": -2.5, "omega": 1.5, "ell": 2},
     "sample": 2,
     "seed": 9,
     "m_list": [-2.5, -3.5],
@@ -75,6 +75,10 @@ OUTSIDE_TRANSLATE = ("X1-hyperbolic", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.
 # families with a c divides, underflows to 0
 UNDERFLOW_C = '{"m": 1.0, "c": 1e-200, "beta": 0.5, "d": 1.0}'
 
+# settings that scan and spectrum do not read, as a flag and as a config
+# file's key, on X1-radial-oscillator at SEEDS[0]
+UNREAD = ("X1-radial-oscillator", ["--k", "3"], {"grid": {"n_points": 64}})
+
 
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
 SAMPLER_SEEDS = range(200)
@@ -85,12 +89,12 @@ def configs(tmp: Path):
     for the config file."""
     for tag in catalog.FAMILY_TAGS:
         for seed in SEEDS:
-            point = ["--family", tag, "--sample", "1", "--seed", str(seed), "--no-timestamp"]
+            point = ["--family", tag, "--sample", "1", "--seed", str(seed)]
             m = catalog.sample_valid_params(tag, 1, seed)[0].m
-            yield f"verify {tag} seed={seed}", ["verify", *point]
+            yield f"verify {tag} seed={seed}", ["verify", *point, "--no-timestamp"]
             yield f"scan {tag} seed={seed}", ["scan", *point, f"--m-list={m!r},{m - 1.0!r},{m - 2.0!r}"]
             if tag in catalog.REAL_TAGS:
-                yield f"spectrum {tag} seed={seed}", ["spectrum", *point]
+                yield f"spectrum {tag} seed={seed}", ["spectrum", *point, "--no-timestamp"]
     for tag in catalog.FAMILY_TAGS:
         if tag.startswith("Xl-"):
             yield (f"verify {tag} seed={CONTROL_SEED} perturb={PERTURB}",
@@ -114,6 +118,21 @@ def configs(tmp: Path):
     for tag in ("X1-hyperbolic", "X1-trigonometric"):
         yield (f"verify {tag} c=1e-200",
                ["verify", "--family", tag, "--params", UNDERFLOW_C, "--no-timestamp"])
+    tag, flag, key = UNREAD
+    point = ["--family", tag, "--sample", "1", "--seed", str(SEEDS[0])]
+    yield f"scan {tag} seed={SEEDS[0]} {flag[0].lstrip('-')}={flag[1]}", ["scan", *point, *flag]
+    path = tmp / "unread.json"
+    path.write_text(json.dumps(key), encoding="utf-8")
+    yield (f"spectrum {tag} seed={SEEDS[0]} config={','.join(key)}",
+           ["spectrum", *point, "--config", str(path), "--no-timestamp"])
+
+
+def exit_code(argv) -> int:
+    """main's exit code, that of the parser's SystemExit (2) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def digest(argv) -> tuple[str, int]:
@@ -121,7 +140,7 @@ def digest(argv) -> tuple[str, int]:
     the exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        code = exit_code(argv)
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
 
 
