@@ -53,6 +53,7 @@ Family tags, in catalog order:
 from __future__ import annotations
 
 import functools
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -262,9 +263,11 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
 
 def _x1_conditions(c: float, d: float) -> tuple:
     """The conditions on X1-hyperbolic's and X1-trigonometric's constants.
-    Their m edges divide by 2*c^2, which underflows to 0 for c below about
-    1e-162."""
-    return (c > 0.0, "c > 0"), (2.0 * c * c > 0.0, "2*c^2 > 0"), (d != 0.0, "d != 0")
+    Their m edges divide by 2*c^2, and k0, k1 carry c^2: below about
+    1.5e-154, c^2 is subnormal and loses its digits (2*c^2 is 0 below
+    about 1e-162), so the support stops where c^2 is a normal double."""
+    return ((c > 0.0, "c > 0"), (c * c >= sys.float_info.min, "c^2 is a normal double"),
+            (d != 0.0, "d != 0"))
 
 
 def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:

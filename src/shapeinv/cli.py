@@ -16,8 +16,9 @@ it reads (its flags, config keys and report echo) in COMMANDS:
             remainder R, its flatness and the Weyl bound on the level
             mismatch as JSON.
 
-params with sample > 0 exits 2; scan and spectrum exit 2 on --sample N > 1,
-and spectrum on an m list of more than one value, rather than drop the rest.
+params or an m list with sample > 0 exits 2; scan and spectrum exit 2 on
+--sample N > 1, and spectrum on an m list of more than one value, rather
+than drop the rest.
 
 A run's RunConfig is RunConfig's defaults, updated by a config file
 (--config: one JSON object whose keys are fields the command reads, and
@@ -135,6 +136,9 @@ class RunConfig:
             raise UsageError("give --params or --sample N")
         if self.params is not None and self.sample > 0:
             raise UsageError(f"give params or sample, not both: params with sample {self.sample}")
+        if self.m_list is not None and self.sample > 0:
+            # the sampled points' m would be drawn, validated and then dropped
+            raise UsageError(f"give m_list or sample, not both: m_list with sample {self.sample}")
 
     def tolerance_map(self) -> dict:
         return check_tolerances(self.tol, self.tolerances)
@@ -246,8 +250,14 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     )
     extra = {"param_index": index}
     if "remainder" in cfg.checks:
-        extra["remainder"], flat = remainder(family, m_list[0], grid, values=values)
+        r, flat = remainder(family, m_list[0], grid, values=values)
+        extra["remainder"] = r
         report.record("remainder", tols["remainder"], remainder_flatness=flat)
+        if family.expected_ab is not None:
+            # compatibility cancels W1, and Infeld-Hull leaves R(m) = (2m - 1)a - 2b
+            a, b = family.expected_ab
+            report.record("remainder_match", tols["remainder"],
+                          remainder_match=abs(r - ((2.0 * m_list[0] - 1.0) * a - 2.0 * b)))
     if "spectrum" in cfg.checks:
         iso = check_isospectrality(family, m_list[0], k=cfg.k, n_points=cfg.spectrum_points)
         report.record("spectrum", tols["spectrum"], spectrum_mismatch=iso.mismatch)

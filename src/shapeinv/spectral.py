@@ -13,15 +13,21 @@ spectra by contract.
 
 The window search evaluates W once per pass, for its 400-point probe grid
 and every edge candidate of both sides at every m.  Only that probe is
-bisected.  V+'s levels are refined by inverse iteration from shifts: its
-spacing-doubled grid from the probe's levels, and the fine grid from the
-spacing-doubled levels.  The fine grid also starts from the spacing-doubled
-grid's eigenvectors, interpolated linearly, so it needs fewer steps; a
-fixed random vector starts any level that has no such vector.  A level set is accepted only
-under a certificate on its own matrix (disjoint residual intervals and one
-Sturm count); where that fails, the matrix is bisected instead.  A real
-family's W must arrive as float64: complex values are refused, not
-truncated.
+bisected: its top level, alone, in every pass, and the levels below it,
+which only seed inverse iteration, once after the last pass and to a
+looser tolerance.  V+'s levels are refined by inverse iteration from
+shifts: its spacing-doubled grid from the probe's levels, and the fine
+grid from the spacing-doubled levels.  The fine grid also starts from the
+spacing-doubled grid's eigenvectors, interpolated linearly, so it needs
+fewer steps; a fixed random vector starts any level that has no such
+vector.  A level stops at a residual of 4 eps*||T||_1, or earlier where
+its Kato-Temple bound, r^2 over its isolation, already reaches that.  A
+level set is accepted only under a certificate on its own matrix (disjoint
+residual intervals, one Sturm count that also isolates the top level, and
+each level's Weyl or Temple error bound); where that fails after an early
+stop, the early-stopped levels resume under the residual rule alone, and
+where it fails again, the matrix is bisected instead.  A real family's W
+must arrive as float64: complex values are refused, not truncated.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ _MAX_STEPS = 8
 # and in the Sturm count
 _RESIDUAL_ULPS = 4.0
 _GUARD_ULPS = 8.0
+# In units of ||T||_1: the bisection tolerance of the probe levels below the
+# top one, which only seed inverse iteration
+_SHIFT_ABSTOL = 1e-8
 # check_isospectrality's default level count and grid size
 DEFAULT_LEVELS = 5
 DEFAULT_SPECTRUM_POINTS = 4000
@@ -149,15 +158,17 @@ def _tridiagonal(values: np.ndarray, h: float):
     return 2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h))
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Levels first..last (0-based, ascending) by bisection to eps*||T||_1:
-    the dstebz call that scipy's eigh_tridiagonal makes, without its
-    argument checks (every grid is finite by PotentialGrid)."""
+def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int,
+            abstol: float = 0.0) -> np.ndarray:
+    """Levels first..last (0-based, ascending) by bisection to abstol, or to
+    eps*||T||_1 where abstol is 0: the dstebz call that scipy's
+    eigh_tridiagonal makes, without its argument checks (every grid is
+    finite by PotentialGrid)."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only spectra need it
     from scipy.linalg.lapack import dstebz
 
-    count, w, *_, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, b"E")
+    count, w, *_, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, abstol, b"E")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed to converge (info = {info})")
     return w[:count]
@@ -168,11 +179,16 @@ def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
     return _bisect(*_tridiagonal(values, h), 0, k - 1)
 
 
-def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float):
-    """(rho, r, v) from fixed-shift inverse iteration on T - shift*I: the
-    unit iterate v, its Rayleigh quotient rho and r = ||T v - rho v||,
-    computed from T itself.  None where T - shift*I is singular or r stays
-    above tol for _MAX_STEPS steps.
+def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
+                       delta: float = 0.0, steps: int = _MAX_STEPS):
+    """(rho, r, v, used) from fixed-shift inverse iteration on T - shift*I:
+    the unit iterate v, its Rayleigh quotient rho, r = ||T v - rho v||,
+    computed from T itself, and the number of steps used.  It stops at
+    r <= tol, or at r^2 <= tol*delta, where Kato-Temple bounds the error by
+    r^2/delta once the level is isolated by delta; delta = 0 leaves the
+    first rule alone.  None where T - shift*I is singular or r stays above
+    both for that many steps.  Starting again from v with the steps left
+    continues the same iteration bit for bit.
 
     start is copied once, and every step solves in place in that copy; T v,
     the residual vector and the off-diagonal products have one buffer each
@@ -185,7 +201,7 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float):
         return None
     v = np.array(start, dtype=float)
     tv, res, prod = np.empty_like(v), np.empty_like(v), np.empty_like(off)
-    for _ in range(_MAX_STEPS):
+    for used in range(1, steps + 1):
         v, info = dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
         v /= math.sqrt(v @ v)
         np.multiply(diag, v, out=tv)
@@ -197,8 +213,8 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float):
         np.multiply(rho, v, out=res)
         np.subtract(tv, res, out=res)
         r = math.sqrt(res @ res)
-        if r <= tol:
-            return rho, r, v
+        if r <= tol or r * r <= tol * delta:
+            return rho, r, v, used
     return None
 
 
@@ -224,46 +240,90 @@ def _prolong(coarse: np.ndarray, n: int) -> np.ndarray:
     return fine
 
 
-def _certified_levels(values: np.ndarray, h: float, shifts, starts=None):
-    """(levels, vectors): the len(shifts) lowest levels of the grid's matrix
-    T, refined from the shifts by inverse iteration and accepted under a
-    certificate, with their unit iterates (one per row, ascending); or
-    bisected levels and None where the certificate fails.  Level i starts
-    from starts[i] when given, else from a fixed random vector.
+def _gershgorin_norm(diag: np.ndarray, h: float) -> float:
+    """Gershgorin's bound on ||T||_1 of the grid's matrix."""
+    return float(np.max(np.abs(diag))) + 2.0 / (h * h)
 
-    Each refined value rho_i has an eigenvalue of T within its residual r_i
-    (v has unit norm to within n*eps) plus a rounding guard.  When those
-    intervals are pairwise disjoint and one Sturm count finds exactly
-    len(shifts) eigenvalues up to the top of the highest, each interval
-    holds one of the lowest levels, in order.  The start vectors only
-    change how fast the iteration gets there, never what is accepted.
+
+def _certificate(diag, off, found, floor: float, tol: float, guard: float):
+    """(levels, vectors) of the inverse-iteration results found, (rho, r, v,
+    used) per level, sorted by rho, when they certify the len(found) lowest
+    levels of T; else None.
+
+    Each rho_i has an eigenvalue of T in [lo_i, hi_i] = rho_i -+ (r_i +
+    guard) (Weyl; v has unit norm to within n*eps, and the guard covers the
+    rounding in rho, r and the Sturm count).  When those intervals are
+    disjoint and one Sturm count finds exactly k eigenvalues up to c, each
+    holds one of the k lowest levels, in order, and level i is the only
+    eigenvalue in (hi_{i-1}, lo_{i+1}), or in (hi_{k-2}, c) for the top.  c
+    is hi_top when r_top <= tol, else rho_top + (r_top + guard)^2/tol, the
+    isolation at which the top level's Temple bound reaches tol.  Each
+    level's error is then Weyl's r + guard when r <= tol, else Temple's
+    (r + guard)^2/dist, dist its distance to the nearer end of its
+    interval; the set is accepted when every error is at most tol + guard.
     """
     from scipy.linalg.lapack import dstebz
 
+    found = sorted(found, key=lambda f: f[0])
+    rho, r = np.array([f[:2] for f in found]).T
+    lo, hi = rho - r - guard, rho + r + guard
+    if not np.all(lo[1:] > hi[:-1]):
+        return None
+    top = hi[-1] if r[-1] <= tol else rho[-1] + (r[-1] + guard) ** 2 / tol
+    # abstol spans the whole interval: dstebz counts, no bisection
+    count, *_, info = dstebz(diag, off, 1, floor - guard, top, 0, 0, top - floor, b"E")
+    if info != 0 or count != len(found):
+        return None
+    dist = np.minimum(rho - np.r_[-np.inf, hi[:-1]], np.r_[lo[1:], top] - rho)
+    error = np.where(r <= tol, r + guard, (r + guard) ** 2 / dist)
+    if np.all(error <= tol + guard):
+        return rho, np.array([f[2] for f in found])
+    return None
+
+
+def _certified_levels(values: np.ndarray, h: float, shifts, starts=None):
+    """(levels, vectors): the len(shifts) lowest levels of the grid's matrix
+    T, refined from the shifts by inverse iteration and accepted under a
+    certificate (_certificate), with their unit iterates (one per row,
+    ascending); or bisected levels and None where the certificate fails.
+    Level i starts from starts[i] when given, else from a fixed random
+    vector.
+
+    Each level stops at r <= tol, or at r^2 <= tol*delta (Kato-Temple),
+    delta a quarter of its shift's distance to the nearest other shift (0
+    for a lone shift).  When the certificate refuses a set with an early
+    stop, each early-stopped level resumes where it stopped, under
+    r <= tol alone and within the same step cap, and the set is certified
+    again; that is the iteration and the certificate of a set without
+    early stops.  The start vectors and the early stops only change how
+    fast the iteration gets there, never the bound an accepted level meets.
+    """
     diag, off = _tridiagonal(values, h)
     k = len(shifts)
-    # Gershgorin: ||T||_1 is at most norm, and no eigenvalue lies below floor
-    norm = float(np.max(np.abs(diag))) + 2.0 / (h * h)
-    floor = float(np.min(diag)) - 2.0 / (h * h)
+    norm = _gershgorin_norm(diag, h)
+    floor = float(np.min(diag)) - 2.0 / (h * h)  # Gershgorin: no eigenvalue below it
     tol, guard = _RESIDUAL_ULPS * _EPS * norm, _GUARD_ULPS * _EPS * norm
     if starts is None:
         starts = [_random_start(values.size)] * k
+    shifts = np.asarray(shifts, dtype=float)
+    # sorted |s_i - s_j| of row i: 0 (itself), then the nearest other shift
+    deltas = (0.25 * np.sort(np.abs(shifts[:, None] - shifts), axis=1)[:, 1] if k > 1
+              else np.zeros(1))
     found = []
-    for s, start in zip(shifts, starts):
-        found.append(_inverse_iteration(diag, off, float(s), start, tol))
+    for s, start, delta in zip(shifts, starts, deltas):
+        found.append(_inverse_iteration(diag, off, float(s), start, tol, delta))
         if found[-1] is None:
-            break
-    else:
-        found.sort(key=lambda f: f[0])
-        rho, r = np.array([f[:2] for f in found]).T
-        lo, hi = rho - r - guard, rho + r + guard
-        if np.all(lo[1:] > hi[:-1]):
-            # abstol spans the whole interval: dstebz counts, no bisection
-            count, *_, info = dstebz(diag, off, 1, floor - guard, hi[-1], 0, 0,
-                                     hi[-1] - floor, b"E")
-            if info == 0 and count == k:
-                return rho, np.array([f[2] for f in found])
-    return _bisect(diag, off, 0, k - 1), None
+            return _bisect(diag, off, 0, k - 1), None
+    certified = _certificate(diag, off, found, floor, tol, guard)
+    if certified is None and any(f[1] > tol for f in found):
+        for i, (s, (_, r, v, used)) in enumerate(zip(shifts, found)):
+            if r > tol:
+                found[i] = _inverse_iteration(diag, off, float(s), v, tol,
+                                              steps=_MAX_STEPS - used)
+                if found[i] is None:
+                    return _bisect(diag, off, 0, k - 1), None
+        certified = _certificate(diag, off, found, floor, tol, guard)
+    return certified or (_bisect(diag, off, 0, k - 1), None)
 
 
 def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumResult:
@@ -277,10 +337,12 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     When they were refined, their eigenvectors, interpolated linearly to the
     fine nodes (walls at 0), are the fine grid's start vectors; after a
     bisection a fixed random vector starts every fine-grid level.  Each
-    refined level set is accepted only under a residual and Sturm-count
-    certificate on its own matrix, and that matrix is bisected where the
-    certificate fails, so bad shifts or starts cost time but cannot yield
-    wrong levels.
+    refined level set is accepted only under a certificate on its own
+    matrix (_certificate: disjoint residual intervals, a Sturm count, and a
+    Weyl or Kato-Temple bound of tol + guard on every level), and that
+    matrix is bisected where the certificate fails, so bad shifts or starts
+    cost time but cannot yield wrong levels; a level may stop early on its
+    Temple bound, and resumes where the set is refused.
     The per-level error estimate compares the two grids, scaled by the 1/3
     factor of second-order Richardson extrapolation.
     """
@@ -338,13 +400,16 @@ def spectral_window(family: SuperpotentialFamily, m_values,
                     k: int) -> tuple[tuple[float, float], np.ndarray]:
     """((a, b), levels): a truncation window whose edge potentials dominate
     the top level sought, and the k lowest levels of V+(., m_values[0]) on
-    the last probe grid, bisected.
+    the last probe grid: level k - 1 bisected to eps*||T||_1, and levels
+    0..k-2 to _SHIFT_ABSTOL*||T||_1, since they only seed inverse iteration.
 
-    Each pass bisects V+ on a 400-point probe grid of the current window for
-    the k-th level estimate.  Edges grow (or the margins shrink) until V at
-    both ends exceeds it plus a fixed margin; growth stops early when V
-    saturates (hyperbolic plateaus), which is harmless for the constant-shift
-    comparison because both potentials are truncated identically.  A pass
+    Each pass bisects level k - 1 alone of V+ on a 400-point probe grid of
+    the current window for the k-th level estimate; the levels below it
+    are bisected once, after the last pass.  Edges grow (or the margins
+    shrink) until V at both ends exceeds it plus a fixed margin; growth
+    stops early when V saturates (hyperbolic plateaus), which is harmless
+    for the constant-shift comparison because both potentials are
+    truncated identically.  A pass
     depends only on the window it starts from, so the search stops after a
     pass that leaves the window unchanged, and after 3 passes at most.  The
     levels then belong to the returned window, except after a third pass
@@ -390,8 +455,10 @@ def spectral_window(family: SuperpotentialFamily, m_values,
             edge_v = np.min(np.minimum(v_minus, v_plus)[:, x.size:], axis=0)
             finite = np.all(np.isfinite(v_minus) & np.isfinite(v_plus), axis=0)[x.size:]
         probe = PotentialGrid(x=x, values=v_plus[0, :x.size])
-        levels = _lowest_eigenvalues(probe.values, x[1] - x[0], k)
-        target = float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
+        h = x[1] - x[0]
+        diag, off = _tridiagonal(probe.values, h)
+        top = _bisect(diag, off, k - 1, k - 1)
+        target = float(top[0]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
 
         n = len(right)
         if right:
@@ -400,7 +467,10 @@ def spectral_window(family: SuperpotentialFamily, m_values,
             a = _walk_edge(left, edge_v[n:], finite[n:], target, left_margin)
         if (a, b) == start:
             break
-    return (float(a), float(b)), levels
+    if k > 1:
+        lower = _bisect(diag, off, 0, k - 2, _SHIFT_ABSTOL * _gershgorin_norm(diag, h))
+        top = np.concatenate([lower, top])
+    return (float(a), float(b)), top
 
 
 def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAULT_LEVELS,
@@ -413,7 +483,8 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAUL
     differs by more than its largest entry, the flatness of the remainder.
     The mismatch adds 4 eps/h^2 for the rounding in forming the two
     diagonals 2/h^2 + V.  V+ alone is solved, seeded with the window
-    probe's bisected levels and certified on its own matrix.
+    probe's bisected levels (the top one to eps*||T||_1, the rest to a
+    shift tolerance) and certified on its own matrix.
     """
     if k < 1:
         raise UsageError("k must be >= 1")

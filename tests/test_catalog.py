@@ -227,12 +227,15 @@ class TestValidityWitness:
         assert rep_in.valid and rep_in.agrees
         assert not rep_out.valid and rep_out.agrees
 
-    @pytest.mark.parametrize("c, condition", [(0.0, "c > 0"), (1e-170, "2*c^2 > 0"),
-                                              (1e-200, "2*c^2 > 0")])
+    @pytest.mark.parametrize("c, condition", [(0.0, "c > 0"),
+                                              (1e-154, "c^2 is a normal double"),
+                                              (1e-170, "c^2 is a normal double"),
+                                              (1e-200, "c^2 is a normal double")])
     @pytest.mark.parametrize("tag", ["X1-hyperbolic", "X1-trigonometric"])
     def test_zero_c_names_its_condition(self, tag, c, condition):
         # every m edge divides by 2*c^2; c = 0, and a c > 0 whose 2*c^2
-        # underflows to 0, once raised ZeroDivisionError
+        # underflows to 0, once raised ZeroDivisionError.  c = 1e-154 is the
+        # largest power of ten whose c^2 is subnormal
         rep = validity_witness(tag, ParamPoint(m=1.0, c=c, beta=0.5, d=1.0))
         assert not rep.valid and rep.violated == condition
 

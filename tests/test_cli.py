@@ -57,17 +57,35 @@ class TestVerify:
         assert code == 2
         assert "m < -(1 + 2*d)/2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("c, condition", [("0.0", "c > 0"), ("1e-170", "2*c^2 > 0"),
-                                              ("1e-200", "2*c^2 > 0")])
+    @pytest.mark.parametrize("c, condition", [("0.0", "c > 0"),
+                                              ("1e-160", "c^2 is a normal double"),
+                                              ("1e-170", "c^2 is a normal double"),
+                                              ("1e-200", "c^2 is a normal double")])
     @pytest.mark.parametrize("tag", ["X1-hyperbolic", "X1-trigonometric"])
     def test_zero_c_exit_2(self, tag, c, condition, capsys):
         # the m edges divide by 2*c^2 and X1-trigonometric's domain by c;
         # c = 0, and a c > 0 whose 2*c^2 underflows to 0, once raised
-        # ZeroDivisionError (exit 1, the violation code)
+        # ZeroDivisionError (exit 1, the violation code); at c = 1e-160
+        # X1-trigonometric once ran on a subnormal c^2 and exited 1
         code = main(["verify", "--family", tag,
                      "--params", f'{{"m": 1.0, "c": {c}, "beta": 0.5, "d": 1.0}}'])
         assert code == 2
         assert f"violates {condition}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta, d, m", [(0.5, 1.0, 1.0), (-0.5, 1.0, 2.0),
+                                            (0.5, -1.0, -1.0)])
+    @pytest.mark.parametrize("tag", ["X1-hyperbolic", "X1-trigonometric"])
+    def test_small_c_never_a_violation(self, tag, beta, d, m):
+        # c = 10^-j, j = 150..163: c^2 turns subnormal at j = 154, where
+        # k0 and k1 lose their digits; X1-trigonometric exited 1 for
+        # j = 157..161.  A run either checks a normal c^2 or exits 2
+        codes = []
+        for j in range(150, 164):
+            params = json.dumps({"m": m, "c": float(f"1e-{j}"), "beta": beta, "d": d})
+            codes.append(main(["verify", "--family", tag, "--params", params,
+                               "--no-timestamp"]))
+        assert set(codes) <= {0, 2}
+        assert set(codes[4:]) == {2}
 
     def test_invalid_first_translate_exit_2(self, capsys):
         # m = 0.3 and 1.3 lie in the region m > 0, but translation, algebra,
@@ -184,6 +202,34 @@ class TestVerify:
         r, flat = remainder(fam, p.m, make_grid(fam, GridSpec(), m_values=m_list))
         assert code == 0
         assert (result["remainder"], result["residuals"]["remainder_flatness"]) == (r, flat)
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_remainder_matches_its_closed_form(self, tmp_path, tag):
+        # compatibility cancels W1 and Infeld-Hull leaves R(m) = (2m - 1)a - 2b:
+        # the numeric R of 6 sampled points is within 1.5e-14 of it, relative
+        code, text = run(tmp_path, "verify", "--family", tag, "--sample", "6", "--seed", "3",
+                         "--checks", "remainder", "--no-timestamp")
+        assert code == 0
+        results = json.loads(text)["results"]
+        for result, p in zip(results, sample_valid_params(tag, 6, 3), strict=True):
+            a, b = get_family(tag, p).expected_ab
+            want = (2.0 * p.m - 1.0) * a - 2.0 * b
+            gap = result["residuals"]["remainder_match"]
+            assert gap == abs(result["remainder"] - want)
+            assert gap <= 1e-13 * abs(want)
+            assert result["verdicts"]["remainder_match"]
+            assert result["tolerances"]["remainder_match"] == result["tolerances"]["remainder"]
+
+    def test_perturbed_remainder_misses_its_closed_form(self, tmp_path):
+        # verify --perturb adds 1e-3*x to W1- (the wminus-slope control): R
+        # moves by 0.2 from (2m - 1)a - 2b
+        code, text = run(tmp_path, "verify", "--family", "X1-hyperbolic", "--sample", "1",
+                         "--seed", "3", "--checks", "remainder", "--perturb", "1e-3",
+                         "--no-timestamp")
+        assert code == 1
+        result = json.loads(text)["results"][0]
+        assert not result["verdicts"]["remainder_match"]
+        assert result["residuals"]["remainder_match"] > 0.1
 
     def test_unknown_check_exit_2(self, capsys):
         assert main([
@@ -406,13 +452,12 @@ class TestCommandDefaults:
             main([command, "--help"])
         assert f"comma-separated m values (default: {m_list})" in capsys.readouterr().out
 
-    # every RunConfig field but params, which excludes sample, each but
-    # format and out away from its default
+    # every RunConfig field but params and m_list, which exclude sample,
+    # each but format and out away from its default
     EVERY_FIELD = {
         "family": "Xl-radial-oscillator",
         "sample": 2,
         "seed": 9,
-        "m_list": [-2.5, -3.5],
         "checks": ["translation", "compatibility", "remainder", "spectrum"],
         "grid": {"n_points": 96, "boundary_margin": 0.04, "pole_exclusion_radius": 2e-3},
         "tol": 1e-8,
@@ -426,7 +471,8 @@ class TestCommandDefaults:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_config_file_writes_what_the_flags_write(self, tmp_path, fmt):
         cfg = {**self.EVERY_FIELD, "format": fmt, "out": str(tmp_path / "file.out")}
-        assert set(cfg) == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"params"}
+        assert set(cfg) == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"params",
+                                                                                  "m_list"}
         assert set(cfg["grid"]) == {f.name for f in dataclasses.fields(GridSpec)}
         (tmp_path / "all.json").write_text(json.dumps(cfg), encoding="utf-8")
         # tolerances and two grid fields have no flag
@@ -434,8 +480,7 @@ class TestCommandDefaults:
                 "grid": {k: v for k, v in cfg["grid"].items() if k != "n_points"}}
         (tmp_path / "rest.json").write_text(json.dumps(rest), encoding="utf-8")
         flags = ["--config", str(tmp_path / "rest.json"), "--family", cfg["family"],
-                 "--sample", "2", "--seed", "9",
-                 "--m-list=-2.5,-3.5", "--checks", ",".join(cfg["checks"]),
+                 "--sample", "2", "--seed", "9", "--checks", ",".join(cfg["checks"]),
                  "--grid-points", "96", "--tol", "1e-8", "--format", fmt,
                  "--out", str(tmp_path / "flags.out"), "--no-timestamp", "--perturb", "1e-3",
                  "--k", "3", "--spectrum-points", "1000"]
@@ -508,6 +553,15 @@ class TestCommandReads:
                      "--params", json.dumps(self.X1), "--sample", "1"])
         assert code == 2
         assert "give params or sample, not both: params with sample 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_m_list_with_sample_exit_2(self, command, capsys):
+        # verify --sample 2 --m-list=-2.5,-3.5 once drew and validated each
+        # point's m, ran the checks at the given list and echoed the drawn m
+        code = main([command, "--family", "Xl-radial-oscillator", "--sample", "1",
+                     "--seed", "9", "--m-list=-2.5"])
+        assert code == 2
+        assert "give m_list or sample, not both: m_list with sample 1" in capsys.readouterr().err
 
 
 def assert_reference_json(text):
@@ -606,7 +660,7 @@ class TestScan:
         # point, and writes compatibility_lhs's samples at m
         p = sample_valid_params(tag, 1, seed)[0]
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
-        code, text = run(tmp_path, "scan", "--family", tag, "--sample", "1", "--seed", str(seed),
+        code, text = run(tmp_path, "scan", "--family", tag, "--params", json.dumps(p.to_dict()),
                          "--m-list=" + ",".join(map(repr, m_list)), out_name="scan.csv")
         assert code == 0
         rows = list(csv.reader(text.splitlines()))

@@ -302,6 +302,120 @@ class TestCertificate:
         assert np.array_equal(got, lv)
 
 
+def certificate_log(monkeypatch):
+    """The results of every later _inverse_iteration call, (rho, r, v, used)
+    or None, and of every _certificate call, levels or None."""
+    from shapeinv import spectral
+
+    runs, certificates = [], []
+    iterate, certify = spectral._inverse_iteration, spectral._certificate
+    monkeypatch.setattr(spectral, "_inverse_iteration",
+                        lambda *a, **kw: runs.append(iterate(*a, **kw)) or runs[-1])
+    monkeypatch.setattr(spectral, "_certificate",
+                        lambda *a: certificates.append(certify(*a)) or certificates[-1])
+    return runs, certificates
+
+
+def certified_bound(values, h):
+    """(_RESIDUAL_ULPS + _GUARD_ULPS) * eps * ||T||_1 (Gershgorin's bound):
+    the error that the certificate accepts."""
+    from shapeinv.spectral import _EPS, _GUARD_ULPS, _RESIDUAL_ULPS
+
+    norm = float(np.max(np.abs(2.0 / (h * h) + values))) + 2.0 / (h * h)
+    return (_RESIDUAL_ULPS + _GUARD_ULPS) * _EPS * norm, _RESIDUAL_ULPS * _EPS * norm
+
+
+def double_well(depth):
+    """(values, h) of depth*(x^2 - 4)^2 on 600 nodes of (-4, 4): its levels
+    come in tunnelling pairs; levels 2 and 3 are split by 0.12 at depth 1
+    and by 2.2e-5 at depth 4, levels 0 and 1 by 3.2e-5 at depth 2."""
+    xs = dirichlet_grid(-4.0, 4.0, 600)
+    return depth * (xs * xs - 4.0) ** 2, float(xs[1] - xs[0])
+
+
+class TestTempleCertificate:
+    """A level may stop at r^2 <= tol*delta, delta a quarter of its shift's
+    distance to the nearest other shift.  Its set is accepted only where a
+    Sturm count isolates every such level well enough for Kato-Temple to
+    bound its error by tol + guard; otherwise the early-stopped levels
+    resume under r <= tol, and bisection stays the fallback."""
+
+    def test_early_stopped_set_is_accepted(self, monkeypatch):
+        # every level of the oscillator stops early, with r up to 1e-6, and
+        # the first certificate accepts the set as it stands
+        from shapeinv.spectral import _certified_levels, _lowest_eigenvalues
+
+        values, h = TestCertificate.VALUES, TestCertificate.H
+        bound, tol = certified_bound(values, h)
+        shifts = _lowest_eigenvalues(values, h, 5) + 0.01
+        runs, certificates = certificate_log(monkeypatch)
+        calls = bisected_sizes(monkeypatch)
+        got, vectors = _certified_levels(values, h, shifts)
+        assert vectors is not None and calls == []
+        assert len(certificates) == 1
+        assert all(run[1] > tol for run in runs)
+        want, _ = dense_levels(PotentialGrid(x=TestCertificate.XS, values=values), 5)
+        assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("depth, resumed", [(1.0, True), (4.0, False)])
+    def test_close_neighbour_above_the_top_level(self, depth, resumed, monkeypatch):
+        # levels 0..2 of a double well: level 3 sits 0.12 (depth 1) or
+        # 2.2e-5 (depth 4) above the top level, far closer than delta, so
+        # the Sturm count up to the top level's isolation refuses the early
+        # stop.  At depth 1 the resumed top level converges and is
+        # certified; at depth 4 it reaches the step cap, and the matrix is
+        # bisected.
+        from shapeinv.spectral import _certified_levels, _lowest_eigenvalues
+
+        values, h = double_well(depth)
+        bound, tol = certified_bound(values, h)
+        want = _lowest_eigenvalues(values, h, 3)
+        runs, certificates = certificate_log(monkeypatch)
+        calls = bisected_sizes(monkeypatch)
+        got, vectors = _certified_levels(values, h, want + 1e-7)
+        assert runs[2][1] > tol  # the top level stopped early
+        assert certificates[0] is None
+        assert (vectors is not None) == resumed and (calls == []) == resumed
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_pair_closer_than_its_shifts(self, monkeypatch):
+        # a tunnelling pair split by 3.2e-5, reached from shifts 0.5 below
+        # and above it, each level started from its eigenvector with 5% of
+        # the other's: both stop early at r = 1.6e-6 with rho 7.9e-8 off,
+        # an error that only the distance to the neighbour in the set, not
+        # to the far end of the interval, shows.  The set is refused, and
+        # the resumed levels reach the step cap
+        from scipy.linalg import eigh_tridiagonal
+
+        from shapeinv.spectral import _certified_levels, _tridiagonal
+
+        values, h = double_well(2.0)
+        bound, tol = certified_bound(values, h)
+        want, vectors = eigh_tridiagonal(*_tridiagonal(values, h), select="i",
+                                         select_range=(0, 1))
+        starts = [vectors[:, 0] + 0.05 * vectors[:, 1], vectors[:, 1] - 0.05 * vectors[:, 0]]
+        runs, certificates = certificate_log(monkeypatch)
+        calls = bisected_sizes(monkeypatch)
+        got, _ = _certified_levels(values, h, [want[0] - 0.5, want[1] + 0.5], starts)
+        assert all(run[1] > tol for run in runs[:2])
+        assert certificates == [None] and calls == [values.size]
+        assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_multi_well_potentials(self, seed):
+        # a*u^2 + 10 cos(2 pi f u) + c on [0, L]: up to six wells, with
+        # near-degenerate pairs that reach every path of the certificate
+        rng = np.random.default_rng(seed)
+        a, f = rng.uniform(0.0, 200.0), rng.uniform(0.0, 6.0)
+        length, c = rng.uniform(1.0, 30.0), rng.uniform(-50.0, 50.0)
+        n = int(rng.integers(64, 601))
+        xs = dirichlet_grid(0.0, length, n)
+        u = xs / length - 0.5
+        values = a * u * u + 10.0 * np.cos(2.0 * np.pi * f * u) + c
+        assert_matches_dense(PotentialGrid(x=xs, values=values),
+                             min(int(rng.integers(1, 9)), n // 8))
+
+
 def allocating_inverse_iteration(diag, off, shift, start, tol):
     """The inverse-iteration loop with fresh arrays on every step: the
     reference that _inverse_iteration, which works in buffers, must equal
@@ -392,6 +506,27 @@ class TestInverseIterationBuffers:
         assert converged >= 1
         # the rows of the prolonged array are not written
         assert np.array_equal(starts, _prolong(vectors.T, n))
+
+    @pytest.mark.parametrize("n", [301, 1000])
+    def test_resumed_iteration_is_the_uninterrupted_one(self, n):
+        # a level stopped by r^2 <= tol*delta and started again from its
+        # iterate, with the steps left, ends where the loop without delta
+        # ends, bit for bit
+        from shapeinv.spectral import _MAX_STEPS, _bisect, _inverse_iteration, _random_start
+
+        diag, off, h, _ = self.matrix(n, 5)
+        tol = self.tol(diag, h)
+        levels = _bisect(diag, off, 0, 2)
+        shift = float(levels[1] + 1e-3)
+        early = _inverse_iteration(diag, off, shift, _random_start(n), tol, 0.25)
+        assert early[1] > tol
+        resumed = _inverse_iteration(diag, off, shift, early[2], tol,
+                                     steps=_MAX_STEPS - early[3])
+        assert resumed[3] + early[3] == self.assert_same(
+            diag, off, shift, _random_start(n), tol)[3]
+        want = allocating_inverse_iteration(diag, off, shift, _random_start(n), tol)
+        assert resumed[:2] == want[:2]
+        assert np.array_equal(resumed[2].view(np.uint64), want[2].view(np.uint64))
 
     def test_step_cap(self):
         from scipy.linalg.lapack import dgttrf
@@ -535,8 +670,9 @@ class TestIsospectrality:
 
 def reference_window(family, m_values, k, probe_points=400):
     """spectral_window's rule with the edge potential probed one abscissa
-    at a time through partner_potentials, as it once was."""
-    from shapeinv.spectral import _EDGE_MARGIN_ABOVE_TOP_LEVEL, _lowest_eigenvalues
+    at a time through partner_potentials, as it once was; the target is
+    the probe's level k - 1, bisected alone."""
+    from shapeinv.spectral import _EDGE_MARGIN_ABOVE_TOP_LEVEL, _bisect, _tridiagonal
 
     def edge(x):
         vals = []
@@ -558,8 +694,8 @@ def reference_window(family, m_values, k, probe_points=400):
     for _ in range(3):
         x = dirichlet_grid(a, b, probe_points)
         _, v_plus = partner_potentials(family, m_values[0], x)
-        target = (float(_lowest_eigenvalues(v_plus.values, x[1] - x[0], k)[-1])
-                  + _EDGE_MARGIN_ABOVE_TOP_LEVEL)
+        top = _bisect(*_tridiagonal(v_plus.values, x[1] - x[0]), k - 1, k - 1)
+        target = float(top[0]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
         if math.isinf(hi):
             grew, v_b = 0, edge(b)
             while v_b < target and grew < 60:
@@ -606,12 +742,18 @@ def window(family, m_values, k):
 
 
 def probe_levels(family, m, window, k):
-    """The k lowest levels of V+(., m) on the window's probe grid, bisected."""
-    from shapeinv.spectral import _PROBE_POINTS, _lowest_eigenvalues
+    """The k lowest levels of V+(., m) on the window's probe grid: level
+    k - 1 bisected alone, and levels 0..k-2 to the shift tolerance
+    _SHIFT_ABSTOL * ||T||_1 (Gershgorin's bound)."""
+    from shapeinv.spectral import _PROBE_POINTS, _SHIFT_ABSTOL, _bisect, _tridiagonal
 
     x = dirichlet_grid(window[0], window[1], _PROBE_POINTS)
     _, v_plus = partner_potentials(family, m, x)
-    return _lowest_eigenvalues(v_plus.values, x[1] - x[0], k)
+    h = x[1] - x[0]
+    diag, off = _tridiagonal(v_plus.values, h)
+    norm = float(np.max(np.abs(diag))) + 2.0 / (h * h)
+    return np.concatenate([_bisect(diag, off, 0, k - 2, _SHIFT_ABSTOL * norm),
+                           _bisect(diag, off, k - 1, k - 1)])
 
 
 # The families of the window and seeded-solve tests' perturbed controls
@@ -647,11 +789,11 @@ class TestSpectralWindow:
         from shapeinv import spectral
 
         passes = []
-        make, lowest = spectral.dirichlet_grid, spectral._lowest_eigenvalues
+        make, tridiagonal = spectral.dirichlet_grid, spectral._tridiagonal
         monkeypatch.setattr(spectral, "dirichlet_grid",
                             lambda *a: passes.append([make(*a)]) or passes[-1][0])
-        monkeypatch.setattr(spectral, "_lowest_eigenvalues",
-                            lambda v, *a: passes[-1].append(v) or lowest(v, *a))
+        monkeypatch.setattr(spectral, "_tridiagonal",
+                            lambda v, *a: passes[-1].append(v) or tridiagonal(v, *a))
         for p in sample_valid_params(tag, 3, seed=9):
             fam = get_family(tag, p)
             passes.clear()
@@ -858,6 +1000,8 @@ class TestSeededSolve:
         # still moves both edges.  The probe levels then belong to the
         # second window, 1.7 below the returned window's; inverse iteration
         # from them fails the certificate, and V+'s coarse grid is bisected.
+        # The probe is bisected once per pass for its top level, and once
+        # more after the last pass for the levels below it.
         from shapeinv.spectral import _PROBE_POINTS
 
         def w(x):
@@ -869,7 +1013,7 @@ class TestSeededSolve:
 
         sizes = bisected_sizes(monkeypatch)
         iso = check_isospectrality(fam, 0.0, k=5, n_points=4000)
-        assert sizes[:4] == [_PROBE_POINTS] * 3 + [2000]
+        assert sizes[:5] == [_PROBE_POINTS] * 4 + [2000]
         monkeypatch.undo()
         x = dirichlet_grid(a, b, 4000)
         h = x[1] - x[0]

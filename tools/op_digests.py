@@ -9,16 +9,21 @@ For each seed it replays every op of rounds 0-1 of the workload's inputs
 with shapeinv imported from the src/ of the checkout it lives in.  A
 verify, control or spectrum op runs through cli.main, and its digest covers
 the exit code and standard output; a witness op runs through
-catalog.validity_witness, and its digest covers the ValidityReport.  Each
-line holds the digest, the seed, the op's index, kind and family.  Running
-it on two checkouts and diffing the output lists every op whose outcome a
-change alters.  Nothing under bench/ is written.
+catalog.validity_witness, and its digest covers the ValidityReport.  A
+spectrum op has a second digest, of the exit code and its report without
+the V+ levels and their error estimates (spectrum.plus and
+spectrum.plus_error_estimates), so a change to the eigensolver alone moves
+its first digest only.  Each line holds the digests, the seed, the op's
+index, kind and family.  Running it on two checkouts and diffing the output
+lists every op whose outcome a change alters.  Nothing under bench/ is
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -31,15 +36,24 @@ import run  # noqa: E402
 ROUNDS = 2
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest(op: inputs.Op, pkg) -> str:
-    """The sha256 of the op's outcome."""
+    """The sha256 of the op's outcome and, for a spectrum op that wrote a
+    report, that of the outcome without the levels, two spaces apart."""
     result = run.make_call(op, pkg)()
     if op.kind == "witness":
-        text = repr(result)
-    else:
-        code, out = result
-        text = f"exit={code}\n{out}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return _sha(repr(result))
+    code, out = result
+    digests = [_sha(f"exit={code}\n{out}")]
+    if op.kind == "spectrum" and code in (0, 1):
+        doc = json.loads(out)
+        for key in ("plus", "plus_error_estimates"):
+            del doc["spectrum"][key]
+        digests.append(_sha(f"exit={code}\n{json.dumps(doc, indent=2, sort_keys=True)}\n"))
+    return "  ".join(digests)
 
 
 def main(argv=None) -> int:

@@ -13,8 +13,10 @@ that the family supports), `verify --config` on a file that sets every
 config field (EVERY_FIELD, written to a temporary directory), and
 `verify --m-list` on a list whose first translate m - 1 leaves the region
 (OUTSIDE_TRANSLATE: exit 2 and an empty report), `verify` on each X1
-family with a c whose 2*c^2 underflows to 0 (UNDERFLOW_C: exit 2), and one
-setting per command that it does not read (UNREAD: exit 2), and prints one
+family with a c whose 2*c^2 underflows to 0 and with a c whose c^2 is
+subnormal (SMALL_C: exit 2), `verify --sample` with an m list
+(SAMPLE_WITH_M_LIST: exit 2), and one setting per command that it does not
+read (UNREAD: exit 2), and prints one
 line per report: the sha256 of its bytes, the command, the family, the seed
 and the exit code.  Then it prints one line per family for the
 sampler: the sha256 of the repr of sample_valid_params(tag, 5, s) for every
@@ -48,13 +50,12 @@ CHECKS = "compatibility,remainder,spectrum"
 # the CSV report's checks: the five identity checks on every family, and
 # the remainder and spectrum on the real ones (complex families have no spectra)
 IDENTITY_CHECKS = "translation,compatibility,infeld_hull,algebra,equivalence"
-# a config file that sets every field but params, which excludes sample; all
-# but format and out (standard output) differ from their defaults
+# a config file that sets every field but params and m_list, which exclude
+# sample; all but format and out (standard output) differ from their defaults
 EVERY_FIELD = {
     "family": "Xl-radial-oscillator",
     "sample": 2,
     "seed": 9,
-    "m_list": [-2.5, -3.5],
     "checks": [*IDENTITY_CHECKS.split(","), "remainder", "spectrum"],
     "grid": {"n_points": 256, "boundary_margin": 0.04, "pole_exclusion_radius": 2e-3},
     "tol": 1e-8,
@@ -71,9 +72,16 @@ EVERY_FIELD = {
 # translate m - 1 that verify also reads does not
 OUTSIDE_TRANSLATE = ("X1-hyperbolic", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.0}', "0.3,1.3")
 
-# c > 0 holds at these constants, but 2*c^2, by which every m edge of the X1
-# families with a c divides, underflows to 0
-UNDERFLOW_C = '{"m": 1.0, "c": 1e-200, "beta": 0.5, "d": 1.0}'
+# c > 0 holds at these constants, but c^2, which every m edge of the X1
+# families with a c divides by, is not a normal double: at c = 1e-200 2*c^2
+# underflows to 0, and at c = 1e-160 c^2 is subnormal and k0, k1 lose their
+# digits
+SMALL_C = ("1e-200", "1e-160")
+SMALL_C_PARAMS = '{{"m": 1.0, "c": {}, "beta": 0.5, "d": 1.0}}'
+
+# a sampled point's m would be drawn, validated and then dropped for the list
+SAMPLE_WITH_M_LIST = ("Xl-radial-oscillator", ["--sample", "2", "--seed", "9",
+                                               "--m-list=-2.5,-3.5"])
 
 # settings that scan and spectrum do not read, as a flag and as a config
 # file's key, on X1-radial-oscillator at SEEDS[0]
@@ -90,9 +98,12 @@ def configs(tmp: Path):
     for tag in catalog.FAMILY_TAGS:
         for seed in SEEDS:
             point = ["--family", tag, "--sample", "1", "--seed", str(seed)]
-            m = catalog.sample_valid_params(tag, 1, seed)[0].m
+            p = catalog.sample_valid_params(tag, 1, seed)[0]
             yield f"verify {tag} seed={seed}", ["verify", *point, "--no-timestamp"]
-            yield f"scan {tag} seed={seed}", ["scan", *point, f"--m-list={m!r},{m - 1.0!r},{m - 2.0!r}"]
+            # an m list excludes sample: the sampled point goes in as params
+            yield f"scan {tag} seed={seed}", ["scan", "--family", tag, "--params",
+                                              json.dumps(p.to_dict()),
+                                              f"--m-list={p.m!r},{p.m - 1.0!r},{p.m - 2.0!r}"]
             if tag in catalog.REAL_TAGS:
                 yield f"spectrum {tag} seed={seed}", ["spectrum", *point, "--no-timestamp"]
     for tag in catalog.FAMILY_TAGS:
@@ -115,9 +126,14 @@ def configs(tmp: Path):
     tag, params, m_list = OUTSIDE_TRANSLATE
     yield (f"verify {tag} m-list={m_list}",
            ["verify", "--family", tag, "--params", params, "--m-list", m_list, "--no-timestamp"])
-    for tag in ("X1-hyperbolic", "X1-trigonometric"):
-        yield (f"verify {tag} c=1e-200",
-               ["verify", "--family", tag, "--params", UNDERFLOW_C, "--no-timestamp"])
+    for c in SMALL_C:
+        for tag in ("X1-hyperbolic", "X1-trigonometric"):
+            yield (f"verify {tag} c={c}",
+                   ["verify", "--family", tag, "--params", SMALL_C_PARAMS.format(c),
+                    "--no-timestamp"])
+    tag, flags = SAMPLE_WITH_M_LIST
+    yield (f"verify {tag} sample-with-m-list",
+           ["verify", "--family", tag, *flags, "--no-timestamp"])
     tag, flag, key = UNREAD
     point = ["--family", tag, "--sample", "1", "--seed", str(SEEDS[0])]
     yield f"scan {tag} seed={SEEDS[0]} {flag[0].lstrip('-')}={flag[1]}", ["scan", *point, *flag]
