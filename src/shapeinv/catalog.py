@@ -261,16 +261,20 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
 
 # X1 families: P is p0 + p1*t in t = cosh(c x), x**2 or sin(c x).
 
-def _x1_conditions(c: float, d: float) -> tuple:
+def _x1_conditions(tag: str, c: float, d: float) -> tuple:
     """The conditions on X1-hyperbolic's and X1-trigonometric's constants.
     Their m edges divide by 2*c^2, and k0, k1 carry c^2: below about
     1.5e-154, c^2 is subnormal and loses its digits (2*c^2 is 0 below
-    about 1e-162), so the support stops where c^2 is a normal double."""
-    return ((c > 0.0, "c > 0"), (c * c >= sys.float_info.min, "c^2 is a normal double"),
-            (d != 0.0, "d != 0"))
+    about 1e-162).  That is where float64 stops, not the region, so a
+    c > 0 there raises UnsupportedError before any edge is formed."""
+    if c > 0.0 and c * c < sys.float_info.min:
+        raise UnsupportedError(
+            f"{tag}: c = {c!r} is outside the float support: c^2 is not a normal double")
+    return (c > 0.0, "c > 0"), (d != 0.0, "d != 0")
 
 
 def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
+    conditions = _x1_conditions("X1-hyperbolic", c, d)
     return FamilyData(
         domain=(0.0, np.inf),
         R=(-c * c, 0.0, c * c), K0=(c * d, -beta), K1=(0.0, c * c),
@@ -281,7 +285,7 @@ def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
         p_minus=lambda m: (-2.0 * beta + c * c * (2.0 * m - 1.0), 2.0 * c * d),
         linear=True, forbidden=(Interval(1.0, np.inf),),
         region=_region(
-            _x1_conditions(c, d),
+            conditions,
             "m < (2*beta - c^2 - 2*c*d)/(2*c^2)" if d < 0.0
             else "m > (2*beta + c^2 - 2*c*d)/(2*c^2)",
             lambda: (Interval(-np.inf, (2.0 * beta - c * c - 2.0 * c * d) / (2.0 * c * c)),)
@@ -308,6 +312,8 @@ def _x1_radial(omega: float, d: float) -> FamilyData:
 
 
 def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
+    conditions = _x1_conditions("X1-trigonometric", c, d)
+
     def intervals():
         # Both denominators keep a fixed sign while sin(c x) sweeps (-1, 1) for
         # m below hi or above lo (in |d|, so for either sign of d), and where
@@ -332,7 +338,7 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
         p_plus=lambda m: (2.0 * beta + c * c * (1.0 + 2.0 * m), -2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
         linear=True, forbidden=(Interval(-1.0, 1.0),),
-        region=_region(_x1_conditions(c, d), statement, intervals),
+        region=_region(conditions, statement, intervals),
         expected_ab=(-c ** 2, beta),
     )
 
@@ -441,8 +447,8 @@ def get_family(tag: str, params: ParamPoint) -> SuperpotentialFamily:
     factorization constants as expected_ab.
 
     Raises ParamSchemaError for missing constants, UnsupportedError for an
-    unknown tag or ell = 0, InvalidParameterError for the degenerate
-    PT-Scarf prefactor.
+    unknown tag, ell = 0 or an X1 c > 0 whose c^2 is not a normal double,
+    InvalidParameterError for the degenerate PT-Scarf prefactor.
     """
     data = family_data(tag, params)
     constants = ", ".join(f"{n}={float(getattr(params, n)):g}" for n in _FAMILIES[tag][0])

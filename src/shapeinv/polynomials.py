@@ -11,10 +11,14 @@ Degrees stay small (<= 10 in the shipped catalog; hard cap 64), which keeps
 the series cheap and its worst-case cancellation bounded.
 
 The Jacobi series runs in u = (z - 1)/2.  Near z = 0 (|u| close to 1/2) its
-alternating terms cancel, so arguments with |z| < 1 are evaluated in the
-monomial basis in z instead, whose coefficients come exactly from the same
-series, by a Taylor shift in integers, and are rounded once.  Arguments with
-|z| >= 1, among them every cosh(x), keep the series about z = 1.
+alternating terms cancel, and on the imaginary axis (Xl-PT-Scarf's
+i*sinh(x)) its term sizes sum_s |c_s| |u|**s stay above the monomial
+basis's at every |z|, by orders of magnitude at high degree.  Arguments
+with |z| < 1 or Re z = 0 are therefore evaluated in the monomial basis in
+z instead, whose coefficients come exactly from the same series, by a
+Taylor shift in integers, and are rounded once.  Every other argument,
+among them every cosh(x), keeps the series about z = 1; each point goes
+through exactly one of the two bases.
 
 Derivatives come from the same pass: the coefficient row of P is
 differentiated in place (row j + 1 holds (s + 1) * c_{s+1} / h of row j,
@@ -275,9 +279,9 @@ def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
     Returns float64 for a real argument (a Python float for a scalar) and
     complex128 for a complex one; a complex argument with zero imaginary
     part gives an exactly zero imaginary part.  Jacobi arguments with
-    |z| < 1 go through the monomial basis (see the module docstring).  With
-    order > 0 it returns the tuple (P, P', ..., P^(order)) from one pass,
-    each entry shaped like the order-0 result.
+    |z| < 1 or Re z = 0 go through the monomial basis (see the module
+    docstring).  With order > 0 it returns the tuple (P, P', ..., P^(order))
+    from one pass, each entry shaped like the order-0 result.
 
     more, a tuple of further PolySpecs of spec's kind and degree (it may be
     empty), joins the same pass: each entry then gains a leading axis, one
@@ -289,17 +293,27 @@ def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
     specs = _stack(spec, more)
     work, scalar, complex_arg = _prepare_argument(z)
     flat = work.reshape(-1)
-    jacobi = spec.kind == JACOBI
-    u, h = ((flat - 1.0) / 2.0, 2.0) if jacobi else (flat, 1.0)
+
+    def basis(coefficients, u, h):
+        rows = _derivative_rows([coefficients(s) for s in specs], order, h)
+        return _eval_rows(rows, u, len(specs))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval_rows(_derivative_rows([_series_coefficients(s) for s in specs], order, h),
-                         u, len(specs))
-        if jacobi:
-            inner = np.abs(flat) < 1.0
-            if inner.any():
-                out[:, inner] = _eval_rows(
-                    _derivative_rows([monomial_coefficients(s) for s in specs], order, 1.0),
-                    flat[inner], len(specs))
+        if spec.kind == LAGUERRE:
+            out = basis(_series_coefficients, flat, 1.0)
+        else:
+            # each point in one basis: the monomial one where the series
+            # about z = 1 cancels, near z = 0 and on the imaginary axis
+            mono = (np.abs(flat) < 1.0) | (flat.real == 0.0)
+            if mono.all():
+                out = basis(monomial_coefficients, flat, 1.0)
+            elif not mono.any():
+                out = basis(_series_coefficients, (flat - 1.0) / 2.0, 2.0)
+            else:
+                far = ~mono
+                out = np.empty(((order + 1) * len(specs), flat.size), dtype=flat.dtype)
+                out[:, mono] = basis(monomial_coefficients, flat[mono], 1.0)
+                out[:, far] = basis(_series_coefficients, (flat[far] - 1.0) / 2.0, 2.0)
     if complex_arg:
         out = out.astype(np.complex128, copy=False)
     out = out.reshape((order + 1, len(specs)) + work.shape)

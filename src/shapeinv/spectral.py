@@ -24,10 +24,9 @@ vector.  A level stops at a residual of 4 eps*||T||_1, or earlier where
 its Kato-Temple bound, r^2 over its isolation, already reaches that.  A
 level set is accepted only under a certificate on its own matrix (disjoint
 residual intervals, one Sturm count that also isolates the top level, and
-each level's Weyl or Temple error bound); where that fails after an early
-stop, the early-stopped levels resume under the residual rule alone, and
-where it fails again, the matrix is bisected instead.  A real family's W
-must arrive as float64: complex values are refused, not truncated.
+each level's Weyl or Temple error bound); where that fails, the matrix is
+bisected instead.  A real family's W must arrive as float64: complex
+values are refused, not truncated.
 """
 
 from __future__ import annotations
@@ -180,15 +179,13 @@ def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
 
 
 def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
-                       delta: float = 0.0, steps: int = _MAX_STEPS):
-    """(rho, r, v, used) from fixed-shift inverse iteration on T - shift*I:
-    the unit iterate v, its Rayleigh quotient rho, r = ||T v - rho v||,
-    computed from T itself, and the number of steps used.  It stops at
-    r <= tol, or at r^2 <= tol*delta, where Kato-Temple bounds the error by
-    r^2/delta once the level is isolated by delta; delta = 0 leaves the
-    first rule alone.  None where T - shift*I is singular or r stays above
-    both for that many steps.  Starting again from v with the steps left
-    continues the same iteration bit for bit.
+                       delta: float = 0.0):
+    """(rho, r, v) from fixed-shift inverse iteration on T - shift*I: the
+    unit iterate v, its Rayleigh quotient rho and r = ||T v - rho v||,
+    computed from T itself.  It stops at r <= tol, or at r^2 <= tol*delta,
+    where Kato-Temple bounds the error by r^2/delta once the level is
+    isolated by delta; delta = 0 leaves the first rule alone.  None where
+    T - shift*I is singular or r stays above both for _MAX_STEPS steps.
 
     start is copied once, and every step solves in place in that copy; T v,
     the residual vector and the off-diagonal products have one buffer each
@@ -201,7 +198,7 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
         return None
     v = np.array(start, dtype=float)
     tv, res, prod = np.empty_like(v), np.empty_like(v), np.empty_like(off)
-    for used in range(1, steps + 1):
+    for _ in range(_MAX_STEPS):
         v, info = dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
         v /= math.sqrt(v @ v)
         np.multiply(diag, v, out=tv)
@@ -214,7 +211,7 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
         np.subtract(tv, res, out=res)
         r = math.sqrt(res @ res)
         if r <= tol or r * r <= tol * delta:
-            return rho, r, v, used
+            return rho, r, v
     return None
 
 
@@ -246,9 +243,9 @@ def _gershgorin_norm(diag: np.ndarray, h: float) -> float:
 
 
 def _certificate(diag, off, found, floor: float, tol: float, guard: float):
-    """(levels, vectors) of the inverse-iteration results found, (rho, r, v,
-    used) per level, sorted by rho, when they certify the len(found) lowest
-    levels of T; else None.
+    """(levels, vectors) of the inverse-iteration results found, (rho, r, v)
+    per level, sorted by rho, when they certify the len(found) lowest levels
+    of T; else None.
 
     Each rho_i has an eigenvalue of T in [lo_i, hi_i] = rho_i -+ (r_i +
     guard) (Weyl; v has unit norm to within n*eps, and the guard covers the
@@ -291,12 +288,9 @@ def _certified_levels(values: np.ndarray, h: float, shifts, starts=None):
 
     Each level stops at r <= tol, or at r^2 <= tol*delta (Kato-Temple),
     delta a quarter of its shift's distance to the nearest other shift (0
-    for a lone shift).  When the certificate refuses a set with an early
-    stop, each early-stopped level resumes where it stopped, under
-    r <= tol alone and within the same step cap, and the set is certified
-    again; that is the iteration and the certificate of a set without
-    early stops.  The start vectors and the early stops only change how
-    fast the iteration gets there, never the bound an accepted level meets.
+    for a lone shift).  The start vectors and the early stops only change
+    how fast the iteration gets there, never the bound an accepted level
+    meets.
     """
     diag, off = _tridiagonal(values, h)
     k = len(shifts)
@@ -314,16 +308,8 @@ def _certified_levels(values: np.ndarray, h: float, shifts, starts=None):
         found.append(_inverse_iteration(diag, off, float(s), start, tol, delta))
         if found[-1] is None:
             return _bisect(diag, off, 0, k - 1), None
-    certified = _certificate(diag, off, found, floor, tol, guard)
-    if certified is None and any(f[1] > tol for f in found):
-        for i, (s, (_, r, v, used)) in enumerate(zip(shifts, found)):
-            if r > tol:
-                found[i] = _inverse_iteration(diag, off, float(s), v, tol,
-                                              steps=_MAX_STEPS - used)
-                if found[i] is None:
-                    return _bisect(diag, off, 0, k - 1), None
-        certified = _certificate(diag, off, found, floor, tol, guard)
-    return certified or (_bisect(diag, off, 0, k - 1), None)
+    return (_certificate(diag, off, found, floor, tol, guard)
+            or (_bisect(diag, off, 0, k - 1), None))
 
 
 def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumResult:
@@ -342,7 +328,7 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     Weyl or Kato-Temple bound of tol + guard on every level), and that
     matrix is bisected where the certificate fails, so bad shifts or starts
     cost time but cannot yield wrong levels; a level may stop early on its
-    Temple bound, and resumes where the set is refused.
+    Temple bound.
     The per-level error estimate compares the two grids, scaled by the 1/3
     factor of second-order Richardson extrapolation.
     """

@@ -127,7 +127,8 @@ class TestOnePassDerivatives:
     # (P, P', P'') from one poly_eval call against the 50-digit oracle.  The
     # bound is float64 rounding of the route the kernel takes: 4 (n + 2) eps
     # times the term sizes sum_s |c_s| |u|**s of the derivative's coefficient
-    # row, in the series about z = 1 (|z| >= 1) or the monomial basis.
+    # row, in the monomial basis (|z| < 1 or Re z = 0) or else the series
+    # about z = 1.
     JACOBI_Z = [0.3, 0.97, -0.6, 1.03, 2.5, math.cosh(3.0),
                 *(1j * math.sinh(x) for x in (0.3, 0.897, 1.5))]
     LAGUERRE_Z = [-0.2, -3.0, -40.0]
@@ -137,7 +138,7 @@ class TestOnePassDerivatives:
         polyder, polyval = np.polynomial.polynomial.polyder, np.polynomial.polynomial.polyval
         if spec.kind == LAGUERRE:
             coef, u, h = _series_coefficients(spec), abs(z), 1.0
-        elif abs(z) < 1.0:
+        elif abs(z) < 1.0 or complex(z).real == 0.0:
             coef, u, h = monomial_coefficients(spec), abs(z), 1.0
         else:
             coef, u, h = _series_coefficients(spec), abs((z - 1.0) / 2.0), 2.0

@@ -84,6 +84,7 @@ EXPECTED = [
     ("verify X1-trigonometric c=1e-200", 2),
     ("verify X1-hyperbolic c=1e-160", 2),
     ("verify X1-trigonometric c=1e-160", 2),
+    ("verify Xl-PT-Scarf ell=16", 0),
     ("verify Xl-radial-oscillator sample-with-m-list", 2),
     ("scan X1-radial-oscillator seed=3 k=3", 2),
     ("spectrum X1-radial-oscillator seed=3 config=grid", 2),

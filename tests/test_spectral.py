@@ -303,8 +303,8 @@ class TestCertificate:
 
 
 def certificate_log(monkeypatch):
-    """The results of every later _inverse_iteration call, (rho, r, v, used)
-    or None, and of every _certificate call, levels or None."""
+    """The results of every later _inverse_iteration call, (rho, r, v) or
+    None, and of every _certificate call, levels or None."""
     from shapeinv import spectral
 
     runs, certificates = [], []
@@ -337,8 +337,7 @@ class TestTempleCertificate:
     """A level may stop at r^2 <= tol*delta, delta a quarter of its shift's
     distance to the nearest other shift.  Its set is accepted only where a
     Sturm count isolates every such level well enough for Kato-Temple to
-    bound its error by tol + guard; otherwise the early-stopped levels
-    resume under r <= tol, and bisection stays the fallback."""
+    bound its error by tol + guard; otherwise the matrix is bisected."""
 
     def test_early_stopped_set_is_accepted(self, monkeypatch):
         # every level of the oscillator stops early, with r up to 1e-6, and
@@ -357,14 +356,12 @@ class TestTempleCertificate:
         want, _ = dense_levels(PotentialGrid(x=TestCertificate.XS, values=values), 5)
         assert np.max(np.abs(got - want)) <= bound
 
-    @pytest.mark.parametrize("depth, resumed", [(1.0, True), (4.0, False)])
-    def test_close_neighbour_above_the_top_level(self, depth, resumed, monkeypatch):
+    @pytest.mark.parametrize("depth", [1.0, 4.0])
+    def test_close_neighbour_above_the_top_level(self, depth, monkeypatch):
         # levels 0..2 of a double well: level 3 sits 0.12 (depth 1) or
         # 2.2e-5 (depth 4) above the top level, far closer than delta, so
         # the Sturm count up to the top level's isolation refuses the early
-        # stop.  At depth 1 the resumed top level converges and is
-        # certified; at depth 4 it reaches the step cap, and the matrix is
-        # bisected.
+        # stop, and the matrix is bisected
         from shapeinv.spectral import _certified_levels, _lowest_eigenvalues
 
         values, h = double_well(depth)
@@ -374,9 +371,24 @@ class TestTempleCertificate:
         calls = bisected_sizes(monkeypatch)
         got, vectors = _certified_levels(values, h, want + 1e-7)
         assert runs[2][1] > tol  # the top level stopped early
-        assert certificates[0] is None
-        assert (vectors is not None) == resumed and (calls == []) == resumed
+        assert certificates == [None]
+        assert vectors is None and calls == [values.size]
         assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("depth", [1.0, 4.0])
+    def test_refused_set_goes_straight_to_bisection(self, depth, monkeypatch):
+        # a set refused after an early stop costs k inverse iterations and
+        # one certificate: no level is iterated again before the bisection
+        from shapeinv.spectral import _certified_levels, _lowest_eigenvalues
+
+        values, h = double_well(depth)
+        _, tol = certified_bound(values, h)
+        want = _lowest_eigenvalues(values, h, 3)
+        runs, certificates = certificate_log(monkeypatch)
+        calls = bisected_sizes(monkeypatch)
+        _certified_levels(values, h, want + 1e-7)
+        assert len(runs) == 3 and any(run[1] > tol for run in runs)
+        assert len(certificates) == 1 and calls == [values.size]
 
     def test_pair_closer_than_its_shifts(self, monkeypatch):
         # a tunnelling pair split by 3.2e-5, reached from shifts 0.5 below
@@ -384,7 +396,7 @@ class TestTempleCertificate:
         # the other's: both stop early at r = 1.6e-6 with rho 7.9e-8 off,
         # an error that only the distance to the neighbour in the set, not
         # to the far end of the interval, shows.  The set is refused, and
-        # the resumed levels reach the step cap
+        # the matrix is bisected
         from scipy.linalg import eigh_tridiagonal
 
         from shapeinv.spectral import _certified_levels, _tridiagonal
@@ -506,27 +518,6 @@ class TestInverseIterationBuffers:
         assert converged >= 1
         # the rows of the prolonged array are not written
         assert np.array_equal(starts, _prolong(vectors.T, n))
-
-    @pytest.mark.parametrize("n", [301, 1000])
-    def test_resumed_iteration_is_the_uninterrupted_one(self, n):
-        # a level stopped by r^2 <= tol*delta and started again from its
-        # iterate, with the steps left, ends where the loop without delta
-        # ends, bit for bit
-        from shapeinv.spectral import _MAX_STEPS, _bisect, _inverse_iteration, _random_start
-
-        diag, off, h, _ = self.matrix(n, 5)
-        tol = self.tol(diag, h)
-        levels = _bisect(diag, off, 0, 2)
-        shift = float(levels[1] + 1e-3)
-        early = _inverse_iteration(diag, off, shift, _random_start(n), tol, 0.25)
-        assert early[1] > tol
-        resumed = _inverse_iteration(diag, off, shift, early[2], tol,
-                                     steps=_MAX_STEPS - early[3])
-        assert resumed[3] + early[3] == self.assert_same(
-            diag, off, shift, _random_start(n), tol)[3]
-        want = allocating_inverse_iteration(diag, off, shift, _random_start(n), tol)
-        assert resumed[:2] == want[:2]
-        assert np.array_equal(resumed[2].view(np.uint64), want[2].view(np.uint64))
 
     def test_step_cap(self):
         from scipy.linalg.lapack import dgttrf

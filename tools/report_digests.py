@@ -14,7 +14,8 @@ config field (EVERY_FIELD, written to a temporary directory), and
 `verify --m-list` on a list whose first translate m - 1 leaves the region
 (OUTSIDE_TRANSLATE: exit 2 and an empty report), `verify` on each X1
 family with a c whose 2*c^2 underflows to 0 and with a c whose c^2 is
-subnormal (SMALL_C: exit 2), `verify --sample` with an m list
+subnormal (SMALL_C: exit 2), `verify` on Xl-PT-Scarf at ell = 16, above
+the sampler's ell (SCARF_ELL_16), `verify --sample` with an m list
 (SAMPLE_WITH_M_LIST: exit 2), and one setting per command that it does not
 read (UNREAD: exit 2), and prints one
 line per report: the sha256 of its bytes, the command, the family, the seed
@@ -79,6 +80,10 @@ OUTSIDE_TRANSLATE = ("X1-hyperbolic", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.
 SMALL_C = ("1e-200", "1e-160")
 SMALL_C_PARAMS = '{{"m": 1.0, "c": {}, "beta": 0.5, "d": 1.0}}'
 
+# above the sampler's ell <= 10: on z = i*sinh(x) the Jacobi series about
+# z = 1 once put compatibility above its 1e-9 gate here
+SCARF_ELL_16 = ("Xl-PT-Scarf", '{"m": 0.3, "B": -2.0, "ell": 16}')
+
 # a sampled point's m would be drawn, validated and then dropped for the list
 SAMPLE_WITH_M_LIST = ("Xl-radial-oscillator", ["--sample", "2", "--seed", "9",
                                                "--m-list=-2.5,-3.5"])
@@ -131,6 +136,9 @@ def configs(tmp: Path):
             yield (f"verify {tag} c={c}",
                    ["verify", "--family", tag, "--params", SMALL_C_PARAMS.format(c),
                     "--no-timestamp"])
+    tag, params = SCARF_ELL_16
+    yield f"verify {tag} ell=16", ["verify", "--family", tag, "--params", params,
+                                   "--no-timestamp"]
     tag, flags = SAMPLE_WITH_M_LIST
     yield (f"verify {tag} sample-with-m-list",
            ["verify", "--family", tag, *flags, "--no-timestamp"])
