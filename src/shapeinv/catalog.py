@@ -11,6 +11,9 @@ the rest:
   W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
       D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
   the poles, as g^-1 of the real roots of P+- that lie in g(domain);
+  the grid's far edge on an infinite side, where W has settled: t = 2**52
+      on a plateau (deg R = 2), |W| = 100 where W grows (deg R = 1), and
+      within the polynomial kernel's finite reach;
   the certified witness test, which passes when P+- has no real root in
       the set of t where the family's non-singularity statement forbids one.
 
@@ -28,9 +31,10 @@ identity stays a two-route check.
 
 To add a family, write one function from its constants to a FamilyData and
 register it in ``_FAMILIES`` with the names of those constants.  The fields:
-domain; R, K0 and K1 (coefficient tuples in ascending powers of t, as
-above); g, g_deriv and g_inv (the argument of P, its x-derivative and its
-inverse on the domain); g_range (g(domain), where a real root of P is a
+domain (finite, (lo, inf) or (-inf, inf)); R, K0 and K1 (coefficient tuples
+in ascending powers of t, as above); g, g_deriv and g_inv (the argument of
+P, its x-derivative and its inverse on the domain; Xl-PT-Scarf's gives
+|x| from |g|); g_range (g(domain), where a real root of P is a
 pole); p_plus and p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when
 linear is set, else a PolySpec); forbidden (where the region allows no
 real root t of P, as a tuple of polynomials.Interval, each end open or
@@ -53,6 +57,7 @@ Family tags, in catalog order:
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import zlib
 from dataclasses import dataclass
@@ -73,6 +78,7 @@ from .polynomials import (
     PolySpec,
     has_imaginary_root,
     has_root_in,
+    kernel_reach,
     poly_eval,
     real_roots_in,
 )
@@ -84,6 +90,11 @@ from .superpotential import ParamPoint, SuperpotentialFamily, Verdict
 _SAMPLER_MARGIN = 0.1
 # Largest Xl degree the sampler draws; verification is checked up to here.
 _ELL_MAX = 10
+# |W| at the grid's far edge stays under _EDGE_W_CAP: the remainder subtracts
+# V = W^2 values, and the cap keeps their rounding eps*W^2 three decades under
+# its 1e-9 gate.  On a plateau W's O(1/t) corrections reach eps at _PLATEAU_T.
+_EDGE_W_CAP = 1e2
+_PLATEAU_T = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,7 @@ def _log_derivs(data: FamilyData, g_dd: Callable):
     family's dtype.  W1 and W1' are formed once per distinct spec and then
     gathered into their (P, m) rows.  Where g(x) is not finite D is nan, and
     where D is zero W1 is not finite: the evaluator neither raises nor warns
-    there, so the grid's edge probe can test many abscissae in one call."""
+    there, and a nan fails every verdict that reads it."""
     g, g_d, linear = data.g, data.g_deriv, data.linear
     pair = (data.p_plus, data.p_minus)
 
@@ -255,8 +266,34 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
         affine=_affine(data, g_dd), w1=_log_derivs(data, g_dd),
         validity_fn=functools.partial(_verdict, data), poles_fn=poles,
+        far_edge_fn=functools.partial(_far_edge, name, data),
         expected_ab=tuple(float(v) for v in data.expected_ab),
     )
+
+
+def _far_edge(name: str, data: FamilyData, m_values) -> float:
+    """|x| of the grid's edge on an infinite side, where W has settled at
+    every m of m_values.  With K = K0 + m*K1 of slope k in t = g(x): where
+    deg R = 2, W tends to the plateau k/sqrt(R_2) (W1+ - W1- -> 0), and the
+    edge is at t = _PLATEAU_T; a plateau above _EDGE_W_CAP raises.  Where
+    deg R = 1, |W| ~ |k|*sqrt(|t/R_1|) reaches _EDGE_W_CAP at the edge.  On
+    the Xl families |t| stays within the kernel's reach of every P+-(m).
+    Then x = g_inv(t)."""
+    k0, k1 = (data.K0 + (0.0,))[1], (data.K1 + (0.0,))[1]
+    slope, R = max(abs(k0 + m * k1) for m in m_values), data.R
+    if len(R) == 3:
+        plateau = slope / R[2] ** 0.5
+        if plateau > _EDGE_W_CAP:
+            raise InvalidParameterError(f"|W| <= {_EDGE_W_CAP:g} on the plateau", f"{name}: |W| "
+                                        f"tends to {plateau:g} on the plateau, above the grid's cap")
+        t = _PLATEAU_T
+    else:
+        t = _EDGE_W_CAP ** 2 * abs(R[1]) / slope ** 2
+    if not data.linear:
+        specs = dict.fromkeys(P(m) for P in (data.p_plus, data.p_minus) for m in m_values)
+        t = min([t] + [kernel_reach(spec, not data.is_real) for spec in specs])
+    # t > 0 on a plateau; where g'^2 = R_1*t grows, t has the sign of R_1
+    return float(data.g_inv(math.copysign(t, R[-1])))
 
 
 # X1 families: P is p0 + p1*t in t = cosh(c x), x**2 or sin(c x).
@@ -390,6 +427,7 @@ def _xl_pt_scarf(B: float, ell: int) -> FamilyData:
         domain=(-np.inf, np.inf), **_jacobi_pair(B, ell),
         g=lambda x: 1j * np.sinh(np.asarray(x, dtype=float)),
         g_deriv=lambda x: 1j * np.cosh(np.asarray(x, dtype=float)),
+        g_inv=lambda t: np.arcsinh(abs(t)),  # |x| from |g| = sinh|x|; no pole reads it
         region=_SCARF_REGION,
         expected_ab=(1.0, 0.0), is_real=False, punctures=(0.0,),
         scan=lambda spec: not has_imaginary_root(spec),

@@ -29,7 +29,7 @@ polynomials of one kind and degree share that table too: poly_eval's
 ``more`` stacks their rows into the same pass, and each value equals that
 of its own call bit for bit, because every row is summed alone.  An
 argument far enough out that a power of u overflows gives a value that is
-not finite, without a floating-point warning.
+not finite, without a floating-point warning (kernel_reach: how far out).
 
 Root questions are decided on those exact coefficients, in Python integers
 (module intpoly): Descartes' rule of signs certifies an interval free of
@@ -79,6 +79,9 @@ _COEF_CACHE_SIZE = 4096
 _SERIES_CACHE_SIZE = 64
 # z = z0 + h*u: where each kind's series variable u starts and its scale
 _ORIGIN = {JACOBI: (1, 2), LAGUERRE: (0, 1)}
+# kernel_reach's bound on terms and powers: sums of DEGREE_CAP + 1 of them,
+# and P'' times g'**2 in a W1 evaluator, stay finite
+_REACH_LOG2 = 1000
 
 
 @dataclass(frozen=True)
@@ -322,6 +325,21 @@ def poly_eval(spec: PolySpec, z, order: int = 0, *, more: tuple | None = None):
     else:
         vals = [v[0].item() for v in out] if scalar else [v[0] for v in out]
     return vals[0] if order == 0 else tuple(vals)
+
+
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
+def kernel_reach(spec: PolySpec, imaginary: bool) -> float:
+    """The largest |z| up to which every term |c_s| |u|**s of
+    poly_eval(spec, z, 2), times s**2 for its derivatives, and every power
+    |u|**s stay below 2**_REACH_LOG2, from the basis's exact integers: for
+    z >= 1 (Jacobi) or real z (Laguerre) in the series, on the imaginary
+    axis in the monomial basis."""
+    nums, scale = _monomial_integers(spec) if imaginary else _exact_series(spec)
+    z0, h = (0, 1) if imaginary else _ORIGIN[spec.kind]
+    n, top = spec.degree, _REACH_LOG2 + math.log2(scale)
+    log_u = min([_REACH_LOG2 / max(n, 1)] + [
+        (top - math.log2(abs(c)) - 2.0 * math.log2(s)) / s for s, c in enumerate(nums) if s and c])
+    return z0 + h * 2.0 ** log_u
 
 
 def poly_deriv(spec: PolySpec, z):

@@ -32,7 +32,9 @@ values are refused, not truncated.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,11 +377,9 @@ def _walk_edge(candidates: list, v: np.ndarray, finite: np.ndarray, target: floa
     return candidates[-1]
 
 
-def _steps(start: float, step, n: int) -> list:
-    out = [start]
-    for _ in range(n):
-        out.append(step(out[-1]))
-    return out
+def _steps(start: float, n: int) -> list:
+    """An infinite side's growth candidates: start, times 1.4 n times."""
+    return list(itertools.accumulate(itertools.repeat(1.4, n), operator.mul, initial=start))
 
 
 def spectral_window(family: SuperpotentialFamily, m_values,
@@ -411,8 +411,6 @@ def spectral_window(family: SuperpotentialFamily, m_values,
         a, b = -8.0, 8.0
     elif math.isinf(hi):
         a, b = lo + 0.1, max(lo + 4.0, 1.0)
-    elif math.isinf(lo):
-        a, b = min(hi - 4.0, -1.0), hi - 0.1
     else:
         width = hi - lo
         a, b = lo + 1e-3 * width, hi - 1e-3 * width
@@ -423,10 +421,10 @@ def spectral_window(family: SuperpotentialFamily, m_values,
         # the growth candidates of each side, from the window the pass
         # starts from: b grows on an infinite side, a on an infinite side
         # or, next to a finite end at 0, halves towards it
-        right = _steps(b, lambda t: t * 1.4, 60) if math.isinf(hi) else []
+        right = _steps(b, 60) if math.isinf(hi) else []
         left, left_margin = [], 1.0
         if math.isinf(lo):
-            left = _steps(a, lambda t: t * 1.4 if t < 0 else t - 1.0, 60)
+            left = _steps(a, 60)
         elif lo == 0.0:
             left, left_margin = [a], 0.0
             while left[-1] > 1e-4:

@@ -3,12 +3,12 @@
 A family bundles the affine part W0(x, m) = k0(x) + m*k1(x) with the two
 log-derivative corrections W1+(x, m) and W1-(x, m), each evaluated together
 with its analytic x-derivative (k0' and k1' come with k0 and k1), the
-non-singularity predicate and pole bookkeeping.  The corrections come from
-one evaluator for a whole list of m, so a grid that several m share costs
-one pass.  Instances are immutable, every evaluation is a pure vectorised
-function of x, and the complex PT-symmetric family shares all code paths:
-real families compute and return float64 arrays, the complex family
-complex128 ones.
+non-singularity predicate, pole bookkeeping and the closed-form far edge
+of its grid.  The corrections come from one evaluator for a whole list of
+m, so a grid that several m share costs one pass.  Instances are immutable,
+every evaluation is a pure vectorised function of x, and the complex
+PT-symmetric family shares all code paths: real families compute and
+return float64 arrays, the complex family complex128 ones.
 """
 
 from __future__ import annotations
@@ -21,17 +21,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, UsageError
+from .errors import InvalidParameterError, UnsupportedError, UsageError
 
 DEFAULT_POLE_RADIUS = 1e-3
 
-# Window growth on infinite domain sides stops once |W| exceeds this cap or
-# evaluation stops being finite.  The remainder check subtracts V = W^2
-# values, whose rounding noise is eps * W_edge^2; the cap keeps that noise
-# three decades under the 1e-9 flatness tolerance while windows still reach
-# far into the asymptotic region.
-_EDGE_W_CAP = 1e2
-_EDGE_X_CAP = 1e6
 _TANH_GAMMA = 0.995
 
 
@@ -118,9 +111,11 @@ class SuperpotentialFamily:
     evaluators return inf or nan, and they neither raise nor warn there
     (the catalog's evaluate under np.errstate): intermediate overflow at
     deep asymptotic points is expected, and a nan still fails every verdict
-    that reads it.  expected_ab holds the
-    factorization constants (a, b) that run_condition_checks matches the
-    inferred ones against; None leaves that match out.
+    that reads it.  far_edge_fn maps m_values to |x| of make_grid's edge
+    on an infinite side (the domain is finite, (lo, inf) or (-inf, inf)).
+    expected_ab holds the factorization constants (a, b) that
+    run_condition_checks matches the inferred ones against; None leaves
+    that match out.
     """
 
     name: str
@@ -132,7 +127,13 @@ class SuperpotentialFamily:
     w1: Callable
     validity_fn: Callable[[float], Verdict] = field(repr=False)
     poles_fn: Callable[[tuple], tuple] = field(repr=False)
+    far_edge_fn: Callable[[tuple], float] = field(repr=False)
     expected_ab: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        lo, hi = self.domain  # a NaN end (X1-trigonometric at c <= 0) is validity's to name
+        if lo >= hi or (lo == -math.inf and hi != math.inf):
+            raise UsageError(f"{self.name}: domain {self.domain} is not finite, (lo, inf) or (-inf, inf)")
 
     def w_rows(self, x, m_values):
         """(W, W') with W = W0 + W1+ - W1-, one row per m, from one call of
@@ -164,55 +165,12 @@ def _rows(values, ndim: int) -> np.ndarray:
     return np.reshape(np.asarray(values, dtype=float), (-1,) + (1,) * ndim)
 
 
-def _edge_passes(family, m_values, xs: np.ndarray) -> np.ndarray:
-    """Which abscissae pass the edge test at every m: W and W' finite there
-    and |W| <= _EDGE_W_CAP.  One call of (W, W') for all m."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, wd = family.w_rows(xs, m_values)
-        return np.all(np.isfinite(w) & np.isfinite(wd) & (np.abs(w) <= _EDGE_W_CAP), axis=0)
-
-
-def _expand_edge(family, m_values, start: float, signs: tuple) -> tuple:
-    """Largest |edge| in a doubling sequence that still evaluates cleanly,
-    on each side sign * x of signs.
-
-    The candidates start*2**k, k < 40, up to _EDGE_X_CAP of every side are
-    tested in one array probe; a side's edge is the last one before its
-    first failure.  When start itself fails on a side, that side's edge is
-    the first of start/2**k, k >= 1, above 1e-3 that passes, probed for
-    that side alone.
-    """
-    up = start * 2.0 ** np.arange(40)
-    up = up[up <= _EDGE_X_CAP]
-    passes = _edge_passes(family, m_values, np.concatenate([sign * up for sign in signs]))
-    edges = []
-    for sign, ok in zip(signs, passes.reshape(len(signs), -1)):
-        leading = int(np.sum(np.logical_and.accumulate(ok)))
-        if leading:
-            edges.append(float(up[leading - 1]))
-            continue
-        down = start / 2.0 ** np.arange(1, max(1, math.ceil(math.log2(start / 1e-3))) + 2)
-        down = down[down > 1e-3]
-        ok = _edge_passes(family, m_values, sign * down)
-        if not ok.any():
-            raise InvalidParameterError(
-                "evaluable window", f"{family.name}: no evaluable window edge found"
-            )
-        edges.append(float(down[np.argmax(ok)]))
-    return tuple(edges)
-
-
-def _tanh_points(a: float, b: float, n: int, symmetric: bool,
-                 dense_end: str = "lo") -> np.ndarray:
-    scale = float(np.arctanh(_TANH_GAMMA))
-    if symmetric:
-        t = np.linspace(-_TANH_GAMMA, _TANH_GAMMA, n)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return mid + half * np.arctanh(t) / scale
-    t = np.linspace(0.0, _TANH_GAMMA, n)
-    if dense_end == "lo":
-        return a + (b - a) * np.arctanh(t) / scale
-    return (b - (b - a) * np.arctanh(t) / scale)[::-1]
+def _tanh_points(a: float, b: float, n: int, symmetric: bool) -> np.ndarray:
+    """n abscissae a + (b - a)*atanh(u)/atanh(_TANH_GAMMA), u uniform on
+    [0, _TANH_GAMMA]; symmetric: b*atanh(u)/..., u on [-_TANH_GAMMA, ...]."""
+    u = np.linspace(-_TANH_GAMMA if symmetric else 0.0, _TANH_GAMMA, n)
+    u = np.arctanh(u) / np.arctanh(_TANH_GAMMA)
+    return b * u if symmetric else a + (b - a) * u
 
 
 def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
@@ -220,20 +178,16 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
     """Verification abscissae strictly inside the family's domain.
 
     Validity is enforced for every m in m_values (raising
-    InvalidParameterError naming the violated inequality), infinite sides are
-    compressed through x = a + L*atanh(u), and every point keeps
-    pole_exclusion_radius distance from every detected denominator root of
-    every requested m.  A UsageError says so when that exclusion leaves
-    fewer than spec.n_points abscissae after the retries that top the
+    InvalidParameterError naming the violated inequality), and every point
+    keeps pole_exclusion_radius distance from every detected denominator
+    root of every requested m.  A UsageError says so when that exclusion
+    leaves fewer than spec.n_points abscissae after the retries that top the
     layout up.
 
-    The edges of the infinite sides come from one array probe: the pair
-    (W, W') is evaluated at every doubling candidate of every infinite side
-    and every m in one call, and a candidate fails where either is not
-    finite (the family's evaluators return nan or inf where g(x) overflows
-    or D vanishes, they do not raise) or where |W| exceeds _EDGE_W_CAP.  A
-    side's edge is its last candidate before its first failure; a side
-    whose first candidate fails is probed again alone, inwards.
+    A finite domain is laid out linearly between its margins.  An infinite
+    side is compressed through the tanh layout up to the edge that the
+    family states in closed form (far_edge_fn), so no W is evaluated:
+    (lo, inf) from lo + boundary_margin, the whole line symmetrically.
     """
     spec = spec or GridSpec()
     if m_values is None:
@@ -248,35 +202,23 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
             )
 
     lo, hi = family.domain
-    lo_inf, hi_inf = math.isinf(lo), math.isinf(hi)
-    margin = spec.boundary_margin
-
-    if not lo_inf and not hi_inf:
-        a = lo + margin * (hi - lo)
-        b = hi - margin * (hi - lo)
-        layout, symmetric, dense_end = "linear", True, "lo"
-    elif not lo_inf:
-        a = lo + margin
-        b = _expand_edge(family, m_values, max(2.0 * a, a + 1.0), (+1.0,))[0]
-        layout, symmetric, dense_end = "tanh", False, "lo"
-    elif not hi_inf:
-        b = hi - margin
-        a = -_expand_edge(family, m_values, max(2.0 * abs(b), abs(b) + 1.0), (-1.0,))[0]
-        layout, symmetric, dense_end = "tanh", False, "hi"
+    if math.isinf(hi):
+        a, b = lo + spec.boundary_margin, family.far_edge_fn(m_values)
+        if not b > a:
+            raise UnsupportedError(f"{family.name}: far edge x = {b:g} lies inside the margin")
     else:
-        right, left = _expand_edge(family, m_values, 1.0, (+1.0, -1.0))
-        a, b = -left, right
-        layout, symmetric, dense_end = "tanh", True, "lo"
+        a = lo + spec.boundary_margin * (hi - lo)
+        b = hi - spec.boundary_margin * (hi - lo)
 
     poles = family.poles(m_values)
 
     n_gen = spec.n_points
     points = np.empty(0)
     for _ in range(4):
-        if layout == "linear":
-            points = np.linspace(a, b, n_gen)
+        if math.isinf(hi):
+            points = _tanh_points(a, b, n_gen, math.isinf(lo))
         else:
-            points = _tanh_points(a, b, n_gen, symmetric, dense_end)
+            points = np.linspace(a, b, n_gen)
         if poles:
             keep = np.ones(points.shape, dtype=bool)
             for p in poles:
@@ -310,8 +252,9 @@ def with_perturbation(family: SuperpotentialFamily, mode: str,
     """A copy of the family with a controlled defect injected.
 
     Used by negative-control tests and the CLI's hidden perturbation hook;
-    poles and validity are inherited unchanged (the injected terms are
-    entire).  The W1 defects apply at every m of a w1 call.
+    poles, validity and the far grid edge are inherited unchanged (the
+    injected terms are entire), so a control runs on its family's grid.
+    The W1 defects apply at every m of a w1 call.
     """
     if mode not in PERTURBATION_MODES:
         raise UsageError(f"unknown perturbation mode {mode!r}")

@@ -5,7 +5,8 @@ from shapeinv import GridSpec, ParamPoint, SuperpotentialFamily, Verdict, poly_e
 
 
 def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
-    """A family with no rational extension: W1+- identically zero."""
+    """A family with no rational extension: W1+- identically zero, and
+    make_grid's edge at |x| = 8 on an infinite side."""
     zero = lambda x, ms: (np.zeros((len(ms),) + np.shape(x)),) * 4
     return SuperpotentialFamily(
         name=name,
@@ -17,6 +18,7 @@ def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
         w1=zero,
         validity_fn=lambda m_: Verdict(True, None),
         poles_fn=lambda m_: (),
+        far_edge_fn=lambda m_: 8.0,
     )
 
 

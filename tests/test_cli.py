@@ -173,11 +173,11 @@ class TestVerify:
         assert set(doc["results"][0]["verdicts"]) == {"translation", "compatibility"}
         assert doc["results"][0]["m_list"] == [-3.0, -4.0]
 
-    @pytest.mark.parametrize("checks, calls", [("compatibility", 2),
-                                               ("compatibility,remainder", 2)])
+    @pytest.mark.parametrize("checks, calls", [("compatibility", 1),
+                                               ("compatibility,remainder", 1)])
     def test_remainder_reuses_the_checks_values(self, tmp_path, monkeypatch, checks, calls):
-        # one kernel pass for the 20-point edge probe, one for the grid; the
-        # remainder reads the checks' W1 table instead of a third pass
+        # one kernel pass, for the grid (its edge is a closed form); the
+        # remainder reads the checks' W1 table instead of a second pass
         from shapeinv import catalog
 
         points = []
@@ -223,14 +223,22 @@ class TestVerify:
 
     def test_perturbed_remainder_misses_its_closed_form(self, tmp_path):
         # verify --perturb adds 1e-3*x to W1- (the wminus-slope control): R
-        # moves by 0.2 from (2m - 1)a - 2b
+        # moves from (2m - 1)a - 2b by what the perturbation adds to the
+        # mean of V+ - V- on the run's grid
+        from shapeinv import remainder, with_perturbation
+
         code, text = run(tmp_path, "verify", "--family", "X1-hyperbolic", "--sample", "1",
                          "--seed", "3", "--checks", "remainder", "--perturb", "1e-3",
                          "--no-timestamp")
         assert code == 1
         result = json.loads(text)["results"][0]
         assert not result["verdicts"]["remainder_match"]
-        assert result["residuals"]["remainder_match"] > 0.1
+        p = sample_valid_params("X1-hyperbolic", 1, 3)[0]
+        fam = get_family("X1-hyperbolic", p)
+        grid = make_grid(fam, GridSpec(), m_values=(p.m, p.m - 1.0, p.m - 2.0))
+        shift = (remainder(with_perturbation(fam, "wminus-slope", 1e-3), p.m, grid)[0]
+                 - remainder(fam, p.m, grid)[0])
+        assert result["residuals"]["remainder_match"] == pytest.approx(abs(shift), rel=1e-9)
 
     def test_unknown_check_exit_2(self, capsys):
         assert main([
@@ -676,9 +684,9 @@ class TestScan:
         assert (tag == "Xl-PT-Scarf") == np.any(eps.imag != 0.0)
 
     def test_potentials_reuse_the_epsilon_values(self, tmp_path, monkeypatch):
-        # one kernel pass for the 20-point edge probe and one for the grid:
-        # V+- read the epsilon columns' W table, and equal V+- evaluated
-        # alone bit for bit
+        # one kernel pass, for the grid (its edge is a closed form): V+-
+        # read the epsilon columns' W table, and equal V+- evaluated alone
+        # bit for bit
         from shapeinv import catalog, partner_potentials
 
         points = []
@@ -689,7 +697,7 @@ class TestScan:
         code, text = run(tmp_path, "scan", "--family", "Xl-Poschl-Teller", "--sample", "1",
                          "--seed", "3", out_name="scan.csv")
         assert code == 0
-        assert points == [20, 512]
+        assert points == [512]
         rows = list(csv.reader(text.splitlines()))
         assert rows[0][-2:] == ["V_minus", "V_plus"]
         columns = np.asarray(rows[1:], dtype=float).T

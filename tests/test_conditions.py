@@ -428,11 +428,10 @@ class TestSharedW1Table:
         assert len(calls) == 2
 
     # poly_eval calls of make_grid + run_condition_checks at the default m
-    # list (m, m-1, m-2) and 128 points: one for the grid's edge probe (the
-    # Poschl-Teller grid probes one infinite side, the Scarf grid both in
-    # one call) and one for all the checks, each an order-2 pass over every
+    # list (m, m-1, m-2) and 128 points: none for the grid, whose edge is a
+    # closed form, and one for all the checks, an order-2 pass over every
     # P+- of the m list
-    KERNEL_CALLS = {"Xl-Poschl-Teller": 2, "Xl-PT-Scarf": 2}
+    KERNEL_CALLS = {"Xl-Poschl-Teller": 1, "Xl-PT-Scarf": 1}
 
     @pytest.mark.parametrize("tag", sorted(KERNEL_CALLS))
     @pytest.mark.parametrize("seed", [19, 3])

@@ -88,6 +88,10 @@ EXPECTED = [
     ("verify Xl-radial-oscillator sample-with-m-list", 2),
     ("scan X1-radial-oscillator seed=3 k=3", 2),
     ("spectrum X1-radial-oscillator seed=3 config=grid", 2),
+    # the edge probe exited 2 on the first and the last: no window edge
+    ("verify X1-hyperbolic c=0.03 beta=-0.5", 0),
+    ("verify X1-hyperbolic c=0.001 beta=-0.5", 2),
+    ("verify Xl-Poschl-Teller ell=64", 0),
 ]
 
 

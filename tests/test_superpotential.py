@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from shapeinv import (
     REAL_TAGS,
     get_family,
     make_grid,
+    run_condition_checks,
     sample_valid_params,
     with_perturbation,
 )
-from shapeinv.superpotential import _EDGE_W_CAP, _EDGE_X_CAP, _expand_edge
 from shapeinv.catalog import family_data
+from shapeinv.cli import main
+from shapeinv.errors import UsageError
+from shapeinv.polynomials import kernel_reach
 from conftest import denominator, plain_family
 
 
@@ -280,132 +284,163 @@ class TestPerturbations:
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
-def reference_edge(family, m_values, start, sign):
-    """The edge rule one abscissa at a time: double from start while the
-    candidate passes, and if start itself fails, halve until one passes.  A
-    candidate passes when W and W' are finite at every m and |W| <= the cap;
-    an evaluation that raises fails it."""
-
-    def passes(x):
-        xs = np.asarray([sign * x])
-        try:
-            with np.errstate(all="ignore"):
-                for m in m_values:
-                    w, wd = family.w_rows(xs, (m,))
-                    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wd))):
-                        return False
-                    if np.max(np.abs(w)) > _EDGE_W_CAP:
-                        return False
-        except (ArithmeticError, ValueError):
-            return False
-        return True
-
-    edge, good = start, None
-    for _ in range(40):
-        if edge > _EDGE_X_CAP or not passes(edge):
-            break
-        good, edge = edge, edge * 2.0
-    if good is not None:
-        return good
-    edge = start / 2.0
-    while edge > 1e-3:
-        if passes(edge):
-            return edge
-        edge /= 2.0
-    return None
+PLATEAU_T = 2.0 ** 52
+W_CAP = 100.0
 
 
-def zeros(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
+def reach(data, m_values):
+    """The smallest kernel reach of P+- at every m of m_values."""
+    return min(kernel_reach(P(m), not data.is_real)
+               for P in (data.p_plus, data.p_minus) for m in m_values)
 
 
-class TestEdgeProbe:
-    def test_halving_branch(self):
-        # W = 200 x + m/x fails |W| <= 100 at the first candidate, x = 1.05
-        fam = plain_family(k0=lambda x: 200.0 * np.asarray(x, dtype=float),
-                           k0_deriv=lambda x: 200.0 + zeros(x),
-                           k1=lambda x: 1.0 / x, k1_deriv=lambda x: -1.0 / (x * x),
-                           domain=(0.0, np.inf), m=1.0)
-        m_values = (1.0, 0.0)
-        edge = _expand_edge(fam, m_values, 1.05, (+1.0,))[0]
-        assert edge == reference_edge(fam, m_values, 1.05, +1.0) == 1.05 / 4
-        grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
-        assert grid[-1] == edge
+def closed_form_edge(tag, p, m_values):
+    """The far edge of the family's grid, family by family: on a plateau
+    at t = 2**52 (inside the kernel's reach), on a growing end where
+    |W| ~ omega*x/2 reaches 100."""
+    data = family_data(tag, p)
+    if tag == "X1-hyperbolic":
+        return math.acosh(PLATEAU_T) / p.c
+    if tag == "X1-radial-oscillator":
+        return 2.0 * W_CAP / p.omega
+    if tag == "Xl-Poschl-Teller":
+        return math.acosh(min(PLATEAU_T, reach(data, m_values)))
+    if tag == "Xl-PT-Scarf":
+        return math.asinh(min(PLATEAU_T, reach(data, m_values)))
+    # Xl-radial-oscillator: t = -omega*x**2/2, |t| at most 2*W_CAP**2/omega
+    return math.sqrt(2.0 * min(2.0 * W_CAP ** 2 / p.omega, reach(data, m_values)) / p.omega)
 
-    def test_cosh_overflow_candidate(self):
-        # cosh(1024) overflows: the kernel would raise there, the evaluators
-        # return nan instead, and the edge stops at 512
-        fam = get_family("Xl-Poschl-Teller", ParamPoint(m=0.6, B=-2.5, ell=1))
-        m_values = (0.6, -0.4, -1.4)
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(np.cosh(1024.0))
-        edge = _expand_edge(fam, m_values, 1.0, (+1.0,))[0]
-        assert edge == reference_edge(fam, m_values, 1.0, +1.0) == 512.0
-        w1 = fam.w1(np.array([1024.0]), (0.6,))[0]
-        assert np.isnan(w1[0, 0])
 
-    def test_one_nonfinite_candidate(self):
-        # W = 1/(x - 8) is infinite at the candidate x = 8 and finite past
-        # it: the edge is the last candidate before the first failure
-        fam = plain_family(k0=lambda x: 1.0 / (x - 8.0), k0_deriv=lambda x: -1.0 / (x - 8.0) ** 2,
-                           k1=zeros, k1_deriv=zeros, domain=(-np.inf, np.inf), m=0.0)
-        right = _expand_edge(fam, (0.0,), 1.0, (+1.0,))[0]
-        assert right == reference_edge(fam, (0.0,), 1.0, +1.0) == 4.0
-        left = _expand_edge(fam, (0.0,), 1.0, (-1.0,))[0]
-        assert left == reference_edge(fam, (0.0,), 1.0, -1.0) == 2.0 ** 19
-        grid = make_grid(fam, GridSpec(n_points=64), m_values=(0.0,))
-        assert (grid[0], grid[-1]) == (-left, 4.0)
+INFINITE_TAGS = [t for t in FAMILY_TAGS if t != "X1-trigonometric"]
 
-    def test_perturbed_control(self):
-        # W1- += size*x grows without bound; at size 1 the |W| cap sets the
-        # edge before the overflow of cosh(x)**ell does
-        base, p = sampled_family("Xl-Poschl-Teller")
-        m_values = (p.m, p.m - 1.0, p.m - 2.0)
-        edges = {}
-        for size in (1e-2, 1.0):
-            fam = with_perturbation(base, "wminus-slope", size)
-            edges[size] = _expand_edge(fam, m_values, 1.05, (+1.0,))[0]
-            assert edges[size] == reference_edge(fam, m_values, 1.05, +1.0)
-        assert edges[1.0] < edges[1e-2] == _expand_edge(base, m_values, 1.05, (+1.0,))[0]
+# points whose grid edge the kernel's reach sets: the largest degree, with
+# large parameters
+REACH_BOUND = [
+    ("Xl-Poschl-Teller", ParamPoint(m=50.0, B=-200.0, ell=64)),
+    ("Xl-PT-Scarf", ParamPoint(m=0.5, B=-3.0, ell=64)),
+    ("Xl-radial-oscillator", ParamPoint(m=-40.0, omega=0.01, ell=64)),
+]
 
-    @pytest.mark.parametrize("tag", FAMILY_TAGS)
-    def test_sampled_families(self, tag):
+
+def wide_box_point(tag, rng):
+    """A draw from a box wider than the sampler's: c log-uniform on
+    (0.001, 2), omega on (0.005, 50), B in (-300, -0.6), ell in 1..64 and m
+    in (-60, 60); Xl-PT-Scarf keeps the sampler's m in (-2, 2), outside
+    which its residuals exceed their gates at high degree."""
+    u, m = rng.uniform, rng.uniform(-60.0, 60.0)
+    if tag == "X1-hyperbolic":
+        return ParamPoint(m=m, c=math.exp(u(math.log(1e-3), math.log(2.0))), beta=u(-3.0, 3.0),
+                          d=u(0.3, 3.0) * (1.0 if rng.integers(0, 2) else -1.0))
+    omega = math.exp(u(math.log(5e-3), math.log(50.0)))
+    if tag == "X1-radial-oscillator":
+        return ParamPoint(m=m, omega=omega, d=u(0.3, 3.0))
+    ell = int(rng.integers(1, 65))
+    if tag == "Xl-radial-oscillator":
+        return ParamPoint(m=m, omega=omega, ell=ell)
+    if tag == "Xl-PT-Scarf":
+        m = u(-2.0, 2.0)
+    return ParamPoint(m=m, B=u(-300.0, -0.6), ell=ell)
+
+
+class TestFarEdge:
+    @pytest.mark.parametrize("tag", INFINITE_TAGS)
+    def test_sampled_edges_are_the_closed_form(self, tag):
         for p in sample_valid_params(tag, 4, seed=29):
             fam = get_family(tag, p)
             m_values = (p.m, p.m - 1.0, p.m - 2.0)
-            for start, sign in ((1.0, 1.0), (1.0, -1.0), (1.05, 1.0)):
-                if not fam.domain[0] < sign * start < fam.domain[1]:
-                    continue
-                assert _expand_edge(fam, m_values, start, (sign,))[0] == \
-                    reference_edge(fam, m_values, start, sign)
+            edge = closed_form_edge(tag, p, m_values)
+            assert fam.far_edge_fn(m_values) == pytest.approx(edge, rel=1e-14)
+            grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
+            assert grid[-1] == pytest.approx(edge, rel=1e-14)
+            if fam.domain[0] == -np.inf:
+                assert grid[0] == -grid[-1]
 
-    @pytest.mark.parametrize("case", ["Xl-PT-Scarf", "pole-at-8", "halving-on-the-right"])
-    def test_both_sides_in_one_probe(self, case):
-        # a two-sided domain probes both sides' doubling candidates in one
-        # (W, W') call; each side's edge is the one its own probe reaches,
-        # and only a side whose first candidate fails is probed again
-        if case == "Xl-PT-Scarf":
-            fam, p = sampled_family(case)
+    @pytest.mark.parametrize("tag, p", REACH_BOUND)
+    def test_kernel_reach_sets_the_edge(self, tag, p):
+        fam = get_family(tag, p)
+        m_values = (p.m, p.m - 1.0, p.m - 2.0)
+        edge = closed_form_edge(tag, p, m_values)
+        assert fam.far_edge_fn(m_values) == pytest.approx(edge, rel=1e-14)
+        # the reach, not the plateau or the cap, decides here
+        assert reach(family_data(tag, p), m_values) < (
+            2.0 * W_CAP ** 2 / p.omega if p.omega else PLATEAU_T)
+        grid = make_grid(fam, GridSpec(), m_values=m_values)
+        w, wd = fam.w_rows(grid, m_values)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(wd))
+
+    def test_plateau_above_the_cap_exits_2(self, capsys):
+        # W tends to m*c - beta/c = 500.001 for large x: the plateau, not the
+        # region, rules the point out.  The edge probe once refused
+        # c = 0.03 (plateau 16.7) here too, with "no evaluable window edge"
+        params = '{{"m": 1.0, "c": {}, "beta": -0.5, "d": 1.0}}'
+        assert main(["verify", "--family", "X1-hyperbolic", "--params", params.format(0.001),
+                     "--no-timestamp"]) == 2
+        assert "on the plateau" in capsys.readouterr().err
+        assert main(["verify", "--family", "X1-hyperbolic", "--params", params.format(0.03),
+                     "--no-timestamp"]) == 0
+
+    @pytest.mark.parametrize("mode", PERTURBATION_MODES)
+    def test_perturbed_grid_is_the_base_grid(self, mode):
+        base, p = sampled_family("Xl-Poschl-Teller")
+        m_values = (p.m, p.m - 1.0, p.m - 2.0)
+        grid = make_grid(base, GridSpec(n_points=64), m_values=m_values)
+        for size in (1e-2, 1.0):
+            fam = with_perturbation(base, mode, size)
+            assert np.array_equal(make_grid(fam, GridSpec(n_points=64), m_values=m_values), grid)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_no_w_evaluated(self, tag):
+        fam, p = sampled_family(tag)
+        m_values = (p.m, p.m - 1.0, p.m - 2.0)
+
+        def refuse(*args):
+            raise AssertionError("make_grid evaluated W")
+
+        blind = dataclasses.replace(fam, affine=refuse, w1=refuse)
+        assert np.array_equal(make_grid(blind, GridSpec(n_points=64), m_values=m_values),
+                              make_grid(fam, GridSpec(n_points=64), m_values=m_values))
+
+    @pytest.mark.parametrize("domain", [(-np.inf, 0.0), (-np.inf, -np.inf), (np.inf, np.inf),
+                                        (1.0, 1.0), (2.0, 1.0)])
+    def test_unsupported_domain_rejected(self, domain):
+        with pytest.raises(UsageError, match="is not finite, \\(lo, inf\\) or \\(-inf, inf\\)"):
+            plain_family(k0=np.zeros_like, k0_deriv=np.zeros_like, k1=np.zeros_like,
+                         k1_deriv=np.zeros_like, domain=domain, m=0.0)
+
+    def test_edge_inside_the_margin_exit_2(self, capsys):
+        # at B = -1e304 the coefficients of P+- near 1e304 leave the kernel a
+        # reach of x = 0.046, inside the default margin 0.05: no grid
+        params = '{{"m": 0.0, "B": {}, "ell": 1}}'
+        assert main(["verify", "--family", "Xl-Poschl-Teller", "--params", params.format(-1e304),
+                     "--no-timestamp"]) == 2
+        assert "far edge x = 0.0462886 lies inside the margin" in capsys.readouterr().err
+        assert main(["verify", "--family", "Xl-Poschl-Teller", "--params", params.format(-1e303),
+                     "--no-timestamp"]) == 0
+
+    @pytest.mark.parametrize("tag", INFINITE_TAGS)
+    def test_wide_box(self, tag):
+        # every valid draw gets a grid on which W and W' are finite and the
+        # five identity checks pass, or is refused because its plateau lies
+        # above the cap (36 X1-hyperbolic points).  The edge probe refused
+        # 280 of these 694 valid points, Xl-Poschl-Teller and Xl-PT-Scarf
+        # ones among them
+        rng = np.random.default_rng([404, FAMILY_TAGS.index(tag)])
+        points = [wide_box_point(tag, rng) for _ in range(200)]
+        points += [p for t, p in REACH_BOUND if t == tag]
+        runs = 0
+        for p in points:
+            fam = get_family(tag, p)
             m_values = (p.m, p.m - 1.0, p.m - 2.0)
-        elif case == "pole-at-8":
-            fam = plain_family(k0=lambda x: 1.0 / (x - 8.0),
-                               k0_deriv=lambda x: -1.0 / (x - 8.0) ** 2,
-                               k1=zeros, k1_deriv=zeros, domain=(-np.inf, np.inf), m=0.0)
-            m_values = (0.0,)
-        else:
-            # W = 200 x for x > 0: the right side fails at x = 1 and halves
-            fam = plain_family(k0=lambda x: np.where(np.asarray(x) > 0, 200.0 * x, 0.0),
-                               k0_deriv=lambda x: np.where(np.asarray(x) > 0, 200.0, 0.0),
-                               k1=zeros, k1_deriv=zeros, domain=(-np.inf, np.inf), m=0.0)
-            m_values = (0.0,)
-        calls = []
-        affine = fam.affine
-        counted = dataclasses.replace(
-            fam, affine=lambda x: calls.append(np.size(x)) or affine(x))
-        right, left = _expand_edge(counted, m_values, 1.0, (+1.0, -1.0))
-        assert (right, left) == (reference_edge(fam, m_values, 1.0, +1.0),
-                                 reference_edge(fam, m_values, 1.0, -1.0))
-        halved = int(case == "halving-on-the-right")
-        assert len(calls) == 1 + halved
-        grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
-        assert (grid[0], grid[-1]) == (-left, right)
+            if not all(fam.validity(m).valid for m in m_values):
+                continue
+            try:
+                grid = make_grid(fam, GridSpec(), m_values=m_values)
+            except InvalidParameterError as exc:
+                assert tag == "X1-hyperbolic" and "plateau" in exc.violated
+                assert max(abs(m * p.c - p.beta / p.c) for m in m_values) > W_CAP
+                continue
+            w, wd = fam.w_rows(grid, m_values)
+            assert np.all(np.isfinite(w)) and np.all(np.isfinite(wd)), p
+            assert run_condition_checks(fam, grid, m_values).passed, p
+            runs += 1
+        assert runs >= 50

@@ -17,15 +17,14 @@ NONZERO = {
     ("Xl-Poschl-Teller", "ell=64", 16, 0.001): (3, 0),
     ("Xl-Poschl-Teller", "ell=64", 512, 0.001): (3, 0),
     ("Xl-Poschl-Teller", "ell=64", 4096, 0.001): (3, 0),
-    # below the sampler's c box: infeld_hull up to 7e-9 next to x = 0 at
-    # margin 0.001, and "no evaluable window edge found" (exit 2) on 4 of
-    # the 6 points with c < 0.1
-    ("X1-hyperbolic", "c=[0.03,0.1)", 16, 0.001): (2, 4),
-    ("X1-hyperbolic", "c=[0.03,0.1)", 16, 0.45): (0, 4),
-    ("X1-hyperbolic", "c=[0.03,0.1)", 512, 0.001): (2, 4),
-    ("X1-hyperbolic", "c=[0.03,0.1)", 512, 0.45): (0, 4),
-    ("X1-hyperbolic", "c=[0.03,0.1)", 4096, 0.001): (2, 4),
-    ("X1-hyperbolic", "c=[0.03,0.1)", 4096, 0.45): (0, 4),
+    # below the sampler's c box, at margin 0.001: infeld_hull up to 4.6e-8
+    # next to x = 0, where k0 ~ (-beta/c^2 + d/c)/x cancels in -k0' - k1*k0.
+    # The edge probe once raised "no evaluable window edge found" (exit 2)
+    # on 4 of the 6 points with c < 0.1 at every margin, so only 2 of them
+    # ran and failed
+    ("X1-hyperbolic", "c=[0.03,0.1)", 16, 0.001): (6, 0),
+    ("X1-hyperbolic", "c=[0.03,0.1)", 512, 0.001): (6, 0),
+    ("X1-hyperbolic", "c=[0.03,0.1)", 4096, 0.001): (6, 0),
     ("X1-hyperbolic", "c=[0.1,0.5)", 16, 0.001): (2, 0),
     ("X1-hyperbolic", "c=[0.1,0.5)", 512, 0.001): (2, 0),
     ("X1-hyperbolic", "c=[0.1,0.5)", 4096, 0.001): (2, 0),
@@ -42,8 +41,8 @@ def cells():
 
 def test_cells(cells):
     # 3 X1 families with one point set, 3 Xl families at 11 ells, and 2
-    # small-c boxes, each at 3 n_points and 2 margins, 6 points per cell
-    assert len(cells) == (3 + 3 * 11 + 2) * 6
+    # small-c boxes, each at 3 n_points and 3 margins, 6 points per cell
+    assert len(cells) == (3 + 3 * 11 + 2) * 9
     assert all(c.runs == 6 for c in cells.values())
     assert set(NONZERO) <= set(cells)
 
@@ -58,5 +57,5 @@ def test_scarf_within_its_gates_up_to_the_degree_cap(cells):
     # the monomial basis on the imaginary axis: from ell = 16 on the series
     # about z = 1 failed 140 of these 396 runs, with residuals up to 1.4e6
     scarf = [c for key, c in cells.items() if key[0] == "Xl-PT-Scarf"]
-    assert len(scarf) == 66
+    assert len(scarf) == 99
     assert max(c.worst for c in scarf) < 1e-9

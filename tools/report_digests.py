@@ -16,8 +16,10 @@ config field (EVERY_FIELD, written to a temporary directory), and
 family with a c whose 2*c^2 underflows to 0 and with a c whose c^2 is
 subnormal (SMALL_C: exit 2), `verify` on Xl-PT-Scarf at ell = 16, above
 the sampler's ell (SCARF_ELL_16), `verify --sample` with an m list
-(SAMPLE_WITH_M_LIST: exit 2), and one setting per command that it does not
-read (UNREAD: exit 2), and prints one
+(SAMPLE_WITH_M_LIST: exit 2), one setting per command that it does not
+read (UNREAD: exit 2), `verify` on X1-hyperbolic below the sampler's c
+box (PLATEAU_C) and on Xl-Poschl-Teller at ell = 64 with large
+parameters (PT_ELL_64), and prints one
 line per report: the sha256 of its bytes, the command, the family, the seed
 and the exit code.  Then it prints one line per family for the
 sampler: the sha256 of the repr of sample_valid_params(tag, 5, s) for every
@@ -92,6 +94,16 @@ SAMPLE_WITH_M_LIST = ("Xl-radial-oscillator", ["--sample", "2", "--seed", "9",
 # file's key, on X1-radial-oscillator at SEEDS[0]
 UNREAD = ("X1-radial-oscillator", ["--k", "3"], {"grid": {"n_points": 64}})
 
+# X1-hyperbolic below the sampler's c box: W's plateau m*c - beta/c is 16.7
+# at c = 0.03 (exit 0; the edge probe once found no window edge there) and
+# 500 at c = 0.001, above the grid's cap (exit 2)
+PLATEAU_C = ("0.03", "0.001")
+PLATEAU_C_PARAMS = '{{"m": 1.0, "c": {}, "beta": -0.5, "d": 1.0}}'
+
+# the kernel's reach, not the plateau, sets this grid's edge (the edge probe
+# once found none)
+PT_ELL_64 = ("Xl-Poschl-Teller", '{"m": 50.0, "B": -200.0, "ell": 64}')
+
 
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
 SAMPLER_SEEDS = range(200)
@@ -149,6 +161,13 @@ def configs(tmp: Path):
     path.write_text(json.dumps(key), encoding="utf-8")
     yield (f"spectrum {tag} seed={SEEDS[0]} config={','.join(key)}",
            ["spectrum", *point, "--config", str(path), "--no-timestamp"])
+    for c in PLATEAU_C:
+        yield (f"verify X1-hyperbolic c={c} beta=-0.5",
+               ["verify", "--family", "X1-hyperbolic", "--params", PLATEAU_C_PARAMS.format(c),
+                "--no-timestamp"])
+    tag, params = PT_ELL_64
+    yield f"verify {tag} ell=64", ["verify", "--family", tag, "--params", params,
+                                   "--no-timestamp"]
 
 
 def exit_code(argv) -> int:

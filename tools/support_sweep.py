@@ -46,7 +46,7 @@ from shapeinv import (  # noqa: E402
 POINTS, SEED = 6, 99
 ELLS = (1, 2, 4, 8, 10, 12, 16, 24, 32, 48, 64)
 N_POINTS = (16, 512, 4096)
-MARGINS = (0.001, 0.45)
+MARGINS = (0.001, GridSpec().boundary_margin, 0.45)
 # X1-hyperbolic below the sampler's c box, with its other constants and m
 # drawn as in the README's measurement of the c support
 SMALL_C_BOXES = ((0.03, 0.1), (0.1, 0.5))
