@@ -27,14 +27,23 @@ residual intervals, one Sturm count that also isolates the top level, and
 each level's Weyl or Temple error bound); where that fails, the matrix is
 bisected instead.  A real family's W must arrive as float64: complex
 values are refused, not truncated.
+
+The three LAPACK routines (dstebz, dgttrf, dgttrs) come from scipy's
+Fortran LAPACK extension, scipy.linalg._flapack, loaded directly from its
+file (_lapack): the package never imports scipy.linalg, whose package
+__init__ would cost more start-up than a spectrum run's solve.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,19 +168,48 @@ def _tridiagonal(values: np.ndarray, h: float):
     return 2.0 / (h * h) + values, np.full(values.size - 1, -1.0 / (h * h))
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _lapack():
+    """scipy's Fortran LAPACK extension module, scipy.linalg._flapack: the
+    very module scipy.linalg.lapack re-exports, loaded from its file without
+    running scipy's or scipy.linalg's package __init__.  It is registered
+    under its full name, so a later import of scipy.linalg reuses it; one
+    already imported is returned as it is.  Where the file is not found or
+    does not load, the normal import system reaches the same module."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    for root in (scipy.submodule_search_locations if scipy else None) or ():
+        finder = importlib.machinery.FileFinder(
+            os.path.join(root, "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_FLAPACK)
+        if spec is None:
+            continue
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            break
+        sys.modules[_FLAPACK] = module
+        return module
+    return importlib.import_module(_FLAPACK)
+
+
 def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int,
             abstol: float = 0.0) -> np.ndarray:
     """Levels first..last (0-based, ascending) by bisection to abstol, or to
     eps*||T||_1 where abstol is 0: the dstebz call that scipy's
     eigh_tridiagonal makes, without its argument checks (every grid is
-    finite by PotentialGrid)."""
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only spectra need it
-    from scipy.linalg.lapack import dstebz
-
-    count, w, *_, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, abstol, b"E")
+    finite by PotentialGrid), from scipy's LAPACK extension loaded directly
+    (_lapack).  A dstebz failure is outside the supported envelope."""
+    count, w, *_, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1,
+                                          abstol, b"E")
     if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed to converge (info = {info})")
+        raise UnsupportedError(f"LAPACK dstebz failed to converge (info = {info})")
     return w[:count]
 
 
@@ -193,15 +231,14 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
     the residual vector and the off-diagonal products have one buffer each
     for the whole level, so a step allocates nothing.  Both norms are
     sqrt(v @ v), the sum np.linalg.norm forms for a 1-d float64 array."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
-    dl, d, du, du2, ipiv, info = dgttrf(off, diag - shift, off)
+    lapack = _lapack()
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(off, diag - shift, off)
     if info != 0:
         return None
     v = np.array(start, dtype=float)
     tv, res, prod = np.empty_like(v), np.empty_like(v), np.empty_like(off)
     for _ in range(_MAX_STEPS):
-        v, info = dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
+        v, info = lapack.dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
         v /= math.sqrt(v @ v)
         np.multiply(diag, v, out=tv)
         np.multiply(off, v[:-1], out=prod)
@@ -261,8 +298,6 @@ def _certificate(diag, off, found, floor: float, tol: float, guard: float):
     (r + guard)^2/dist, dist its distance to the nearer end of its
     interval; the set is accepted when every error is at most tol + guard.
     """
-    from scipy.linalg.lapack import dstebz
-
     found = sorted(found, key=lambda f: f[0])
     rho, r = np.array([f[:2] for f in found]).T
     lo, hi = rho - r - guard, rho + r + guard
@@ -270,7 +305,8 @@ def _certificate(diag, off, found, floor: float, tol: float, guard: float):
         return None
     top = hi[-1] if r[-1] <= tol else rho[-1] + (r[-1] + guard) ** 2 / tol
     # abstol spans the whole interval: dstebz counts, no bisection
-    count, *_, info = dstebz(diag, off, 1, floor - guard, top, 0, 0, top - floor, b"E")
+    count, *_, info = _lapack().dstebz(diag, off, 1, floor - guard, top, 0, 0, top - floor,
+                                       b"E")
     if info != 0 or count != len(found):
         return None
     dist = np.minimum(rho - np.r_[-np.inf, hi[:-1]], np.r_[lo[1:], top] - rho)

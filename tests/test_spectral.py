@@ -1055,3 +1055,172 @@ class TestWeylBound:
         check_isospectrality(fam, m, k=5, n_points=4000)
         assert len(solves) == 1
         assert sizes.count(4000) == 1
+
+
+# A fresh interpreter with shapeinv on its path reports which scipy modules
+# it holds after importing the package and after one spectrum run, and
+# whether scipy.linalg.lapack, imported afterwards, kept the module that
+# spectral._lapack() returned and re-exports its routines.
+FRESH_INTERPRETER = """
+import json, sys
+import shapeinv, shapeinv.cli
+from shapeinv import spectral
+
+def scipy_modules():
+    return sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
+
+after_import = scipy_modules()
+code = shapeinv.cli.main(["spectrum", "--family", "X1-radial-oscillator", "--sample", "1",
+                          "--seed", "3", "--no-timestamp", "--out", sys.argv[1]])
+after_spectrum = scipy_modules()
+lapack = spectral._lapack()
+import scipy.linalg.lapack
+same = [sys.modules["scipy.linalg._flapack"] is lapack] + [
+    getattr(scipy.linalg.lapack, r) is getattr(lapack, r) for r in ("dstebz", "dgttrf", "dgttrs")]
+print(json.dumps({"after_import": after_import, "code": code,
+                  "after_spectrum": after_spectrum, "same": same}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_interpreter(tmp_path_factory):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path_factory.mktemp("fresh") / "report.json"
+    proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER, str(out)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture
+def fresh_lapack():
+    """spectral._lapack's cache, empty before and after the test."""
+    from shapeinv import spectral
+
+    spectral._lapack.cache_clear()
+    yield
+    spectral._lapack.cache_clear()
+
+
+def spectral_outputs(tmp_path):
+    """Per real family at one sampled point: the exit code and bytes of its
+    spectrum report, and the V+ levels solve_spectrum finds on 1000 nodes
+    of the window that check_isospectrality chose."""
+    from shapeinv.cli import main
+
+    outputs = {}
+    for tag in REAL_TAGS:
+        p = sample_valid_params(tag, 1, seed=3)[0]
+        fam = get_family(tag, p)
+        x = dirichlet_grid(*check_isospectrality(fam, p.m).window, 1000)
+        levels = solve_spectrum(partner_potentials(fam, p.m, x)[1], 5).eigenvalues
+        out = tmp_path / f"{tag}.json"
+        code = main(["spectrum", "--family", tag, "--sample", "1", "--seed", "3",
+                     "--no-timestamp", "--out", str(out)])
+        outputs[tag] = (code, out.read_bytes(), levels.view(np.uint64).tolist())
+    return outputs
+
+
+class TestLapackLoader:
+    """spectral._lapack loads scipy's LAPACK extension without importing
+    scipy or scipy.linalg, and holds the one copy of it that a later
+    import of scipy.linalg reuses."""
+
+    def test_import_holds_no_scipy(self, fresh_interpreter):
+        assert fresh_interpreter["after_import"] == []
+
+    def test_spectrum_imports_neither_scipy_nor_scipy_linalg(self, fresh_interpreter):
+        assert fresh_interpreter["code"] == 0
+        assert "scipy.linalg._flapack" in fresh_interpreter["after_spectrum"]
+        assert not {"scipy", "scipy.linalg"} & set(fresh_interpreter["after_spectrum"])
+
+    def test_scipy_linalg_reuses_the_loaded_extension(self, fresh_interpreter):
+        assert fresh_interpreter["same"] == [True] * 4
+
+    def test_imported_scipy_linalg_is_reused(self, fresh_lapack):
+        import sys
+
+        import scipy.linalg.lapack
+
+        from shapeinv import spectral
+
+        assert spectral._lapack() is sys.modules["scipy.linalg._flapack"]
+        assert spectral._lapack().dstebz is scipy.linalg.lapack.dstebz
+
+    def test_fallback_import_gives_the_same_spectra(self, tmp_path, monkeypatch,
+                                                    fresh_lapack):
+        import importlib.machinery
+        import sys
+
+        import scipy.linalg
+
+        from shapeinv import spectral
+
+        want = spectral_outputs(tmp_path)
+        lookups = []
+
+        class NoFinder(importlib.machinery.FileFinder):
+            def find_spec(self, fullname, target=None):
+                lookups.append(fullname)
+                return None
+
+        monkeypatch.setattr(importlib.machinery, "FileFinder", NoFinder)
+        # the fallback import registers a new module object and sets it on
+        # scipy.linalg (which holds none when spectral loaded it first); both
+        # are restored after the test
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy.linalg, "_flapack", getattr(scipy.linalg, "_flapack", None),
+                            raising=False)
+        spectral._lapack.cache_clear()
+        got = spectral_outputs(tmp_path)
+        assert lookups and set(lookups) == {"scipy.linalg._flapack"}
+        assert spectral._lapack() is sys.modules["scipy.linalg._flapack"]
+        assert all(code == 0 for code, *_ in got.values())
+        assert got == want
+
+
+class TestLapackFailure:
+    """A LAPACK routine that reports failure is outside the supported
+    envelope: UnsupportedError naming the routine, and exit 2 from the CLI."""
+
+    @pytest.fixture
+    def failing_dstebz(self, monkeypatch):
+        import types
+
+        from shapeinv import spectral
+
+        real = spectral._lapack()
+
+        def dstebz(*args):
+            *out, _ = real.dstebz(*args)
+            return (*out, 3)
+
+        stub = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=real.dgttrs)
+        monkeypatch.setattr(spectral, "_lapack", lambda: stub)
+
+    def test_bisect_raises(self, failing_dstebz):
+        from shapeinv.spectral import _bisect, _tridiagonal
+
+        x = dirichlet_grid(-4.0, 4.0, 100)
+        with pytest.raises(UnsupportedError, match=r"dstebz .*\(info = 3\)"):
+            _bisect(*_tridiagonal(x * x, float(x[1] - x[0])), 0, 2)
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum"],
+        ["verify", "--checks", "compatibility,remainder,spectrum"],
+    ])
+    def test_cli_exits_2(self, args, failing_dstebz, capsys):
+        from shapeinv.cli import main
+
+        code = main(args + ["--family", "X1-radial-oscillator", "--sample", "1",
+                            "--seed", "3"])
+        assert code == 2
+        assert "LAPACK dstebz failed to converge (info = 3)" in capsys.readouterr().err
