@@ -26,6 +26,9 @@ The region is stated once, as a Region (conditions on the constants and
 open m-intervals) that the predicate, the sampler and the tests read; the
 witness test on the roots of P+- is an independent second encoding.
 Xl-PT-Scarf's region has no closed form, so that test is its predicate.
+Each real family's forbidden set covers g(domain), so inside the region
+no real family has a pole in its domain, and the poles found there are
+Xl-PT-Scarf's declared x = 0 puncture alone.
 P- is transcribed on its own, not taken as P+ at m - 1, so the translation
 identity stays a two-route check.
 
@@ -278,7 +281,8 @@ def _far_edge(name: str, data: FamilyData, m_values) -> float:
     edge is at t = _PLATEAU_T; a plateau above _EDGE_W_CAP raises.  Where
     deg R = 1, |W| ~ |k|*sqrt(|t/R_1|) reaches _EDGE_W_CAP at the edge.  On
     the Xl families |t| stays within the kernel's reach of every P+-(m).
-    Then x = g_inv(t)."""
+    Then x = g_inv(t).  A slope whose square overflows raises
+    UnsupportedError."""
     k0, k1 = (data.K0 + (0.0,))[1], (data.K1 + (0.0,))[1]
     slope, R = max(abs(k0 + m * k1) for m in m_values), data.R
     if len(R) == 3:
@@ -288,7 +292,11 @@ def _far_edge(name: str, data: FamilyData, m_values) -> float:
                                         f"tends to {plateau:g} on the plateau, above the grid's cap")
         t = _PLATEAU_T
     else:
-        t = _EDGE_W_CAP ** 2 * abs(R[1]) / slope ** 2
+        try:
+            t = _EDGE_W_CAP ** 2 * abs(R[1]) / slope ** 2
+        except OverflowError:
+            raise UnsupportedError(f"{name}: the slope {slope:g} of W0*g' is outside the float "
+                                   f"support: its square overflows") from None
     if not data.linear:
         specs = dict.fromkeys(P(m) for P in (data.p_plus, data.p_minus) for m in m_values)
         t = min([t] + [kernel_reach(spec, not data.is_real) for spec in specs])
@@ -302,9 +310,10 @@ def _x1_conditions(tag: str, c: float, d: float) -> tuple:
     """The conditions on X1-hyperbolic's and X1-trigonometric's constants.
     Their m edges divide by 2*c^2, and k0, k1 carry c^2: below about
     1.5e-154, c^2 is subnormal and loses its digits (2*c^2 is 0 below
-    about 1e-162).  That is where float64 stops, not the region, so a
-    c > 0 there raises UnsupportedError before any edge is formed."""
-    if c > 0.0 and c * c < sys.float_info.min:
+    about 1e-162), and above about 1.3e154 it is infinite.  That is where
+    float64 stops, not the region, so a c > 0 there raises
+    UnsupportedError before any edge or expected (a, b) is formed."""
+    if c > 0.0 and not sys.float_info.min <= c * c <= sys.float_info.max:
         raise UnsupportedError(
             f"{tag}: c = {c!r} is outside the float support: c^2 is not a normal double")
     return (c > 0.0, "c > 0"), (d != 0.0, "d != 0")
@@ -485,8 +494,8 @@ def get_family(tag: str, params: ParamPoint) -> SuperpotentialFamily:
     factorization constants as expected_ab.
 
     Raises ParamSchemaError for missing constants, UnsupportedError for an
-    unknown tag, ell = 0 or an X1 c > 0 whose c^2 is not a normal double,
-    InvalidParameterError for the degenerate PT-Scarf prefactor.
+    unknown tag, ell = 0 or an X1 c > 0 whose c^2 is not a finite normal
+    double, InvalidParameterError for the degenerate PT-Scarf prefactor.
     """
     data = family_data(tag, params)
     constants = ", ".join(f"{n}={float(getattr(params, n)):g}" for n in _FAMILIES[tag][0])

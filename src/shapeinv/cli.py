@@ -116,9 +116,7 @@ class RunConfig:
                 raise UsageError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
         if not isinstance(self.tolerances, (dict, type(None))):
             raise UsageError(f"tolerances must be an object, got {self.tolerances!r}")
-        unknown = set(self.tolerances or {}) - set(ALL_CHECKS)
-        if unknown:
-            raise UsageError(f"unknown tolerances {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")
+        check_tolerances(overrides=self.tolerances)  # refuses an unknown check name
         named = [("tol", self.tol)]
         named += [(f"tolerances.{k}", v) for k, v in (self.tolerances or {}).items()]
         for name, v in named:
@@ -234,8 +232,8 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     m_list = _m_values(cfg, point, "verify")
     tols = cfg.tolerance_map()
 
-    # every m that the identity checks and the remainder read, validated,
-    # pole-cleared and evaluated once: m_list and its translate m_list[0] - 1
+    # every m that the identity checks and the remainder read, gated by the
+    # region and evaluated once: m_list and its translate m_list[0] - 1
     m_read = tuple(dict.fromkeys(m_list + (m_list[0] - 1.0,)))
     grid = make_grid(family, cfg.grid, m_values=m_read)
     values = grid_values(family, grid, m_read)

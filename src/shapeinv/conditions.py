@@ -49,7 +49,11 @@ _QUIET = np.errstate(invalid="ignore", over="ignore")
 def check_tolerances(tol: float = DEFAULT_TOL, overrides: dict | None = None) -> dict:
     """Every check's tolerance, by check name: TRANSLATION_TOL for
     translation, SPECTRUM_TOL for spectrum, tol for the others (the
-    remainder included), then overrides."""
+    remainder included), then overrides, whose keys must be names of
+    ALL_CHECKS (any other raises UsageError)."""
+    unknown = set(overrides or {}).difference(ALL_CHECKS)
+    if unknown:
+        raise UsageError(f"unknown tolerances {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")
     tols = dict.fromkeys(ALL_CHECKS, tol)
     tols.update(translation=TRANSLATION_TOL, spectrum=SPECTRUM_TOL)
     tols.update(overrides or {})
@@ -94,7 +98,6 @@ class ResidualReport:
             "grid": {
                 "n_points": self.grid_spec.n_points,
                 "boundary_margin": self.grid_spec.boundary_margin,
-                "pole_exclusion_radius": self.grid_spec.pole_exclusion_radius,
             },
             "m_list": list(self.m_list),
             "residuals": dict(self.residuals),
@@ -267,11 +270,12 @@ def run_condition_checks(
     """Run the selected identity checks on a prebuilt grid and assemble a report.
 
     checks names the checks to run, each one of CHECK_NAMES (any other
-    name raises UsageError), and tolerances, by check name, override
-    check_tolerances().  The checks read W at every m of m_list and at
-    m_list[0] - 1, the translate that translation, algebra and equivalence
-    read, so the grid must avoid the poles of all of them (make_grid with
-    those m_values does that).  When
+    name raises UsageError; none is a report without verdicts), and
+    tolerances, by check name, override check_tolerances().  An empty
+    m_list raises UsageError.  The checks read W at every m of m_list and
+    at m_list[0] - 1, the translate that translation, algebra and
+    equivalence read, so the family must be non-singular at all of them
+    (make_grid with those m_values refuses the grid otherwise).  When
     the family has expected_ab (every catalog family does), the inferred
     constants are also matched against it under the infeld_hull tolerance.
     The family is evaluated once (grid_values): affine on the grid, and w1
@@ -283,6 +287,8 @@ def run_condition_checks(
     if unknown:
         raise UsageError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")
     m_list = tuple(float(m) for m in m_list)
+    if not m_list:
+        raise UsageError("run_condition_checks needs at least one m")
     tol = check_tolerances(overrides=tolerances)
     report = ResidualReport(
         family_tag=family.tag,

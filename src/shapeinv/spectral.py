@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedError, UsageError
-from .superpotential import SuperpotentialFamily, assemble_w
+from .superpotential import SuperpotentialFamily, assemble_w, require_region
 
 _EDGE_MARGIN_ABOVE_TOP_LEVEL = 25.0
 # Abscissae of the grid on which the window search estimates the k-th level
@@ -144,9 +144,13 @@ def partner_potentials(family: SuperpotentialFamily, m: float, grid, *, values=N
     return PotentialGrid(x=x, values=w2 - wd), PotentialGrid(x=x, values=w2 + wd)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _plus_and_remainder(family, m: float, x: np.ndarray, values=None):
     """(V+(x, m), R, flatness) of V+(x, m) - V-(x, m-1), from one evaluation
-    of W at both m: R is the difference's mean, flatness its max deviation."""
+    of W at both m: R is the difference's mean, flatness its max deviation.
+    Where W overflows, V is inf and flatness nan, without a warning: nan
+    fails the remainder's verdict, and a spectrum refuses V+ that is not
+    finite."""
     w, wd = _real_potential_values(family, x, (m, m - 1.0), values)
     w2 = w * w
     v_plus = w2[0] + wd[0]
@@ -402,10 +406,11 @@ def _walk_edge(candidates: list, v: np.ndarray, finite: np.ndarray, target: floa
     target and each step raises V by more than margin.  candidates[0] is
     the current edge; v is min over m of min(V-, V+) at each candidate and
     finite says where all of them are finite.  Reaching a candidate whose
-    values are not finite raises."""
+    values are not finite raises UnsupportedError."""
     for k in range(len(candidates)):
         if not finite[k]:
-            raise ValueError("potential grid must be finite")
+            raise UnsupportedError(f"V is not finite at the window edge candidate "
+                                   f"x = {candidates[k]:g}")
         if k and v[k] <= v[k - 1] + margin:
             return candidates[k - 1]  # plateau, or an attractive end
         if v[k] >= target:
@@ -416,6 +421,15 @@ def _walk_edge(candidates: list, v: np.ndarray, finite: np.ndarray, target: floa
 def _steps(start: float, n: int) -> list:
     """An infinite side's growth candidates: start, times 1.4 n times."""
     return list(itertools.accumulate(itertools.repeat(1.4, n), operator.mul, initial=start))
+
+
+def _window_potential(family, x: np.ndarray, v_plus: np.ndarray) -> PotentialGrid:
+    """V+ on a window's grid, or UnsupportedError where it is not finite
+    there: float64 cannot hold the spectrum's potential."""
+    if not np.all(np.isfinite(v_plus)):
+        raise UnsupportedError(f"{family.name}: V+ is not finite on the spectral window "
+                               f"[{x[0]:g}, {x[-1]:g}]")
+    return PotentialGrid(x=x, values=v_plus)
 
 
 def spectral_window(family: SuperpotentialFamily, m_values,
@@ -435,7 +449,9 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     depends only on the window it starts from, so the search stops after a
     pass that leaves the window unchanged, and after 3 passes at most.  The
     levels then belong to the returned window, except after a third pass
-    that still moved an edge.
+    that still moved an edge.  V that is not finite on the probe grid or
+    at a candidate the walk reaches raises UnsupportedError.  No region is
+    checked here: check_isospectrality gates its m first.
 
     Every growth candidate of both sides follows from the window the pass
     starts from, so a pass evaluates W once, at every m, on the probe grid
@@ -474,7 +490,7 @@ def spectral_window(family: SuperpotentialFamily, m_values,
             v_minus, v_plus = w2 - wd, w2 + wd
             edge_v = np.min(np.minimum(v_minus, v_plus)[:, x.size:], axis=0)
             finite = np.all(np.isfinite(v_minus) & np.isfinite(v_plus), axis=0)[x.size:]
-        probe = PotentialGrid(x=x, values=v_plus[0, :x.size])
+        probe = _window_potential(family, x, v_plus[0, :x.size])
         h = x[1] - x[0]
         diag, off = _tridiagonal(probe.values, h)
         top = _bisect(diag, off, k - 1, k - 1)
@@ -505,12 +521,16 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAUL
     diagonals 2/h^2 + V.  V+ alone is solved, seeded with the window
     probe's bisected levels (the top one to eps*||T||_1, the rest to a
     shift tolerance) and certified on its own matrix.
+
+    m and m - 1 pass superpotential.require_region first, so no pole of
+    either partner lies in the window; V+ that is not finite on it raises
+    UnsupportedError.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
     if n_points < 8 * k:
         raise UsageError(f"k = {k} too large for a {n_points}-point grid")
-    window, probe = spectral_window(family, (m, m - 1.0), k)
+    window, probe = spectral_window(family, require_region(family, (m, m - 1.0)), k)
     x = dirichlet_grid(window[0], window[1], n_points)
     v_plus, r, flatness = _plus_and_remainder(family, m, x)
     h = float(x[1] - x[0])
@@ -518,6 +538,6 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAUL
         mismatch=flatness + 4.0 * _EPS / (h * h),
         remainder_value=r,
         flatness_residual=flatness,
-        spectrum_plus=solve_spectrum(PotentialGrid(x=x, values=v_plus), k, shifts=probe),
+        spectrum_plus=solve_spectrum(_window_potential(family, x, v_plus), k, shifts=probe),
         window=window,
     )

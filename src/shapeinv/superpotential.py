@@ -23,7 +23,10 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedError, UsageError
 
-DEFAULT_POLE_RADIUS = 1e-3
+# make_grid keeps every abscissa this far from each pole that poles() reports.
+# Inside the region the only pole a catalog family has in its domain is
+# Xl-PT-Scarf's declared x = 0 puncture.
+_POLE_RADIUS = 1e-3
 
 _TANH_GAMMA = 0.995
 
@@ -80,7 +83,6 @@ class GridSpec:
 
     n_points: int = 512
     boundary_margin: float = 0.05
-    pole_exclusion_radius: float = DEFAULT_POLE_RADIUS
 
     def __post_init__(self):
         if not isinstance(self.n_points, numbers.Integral):
@@ -89,8 +91,6 @@ class GridSpec:
             raise ValueError("n_points must be >= 16")
         if not (0.0 < self.boundary_margin < 0.5):
             raise ValueError("boundary_margin must lie in (0, 0.5)")
-        if not (math.isfinite(self.pole_exclusion_radius) and self.pole_exclusion_radius > 0.0):
-            raise ValueError("pole_exclusion_radius must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -173,26 +173,14 @@ def _tanh_points(a: float, b: float, n: int, symmetric: bool) -> np.ndarray:
     return b * u if symmetric else a + (b - a) * u
 
 
-def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
-              m_values=None) -> np.ndarray:
-    """Verification abscissae strictly inside the family's domain.
-
-    Validity is enforced for every m in m_values (raising
-    InvalidParameterError naming the violated inequality), and every point
-    keeps pole_exclusion_radius distance from every detected denominator
-    root of every requested m.  A UsageError says so when that exclusion
-    leaves fewer than spec.n_points abscissae after the retries that top the
-    layout up.
-
-    A finite domain is laid out linearly between its margins.  An infinite
-    side is compressed through the tanh layout up to the edge that the
-    family states in closed form (far_edge_fn), so no W is evaluated:
-    (lo, inf) from lo + boundary_margin, the whole line symmetrically.
-    """
-    spec = spec or GridSpec()
-    if m_values is None:
-        m_values = (family.params.m,)
+def require_region(family: SuperpotentialFamily, m_values) -> tuple[float, ...]:
+    """m_values as floats, once the family is non-singular at every one of
+    them: the region gate of every grid and spectral window.  An empty list
+    raises UsageError, and the first m outside the region
+    InvalidParameterError naming the inequality it violates."""
     m_values = tuple(float(m) for m in m_values)
+    if not m_values:
+        raise UsageError(f"{family.name}: no m to validate")
     for m in m_values:
         verdict = family.validity(m)
         if not verdict.valid:
@@ -200,6 +188,27 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
                 verdict.violated,
                 f"{family.tag}: m = {m} violates {verdict.violated}",
             )
+    return m_values
+
+
+def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
+              m_values=None) -> np.ndarray:
+    """Verification abscissae strictly inside the family's domain.
+
+    Every m in m_values (default: the family's own m) passes require_region
+    first, and every point keeps _POLE_RADIUS distance from every pole that
+    family.poles reports at those m; inside the region that is only
+    Xl-PT-Scarf's declared x = 0 puncture.  A UsageError says so when that
+    exclusion leaves fewer than spec.n_points abscissae after the retries
+    that top the layout up.
+
+    A finite domain is laid out linearly between its margins.  An infinite
+    side is compressed through the tanh layout up to the edge that the
+    family states in closed form (far_edge_fn), so no W is evaluated:
+    (lo, inf) from lo + boundary_margin, the whole line symmetrically.
+    """
+    spec = spec or GridSpec()
+    m_values = require_region(family, (family.params.m,) if m_values is None else m_values)
 
     lo, hi = family.domain
     if math.isinf(hi):
@@ -222,14 +231,14 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
         if poles:
             keep = np.ones(points.shape, dtype=bool)
             for p in poles:
-                keep &= np.abs(points - p) >= spec.pole_exclusion_radius
+                keep &= np.abs(points - p) >= _POLE_RADIUS
             points = points[keep]
         if points.size >= spec.n_points:
             break
         n_gen += 2 * (spec.n_points - points.size) + 8
     else:
         raise UsageError(
-            f"{family.name}: pole exclusion radius {spec.pole_exclusion_radius:g} leaves "
+            f"{family.name}: pole exclusion radius {_POLE_RADIUS:g} leaves "
             f"{points.size} of {spec.n_points} grid points")
     if points.size > spec.n_points:
         idx = np.floor(np.linspace(0.0, points.size - 1e-9, spec.n_points)).astype(int)

@@ -126,23 +126,51 @@ class TestVerify:
         assert doc["overall_pass"] is False
         assert doc["results"][0]["verdicts"]["translation"] is False
 
-    @pytest.mark.parametrize("radius, message", [
-        ("1e308", "leaves 0 of 512 grid points"),
-        ("NaN", "pole_exclusion_radius must be finite"),
-    ])
-    def test_pole_radius_that_empties_the_grid_exit_2(self, tmp_path, capsys, radius, message):
-        # Xl-PT-Scarf always has its x = 0 pole, so such a radius once left
-        # no grid point: every residual read 0.0 and a perturbed control
-        # passed (exit 0)
+    def test_pole_radius_is_an_unknown_grid_key_exit_2(self, tmp_path, capsys):
+        # the pole exclusion radius is a constant of make_grid: a config
+        # file's grid key for it once set it, and 1e308 left Xl-PT-Scarf no
+        # grid point, so every residual read 0.0 and a control passed
         config = tmp_path / "config.json"
         config.write_text('{"family": "Xl-PT-Scarf", "sample": 1, "seed": 5, '
-                          f'"grid": {{"pole_exclusion_radius": {radius}}}}}', encoding="utf-8")
+                          '"grid": {"pole_exclusion_radius": 1e308}}', encoding="utf-8")
         code = main(["verify", "--config", str(config), "--perturb", "0.01",
                      "--checks", "translation,compatibility,algebra", "--no-timestamp",
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert "unknown grid fields ['pole_exclusion_radius']" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # c^2 overflows: expected (a, b) = (c ** 2, beta) once raised a bare
+        # OverflowError in the family record
+        (["verify", "--family", "X1-hyperbolic",
+          "--params", '{"m": 1.0, "c": 1e160, "beta": 0.5, "d": 1.0}'],
+         "c = 1e+160 is outside the float support: c^2 is not a normal double"),
+        (["verify", "--family", "X1-trigonometric",
+          "--params", '{"m": 1.0, "c": 1e160, "beta": 0.5, "d": 1.0}'],
+         "c = 1e+160 is outside the float support: c^2 is not a normal double"),
+        # the far edge's slope ** 2 once raised OverflowError
+        (["verify", "--family", "X1-radial-oscillator",
+          "--params", '{"m": -3.0, "omega": 1e160, "d": 1.0}'],
+         "the slope 1e+160 of W0*g' is outside the float support: its square overflows"),
+        # V+ = W^2 + W' overflows on the window: PotentialGrid's ValueError
+        # once escaped main
+        (["spectrum", "--family", "X1-radial-oscillator",
+          "--params", '{"m": -3.0, "omega": 1e160, "d": 1.0}'],
+         "V+ is not finite on the spectral window"),
+        (["spectrum", "--family", "X1-radial-oscillator", "--sample", "1",
+          "--perturb", "1e160"],
+         "V+ is not finite on the spectral window"),
+        (["verify", "--family", "X1-radial-oscillator", "--sample", "1",
+          "--checks", "remainder,spectrum", "--perturb", "1e200"],
+         "V+ is not finite on the spectral window"),
+    ])
+    def test_overflowing_constants_exit_2(self, tmp_path, capsys, argv, message):
+        # exit 1 is the code of a violation; these exited 1 with a traceback
+        out = tmp_path / "report.json"
+        assert main([*argv, "--no-timestamp", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_reports(self, tmp_path):
         args = (
@@ -468,7 +496,7 @@ class TestCommandDefaults:
         "sample": 2,
         "seed": 9,
         "checks": ["translation", "compatibility", "remainder", "spectrum"],
-        "grid": {"n_points": 96, "boundary_margin": 0.04, "pole_exclusion_radius": 2e-3},
+        "grid": {"n_points": 96, "boundary_margin": 0.04},
         "tol": 1e-8,
         "tolerances": {"compatibility": 1e-10},
         "no_timestamp": True,
@@ -484,7 +512,7 @@ class TestCommandDefaults:
                                                                                   "m_list"}
         assert set(cfg["grid"]) == {f.name for f in dataclasses.fields(GridSpec)}
         (tmp_path / "all.json").write_text(json.dumps(cfg), encoding="utf-8")
-        # tolerances and two grid fields have no flag
+        # tolerances and the grid's boundary_margin have no flag
         rest = {"tolerances": cfg["tolerances"],
                 "grid": {k: v for k, v in cfg["grid"].items() if k != "n_points"}}
         (tmp_path / "rest.json").write_text(json.dumps(rest), encoding="utf-8")
@@ -754,6 +782,28 @@ class TestSpectrum:
                      "--params", '{"m": -3.0, "omega": 2.0, "d": 1.0}', "--m-list=-3,-9"])
         assert code == 2
         assert "spectrum runs one m: m_list must hold one value, got 2" in capsys.readouterr().err
+
+    def test_invalid_m_exit_2(self, tmp_path, capsys):
+        # D+ = 7 - 2x^2 vanishes at x = 1.871, inside the window [0.1, 10.98]
+        # the spectrum once ran on: it exited 0 with mismatch 3.7e-10
+        out = tmp_path / "spectrum.json"
+        code = main(["spectrum", "--family", "X1-radial-oscillator",
+                     "--params", '{"m": 2.0, "omega": 2.0, "d": 1.0}',
+                     "--no-timestamp", "--out", str(out)])
+        assert code == 2
+        assert "m = 2.0 violates m < -(1 + 2*d)/2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_translate_exit_2(self, tmp_path, capsys):
+        # m = 0.3 lies in X1-hyperbolic's region m > 0 here, m - 1, the
+        # partner V-(., m - 1) + R is built from, does not
+        out = tmp_path / "spectrum.json"
+        code = main(["spectrum", "--family", "X1-hyperbolic",
+                     "--params", '{"m": 0.3, "c": 1.0, "beta": 0.5, "d": 1.0}',
+                     "--no-timestamp", "--out", str(out)])
+        assert code == 2
+        assert "m = -0.7 violates m > (2*beta + c^2 - 2*c*d)/(2*c^2)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_complex_family_exit_2(self, capsys):
         code = main([

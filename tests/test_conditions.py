@@ -25,7 +25,15 @@ from shapeinv import (
 )
 
 import oracles
-from shapeinv.conditions import GridValues, _closure_expression, _reduction_steps, grid_values
+from shapeinv.conditions import (
+    ALL_CHECKS,
+    TRANSLATION_TOL,
+    GridValues,
+    _closure_expression,
+    _reduction_steps,
+    check_tolerances,
+    grid_values,
+)
 
 
 def family_on_grid(tag, seed=3, n=256):
@@ -382,6 +390,36 @@ class TestRunConditionChecks:
         fam, p, grid = family_on_grid("X1-radial-oscillator")
         with pytest.raises(UsageError, match=re.escape(f"unknown checks {unknown}")):
             run_condition_checks(fam, grid, (p.m, p.m - 1.0), checks=checks)
+
+    def test_empty_m_list_raises(self):
+        # once an IndexError from m_list[0]
+        fam, _, grid = family_on_grid("X1-radial-oscillator")
+        with pytest.raises(UsageError, match="needs at least one m"):
+            run_condition_checks(fam, grid, ())
+
+    def test_no_checks_is_a_report_without_verdicts(self):
+        # verify --checks remainder passes no identity check
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        report = run_condition_checks(fam, grid, (p.m,), checks=())
+        assert report.verdicts == {} and report.residuals == {}
+
+    @pytest.mark.parametrize("overrides, unknown", [
+        ({"compatability": 1e-3}, "['compatability']"),
+        ({"translation": 1e-10, "infeld_hull_match": 1.0, "Spectrum": 1.0},
+         "['Spectrum', 'infeld_hull_match']"),
+    ])
+    def test_unknown_tolerance_raises(self, overrides, unknown):
+        # a misspelt override was once dropped, and the 1e-9 gate applied
+        with pytest.raises(UsageError, match=re.escape(f"unknown tolerances {unknown}")):
+            check_tolerances(overrides=overrides)
+        fam, p, grid = family_on_grid("X1-radial-oscillator")
+        with pytest.raises(UsageError, match=re.escape(f"unknown tolerances {unknown}")):
+            run_condition_checks(fam, grid, (p.m, p.m - 1.0), tolerances=overrides)
+
+    def test_known_tolerance_overrides(self):
+        tols = check_tolerances(1e-8, {"spectrum": 1e-3, "remainder": 1e-7})
+        assert tols == {**dict.fromkeys(ALL_CHECKS, 1e-8), "translation": TRANSLATION_TOL,
+                        "spectrum": 1e-3, "remainder": 1e-7}
 
 
 class TestSharedW1Table:

@@ -92,6 +92,11 @@ EXPECTED = [
     ("verify X1-hyperbolic c=0.03 beta=-0.5", 0),
     ("verify X1-hyperbolic c=0.001 beta=-0.5", 2),
     ("verify Xl-Poschl-Teller ell=64", 0),
+    # spectrum once ran this point, with a pole in its window, and exited 0
+    ("spectrum X1-radial-oscillator m=2", 2),
+    ("verify Xl-PT-Scarf seed=3 grid-points=129", 0),
+    # the far edge's OverflowError once exited 1 with a traceback
+    ("verify X1-radial-oscillator omega=1e160", 2),
 ]
 
 

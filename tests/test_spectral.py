@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shapeinv import (
     REAL_TAGS,
     GridSpec,
+    InvalidParameterError,
     ParamPoint,
     PotentialGrid,
     UnsupportedError,
@@ -658,6 +659,37 @@ class TestIsospectrality:
         with pytest.raises(UnsupportedError):
             check_isospectrality(fam, 0.5, k=3)
 
+    @pytest.mark.parametrize("tag, params, m, violated", [
+        # D+ = 7 - 2x^2 has its root x = 1.871 inside the window the check
+        # once ran on, and passed with mismatch 3.7e-10
+        ("X1-radial-oscillator", dict(omega=2.0, d=1.0), 2.0, "m < -(1 + 2*d)/2"),
+        # m = 0.3 is valid, its translate m - 1 is not
+        ("X1-hyperbolic", dict(c=1.0, beta=0.5, d=1.0), 0.3,
+         "m > (2*beta + c^2 - 2*c*d)/(2*c^2)"),
+        ("Xl-radial-oscillator", dict(omega=1.0, ell=2), 0.2, "m < -1/2"),
+        ("Xl-Poschl-Teller", dict(B=-2.0, ell=2), -0.9, "(1 + 2*B)/2 < m < -(1 + 2*B)/2"),
+    ])
+    def test_outside_the_region_at_m_or_m_minus_1_raises(self, tag, params, m, violated):
+        fam = get_family(tag, ParamPoint(m=m, **params))
+        with pytest.raises(InvalidParameterError) as err:
+            check_isospectrality(fam, m, k=3, n_points=400)
+        assert err.value.violated == violated
+
+    def test_window_search_is_not_gated(self):
+        # the region gate sits in check_isospectrality, not in the window helper
+        fam = get_family("X1-radial-oscillator", ParamPoint(m=2.0, omega=2.0, d=1.0))
+        (a, b), levels = spectral_window(fam, (2.0, 1.0), 3)
+        assert a < 1.871 < b and levels.size == 3
+
+    def test_overflowing_potential_raises(self):
+        # omega = 1e160: W^2 overflows on the window, where PotentialGrid's
+        # ValueError once escaped as the CLI's violation exit
+        fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1e160, d=1.0))
+        with pytest.raises(UnsupportedError, match="V\\+ is not finite on the spectral window"):
+            check_isospectrality(fam, -3.0, k=3, n_points=400)
+        with pytest.raises(ValueError, match="potential grid must be finite"):
+            PotentialGrid(x=np.array([0.0, 1.0]), values=np.array([0.0, np.inf]))
+
 
 def reference_window(family, m_values, k, probe_points=400):
     """spectral_window's rule with the edge potential probed one abscissa
@@ -852,7 +884,7 @@ class TestSpectralWindow:
                           lambda x: np.full(np.shape(x), 0.1))
         with pytest.raises(ValueError, match="finite"):
             reference_window(fam, (0.0, -1.0), 3)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(UnsupportedError, match="V is not finite at the window edge candidate"):
             spectral_window(fam, (0.0, -1.0), 3)
 
     @staticmethod

@@ -21,6 +21,7 @@ from shapeinv.catalog import family_data
 from shapeinv.cli import main
 from shapeinv.errors import UsageError
 from shapeinv.polynomials import kernel_reach
+from shapeinv.superpotential import require_region
 from conftest import denominator, plain_family
 
 
@@ -71,14 +72,17 @@ class TestGridSpec:
             {"n_points": 512.0},
             {"boundary_margin": 0.0},
             {"boundary_margin": 0.5},
-            {"pole_exclusion_radius": 0.0},
-            {"pole_exclusion_radius": float("nan")},
-            {"pole_exclusion_radius": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+    def test_no_pole_radius_setting(self):
+        # the pole exclusion radius is a module constant, not a setting
+        assert [f.name for f in dataclasses.fields(GridSpec)] == ["n_points", "boundary_margin"]
+        with pytest.raises(TypeError):
+            GridSpec(pole_exclusion_radius=2e-3)
 
 
 class TestWRows:
@@ -203,6 +207,40 @@ class TestMakeGrid:
                 poles = get_family(tag, p).poles((p.m, p.m - 1.0, p.m - 2.0))
                 assert poles == (), (seed, p, poles)
 
+    @staticmethod
+    def wide_box_point(tag, rng):
+        """A draw from a box well beyond the sampler's: m in (-15, 15), X1
+        c and omega in (0.01, 3) and (0.01, 5), beta and d in (-5, 5), Xl
+        B in (-12, -0.55) ((-12, 3) for Scarf) and ell in 1..12."""
+        u, m = rng.uniform, rng.uniform(-15.0, 15.0)
+        if tag in ("X1-hyperbolic", "X1-trigonometric"):
+            return ParamPoint(m=m, c=u(0.01, 3.0), beta=u(-5.0, 5.0), d=u(-5.0, 5.0))
+        if tag == "X1-radial-oscillator":
+            return ParamPoint(m=m, omega=u(0.01, 5.0), d=u(-5.0, 5.0))
+        ell = int(rng.integers(1, 13))
+        if tag == "Xl-radial-oscillator":
+            return ParamPoint(m=m, omega=u(0.01, 5.0), ell=ell)
+        return ParamPoint(m=m, B=u(-12.0, 3.0 if tag == "Xl-PT-Scarf" else -0.55), ell=ell)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_region_leaves_only_declared_punctures(self, tag):
+        # the premise of the one region gate: each record's forbidden set
+        # covers g(domain), so inside the region at m, m-1 and m-2 the pole
+        # search finds nothing but the declared punctures (Scarf's x = 0)
+        rng = np.random.default_rng(7)
+        valid = 0
+        for _ in range(1000):
+            p = self.wide_box_point(tag, rng)
+            try:
+                fam = get_family(tag, p)
+            except InvalidParameterError:  # the degenerate prefactor ell - 2*B - 1 = 0
+                continue
+            m_values = (p.m, p.m - 1.0, p.m - 2.0)
+            if all(fam.validity(m).valid for m in m_values):
+                valid += 1
+                assert fam.poles(m_values) == family_data(tag, p).punctures, p
+        assert valid >= 150
+
     def test_scarf_puncture_excluded(self):
         fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))
         grid = make_grid(fam, GridSpec(n_points=128), m_values=(0.5,))
@@ -218,11 +256,46 @@ class TestMakeGrid:
             domain=(0.0, np.inf),
             m=1.0,
         )
-        fam = dataclasses.replace(fam, poles_fn=lambda m: (0.2, 0.9))
-        grid = make_grid(fam, GridSpec(n_points=256, pole_exclusion_radius=0.05), m_values=(1.0,))
+        spec = GridSpec(n_points=256)
+        first = make_grid(fam, spec, m_values=(1.0,))
+        # two poles on nodes of the pole-free layout: excluding them leaves
+        # 254 points, so the layout is topped up
+        poles = (float(first[40]), float(first[200]))
+        grid = make_grid(dataclasses.replace(fam, poles_fn=lambda m: poles), spec,
+                         m_values=(1.0,))
         assert grid.size == 256
-        assert np.min(np.abs(grid - 0.2)) >= 0.05
-        assert np.min(np.abs(grid - 0.9)) >= 0.05
+        assert not np.array_equal(grid, first)
+        for p in poles:
+            assert np.min(np.abs(grid - p)) >= 1e-3
+
+    def test_poles_that_cover_the_grid_raise(self, plain_oscillator):
+        # declared poles 1e-3 apart leave no abscissa 1e-3 from all of them
+        # in (0, 9), after every top-up of the layout
+        covering = tuple(np.arange(0.0, 9.0, 1e-3))
+        fam = dataclasses.replace(plain_oscillator, poles_fn=lambda m: covering)
+        with pytest.raises(UsageError, match="leaves 0 of 64 grid points"):
+            make_grid(fam, GridSpec(n_points=64), m_values=(-2.0,))
+
+    @pytest.mark.parametrize("tag, params", [
+        ("X1-trigonometric", ParamPoint(m=-6.0, c=1.0, beta=0.5, d=1.0)),  # finite domain
+        ("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0)),  # half-line
+    ])
+    def test_empty_m_list_raises(self, tag, params):
+        # on the half-line the far edge once raised a bare ValueError (max
+        # of nothing), and the finite domain returned an unvalidated grid
+        fam = get_family(tag, params)
+        with pytest.raises(UsageError, match="no m to validate"):
+            make_grid(fam, GridSpec(), m_values=())
+        with pytest.raises(UsageError, match="no m to validate"):
+            require_region(fam, [])
+
+    def test_require_region_names_the_first_violation(self):
+        fam = get_family("X1-hyperbolic", ParamPoint(m=0.3, c=1.0, beta=0.5, d=1.0))
+        assert require_region(fam, (0.3, 1)) == (0.3, 1.0)
+        with pytest.raises(InvalidParameterError) as err:
+            require_region(fam, (0.3, -0.7, -1.7))
+        assert err.value.violated == "m > (2*beta + c^2 - 2*c*d)/(2*c^2)"
+        assert "m = -0.7 violates" in str(err.value)
 
     def test_linear_mapping_upgraded_on_infinite_domain(self, plain_oscillator):
         grid = make_grid(plain_oscillator, GridSpec(n_points=64), m_values=(-2.0,))

@@ -19,7 +19,11 @@ the sampler's ell (SCARF_ELL_16), `verify --sample` with an m list
 (SAMPLE_WITH_M_LIST: exit 2), one setting per command that it does not
 read (UNREAD: exit 2), `verify` on X1-hyperbolic below the sampler's c
 box (PLATEAU_C) and on Xl-Poschl-Teller at ell = 64 with large
-parameters (PT_ELL_64), and prints one
+parameters (PT_ELL_64), `spectrum` on an X1-radial-oscillator point
+outside the region (SPECTRUM_OUTSIDE: exit 2), `verify` on Xl-PT-Scarf at
+an odd grid size, whose layout has x = 0 as a node (SCARF_ODD), and
+`verify` on X1-radial-oscillator with an omega whose square overflows
+(OVERFLOW_OMEGA: exit 2), and prints one
 line per report: the sha256 of its bytes, the command, the family, the seed
 and the exit code.  Then it prints one line per family for the
 sampler: the sha256 of the repr of sample_valid_params(tag, 5, s) for every
@@ -60,7 +64,7 @@ EVERY_FIELD = {
     "sample": 2,
     "seed": 9,
     "checks": [*IDENTITY_CHECKS.split(","), "remainder", "spectrum"],
-    "grid": {"n_points": 256, "boundary_margin": 0.04, "pole_exclusion_radius": 2e-3},
+    "grid": {"n_points": 256, "boundary_margin": 0.04},
     "tol": 1e-8,
     "tolerances": {"compatibility": 1e-10},
     "format": "json",
@@ -103,6 +107,17 @@ PLATEAU_C_PARAMS = '{{"m": 1.0, "c": {}, "beta": -0.5, "d": 1.0}}'
 # the kernel's reach, not the plateau, sets this grid's edge (the edge probe
 # once found none)
 PT_ELL_64 = ("Xl-Poschl-Teller", '{"m": 50.0, "B": -200.0, "ell": 64}')
+
+# D+ = 7 - 2x^2 vanishes at x = 1.871, inside the spectral window: m = 2
+# violates m < -(1 + 2*d)/2, which spectrum checks as verify does
+SPECTRUM_OUTSIDE = ("X1-radial-oscillator", '{"m": 2.0, "omega": 2.0, "d": 1.0}')
+
+# an odd grid size puts x = 0, Scarf's declared puncture, on a node of the
+# symmetric layout: the one pole exclusion that acts, with its top-up
+SCARF_ODD = ("Xl-PT-Scarf", "129")
+
+# the far edge's slope omega squared overflows: outside the float support
+OVERFLOW_OMEGA = ("X1-radial-oscillator", '{"m": -3.0, "omega": 1e160, "d": 1.0}')
 
 
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
@@ -168,6 +183,16 @@ def configs(tmp: Path):
     tag, params = PT_ELL_64
     yield f"verify {tag} ell=64", ["verify", "--family", tag, "--params", params,
                                    "--no-timestamp"]
+    tag, params = SPECTRUM_OUTSIDE
+    yield f"spectrum {tag} m=2", ["spectrum", "--family", tag, "--params", params,
+                                  "--no-timestamp"]
+    tag, n = SCARF_ODD
+    yield (f"verify {tag} seed={SEEDS[0]} grid-points={n}",
+           ["verify", "--family", tag, "--sample", "1", "--seed", str(SEEDS[0]),
+            "--grid-points", n, "--no-timestamp"])
+    tag, params = OVERFLOW_OMEGA
+    yield f"verify {tag} omega=1e160", ["verify", "--family", tag, "--params", params,
+                                        "--no-timestamp"]
 
 
 def exit_code(argv) -> int:
