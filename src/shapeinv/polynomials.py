@@ -233,31 +233,33 @@ def _eval_rows(rows: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
     Each term s >= 1 is the Kahan step y = c*u**s - comp, t = total + y,
     comp = (t - total) - y, total = t.  The s = 0 term sets total = c_0
     and comp = 0 directly, which is what that step gives from zero sums for
-    finite c_0, so s = 1 skips subtracting comp.  The sums, their
-    compensations and two work arrays are allocated once per call; every
-    term writes into views of them, the power is raised in place, and the
-    new sums' buffer becomes total by a swap, not a copy.  A row that stops
-    at its degree is copied once into the other buffer, which no later term
-    writes for it."""
+    finite c_0, so s = 1 skips subtracting comp.  Three (rows x points)
+    buffers hold the sums, their compensations and y, allocated once per
+    call; every term writes into views of them and the power is raised in
+    place.  Once y is formed the compensations are spent, so t goes into
+    their buffer, and (t - total) - y into the spent sums' buffer; the two
+    buffers then swap roles, with no copy.  A row that stops at its degree
+    is copied once into the new sums' buffer, which no later term writes
+    for it."""
     n = rows.shape[1] - 1
+    power = np.ones_like(u) * u  # the signed zeros of 1 * u, as the iterated product has
     total = np.empty((rows.shape[0], u.size), dtype=np.result_type(rows, u))
     # + 0.0 gives the +0.0 that the Kahan step makes of a c_0 of -0.0
     np.add(rows[:, 0, None], 0.0, out=total)
-    comp, y_buf, t_buf = np.empty_like(total), np.empty_like(total), np.empty_like(total)
-    power = np.ones_like(u) * u  # the signed zeros of 1 * u, as the iterated product has
+    comp, y_buf = np.empty_like(total), np.empty_like(total)
     was_live = rows.shape[0]
     for s in range(1, n + 1):
         live = min(rows.shape[0], (n + 1 - s) * width)  # rows whose degree reaches s
-        tot, c, y, t = total[:live], comp[:live], y_buf[:live], t_buf[:live]
+        tot, c, y = total[:live], comp[:live], y_buf[:live]
         np.multiply(rows[:live, s, None], power, out=y)
         if s > 1:
             np.subtract(y, c, out=y)
-        np.add(tot, y, out=t)
-        np.subtract(t, tot, out=c)
-        np.subtract(c, y, out=c)
+        np.add(tot, y, out=c)  # t
+        np.subtract(c, tot, out=tot)
+        np.subtract(tot, y, out=tot)  # the new compensation
         if live < was_live:  # these rows stopped at s - 1
-            t_buf[live:was_live] = total[live:was_live]
-        total, t_buf, was_live = t_buf, total, live
+            comp[live:was_live] = total[live:was_live]
+        total, comp, was_live = comp, total, live
         if s < n:
             np.multiply(power, u, out=power)
     return total

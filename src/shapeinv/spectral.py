@@ -19,19 +19,23 @@ looser tolerance.  V+'s levels are refined by inverse iteration from
 shifts: its spacing-doubled grid from the probe's levels, and the fine
 grid from the spacing-doubled levels.  The fine grid also starts from the
 spacing-doubled grid's eigenvectors, interpolated linearly, so it needs
-fewer steps; a fixed random vector starts any level that has no such
-vector.  A level stops at a residual of 4 eps*||T||_1, or earlier where
-its Kato-Temple bound, r^2 over its isolation, already reaches that.  A
-level set is accepted only under a certificate on its own matrix (disjoint
-residual intervals, one Sturm count that also isolates the top level, and
-each level's Weyl or Temple error bound); where that fails, the matrix is
-bisected instead.  A real family's W must arrive as float64: complex
-values are refused, not truncated.
+fewer steps; a fixed pseudo-random vector starts any level that has no
+such vector.  A level stops at a residual of 4 eps*||T||_1, or earlier
+where its Kato-Temple bound, r^2 over its isolation, already reaches that.
+A level set is accepted only under a certificate on its own matrix
+(disjoint residual intervals, one Sturm count that also isolates the top
+level, and each level's Weyl or Temple error bound); where that fails,
+the matrix is bisected instead.  A matrix whose residuals could square
+past float64, (2*||T||_1)^2 not finite, is refused before any iteration.
+A real family's W must arrive as float64: complex values are refused, not
+truncated.
 
 The three LAPACK routines (dstebz, dgttrf, dgttrs) come from scipy's
 Fortran LAPACK extension, scipy.linalg._flapack, loaded directly from its
 file (_lapack): the package never imports scipy.linalg, whose package
-__init__ would cost more start-up than a spectrum run's solve.
+__init__ would cost more start-up than a spectrum run's solve.  The start
+vector comes from SplitMix64 in numpy's uint64 arithmetic (_random_start),
+so a spectrum never imports numpy.random either; only the sampler does.
 """
 
 from __future__ import annotations
@@ -260,9 +264,17 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
 
 @functools.lru_cache(maxsize=8)
 def _random_start(n: int) -> np.ndarray:
-    """A fixed random n-vector, read-only: a symmetric start would miss
-    every odd level of a symmetric potential."""
-    start = np.random.default_rng(0).standard_normal(n)
+    """A fixed pseudo-random n-vector in [-0.5, 0.5), read-only: a symmetric
+    start would miss every odd level of a symmetric potential.  Entry i is
+    the SplitMix64 output of node i + 1 (Steele, Lea and Flood, OOPSLA
+    2014): its finaliser applied to (i + 1) times the golden gamma, in
+    wrapping uint64 arithmetic, then the top 53 bits as a fraction.  Integer
+    arithmetic makes it, so a spectrum run never imports numpy.random."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    start = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+    start = start * 2.0 ** -53 - 0.5
     start.setflags(write=False)
     return start
 
@@ -325,18 +337,28 @@ def _certified_levels(values: np.ndarray, h: float, shifts, starts=None):
     T, refined from the shifts by inverse iteration and accepted under a
     certificate (_certificate), with their unit iterates (one per row,
     ascending); or bisected levels and None where the certificate fails.
-    Level i starts from starts[i] when given, else from a fixed random
-    vector.
+    Level i starts from starts[i] when given, else from the fixed
+    pseudo-random vector of _random_start.
 
     Each level stops at r <= tol, or at r^2 <= tol*delta (Kato-Temple),
     delta a quarter of its shift's distance to the nearest other shift (0
     for a lone shift).  The start vectors and the early stops only change
     how fast the iteration gets there, never the bound an accepted level
     meets.
+
+    The solve squares its residuals (r^2 above, (r + guard)^2 in the
+    certificate, r itself as sqrt(res @ res)).  A residual is at most
+    ||T - rho*I||_2 <= 2*||T||_1, so where (2*||T||_1)^2, from Gershgorin's
+    bound, is not finite, UnsupportedError is raised before any iteration:
+    float64 cannot hold the solve.  Below that, 1/(2*||T||_1)^2 > 0 also
+    keeps v @ v of a solved unit vector from underflowing to 0.
     """
     diag, off = _tridiagonal(values, h)
     k = len(shifts)
     norm = _gershgorin_norm(diag, h)
+    if not math.isfinite(4.0 * norm * norm):
+        raise UnsupportedError(f"Gershgorin's bound {norm:.3g} on ||T||_1: the spectral "
+                               f"solve's squared residuals overflow float64")
     floor = float(np.min(diag)) - 2.0 / (h * h)  # Gershgorin: no eigenvalue below it
     tol, guard = _RESIDUAL_ULPS * _EPS * norm, _GUARD_ULPS * _EPS * norm
     if starts is None:
@@ -364,13 +386,13 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     They are in turn the shifts from which the fine-grid levels are refined.
     When they were refined, their eigenvectors, interpolated linearly to the
     fine nodes (walls at 0), are the fine grid's start vectors; after a
-    bisection a fixed random vector starts every fine-grid level.  Each
-    refined level set is accepted only under a certificate on its own
-    matrix (_certificate: disjoint residual intervals, a Sturm count, and a
-    Weyl or Kato-Temple bound of tol + guard on every level), and that
-    matrix is bisected where the certificate fails, so bad shifts or starts
-    cost time but cannot yield wrong levels; a level may stop early on its
-    Temple bound.
+    bisection the fixed pseudo-random vector of _random_start starts every
+    fine-grid level.  Each refined level set is accepted only under a
+    certificate on its own matrix (_certificate: disjoint residual
+    intervals, a Sturm count, and a Weyl or Kato-Temple bound of tol +
+    guard on every level), and that matrix is bisected where the
+    certificate fails, so bad shifts or starts cost time but cannot yield
+    wrong levels; a level may stop early on its Temple bound.
     The per-level error estimate compares the two grids, scaled by the 1/3
     factor of second-order Richardson extrapolation.
     """

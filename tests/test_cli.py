@@ -805,6 +805,28 @@ class TestSpectrum:
         assert "m = -0.7 violates m > (2*beta + c^2 - 2*c*d)/(2*c^2)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("omega", ["1e80", "1e150"])
+    def test_solve_beyond_float_range_exit_2(self, omega, tmp_path, capsys):
+        # ||T||_1 reaches 4e160 and 4e300: the solve's squared residuals
+        # overflow, and it once exited 0 after RuntimeWarnings from inverse
+        # iteration, with levels near 2.5e157 and 2.5e297
+        out = tmp_path / "spectrum.json"
+        code = main(["spectrum", "--family", "X1-radial-oscillator",
+                     "--params", f'{{"m": -3.0, "omega": {omega}, "d": 1.0}}',
+                     "--no-timestamp", "--out", str(out)])
+        assert code == 2
+        assert "squared residuals overflow float64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_omega_within_float_range_exit_0(self, tmp_path):
+        # ||T||_1 about 4e80: its square is finite, and the spectrum runs
+        code, text = run(
+            tmp_path, "spectrum", "--family", "X1-radial-oscillator",
+            "--params", '{"m": -3.0, "omega": 1e40, "d": 1.0}', "--no-timestamp",
+        )
+        assert code == 0
+        assert np.all(np.isfinite(json.loads(text)["spectrum"]["plus"]))
+
     def test_complex_family_exit_2(self, capsys):
         code = main([
             "spectrum", "--family", "Xl-PT-Scarf",

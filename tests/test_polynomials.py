@@ -314,6 +314,28 @@ class TestKernelBuffers:
                 assert np.array_equal(self.bits(got), self.bits(want)), (degree, order)
         assert not np.isfinite(got).all()  # the overflow is reached
 
+    def test_three_row_buffers(self):
+        # 9 rows of degree 10 over 4000 real points: the sums, their
+        # compensations and y are three (rows x points) buffers, plus the
+        # power row; the slack covers array headers and small temporaries,
+        # and is far below a fourth buffer's 288 KB
+        import tracemalloc
+
+        from shapeinv.polynomials import _derivative_rows, _eval_rows
+
+        rng = np.random.default_rng(0)
+        rows = _derivative_rows([rng.standard_normal(11) for _ in range(3)], 2, 2.0)
+        u = np.linspace(-1.0, 1.0, 4000)
+        assert rows.shape == (9, 11)
+        tracemalloc.start()
+        try:
+            _eval_rows(rows, u, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer, power, slack = 9 * 4000 * 8, 4000 * 8, 16 * 1024
+        assert peak < 3 * buffer + power + slack
+
 
 class TestRealness:
     def test_real_input_exactly_real(self):

@@ -97,6 +97,8 @@ EXPECTED = [
     ("verify Xl-PT-Scarf seed=3 grid-points=129", 0),
     # the far edge's OverflowError once exited 1 with a traceback
     ("verify X1-radial-oscillator omega=1e160", 2),
+    # the solve once exited 0 after RuntimeWarnings, with levels near 2.5e157
+    ("spectrum X1-radial-oscillator omega=1e80", 2),
 ]
 
 

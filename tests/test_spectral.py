@@ -303,6 +303,33 @@ class TestCertificate:
         assert np.array_equal(got, lv)
 
 
+class TestSolveOutsideFloatRange:
+    """The solve squares residuals of up to 2*||T||_1: where that square is
+    not finite, _certified_levels refuses the matrix before any iteration."""
+
+    @pytest.mark.parametrize("scale, refused", [(1e140, False), (1e160, True), (1e300, True)])
+    def test_refused_where_the_square_overflows(self, scale, refused, monkeypatch):
+        # scale times the 400-node matrix of 1 + x^2 on (-6, 6), whose
+        # ||T||_1 bound is about 4.5e3: 4.5e143, 4.5e163 and 4.5e303
+        from shapeinv.spectral import _certified_levels, _lowest_eigenvalues
+
+        xs = dirichlet_grid(-6.0, 6.0, 400)
+        values = scale * (1.0 + xs * xs)
+        h = float(xs[1] - xs[0]) / math.sqrt(scale)
+        runs, _ = certificate_log(monkeypatch)
+        if refused:
+            # no shift is needed: nothing runs before the refusal
+            shifts = scale * np.array([1.0, 2.0, 3.0])
+            with pytest.raises(UnsupportedError, match="squared residuals overflow float64"):
+                _certified_levels(values, h, shifts)
+            assert runs == []
+        else:
+            levels, vectors = _certified_levels(values, h, _lowest_eigenvalues(values, h, 3))
+            assert vectors is not None and len(runs) == 3
+            want = _lowest_eigenvalues(1.0 + xs * xs, float(xs[1] - xs[0]), 3)
+            assert np.allclose(levels / scale, want)
+
+
 def certificate_log(monkeypatch):
     """The results of every later _inverse_iteration call, (rho, r, v) or
     None, and of every _certificate call, levels or None."""
@@ -324,6 +351,13 @@ def certified_bound(values, h):
 
     norm = float(np.max(np.abs(2.0 / (h * h) + values))) + 2.0 / (h * h)
     return (_RESIDUAL_ULPS + _GUARD_ULPS) * _EPS * norm, _RESIDUAL_ULPS * _EPS * norm
+
+
+def early_stop_starts(values, k):
+    """k copies of one normal start vector (default_rng(0)) on which the top
+    level of double_well(1.0) stops early: whether a level stops early
+    depends on its start, and the default start need not do so there."""
+    return [np.random.default_rng(0).standard_normal(values.size)] * k
 
 
 def double_well(depth):
@@ -370,7 +404,7 @@ class TestTempleCertificate:
         want = _lowest_eigenvalues(values, h, 3)
         runs, certificates = certificate_log(monkeypatch)
         calls = bisected_sizes(monkeypatch)
-        got, vectors = _certified_levels(values, h, want + 1e-7)
+        got, vectors = _certified_levels(values, h, want + 1e-7, early_stop_starts(values, 3))
         assert runs[2][1] > tol  # the top level stopped early
         assert certificates == [None]
         assert vectors is None and calls == [values.size]
@@ -387,7 +421,7 @@ class TestTempleCertificate:
         want = _lowest_eigenvalues(values, h, 3)
         runs, certificates = certificate_log(monkeypatch)
         calls = bisected_sizes(monkeypatch)
-        _certified_levels(values, h, want + 1e-7)
+        _certified_levels(values, h, want + 1e-7, early_stop_starts(values, 3))
         assert len(runs) == 3 and any(run[1] > tol for run in runs)
         assert len(certificates) == 1 and calls == [values.size]
 
@@ -555,6 +589,41 @@ class TestInverseIterationBuffers:
         solve_spectrum(PotentialGrid(x=xs, values=xs ** 2), 5)
         assert np.array_equal(_random_start(n), before)
         assert not _random_start(n).flags.writeable
+
+
+class TestRandomStart:
+    """_random_start(n) is SplitMix64's stream from state 0, one output per
+    node, as a fraction in [-0.5, 0.5)."""
+
+    @staticmethod
+    def splitmix64(i):
+        """SplitMix64's i-th output from state 0, in Python integers."""
+        mask = (1 << 64) - 1
+        z = (i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    def test_first_output(self):
+        # SplitMix64's published first output from state 0
+        assert self.splitmix64(1) == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("n", [1, 7, 4000])
+    def test_matches_the_integer_stream(self, n):
+        from shapeinv.spectral import _random_start
+
+        want = [(self.splitmix64(i) >> 11) * 2.0 ** -53 - 0.5 for i in range(1, n + 1)]
+        assert _random_start(n).tolist() == want
+
+    def test_range_and_asymmetry(self):
+        from shapeinv.spectral import _random_start
+
+        start = _random_start(4000)
+        assert start.dtype == np.float64
+        assert np.all((start >= -0.5) & (start < 0.5))
+        # neither symmetric nor antisymmetric about the grid's centre
+        assert np.max(np.abs(start - start[::-1])) > 0.5
+        assert np.max(np.abs(start + start[::-1])) > 0.5
 
 
 class TestProlong:
@@ -1090,9 +1159,11 @@ class TestWeylBound:
 
 
 # A fresh interpreter with shapeinv on its path reports which scipy modules
-# it holds after importing the package and after one spectrum run, and
+# it holds after importing the package and after spectrum runs, and
 # whether scipy.linalg.lapack, imported afterwards, kept the module that
-# spectral._lapack() returned and re-exports its routines.
+# spectral._lapack() returned and re-exports its routines.  It also reports
+# whether numpy.random is loaded after a spectrum and a verify run on given
+# params, and after a spectrum run on a sampled point, in that order.
 FRESH_INTERPRETER = """
 import json, sys
 import shapeinv, shapeinv.cli
@@ -1101,16 +1172,24 @@ from shapeinv import spectral
 def scipy_modules():
     return sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
 
+def run(*argv):
+    code = shapeinv.cli.main([*argv, "--family", "X1-radial-oscillator", "--no-timestamp",
+                              "--out", sys.argv[1]])
+    return [code, "numpy.random" in sys.modules]
+
 after_import = scipy_modules()
-code = shapeinv.cli.main(["spectrum", "--family", "X1-radial-oscillator", "--sample", "1",
-                          "--seed", "3", "--no-timestamp", "--out", sys.argv[1]])
+params = ["--params", '{"m": -3.0, "omega": 2.0, "d": 1.0}']
+given = {"spectrum": run("spectrum", *params),
+         "verify": run("verify", "--checks", "remainder,spectrum", *params)}
+code, sampled = run("spectrum", "--sample", "1", "--seed", "3")
 after_spectrum = scipy_modules()
 lapack = spectral._lapack()
 import scipy.linalg.lapack
 same = [sys.modules["scipy.linalg._flapack"] is lapack] + [
     getattr(scipy.linalg.lapack, r) is getattr(lapack, r) for r in ("dstebz", "dgttrf", "dgttrs")]
-print(json.dumps({"after_import": after_import, "code": code,
-                  "after_spectrum": after_spectrum, "same": same}))
+print(json.dumps({"after_import": after_import, "given": given, "code": code,
+                  "sampled_numpy_random": sampled, "after_spectrum": after_spectrum,
+                  "same": same}))
 """
 
 
@@ -1217,6 +1296,19 @@ class TestLapackLoader:
         assert spectral._lapack() is sys.modules["scipy.linalg._flapack"]
         assert all(code == 0 for code, *_ in got.values())
         assert got == want
+
+
+class TestNumpyRandomStaysOut:
+    """Spectra start inverse iteration from an integer-made vector
+    (spectral._random_start), so only a sampled point's draws import
+    numpy.random."""
+
+    def test_runs_on_given_params_leave_it_out(self, fresh_interpreter):
+        assert fresh_interpreter["given"] == {"spectrum": [0, False], "verify": [0, False]}
+
+    def test_sampled_run_imports_it(self, fresh_interpreter):
+        assert fresh_interpreter["code"] == 0
+        assert fresh_interpreter["sampled_numpy_random"] is True
 
 
 class TestLapackFailure:

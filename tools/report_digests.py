@@ -23,11 +23,16 @@ parameters (PT_ELL_64), `spectrum` on an X1-radial-oscillator point
 outside the region (SPECTRUM_OUTSIDE: exit 2), `verify` on Xl-PT-Scarf at
 an odd grid size, whose layout has x = 0 as a node (SCARF_ODD), and
 `verify` on X1-radial-oscillator with an omega whose square overflows
-(OVERFLOW_OMEGA: exit 2), and prints one
-line per report: the sha256 of its bytes, the command, the family, the seed
-and the exit code.  Then it prints one line per family for the
-sampler: the sha256 of the repr of sample_valid_params(tag, 5, s) for every
-s in SAMPLER_SEEDS.  Running it on two checkouts and diffing the output
+(OVERFLOW_OMEGA: exit 2), and `spectrum` on X1-radial-oscillator with an
+omega whose solve's squared residuals overflow (HUGE_OMEGA: exit 2), and
+prints one line per report: the sha256 of its bytes, the command, the
+family, the seed and the exit code.  A report that holds V+ levels (a
+`spectrum` report, or a JSON `verify` report with the spectrum check) gets
+a second digest on its line, of the report without the levels and their
+error estimates (`plus` and `plus_error_estimates` of each spectrum
+block), so a change to the eigensolver alone moves first digests only.
+Then it prints one line per family for the sampler: the sha256 of the
+repr of sample_valid_params(tag, 5, s) for every s in SAMPLER_SEEDS.  Running it on two checkouts and diffing the output
 lists every report, and every family's draws, that a change alters.
 """
 
@@ -119,6 +124,10 @@ SCARF_ODD = ("Xl-PT-Scarf", "129")
 # the far edge's slope omega squared overflows: outside the float support
 OVERFLOW_OMEGA = ("X1-radial-oscillator", '{"m": -3.0, "omega": 1e160, "d": 1.0}')
 
+# Gershgorin's bound on the spectral matrix reaches 4e160, whose square the
+# solve's residuals would overflow: outside the float support
+HUGE_OMEGA = ("X1-radial-oscillator", '{"m": -3.0, "omega": 1e80, "d": 1.0}')
+
 
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
 SAMPLER_SEEDS = range(200)
@@ -193,6 +202,9 @@ def configs(tmp: Path):
     tag, params = OVERFLOW_OMEGA
     yield f"verify {tag} omega=1e160", ["verify", "--family", tag, "--params", params,
                                         "--no-timestamp"]
+    tag, params = HUGE_OMEGA
+    yield f"spectrum {tag} omega=1e80", ["spectrum", "--family", tag, "--params", params,
+                                         "--no-timestamp"]
 
 
 def exit_code(argv) -> int:
@@ -203,13 +215,36 @@ def exit_code(argv) -> int:
         return exc.code
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def without_levels(report: str) -> str | None:
+    """The JSON report without the V+ levels and their error estimates, as
+    the CLI writes it, or None for a report that holds no levels."""
+    try:
+        doc = json.loads(report)
+    except ValueError:  # CSV, or no report
+        return None
+    blocks = [doc.get("spectrum")] + [r.get("spectrum") for r in doc.get("results", ())]
+    blocks = [b for b in blocks if isinstance(b, dict) and "plus" in b]
+    for block in blocks:
+        for key in ("plus", "plus_error_estimates"):
+            block.pop(key, None)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n" if blocks else None
+
+
 def digest(argv) -> tuple[str, int]:
     """The sha256 of the report that argv writes to standard output, and
-    the exit code."""
+    that of the report without its levels where it holds any, two spaces
+    apart; and the exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = exit_code(argv)
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+    report = out.getvalue()
+    level_free = without_levels(report)
+    digests = [_sha(report)] + ([] if level_free is None else [_sha(level_free)])
+    return "  ".join(digests), code
 
 
 def run() -> None:
@@ -219,7 +254,7 @@ def run() -> None:
             print(f"{sha}  {label} exit={code}")
     for tag in catalog.FAMILY_TAGS:
         draws = [catalog.sample_valid_params(tag, 5, s) for s in SAMPLER_SEEDS]
-        sha = hashlib.sha256(repr(draws).encode("utf-8")).hexdigest()
+        sha = _sha(repr(draws))
         print(f"{sha}  sample {tag} seeds={SAMPLER_SEEDS.start}..{SAMPLER_SEEDS.stop - 1} count=5")
 
 
