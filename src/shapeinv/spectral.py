@@ -13,22 +13,24 @@ spectra by contract.
 
 The window search evaluates W once per pass, for its 400-point probe grid
 and every edge candidate of both sides at every m.  Only that probe is
-bisected: its top level, alone, in every pass, and the levels below it,
-which only seed inverse iteration, once after the last pass and to a
-looser tolerance.  V+'s levels are refined by inverse iteration from
-shifts: its spacing-doubled grid from the probe's levels, and the fine
-grid from the spacing-doubled levels.  The fine grid also starts from the
-spacing-doubled grid's eigenvectors, interpolated linearly, so it needs
-fewer steps; a fixed pseudo-random vector starts any level that has no
-such vector.  A level stops at a residual of 4 eps*||T||_1, or earlier
-where its Kato-Temple bound, r^2 over its isolation, already reaches that.
-A level set is accepted only under a certificate on its own matrix
-(disjoint residual intervals, one Sturm count that also isolates the top
-level, and each level's Weyl or Temple error bound); where that fails,
-the matrix is bisected instead.  A matrix whose residuals could square
-past float64, (2*||T||_1)^2 not finite, is refused before any iteration.
-A real family's W must arrive as float64: complex values are refused, not
-truncated.
+bisected, once per pass: all k levels in one call, to a shift tolerance,
+since they only seed inverse iteration and set the edge target, 25 above
+the top one.  V+'s levels are refined by inverse iteration from shifts:
+its spacing-doubled grid from the probe's levels, and the fine grid from
+the spacing-doubled levels.  The fine grid also starts from the
+spacing-doubled grid's eigenvectors, interpolated linearly one level at a
+time, so it needs fewer steps; a fixed pseudo-random vector starts any
+level that has no such vector.  A level stops at a residual of
+4 eps*||T||_1, or earlier where its Kato-Temple bound, r^2 over its
+isolation, already reaches that.  A level set is accepted only under a
+certificate on its own matrix (disjoint residual intervals, one Sturm
+count that also isolates the top level, and each level's Weyl or Temple
+error bound); where that fails, the matrix is bisected instead.  A matrix
+whose residuals could square past float64, (2*||T||_1)^2 not finite, is
+refused before any iteration; below that, a level whose solved iterate
+has a squared norm that is not finite, or is 0, fails like a singular
+factorisation.  A real family's W must arrive as float64: complex values
+are refused, not truncated.
 
 The three LAPACK routines (dstebz, dgttrf, dgttrs) come from scipy's
 Fortran LAPACK extension, scipy.linalg._flapack, loaded directly from its
@@ -66,8 +68,8 @@ _MAX_STEPS = 8
 # and in the Sturm count
 _RESIDUAL_ULPS = 4.0
 _GUARD_ULPS = 8.0
-# In units of ||T||_1: the bisection tolerance of the probe levels below the
-# top one, which only seed inverse iteration
+# In units of ||T||_1: the bisection tolerance of the probe levels, which
+# only seed inverse iteration and set the window's edge target
 _SHIFT_ABSTOL = 1e-8
 # check_isospectrality's default level count and grid size
 DEFAULT_LEVELS = 5
@@ -226,6 +228,7 @@ def _lowest_eigenvalues(values: np.ndarray, h: float, k: int) -> np.ndarray:
     return _bisect(*_tridiagonal(values, h), 0, k - 1)
 
 
+@np.errstate(over="ignore")
 def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
                        delta: float = 0.0):
     """(rho, r, v) from fixed-shift inverse iteration on T - shift*I: the
@@ -234,6 +237,11 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
     where Kato-Temple bounds the error by r^2/delta once the level is
     isolated by delta; delta = 0 leaves the first rule alone.  None where
     T - shift*I is singular or r stays above both for _MAX_STEPS steps.
+
+    It is None too where a solved iterate's squared norm is not finite, or
+    is 0: a shift so close to a level that one solve overflows (or a zero
+    start) fails like a singular factorisation, without a warning, and the
+    caller bisects the matrix.
 
     start is copied once, and every step solves in place in that copy; T v,
     the residual vector and the off-diagonal products have one buffer each
@@ -247,7 +255,10 @@ def _inverse_iteration(diag, off, shift: float, start: np.ndarray, tol: float,
     tv, res, prod = np.empty_like(v), np.empty_like(v), np.empty_like(off)
     for _ in range(_MAX_STEPS):
         v, info = lapack.dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
-        v /= math.sqrt(v @ v)
+        square = float(v @ v)
+        if not 0.0 < square < math.inf:  # also refuses nan
+            return None
+        v /= math.sqrt(square)
         np.multiply(diag, v, out=tv)
         np.multiply(off, v[:-1], out=prod)
         tv[1:] += prod
@@ -280,15 +291,21 @@ def _random_start(n: int) -> np.ndarray:
 
 
 def _prolong(coarse: np.ndarray, n: int) -> np.ndarray:
-    """Vectors on the spacing-doubled grid (fine nodes 1, 3, ...; one per
-    row) interpolated linearly to the n fine nodes: odd nodes take the
-    coarse values, even nodes the mean of their two neighbours, with the
-    walls at 0."""
-    fine = np.zeros((coarse.shape[0], n))
-    fine[:, 1::2] = coarse
-    walled = np.pad(coarse, ((0, 0), (1, 1)))
-    even = (n + 1) // 2
-    fine[:, 0::2] = 0.5 * (walled[:, :even] + walled[:, 1:even + 1])
+    """A vector on the spacing-doubled grid (fine nodes 1, 3, ...)
+    interpolated linearly to the n fine nodes: odd nodes take the coarse
+    values, even nodes the mean of their two neighbours, with the walls at
+    0.  It acts on the last axis, so rows of vectors prolong as one array.
+    Each fine node is written once: the first and (for odd n) last even
+    nodes take half their one coarse neighbour, the mean with the wall's 0."""
+    half = coarse.shape[-1]
+    fine = np.empty(coarse.shape[:-1] + (n,))
+    fine[..., 1::2] = coarse
+    inner = fine[..., 2:2 * half:2]
+    np.add(coarse[..., :-1], coarse[..., 1:], out=inner)
+    inner *= 0.5
+    fine[..., 0] = 0.5 * coarse[..., 0]
+    if n % 2:
+        fine[..., -1] = 0.5 * coarse[..., -1]
     return fine
 
 
@@ -300,7 +317,8 @@ def _gershgorin_norm(diag: np.ndarray, h: float) -> float:
 def _certificate(diag, off, found, floor: float, tol: float, guard: float):
     """(levels, vectors) of the inverse-iteration results found, (rho, r, v)
     per level, sorted by rho, when they certify the len(found) lowest levels
-    of T; else None.
+    of T; else None.  levels is an array, vectors the tuple of the
+    iterates v as the iteration made them.
 
     Each rho_i has an eigenvalue of T in [lo_i, hi_i] = rho_i -+ (r_i +
     guard) (Weyl; v has unit norm to within n*eps, and the guard covers the
@@ -313,11 +331,13 @@ def _certificate(diag, off, found, floor: float, tol: float, guard: float):
     level's error is then Weyl's r + guard when r <= tol, else Temple's
     (r + guard)^2/dist, dist its distance to the nearer end of its
     interval; the set is accepted when every error is at most tol + guard.
+    rho and r are Python floats, and there are only k of each: the bounds
+    are formed in scalar arithmetic, not in arrays.
     """
-    found = sorted(found, key=lambda f: f[0])
-    rho, r = np.array([f[:2] for f in found]).T
-    lo, hi = rho - r - guard, rho + r + guard
-    if not np.all(lo[1:] > hi[:-1]):
+    rho, r, vectors = zip(*sorted(found, key=operator.itemgetter(0)))
+    lo = [p - q - guard for p, q in zip(rho, r)]
+    hi = [p + q + guard for p, q in zip(rho, r)]
+    if not all(above > below for above, below in zip(lo[1:], hi)):
         return None
     top = hi[-1] if r[-1] <= tol else rho[-1] + (r[-1] + guard) ** 2 / tol
     # abstol spans the whole interval: dstebz counts, no bisection
@@ -325,19 +345,20 @@ def _certificate(diag, off, found, floor: float, tol: float, guard: float):
                                        b"E")
     if info != 0 or count != len(found):
         return None
-    dist = np.minimum(rho - np.r_[-np.inf, hi[:-1]], np.r_[lo[1:], top] - rho)
-    error = np.where(r <= tol, r + guard, (r + guard) ** 2 / dist)
-    if np.all(error <= tol + guard):
-        return rho, np.array([f[2] for f in found])
-    return None
+    for p, q, below, above in zip(rho, r, [-math.inf, *hi[:-1]], [*lo[1:], top]):
+        error = q + guard if q <= tol else (q + guard) * (q + guard) / min(p - below, above - p)
+        if not error <= tol + guard:
+            return None
+    return np.array(rho), vectors
 
 
 def _certified_levels(values: np.ndarray, h: float, shifts, starts=None):
     """(levels, vectors): the len(shifts) lowest levels of the grid's matrix
     T, refined from the shifts by inverse iteration and accepted under a
-    certificate (_certificate), with their unit iterates (one per row,
-    ascending); or bisected levels and None where the certificate fails.
-    Level i starts from starts[i] when given, else from the fixed
+    certificate (_certificate), with their unit iterates (a tuple, in
+    ascending order of level); or bisected levels and None where the
+    certificate fails.  Level i starts from the i-th vector of starts, an
+    iterable read one level at a time, when given, else from the fixed
     pseudo-random vector of _random_start.
 
     Each level stops at r <= tol, or at r^2 <= tol*delta (Kato-Temple),
@@ -385,14 +406,15 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     of the k lowest levels, when they are given, and bisected otherwise.
     They are in turn the shifts from which the fine-grid levels are refined.
     When they were refined, their eigenvectors, interpolated linearly to the
-    fine nodes (walls at 0), are the fine grid's start vectors; after a
-    bisection the fixed pseudo-random vector of _random_start starts every
-    fine-grid level.  Each refined level set is accepted only under a
-    certificate on its own matrix (_certificate: disjoint residual
-    intervals, a Sturm count, and a Weyl or Kato-Temple bound of tol +
-    guard on every level), and that matrix is bisected where the
-    certificate fails, so bad shifts or starts cost time but cannot yield
-    wrong levels; a level may stop early on its Temple bound.
+    fine nodes (walls at 0) one level at a time (_prolong on one vector),
+    are the fine grid's start vectors; after a bisection the fixed
+    pseudo-random vector of _random_start starts every fine-grid level.
+    Each refined level set is accepted only under a certificate on its own
+    matrix (_certificate: disjoint residual intervals, a Sturm count, and a
+    Weyl or Kato-Temple bound of tol + guard on every level), and that
+    matrix is bisected where the certificate fails, so bad shifts or starts
+    cost time but cannot yield wrong levels; a level may stop early on its
+    Temple bound.
     The per-level error estimate compares the two grids, scaled by the 1/3
     factor of second-order Richardson extrapolation.
     """
@@ -412,7 +434,8 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
         coarse, vectors = _lowest_eigenvalues(coarse_values, 2.0 * h, k), None
     else:
         coarse, vectors = _certified_levels(coarse_values, 2.0 * h, shifts)
-    starts = None if vectors is None else _prolong(vectors, n)
+    # one fine-grid start per level, made as that level's iteration begins
+    starts = None if vectors is None else (_prolong(v, n) for v in vectors)
     evals, _ = _certified_levels(potential.values, h, coarse, starts)
     return SpectrumResult(eigenvalues=evals, error_estimates=np.abs(evals - coarse) / 3.0)
 
@@ -458,22 +481,22 @@ def spectral_window(family: SuperpotentialFamily, m_values,
                     k: int) -> tuple[tuple[float, float], np.ndarray]:
     """((a, b), levels): a truncation window whose edge potentials dominate
     the top level sought, and the k lowest levels of V+(., m_values[0]) on
-    the last probe grid: level k - 1 bisected to eps*||T||_1, and levels
-    0..k-2 to _SHIFT_ABSTOL*||T||_1, since they only seed inverse iteration.
+    the last probe grid, bisected to _SHIFT_ABSTOL*||T||_1: they only seed
+    inverse iteration and set the edge target.
 
-    Each pass bisects level k - 1 alone of V+ on a 400-point probe grid of
-    the current window for the k-th level estimate; the levels below it
-    are bisected once, after the last pass.  Edges grow (or the margins
-    shrink) until V at both ends exceeds it plus a fixed margin; growth
-    stops early when V saturates (hyperbolic plateaus), which is harmless
-    for the constant-shift comparison because both potentials are
-    truncated identically.  A pass
-    depends only on the window it starts from, so the search stops after a
-    pass that leaves the window unchanged, and after 3 passes at most.  The
-    levels then belong to the returned window, except after a third pass
-    that still moved an edge.  V that is not finite on the probe grid or
-    at a candidate the walk reaches raises UnsupportedError.  No region is
-    checked here: check_isospectrality gates its m first.
+    Each pass bisects levels 0..k-1 of V+ on a 400-point probe grid of the
+    current window, in one call, and takes the k-th level estimate from
+    the top one; no bisection follows the last pass.  Edges grow (or the
+    margins shrink) until V at both ends exceeds it plus a fixed margin;
+    growth stops early when V saturates (hyperbolic plateaus), which is
+    harmless for the constant-shift comparison because both potentials are
+    truncated identically.  A pass depends only on the window it starts
+    from, so the search stops after a pass that leaves the window
+    unchanged, and after 3 passes at most.  The levels then belong to the
+    returned window, except after a third pass that still moved an edge.
+    V that is not finite on the probe grid or at a candidate the walk
+    reaches raises UnsupportedError.  No region is checked here:
+    check_isospectrality gates its m first.
 
     Every growth candidate of both sides follows from the window the pass
     starts from, so a pass evaluates W once, at every m, on the probe grid
@@ -515,8 +538,8 @@ def spectral_window(family: SuperpotentialFamily, m_values,
         probe = _window_potential(family, x, v_plus[0, :x.size])
         h = x[1] - x[0]
         diag, off = _tridiagonal(probe.values, h)
-        top = _bisect(diag, off, k - 1, k - 1)
-        target = float(top[0]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
+        levels = _bisect(diag, off, 0, k - 1, _SHIFT_ABSTOL * _gershgorin_norm(diag, h))
+        target = float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
 
         n = len(right)
         if right:
@@ -525,10 +548,7 @@ def spectral_window(family: SuperpotentialFamily, m_values,
             a = _walk_edge(left, edge_v[n:], finite[n:], target, left_margin)
         if (a, b) == start:
             break
-    if k > 1:
-        lower = _bisect(diag, off, 0, k - 2, _SHIFT_ABSTOL * _gershgorin_norm(diag, h))
-        top = np.concatenate([lower, top])
-    return (float(a), float(b)), top
+    return (float(a), float(b)), levels
 
 
 def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAULT_LEVELS,
@@ -541,8 +561,8 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAUL
     differs by more than its largest entry, the flatness of the remainder.
     The mismatch adds 4 eps/h^2 for the rounding in forming the two
     diagonals 2/h^2 + V.  V+ alone is solved, seeded with the window
-    probe's bisected levels (the top one to eps*||T||_1, the rest to a
-    shift tolerance) and certified on its own matrix.
+    probe's levels (one bisection per window pass, to a shift tolerance)
+    and certified on its own matrix.
 
     m and m - 1 pass superpotential.require_region first, so no pole of
     either partner lies in the window; V+ that is not finite on it raises

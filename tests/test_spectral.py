@@ -289,7 +289,7 @@ class TestCertificate:
 
         shifts = self.levels(5) + 0.01
         _, vectors = _certified_levels(self.VALUES, self.H, shifts)
-        got, calls = self.certified(shifts, monkeypatch, starts=vectors[list(order)])
+        got, calls = self.certified(shifts, monkeypatch, starts=[vectors[i] for i in order])
         if calls:
             assert np.array_equal(got, self.levels(5))
         else:
@@ -328,6 +328,24 @@ class TestSolveOutsideFloatRange:
             assert vectors is not None and len(runs) == 3
             want = _lowest_eigenvalues(1.0 + xs * xs, float(xs[1] - xs[0]), 3)
             assert np.allclose(levels / scale, want)
+
+    def test_overflowing_solve_falls_back_to_bisection(self):
+        # 1e150 * (1 + x^2) on the same 400 nodes, below the refusal: at the
+        # third level diag - shift is exactly 0 at two nodes, and one solve
+        # from the start vector overflows v @ v.  The level fails like a
+        # singular factorisation, without a warning, and the matrix is
+        # bisected
+        from shapeinv.spectral import _certified_levels, _lowest_eigenvalues
+
+        xs = dirichlet_grid(-6.0, 6.0, 400)
+        values = 1e150 * (1.0 + xs * xs)
+        h = float(xs[1] - xs[0])
+        shifts = _lowest_eigenvalues(values, h, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels, vectors = _certified_levels(values, h, shifts)
+        assert vectors is None
+        assert np.array_equal(levels, _lowest_eigenvalues(values, h, 5))
 
 
 def certificate_log(monkeypatch):
@@ -626,9 +644,32 @@ class TestRandomStart:
         assert np.max(np.abs(start + start[::-1])) > 0.5
 
 
+def padded_prolong(coarse, n):
+    """Prolongation through a zero-filled (k, n) block and a padded copy of
+    the coarse rows: the reference that _prolong, which writes the fine
+    vector once, must equal bit for bit."""
+    fine = np.zeros((coarse.shape[0], n))
+    fine[:, 1::2] = coarse
+    walled = np.pad(coarse, ((0, 0), (1, 1)))
+    even = (n + 1) // 2
+    fine[:, 0::2] = 0.5 * (walled[:, :even] + walled[:, 1:even + 1])
+    return fine
+
+
 class TestProlong:
     """_prolong carries spacing-doubled vectors (fine nodes 1, 3, ...) to
     the fine grid, with the Dirichlet walls at 0."""
+
+    @pytest.mark.parametrize("n", [40, 41, 4000])
+    def test_equals_the_padded_reference(self, n):
+        from shapeinv.spectral import _prolong
+
+        coarse = np.random.default_rng(n).standard_normal((5, n // 2))
+        want = padded_prolong(coarse, n)
+        # one vector at a time, as solve_spectrum prolongs, and as rows
+        rows = np.stack([_prolong(row, n) for row in coarse])
+        assert rows.tobytes() == want.tobytes()
+        assert _prolong(coarse, n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [40, 41])
     def test_keeps_the_coarse_values(self, n):
@@ -834,9 +875,9 @@ def window(family, m_values, k):
 
 
 def probe_levels(family, m, window, k):
-    """The k lowest levels of V+(., m) on the window's probe grid: level
-    k - 1 bisected alone, and levels 0..k-2 to the shift tolerance
-    _SHIFT_ABSTOL * ||T||_1 (Gershgorin's bound)."""
+    """The k lowest levels of V+(., m) on the window's probe grid, bisected
+    in one call to the shift tolerance _SHIFT_ABSTOL * ||T||_1
+    (Gershgorin's bound)."""
     from shapeinv.spectral import _PROBE_POINTS, _SHIFT_ABSTOL, _bisect, _tridiagonal
 
     x = dirichlet_grid(window[0], window[1], _PROBE_POINTS)
@@ -844,8 +885,7 @@ def probe_levels(family, m, window, k):
     h = x[1] - x[0]
     diag, off = _tridiagonal(v_plus.values, h)
     norm = float(np.max(np.abs(diag))) + 2.0 / (h * h)
-    return np.concatenate([_bisect(diag, off, 0, k - 2, _SHIFT_ABSTOL * norm),
-                           _bisect(diag, off, k - 1, k - 1)])
+    return _bisect(diag, off, 0, k - 1, _SHIFT_ABSTOL * norm)
 
 
 # The families of the window and seeded-solve tests' perturbed controls
@@ -1047,6 +1087,26 @@ class TestSeededSolve:
         assert sizes and set(sizes) == {_PROBE_POINTS}
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_one_probe_bisection_per_pass(self, tag, monkeypatch):
+        # each window pass bisects its probe once, all k levels together;
+        # no 2000- or 4000-point matrix is bisected
+        from shapeinv import spectral
+        from shapeinv.spectral import _PROBE_POINTS
+
+        grids = []
+        make = spectral.dirichlet_grid
+        monkeypatch.setattr(spectral, "dirichlet_grid",
+                            lambda a, b, n: grids.append(n) or make(a, b, n))
+        sizes = bisected_sizes(monkeypatch)
+        for p in sample_valid_params(tag, 3, seed=9):
+            grids.clear()
+            sizes.clear()
+            check_isospectrality(get_family(tag, p), p.m, k=5, n_points=4000)
+            passes = grids.count(_PROBE_POINTS)
+            assert passes >= 1
+            assert sizes == [_PROBE_POINTS] * passes
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_warm_started_levels_match_bisection(self, tag, monkeypatch):
         # the fine grid starts from the coarse grid's prolonged vectors: its
         # levels are bisection's within the certificate's bound
@@ -1092,8 +1152,7 @@ class TestSeededSolve:
         # still moves both edges.  The probe levels then belong to the
         # second window, 1.7 below the returned window's; inverse iteration
         # from them fails the certificate, and V+'s coarse grid is bisected.
-        # The probe is bisected once per pass for its top level, and once
-        # more after the last pass for the levels below it.
+        # The probe is bisected once per pass, all five levels in one call.
         from shapeinv.spectral import _PROBE_POINTS
 
         def w(x):
@@ -1105,7 +1164,7 @@ class TestSeededSolve:
 
         sizes = bisected_sizes(monkeypatch)
         iso = check_isospectrality(fam, 0.0, k=5, n_points=4000)
-        assert sizes[:5] == [_PROBE_POINTS] * 4 + [2000]
+        assert sizes[:4] == [_PROBE_POINTS] * 3 + [2000]
         monkeypatch.undo()
         x = dirichlet_grid(a, b, 4000)
         h = x[1] - x[0]
