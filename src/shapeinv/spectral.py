@@ -11,11 +11,14 @@ the flatness of that difference.  Only V+ is solved, for its levels and
 their error estimates.  The complex PT-symmetric family is excluded from
 spectra by contract.
 
-The window search evaluates W once per pass, for its 400-point probe grid
-and every edge candidate of both sides at every m.  Only that probe is
-bisected, once per pass: all k levels in one call, to a shift tolerance,
-since they only seed inverse iteration and set the edge target, 25 above
-the top one.  V+'s levels are refined by inverse iteration from shifts:
+The window search places the wall next to each finite end once, by one
+rule, and then evaluates W once per pass, for its probe grid and every
+growth candidate of an infinite right side at every m.  Only that probe
+is bisected, once per pass: all k levels in one call, to a shift
+tolerance, since they only seed inverse iteration and set the right
+edge's target.  V+ is solved on an odd number of nodes, so its
+spacing-doubled grid shares the walls.  Its levels are refined by inverse
+iteration from shifts:
 its spacing-doubled grid from the probe's levels, and the fine grid from
 the spacing-doubled levels.  The fine grid also starts from the
 spacing-doubled grid's eigenvectors, interpolated linearly one level at a
@@ -45,7 +48,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import operator
 import os
@@ -54,13 +56,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import SPECTRUM_TOL
 from .errors import UnsupportedError, UsageError
 from .superpotential import SuperpotentialFamily, assemble_w, require_region
 
 _EDGE_MARGIN_ABOVE_TOP_LEVEL = 25.0
-# Abscissae of the grid on which the window search estimates the k-th level
+# Abscissae of the grid on which the window search estimates the k-th level,
+# or 8k where that is more (solve_spectrum's k <= n/8)
 _PROBE_POINTS = 400
 _EPS = float(np.finfo(float).eps)
+# A wall halves from 0.1 L at most _WALL_HALVINGS times, to under the floor
+# 1e-4 L, while V stays under _WALL_V_CAP: there eps*V, the rounding of
+# V+ - V- - R, stays three decades under the spectrum gate
+_WALL_HALVINGS = 10
+_WALL_V_CAP = 1e-3 * SPECTRUM_TOL / _EPS
 # Inverse-iteration steps per level before its solve falls back to bisection
 _MAX_STEPS = 8
 # In units of eps*||T||_1: the residual at which inverse iteration stops, and
@@ -218,7 +227,9 @@ def _bisect(diag: np.ndarray, off: np.ndarray, first: int, last: int,
     (_lapack).  A dstebz failure is outside the supported envelope."""
     count, w, *_, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1,
                                           abstol, b"E")
-    if info != 0:
+    if info < 0:
+        raise UnsupportedError(f"LAPACK dstebz: illegal argument {-info}")
+    if info > 0:
         raise UnsupportedError(f"LAPACK dstebz failed to converge (info = {info})")
     return w[:count]
 
@@ -401,7 +412,9 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     """k lowest Dirichlet eigenvalues of -d^2/dx^2 + V.
 
     The grid holds interior nodes of a uniform mesh; the Dirichlet walls sit
-    one spacing outside both ends.  The spacing-doubled (subsampled)
+    one spacing outside both ends.  The spacing-doubled grid is every
+    second node from the second; for an odd n it has the same walls, for
+    an even n its right wall sits one spacing further out.  The subsampled
     problem's levels are refined by inverse iteration from shifts, estimates
     of the k lowest levels, when they are given, and bisected otherwise.
     They are in turn the shifts from which the fine-grid levels are refined.
@@ -416,7 +429,7 @@ def solve_spectrum(potential: PotentialGrid, k: int, shifts=None) -> SpectrumRes
     cost time but cannot yield wrong levels; a level may stop early on its
     Temple bound.
     The per-level error estimate compares the two grids, scaled by the 1/3
-    factor of second-order Richardson extrapolation.
+    factor of second-order Richardson extrapolation, which needs shared walls.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -445,27 +458,31 @@ def dirichlet_grid(a: float, b: float, n: int) -> np.ndarray:
     return np.linspace(a, b, n + 2)[1:-1]
 
 
-def _walk_edge(candidates: list, v: np.ndarray, finite: np.ndarray, target: float,
-               margin: float) -> float:
-    """The edge reached by walking the candidates while V there is below
-    target and each step raises V by more than margin.  candidates[0] is
-    the current edge; v is min over m of min(V-, V+) at each candidate and
-    finite says where all of them are finite.  Reaching a candidate whose
-    values are not finite raises UnsupportedError."""
+def _walk_edge(candidates: np.ndarray, v: np.ndarray, target: float) -> float:
+    """The right edge reached by walking the candidates, from the current
+    edge candidates[0], while V there (v) is below target and each step
+    raises it by more than 1.  V that is not finite raises UnsupportedError."""
     for k in range(len(candidates)):
-        if not finite[k]:
+        if not math.isfinite(v[k]):
             raise UnsupportedError(f"V is not finite at the window edge candidate "
                                    f"x = {candidates[k]:g}")
-        if k and v[k] <= v[k - 1] + margin:
-            return candidates[k - 1]  # plateau, or an attractive end
+        if k and v[k] <= v[k - 1] + 1.0:
+            return candidates[k - 1]
         if v[k] >= target:
             return candidates[k]
     return candidates[-1]
 
 
-def _steps(start: float, n: int) -> list:
-    """An infinite side's growth candidates: start, times 1.4 n times."""
-    return list(itertools.accumulate(itertools.repeat(1.4, n), operator.mul, initial=start))
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _edge_values(family, x: np.ndarray, m_values):
+    """(V+(x, m_values[0]), V): V is min over m of min(V-, V+) at each x, nan
+    where any of them is not finite.  W may overflow here, so nothing is
+    checked or warned: the callers judge the values they read."""
+    w, wd = _real_potential_values(family, x, m_values)
+    w2 = w * w
+    v_minus, v_plus = w2 - wd, w2 + wd
+    finite = np.all(np.isfinite(v_minus) & np.isfinite(v_plus), axis=0)
+    return v_plus[0], np.where(finite, np.min(np.minimum(v_minus, v_plus), axis=0), np.nan)
 
 
 def _window_potential(family, x: np.ndarray, v_plus: np.ndarray) -> PotentialGrid:
@@ -479,74 +496,55 @@ def _window_potential(family, x: np.ndarray, v_plus: np.ndarray) -> PotentialGri
 
 def spectral_window(family: SuperpotentialFamily, m_values,
                     k: int) -> tuple[tuple[float, float], np.ndarray]:
-    """((a, b), levels): a truncation window whose edge potentials dominate
-    the top level sought, and the k lowest levels of V+(., m_values[0]) on
-    the last probe grid, bisected to _SHIFT_ABSTOL*||T||_1: they only seed
-    inverse iteration and set the edge target.
+    """((a, b), levels): a truncation window, and the k lowest levels of
+    V+(., m_values[0]) on its last probe grid, bisected to
+    _SHIFT_ABSTOL*||T||_1: they only seed inverse iteration and set the
+    right edge's target.
 
-    Each pass bisects levels 0..k-1 of V+ on a 400-point probe grid of the
-    current window, in one call, and takes the k-th level estimate from
-    the top one; no bisection follows the last pass.  Edges grow (or the
-    margins shrink) until V at both ends exceeds it plus a fixed margin;
-    growth stops early when V saturates (hyperbolic plateaus), which is
-    harmless for the constant-shift comparison because both potentials are
-    truncated identically.  A pass depends only on the window it starts
-    from, so the search stops after a pass that leaves the window
-    unchanged, and after 3 passes at most.  The levels then belong to the
-    returned window, except after a third pass that still moved an edge.
-    V that is not finite on the probe grid or at a candidate the walk
-    reaches raises UnsupportedError.  No region is checked here:
-    check_isospectrality gates its m first.
+    Each finite end gets its wall by one rule, before any level is known:
+    0.1*L from the end, L = min(1, hi - lo), halved down to the floor
+    1e-4*L while V at the next distance stays below _WALL_V_CAP.  V is min
+    over m of min(V-, V+); V that is not finite counts as above the cap.
+    One evaluation of W, at every m, serves both ends; it refuses a complex
+    family before a whole-line family raises UnsupportedError.
 
-    Every growth candidate of both sides follows from the window the pass
-    starts from, so a pass evaluates W once, at every m, on the probe grid
-    and all candidates together: the probe's V+ is row 0 of that table, and
-    each side's walk reads its candidates' columns.
+    An infinite right side starts at lo + 4.  Each pass bisects levels
+    0..k-1 of V+ on a probe grid of max(_PROBE_POINTS, 8k) nodes in one
+    call, and grows the edge by factors of 1.4 until V there exceeds the
+    top level plus a fixed margin, or a step gains less than 1 (plateaus,
+    harmless for the constant-shift comparison since both potentials are
+    truncated identically).  A pass evaluates W once, at every m, on the
+    probe grid and all growth candidates.  The search stops after a pass
+    that leaves the window unchanged, and after 3 passes at most; the
+    levels then belong to the returned window, except after a third pass
+    that still moved the edge.  V+ that is not finite on the probe grid,
+    or V at a growth candidate the walk reaches, raises UnsupportedError.
+    No region is checked here: check_isospectrality gates its m first.
     """
     lo, hi = family.domain
-    if math.isinf(lo) and math.isinf(hi):
-        a, b = -8.0, 8.0
-    elif math.isinf(hi):
-        a, b = lo + 0.1, max(lo + 4.0, 1.0)
-    else:
-        width = hi - lo
-        a, b = lo + 1e-3 * width, hi - 1e-3 * width
+    steps = 0.1 * min(1.0, hi - lo) / 2.0 ** np.arange(_WALL_HALVINGS + 1)
+    ends = [(end, side) for end, side in ((lo, 1.0), (hi, -1.0)) if math.isfinite(end)]
+    _, v = _edge_values(family, np.array([end + side * d for end, side in ends for d in steps]),
+                        m_values)
+    if math.isinf(lo):
+        raise UnsupportedError(f"{family.name}: a spectral window needs a finite left end")
+    # each wall: the last distance before V at the next one reaches the cap
+    below = np.logical_and.accumulate(v.reshape(len(ends), -1)[:, 1:] < _WALL_V_CAP, axis=1)
+    walls = [end + side * steps[n] for (end, side), n in zip(ends, below.sum(axis=1))]
+    a, b = walls[0], (walls[-1] if math.isfinite(hi) else lo + 4.0)
 
     for _ in range(3):
-        start = (a, b)
-        x = dirichlet_grid(a, b, _PROBE_POINTS)
-        # the growth candidates of each side, from the window the pass
-        # starts from: b grows on an infinite side, a on an infinite side
-        # or, next to a finite end at 0, halves towards it
-        right = _steps(b, 60) if math.isinf(hi) else []
-        left, left_margin = [], 1.0
-        if math.isinf(lo):
-            left = _steps(a, 60)
-        elif lo == 0.0:
-            left, left_margin = [a], 0.0
-            while left[-1] > 1e-4:
-                left.append(left[-1] / 2.0)
-        # one evaluation of W for the probe grid and every candidate at every
-        # m.  Far candidates may overflow, so nothing is checked here; the
-        # walk raises where it reaches a value that is not finite
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w, wd = _real_potential_values(family, np.concatenate([x, right, left]), m_values)
-            w2 = w * w
-            v_minus, v_plus = w2 - wd, w2 + wd
-            edge_v = np.min(np.minimum(v_minus, v_plus)[:, x.size:], axis=0)
-            finite = np.all(np.isfinite(v_minus) & np.isfinite(v_plus), axis=0)[x.size:]
-        probe = _window_potential(family, x, v_plus[0, :x.size])
+        start = b
+        x = dirichlet_grid(a, b, max(_PROBE_POINTS, 8 * k))
+        right = b * 1.4 ** np.arange(61) if math.isinf(hi) else np.empty(0)
+        v_plus, v = _edge_values(family, np.concatenate([x, right]), m_values)
+        probe = _window_potential(family, x, v_plus[:x.size])
         h = x[1] - x[0]
         diag, off = _tridiagonal(probe.values, h)
         levels = _bisect(diag, off, 0, k - 1, _SHIFT_ABSTOL * _gershgorin_norm(diag, h))
-        target = float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
-
-        n = len(right)
-        if right:
-            b = _walk_edge(right, edge_v[:n], finite[:n], target, 1.0)
-        if left:
-            a = _walk_edge(left, edge_v[n:], finite[n:], target, left_margin)
-        if (a, b) == start:
+        if right.size:
+            b = _walk_edge(right, v[x.size:], float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL)
+        if b == start:
             break
     return (float(a), float(b)), levels
 
@@ -560,9 +558,10 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAUL
     The two matrices differ by the diagonal V+ - V- - R, so no level pair
     differs by more than its largest entry, the flatness of the remainder.
     The mismatch adds 4 eps/h^2 for the rounding in forming the two
-    diagonals 2/h^2 + V.  V+ alone is solved, seeded with the window
-    probe's levels (one bisection per window pass, to a shift tolerance)
-    and certified on its own matrix.
+    diagonals 2/h^2 + V.  V+ alone is solved, on n_points | 1 nodes so that
+    the Richardson pair shares its walls, seeded with the window probe's
+    levels (one bisection per window pass, to a shift tolerance) and
+    certified on its own matrix.
 
     m and m - 1 pass superpotential.require_region first, so no pole of
     either partner lies in the window; V+ that is not finite on it raises
@@ -573,7 +572,7 @@ def check_isospectrality(family: SuperpotentialFamily, m: float, k: int = DEFAUL
     if n_points < 8 * k:
         raise UsageError(f"k = {k} too large for a {n_points}-point grid")
     window, probe = spectral_window(family, require_region(family, (m, m - 1.0)), k)
-    x = dirichlet_grid(window[0], window[1], n_points)
+    x = dirichlet_grid(window[0], window[1], n_points | 1)
     v_plus, r, flatness = _plus_and_remainder(family, m, x)
     h = float(x[1] - x[0])
     return IsospectralResult(

@@ -833,7 +833,18 @@ class TestSpectrum:
             "--params", '{"m": 0.5, "B": -1.5, "ell": 1}',
         ])
         assert code == 2
-        assert "unsupported" in capsys.readouterr().err
+        assert "complex family unsupported" in capsys.readouterr().err
+
+    def test_k_above_the_probe_size_exit_0(self, tmp_path):
+        # k = 401 needs 3208 nodes; the window's probe once held 400, and
+        # dstebz refused level 401 of it
+        code, text = run(
+            tmp_path, "spectrum", "--family", "X1-radial-oscillator",
+            "--params", '{"m": -3.0, "omega": 2.0, "d": 1.0}', "--k", "401",
+            "--spectrum-points", "3208", "--no-timestamp",
+        )
+        assert code == 0
+        assert len(json.loads(text)["spectrum"]["plus"]) == 401
 
     def test_k_zero_exit_2(self, capsys):
         code = main([

@@ -99,6 +99,10 @@ EXPECTED = [
     ("verify X1-radial-oscillator omega=1e160", 2),
     # the solve once exited 0 after RuntimeWarnings, with levels near 2.5e157
     ("spectrum X1-radial-oscillator omega=1e80", 2),
+    # the wall cap, not the 1e-4 floor, places the left wall
+    ("spectrum X1-hyperbolic c=0.05 beta=-0.5", 0),
+    # dstebz once refused level 401 of the window's 400-node probe: exit 2
+    ("spectrum X1-radial-oscillator k=401 spectrum-points=3208", 0),
 ]
 
 

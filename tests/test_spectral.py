@@ -801,11 +801,97 @@ class TestIsospectrality:
             PotentialGrid(x=np.array([0.0, 1.0]), values=np.array([0.0, np.inf]))
 
 
-def reference_window(family, m_values, k, probe_points=400):
+def ladder(family, m, k):
+    """The k lowest V+ levels that shape invariance fixes where H-(m) has
+    the zero mode exp(-int W): E_n = sum_{j=0..n} R(m - j), with
+    R(m) = (2m - 1)a - 2b (Cooper, Khare and Sukhatme, Phys. Rep. 251
+    (1995) 267)."""
+    a, b = family.expected_ab
+    return np.cumsum([(2.0 * (m - j) - 1.0) * a - 2.0 * b for j in range(k)])
+
+
+# The points where the V+ levels climb the ladder: both radial families,
+# and X1-trigonometric's points in its lower m-interval
+LADDER_POINTS = [(tag, i) for tag in ("X1-radial-oscillator", "Xl-radial-oscillator")
+                 for i in range(6)] + [("X1-trigonometric", i) for i in (1, 2, 5)]
+
+
+class TestLadder:
+    """The walls next to the 1/x^2 and 1/cos^2 barriers sit close enough to
+    their ends that the levels meet the ladder to within their Richardson
+    estimate.  At walls 0.1 from x = 0, or 1e-3 of the width from each end
+    of X1-trigonometric's domain, they missed it by up to 0.25."""
+
+    @pytest.mark.parametrize("tag, index", LADDER_POINTS)
+    def test_levels_climb_the_ladder(self, tag, index):
+        p = sample_valid_params(tag, 6, seed=21)[index]
+        fam = get_family(tag, p)
+        spectrum = check_isospectrality(fam, p.m).spectrum_plus
+        miss = np.abs(spectrum.eigenvalues - ladder(fam, p.m, 5))
+        assert np.max(np.abs(miss - spectrum.error_estimates)) <= 1e-6
+
+
+class TestRichardsonWalls:
+    """The fine grid holds an odd number of nodes, so the spacing-doubled
+    grid shares its walls and the Richardson estimate |fine - coarse|/3
+    tracks the fine level's error, on box states that reach the wall too."""
+
+    @pytest.mark.parametrize("tag", ["X1-hyperbolic", "Xl-Poschl-Teller"])
+    def test_estimate_tracks_the_error(self, tag):
+        from shapeinv.spectral import _lowest_eigenvalues
+
+        for p in sample_valid_params(tag, 3, seed=21):
+            fam = get_family(tag, p)
+            iso = check_isospectrality(fam, p.m, k=5, n_points=4000)
+            # a reference 4x finer than the 4001-node grid, bisected
+            x = dirichlet_grid(iso.window[0], iso.window[1], 16007)
+            _, v_plus = partner_potentials(fam, p.m, x)
+            error = np.abs(iso.spectrum_plus.eigenvalues
+                           - _lowest_eigenvalues(v_plus.values, x[1] - x[0], 5))
+            estimate = iso.spectrum_plus.error_estimates
+            assert np.all(error <= 2.0 * estimate) and np.all(estimate <= 2.0 * error)
+
+
+def small_c_points(n):
+    """(family, m) of the first n X1-hyperbolic draws that are valid at m
+    and m - 1, with c log-uniform on (0.01, 0.1), beta in (-3, 3), |d| in
+    (0.3, 3) and m in (-15, 15)."""
+    rng = np.random.default_rng(1)
+    points = []
+    while len(points) < n:
+        c = float(np.exp(rng.uniform(math.log(0.01), math.log(0.1))))
+        beta, d = rng.uniform(-3.0, 3.0), rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+        p = ParamPoint(m=float(rng.uniform(-15.0, 15.0)), c=c, beta=float(beta), d=float(d))
+        fam = get_family("X1-hyperbolic", p)
+        if fam.validity(p.m).valid and fam.validity(p.m - 1.0).valid:
+            points.append((fam, p.m))
+    return points
+
+
+class TestWallCap:
+    """Below the sampler's c box, |W| ~ |m - beta/c^2 + d/c|/x next to x = 0
+    is large: the wall stops where V reaches _WALL_V_CAP, so eps*V, the
+    rounding in V+ - V- - R, stays under the spectrum gate."""
+
+    def test_small_c_points_pass(self, monkeypatch):
+        from shapeinv import spectral
+        from shapeinv.conditions import SPECTRUM_TOL
+
+        points = small_c_points(10)
+        assert all(check_isospectrality(fam, m).mismatch < SPECTRUM_TOL for fam, m in points)
+        # a wall at the 1e-4 floor without the cap fails 3 of them, worst 2.7e-2
+        monkeypatch.setattr(spectral, "_WALL_V_CAP", math.inf)
+        capless = [check_isospectrality(fam, m).mismatch for fam, m in points]
+        assert sum(mismatch >= SPECTRUM_TOL for mismatch in capless) >= 2
+
+
+def reference_window(family, m_values, k):
     """spectral_window's rule with the edge potential probed one abscissa
-    at a time through partner_potentials, as it once was; the target is
-    the probe's level k - 1, bisected alone."""
-    from shapeinv.spectral import _EDGE_MARGIN_ABOVE_TOP_LEVEL, _bisect, _tridiagonal
+    at a time through partner_potentials; the target is the probe's level
+    k - 1, bisected alone.  V that is not finite at a wall candidate counts
+    as above the cap; at a growth candidate it raises ValueError."""
+    from shapeinv.spectral import (_EDGE_MARGIN_ABOVE_TOP_LEVEL, _PROBE_POINTS, _WALL_V_CAP,
+                                   _bisect, _tridiagonal)
 
     def edge(x):
         vals = []
@@ -814,59 +900,49 @@ def reference_window(family, m_values, k, probe_points=400):
             vals.append(min(float(vm.values[0]), float(vp.values[0])))
         return min(vals)
 
+    def below_cap(x):
+        try:
+            with np.errstate(all="ignore"):
+                return edge(x) < _WALL_V_CAP
+        except ValueError:  # not finite
+            return False
+
     lo, hi = family.domain
-    if math.isinf(lo) and math.isinf(hi):
-        a, b = -8.0, 8.0
-    elif math.isinf(hi):
-        a, b = lo + 0.1, max(lo + 4.0, 1.0)
-    elif math.isinf(lo):
-        a, b = min(hi - 4.0, -1.0), hi - 0.1
-    else:
-        width = hi - lo
-        a, b = lo + 1e-3 * width, hi - 1e-3 * width
+    scale = min(1.0, hi - lo)
+
+    def wall(end, side):
+        d = 0.1 * scale
+        while d > 1e-4 * scale and below_cap(end + side * d / 2.0):
+            d /= 2.0
+        return end + side * d
+
+    a = wall(lo, 1.0)
+    b = wall(hi, -1.0) if math.isfinite(hi) else lo + 4.0
     for _ in range(3):
-        x = dirichlet_grid(a, b, probe_points)
+        x = dirichlet_grid(a, b, max(_PROBE_POINTS, 8 * k))
         _, v_plus = partner_potentials(family, m_values[0], x)
         top = _bisect(*_tridiagonal(v_plus.values, x[1] - x[0]), k - 1, k - 1)
         target = float(top[0]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
-        if math.isinf(hi):
-            grew, v_b = 0, edge(b)
-            while v_b < target and grew < 60:
-                nxt = b * 1.4
-                v_nxt = edge(nxt)
-                if v_nxt <= v_b + 1.0:
-                    break
-                b, v_b = nxt, v_nxt
-                grew += 1
-        if math.isinf(lo):
-            grew, v_a = 0, edge(a)
-            while v_a < target and grew < 60:
-                nxt = a * 1.4 if a < 0 else a - 1.0
-                v_nxt = edge(nxt)
-                if v_nxt <= v_a + 1.0:
-                    break
-                a, v_a = nxt, v_nxt
-                grew += 1
-        if lo == 0.0:
-            v_a = edge(a)
-            while v_a < target and a > 1e-4:
-                nxt = a / 2.0
-                v_nxt = edge(nxt)
-                if v_nxt <= v_a:
-                    break
-                a, v_a = nxt, v_nxt
-        if not math.isinf(lo) and not math.isinf(hi) and lo != 0.0:
+        if math.isfinite(hi):
             break
+        candidates, v_b = b * 1.4 ** np.arange(61), edge(b)
+        for nxt in candidates[1:]:
+            if v_b >= target:
+                break
+            v_nxt = edge(nxt)
+            if v_nxt <= v_b + 1.0:
+                break
+            b, v_b = nxt, v_nxt
     return float(a), float(b)
 
 
-def line_family(k0, k0_deriv):
-    """W = k0(x) on the whole line."""
+def half_line_family(k0, k0_deriv, domain=(0.0, np.inf)):
+    """W = k0(x) on (0, inf), or on another domain."""
     from conftest import plain_family
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return plain_family(k0=k0, k0_deriv=k0_deriv, k1=zero, k1_deriv=zero,
-                        domain=(-np.inf, np.inf), m=0.0)
+    return plain_family(k0=k0, k0_deriv=k0_deriv, k1=zero, k1_deriv=zero, domain=domain,
+                        m=0.0)
 
 
 def window(family, m_values, k):
@@ -880,7 +956,7 @@ def probe_levels(family, m, window, k):
     (Gershgorin's bound)."""
     from shapeinv.spectral import _PROBE_POINTS, _SHIFT_ABSTOL, _bisect, _tridiagonal
 
-    x = dirichlet_grid(window[0], window[1], _PROBE_POINTS)
+    x = dirichlet_grid(window[0], window[1], max(_PROBE_POINTS, 8 * k))
     _, v_plus = partner_potentials(family, m, x)
     h = x[1] - x[0]
     diag, off = _tridiagonal(v_plus.values, h)
@@ -897,9 +973,15 @@ def perturbed_control(tag):
     return with_perturbation(get_family(tag, p), "wplus-slope", 0.05), p.m
 
 
+# The wall's distances from a finite end, for L = 1: 0.1 halved down to the
+# first distance at or below the 1e-4 floor
+FLOOR = 0.1 / 2 ** 10
+
+
 class TestSpectralWindow:
-    """Each pass evaluates W once, for its probe grid and every growth
-    candidate of both sides at every m; the window must be the one the
+    """The walls are placed once, from one evaluation of W; then each pass
+    evaluates W once, for its probe grid and every growth candidate of an
+    infinite right side at every m.  The window must be the one the
     step-by-step rule reaches, bit for bit, and the levels those of its
     last probe."""
 
@@ -941,13 +1023,15 @@ class TestSpectralWindow:
         m_values = (m, m - 1.0)
         assert window(fam, m_values, 5) == reference_window(fam, m_values, 5)
 
-    @pytest.mark.parametrize("m_values, edge", [
-        ((1.05,), 0.025), ((1.0 + 1e-9,), 0.1 / 2 ** 10), ((0.5,), 0.1),
+    @pytest.mark.parametrize("m_values, wall", [
+        ((1.05,), FLOOR), ((10.0,), 0.1 / 2 ** 7), ((0.5,), FLOOR), ((10.0, 1.05), FLOOR),
     ])
-    def test_halving_toward_zero(self, m_values, edge):
-        # W = m/x: min(V-, V+) = (m**2 - m)/x**2, so the left edge halves
-        # twice for m = 1.05, down to the 1e-4 floor for m just above 1,
-        # and not at all for m = 0.5, where the end is attractive
+    def test_wall_next_to_zero(self, m_values, wall):
+        # W = m/x: min(V-, V+) = (m**2 - m)/x**2 stays below the cap down to
+        # the floor for m = 1.05, and for m = 0.5, where the end is
+        # attractive; for m = 10 it passes the cap between x = 7.8e-4 and
+        # 3.9e-4.  The min is over every m, so m = 1.05 beside m = 10 lets
+        # the wall reach the floor
         from conftest import plain_family
 
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -956,41 +1040,74 @@ class TestSpectralWindow:
                            m=m_values[0])
         got = window(fam, m_values, 5)
         assert got == reference_window(fam, m_values, 5)
-        assert got[0] == edge
+        assert got[0] == wall
+
+    def test_nonfinite_wall_candidate_counts_as_above_the_cap(self):
+        # W = 1/x is nan below x = 0.004: the wall stops at 0.1/16, the last
+        # distance where V is finite, without a warning
+        fam = half_line_family(lambda x: np.where(x < 0.004, np.nan, 1.0 / x),
+                               lambda x: -1.0 / (x * x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = window(fam, (0.0, -1.0), 3)
+        assert got == reference_window(fam, (0.0, -1.0), 3)
+        assert got[0] == 0.1 / 2 ** 4
+
+    def test_finite_domain(self):
+        # W = 3 on (1, 1.5): V = 9 everywhere, so both walls reach the floor,
+        # at distances scaled by L = 0.5, and one pass places nothing more
+        three = lambda x: np.full(np.shape(x), 3.0)
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        fam = half_line_family(three, zero, domain=(1.0, 1.5))
+        got = window(fam, (0.0, -1.0), 3)
+        assert got == reference_window(fam, (0.0, -1.0), 3)
+        assert got == (1.0 + 0.5 * FLOOR, 1.5 - 0.5 * FLOOR)
+
+    def test_whole_line_refused(self):
+        # a real family needs a finite left end; the complex whole-line
+        # family is refused as complex first
+        from conftest import plain_family
+
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        fam = plain_family(k0=np.sinh, k0_deriv=np.cosh, k1=zero, k1_deriv=zero,
+                           domain=(-np.inf, np.inf), m=0.0)
+        with pytest.raises(UnsupportedError, match="a spectral window needs a finite left end"):
+            spectral_window(fam, (0.0, -1.0), 3)
+        scarf = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=1))
+        with pytest.raises(UnsupportedError, match="complex family unsupported"):
+            spectral_window(scarf, (0.5, -0.5), 3)
 
     def test_overflowing_candidates_not_reached(self):
         # W = sinh(x): V overflows near x = 710, far beyond the edge reached
-        fam = line_family(np.sinh, np.cosh)
+        fam = half_line_family(np.sinh, np.cosh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = window(fam, (0.0, -1.0), 5)
         assert got == reference_window(fam, (0.0, -1.0), 5)
 
     def test_growth_to_a_plateau(self):
-        # W = 6 tanh(x/8): V saturates at 36, below the target, so both
-        # sides grow until a step gains less than 1
-        fam = line_family(lambda x: 6.0 * np.tanh(x / 8.0),
-                          lambda x: 0.75 / np.cosh(x / 8.0) ** 2)
+        # W = 6 tanh(x/8): V saturates at 36, below the target, so the
+        # right side grows until a step gains less than 1
+        fam = half_line_family(lambda x: 6.0 * np.tanh(x / 8.0),
+                               lambda x: 0.75 / np.cosh(x / 8.0) ** 2)
         got = window(fam, (0.0, -1.0), 3)
         assert got == reference_window(fam, (0.0, -1.0), 3)
-        assert got == (-8.0 * 1.4 * 1.4, 8.0 * 1.4 * 1.4)
+        assert got == (FLOOR, 4.0 * 1.4 ** 5)
 
     def test_flat_potential_stays_put(self):
-        # W = 3: V = 9 everywhere, so no step gains anything on either end
-        from conftest import plain_family
-
+        # W = 3: V = 9 everywhere, so the wall reaches the floor and no
+        # step of the right side gains anything
         three = lambda x: np.full(np.shape(x), 3.0)
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        fam = plain_family(k0=three, k0_deriv=zero, k1=zero, k1_deriv=zero,
-                           domain=(0.0, np.inf), m=0.0)
-        assert window(fam, (0.0, -1.0), 3) == reference_window(fam, (0.0, -1.0), 3) == (0.1, 4.0)
+        fam = half_line_family(three, zero)
+        assert window(fam, (0.0, -1.0), 3) == reference_window(fam, (0.0, -1.0), 3) == (FLOOR, 4.0)
 
-    @pytest.mark.parametrize("bad_x", [8.0, 8.0 * 1.4])
+    @pytest.mark.parametrize("bad_x", [4.0, 4.0 * 1.4])
     def test_reached_nonfinite_value_raises(self, bad_x):
-        # V is nan at one abscissa off the probe grid: the starting edge 8,
-        # or 11.2, the first growth candidate
-        fam = line_family(lambda x: np.where(x == bad_x, np.nan, 0.1 * x),
-                          lambda x: np.full(np.shape(x), 0.1))
+        # V is nan at one abscissa off the probe grid: the starting edge 4,
+        # or 5.6, the first growth candidate
+        fam = half_line_family(lambda x: np.where(x == bad_x, np.nan, 0.1 * x),
+                               lambda x: np.full(np.shape(x), 0.1))
         with pytest.raises(ValueError, match="finite"):
             reference_window(fam, (0.0, -1.0), 3)
         with pytest.raises(UnsupportedError, match="V is not finite at the window edge candidate"):
@@ -998,32 +1115,47 @@ class TestSpectralWindow:
 
     @staticmethod
     def assert_passes(w, w_deriv, k, passes):
-        """Each pass makes one call for the probe grid and both sides'
-        candidates at both m, and no single-point call; the search stops
-        after the first pass that returns the window it started from."""
+        """One call places the wall, then each pass makes one call for the
+        probe grid and the right side's candidates at both m, and no
+        single-point call; the search stops after the first pass that
+        returns the window it started from."""
         sizes = []
 
         def k0(x):
             sizes.append(np.size(x))
             return w(x)
 
-        got = window(line_family(k0, w_deriv), (0.0, -1.0), k)
-        assert got == reference_window(line_family(w, w_deriv), (0.0, -1.0), k)
-        assert len(sizes) == passes * 1
+        got = window(half_line_family(k0, w_deriv), (0.0, -1.0), k)
+        assert got == reference_window(half_line_family(w, w_deriv), (0.0, -1.0), k)
+        assert len(sizes) == 1 + passes
         assert min(sizes) > 1
 
-    def test_one_array_call_per_side(self):
-        # W = x: V at -8 and 8 already exceeds the target, so the first pass
+    def test_one_array_call_per_pass(self):
+        # W = 10x: V at 4 already exceeds the target, so the first pass
         # leaves the window as it found it
-        self.assert_passes(lambda x: np.asarray(x, dtype=float),
-                           lambda x: np.ones_like(np.asarray(x, dtype=float)), 5, 1)
+        self.assert_passes(lambda x: 10.0 * np.asarray(x, dtype=float),
+                           lambda x: np.full(np.shape(x), 10.0), 5, 1)
 
     def test_plateau_settles_in_the_second_pass(self):
-        # W = 6 tanh(x/8): the first pass grows both sides to the plateau,
-        # and the second finds them there
+        # W = 6 tanh(x/8): the first pass grows the right side to the
+        # plateau, and the second finds it there
         self.assert_passes(lambda x: 6.0 * np.tanh(np.asarray(x, dtype=float) / 8.0),
                            lambda x: 0.75 / np.cosh(np.asarray(x, dtype=float) / 8.0) ** 2,
                            3, 2)
+
+    def test_probe_holds_8k_nodes(self, monkeypatch):
+        # k above _PROBE_POINTS/8 lays the probe on 8k nodes, the size
+        # solve_spectrum needs for k levels
+        from shapeinv import spectral
+
+        grids = []
+        make = spectral.dirichlet_grid
+        monkeypatch.setattr(spectral, "dirichlet_grid",
+                            lambda a, b, n: grids.append(n) or make(a, b, n))
+        p = sample_valid_params("X1-radial-oscillator", 1, seed=21)[0]
+        fam = get_family("X1-radial-oscillator", p)
+        _, levels = spectral_window(fam, (p.m, p.m - 1.0), 60)
+        assert levels.size == 60 and set(grids) == {480}
 
 
 def seeded_case(tag, index):
@@ -1059,9 +1191,8 @@ class TestSeededSolve:
     def test_levels_match_dense(self, tag, index):
         # 1000 points keep the dense solves cheap; the path is the default's
         fam, m = seeded_case(tag, index)
-        n = 1000
-        iso = check_isospectrality(fam, m, k=5, n_points=n)
-        x = dirichlet_grid(iso.window[0], iso.window[1], n)
+        iso = check_isospectrality(fam, m, k=5, n_points=1000)
+        x = dirichlet_grid(iso.window[0], iso.window[1], 1001)  # the odd node count
         h = x[1] - x[0]
         _, v_plus = partner_potentials(fam, m, x)
         spectrum = iso.spectrum_plus
@@ -1146,19 +1277,20 @@ class TestSeededSolve:
         assert np.array_equal(got.error_estimates, want.error_estimates)
 
     def test_stale_probe_levels(self, monkeypatch):
-        # W = sqrt(1 + 2.7 log(1 + x^2)): V grows by more than 1 per growth
-        # step but by less than the margin over the probe's top level, so
-        # each pass raises the target past the new edge and the third pass
-        # still moves both edges.  The probe levels then belong to the
-        # second window, 1.7 below the returned window's; inverse iteration
-        # from them fails the certificate, and V+'s coarse grid is bisected.
+        # W = sqrt(1 + 2.7 log(1 + x^2)) on (0, inf): V grows by more than 1
+        # per growth step but by less than the margin over the probe's top
+        # level, so each pass raises the target past the new edge and the
+        # third pass still moves the right edge.  The probe levels then
+        # belong to the second window, 1.8 below the returned window's;
+        # inverse iteration from them fails the certificate, and V+'s
+        # coarse grid is bisected.
         # The probe is bisected once per pass, all five levels in one call.
         from shapeinv.spectral import _PROBE_POINTS
 
         def w(x):
             return np.sqrt(1.0 + 2.7 * np.log1p(np.asarray(x, dtype=float) ** 2))
 
-        fam = line_family(w, lambda x: 2.7 * x / ((1.0 + x * x) * w(x)))
+        fam = half_line_family(w, lambda x: 2.7 * x / ((1.0 + x * x) * w(x)))
         (a, b), levels = spectral_window(fam, (0.0, -1.0), 5)
         assert np.max(np.abs(levels - probe_levels(fam, 0.0, (a, b), 5))) > 1.0
 
@@ -1166,7 +1298,7 @@ class TestSeededSolve:
         iso = check_isospectrality(fam, 0.0, k=5, n_points=4000)
         assert sizes[:4] == [_PROBE_POINTS] * 3 + [2000]
         monkeypatch.undo()
-        x = dirichlet_grid(a, b, 4000)
+        x = dirichlet_grid(a, b, 4001)
         h = x[1] - x[0]
         _, v_plus = partner_potentials(fam, 0.0, x)
         want = solve_spectrum(v_plus, 5).eigenvalues
@@ -1195,7 +1327,7 @@ class TestWeylBound:
         else:
             fam, m = seeded_case(tag, index)
         iso = check_isospectrality(fam, m, k=5, n_points=4000)
-        x = dirichlet_grid(iso.window[0], iso.window[1], 4000)
+        x = dirichlet_grid(iso.window[0], iso.window[1], 4001)  # the odd node count
         v_minus_prev, _ = partner_potentials(fam, m - 1.0, x)
         minus = solve_spectrum(v_minus_prev, 5).eigenvalues
         gap = np.max(np.abs(iso.spectrum_plus.eigenvalues - (minus + iso.remainder_value)))
@@ -1214,7 +1346,7 @@ class TestWeylBound:
         fam, m = seeded_case("X1-radial-oscillator", 0)
         check_isospectrality(fam, m, k=5, n_points=4000)
         assert len(solves) == 1
-        assert sizes.count(4000) == 1
+        assert sizes.count(4001) == 1
 
 
 # A fresh interpreter with shapeinv on its path reports which scipy modules
@@ -1395,6 +1527,14 @@ class TestLapackFailure:
         x = dirichlet_grid(-4.0, 4.0, 100)
         with pytest.raises(UnsupportedError, match=r"dstebz .*\(info = 3\)"):
             _bisect(*_tridiagonal(x * x, float(x[1] - x[0])), 0, 2)
+
+    def test_illegal_argument_named(self):
+        # level 100 of a 100-point matrix: dstebz refuses its argument 7, iu
+        from shapeinv.spectral import _bisect, _tridiagonal
+
+        x = dirichlet_grid(-4.0, 4.0, 100)
+        with pytest.raises(UnsupportedError, match="LAPACK dstebz: illegal argument 7"):
+            _bisect(*_tridiagonal(x * x, float(x[1] - x[0])), 0, 100)
 
     @pytest.mark.parametrize("args", [
         ["spectrum"],

@@ -33,13 +33,14 @@ def tool():
 
 
 def certified(probe, coarse_solves):
-    """The calls of a certified check_isospectrality (k = 5, 4000 points):
-    probe bisections, one per window pass; on each grid 5 factorisations
-    and one Sturm count; coarse_solves on the spacing-doubled grid and one
-    solve per level on the fine grid."""
-    return {("dstebz", 400): probe, ("dstebz", 2000): 1, ("dstebz", 4000): 1,
-            ("dgttrf", 2000): 5, ("dgttrf", 4000): 5,
-            ("dgttrs", 2000): coarse_solves, ("dgttrs", 4000): 5}
+    """The calls of a certified check_isospectrality (k = 5, 4000 points,
+    laid on 4001 nodes so that the spacing-doubled grid's 2000 nodes share
+    their walls): probe bisections, one per window pass; on each grid 5
+    factorisations and one Sturm count; coarse_solves on the spacing-doubled
+    grid and one solve per level on the fine grid."""
+    return {("dstebz", 400): probe, ("dstebz", 2000): 1, ("dstebz", 4001): 1,
+            ("dgttrf", 2000): 5, ("dgttrf", 4001): 5,
+            ("dgttrs", 2000): coarse_solves, ("dgttrs", 4001): 5}
 
 
 # family at sample_valid_params(tag, 1, seed=21) -> its calls
@@ -81,6 +82,6 @@ def test_replay_prints_a_table():
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[0] == "spectrum-real, seeds 11, rounds 0-0: 50 ops"
     rows = {int(line.split()[0]): line.split()[1:] for line in out[2:]}
-    assert set(rows) == {400, 2000, 4000}
-    # no 2000- or 4000-point level set falls back to bisection
-    assert rows[2000][-1] == rows[4000][-1] == "0"
+    assert set(rows) == {400, 2000, 4001}
+    # no 2000- or 4001-point level set falls back to bisection
+    assert rows[2000][-1] == rows[4001][-1] == "0"

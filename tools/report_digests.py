@@ -24,8 +24,10 @@ outside the region (SPECTRUM_OUTSIDE: exit 2), `verify` on Xl-PT-Scarf at
 an odd grid size, whose layout has x = 0 as a node (SCARF_ODD), and
 `verify` on X1-radial-oscillator with an omega whose square overflows
 (OVERFLOW_OMEGA: exit 2), and `spectrum` on X1-radial-oscillator with an
-omega whose solve's squared residuals overflow (HUGE_OMEGA: exit 2), and
-prints one line per report: the sha256 of its bytes, the command, the
+omega whose solve's squared residuals overflow (HUGE_OMEGA: exit 2),
+`spectrum` on X1-hyperbolic at c = 0.05, where the wall cap places the left
+wall (CAPPED_WALL), and `spectrum` with k above the window probe's size
+over 8 (MANY_LEVELS), and prints one line per report: the sha256 of its bytes, the command, the
 family, the seed and the exit code.  A report that holds V+ levels (a
 `spectrum` report, or a JSON `verify` report with the spectrum check) gets
 a second digest on its line, of the report without the levels and their
@@ -128,6 +130,15 @@ OVERFLOW_OMEGA = ("X1-radial-oscillator", '{"m": -3.0, "omega": 1e160, "d": 1.0}
 # solve's residuals would overflow: outside the float support
 HUGE_OMEGA = ("X1-radial-oscillator", '{"m": -3.0, "omega": 1e80, "d": 1.0}')
 
+# X1-hyperbolic below the sampler's c box, where |W| ~ 220/x next to x = 0:
+# V passes the wall cap between x = 0.0125 and 0.00625, so the left wall
+# stays at 0.0125, far from the 1e-4 floor
+CAPPED_WALL = ("X1-hyperbolic", PLATEAU_C_PARAMS.format("0.05"))
+
+# k = 401 levels on 3208 points: the window probe grows from 400 nodes to 8k
+# (dstebz once refused level 401 of 400 nodes: exit 2)
+MANY_LEVELS = ("X1-radial-oscillator", '{"m": -3.0, "omega": 2.0, "d": 1.0}', "401", "3208")
+
 
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
 SAMPLER_SEEDS = range(200)
@@ -205,6 +216,13 @@ def configs(tmp: Path):
     tag, params = HUGE_OMEGA
     yield f"spectrum {tag} omega=1e80", ["spectrum", "--family", tag, "--params", params,
                                          "--no-timestamp"]
+    tag, params = CAPPED_WALL
+    yield f"spectrum {tag} c=0.05 beta=-0.5", ["spectrum", "--family", tag, "--params", params,
+                                               "--no-timestamp"]
+    tag, params, k, n = MANY_LEVELS
+    yield (f"spectrum {tag} k={k} spectrum-points={n}",
+           ["spectrum", "--family", tag, "--params", params, "--k", k, "--spectrum-points", n,
+            "--no-timestamp"])
 
 
 def exit_code(argv) -> int:
