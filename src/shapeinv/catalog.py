@@ -11,9 +11,10 @@ the rest:
   W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
       D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
   the poles, as g^-1 of the real roots of P+- that lie in g(domain);
-  the grid's far edge on an infinite side, where W has settled: t = 2**52
-      on a plateau (deg R = 2), |W| = 100 where W grows (deg R = 1), and
-      within the polynomial kernel's finite reach;
+  the grid's ends: next to a finite end e, where t = g(e) is a root of R,
+      |W| ~ |2*(K0(t) + m*K1(t))/R'(t)|/|x - e| reaches 100; on an infinite
+      side, W has settled: t = 2**52 on a plateau (deg R = 2), |W| = 100
+      where W grows (deg R = 1), and within the polynomial kernel's reach;
   the certified witness test, which passes when P+- has no real root in
       the set of t where the family's non-singularity statement forbids one.
 
@@ -93,11 +94,13 @@ from .superpotential import ParamPoint, SuperpotentialFamily, Verdict
 _SAMPLER_MARGIN = 0.1
 # Largest Xl degree the sampler draws; verification is checked up to here.
 _ELL_MAX = 10
-# |W| at the grid's far edge stays under _EDGE_W_CAP: the remainder subtracts
+# |W| at both grid ends stays under _EDGE_W_CAP: the remainder subtracts
 # V = W^2 values, and the cap keeps their rounding eps*W^2 three decades under
 # its 1e-9 gate.  On a plateau W's O(1/t) corrections reach eps at _PLATEAU_T.
 _EDGE_W_CAP = 1e2
 _PLATEAU_T = 2.0 ** 52
+# The grid's least distance from a finite end, times a finite domain's width
+_INSET = 0.05
 
 
 @dataclass(frozen=True)
@@ -265,13 +268,33 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
             found += [float(data.g_inv(t)) for spec in specs for t in _roots(data, spec, *data.g_range)]
         return tuple(sorted(found))
 
+    # each finite end e, its inward side, and K0, K1 and g'' at t = g(e)
+    ends = tuple((e, side, _horner(data.K0, t), _horner(data.K1, t), g_dd(t))
+                 for e, side in zip(data.domain, (1.0, -1.0)) if math.isfinite(e)
+                 for t in (float(data.g(e)),))
     return SuperpotentialFamily(
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
         affine=_affine(data, g_dd), w1=_log_derivs(data, g_dd),
         validity_fn=functools.partial(_verdict, data), poles_fn=poles,
-        far_edge_fn=functools.partial(_far_edge, name, data),
+        grid_ends_fn=functools.partial(_grid_ends, name, data, ends),
         expected_ab=tuple(float(v) for v in data.expected_ab),
     )
+
+
+def _grid_ends(name: str, data: FamilyData, ends: tuple, m_values) -> tuple[float, float]:
+    """(a, b) of make_grid's window at every m of m_values.  Next to each
+    finite end e of ends, W ~ sigma/|x - e| with sigma = (K0 + m*K1)/g'':
+    the grid stops max(|sigma|/_EDGE_W_CAP, _INSET*s) from e, s = 1 or a
+    finite domain's width.  An infinite side stops at _far_edge."""
+    lo, hi = data.domain
+    scale = hi - lo if math.isfinite(hi) else 1.0
+    near = [e + side * max(max(abs(k0 + m * k1) for m in m_values) / abs(gdd * _EDGE_W_CAP),
+                           _INSET * scale)
+            for e, side, k0, k1, gdd in ends]
+    if math.isfinite(hi):
+        return near[0], near[1]
+    far = _far_edge(name, data, m_values)
+    return (near[0] if near else -far), far
 
 
 def _far_edge(name: str, data: FamilyData, m_values) -> float:

@@ -95,10 +95,7 @@ class ResidualReport:
         return {
             "family": self.family_tag,
             "params": self.params.to_dict(),
-            "grid": {
-                "n_points": self.grid_spec.n_points,
-                "boundary_margin": self.grid_spec.boundary_margin,
-            },
+            "grid": {"n_points": self.grid_spec.n_points},
             "m_list": list(self.m_list),
             "residuals": dict(self.residuals),
             "tolerances": dict(self.tolerances),

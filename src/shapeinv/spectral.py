@@ -497,7 +497,7 @@ def _window_potential(family, x: np.ndarray, v_plus: np.ndarray) -> PotentialGri
 def spectral_window(family: SuperpotentialFamily, m_values,
                     k: int) -> tuple[tuple[float, float], np.ndarray]:
     """((a, b), levels): a truncation window, and the k lowest levels of
-    V+(., m_values[0]) on its last probe grid, bisected to
+    V+(., m_values[0]) on its probe grid, bisected to
     _SHIFT_ABSTOL*||T||_1: they only seed inverse iteration and set the
     right edge's target.
 
@@ -508,18 +508,18 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     One evaluation of W, at every m, serves both ends; it refuses a complex
     family before a whole-line family raises UnsupportedError.
 
-    An infinite right side starts at lo + 4.  Each pass bisects levels
-    0..k-1 of V+ on a probe grid of max(_PROBE_POINTS, 8k) nodes in one
-    call, and grows the edge by factors of 1.4 until V there exceeds the
-    top level plus a fixed margin, or a step gains less than 1 (plateaus,
-    harmless for the constant-shift comparison since both potentials are
-    truncated identically).  A pass evaluates W once, at every m, on the
-    probe grid and all growth candidates.  The search stops after a pass
-    that leaves the window unchanged, and after 3 passes at most; the
-    levels then belong to the returned window, except after a third pass
-    that still moved the edge.  V+ that is not finite on the probe grid,
-    or V at a growth candidate the walk reaches, raises UnsupportedError.
-    No region is checked here: check_isospectrality gates its m first.
+    An infinite right side starts at lo + 4.  A probe bisects levels 0..k-1
+    of V+ on a grid of max(_PROBE_POINTS, 8k) nodes in one call.  The edge
+    walks once, from the first probe's top level plus a fixed margin: it
+    grows by factors of 1.4 until V there exceeds that target, or a step
+    gains less than 1 (plateaus, harmless for the constant-shift comparison
+    since both potentials are truncated identically).  The first probe
+    evaluates W once, at every m, on its grid and all growth candidates;
+    where the edge moved, a second probe bisects the final window, from V+
+    at m_values[0] alone, so the levels always belong to the returned
+    window.  V+ that is not finite on a probe grid, or V at a growth
+    candidate the walk reaches, raises UnsupportedError.  No region is
+    checked here: check_isospectrality gates its m first.
     """
     lo, hi = family.domain
     steps = 0.1 * min(1.0, hi - lo) / 2.0 ** np.arange(_WALL_HALVINGS + 1)
@@ -533,19 +533,20 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     walls = [end + side * steps[n] for (end, side), n in zip(ends, below.sum(axis=1))]
     a, b = walls[0], (walls[-1] if math.isfinite(hi) else lo + 4.0)
 
-    for _ in range(3):
-        start = b
+    right = b * 1.4 ** np.arange(61) if math.isinf(hi) else np.empty(0)
+    for probed in (m_values, m_values[:1]):
         x = dirichlet_grid(a, b, max(_PROBE_POINTS, 8 * k))
-        right = b * 1.4 ** np.arange(61) if math.isinf(hi) else np.empty(0)
-        v_plus, v = _edge_values(family, np.concatenate([x, right]), m_values)
+        v_plus, v = _edge_values(family, np.concatenate([x, right]), probed)
         probe = _window_potential(family, x, v_plus[:x.size])
         h = x[1] - x[0]
         diag, off = _tridiagonal(probe.values, h)
         levels = _bisect(diag, off, 0, k - 1, _SHIFT_ABSTOL * _gershgorin_norm(diag, h))
-        if right.size:
-            b = _walk_edge(right, v[x.size:], float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL)
-        if b == start:
+        if not right.size:
             break
+        b = _walk_edge(right, v[x.size:], float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL)
+        if b == right[0]:
+            break
+        right = right[:0]  # the edge moved: probe the final window, and walk no more
     return (float(a), float(b)), levels
 
 

@@ -3,8 +3,8 @@
 A family bundles the affine part W0(x, m) = k0(x) + m*k1(x) with the two
 log-derivative corrections W1+(x, m) and W1-(x, m), each evaluated together
 with its analytic x-derivative (k0' and k1' come with k0 and k1), the
-non-singularity predicate, pole bookkeeping and the closed-form far edge
-of its grid.  The corrections come from one evaluator for a whole list of
+non-singularity predicate, pole bookkeeping and the closed-form ends of
+its grid.  The corrections come from one evaluator for a whole list of
 m, so a grid that several m share costs one pass.  Instances are immutable,
 every evaluation is a pure vectorised function of x, and the complex
 PT-symmetric family shares all code paths: real families compute and
@@ -73,24 +73,15 @@ _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ParamPoint))
 
 @dataclass(frozen=True)
 class GridSpec:
-    """How to lay out verification abscissae inside a family's domain.
-
-    boundary_margin is a fraction of the width for finite domains and an
-    absolute inset next to a finite endpoint of a half-infinite domain.  The
-    layout follows the domain: linear on a finite interval, tanh compression
-    towards every infinite side.
-    """
+    """The number of verification abscissae that make_grid lays out."""
 
     n_points: int = 512
-    boundary_margin: float = 0.05
 
     def __post_init__(self):
         if not isinstance(self.n_points, numbers.Integral):
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 16:
             raise ValueError("n_points must be >= 16")
-        if not (0.0 < self.boundary_margin < 0.5):
-            raise ValueError("boundary_margin must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -111,8 +102,8 @@ class SuperpotentialFamily:
     evaluators return inf or nan, and they neither raise nor warn there
     (the catalog's evaluate under np.errstate): intermediate overflow at
     deep asymptotic points is expected, and a nan still fails every verdict
-    that reads it.  far_edge_fn maps m_values to |x| of make_grid's edge
-    on an infinite side (the domain is finite, (lo, inf) or (-inf, inf)).
+    that reads it.  grid_ends_fn maps m_values to the ends (a, b) of
+    make_grid's window (the domain is finite, (lo, inf) or (-inf, inf)).
     expected_ab holds the factorization constants (a, b) that
     run_condition_checks matches the inferred ones against; None leaves
     that match out.
@@ -127,7 +118,7 @@ class SuperpotentialFamily:
     w1: Callable
     validity_fn: Callable[[float], Verdict] = field(repr=False)
     poles_fn: Callable[[tuple], tuple] = field(repr=False)
-    far_edge_fn: Callable[[tuple], float] = field(repr=False)
+    grid_ends_fn: Callable[[tuple], tuple[float, float]] = field(repr=False)
     expected_ab: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -202,23 +193,18 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
     exclusion leaves fewer than spec.n_points abscissae after the retries
     that top the layout up.
 
-    A finite domain is laid out linearly between its margins.  An infinite
-    side is compressed through the tanh layout up to the edge that the
-    family states in closed form (far_edge_fn), so no W is evaluated:
-    (lo, inf) from lo + boundary_margin, the whole line symmetrically.
+    The points lie between the ends (a, b) that the family states in
+    closed form (grid_ends_fn), so no W is evaluated: linearly on a finite
+    domain, compressed through the tanh layout towards an infinite side,
+    the whole line symmetrically.  An empty window raises UnsupportedError.
     """
     spec = spec or GridSpec()
     m_values = require_region(family, (family.params.m,) if m_values is None else m_values)
 
     lo, hi = family.domain
-    if math.isinf(hi):
-        a, b = lo + spec.boundary_margin, family.far_edge_fn(m_values)
-        if not b > a:
-            raise UnsupportedError(f"{family.name}: far edge x = {b:g} lies inside the margin")
-    else:
-        a = lo + spec.boundary_margin * (hi - lo)
-        b = hi - spec.boundary_margin * (hi - lo)
-
+    a, b = family.grid_ends_fn(m_values)
+    if not b > a:
+        raise UnsupportedError(f"{family.name}: the grid window [{a:g}, {b:g}] is empty")
     poles = family.poles(m_values)
 
     n_gen = spec.n_points
@@ -261,7 +247,7 @@ def with_perturbation(family: SuperpotentialFamily, mode: str,
     """A copy of the family with a controlled defect injected.
 
     Used by negative-control tests and the CLI's hidden perturbation hook;
-    poles, validity and the far grid edge are inherited unchanged (the
+    poles, validity and the grid ends are inherited unchanged (the
     injected terms are entire), so a control runs on its family's grid.
     The W1 defects apply at every m of a w1 call.
     """

@@ -6,8 +6,12 @@ from shapeinv import GridSpec, ParamPoint, SuperpotentialFamily, Verdict, poly_e
 
 def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
     """A family with no rational extension: W1+- identically zero, and
-    make_grid's edge at |x| = 8 on an infinite side."""
+    make_grid's ends 0.05 (times the width on a finite domain) from a
+    finite end and at |x| = 8 on an infinite side."""
     zero = lambda x, ms: (np.zeros((len(ms),) + np.shape(x)),) * 4
+    lo, hi = domain
+    inset = 0.05 * (hi - lo if np.isfinite(hi) else 1.0)
+    ends = (-8.0 if np.isinf(lo) else lo + inset, hi - inset if np.isfinite(hi) else 8.0)
     return SuperpotentialFamily(
         name=name,
         tag=name,
@@ -18,7 +22,7 @@ def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
         w1=zero,
         validity_fn=lambda m_: Verdict(True, None),
         poles_fn=lambda m_: (),
-        far_edge_fn=lambda m_: 8.0,
+        grid_ends_fn=lambda m_: ends,
     )
 
 

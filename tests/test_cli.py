@@ -16,6 +16,8 @@ from shapeinv import (
 )
 from shapeinv import cli
 from shapeinv.cli import main
+from shapeinv.errors import UnsupportedError
+from shapeinv.polynomials import LAGUERRE, PolySpec, poly_eval
 
 
 def run(tmp_path, *args, out_name="report.json"):
@@ -107,11 +109,15 @@ class TestVerify:
 
     def test_coefficients_beyond_float_range_exit_2(self, capsys):
         # L_2^(1e200) has c_0 ~ 5e399; int / int division once escaped main
-        # as an OverflowError (exit 1)
+        # as an OverflowError (exit 1).  |W| ~ 1e200/x stays above the
+        # grid's cap out to the far edge, so no grid is laid, and the kernel
+        # refuses the coefficients when called directly
         code = main(["verify", "--family", "Xl-radial-oscillator",
                      "--params", '{"m": -1e200, "omega": 1.0, "ell": 2}', "--no-timestamp"])
         assert code == 2
-        assert "exceed the float range" in capsys.readouterr().err
+        assert "the grid window [1e+198, 200] is empty" in capsys.readouterr().err
+        with pytest.raises(UnsupportedError, match="exceed the float range"):
+            poly_eval(PolySpec(LAGUERRE, 2, 1e200), 1.0)
 
     def test_unknown_family_exit_2(self, capsys):
         assert main(["verify", "--family", "X9-unknown", "--sample", "1"]) == 2
@@ -138,6 +144,19 @@ class TestVerify:
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
         assert "unknown grid fields ['pole_exclusion_radius']" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_boundary_margin_is_an_unknown_grid_key_exit_2(self, tmp_path, capsys):
+        # the family record places both grid ends: a config file's grid key
+        # for the near end's inset once set it, and its small values put
+        # the near end where |W| exceeded the grid's cap
+        config = tmp_path / "config.json"
+        config.write_text('{"family": "X1-hyperbolic", "sample": 1, "seed": 5, '
+                          '"grid": {"boundary_margin": 0.001}}', encoding="utf-8")
+        code = main(["verify", "--config", str(config), "--no-timestamp",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert "unknown grid fields ['boundary_margin']" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -431,7 +450,7 @@ class TestInputErrors:
         ("perturb", "x", "perturb must be a number"),
         ("grid", [1], "grid must be an object"),
         ("grid", "x", "grid must be an object"),
-        ("grid", {"boundary_margin": "0.1"}, "grid: "),
+        ("grid", {"n_points": "96"}, "grid: "),
         ("checks", 3, "checks must be a list"),
         ("format", "xml", "format must be json or csv, got 'xml'"),
         # once accepted and ignored: compatibility was judged at 1e-9
@@ -496,7 +515,7 @@ class TestCommandDefaults:
         "sample": 2,
         "seed": 9,
         "checks": ["translation", "compatibility", "remainder", "spectrum"],
-        "grid": {"n_points": 96, "boundary_margin": 0.04},
+        "grid": {"n_points": 96},
         "tol": 1e-8,
         "tolerances": {"compatibility": 1e-10},
         "no_timestamp": True,
@@ -512,9 +531,8 @@ class TestCommandDefaults:
                                                                                   "m_list"}
         assert set(cfg["grid"]) == {f.name for f in dataclasses.fields(GridSpec)}
         (tmp_path / "all.json").write_text(json.dumps(cfg), encoding="utf-8")
-        # tolerances and the grid's boundary_margin have no flag
-        rest = {"tolerances": cfg["tolerances"],
-                "grid": {k: v for k, v in cfg["grid"].items() if k != "n_points"}}
+        # tolerances have no flag
+        rest = {"tolerances": cfg["tolerances"]}
         (tmp_path / "rest.json").write_text(json.dumps(rest), encoding="utf-8")
         flags = ["--config", str(tmp_path / "rest.json"), "--family", cfg["family"],
                  "--sample", "2", "--seed", "9", "--checks", ",".join(cfg["checks"]),

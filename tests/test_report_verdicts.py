@@ -5,6 +5,7 @@ verdict unnoticed."""
 import contextlib
 import importlib.util
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,11 @@ EXPECTED = [
     ("spectrum X1-hyperbolic c=0.05 beta=-0.5", 0),
     # dstebz once refused level 401 of the window's 400-node probe: exit 2
     ("spectrum X1-radial-oscillator k=401 spectrum-points=3208", 0),
+    # the remainder's flatness once read 2.7e-7 here, eps*W^2 at a near end
+    # 0.05 from x = 0: exit 1
+    ("verify X1-hyperbolic c=0.0245 checks=compatibility,remainder", 0),
+    # the grid's near end once was this config key: exit 0
+    ("verify X1-hyperbolic config=grid.boundary_margin", 2),
 ]
 
 
@@ -131,3 +137,25 @@ def test_every_config_has_an_expected_code(configs):
 def test_exit_code(digests, configs, label, code):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert digests.exit_code(configs[label]) == code
+
+
+def test_file_descriptor_1_stays_out_of_the_listing(digests, monkeypatch, capfd):
+    # LAPACK's error text goes to file descriptor 1 past sys.stdout; it once
+    # put a line of its own between two of the listing's
+    def quiet(argv):
+        print('{"report": 1}')
+        return 0
+
+    def noisy(argv):
+        os.write(1, b" ** On entry to DSTEBZ parameter number  7 had an illegal value\n")
+        return quiet(argv)
+
+    monkeypatch.setattr(digests, "configs", lambda tmp: [("stand-in", [])])
+    monkeypatch.setattr(digests, "SAMPLER_SEEDS", range(1))
+    listings = []
+    for main in (quiet, noisy):
+        monkeypatch.setattr(digests, "main", main)
+        digests.run()
+        listings.append(capfd.readouterr())
+    assert listings[1].out == listings[0].out
+    assert "DSTEBZ" in listings[1].err and "DSTEBZ" not in listings[1].out

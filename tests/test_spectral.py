@@ -887,9 +887,10 @@ class TestWallCap:
 
 def reference_window(family, m_values, k):
     """spectral_window's rule with the edge potential probed one abscissa
-    at a time through partner_potentials; the target is the probe's level
-    k - 1, bisected alone.  V that is not finite at a wall candidate counts
-    as above the cap; at a growth candidate it raises ValueError."""
+    at a time through partner_potentials; the target is the first probe's
+    level k - 1, bisected alone, and the right edge walks once.  V that is
+    not finite at a wall candidate counts as above the cap; at a growth
+    candidate it raises ValueError."""
     from shapeinv.spectral import (_EDGE_MARGIN_ABOVE_TOP_LEVEL, _PROBE_POINTS, _WALL_V_CAP,
                                    _bisect, _tridiagonal)
 
@@ -918,21 +919,20 @@ def reference_window(family, m_values, k):
 
     a = wall(lo, 1.0)
     b = wall(hi, -1.0) if math.isfinite(hi) else lo + 4.0
-    for _ in range(3):
-        x = dirichlet_grid(a, b, max(_PROBE_POINTS, 8 * k))
-        _, v_plus = partner_potentials(family, m_values[0], x)
-        top = _bisect(*_tridiagonal(v_plus.values, x[1] - x[0]), k - 1, k - 1)
-        target = float(top[0]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
-        if math.isfinite(hi):
+    if math.isfinite(hi):
+        return float(a), float(b)
+    x = dirichlet_grid(a, b, max(_PROBE_POINTS, 8 * k))
+    _, v_plus = partner_potentials(family, m_values[0], x)
+    top = _bisect(*_tridiagonal(v_plus.values, x[1] - x[0]), k - 1, k - 1)
+    target = float(top[0]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL
+    candidates, v_b = b * 1.4 ** np.arange(61), edge(b)
+    for nxt in candidates[1:]:
+        if v_b >= target:
             break
-        candidates, v_b = b * 1.4 ** np.arange(61), edge(b)
-        for nxt in candidates[1:]:
-            if v_b >= target:
-                break
-            v_nxt = edge(nxt)
-            if v_nxt <= v_b + 1.0:
-                break
-            b, v_b = nxt, v_nxt
+        v_nxt = edge(nxt)
+        if v_nxt <= v_b + 1.0:
+            break
+        b, v_b = nxt, v_nxt
     return float(a), float(b)
 
 
@@ -979,11 +979,11 @@ FLOOR = 0.1 / 2 ** 10
 
 
 class TestSpectralWindow:
-    """The walls are placed once, from one evaluation of W; then each pass
-    evaluates W once, for its probe grid and every growth candidate of an
-    infinite right side at every m.  The window must be the one the
-    step-by-step rule reaches, bit for bit, and the levels those of its
-    last probe."""
+    """The walls are placed once, from one evaluation of W; then the first
+    probe evaluates W once, for its grid and every growth candidate of an
+    infinite right side at every m, and the right edge walks once.  The
+    window must be the one the step-by-step rule reaches, bit for bit, and
+    the levels those of its own probe."""
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_points(self, tag):
@@ -993,13 +993,13 @@ class TestSpectralWindow:
                 m_values = (p.m, p.m - 1.0)
                 got, levels = spectral_window(fam, m_values, k)
                 assert got == reference_window(fam, m_values, k)
-                # these points settle within 3 passes: the probe saw this window
+                # the levels are bisected on the returned window
                 assert np.array_equal(levels, probe_levels(fam, p.m, got, k))
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_probe_v_plus_equals_partner_potentials(self, tag, monkeypatch):
-        # every pass's probe V+ is row 0 of the shared table, and equals
-        # V+ evaluated alone on the probe grid, bit for bit
+        # every probe's V+, row 0 of the shared table or V+ at m alone on
+        # the final window, equals V+ evaluated alone, bit for bit
         from shapeinv import spectral
 
         passes = []
@@ -1115,10 +1115,10 @@ class TestSpectralWindow:
 
     @staticmethod
     def assert_passes(w, w_deriv, k, passes):
-        """One call places the wall, then each pass makes one call for the
-        probe grid and the right side's candidates at both m, and no
-        single-point call; the search stops after the first pass that
-        returns the window it started from."""
+        """One call places the wall, then the first probe makes one call for
+        its grid and the right side's candidates at both m, and a second
+        probe one call for the final window's grid where the edge moved; no
+        single-point call."""
         sizes = []
 
         def k0(x):
@@ -1131,14 +1131,14 @@ class TestSpectralWindow:
         assert min(sizes) > 1
 
     def test_one_array_call_per_pass(self):
-        # W = 10x: V at 4 already exceeds the target, so the first pass
-        # leaves the window as it found it
+        # W = 10x: V at 4 already exceeds the target, so the walk leaves the
+        # window as it found it and no second probe runs
         self.assert_passes(lambda x: 10.0 * np.asarray(x, dtype=float),
                            lambda x: np.full(np.shape(x), 10.0), 5, 1)
 
-    def test_plateau_settles_in_the_second_pass(self):
-        # W = 6 tanh(x/8): the first pass grows the right side to the
-        # plateau, and the second finds it there
+    def test_plateau_probed_twice(self):
+        # W = 6 tanh(x/8): the walk grows the right side to the plateau, and
+        # a second probe bisects the levels on the final window
         self.assert_passes(lambda x: 6.0 * np.tanh(np.asarray(x, dtype=float) / 8.0),
                            lambda x: 0.75 / np.cosh(np.asarray(x, dtype=float) / 8.0) ** 2,
                            3, 2)
@@ -1219,8 +1219,8 @@ class TestSeededSolve:
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_one_probe_bisection_per_pass(self, tag, monkeypatch):
-        # each window pass bisects its probe once, all k levels together;
-        # no 2000- or 4000-point matrix is bisected
+        # each window probe, one or two, is bisected once, all k levels
+        # together; no 2000- or 4000-point matrix is bisected
         from shapeinv import spectral
         from shapeinv.spectral import _PROBE_POINTS
 
@@ -1234,7 +1234,7 @@ class TestSeededSolve:
             sizes.clear()
             check_isospectrality(get_family(tag, p), p.m, k=5, n_points=4000)
             passes = grids.count(_PROBE_POINTS)
-            assert passes >= 1
+            assert passes in (1, 2)
             assert sizes == [_PROBE_POINTS] * passes
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
@@ -1279,24 +1279,28 @@ class TestSeededSolve:
     def test_stale_probe_levels(self, monkeypatch):
         # W = sqrt(1 + 2.7 log(1 + x^2)) on (0, inf): V grows by more than 1
         # per growth step but by less than the margin over the probe's top
-        # level, so each pass raises the target past the new edge and the
-        # third pass still moves the right edge.  The probe levels then
-        # belong to the second window, 1.8 below the returned window's;
-        # inverse iteration from them fails the certificate, and V+'s
-        # coarse grid is bisected.
-        # The probe is bisected once per pass, all five levels in one call.
-        from shapeinv.spectral import _PROBE_POINTS
+        # level, so a walk from the levels of the walked window would move
+        # the right edge again.  The edge walks once, and a second probe
+        # bisects the levels on the returned window: once three passes left
+        # them 1.8 below its own.  They are its own now, but 400 nodes over a
+        # window 4685 long leave them too coarse to seed inverse iteration:
+        # both of V+'s grids fail the certificate and are bisected.
+        from shapeinv.spectral import (_EDGE_MARGIN_ABOVE_TOP_LEVEL, _PROBE_POINTS,
+                                       _edge_values, _walk_edge)
 
         def w(x):
             return np.sqrt(1.0 + 2.7 * np.log1p(np.asarray(x, dtype=float) ** 2))
 
         fam = half_line_family(w, lambda x: 2.7 * x / ((1.0 + x * x) * w(x)))
         (a, b), levels = spectral_window(fam, (0.0, -1.0), 5)
-        assert np.max(np.abs(levels - probe_levels(fam, 0.0, (a, b), 5))) > 1.0
+        assert np.array_equal(levels, probe_levels(fam, 0.0, (a, b), 5))
+        right = b * 1.4 ** np.arange(61)
+        _, v = _edge_values(fam, right, (0.0, -1.0))
+        assert _walk_edge(right, v, float(levels[-1]) + _EDGE_MARGIN_ABOVE_TOP_LEVEL) > b
 
         sizes = bisected_sizes(monkeypatch)
         iso = check_isospectrality(fam, 0.0, k=5, n_points=4000)
-        assert sizes[:4] == [_PROBE_POINTS] * 3 + [2000]
+        assert sizes == [_PROBE_POINTS] * 2 + [2000, 4001]
         monkeypatch.undo()
         x = dirichlet_grid(a, b, 4001)
         h = x[1] - x[0]

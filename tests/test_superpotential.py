@@ -19,7 +19,7 @@ from shapeinv import (
 )
 from shapeinv.catalog import family_data
 from shapeinv.cli import main
-from shapeinv.errors import UsageError
+from shapeinv.errors import UnsupportedError, UsageError
 from shapeinv.polynomials import kernel_reach
 from shapeinv.superpotential import require_region
 from conftest import denominator, plain_family
@@ -70,8 +70,8 @@ class TestGridSpec:
             {"n_points": 8},
             {"n_points": 512.5},
             {"n_points": 512.0},
-            {"boundary_margin": 0.0},
-            {"boundary_margin": 0.5},
+            {"n_points": 15},
+            {"n_points": "512"},
         ],
     )
     def test_invalid(self, kwargs):
@@ -79,10 +79,13 @@ class TestGridSpec:
             GridSpec(**kwargs)
 
     def test_no_pole_radius_setting(self):
-        # the pole exclusion radius is a module constant, not a setting
-        assert [f.name for f in dataclasses.fields(GridSpec)] == ["n_points", "boundary_margin"]
+        # the pole exclusion radius is a module constant and the family
+        # record places the grid's ends: neither is a setting
+        assert [f.name for f in dataclasses.fields(GridSpec)] == ["n_points"]
         with pytest.raises(TypeError):
             GridSpec(pole_exclusion_radius=2e-3)
+        with pytest.raises(TypeError):
+            GridSpec(boundary_margin=0.05)
 
 
 class TestWRows:
@@ -422,7 +425,7 @@ class TestFarEdge:
             fam = get_family(tag, p)
             m_values = (p.m, p.m - 1.0, p.m - 2.0)
             edge = closed_form_edge(tag, p, m_values)
-            assert fam.far_edge_fn(m_values) == pytest.approx(edge, rel=1e-14)
+            assert fam.grid_ends_fn(m_values)[1] == pytest.approx(edge, rel=1e-14)
             grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
             assert grid[-1] == pytest.approx(edge, rel=1e-14)
             if fam.domain[0] == -np.inf:
@@ -433,7 +436,7 @@ class TestFarEdge:
         fam = get_family(tag, p)
         m_values = (p.m, p.m - 1.0, p.m - 2.0)
         edge = closed_form_edge(tag, p, m_values)
-        assert fam.far_edge_fn(m_values) == pytest.approx(edge, rel=1e-14)
+        assert fam.grid_ends_fn(m_values)[1] == pytest.approx(edge, rel=1e-14)
         # the reach, not the plateau or the cap, decides here
         assert reach(family_data(tag, p), m_values) < (
             2.0 * W_CAP ** 2 / p.omega if p.omega else PLATEAU_T)
@@ -480,14 +483,15 @@ class TestFarEdge:
             plain_family(k0=np.zeros_like, k0_deriv=np.zeros_like, k1=np.zeros_like,
                          k1_deriv=np.zeros_like, domain=domain, m=0.0)
 
-    def test_edge_inside_the_margin_exit_2(self, capsys):
-        # at B = -1e304 the coefficients of P+- near 1e304 leave the kernel a
-        # reach of x = 0.046, inside the default margin 0.05: no grid
+    def test_empty_window_exit_2(self, capsys):
+        # at B = -1e303, |W| ~ 1e303/x stays above the cap up to x = 1e301,
+        # and the coefficients of P+- near 1e303 leave the kernel a reach of
+        # x = 0.146: no grid.  At B = -1e3 the near end sits at x = 10
         params = '{{"m": 0.0, "B": {}, "ell": 1}}'
-        assert main(["verify", "--family", "Xl-Poschl-Teller", "--params", params.format(-1e304),
-                     "--no-timestamp"]) == 2
-        assert "far edge x = 0.0462886 lies inside the margin" in capsys.readouterr().err
         assert main(["verify", "--family", "Xl-Poschl-Teller", "--params", params.format(-1e303),
+                     "--no-timestamp"]) == 2
+        assert "the grid window [1e+301, 0.14626] is empty" in capsys.readouterr().err
+        assert main(["verify", "--family", "Xl-Poschl-Teller", "--params", params.format(-1e3),
                      "--no-timestamp"]) == 0
 
     @pytest.mark.parametrize("tag", INFINITE_TAGS)
@@ -517,3 +521,78 @@ class TestFarEdge:
             assert run_condition_checks(fam, grid, m_values).passed, p
             runs += 1
         assert runs >= 50
+
+
+class TestNearEnd:
+    """Next to a finite end e, t = g(e) is a simple root of R, W ~ sigma/|x - e|,
+    and the grid stops where that reaches the cap, or 0.05 (times the width
+    of a finite domain) from e, whichever is farther."""
+
+    @staticmethod
+    def valid_draws(tag, count=300):
+        """(point, family, m_values) of the wide-box draws valid at m, m - 1
+        and m - 2."""
+        rng = np.random.default_rng([405, REAL_TAGS.index(tag)])
+        for _ in range(count):
+            p = TestMakeGrid.wide_box_point(tag, rng)
+            fam = get_family(tag, p)
+            m_values = (p.m, p.m - 1.0, p.m - 2.0)
+            if all(fam.validity(m).valid for m in m_values):
+                yield p, fam, m_values
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_finite_ends_are_simple_roots_of_r(self, tag):
+        poly = np.polynomial.polynomial
+        ends = 0
+        for p, fam, _ in self.valid_draws(tag):
+            data = family_data(tag, p)
+            for e in data.domain:
+                if math.isfinite(e):
+                    t = float(data.g(e))
+                    # R(t) = 0 up to the rounding of t = g(e) and of the sum
+                    assert abs(poly.polyval(t, data.R)) <= 8.0 * np.finfo(float).eps * (
+                        poly.polyval(abs(t), np.abs(data.R))), (p, e)
+                    assert poly.polyval(t, poly.polyder(data.R)) != 0.0, (p, e)
+                    ends += 1
+        assert ends >= 50
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_capped_end_meets_the_cap(self, tag):
+        # where |sigma|/100 exceeds the inset, max |W| over m at the end is
+        # the cap to within the sigma/|x - e| approximation (0.96-1.06 x on
+        # this box), and the moved grid keeps its points
+        capped = 0
+        for p, fam, m_values in self.valid_draws(tag):
+            try:
+                a, b = fam.grid_ends_fn(m_values)
+            except InvalidParameterError:  # an X1-hyperbolic plateau above the cap
+                continue
+            if not b > a:  # X1-trigonometric at c = 0.021, beta = 3.3: both ends cross
+                continue
+            lo, hi = fam.domain
+            inset = 0.05 * (hi - lo if math.isfinite(hi) else 1.0)
+            moved = [x for x, rule in ((a, lo + inset), (b, hi - inset))
+                     if math.isfinite(rule) and x != rule]
+            for x in moved:
+                w, _ = fam.w_rows(np.asarray([x]), m_values)
+                assert 0.5 * W_CAP <= np.max(np.abs(w)) <= 1.5 * W_CAP, (p, x)
+            if moved:
+                capped += 1
+                grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
+                assert grid.size == 64 and grid[0] == a
+                assert grid[-1] == pytest.approx(b, rel=1e-14)
+        assert capped >= 30
+
+    def test_empty_window_only_where_both_ends_cross(self):
+        # X1-trigonometric at small c and large beta: |sigma|/100 exceeds
+        # half the width, so the near ends cross and no grid is laid
+        empty = []
+        for p, fam, m_values in self.valid_draws("X1-trigonometric"):
+            a, b = fam.grid_ends_fn(m_values)
+            if not b > a:
+                empty.append(p)
+        assert len(empty) == 1 and empty[0].c < 0.03
+        p = empty[0]
+        with pytest.raises(UnsupportedError, match=r"the grid window \[3.40237, -1.0566\] is empty"):
+            make_grid(get_family("X1-trigonometric", p), GridSpec(),
+                      m_values=(p.m, p.m - 1.0, p.m - 2.0))

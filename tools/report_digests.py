@@ -26,12 +26,16 @@ an odd grid size, whose layout has x = 0 as a node (SCARF_ODD), and
 (OVERFLOW_OMEGA: exit 2), and `spectrum` on X1-radial-oscillator with an
 omega whose solve's squared residuals overflow (HUGE_OMEGA: exit 2),
 `spectrum` on X1-hyperbolic at c = 0.05, where the wall cap places the left
-wall (CAPPED_WALL), and `spectrum` with k above the window probe's size
-over 8 (MANY_LEVELS), and prints one line per report: the sha256 of its bytes, the command, the
-family, the seed and the exit code.  A report that holds V+ levels (a
-`spectrum` report, or a JSON `verify` report with the spectrum check) gets
-a second digest on its line, of the report without the levels and their
-error estimates (`plus` and `plus_error_estimates` of each spectrum
+wall (CAPPED_WALL), `spectrum` with k above the window probe's size over 8
+(MANY_LEVELS), `verify --checks` with the remainder on X1-hyperbolic below
+the sampler's c box (SMALL_C_REMAINDER) and `verify --config` on a file
+with a grid key that is no GridSpec field (GRID_MARGIN: exit 2), and
+prints one line per report: the sha256 of its bytes, the command, the
+family, the seed and the exit code.  What a run writes to file descriptor
+1 past sys.stdout (LAPACK's own error text) goes to standard error.  A
+report that holds V+ levels (a `spectrum` report, or a JSON `verify`
+report with the spectrum check) gets a second digest on its line, of the
+report without the levels and their error estimates (`plus` and `plus_error_estimates` of each spectrum
 block), so a change to the eigensolver alone moves first digests only.
 Then it prints one line per family for the sampler: the sha256 of the
 repr of sample_valid_params(tag, 5, s) for every s in SAMPLER_SEEDS.  Running it on two checkouts and diffing the output
@@ -44,6 +48,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -71,7 +76,7 @@ EVERY_FIELD = {
     "sample": 2,
     "seed": 9,
     "checks": [*IDENTITY_CHECKS.split(","), "remainder", "spectrum"],
-    "grid": {"n_points": 256, "boundary_margin": 0.04},
+    "grid": {"n_points": 256},
     "tol": 1e-8,
     "tolerances": {"compatibility": 1e-10},
     "format": "json",
@@ -138,6 +143,16 @@ CAPPED_WALL = ("X1-hyperbolic", PLATEAU_C_PARAMS.format("0.05"))
 # k = 401 levels on 3208 points: the window probe grows from 400 nodes to 8k
 # (dstebz once refused level 401 of 400 nodes: exit 2)
 MANY_LEVELS = ("X1-radial-oscillator", '{"m": -3.0, "omega": 2.0, "d": 1.0}', "401", "3208")
+
+# X1-hyperbolic below the sampler's c box, where |W| ~ 1700/x next to x = 0:
+# the grid's near end sits at x = 17, where that reaches the cap (at an
+# inset of 0.05, eps*W^2 put the remainder's flatness at 2.7e-7: exit 1)
+SMALL_C_REMAINDER = ("X1-hyperbolic", '{"m": 10.2, "c": 0.0245, "beta": 0.99, "d": -1.53}',
+                     "compatibility,remainder")
+
+# the grid's near end once was a config key; the family record places it
+GRID_MARGIN = {"family": "X1-hyperbolic", "sample": 1, "seed": 3,
+               "grid": {"boundary_margin": 0.001}}
 
 
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
@@ -223,6 +238,13 @@ def configs(tmp: Path):
     yield (f"spectrum {tag} k={k} spectrum-points={n}",
            ["spectrum", "--family", tag, "--params", params, "--k", k, "--spectrum-points", n,
             "--no-timestamp"])
+    tag, params, checks = SMALL_C_REMAINDER
+    yield (f"verify {tag} c=0.0245 checks={checks}",
+           ["verify", "--family", tag, "--params", params, "--checks", checks, "--no-timestamp"])
+    path = tmp / "grid-margin.json"
+    path.write_text(json.dumps(GRID_MARGIN), encoding="utf-8")
+    yield (f"verify {GRID_MARGIN['family']} config=grid.boundary_margin",
+           ["verify", "--config", str(path), "--no-timestamp"])
 
 
 def exit_code(argv) -> int:
@@ -255,10 +277,21 @@ def without_levels(report: str) -> str | None:
 def digest(argv) -> tuple[str, int]:
     """The sha256 of the report that argv writes to standard output, and
     that of the report without its levels where it holds any, two spaces
-    apart; and the exit code."""
+    apart; and the exit code.  File descriptor 1 points at a temporary file
+    meanwhile, whose text is copied to standard error."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = exit_code(argv)
+    sys.stdout.flush()
+    saved = os.dup(1)
+    with tempfile.TemporaryFile() as fd_out:
+        os.dup2(fd_out.fileno(), 1)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = exit_code(argv)
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        fd_out.seek(0)
+        sys.stderr.write(fd_out.read().decode("utf-8", "replace"))
     report = out.getvalue()
     level_free = without_levels(report)
     digests = [_sha(report)] + ([] if level_free is None else [_sha(level_free)])

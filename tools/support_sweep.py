@@ -8,16 +8,18 @@ It imports shapeinv from the src/ of the checkout it lives in and runs what
 `verify` runs for the identity checks (make_grid, then
 run_condition_checks with the default tolerances, on the m list
 (m, m - 1, m - 2)) at every point of every cell.  A cell is a family, a
-set of points and a grid setting:
+set of points and a grid size:
 
 - each family's sample_valid_params(tag, 6, 99) points, the Xl families at
   every ell of ELLS in place of the drawn one;
 - X1-hyperbolic points with c in each box of SMALL_C_BOXES, below the
   sampler's box c in (0.5, 2), drawn from SMALL_C_SEED;
-- every n_points of N_POINTS with every boundary_margin of MARGINS.
+- Xl-PT-Scarf points with |m| in SCARF_M_BOX, beyond the sampler's
+  m in (-2, 2), drawn from SCARF_SEED;
+- every n_points of N_POINTS.
 
-Each line holds the family, the points' label, n_points, boundary_margin,
-the number of runs, of failed runs (a residual at or above its gate), of
+Each line holds the family, the points' label, n_points, the number of
+runs, of failed runs (a residual at or above its gate), of
 runs that raised a ShapeInvError (verify's exit 2) and the largest
 residual of the runs that completed, with its name.  The sweep takes a few
 seconds; tests/test_support_sweep.py pins each cell's counts.
@@ -46,18 +48,20 @@ from shapeinv import (  # noqa: E402
 POINTS, SEED = 6, 99
 ELLS = (1, 2, 4, 8, 10, 12, 16, 24, 32, 48, 64)
 N_POINTS = (16, 512, 4096)
-MARGINS = (0.001, GridSpec().boundary_margin, 0.45)
 # X1-hyperbolic below the sampler's c box, with its other constants and m
 # drawn as in the README's measurement of the c support
 SMALL_C_BOXES = ((0.03, 0.1), (0.1, 0.5))
 SMALL_C_SEED = 7
+# Xl-PT-Scarf at large |m| and high degree: |m| in SCARF_M_BOX with either
+# sign, ell in 22..64 and B in (-300, -0.6)
+SCARF_M_BOX = (30.0, 60.0)
+SCARF_SEED = 1
 
 
 class Cell(NamedTuple):
     family: str
     label: str
     n_points: int
-    margin: float
     runs: int
     failed: int
     raised: int
@@ -67,24 +71,37 @@ class Cell(NamedTuple):
     def line(self) -> str:
         worst = f"{self.worst:.2e} {self.worst_name}" if self.worst_name else "-"
         return (f"{self.family} {self.label} n_points={self.n_points} "
-                f"margin={self.margin:g} runs={self.runs} fail={self.failed} "
-                f"raise={self.raised} worst={worst}")
+                f"runs={self.runs} fail={self.failed} raise={self.raised} worst={worst}")
 
 
-def _small_c_points(lo: float, hi: float) -> list:
-    """POINTS valid X1-hyperbolic points with c in [lo, hi): beta in
-    (-3, 3), |d| in (0.3, 3) with either sign, m in (-15, 15), kept where
-    m, m - 1 and m - 2 are all in the region."""
-    rng = np.random.default_rng([SMALL_C_SEED, round(lo * 1000)])
+def _drawn_points(tag: str, seed, draw) -> list:
+    """POINTS points draw(rng) of the family tag, kept where m, m - 1 and
+    m - 2 are all in the region."""
+    rng = np.random.default_rng(seed)
     out = []
     while len(out) < POINTS:
-        d = rng.uniform(0.3, 3.0) * (1.0 if rng.integers(0, 2) else -1.0)
-        p = ParamPoint(m=rng.uniform(-15.0, 15.0), c=rng.uniform(lo, hi),
-                       beta=rng.uniform(-3.0, 3.0), d=d)
-        family = catalog.get_family("X1-hyperbolic", p)
+        p = draw(rng)
+        family = catalog.get_family(tag, p)
         if all(family.validity(p.m - k).valid for k in (0, 1, 2)):
             out.append(p)
     return out
+
+
+def _small_c_draw(lo: float, hi: float):
+    """An X1-hyperbolic draw with c in [lo, hi): beta in (-3, 3), |d| in
+    (0.3, 3) with either sign, m in (-15, 15)."""
+    def draw(rng):
+        d = rng.uniform(0.3, 3.0) * (1.0 if rng.integers(0, 2) else -1.0)
+        return ParamPoint(m=rng.uniform(-15.0, 15.0), c=rng.uniform(lo, hi),
+                          beta=rng.uniform(-3.0, 3.0), d=d)
+    return draw
+
+
+def _scarf_draw(rng):
+    """An Xl-PT-Scarf draw from SCARF_M_BOX's |m|, ell in 22..64 and B in
+    (-300, -0.6)."""
+    m = rng.uniform(*SCARF_M_BOX) * (1.0 if rng.integers(0, 2) else -1.0)
+    return ParamPoint(m=m, B=rng.uniform(-300.0, -0.6), ell=int(rng.integers(22, 65)))
 
 
 def point_sets():
@@ -97,7 +114,11 @@ def point_sets():
         else:
             yield tag, f"seed={SEED}", points
     for lo, hi in SMALL_C_BOXES:
-        yield "X1-hyperbolic", f"c=[{lo:g},{hi:g})", _small_c_points(lo, hi)
+        yield "X1-hyperbolic", f"c=[{lo:g},{hi:g})", _drawn_points(
+            "X1-hyperbolic", [SMALL_C_SEED, round(lo * 1000)], _small_c_draw(lo, hi))
+    lo, hi = SCARF_M_BOX
+    yield "Xl-PT-Scarf", f"|m|=[{lo:g},{hi:g})", _drawn_points("Xl-PT-Scarf", SCARF_SEED,
+                                                               _scarf_draw)
 
 
 def run_point(tag: str, point, spec: GridSpec):
@@ -116,18 +137,17 @@ def sweep():
     """Every Cell, in a fixed order."""
     for tag, label, points in point_sets():
         for n_points in N_POINTS:
-            for margin in MARGINS:
-                spec = GridSpec(n_points=n_points, boundary_margin=margin)
-                reports = [run_point(tag, p, spec) for p in points]
-                done = [r for r in reports if r is not None]
-                worst, worst_name = 0.0, ""
-                for report in done:
-                    for name, residual in report.residuals.items():
-                        if not residual <= worst:  # a nan residual is the worst
-                            worst, worst_name = residual, name
-                yield Cell(tag, label, n_points, margin, len(reports),
-                           sum(not r.passed for r in done), len(reports) - len(done),
-                           worst, worst_name)
+            spec = GridSpec(n_points=n_points)
+            reports = [run_point(tag, p, spec) for p in points]
+            done = [r for r in reports if r is not None]
+            worst, worst_name = 0.0, ""
+            for report in done:
+                for name, residual in report.residuals.items():
+                    if not residual <= worst:  # a nan residual is the worst
+                        worst, worst_name = residual, name
+            yield Cell(tag, label, n_points, len(reports),
+                       sum(not r.passed for r in done), len(reports) - len(done),
+                       worst, worst_name)
 
 
 def main() -> int:
