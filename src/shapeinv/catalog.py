@@ -11,10 +11,11 @@ the rest:
   W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
       D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
   the poles, as g^-1 of the real roots of P+- that lie in g(domain);
-  the grid's ends: next to a finite end e, where t = g(e) is a root of R,
-      |W| ~ |2*(K0(t) + m*K1(t))/R'(t)|/|x - e| reaches 100; on an infinite
-      side, W has settled: t = 2**52 on a plateau (deg R = 2), |W| = 100
-      where W grows (deg R = 1), and within the polynomial kernel's reach;
+  each finite end e, a root t = g(e) of R, as (e, side, K0(t), K1(t),
+      g''(t)): W ~ sigma/(x - e) with sigma = (K0 + m*K1)/g'' places the
+      spectral wall and the grid's end, where |W| reaches 100; on an
+      infinite side, W has settled: t = 2**52 on a plateau (deg R = 2),
+      |W| = 100 where W grows (deg R = 1), and within the kernel's reach;
   the certified witness test, which passes when P+- has no real root in
       the set of t where the family's non-singularity statement forbids one.
 
@@ -268,7 +269,8 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
             found += [float(data.g_inv(t)) for spec in specs for t in _roots(data, spec, *data.g_range)]
         return tuple(sorted(found))
 
-    # each finite end e, its inward side, and K0, K1 and g'' at t = g(e)
+    # each finite end e, its inward side, and K0, K1 and g'' at t = g(e),
+    # divided past the region gate only: g'' = 0 at X1-hyperbolic's c = 0
     ends = tuple((e, side, _horner(data.K0, t), _horner(data.K1, t), g_dd(t))
                  for e, side in zip(data.domain, (1.0, -1.0)) if math.isfinite(e)
                  for t in (float(data.g(e)),))
@@ -276,7 +278,7 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
         name=name, tag=tag, domain=data.domain, params=params, is_real=data.is_real,
         affine=_affine(data, g_dd), w1=_log_derivs(data, g_dd),
         validity_fn=functools.partial(_verdict, data), poles_fn=poles,
-        grid_ends_fn=functools.partial(_grid_ends, name, data, ends),
+        grid_ends_fn=functools.partial(_grid_ends, name, data, ends), ends=ends,
         expected_ab=tuple(float(v) for v in data.expected_ab),
     )
 

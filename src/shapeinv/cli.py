@@ -126,6 +126,8 @@ class RunConfig:
                 raise UsageError(f"{name} must be a finite number > 0, got {v!r}")
         if isinstance(self.perturb, bool) or not isinstance(self.perturb, (int, float)):
             raise UsageError(f"perturb must be a number, got {self.perturb!r}")
+        if not math.isfinite(self.perturb):  # the report would echo it as NaN, not JSON
+            raise UsageError(f"perturb must be a finite number, got {self.perturb!r}")
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         if not isinstance(self.out, (str, type(None))):

@@ -11,29 +11,15 @@ the flatness of that difference.  Only V+ is solved, for its levels and
 their error estimates.  The complex PT-symmetric family is excluded from
 spectra by contract.
 
-The window search places the wall next to each finite end once, by one
-rule, and then evaluates W once per pass, for its probe grid and every
-growth candidate of an infinite right side at every m.  Only that probe
-is bisected, once per pass: all k levels in one call, to a shift
-tolerance, since they only seed inverse iteration and set the right
-edge's target.  V+ is solved on an odd number of nodes, so its
-spacing-doubled grid shares the walls.  Its levels are refined by inverse
-iteration from shifts:
-its spacing-doubled grid from the probe's levels, and the fine grid from
-the spacing-doubled levels.  The fine grid also starts from the
-spacing-doubled grid's eigenvectors, interpolated linearly one level at a
-time, so it needs fewer steps; a fixed pseudo-random vector starts any
-level that has no such vector.  A level stops at a residual of
-4 eps*||T||_1, or earlier where its Kato-Temple bound, r^2 over its
-isolation, already reaches that.  A level set is accepted only under a
-certificate on its own matrix (disjoint residual intervals, one Sturm
-count that also isolates the top level, and each level's Weyl or Temple
-error bound); where that fails, the matrix is bisected instead.  A matrix
-whose residuals could square past float64, (2*||T||_1)^2 not finite, is
-refused before any iteration; below that, a level whose solved iterate
-has a squared norm that is not finite, or is 0, fails like a singular
-factorisation.  A real family's W must arrive as float64: complex values
-are refused, not truncated.
+V-+ are formed in one place (_partner_rows), one row per m.  The window
+search (spectral_window) places each finite end's wall from the family's
+record of that end, with no evaluation of W, then evaluates W once per
+pass; only its probe is bisected.  V+ is solved on an odd number of
+nodes, so its spacing-doubled grid shares the walls, by inverse iteration
+from the probe's levels; a level set is accepted only under a certificate
+on its own matrix, and that matrix is bisected where it fails
+(solve_spectrum, _certified_levels).  A real family's W must arrive as
+float64: complex values are refused, not truncated.
 
 The three LAPACK routines (dstebz, dgttrf, dgttrs) come from scipy's
 Fortran LAPACK extension, scipy.linalg._flapack, loaded directly from its
@@ -131,12 +117,17 @@ class IsospectralResult:
     window: tuple[float, float]
 
 
-def _real_potential_values(family, x, m_values, values=None):
-    """(W, W') on x as float64 arrays, one row per m.  values, the
-    conditions.grid_values of x at these m among others, stands in for
-    evaluating the family.  Complex W is refused, not truncated."""
+def _require_real(family):
     if not family.is_real:
         raise UnsupportedError(f"{family.tag}: complex family unsupported for spectra")
+
+
+def _partner_rows(family, x, m_values, values=None):
+    """(V-, V+) with V-+ = W^2 -+ W' on x, float64 arrays with one row per
+    m.  values, the conditions.grid_values of x at these m among others,
+    stands in for evaluating the family.  Complex W is refused, not
+    truncated; overflow is the caller's to judge."""
+    _require_real(family)
     if values is None:
         w, wd = family.w_rows(x, m_values)
     else:
@@ -145,7 +136,8 @@ def _real_potential_values(family, x, m_values, values=None):
     w, wd = np.asarray(w), np.asarray(wd)
     if np.iscomplexobj(w) or np.iscomplexobj(wd):
         raise UnsupportedError(f"{family.tag}: complex W on a real family")
-    return w, wd
+    w2 = w * w
+    return w2 - wd, w2 + wd
 
 
 def partner_potentials(family: SuperpotentialFamily, m: float, grid, *, values=None):
@@ -154,9 +146,8 @@ def partner_potentials(family: SuperpotentialFamily, m: float, grid, *, values=N
     m, spares evaluating the family again; the result is the same bit for
     bit."""
     x = np.asarray(grid, dtype=float)
-    (w,), (wd,) = _real_potential_values(family, x, (m,), values)
-    w2 = w * w
-    return PotentialGrid(x=x, values=w2 - wd), PotentialGrid(x=x, values=w2 + wd)
+    (v_minus,), (v_plus,) = _partner_rows(family, x, (m,), values)
+    return PotentialGrid(x=x, values=v_minus), PotentialGrid(x=x, values=v_plus)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -166,12 +157,10 @@ def _plus_and_remainder(family, m: float, x: np.ndarray, values=None):
     Where W overflows, V is inf and flatness nan, without a warning: nan
     fails the remainder's verdict, and a spectrum refuses V+ that is not
     finite."""
-    w, wd = _real_potential_values(family, x, (m, m - 1.0), values)
-    w2 = w * w
-    v_plus = w2[0] + wd[0]
-    diff = v_plus - (w2[1] - wd[1])
+    v_minus, v_plus = _partner_rows(family, x, (m, m - 1.0), values)
+    diff = v_plus[0] - v_minus[1]
     r = float(np.mean(diff))
-    return v_plus, r, float(np.max(np.abs(diff - r)))
+    return v_plus[0], r, float(np.max(np.abs(diff - r)))
 
 
 def remainder(family: SuperpotentialFamily, m: float, grid, *, values=None):
@@ -478,9 +467,7 @@ def _edge_values(family, x: np.ndarray, m_values):
     """(V+(x, m_values[0]), V): V is min over m of min(V-, V+) at each x, nan
     where any of them is not finite.  W may overflow here, so nothing is
     checked or warned: the callers judge the values they read."""
-    w, wd = _real_potential_values(family, x, m_values)
-    w2 = w * w
-    v_minus, v_plus = w2 - wd, w2 + wd
+    v_minus, v_plus = _partner_rows(family, x, m_values)
     finite = np.all(np.isfinite(v_minus) & np.isfinite(v_plus), axis=0)
     return v_plus[0], np.where(finite, np.min(np.minimum(v_minus, v_plus), axis=0), np.nan)
 
@@ -501,12 +488,14 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     _SHIFT_ABSTOL*||T||_1: they only seed inverse iteration and set the
     right edge's target.
 
-    Each finite end gets its wall by one rule, before any level is known:
-    0.1*L from the end, L = min(1, hi - lo), halved down to the floor
-    1e-4*L while V at the next distance stays below _WALL_V_CAP.  V is min
-    over m of min(V-, V+); V that is not finite counts as above the cap.
-    One evaluation of W, at every m, serves both ends; it refuses a complex
-    family before a whole-line family raises UnsupportedError.
+    Each finite end e gets its wall by one rule, from the family's record
+    of its ends (family.ends) alone: before any level is known, and with no
+    evaluation of W.  Next to e, W ~ sigma/(x - e) with sigma = (K0 +
+    m*K1)/g'', so min(V-, V+) ~ kappa/delta^2 at a distance delta, kappa
+    the least |sigma|*(|sigma| - 1) over m.  The wall sits 0.1*L from the
+    end, L = min(1, hi - lo), halved down to the floor 1e-4*L while
+    kappa/delta^2 at the next distance stays below _WALL_V_CAP.  A complex
+    family is refused before a whole-line family raises UnsupportedError.
 
     An infinite right side starts at lo + 4.  A probe bisects levels 0..k-1
     of V+ on a grid of max(_PROBE_POINTS, 8k) nodes in one call.  The edge
@@ -521,16 +510,16 @@ def spectral_window(family: SuperpotentialFamily, m_values,
     candidate the walk reaches, raises UnsupportedError.  No region is
     checked here: check_isospectrality gates its m first.
     """
+    _require_real(family)
     lo, hi = family.domain
-    steps = 0.1 * min(1.0, hi - lo) / 2.0 ** np.arange(_WALL_HALVINGS + 1)
-    ends = [(end, side) for end, side in ((lo, 1.0), (hi, -1.0)) if math.isfinite(end)]
-    _, v = _edge_values(family, np.array([end + side * d for end, side in ends for d in steps]),
-                        m_values)
     if math.isinf(lo):
         raise UnsupportedError(f"{family.name}: a spectral window needs a finite left end")
-    # each wall: the last distance before V at the next one reaches the cap
-    below = np.logical_and.accumulate(v.reshape(len(ends), -1)[:, 1:] < _WALL_V_CAP, axis=1)
-    walls = [end + side * steps[n] for (end, side), n in zip(ends, below.sum(axis=1))]
+    steps = 0.1 * min(1.0, hi - lo) / 2.0 ** np.arange(_WALL_HALVINGS + 1)
+    walls = []
+    for end, side, k0, k1, gdd in family.ends:
+        kappa = min(s * (s - 1.0) for s in (abs((k0 + m * k1) / gdd) for m in m_values))
+        # kappa/delta^2 grows as delta halves: count the distances below the cap
+        walls.append(end + side * steps[np.count_nonzero(kappa / steps[1:] ** 2 < _WALL_V_CAP)])
     a, b = walls[0], (walls[-1] if math.isfinite(hi) else lo + 4.0)
 
     right = b * 1.4 ** np.arange(61) if math.isinf(hi) else np.empty(0)

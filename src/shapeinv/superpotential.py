@@ -104,9 +104,11 @@ class SuperpotentialFamily:
     deep asymptotic points is expected, and a nan still fails every verdict
     that reads it.  grid_ends_fn maps m_values to the ends (a, b) of
     make_grid's window (the domain is finite, (lo, inf) or (-inf, inf)).
-    expected_ab holds the factorization constants (a, b) that
-    run_condition_checks matches the inferred ones against; None leaves
-    that match out.
+    ends holds each finite end e as (e, side, K0, K1, g''), side 1 at the
+    left end and -1 at the right: next to e, W ~ sigma/(x - e) with sigma =
+    (K0 + m*K1)/g'', which places the spectral walls.  expected_ab holds the
+    factorization constants (a, b) that run_condition_checks matches the
+    inferred ones against; None leaves that match out.
     """
 
     name: str
@@ -119,6 +121,7 @@ class SuperpotentialFamily:
     validity_fn: Callable[[float], Verdict] = field(repr=False)
     poles_fn: Callable[[tuple], tuple] = field(repr=False)
     grid_ends_fn: Callable[[tuple], tuple[float, float]] = field(repr=False)
+    ends: tuple[tuple[float, float, float, float, float], ...] = field(repr=False)
     expected_ab: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -167,12 +170,14 @@ def _tanh_points(a: float, b: float, n: int, symmetric: bool) -> np.ndarray:
 def require_region(family: SuperpotentialFamily, m_values) -> tuple[float, ...]:
     """m_values as floats, once the family is non-singular at every one of
     them: the region gate of every grid and spectral window.  An empty list
-    raises UsageError, and the first m outside the region
-    InvalidParameterError naming the inequality it violates."""
+    or an m that is not finite raises UsageError, and the first m outside
+    the region InvalidParameterError naming the inequality it violates."""
     m_values = tuple(float(m) for m in m_values)
     if not m_values:
         raise UsageError(f"{family.name}: no m to validate")
     for m in m_values:
+        if not math.isfinite(m):
+            raise UsageError(f"{family.name}: m = {m} is not finite")
         verdict = family.validity(m)
         if not verdict.valid:
             raise InvalidParameterError(
@@ -247,8 +252,9 @@ def with_perturbation(family: SuperpotentialFamily, mode: str,
     """A copy of the family with a controlled defect injected.
 
     Used by negative-control tests and the CLI's hidden perturbation hook;
-    poles, validity and the grid ends are inherited unchanged (the
-    injected terms are entire), so a control runs on its family's grid.
+    poles, validity, the grid ends and the finite ends' record are
+    inherited unchanged (the injected terms are entire), so a control runs
+    on its family's grid, between its family's spectral walls.
     The W1 defects apply at every m of a w1 call.
     """
     if mode not in PERTURBATION_MODES:

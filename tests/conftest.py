@@ -4,14 +4,16 @@ import pytest
 from shapeinv import GridSpec, ParamPoint, SuperpotentialFamily, Verdict, poly_eval
 
 
-def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
+def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain", pole=(0.0, 0.0)):
     """A family with no rational extension: W1+- identically zero, and
     make_grid's ends 0.05 (times the width on a finite domain) from a
-    finite end and at |x| = 8 on an infinite side."""
+    finite end and at |x| = 8 on an infinite side.  pole, (K0, K1), states
+    W ~ (K0 + m*K1)/(x - e) next to each finite end e: the record, with
+    g'' = 1, from which the spectral walls are placed."""
     zero = lambda x, ms: (np.zeros((len(ms),) + np.shape(x)),) * 4
     lo, hi = domain
     inset = 0.05 * (hi - lo if np.isfinite(hi) else 1.0)
-    ends = (-8.0 if np.isinf(lo) else lo + inset, hi - inset if np.isfinite(hi) else 8.0)
+    grid_ends = (-8.0 if np.isinf(lo) else lo + inset, hi - inset if np.isfinite(hi) else 8.0)
     return SuperpotentialFamily(
         name=name,
         tag=name,
@@ -22,7 +24,9 @@ def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain"):
         w1=zero,
         validity_fn=lambda m_: Verdict(True, None),
         poles_fn=lambda m_: (),
-        grid_ends_fn=lambda m_: ends,
+        grid_ends_fn=lambda m_: grid_ends,
+        ends=tuple((e, side, *pole, 1.0) for e, side in zip(domain, (1.0, -1.0))
+                   if np.isfinite(e)),
     )
 
 
@@ -45,6 +49,7 @@ def free_radial():
         domain=(0.0, np.inf),
         m=2.0,
         name="free-radial",
+        pole=(0.0, 1.0),
     )
 
 
@@ -59,6 +64,7 @@ def plain_oscillator():
         domain=(0.0, np.inf),
         m=-2.0,
         name="plain-oscillator",
+        pole=(0.0, 1.0),
     )
 
 

@@ -187,7 +187,7 @@ class TestVerify:
     def test_overflowing_constants_exit_2(self, tmp_path, capsys, argv, message):
         # exit 1 is the code of a violation; these exited 1 with a traceback
         out = tmp_path / "report.json"
-        assert main([*argv, "--no-timestamp", "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -448,6 +448,7 @@ class TestInputErrors:
         ("tolerances", [1], "tolerances must be an object"),
         ("out", 3, "out must be a path"),
         ("perturb", "x", "perturb must be a number"),
+        ("perturb", float("nan"), "perturb must be a finite number, got nan"),
         ("grid", [1], "grid must be an object"),
         ("grid", "x", "grid must be an object"),
         ("grid", {"n_points": "96"}, "grid: "),
@@ -487,6 +488,30 @@ class TestInputErrors:
         code = main(["verify", "--family", "X1-hyperbolic", "--sample", "1", flag, value])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    SCARF = '{"m": 0.3, "B": -2.0, "ell": 2}'
+
+    @pytest.mark.parametrize("argv, message", [
+        # PolySpec's "alpha must be finite" once escaped main (exit 1)
+        (["verify", "--family", "Xl-PT-Scarf", "--params", SCARF, "--m-list", "nan,0.3"],
+         "m = nan is not finite"),
+        (["verify", "--family", "Xl-PT-Scarf", "--params", SCARF, "--m-list", "0.3,inf"],
+         "m = inf is not finite"),
+        (["scan", "--family", "Xl-PT-Scarf", "--params", SCARF, "--m-list", "nan"],
+         "m = nan is not finite"),
+        (["spectrum", "--family", "X1-radial-oscillator", "--params", json.dumps(X1),
+          "--m-list=-inf"], "m = -inf is not finite"),
+        # once exit 1, with "perturb": NaN in the report, which is not JSON
+        (["verify", "--family", "X1-hyperbolic", "--sample", "1", "--perturb", "nan"],
+         "perturb must be a finite number, got nan"),
+        (["spectrum", "--family", "X1-hyperbolic", "--sample", "1", "--perturb", "inf"],
+         "perturb must be a finite number, got inf"),
+    ])
+    def test_non_finite_m_and_perturb_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_and_grid_keys_named_together(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -109,6 +109,11 @@ EXPECTED = [
     ("verify X1-hyperbolic c=0.0245 checks=compatibility,remainder", 0),
     # the grid's near end once was this config key: exit 0
     ("verify X1-hyperbolic config=grid.boundary_margin", 2),
+    # the wall from the family's record reaches the floor, where a sampled
+    # one stopped at 0.1; eps*V puts the mismatch at 2.0e-3 either way
+    ("spectrum X1-radial-oscillator omega=1e6", 1),
+    # PolySpec's ValueError at m = nan once escaped main: exit 1
+    ("verify Xl-PT-Scarf m-list=nan,0.3", 2),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -852,20 +853,23 @@ class TestRichardsonWalls:
             assert np.all(error <= 2.0 * estimate) and np.all(estimate <= 2.0 * error)
 
 
-def small_c_points(n):
-    """(family, m) of the first n X1-hyperbolic draws that are valid at m
-    and m - 1, with c log-uniform on (0.01, 0.1), beta in (-3, 3), |d| in
-    (0.3, 3) and m in (-15, 15)."""
+def x1_hyperbolic_draws(c_hi):
+    """Endless (family, m, valid) of X1-hyperbolic draws from
+    default_rng(1): c log-uniform on (0.01, c_hi), beta in (-3, 3), |d| in
+    (0.3, 3) and m in (-15, 15); valid at m and m - 1."""
     rng = np.random.default_rng(1)
-    points = []
-    while len(points) < n:
-        c = float(np.exp(rng.uniform(math.log(0.01), math.log(0.1))))
+    while True:
+        c = float(np.exp(rng.uniform(math.log(0.01), math.log(c_hi))))
         beta, d = rng.uniform(-3.0, 3.0), rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
         p = ParamPoint(m=float(rng.uniform(-15.0, 15.0)), c=c, beta=float(beta), d=float(d))
         fam = get_family("X1-hyperbolic", p)
-        if fam.validity(p.m).valid and fam.validity(p.m - 1.0).valid:
-            points.append((fam, p.m))
-    return points
+        yield fam, p.m, fam.validity(p.m).valid and fam.validity(p.m - 1.0).valid
+
+
+def small_c_points(n):
+    """(family, m) of the first n valid X1-hyperbolic draws with c < 0.1."""
+    valid = ((fam, m) for fam, m, ok in x1_hyperbolic_draws(0.1) if ok)
+    return list(itertools.islice(valid, n))
 
 
 class TestWallCap:
@@ -885,14 +889,79 @@ class TestWallCap:
         assert sum(mismatch >= SPECTRUM_TOL for mismatch in capless) >= 2
 
 
+def sampled_walls(family, m_values):
+    """The wall next to each finite end by the sampled rule: 0.1*L from the
+    end, L = min(1, domain width), halved down to the floor 1e-4*L while V
+    at the next distance stays below the cap, V = min over m of min(V-, V+)
+    with W from one evaluation at every candidate distance.  V that is not
+    finite counts as above the cap."""
+    from shapeinv.spectral import _WALL_V_CAP
+
+    lo, hi = family.domain
+    distances = 0.1 * min(1.0, hi - lo) / 2.0 ** np.arange(11)  # to the first below 1e-4*L
+    walls = []
+    for end, side in ((lo, 1.0), (hi, -1.0)):
+        if math.isfinite(end):
+            x = end + side * distances
+            with np.errstate(all="ignore"):
+                w, wd = family.w_rows(x, m_values)
+                v = np.min(np.minimum(w * w - wd, w * w + wd), axis=0)
+            n = 0
+            while n + 1 < x.size and np.isfinite(v[n + 1]) and v[n + 1] < _WALL_V_CAP:
+                n += 1
+            walls.append(float(x[n]))
+    return walls
+
+
+class TestRecordWalls:
+    """The walls placed from each finite end's record, W ~ sigma/(x - e),
+    equal those of the sampled rule, which evaluated W at every candidate
+    distance, wherever the end's own 1/delta^2 term is what passes the
+    cap."""
+
+    @staticmethod
+    def walls(family, m_values):
+        (a, b), _ = spectral_window(family, m_values, 1)
+        return [a] + ([b] if math.isfinite(family.domain[1]) else [])
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_sampled_points(self, tag):
+        for p in sample_valid_params(tag, 200, seed=21):
+            fam, m_values = get_family(tag, p), (p.m, p.m - 1.0)
+            assert self.walls(fam, m_values) == sampled_walls(fam, m_values)
+
+    def test_wide_x1_hyperbolic_box(self):
+        # the wall cap's box (TestWallCap) widened to c < 2: 1530 of 3000
+        # draws are valid, and the cap, not the floor, places 1451 of their
+        # left walls, at every distance from 0.1 to 1.95e-4
+        points = [(fam, m) for fam, m, ok in itertools.islice(x1_hyperbolic_draws(2.0), 3000)
+                  if ok]
+        assert len(points) == 1530
+        capped = 0
+        for fam, m in points:
+            got = self.walls(fam, (m, m - 1.0))
+            assert got == sampled_walls(fam, (m, m - 1.0))
+            capped += got[0] > FLOOR
+        assert capped == 1451
+
+    def test_far_field_passes_the_cap_first(self):
+        # X1-radial-oscillator at m = -3, d = 1: sigma = m + d = -2 at x = 0,
+        # so kappa = 2 and the record's wall reaches the floor.  Above omega
+        # = 8.5e5 the far-field term (omega*x/2)^2 alone passes the cap at
+        # x = 0.05, so the sampled wall stops at 0.1
+        for omega, sampled in ((8e5, FLOOR), (1e6, 0.1)):
+            fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=omega, d=1.0))
+            assert self.walls(fam, (-3.0, -4.0)) == [FLOOR]
+            assert sampled_walls(fam, (-3.0, -4.0)) == [sampled]
+
+
 def reference_window(family, m_values, k):
-    """spectral_window's rule with the edge potential probed one abscissa
-    at a time through partner_potentials; the target is the first probe's
-    level k - 1, bisected alone, and the right edge walks once.  V that is
-    not finite at a wall candidate counts as above the cap; at a growth
-    candidate it raises ValueError."""
-    from shapeinv.spectral import (_EDGE_MARGIN_ABOVE_TOP_LEVEL, _PROBE_POINTS, _WALL_V_CAP,
-                                   _bisect, _tridiagonal)
+    """spectral_window's window with the walls of the sampled rule
+    (sampled_walls) and the edge potential probed one abscissa at a time
+    through partner_potentials; the target is the first probe's level
+    k - 1, bisected alone, and the right edge walks once.  V that is not
+    finite at a growth candidate raises ValueError."""
+    from shapeinv.spectral import _EDGE_MARGIN_ABOVE_TOP_LEVEL, _PROBE_POINTS, _bisect, _tridiagonal
 
     def edge(x):
         vals = []
@@ -901,26 +970,12 @@ def reference_window(family, m_values, k):
             vals.append(min(float(vm.values[0]), float(vp.values[0])))
         return min(vals)
 
-    def below_cap(x):
-        try:
-            with np.errstate(all="ignore"):
-                return edge(x) < _WALL_V_CAP
-        except ValueError:  # not finite
-            return False
-
+    walls = sampled_walls(family, m_values)
     lo, hi = family.domain
-    scale = min(1.0, hi - lo)
-
-    def wall(end, side):
-        d = 0.1 * scale
-        while d > 1e-4 * scale and below_cap(end + side * d / 2.0):
-            d /= 2.0
-        return end + side * d
-
-    a = wall(lo, 1.0)
-    b = wall(hi, -1.0) if math.isfinite(hi) else lo + 4.0
+    a = walls[0]
     if math.isfinite(hi):
-        return float(a), float(b)
+        return a, walls[-1]
+    b = lo + 4.0
     x = dirichlet_grid(a, b, max(_PROBE_POINTS, 8 * k))
     _, v_plus = partner_potentials(family, m_values[0], x)
     top = _bisect(*_tridiagonal(v_plus.values, x[1] - x[0]), k - 1, k - 1)
@@ -979,11 +1034,11 @@ FLOOR = 0.1 / 2 ** 10
 
 
 class TestSpectralWindow:
-    """The walls are placed once, from one evaluation of W; then the first
-    probe evaluates W once, for its grid and every growth candidate of an
-    infinite right side at every m, and the right edge walks once.  The
-    window must be the one the step-by-step rule reaches, bit for bit, and
-    the levels those of its own probe."""
+    """The walls are placed once, from the family's record of its ends; then
+    the first probe evaluates W once, for its grid and every growth
+    candidate of an infinite right side at every m, and the right edge
+    walks once.  The window must be the one the step-by-step rule reaches,
+    bit for bit, and the levels those of its own probe."""
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
     def test_catalog_points(self, tag):
@@ -1037,21 +1092,10 @@ class TestSpectralWindow:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         fam = plain_family(k0=zero, k0_deriv=zero, k1=lambda x: 1.0 / x,
                            k1_deriv=lambda x: -1.0 / (x * x), domain=(0.0, np.inf),
-                           m=m_values[0])
+                           m=m_values[0], pole=(0.0, 1.0))
         got = window(fam, m_values, 5)
         assert got == reference_window(fam, m_values, 5)
         assert got[0] == wall
-
-    def test_nonfinite_wall_candidate_counts_as_above_the_cap(self):
-        # W = 1/x is nan below x = 0.004: the wall stops at 0.1/16, the last
-        # distance where V is finite, without a warning
-        fam = half_line_family(lambda x: np.where(x < 0.004, np.nan, 1.0 / x),
-                               lambda x: -1.0 / (x * x))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = window(fam, (0.0, -1.0), 3)
-        assert got == reference_window(fam, (0.0, -1.0), 3)
-        assert got[0] == 0.1 / 2 ** 4
 
     def test_finite_domain(self):
         # W = 3 on (1, 1.5): V = 9 everywhere, so both walls reach the floor,
@@ -1115,9 +1159,9 @@ class TestSpectralWindow:
 
     @staticmethod
     def assert_passes(w, w_deriv, k, passes):
-        """One call places the wall, then the first probe makes one call for
-        its grid and the right side's candidates at both m, and a second
-        probe one call for the final window's grid where the edge moved; no
+        """The wall takes no call; the first probe makes one call for its
+        grid and the right side's candidates at both m, and a second probe
+        one call for the final window's grid where the edge moved; no
         single-point call."""
         sizes = []
 
@@ -1127,7 +1171,7 @@ class TestSpectralWindow:
 
         got = window(half_line_family(k0, w_deriv), (0.0, -1.0), k)
         assert got == reference_window(half_line_family(w, w_deriv), (0.0, -1.0), k)
-        assert len(sizes) == 1 + passes
+        assert len(sizes) == passes
         assert min(sizes) > 1
 
     def test_one_array_call_per_pass(self):
@@ -1341,10 +1385,10 @@ class TestWeylBound:
         from shapeinv import spectral
 
         solves, sizes = [], []
-        solve, values = spectral.solve_spectrum, spectral._real_potential_values
+        solve, values = spectral.solve_spectrum, spectral._partner_rows
         monkeypatch.setattr(spectral, "solve_spectrum",
                             lambda *a, **kw: solves.append(1) or solve(*a, **kw))
-        monkeypatch.setattr(spectral, "_real_potential_values",
+        monkeypatch.setattr(spectral, "_partner_rows",
                             lambda fam, x, ms, *table: sizes.append(np.size(x))
                             or values(fam, x, ms, *table))
         fam, m = seeded_case("X1-radial-oscillator", 0)

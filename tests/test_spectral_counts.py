@@ -1,6 +1,6 @@
-"""The LAPACK calls and bisection fallbacks that tools/spectral_counts.py
-counts, pinned on one sample_valid_params point per real family: a change
-that moves them must say so here."""
+"""The LAPACK calls, bisection fallbacks and W evaluations that
+tools/spectral_counts.py counts, pinned on one sample_valid_params point
+per real family: a change that moves them must say so here."""
 
 import importlib.util
 import subprocess
@@ -43,13 +43,22 @@ def certified(probe, coarse_solves):
             ("dgttrs", 2000): coarse_solves, ("dgttrs", 4001): 5}
 
 
-# family at sample_valid_params(tag, 1, seed=21) -> its calls
+# The W evaluations, (rows, points) -> calls: the first probe's 400 nodes
+# at m and m - 1, with the 61 growth candidates of an infinite right side;
+# a second probe at m alone where the edge moved; the fine grid at both m.
+# The walls evaluate none: the 11 (22 on a finite domain) wall candidates
+# at both m were one more call per op.
+HALF_LINE = {(2, 461): 1, (2, 4001): 1}
+MOVED_EDGE = {(1, 400): 1, **HALF_LINE}
+
+# family at sample_valid_params(tag, 1, seed=21) -> (its LAPACK calls, its
+# W evaluations)
 PINNED = {
-    "X1-hyperbolic": certified(1, 10),
-    "X1-radial-oscillator": certified(2, 14),
-    "X1-trigonometric": certified(1, 10),
-    "Xl-Poschl-Teller": certified(1, 10),
-    "Xl-radial-oscillator": certified(2, 10),
+    "X1-hyperbolic": (certified(1, 10), HALF_LINE),
+    "X1-radial-oscillator": (certified(2, 14), MOVED_EDGE),
+    "X1-trigonometric": (certified(1, 10), {(2, 400): 1, (2, 4001): 1}),
+    "Xl-Poschl-Teller": (certified(1, 10), HALF_LINE),
+    "Xl-radial-oscillator": (certified(2, 10), MOVED_EDGE),
 }
 
 
@@ -58,7 +67,7 @@ def test_pinned_counts(tool, tag):
     p = sample_valid_params(tag, 1, seed=21)[0]
     with tool.counting(spectral) as counts:
         check_isospectrality(get_family(tag, p), p.m)
-    assert dict(counts.calls) == PINNED[tag]
+    assert (dict(counts.calls), dict(counts.w_rows)) == PINNED[tag]
     assert not counts.fallbacks
 
 
@@ -68,12 +77,14 @@ def test_fallback_counted_and_module_restored(tool):
     xs = dirichlet_grid(-10.0, 10.0, 1000)
     h = float(xs[1] - xs[0])
     lapack, certified_levels = spectral._lapack, spectral._certified_levels
+    w_rows = spectral.SuperpotentialFamily.w_rows
     shifts = spectral._lowest_eigenvalues(xs[1::2] ** 2, 2.0 * h, 6)[[0, 1, 2, 4, 5]]
     with tool.counting(spectral) as counts:
         solve_spectrum(PotentialGrid(x=xs, values=xs ** 2), 5, shifts=shifts)
     assert dict(counts.fallbacks) == {500: 1}
     assert counts.calls["dstebz", 500] == 2
     assert (spectral._lapack, spectral._certified_levels) == (lapack, certified_levels)
+    assert spectral.SuperpotentialFamily.w_rows is w_rows
     assert counts.bound > 0.0 and np.isfinite(counts.bound)
 
 
@@ -81,7 +92,14 @@ def test_replay_prints_a_table():
     out = subprocess.run([sys.executable, str(COUNTS), "11", "--rounds", "1"],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[0] == "spectrum-real, seeds 11, rounds 0-0: 50 ops"
-    rows = {int(line.split()[0]): line.split()[1:] for line in out[2:]}
+    split = out.index("rows  points       W/op")
+    rows = {int(line.split()[0]): line.split()[1:] for line in out[2:split]}
     assert set(rows) == {400, 2000, 4001}
     # no 2000- or 4001-point level set falls back to bisection
     assert rows[2000][-1] == rows[4001][-1] == "0"
+    # every op evaluates W on its fine grid at both m, and no wall evaluates it
+    evaluations = {tuple(map(int, line.split()[:2])): float(line.split()[2])
+                   for line in out[split + 1:-1]}
+    assert evaluations[2, 4001] == 1.0
+    assert not {points for _, points in evaluations} & {11, 22}
+    assert out[-1].split()[0] == "all"

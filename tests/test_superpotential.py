@@ -114,6 +114,7 @@ class TestWRows:
             k1_deriv=lambda x: -1.0 / np.sinh(x) ** 2,
             domain=(0.0, np.inf),
             m=1.0,
+            pole=(0.0, 1.0),
         )
         _, wd = fam.w_rows(np.asarray([1.0]), (1.0,))
         assert wd[0, 0] == pytest.approx(-1.0 / np.sinh(1.0) ** 2, rel=1e-15)
@@ -258,6 +259,7 @@ class TestMakeGrid:
             k1_deriv=lambda x: -1.0 / (x * x),
             domain=(0.0, np.inf),
             m=1.0,
+            pole=(0.0, 1.0),
         )
         spec = GridSpec(n_points=256)
         first = make_grid(fam, spec, m_values=(1.0,))
@@ -299,6 +301,22 @@ class TestMakeGrid:
             require_region(fam, (0.3, -0.7, -1.7))
         assert err.value.violated == "m > (2*beta + c^2 - 2*c*d)/(2*c^2)"
         assert "m = -0.7 violates" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_m_refused(self, bad):
+        # at m = nan or inf Xl-PT-Scarf's root test once raised PolySpec's
+        # ValueError "alpha must be finite"; the gate refuses such an m
+        # before any family reads it, for grids and spectral windows alike
+        from shapeinv import check_isospectrality
+
+        scarf = get_family("Xl-PT-Scarf", ParamPoint(m=0.3, B=-2.0, ell=2))
+        with pytest.raises(UsageError, match=f"m = {bad} is not finite"):
+            require_region(scarf, (0.3, bad))
+        with pytest.raises(UsageError, match=f"m = {bad} is not finite"):
+            make_grid(scarf, GridSpec(n_points=64), m_values=(bad, 0.3))
+        radial = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0))
+        with pytest.raises(UsageError, match=f"m = {bad} is not finite"):
+            check_isospectrality(radial, bad, k=3, n_points=400)
 
     def test_linear_mapping_upgraded_on_infinite_domain(self, plain_oscillator):
         grid = make_grid(plain_oscillator, GridSpec(n_points=64), m_values=(-2.0,))

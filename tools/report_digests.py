@@ -28,8 +28,11 @@ omega whose solve's squared residuals overflow (HUGE_OMEGA: exit 2),
 `spectrum` on X1-hyperbolic at c = 0.05, where the wall cap places the left
 wall (CAPPED_WALL), `spectrum` with k above the window probe's size over 8
 (MANY_LEVELS), `verify --checks` with the remainder on X1-hyperbolic below
-the sampler's c box (SMALL_C_REMAINDER) and `verify --config` on a file
-with a grid key that is no GridSpec field (GRID_MARGIN: exit 2), and
+the sampler's c box (SMALL_C_REMAINDER), `verify --config` on a file
+with a grid key that is no GridSpec field (GRID_MARGIN: exit 2),
+`spectrum` on X1-radial-oscillator at an omega whose far field alone
+passes the wall cap next to x = 0 (FAR_FIELD_OMEGA: exit 1) and `verify`
+on Xl-PT-Scarf with an m list that holds nan (NAN_M_LIST: exit 2), and
 prints one line per report: the sha256 of its bytes, the command, the
 family, the seed and the exit code.  What a run writes to file descriptor
 1 past sys.stdout (LAPACK's own error text) goes to standard error.  A
@@ -155,6 +158,16 @@ GRID_MARGIN = {"family": "X1-hyperbolic", "sample": 1, "seed": 3,
                "grid": {"boundary_margin": 0.001}}
 
 
+# sigma = m + d = -2 at x = 0 sets the wall from the family's record: at the
+# 1e-4 floor, 9.77e-5, where the ladder's lowest level 2*omega = 2e6 shows
+# (1.92e6).  The far-field (omega*x/2)^2 alone passes the wall cap at x =
+# 0.05, so a wall from sampled V stopped at 0.1, with a lowest level of
+# 2.55e9.  Either way eps*V puts the mismatch at 2.0e-3: exit 1
+FAR_FIELD_OMEGA = ("X1-radial-oscillator", '{"m": -3.0, "omega": 1e6, "d": 1.0}')
+
+# PolySpec's "alpha must be finite" once escaped main here (exit 1)
+NAN_M_LIST = ("Xl-PT-Scarf", '{"m": 0.3, "B": -2.0, "ell": 2}', "nan,0.3")
+
 # the sampler's seeds: each family's draws, 5 points per seed, digested together
 SAMPLER_SEEDS = range(200)
 
@@ -245,6 +258,12 @@ def configs(tmp: Path):
     path.write_text(json.dumps(GRID_MARGIN), encoding="utf-8")
     yield (f"verify {GRID_MARGIN['family']} config=grid.boundary_margin",
            ["verify", "--config", str(path), "--no-timestamp"])
+    tag, params = FAR_FIELD_OMEGA
+    yield f"spectrum {tag} omega=1e6", ["spectrum", "--family", tag, "--params", params,
+                                        "--no-timestamp"]
+    tag, params, m_list = NAN_M_LIST
+    yield (f"verify {tag} m-list={m_list}",
+           ["verify", "--family", tag, "--params", params, "--m-list", m_list, "--no-timestamp"])
 
 
 def exit_code(argv) -> int:

@@ -1,4 +1,4 @@
-"""LAPACK calls and bisection fallbacks of the spectrum-real ops, by matrix size.
+"""LAPACK calls, bisection fallbacks and W evaluations of the spectrum-real ops.
 
 Run from anywhere:
 
@@ -12,9 +12,11 @@ it lives in.  While an op runs, spectral._lapack() returns a view of
 scipy's LAPACK extension that counts each dstebz, dgttrf and dgttrs call by
 the size of its matrix, and spectral._certified_levels is wrapped to count
 the level sets that fell back to bisection (a failed iteration or a
-refused certificate).  It prints one line per matrix size: the calls of
-each routine per op and the fallbacks over all ops.  The counts are
-deterministic.
+refused certificate), and SuperpotentialFamily.w_rows to count the
+evaluations of W by their number of m rows and of abscissae.  It prints
+one line per matrix size: the calls of each routine per op and the
+fallbacks over all ops; then one line per (rows, points) pair: the W
+evaluations per op, and their total per op.  The counts are deterministic.
 
 --levels FILE writes each op's V+ levels, with the error that its
 certificate accepts, (_RESIDUAL_ULPS + _GUARD_ULPS) eps ||T||_1 of the
@@ -38,13 +40,14 @@ ROUTINES = ("dstebz", "dgttrf", "dgttrs")
 
 
 class Counts:
-    """calls[(routine, size)] and fallbacks[size], summed over the ops run
-    under one counting() block; bound, the certified error of the last
-    fine-grid level set."""
+    """calls[(routine, size)], fallbacks[size] and w_rows[(rows, points)],
+    summed over the ops run under one counting() block; bound, the
+    certified error of the last fine-grid level set."""
 
     def __init__(self):
         self.calls = collections.Counter()
         self.fallbacks = collections.Counter()
+        self.w_rows = collections.Counter()
         self.bound = None
 
 
@@ -70,9 +73,17 @@ class _CountingLapack:
 
 @contextlib.contextmanager
 def counting(spectral):
-    """Counts of the spectral module's LAPACK calls and bisection fallbacks
-    inside the block; the module is restored on exit."""
+    """Counts of the spectral module's LAPACK calls and bisection fallbacks,
+    and of W evaluations, inside the block; the module and the family class
+    are restored on exit."""
     counts = Counts()
+    family = spectral.SuperpotentialFamily
+    w_rows = family.w_rows
+
+    def counted_w_rows(self, x, m_values):
+        counts.w_rows[len(m_values), len(x)] += 1
+        return w_rows(self, x, m_values)
+
     lapack = _CountingLapack(spectral._lapack(), counts.calls)
     certified_levels = spectral._certified_levels
     per_error = (spectral._RESIDUAL_ULPS + spectral._GUARD_ULPS) * spectral._EPS
@@ -87,10 +98,12 @@ def counting(spectral):
 
     saved = spectral._lapack, spectral._certified_levels
     spectral._lapack, spectral._certified_levels = (lambda: lapack), certified
+    family.w_rows = counted_w_rows
     try:
         yield counts
     finally:
         spectral._lapack, spectral._certified_levels = saved
+        family.w_rows = w_rows
 
 
 def replay(seeds, rounds):
@@ -112,6 +125,7 @@ def replay(seeds, rounds):
                 code, out = call()
             total.calls.update(counts.calls)
             total.fallbacks.update(counts.fallbacks)
+            total.w_rows.update(counts.w_rows)
             levels = json.loads(out)["spectrum"]["plus"] if code in (0, 1) else None
             records.append({"seed": seed, "op": i, "family": op.family, "exit": code,
                             "levels": levels, "bound": counts.bound})
@@ -119,12 +133,18 @@ def replay(seeds, rounds):
 
 
 def table(counts: Counts, ops: int) -> list[str]:
-    """One line per matrix size: calls per op of each routine, fallbacks."""
+    """One line per matrix size: calls per op of each routine, fallbacks;
+    then one line per (rows, points) pair of W evaluations, per op, and
+    their total per op."""
     sizes = sorted({size for _, size in counts.calls} | set(counts.fallbacks))
     lines = ["size  " + "  ".join(f"{r + '/op':>9}" for r in ROUTINES) + "  fallbacks"]
     for size in sizes:
         per_op = "  ".join(f"{counts.calls[r, size] / ops:9.3f}" for r in ROUTINES)
         lines.append(f"{size:4d}  {per_op}  {counts.fallbacks[size]:9d}")
+    lines.append("rows  points       W/op")
+    for rows, points in sorted(counts.w_rows):
+        lines.append(f"{rows:4d}  {points:6d}  {counts.w_rows[rows, points] / ops:9.3f}")
+    lines.append(f"all           {sum(counts.w_rows.values()) / ops:9.3f}")
     return lines
 
 
