@@ -58,7 +58,6 @@ from .spectral import (
 )
 from .superpotential import (
     PERTURBATION_MODES,
-    GridSpec,
     ParamPoint,
     SuperpotentialFamily,
     Verdict,

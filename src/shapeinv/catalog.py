@@ -10,7 +10,9 @@ the rest:
   g'' = R'(t)/2, k = K(t)/g' and k' = K'(t) - k*g''/g' for k0 and k1;
   W1 = D'/D and W1' = D''/D - W1**2, with D' = P'(g) g' and
       D'' = P''(g) g'**2 + P'(g) g'' (for degree-1 P, D'' = p1 g'');
-  the poles, as g^-1 of the real roots of P+- that lie in g(domain);
+  the poles, as g^-1 of the real roots of P+- that lie in g(domain): a
+      real g is monotonic on the domain, so g(domain) lies between g at
+      the domain's ends;
   each finite end e, a root t = g(e) of R, as (e, side, K0(t), K1(t),
       g''(t)): W ~ sigma/(x - e) with sigma = (K0 + m*K1)/g'' places the
       spectral wall and the grid's end, where |W| reaches 100; on an
@@ -39,15 +41,15 @@ register it in ``_FAMILIES`` with the names of those constants.  The fields:
 domain (finite, (lo, inf) or (-inf, inf)); R, K0 and K1 (coefficient tuples
 in ascending powers of t, as above); g, g_deriv and g_inv (the argument of
 P, its x-derivative and its inverse on the domain; Xl-PT-Scarf's gives
-|x| from |g|); g_range (g(domain), where a real root of P is a
-pole); p_plus and p_minus (m -> P+-_m: a pair (p0, p1) for p0 + p1*t when
-linear is set, else a PolySpec); forbidden (where the region allows no
-real root t of P, as a tuple of polynomials.Interval, each end open or
-closed); region (where the family is non-singular, a Region); expected_ab
-(the factorization constants, which the built family carries for
-run_condition_checks to match); and for a complex family is_real, punctures
-(its declared poles) and scan (a test of P that replaces the real-root
-test; Xl-PT-Scarf's asks exactly whether P has a root i*s, real s != 0).
+|x| from |g|); p_plus and p_minus (m -> P+-_m: a pair (p0, p1) for
+p0 + p1*t when linear is set, else a PolySpec); forbidden (where the
+region allows no real root t of P, as a tuple of polynomials.Interval,
+each end open or closed); region (where the family is non-singular, a
+Region); expected_ab (the factorization constants, which the built family
+carries for run_condition_checks to match); and for a complex family
+is_real, punctures (its declared poles) and scan (a test of P that
+replaces the real-root test; Xl-PT-Scarf's asks exactly whether P has a
+root i*s, real s != 0).
 
 Family tags, in catalog order:
 
@@ -143,7 +145,6 @@ class FamilyData:
     region: Region
     expected_ab: tuple[float, float]
     g_inv: Callable | None = None
-    g_range: tuple[float, float] | None = None
     forbidden: tuple[Interval, ...] = ()
     linear: bool = False
     is_real: bool = True
@@ -264,9 +265,11 @@ def _build(name: str, tag: str, params: ParamPoint, data: FamilyData) -> Superpo
     def poles(m_values):
         # P- at m often equals P+ at m - 1: each distinct spec is solved once
         found = list(data.punctures)
-        if data.g_range is not None:
+        if data.is_real:
+            # g(domain) between g at the domain's ends; + 0.0 turns -0.0 into 0.0
+            t_ends = sorted(float(data.g(e)) + 0.0 for e in data.domain)
             specs = dict.fromkeys(P(m) for P in pair for m in m_values)
-            found += [float(data.g_inv(t)) for spec in specs for t in _roots(data, spec, *data.g_range)]
+            found += [float(data.g_inv(t)) for spec in specs for t in _roots(data, spec, *t_ends)]
         return tuple(sorted(found))
 
     # each finite end e, its inward side, and K0, K1 and g'' at t = g(e),
@@ -351,7 +354,7 @@ def _x1_hyperbolic(c: float, beta: float, d: float) -> FamilyData:
         R=(-c * c, 0.0, c * c), K0=(c * d, -beta), K1=(0.0, c * c),
         g=lambda x: np.cosh(c * x),
         g_deriv=lambda x: c * np.sinh(c * x),
-        g_inv=lambda t: np.arccosh(t) / c, g_range=(1.0, np.inf),
+        g_inv=lambda t: np.arccosh(t) / c,
         p_plus=lambda m: (-2.0 * beta + c * c * (2.0 * m + 1.0), 2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (2.0 * m - 1.0), 2.0 * c * d),
         linear=True, forbidden=(Interval(1.0, np.inf),),
@@ -372,7 +375,7 @@ def _x1_radial(omega: float, d: float) -> FamilyData:
         R=(0.0, 4.0), K0=(2.0 * d, omega), K1=(2.0,),
         g=lambda x: x * x,
         g_deriv=lambda x: 2.0 * x,
-        g_inv=np.sqrt, g_range=(0.0, np.inf),
+        g_inv=np.sqrt,
         p_plus=lambda m: (1.0 + 2.0 * d + 2.0 * m, -omega),
         p_minus=lambda m: (-1.0 + 2.0 * d + 2.0 * m, -omega),
         linear=True, forbidden=(Interval(0.0, np.inf),),
@@ -405,7 +408,7 @@ def _x1_trigonometric(c: float, beta: float, d: float) -> FamilyData:
         R=(c * c, 0.0, -c * c), K0=(c * d, -beta), K1=(0.0, -c * c),
         g=lambda x: np.sin(c * x),
         g_deriv=lambda x: c * np.cos(c * x),
-        g_inv=lambda t: np.arcsin(t) / c, g_range=(-1.0, 1.0),
+        g_inv=lambda t: np.arcsin(t) / c,
         p_plus=lambda m: (2.0 * beta + c * c * (1.0 + 2.0 * m), -2.0 * c * d),
         p_minus=lambda m: (-2.0 * beta + c * c * (1.0 - 2.0 * m), 2.0 * c * d),
         linear=True, forbidden=(Interval(-1.0, 1.0),),
@@ -440,7 +443,7 @@ def _xl_poschl_teller(B: float, ell: int) -> FamilyData:
     _check_prefactor("Xl-Poschl-Teller", ell, B)
     return FamilyData(
         domain=(0.0, np.inf), **_jacobi_pair(B, ell),
-        g=np.cosh, g_deriv=np.sinh, g_inv=np.arccosh, g_range=(1.0, np.inf),
+        g=np.cosh, g_deriv=np.sinh, g_inv=np.arccosh,
         forbidden=(Interval(-np.inf, -1.0, (False, True)),
                    Interval(1.0, np.inf, (True, False))),
         region=Region(((B < -0.5, "B < -1/2"),), (Interval((1.0 + 2.0 * B) / 2.0, -(1.0 + 2.0 * B) / 2.0),),
@@ -474,7 +477,7 @@ def _xl_radial(omega: float, ell: int) -> FamilyData:
         R=(0.0, -2.0 * omega), K0=(0.0, omega), K1=(-omega,),
         g=lambda x: -omega * np.asarray(x, dtype=float) ** 2 / 2.0,
         g_deriv=lambda x: -omega * np.asarray(x, dtype=float),
-        g_inv=lambda u: np.sqrt(-2.0 * u / omega), g_range=(-np.inf, 0.0),
+        g_inv=lambda u: np.sqrt(-2.0 * u / omega),
         p_plus=lambda m: PolySpec(LAGUERRE, ell, -m - 1.5),
         p_minus=lambda m: PolySpec(LAGUERRE, ell, -m - 0.5),
         forbidden=(Interval(-np.inf, 0.0, (False, True)),),

@@ -21,8 +21,8 @@ params or an m list with sample > 0 exits 2; scan and spectrum exit 2 on
 than drop the rest.
 
 A run's RunConfig is RunConfig's defaults, updated by a config file
-(--config: one JSON object whose keys are fields the command reads, and
-grid's GridSpec's; any other key exits 2), then by the flags that were given.
+(--config: one JSON object whose keys are fields the command reads; any
+other key exits 2), then by the flags that were given.
 JSON reports are exactly json.dumps(doc, indent=2, sort_keys=True) plus a
 newline, so floats take Python's shortest round-trip repr; CSV output
 writes 17 significant digits.  Both round-trip every double, and
@@ -63,7 +63,7 @@ from .spectral import (
     partner_potentials,
     remainder,
 )
-from .superpotential import GridSpec, ParamPoint, make_grid, with_perturbation
+from .superpotential import DEFAULT_GRID_POINTS, ParamPoint, make_grid, with_perturbation
 
 
 @dataclasses.dataclass
@@ -77,7 +77,7 @@ class RunConfig:
     seed: int = 0
     m_list: tuple | None = None  # None: the command's default
     checks: tuple = CHECK_NAMES
-    grid: GridSpec = dataclasses.field(default_factory=GridSpec)
+    grid_points: int = DEFAULT_GRID_POINTS
     tol: float = DEFAULT_TOL
     tolerances: dict | None = None
     format: str = "json"
@@ -88,7 +88,7 @@ class RunConfig:
     spectrum_points: int = DEFAULT_SPECTRUM_POINTS
 
     def __post_init__(self):
-        for name in ("sample", "seed", "k", "spectrum_points"):
+        for name in ("sample", "seed", "grid_points", "k", "spectrum_points"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
@@ -145,7 +145,6 @@ class RunConfig:
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
-_GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
 
 
 def _param_point(data: dict) -> ParamPoint:
@@ -237,7 +236,7 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
     # every m that the identity checks and the remainder read, gated by the
     # region and evaluated once: m_list and its translate m_list[0] - 1
     m_read = tuple(dict.fromkeys(m_list + (m_list[0] - 1.0,)))
-    grid = make_grid(family, cfg.grid, m_values=m_read)
+    grid = make_grid(family, cfg.grid_points, m_values=m_read)
     values = grid_values(family, grid, m_read)
     report = run_condition_checks(
         family,
@@ -245,7 +244,6 @@ def _verify_one(cfg: RunConfig, index: int, point: ParamPoint) -> dict:
         m_list,
         checks=tuple(c for c in cfg.checks if c in CHECK_NAMES),  # the CLI runs the rest
         tolerances=tols,
-        grid_spec=cfg.grid,
         values=values,
     )
     extra = {"param_index": index}
@@ -273,7 +271,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     points = _resolve_points(cfg)
     results = [_verify_one(cfg, i, p) for i, p in enumerate(points)]
 
-    settings = {"checks": list(cfg.checks), "grid_points": cfg.grid.n_points,
+    settings = {"checks": list(cfg.checks), "grid_points": cfg.grid_points,
                 "tolerances": cfg.tolerance_map()}
     if "spectrum" in cfg.checks:
         settings.update(k=cfg.k, spectrum_points=cfg.spectrum_points)
@@ -301,7 +299,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     point = _one_point(cfg, "scan")
     family = _family_for(cfg, point)
     m_list = _m_values(cfg, point, "scan")
-    grid = make_grid(family, cfg.grid, m_values=m_list)
+    grid = make_grid(family, cfg.grid_points, m_values=m_list)
 
     columns: list[tuple[str, np.ndarray]] = [("x", grid)]
     values = grid_values(family, grid, m_list)
@@ -360,7 +358,7 @@ COMMANDS = {
     "verify": Command(cmd_verify, "run identity checks and write a report",
                       (0.0, 1.0, 2.0), _FIELDS),
     "scan": Command(cmd_scan, "emit CSV samples of epsilon(x) and the partner potentials",
-                    (0.0, 1.0), _POINT + ("grid",)),
+                    (0.0, 1.0), _POINT + ("grid_points",)),
     "spectrum": Command(cmd_spectrum, "isospectrality cross-check via the constant-shift route",
                         (0.0,), _POINT + ("tolerances", "no_timestamp", "k", "spectrum_points")),
 }
@@ -369,8 +367,8 @@ COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parse_args keeps no state.
-    A subcommand has the flags of the fields it reads, each with its field as
-    dest (but --config, and --grid-points: grid), default None: not given."""
+    A subcommand has --config and the flags of the fields it reads, each
+    with its field as dest, default None: not given."""
     p = argparse.ArgumentParser(
         prog="shapeinv",
         description="Verify shape-invariance identities of rationally extended "
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--spectrum-points": {"type": int},
         }
         for flag, options in flags.items():
-            if ("grid" if flag == "--grid-points" else flag[2:].replace("-", "_")) in spec.reads:
+            if flag[2:].replace("-", "_") in spec.reads:
                 sp.add_argument(flag, **options)
     return p
 
@@ -412,22 +410,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    grid = file_cfg.get("grid", {})
-    if not isinstance(grid, dict):
-        raise UsageError(f"grid must be an object, got {grid!r}")
-    unknown = "; ".join(f"unknown {what} fields {sorted(bad)}" for what, bad in (
-        ("config", set(file_cfg).difference(reads)),
-        ("grid", set(grid).difference(_GRID_FIELDS))) if bad)
+    unknown = set(file_cfg).difference(reads)
     if unknown:
-        raise UsageError(unknown)
-    if getattr(args, "grid_points", None) is not None:
-        grid = {**grid, "n_points": args.grid_points}
-    try:
-        grid = GridSpec(**grid)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"grid: {exc}") from exc
-
-    merged = {**file_cfg, "grid": grid}
+        raise UsageError(f"unknown config fields {sorted(unknown)}")
+    merged = dict(file_cfg)
     for name in reads:
         value = getattr(args, name, None)
         if value is not None:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError
-from .superpotential import GridSpec, ParamPoint, SuperpotentialFamily
+from .superpotential import ParamPoint, SuperpotentialFamily
 
 TRANSLATION_TOL = 1e-12
 SPECTRUM_TOL = 1e-4
@@ -72,7 +72,7 @@ class ResidualReport:
 
     family_tag: str
     params: ParamPoint
-    grid_spec: GridSpec
+    grid_points: int
     m_list: tuple[float, ...]
     residuals: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -95,7 +95,7 @@ class ResidualReport:
         return {
             "family": self.family_tag,
             "params": self.params.to_dict(),
-            "grid": {"n_points": self.grid_spec.n_points},
+            "grid": {"n_points": self.grid_points},
             "m_list": list(self.m_list),
             "residuals": dict(self.residuals),
             "tolerances": dict(self.tolerances),
@@ -163,10 +163,11 @@ def check_compatibility(family: SuperpotentialFamily, m_list, grid, *, values=No
     """m-independence residual of the seven-term combination: the max of
     |lhs(m_i) - lhs(m_j)| over grid points and every pair of rows (pairs,
     not the spread max - min of each point, which complex rows do not
-    have)."""
+    have).  Fewer than two distinct m raise UsageError: one m compares
+    nothing."""
     m_list = tuple(float(m) for m in m_list)
-    if len(m_list) < 2:
-        raise UsageError("check_compatibility needs at least two m values")
+    if len(set(m_list)) < 2:
+        raise UsageError(f"check_compatibility needs two distinct m values, got {list(m_list)}")
     lhs = _seven_terms(values or grid_values(family, grid, m_list), m_list)
     return _worst(lhs[:, None] - lhs)
 
@@ -260,7 +261,6 @@ def run_condition_checks(
     m_list,
     checks=CHECK_NAMES,
     tolerances: dict | None = None,
-    grid_spec: GridSpec | None = None,
     *,
     values: GridValues | None = None,
 ) -> ResidualReport:
@@ -278,7 +278,8 @@ def run_condition_checks(
     The family is evaluated once (grid_values): affine on the grid, and w1
     at all those m; values, that grid_values result, spares the
     evaluation.  The checks share those values, so each residual equals
-    that of the separate check_* call bit for bit.
+    that of the separate check_* call bit for bit.  The report's
+    grid_points is len(grid).
     """
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
@@ -290,7 +291,7 @@ def run_condition_checks(
     report = ResidualReport(
         family_tag=family.tag,
         params=family.params,
-        grid_spec=grid_spec or GridSpec(n_points=max(16, len(grid))),
+        grid_points=len(grid),
         m_list=m_list,
     )
     m0 = m_list[0]

@@ -72,19 +72,6 @@ _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ParamPoint))
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """The number of verification abscissae that make_grid lays out."""
-
-    n_points: int = 512
-
-    def __post_init__(self):
-        if not isinstance(self.n_points, numbers.Integral):
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 16:
-            raise ValueError("n_points must be >= 16")
-
-
-@dataclass(frozen=True)
 class SuperpotentialFamily:
     """Evaluation contract for one family at fixed constants.
 
@@ -187,23 +174,30 @@ def require_region(family: SuperpotentialFamily, m_values) -> tuple[float, ...]:
     return m_values
 
 
-def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
+# the number of abscissae make_grid lays out unless told otherwise
+DEFAULT_GRID_POINTS = 512
+
+
+def make_grid(family: SuperpotentialFamily, n_points: int = DEFAULT_GRID_POINTS,
               m_values=None) -> np.ndarray:
-    """Verification abscissae strictly inside the family's domain.
+    """Exactly n_points verification abscissae strictly inside the family's
+    domain; n_points that is not an integer >= 16 (a bool included) raises
+    UsageError.
 
     Every m in m_values (default: the family's own m) passes require_region
     first, and every point keeps _POLE_RADIUS distance from every pole that
     family.poles reports at those m; inside the region that is only
     Xl-PT-Scarf's declared x = 0 puncture.  A UsageError says so when that
-    exclusion leaves fewer than spec.n_points abscissae after the retries
-    that top the layout up.
+    exclusion leaves fewer than n_points abscissae after the retries that
+    top the layout up.
 
     The points lie between the ends (a, b) that the family states in
     closed form (grid_ends_fn), so no W is evaluated: linearly on a finite
     domain, compressed through the tanh layout towards an infinite side,
     the whole line symmetrically.  An empty window raises UnsupportedError.
     """
-    spec = spec or GridSpec()
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 16:
+        raise UsageError(f"grid_points must be an integer >= 16, got {n_points!r}")
     m_values = require_region(family, (family.params.m,) if m_values is None else m_values)
 
     lo, hi = family.domain
@@ -212,7 +206,7 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
         raise UnsupportedError(f"{family.name}: the grid window [{a:g}, {b:g}] is empty")
     poles = family.poles(m_values)
 
-    n_gen = spec.n_points
+    n_gen = n_points
     points = np.empty(0)
     for _ in range(4):
         if math.isinf(hi):
@@ -224,15 +218,15 @@ def make_grid(family: SuperpotentialFamily, spec: GridSpec | None = None,
             for p in poles:
                 keep &= np.abs(points - p) >= _POLE_RADIUS
             points = points[keep]
-        if points.size >= spec.n_points:
+        if points.size >= n_points:
             break
-        n_gen += 2 * (spec.n_points - points.size) + 8
+        n_gen += 2 * (n_points - points.size) + 8
     else:
         raise UsageError(
             f"{family.name}: pole exclusion radius {_POLE_RADIUS:g} leaves "
-            f"{points.size} of {spec.n_points} grid points")
-    if points.size > spec.n_points:
-        idx = np.floor(np.linspace(0.0, points.size - 1e-9, spec.n_points)).astype(int)
+            f"{points.size} of {n_points} grid points")
+    if points.size > n_points:
+        idx = np.floor(np.linspace(0.0, points.size - 1e-9, n_points)).astype(int)
         points = points[idx]
     return points
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapeinv import GridSpec, ParamPoint, SuperpotentialFamily, Verdict, poly_eval
+from shapeinv import ParamPoint, SuperpotentialFamily, Verdict, poly_eval
 
 
 def plain_family(k0, k0_deriv, k1, k1_deriv, domain, m, name="plain", pole=(0.0, 0.0)):
@@ -66,8 +66,3 @@ def plain_oscillator():
         name="plain-oscillator",
         pole=(0.0, 1.0),
     )
-
-
-@pytest.fixture
-def small_grid_spec():
-    return GridSpec(n_points=128)

@@ -12,7 +12,6 @@ import pytest
 from shapeinv import (
     FAMILY_TAGS,
     REAL_TAGS,
-    GridSpec,
     ParamPoint,
     PotentialGrid,
     check_algebra_condition,
@@ -50,7 +49,7 @@ def test_criterion_1_identity_suite():
         for p in sample_valid_params(tag, 5, seed=101):
             fam = get_family(tag, p)
             m_list = (p.m, p.m - 1.0, p.m - 2.0)
-            grid = make_grid(fam, GridSpec(n_points=512), m_values=m_list)
+            grid = make_grid(fam, 512, m_values=m_list)
             worst["translation"] = max(worst["translation"], check_translation(fam, p.m, grid))
             comp = check_compatibility(fam, m_list, grid)
             worst["compatibility"] = max(worst["compatibility"], comp)
@@ -82,7 +81,7 @@ def test_criterion_2_constants_suite():
     for tag in FAMILY_TAGS:
         for p in sample_valid_params(tag, 5, seed=202):
             fam = get_family(tag, p)
-            grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m,))
+            grid = make_grid(fam, 512, m_values=(p.m,))
             constants, resid = check_infeld_hull(fam, grid)
             a, b = fam.expected_ab
             worst_const = max(worst_const, resid)
@@ -110,7 +109,7 @@ def test_criterion_3_equivalence_randomized():
         tag = FAMILY_TAGS[i % len(FAMILY_TAGS)]
         p = sample_valid_params(tag, 1, seed=3000 + i)[0]
         fam = get_family(tag, p)
-        grid = make_grid(fam, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0))
+        grid = make_grid(fam, 96, m_values=(p.m, p.m - 1.0))
         mode = modes[i % len(modes)]
         if mode:
             fam = with_perturbation(fam, mode, sizes[i % len(sizes)])
@@ -202,7 +201,7 @@ def test_criterion_5_spectral_suite():
     for tag in REAL_TAGS:
         p = sample_valid_params(tag, 1, seed=505)[0]
         fam = get_family(tag, p)
-        grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m, p.m - 1.0))
+        grid = make_grid(fam, 512, m_values=(p.m, p.m - 1.0))
         _, flat = remainder(fam, p.m, grid)
         worst_flat = max(worst_flat, flat)
         iso = check_isospectrality(fam, p.m, k=5, n_points=4000)
@@ -238,10 +237,10 @@ def test_criterion_6_negative_controls():
     step."""
     p = sample_valid_params("X1-radial-oscillator", 1, seed=606)[0]
     fam = get_family("X1-radial-oscillator", p)
-    grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m, p.m - 1.0))
+    grid = make_grid(fam, 512, m_values=(p.m, p.m - 1.0))
     hyp = sample_valid_params("X1-hyperbolic", 1, seed=606)[0]
     hyp_fam = get_family("X1-hyperbolic", hyp)
-    hyp_grid = make_grid(hyp_fam, GridSpec(n_points=512), m_values=(hyp.m,))
+    hyp_grid = make_grid(hyp_fam, 512, m_values=(hyp.m,))
     # the box-walled trigonometric family has the most level-sensitive
     # spectrum; radial perturbation profiles are nearly constant and get
     # absorbed into the remainder shift
@@ -261,7 +260,7 @@ def test_criterion_6_negative_controls():
     flagged["algebra"] = check_algebra_condition(
         with_perturbation(fam, "wminus-slope", 1e-2), p.m, grid
     )
-    trig_grid = make_grid(trig_fam, GridSpec(n_points=512), m_values=(trig.m, trig.m - 1.0))
+    trig_grid = make_grid(trig_fam, 512, m_values=(trig.m, trig.m - 1.0))
     flagged["remainder"] = remainder(
         with_perturbation(trig_fam, "wplus-slope", 1e-2), trig.m, trig_grid
     )[1]
@@ -291,7 +290,7 @@ def test_criterion_7_oracle_agreement():
         tag = FAMILY_TAGS[i % len(FAMILY_TAGS)]
         p = sample_valid_params(tag, 1, seed=7000 + i)[0]
         fam = get_family(tag, p)
-        grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
+        grid = make_grid(fam, 64, m_values=(p.m,))
         x = float(rng.choice(grid[4:-4]))
 
         w_got, _ = fam.w_rows(np.asarray([x]), (p.m,))

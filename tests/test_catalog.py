@@ -11,7 +11,6 @@ import oracles
 from shapeinv import (
     FAMILY_TAGS,
     REAL_TAGS,
-    GridSpec,
     InvalidParameterError,
     ParamPoint,
     ParamSchemaError,
@@ -79,7 +78,7 @@ class TestTranslationIdentity:
     def test_translation_exact_substitution(self, tag):
         for p in sample_valid_params(tag, 5, seed=41):
             fam = get_family(tag, p)
-            grid = make_grid(fam, GridSpec(n_points=512), m_values=(p.m, p.m - 1.0))
+            grid = make_grid(fam, 512, m_values=(p.m, p.m - 1.0))
             assert check_translation(fam, p.m, grid) < 1e-12
 
 
@@ -91,7 +90,7 @@ class TestW1Dtype:
     def test_w1_rows(self, tag):
         p = sample_valid_params(tag, 1, seed=3)[0]
         fam = get_family(tag, p)
-        rows = fam.w1(make_grid(fam, GridSpec(n_points=64)), (p.m, p.m - 1.0))
+        rows = fam.w1(make_grid(fam, 64), (p.m, p.m - 1.0))
         want = np.float64 if tag in REAL_TAGS else np.complex128
         assert [r.dtype for r in rows] == [want] * 4
         assert all(r.shape == (2, 64) for r in rows)
@@ -136,7 +135,7 @@ class TestInfeldHullConstants:
     def test_constants_match_catalog(self, tag):
         p = sample_valid_params(tag, 1, seed=5)[0]
         fam = get_family(tag, p)
-        grid = make_grid(fam, GridSpec(n_points=256), m_values=(p.m,))
+        grid = make_grid(fam, 256, m_values=(p.m,))
         constants, residual = check_infeld_hull(fam, grid)
         assert residual < 1e-9
         assert (constants.a, constants.b) == pytest.approx(fam.expected_ab, abs=1e-9)
@@ -337,7 +336,7 @@ class TestAffineRecord:
         polyval = np.polynomial.polynomial.polyval
         for p in sample_valid_params(tag, 3, seed=17):
             data = family_data(tag, p)
-            grid = make_grid(get_family(tag, p), GridSpec(n_points=128))
+            grid = make_grid(get_family(tag, p), 128)
             # where g'**2 stays finite (X1-hyperbolic grids reach cosh(c x)
             # past 1e154)
             grid = grid[np.abs(data.g_deriv(grid)) < 1e150]
@@ -407,6 +406,25 @@ class TestFamilyData:
                         abs(gx), np.abs(monomial_coefficients(spec)))
                 relative.append(abs(denominator(data, spec_of_m, xs, p.m)[0]) / size)
             assert min(relative) < 1e-9, (x, relative)
+
+    @pytest.mark.parametrize("tag", REAL_TAGS)
+    def test_forbidden_covers_g_of_the_domain(self, tag):
+        # the premise of the one region gate: a real root of P+- in g(domain)
+        # is a pole, and inside the region P+- has no root in forbidden, so
+        # no pole is left in the domain.  Membership honours each Interval's
+        # open and closed ends; x runs over the open domain, from 1e-6 next
+        # to a half-line's end (up to 1e-3 of a finite domain's width)
+        for p in sample_valid_params(tag, 20, 5):
+            data = family_data(tag, p)
+            lo, hi = data.domain
+            if math.isfinite(hi):
+                xs = lo + (hi - lo) * np.linspace(1e-3, 1.0 - 1e-3, 999)
+            else:
+                xs = lo + np.logspace(-6.0, 2.0, 999)
+            ts = data.g(xs)
+            assert np.all(np.isfinite(ts))
+            outside = [t for t in ts.tolist() if not any(t in iv for iv in data.forbidden)]
+            assert not outside, (p, outside[:3])
 
     def test_poles_solve_each_distinct_denominator_once(self, monkeypatch):
         # P-(m) equals P+(m - 1) at dyadic m and B, so m, m-1, m-2 need four
@@ -495,7 +513,7 @@ class TestScarfAccuracy:
         fam = get_family("Xl-PT-Scarf", point)
         data = family_data("Xl-PT-Scarf", point)
         ms = (self.M, self.M - 1.0, self.M - 2.0)
-        grid = make_grid(fam, GridSpec(n_points=512), m_values=ms)
+        grid = make_grid(fam, 512, m_values=ms)
         for x in (-0.02, 0.01, 0.4, float(grid[0]), float(grid[-1])):
             z = 1j * oracles.mp.sinh(oracles.mp.mpf(x))
             for m in ms:

@@ -8,7 +8,6 @@ import pytest
 from shapeinv import (
     FAMILY_TAGS,
     REAL_TAGS,
-    GridSpec,
     compatibility_lhs,
     get_family,
     make_grid,
@@ -143,7 +142,7 @@ class TestVerify:
                      "--checks", "translation,compatibility,algebra", "--no-timestamp",
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
-        assert "unknown grid fields ['pole_exclusion_radius']" in capsys.readouterr().err
+        assert "unknown config fields ['grid']" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_boundary_margin_is_an_unknown_grid_key_exit_2(self, tmp_path, capsys):
@@ -156,7 +155,7 @@ class TestVerify:
         code = main(["verify", "--config", str(config), "--no-timestamp",
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
-        assert "unknown grid fields ['boundary_margin']" in capsys.readouterr().err
+        assert "unknown config fields ['grid']" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -247,7 +246,7 @@ class TestVerify:
         p = sample_valid_params("Xl-radial-oscillator", 1, 3)[0]
         fam = get_family("Xl-radial-oscillator", p)
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
-        r, flat = remainder(fam, p.m, make_grid(fam, GridSpec(), m_values=m_list))
+        r, flat = remainder(fam, p.m, make_grid(fam, m_values=m_list))
         assert code == 0
         assert (result["remainder"], result["residuals"]["remainder_flatness"]) == (r, flat)
 
@@ -282,7 +281,7 @@ class TestVerify:
         assert not result["verdicts"]["remainder_match"]
         p = sample_valid_params("X1-hyperbolic", 1, 3)[0]
         fam = get_family("X1-hyperbolic", p)
-        grid = make_grid(fam, GridSpec(), m_values=(p.m, p.m - 1.0, p.m - 2.0))
+        grid = make_grid(fam, m_values=(p.m, p.m - 1.0, p.m - 2.0))
         shift = (remainder(with_perturbation(fam, "wminus-slope", 1e-3), p.m, grid)[0]
                  - remainder(fam, p.m, grid)[0])
         assert result["residuals"]["remainder_match"] == pytest.approx(abs(shift), rel=1e-9)
@@ -316,7 +315,7 @@ class TestVerify:
             "family": "X1-radial-oscillator",
             "params": {"m": -3.0, "omega": 1.0, "d": 1.0},
             "checks": ["translation", "algebra"],
-            "grid": {"n_points": 96},
+            "grid_points": 96,
             "no_timestamp": True,
         }
         cfg_path = tmp_path / "cfg.json"
@@ -325,6 +324,26 @@ class TestVerify:
         doc = json.loads(text)
         assert code == 0
         assert set(doc["results"][0]["verdicts"]) == {"translation", "algebra"}
+        assert doc["config"]["grid_points"] == doc["results"][0]["grid"]["n_points"] == 96
+
+    def test_grid_points_key_writes_what_the_flag_writes(self, tmp_path):
+        point = ["--family", "X1-radial-oscillator", "--params",
+                 '{"m": -3.0, "omega": 1.0, "d": 1.0}', "--no-timestamp"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"grid_points": 64}', encoding="utf-8")
+        from_file = run(tmp_path, "verify", *point, "--config", str(cfg_path), out_name="a.json")
+        flagged = run(tmp_path, "verify", *point, "--grid-points", "64", out_name="b.json")
+        assert from_file == flagged
+        assert json.loads(flagged[1])["results"][0]["grid"]["n_points"] == 64
+
+    def test_retired_grid_block_exit_2(self, tmp_path, capsys):
+        # a config's size once sat in a grid block; grid_points is its key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"family": "X1-radial-oscillator", "sample": 1, '
+                            '"grid": {"n_points": 64}}', encoding="utf-8")
+        code, text = run(tmp_path, "verify", "--config", str(cfg_path))
+        assert (code, text) == (2, "")
+        assert "unknown config fields ['grid']" in capsys.readouterr().err
 
     def test_explicit_flags_win_over_config_file(self, tmp_path):
         # a flag equal to its default once counted as not given, so the
@@ -333,7 +352,7 @@ class TestVerify:
             "family": "X1-radial-oscillator",
             "params": {"m": -3.0, "omega": 1.0, "d": 1.0},
             "checks": ["translation", "compatibility"],
-            "grid": {"n_points": 96},
+            "grid_points": 96,
             "tol": 1e-6,
             "no_timestamp": True,
         }
@@ -370,13 +389,14 @@ class TestVerify:
         assert config["perturb"] == 0.0
         assert config["tolerances"]["compatibility"] == cli.DEFAULT_TOL
 
-    def test_invalid_grid_exit_2(self, capsys):
-        # GridSpec's ValueError once escaped main as a traceback
+    @pytest.mark.parametrize("command", ["verify", "scan"])
+    def test_invalid_grid_exit_2(self, capsys, command):
+        # the grid size's ValueError once escaped main as a traceback
         code = main([
-            "verify", "--family", "X1-radial-oscillator", "--sample", "1", "--grid-points", "8",
+            command, "--family", "X1-radial-oscillator", "--sample", "1", "--grid-points", "8",
         ])
         assert code == 2
-        assert "n_points" in capsys.readouterr().err
+        assert "grid_points must be an integer >= 16, got 8" in capsys.readouterr().err
 
     def test_jobs_flag_rejected(self, capsys):
         # verify runs its points in one thread; there is no --jobs option
@@ -440,7 +460,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("field,value,message", [
         ("k", 2.5, "k must be an integer"),
-        ("grid", {"n_points": 512.5}, "n_points must be an integer"),
+        ("grid_points", 512.5, "grid_points must be an integer, got 512.5"),
         ("spectrum_points", 4000.0, "spectrum_points must be an integer"),
         # each of these once escaped main as a traceback (exit 1)
         ("m_list", "-3", "m_list must be a list of numbers"),
@@ -449,16 +469,17 @@ class TestInputErrors:
         ("out", 3, "out must be a path"),
         ("perturb", "x", "perturb must be a number"),
         ("perturb", float("nan"), "perturb must be a finite number, got nan"),
-        ("grid", [1], "grid must be an object"),
-        ("grid", "x", "grid must be an object"),
-        ("grid", {"n_points": "96"}, "grid: "),
+        ("grid_points", True, "grid_points must be an integer, got True"),
+        ("grid_points", "96", "grid_points must be an integer, got '96'"),
+        ("grid_points", 8, "grid_points must be an integer >= 16, got 8"),
+        # the retired grid block
+        ("grid", {"n_points": 64}, "unknown config fields ['grid']"),
         ("checks", 3, "checks must be a list"),
         ("format", "xml", "format must be json or csv, got 'xml'"),
         # once accepted and ignored: compatibility was judged at 1e-9
         ("tolerances", {"compatibilty": 1e-30}, "unknown tolerances ['compatibilty']"),
         # once accepted and ignored: translation judged at 1e-12 on 512 points
         ("tolerance", {"translation": 1e-30}, "unknown config fields ['tolerance']"),
-        ("grid", {"n_point": 16}, "unknown grid fields ['n_point']"),
         # once numpy's ValueError from the sampler (exit 1)
         ("seed", -1, "seed must be >= 0, got -1"),
         # NaN failed every gate (exit 1); Infinity opened every gate (exit 0)
@@ -513,15 +534,27 @@ class TestInputErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_config_and_grid_keys_named_together(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tag, params", [
+        ("X1-radial-oscillator", '{"m": -3, "omega": 2, "d": 1}'),
+        ("Xl-radial-oscillator", '{"m": -3, "omega": 2, "ell": 2}'),
+    ])
+    def test_compatibility_on_one_m_exit_2(self, tmp_path, capsys, tag, params):
+        # one m twice once compared a row with itself: exit 0 at residual
+        # 0.0, under a defect that the check exists to catch
+        out = tmp_path / "report.json"
+        code = main(["verify", "--family", tag, "--params", params, "--m-list=-3,-3",
+                     "--checks", "compatibility", "--perturb", "0.01", "--out", str(out)])
+        assert code == 2
+        assert "needs two distinct m values, got [-3.0, -3.0]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_keys_named_together(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"family": "X1-radial-oscillator", "params": self.X1,
                                         "tolerance": {"translation": 1e-30},
-                                        "grid": {"n_point": 16}}), encoding="utf-8")
+                                        "grid": {"n_points": 16}}), encoding="utf-8")
         assert main(["verify", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert "unknown config fields ['tolerance']" in err
-        assert "unknown grid fields ['n_point']" in err
+        assert "unknown config fields ['grid', 'tolerance']" in capsys.readouterr().err
 
 
 class TestCommandDefaults:
@@ -540,7 +573,7 @@ class TestCommandDefaults:
         "sample": 2,
         "seed": 9,
         "checks": ["translation", "compatibility", "remainder", "spectrum"],
-        "grid": {"n_points": 96},
+        "grid_points": 96,
         "tol": 1e-8,
         "tolerances": {"compatibility": 1e-10},
         "no_timestamp": True,
@@ -554,7 +587,6 @@ class TestCommandDefaults:
         cfg = {**self.EVERY_FIELD, "format": fmt, "out": str(tmp_path / "file.out")}
         assert set(cfg) == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"params",
                                                                                   "m_list"}
-        assert set(cfg["grid"]) == {f.name for f in dataclasses.fields(GridSpec)}
         (tmp_path / "all.json").write_text(json.dumps(cfg), encoding="utf-8")
         # tolerances have no flag
         rest = {"tolerances": cfg["tolerances"]}
@@ -587,7 +619,7 @@ class TestCommandReads:
         "seed": ("3", 3),
         "m_list": ("-3", [-3.0]),
         "checks": ("translation", ["translation"]),
-        "grid": ("64", {"n_points": 64}),
+        "grid_points": ("64", 64),
         "tol": ("1e-8", 1e-8),
         "tolerances": (None, {"spectrum": 1e-3}),
         "format": ("csv", "csv"),
@@ -607,7 +639,7 @@ class TestCommandReads:
         reads = field in cli.COMMANDS[command].reads
         flag_value, value = self.VALUES[field]
         if field != "tolerances":  # the one field with no flag
-            flag = "--grid-points" if field == "grid" else "--" + field.replace("_", "-")
+            flag = "--" + field.replace("_", "-")
             argv = [command, flag] + ([flag_value] if flag_value is not None else [])
             if reads:
                 cli.build_parser().parse_args(argv)
@@ -728,10 +760,10 @@ class TestScan:
         )
         rows = list(csv.reader(text.splitlines()))
         xs = np.asarray([float(r[0]) for r in rows[1:]])
-        from shapeinv import GridSpec, ParamPoint, get_family, make_grid
+        from shapeinv import ParamPoint, get_family, make_grid
 
         fam = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0))
-        grid = make_grid(fam, GridSpec(n_points=32), m_values=(-3.0, -4.0))
+        grid = make_grid(fam, 32, m_values=(-3.0, -4.0))
         assert np.array_equal(xs, grid)  # 17 significant digits reproduce doubles exactly
 
     @pytest.mark.parametrize("tag,seed", [("Xl-Poschl-Teller", 3), ("Xl-PT-Scarf", 7)])
@@ -747,7 +779,7 @@ class TestScan:
         assert rows[0][:3] == ["x", f"eps[m={p.m:g}]_re", f"eps[m={p.m:g}]_im"]
         columns = np.asarray(rows[1:], dtype=float).T
         fam = get_family(tag, p)
-        grid = make_grid(fam, GridSpec(), m_values=m_list)
+        grid = make_grid(fam, m_values=m_list)
         eps = np.asarray(compatibility_lhs(fam, p.m, grid), dtype=complex)
         assert np.array_equal(columns[0], grid)
         assert np.array_equal(columns[1], eps.real)

@@ -8,7 +8,6 @@ import pytest
 from shapeinv import (
     FAMILY_TAGS,
     PERTURBATION_MODES,
-    GridSpec,
     ParamPoint,
     UsageError,
     check_algebra_condition,
@@ -39,7 +38,7 @@ from shapeinv.conditions import (
 def family_on_grid(tag, seed=3, n=256):
     p = sample_valid_params(tag, 1, seed=seed)[0]
     fam = get_family(tag, p)
-    grid = make_grid(fam, GridSpec(n_points=n), m_values=(p.m, p.m - 1.0, p.m - 2.0))
+    grid = make_grid(fam, n, m_values=(p.m, p.m - 1.0, p.m - 2.0))
     return fam, p, grid
 
 
@@ -120,7 +119,7 @@ class TestStackedCompatibility:
         p = sample_valid_params(tag, 1, seed=19)[0]
         fam = get_family(tag, p)
         m_list = (p.m, p.m - 0.5, p.m - 1.0, p.m - 2.0)
-        grid = make_grid(fam, GridSpec(n_points=128), m_values=m_list)
+        grid = make_grid(fam, 128, m_values=m_list)
         if mode:
             fam = with_perturbation(fam, mode, 1e-4)
         lhs = [compatibility_lhs(fam, m, grid) for m in m_list]
@@ -311,7 +310,7 @@ class TestInfeldHullLiteralValues:
 
         p = ParamPoint(m=-4.0, c=1.5, beta=0.7, d=-1.0)
         fam = get_family("X1-hyperbolic", p)
-        grid = make_grid(fam, GridSpec(n_points=128), m_values=(p.m,))
+        grid = make_grid(fam, 128, m_values=(p.m,))
         constants, resid = check_infeld_hull(fam, grid)
         assert constants.a == pytest.approx(2.25, abs=1e-9)
         assert constants.b == pytest.approx(0.7, abs=1e-9)
@@ -322,7 +321,7 @@ class TestInfeldHullLiteralValues:
 
         p = ParamPoint(m=-3.0, omega=2.0, d=1.0)
         fam = get_family("X1-radial-oscillator", p)
-        grid = make_grid(fam, GridSpec(n_points=128), m_values=(p.m,))
+        grid = make_grid(fam, 128, m_values=(p.m,))
         constants, resid = check_infeld_hull(fam, grid)
         assert constants.a == pytest.approx(0.0, abs=1e-9)
         assert constants.b == pytest.approx(-2.0, abs=1e-9)
@@ -333,7 +332,7 @@ class TestInfeldHullLiteralValues:
 
         p = ParamPoint(m=0.5, B=-2.0, ell=2)
         fam = get_family("Xl-Poschl-Teller", p)
-        grid = make_grid(fam, GridSpec(n_points=128), m_values=(p.m,))
+        grid = make_grid(fam, 128, m_values=(p.m,))
         constants, resid = check_infeld_hull(fam, grid)
         assert constants.a == pytest.approx(1.0, abs=1e-9)
         assert constants.b == pytest.approx(0.0, abs=1e-9)
@@ -349,7 +348,7 @@ class TestEquivalenceTheoremSampled:
         for tag in FAMILY_TAGS:
             for p in sample_valid_params(tag, 3, seed=61):
                 fam = get_family(tag, p)
-                grid = make_grid(fam, GridSpec(n_points=96), m_values=(p.m, p.m - 1.0))
+                grid = make_grid(fam, 96, m_values=(p.m, p.m - 1.0))
                 mode = modes[i % len(modes)]
                 if mode:
                     fam = with_perturbation(fam, mode, sizes[i % len(sizes)])
@@ -378,6 +377,28 @@ class TestRunConditionChecks:
         fam, p, grid = family_on_grid("X1-radial-oscillator")
         with pytest.raises(UsageError):
             check_compatibility(fam, (p.m,), grid)
+
+    @pytest.mark.parametrize("tag", ["X1-radial-oscillator", "Xl-radial-oscillator"])
+    def test_compatibility_needs_two_distinct_m(self, tag):
+        # one m twice compares a row with itself: the residual read 0.0, and
+        # a defective W passed
+        fam, p, grid = family_on_grid(tag)
+        broken = with_perturbation(fam, "paired-mx-slope", 0.01)
+        for m_list in ((p.m, p.m), (p.m, p.m, p.m), (p.m, p.m + 0.0)):
+            with pytest.raises(UsageError, match="needs two distinct m values"):
+                check_compatibility(broken, m_list, grid)
+            with pytest.raises(UsageError, match="needs two distinct m values"):
+                run_condition_checks(broken, grid, m_list, checks=("compatibility",))
+        assert check_compatibility(broken, (p.m, p.m, p.m - 1.0), grid) > 1e-3
+
+    @pytest.mark.parametrize("n", [16, 17, 100])
+    def test_report_grid_size_is_the_grid_length(self, n):
+        fam, p, grid = family_on_grid("Xl-PT-Scarf", n=n)
+        report = run_condition_checks(fam, grid, (p.m, p.m - 1.0))
+        assert report.grid_points == n
+        assert report.to_dict()["grid"] == {"n_points": n}
+        # a grid of fewer points than make_grid lays out is reported as it is
+        assert run_condition_checks(fam, grid[:5], (p.m, p.m - 1.0)).grid_points == 5
 
     @pytest.mark.parametrize("checks, unknown", [
         (("remainder",), "['remainder']"),
@@ -489,7 +510,7 @@ class TestSharedW1Table:
         p = sample_valid_params(tag, 1, seed=seed)[0]
         fam = get_family(tag, p)
         m_list = (p.m, p.m - 1.0, p.m - 2.0)
-        grid = make_grid(fam, GridSpec(n_points=128), m_values=m_list)
+        grid = make_grid(fam, 128, m_values=m_list)
         assert run_condition_checks(fam, grid, m_list).passed
         assert len(calls) == self.KERNEL_CALLS[tag]
         # P+- at three m, each distinct spec once

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from shapeinv import (
     REAL_TAGS,
-    GridSpec,
     InvalidParameterError,
     ParamPoint,
     PotentialGrid,
@@ -102,7 +101,7 @@ class TestRemainder:
     def test_catalog_flatness(self, tag):
         p = sample_valid_params(tag, 1, seed=9)[0]
         fam = get_family(tag, p)
-        grid = make_grid(fam, GridSpec(), m_values=(p.m, p.m - 1.0))
+        grid = make_grid(fam, m_values=(p.m, p.m - 1.0))
         _, flat = remainder(fam, p.m, grid)
         assert flat < 1e-9
 
@@ -110,7 +109,7 @@ class TestRemainder:
         p = sample_valid_params("X1-radial-oscillator", 1, seed=9)[0]
         fam = get_family("X1-radial-oscillator", p)
         pert = with_perturbation(fam, "wplus-slope", 0.01)
-        grid = make_grid(fam, GridSpec(), m_values=(p.m, p.m - 1.0))
+        grid = make_grid(fam, m_values=(p.m, p.m - 1.0))
         _, flat = remainder(pert, p.m, grid)
         assert flat >= 1e-3
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from shapeinv import (
     FAMILY_TAGS,
-    GridSpec,
     ParamPoint,
     InvalidParameterError,
     PERTURBATION_MODES,
@@ -63,29 +63,40 @@ class TestParamPoint:
         assert p.to_dict() == {"m": -2.0, "omega": 1.5, "d": 0.3}
 
 
-class TestGridSpec:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_points": 8},
-            {"n_points": 512.5},
-            {"n_points": 512.0},
-            {"n_points": 15},
-            {"n_points": "512"},
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            GridSpec(**kwargs)
+class TestGridSize:
+    @pytest.mark.parametrize("n_points", [8, 15, 512.5, 512.0, "512", True, None])
+    def test_invalid(self, n_points):
+        fam, _ = sampled_family("X1-radial-oscillator")
+        with pytest.raises(UsageError, match="grid_points must be an integer >= 16"):
+            make_grid(fam, n_points)
 
-    def test_no_pole_radius_setting(self):
+    def test_numpy_integer_accepted(self):
+        fam, _ = sampled_family("X1-radial-oscillator")
+        assert np.array_equal(make_grid(fam, np.int64(64)), make_grid(fam, 64))
+
+    def test_size_is_the_only_setting(self):
         # the pole exclusion radius is a module constant and the family
         # record places the grid's ends: neither is a setting
-        assert [f.name for f in dataclasses.fields(GridSpec)] == ["n_points"]
+        assert list(inspect.signature(make_grid).parameters) == ["family", "n_points", "m_values"]
+        fam, _ = sampled_family("X1-radial-oscillator")
         with pytest.raises(TypeError):
-            GridSpec(pole_exclusion_radius=2e-3)
+            make_grid(fam, pole_exclusion_radius=2e-3)
         with pytest.raises(TypeError):
-            GridSpec(boundary_margin=0.05)
+            make_grid(fam, boundary_margin=0.05)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    @pytest.mark.parametrize("n_points", [16, 17, 129, 512])
+    def test_exactly_n_points(self, tag, n_points):
+        # reports read the grid's size back from len(grid); on Xl-PT-Scarf
+        # an odd size puts the x = 0 puncture on a node, and the layout is
+        # topped up past it
+        for seed in (3, 11):
+            fam, p = sampled_family(tag, seed)
+            grid = make_grid(fam, n_points, m_values=(p.m, p.m - 1.0, p.m - 2.0))
+            assert grid.shape == (n_points,)
+            assert np.all(np.diff(grid) > 0)
+            if tag == "Xl-PT-Scarf":
+                assert np.min(np.abs(grid)) >= 1e-3
 
 
 class TestWRows:
@@ -130,7 +141,7 @@ class TestDerivativeConsistency:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_fd_agreement_200_points(self, tag):
         fam, p = sampled_family(tag)
-        grid = make_grid(fam, GridSpec(n_points=256), m_values=(p.m, p.m - 1.0))
+        grid = make_grid(fam, 256, m_values=(p.m, p.m - 1.0))
         rng = np.random.default_rng(17)
         xs = rng.choice(grid[4:-4], size=200, replace=True)
 
@@ -153,7 +164,7 @@ class TestAffinity:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_w0_collinear_in_m(self, tag):
         fam, p = sampled_family(tag, seed=23)
-        grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
+        grid = make_grid(fam, 64, m_values=(p.m,))
         m1, m2, m3 = p.m - 1.0, p.m - 0.25, p.m + 0.5
         # W0 = W - W1+ + W1-, as w_rows assembles W
         w, _ = fam.w_rows(grid, (m1, m2, m3))
@@ -175,7 +186,7 @@ class TestLogDerivativeStructure:
         def D(t):
             return denominator(data, data.p_plus, np.asarray([t]), p.m)
 
-        grid = make_grid(fam, GridSpec(n_points=64), m_values=(p.m,))
+        grid = make_grid(fam, 64, m_values=(p.m,))
         xs = grid[6:-6:7]
         for x in xs:
             x = float(x)
@@ -191,7 +202,7 @@ class TestLogDerivativeStructure:
 
 class TestMakeGrid:
     def test_half_infinite_domain_containment(self, plain_oscillator):
-        grid = make_grid(plain_oscillator, GridSpec(n_points=128), m_values=(-2.0,))
+        grid = make_grid(plain_oscillator, 128, m_values=(-2.0,))
         assert grid.size == 128
         assert np.all(grid > 0.0)
         assert np.all(np.diff(grid) > 0)
@@ -199,7 +210,7 @@ class TestMakeGrid:
     def test_invalid_params_error_names_inequality(self):
         fam = get_family("X1-radial-oscillator", ParamPoint(m=-1.0, omega=1.0, d=1.0))
         with pytest.raises(InvalidParameterError) as err:
-            make_grid(fam, GridSpec())
+            make_grid(fam)
         assert err.value.violated == "m < -(1 + 2*d)/2"
 
     @pytest.mark.parametrize("tag", REAL_TAGS)
@@ -247,7 +258,7 @@ class TestMakeGrid:
 
     def test_scarf_puncture_excluded(self):
         fam = get_family("Xl-PT-Scarf", ParamPoint(m=0.5, B=-1.5, ell=2))
-        grid = make_grid(fam, GridSpec(n_points=128), m_values=(0.5,))
+        grid = make_grid(fam, 128, m_values=(0.5,))
         assert np.min(np.abs(grid)) >= 1e-3
         assert grid.size == 128
 
@@ -261,12 +272,11 @@ class TestMakeGrid:
             m=1.0,
             pole=(0.0, 1.0),
         )
-        spec = GridSpec(n_points=256)
-        first = make_grid(fam, spec, m_values=(1.0,))
+        first = make_grid(fam, 256, m_values=(1.0,))
         # two poles on nodes of the pole-free layout: excluding them leaves
         # 254 points, so the layout is topped up
         poles = (float(first[40]), float(first[200]))
-        grid = make_grid(dataclasses.replace(fam, poles_fn=lambda m: poles), spec,
+        grid = make_grid(dataclasses.replace(fam, poles_fn=lambda m: poles), 256,
                          m_values=(1.0,))
         assert grid.size == 256
         assert not np.array_equal(grid, first)
@@ -279,7 +289,7 @@ class TestMakeGrid:
         covering = tuple(np.arange(0.0, 9.0, 1e-3))
         fam = dataclasses.replace(plain_oscillator, poles_fn=lambda m: covering)
         with pytest.raises(UsageError, match="leaves 0 of 64 grid points"):
-            make_grid(fam, GridSpec(n_points=64), m_values=(-2.0,))
+            make_grid(fam, 64, m_values=(-2.0,))
 
     @pytest.mark.parametrize("tag, params", [
         ("X1-trigonometric", ParamPoint(m=-6.0, c=1.0, beta=0.5, d=1.0)),  # finite domain
@@ -290,7 +300,7 @@ class TestMakeGrid:
         # of nothing), and the finite domain returned an unvalidated grid
         fam = get_family(tag, params)
         with pytest.raises(UsageError, match="no m to validate"):
-            make_grid(fam, GridSpec(), m_values=())
+            make_grid(fam, m_values=())
         with pytest.raises(UsageError, match="no m to validate"):
             require_region(fam, [])
 
@@ -313,20 +323,20 @@ class TestMakeGrid:
         with pytest.raises(UsageError, match=f"m = {bad} is not finite"):
             require_region(scarf, (0.3, bad))
         with pytest.raises(UsageError, match=f"m = {bad} is not finite"):
-            make_grid(scarf, GridSpec(n_points=64), m_values=(bad, 0.3))
+            make_grid(scarf, 64, m_values=(bad, 0.3))
         radial = get_family("X1-radial-oscillator", ParamPoint(m=-3.0, omega=1.0, d=1.0))
         with pytest.raises(UsageError, match=f"m = {bad} is not finite"):
             check_isospectrality(radial, bad, k=3, n_points=400)
 
     def test_linear_mapping_upgraded_on_infinite_domain(self, plain_oscillator):
-        grid = make_grid(plain_oscillator, GridSpec(n_points=64), m_values=(-2.0,))
+        grid = make_grid(plain_oscillator, 64, m_values=(-2.0,))
         assert np.all(grid > 0.0)
         steps = np.diff(grid)
         assert steps[-1] > 2.0 * steps[0]  # tanh compression, not a linear layout
 
     def test_finite_domain_linear(self):
         fam = get_family("X1-trigonometric", ParamPoint(m=-6.0, c=1.0, beta=0.5, d=1.0))
-        grid = make_grid(fam, GridSpec(n_points=100), m_values=(-6.0,))
+        grid = make_grid(fam, 100, m_values=(-6.0,))
         half = np.pi / 2.0
         assert np.all(np.abs(grid) < half)
         steps = np.diff(grid)
@@ -444,7 +454,7 @@ class TestFarEdge:
             m_values = (p.m, p.m - 1.0, p.m - 2.0)
             edge = closed_form_edge(tag, p, m_values)
             assert fam.grid_ends_fn(m_values)[1] == pytest.approx(edge, rel=1e-14)
-            grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
+            grid = make_grid(fam, 64, m_values=m_values)
             assert grid[-1] == pytest.approx(edge, rel=1e-14)
             if fam.domain[0] == -np.inf:
                 assert grid[0] == -grid[-1]
@@ -458,7 +468,7 @@ class TestFarEdge:
         # the reach, not the plateau or the cap, decides here
         assert reach(family_data(tag, p), m_values) < (
             2.0 * W_CAP ** 2 / p.omega if p.omega else PLATEAU_T)
-        grid = make_grid(fam, GridSpec(), m_values=m_values)
+        grid = make_grid(fam, m_values=m_values)
         w, wd = fam.w_rows(grid, m_values)
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(wd))
 
@@ -477,10 +487,10 @@ class TestFarEdge:
     def test_perturbed_grid_is_the_base_grid(self, mode):
         base, p = sampled_family("Xl-Poschl-Teller")
         m_values = (p.m, p.m - 1.0, p.m - 2.0)
-        grid = make_grid(base, GridSpec(n_points=64), m_values=m_values)
+        grid = make_grid(base, 64, m_values=m_values)
         for size in (1e-2, 1.0):
             fam = with_perturbation(base, mode, size)
-            assert np.array_equal(make_grid(fam, GridSpec(n_points=64), m_values=m_values), grid)
+            assert np.array_equal(make_grid(fam, 64, m_values=m_values), grid)
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_no_w_evaluated(self, tag):
@@ -491,8 +501,8 @@ class TestFarEdge:
             raise AssertionError("make_grid evaluated W")
 
         blind = dataclasses.replace(fam, affine=refuse, w1=refuse)
-        assert np.array_equal(make_grid(blind, GridSpec(n_points=64), m_values=m_values),
-                              make_grid(fam, GridSpec(n_points=64), m_values=m_values))
+        assert np.array_equal(make_grid(blind, 64, m_values=m_values),
+                              make_grid(fam, 64, m_values=m_values))
 
     @pytest.mark.parametrize("domain", [(-np.inf, 0.0), (-np.inf, -np.inf), (np.inf, np.inf),
                                         (1.0, 1.0), (2.0, 1.0)])
@@ -529,7 +539,7 @@ class TestFarEdge:
             if not all(fam.validity(m).valid for m in m_values):
                 continue
             try:
-                grid = make_grid(fam, GridSpec(), m_values=m_values)
+                grid = make_grid(fam, m_values=m_values)
             except InvalidParameterError as exc:
                 assert tag == "X1-hyperbolic" and "plateau" in exc.violated
                 assert max(abs(m * p.c - p.beta / p.c) for m in m_values) > W_CAP
@@ -596,7 +606,7 @@ class TestNearEnd:
                 assert 0.5 * W_CAP <= np.max(np.abs(w)) <= 1.5 * W_CAP, (p, x)
             if moved:
                 capped += 1
-                grid = make_grid(fam, GridSpec(n_points=64), m_values=m_values)
+                grid = make_grid(fam, 64, m_values=m_values)
                 assert grid.size == 64 and grid[0] == a
                 assert grid[-1] == pytest.approx(b, rel=1e-14)
         assert capped >= 30
@@ -612,5 +622,5 @@ class TestNearEnd:
         assert len(empty) == 1 and empty[0].c < 0.03
         p = empty[0]
         with pytest.raises(UnsupportedError, match=r"the grid window \[3.40237, -1.0566\] is empty"):
-            make_grid(get_family("X1-trigonometric", p), GridSpec(),
+            make_grid(get_family("X1-trigonometric", p),
                       m_values=(p.m, p.m - 1.0, p.m - 2.0))

@@ -29,7 +29,7 @@ omega whose solve's squared residuals overflow (HUGE_OMEGA: exit 2),
 wall (CAPPED_WALL), `spectrum` with k above the window probe's size over 8
 (MANY_LEVELS), `verify --checks` with the remainder on X1-hyperbolic below
 the sampler's c box (SMALL_C_REMAINDER), `verify --config` on a file
-with a grid key that is no GridSpec field (GRID_MARGIN: exit 2),
+with a grid block, no config field (GRID_MARGIN: exit 2),
 `spectrum` on X1-radial-oscillator at an omega whose far field alone
 passes the wall cap next to x = 0 (FAR_FIELD_OMEGA: exit 1) and `verify`
 on Xl-PT-Scarf with an m list that holds nan (NAN_M_LIST: exit 2), and
@@ -79,7 +79,7 @@ EVERY_FIELD = {
     "sample": 2,
     "seed": 9,
     "checks": [*IDENTITY_CHECKS.split(","), "remainder", "spectrum"],
-    "grid": {"n_points": 256},
+    "grid_points": 256,
     "tol": 1e-8,
     "tolerances": {"compatibility": 1e-10},
     "format": "json",
@@ -111,7 +111,7 @@ SAMPLE_WITH_M_LIST = ("Xl-radial-oscillator", ["--sample", "2", "--seed", "9",
 
 # settings that scan and spectrum do not read, as a flag and as a config
 # file's key, on X1-radial-oscillator at SEEDS[0]
-UNREAD = ("X1-radial-oscillator", ["--k", "3"], {"grid": {"n_points": 64}})
+UNREAD = ("X1-radial-oscillator", ["--k", "3"], {"grid_points": 64})
 
 # X1-hyperbolic below the sampler's c box: W's plateau m*c - beta/c is 16.7
 # at c = 0.03 (exit 0; the edge probe once found no window edge there) and
@@ -153,7 +153,8 @@ MANY_LEVELS = ("X1-radial-oscillator", '{"m": -3.0, "omega": 2.0, "d": 1.0}', "4
 SMALL_C_REMAINDER = ("X1-hyperbolic", '{"m": 10.2, "c": 0.0245, "beta": 0.99, "d": -1.53}',
                      "compatibility,remainder")
 
-# the grid's near end once was a config key; the family record places it
+# the grid's near end once was a key of a config's grid block, which is gone
+# with the block: the family record places the end, grid_points sets the size
 GRID_MARGIN = {"family": "X1-hyperbolic", "sample": 1, "seed": 3,
                "grid": {"boundary_margin": 0.001}}
 

@@ -37,7 +37,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from shapeinv import (  # noqa: E402
-    GridSpec,
     ParamPoint,
     ShapeInvError,
     catalog,
@@ -121,14 +120,14 @@ def point_sets():
                                                                _scarf_draw)
 
 
-def run_point(tag: str, point, spec: GridSpec):
-    """The report of the identity checks at point on spec's grid, or None
-    where the run raises a ShapeInvError."""
+def run_point(tag: str, point, n_points: int):
+    """The report of the identity checks at point on a grid of n_points, or
+    None where the run raises a ShapeInvError."""
     m_list = (point.m, point.m - 1.0, point.m - 2.0)
     try:
         family = catalog.get_family(tag, point)
-        grid = make_grid(family, spec, m_values=m_list)
-        return run_condition_checks(family, grid, m_list, grid_spec=spec)
+        grid = make_grid(family, n_points, m_values=m_list)
+        return run_condition_checks(family, grid, m_list)
     except ShapeInvError:
         return None
 
@@ -137,8 +136,7 @@ def sweep():
     """Every Cell, in a fixed order."""
     for tag, label, points in point_sets():
         for n_points in N_POINTS:
-            spec = GridSpec(n_points=n_points)
-            reports = [run_point(tag, p, spec) for p in points]
+            reports = [run_point(tag, p, n_points) for p in points]
             done = [r for r in reports if r is not None]
             worst, worst_name = 0.0, ""
             for report in done:
